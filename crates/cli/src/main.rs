@@ -36,16 +36,16 @@ use apex_lab::{
     FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
 };
 use apex_obs::{read_trace, summarize, Metrics, Table};
-use apex_scenario::Scenario;
+use apex_scenario::{ProgramEngine, Scenario};
 use apex_sim::{AdversarySpec, Json};
-use apex_synth::cli::{self, Args};
+use apex_synth::cli::{self, Args, RunArgs};
 
 fn usage() -> ! {
     eprintln!(
         "usage: apex <suite|drift|lab|farm|obs|run|adversary|synth> …\n\
          \n\
          suite run    SUITE.json [--store DIR] [--resume] [--cached] [--faults PLAN.json]\n\
-         \x20            [--threads N] [--exec serial|ticketed [--workers N]] [--timing]\n\
+         \x20            [--threads N] [--timing]\n\
          \x20            [--engine tree|bytecode] [--trace [FILE]] [--metrics] [--profile]\n\
          \x20            [--bench OUT.json] [--bench-baseline BASE.json [--bench-tolerance F]]\n\
          \x20                                        journaled expand-execute-record\n\
@@ -58,8 +58,7 @@ fn usage() -> ! {
          lab gc       [--store DIR] [--keep-last N] [--dry-run]  delete old suite dirs\n\
          farm submit  SUITE.json [--queue DIR]   enqueue a suite for the workers\n\
          farm worker  [--queue DIR] [--store DIR] [--threads N] [--worker ID]\n\
-         \x20            [--shard N] [--ttl N] [--faults PLAN.json]\n\
-         \x20            [--exec serial|ticketed [--workers N]] [--engine tree|bytecode]\n\
+         \x20            [--shard N] [--ttl N] [--faults PLAN.json] [--engine tree|bytecode]\n\
          \x20            [--trace [FILE]] [--metrics] [--profile]  drain the queue\n\
          farm status  [--queue DIR] [--store DIR] [--metrics]  per-suite queue progress\n\
          farm query   SCENARIO.json [--queue DIR] [--store DIR] [--json]\n\
@@ -68,8 +67,7 @@ fn usage() -> ! {
          \x20                                        summarize (or dump) a trace file\n\
          obs metrics  [FILE] [--merge DIR]… [--result-plane] [--json]\n\
          \x20                                        render / fleet-merge metrics documents\n\
-         run          SCENARIO.json [--emit OUT.json] [--json]\n\
-         \x20            [--exec serial|ticketed [--workers N]] [--engine tree|bytecode]\n\
+         run          SCENARIO.json [--emit OUT.json] [--json] [--engine tree|bytecode]\n\
          \x20            [--trace [FILE]] [--metrics [FILE]] [--profile]\n\
          \x20                                        execute one scenario\n\
          adversary validate SPEC.json --n N      parse + validate a composed adversary\n\
@@ -231,14 +229,14 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
             let benching = args.has("bench") || args.has("bench-baseline");
             // Bare `--trace` lands next to the suite's records.
             let trace_default = store.trace_path(&suite.digest());
+            let run_args = RunArgs::parse(&args, || trace_default);
             let opts = JournalOpts {
                 resume: args.has("resume"),
                 cached: args.has("cached"),
                 threads: args.get("threads").and_then(|v| v.parse().ok()),
-                exec: cli::exec_override(&args),
-                engine: cli::engine_override(&args),
+                engine: run_args.engine,
                 timing: benching || args.has("timing"),
-                obs: cli::obs_override(&args, || trace_default),
+                obs: run_args.obs,
             };
             let done = match run_suite_journaled(&suite, &store, &opts) {
                 Ok(d) => d,
@@ -266,15 +264,11 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 println!("  {}", done.cache.summary());
             }
             if opts.timing {
-                let exec = opts.exec.unwrap_or_default();
                 println!(
-                    "  {exec}: {} ticks in {} ms — {} ticks/s ({} windows, {} conflicts, {} serial reruns)",
+                    "  executed {} ticks in {} ms — {} ticks/s",
                     done.executed_ticks,
                     done.elapsed_ms,
-                    done.ticks_per_sec(),
-                    done.exec.windows,
-                    done.exec.conflicts,
-                    done.exec.serial_reruns
+                    done.ticks_per_sec()
                 );
             }
             if let Some(trace) = &opts.obs.trace {
@@ -288,7 +282,7 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 );
             }
             if benching {
-                if let Err(e) = bench_gate(&args, &suite, &done) {
+                if let Err(e) = bench_gate(&args, &suite, &done, opts.engine.unwrap_or_default()) {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }
@@ -318,12 +312,18 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
 /// Fold this run's measured throughput into a `--bench` artifact and/or
 /// gate it against a committed `--bench-baseline` document. Telemetry
 /// only — nothing here touches the store's result bytes.
-fn bench_gate(args: &Args, suite: &Suite, done: &apex_lab::JournaledRun) -> Result<(), String> {
-    let exec = cli::exec_override(args).unwrap_or_default();
-    let engine = cli::engine_override(args).unwrap_or_default();
+fn bench_gate(
+    args: &Args,
+    suite: &Suite,
+    done: &apex_lab::JournaledRun,
+    engine: ProgramEngine,
+) -> Result<(), String> {
+    // Cells always execute serially; the row key keeps its `(exec,
+    // workers)` prefix so committed artifacts stay byte-stable.
+    let (exec, workers) = ("serial", 1);
     let fresh = BenchRun {
-        exec: exec.label().into(),
-        workers: exec.workers() as u64,
+        exec: exec.into(),
+        workers,
         engine: engine.label().into(),
         host_cores: std::thread::available_parallelism()
             .map(|n| n.get() as u64)
@@ -339,20 +339,9 @@ fn bench_gate(args: &Args, suite: &Suite, done: &apex_lab::JournaledRun) -> Resu
         None => BenchDoc::new(&suite.name, &digest),
     };
     doc.upsert(fresh);
-    if exec.workers() > 1 {
-        if let Some(speedup) = doc.speedup(exec.workers() as u64) {
-            println!(
-                "  speedup over serial at {} workers: {speedup:.2}x",
-                exec.workers()
-            );
-        }
-    }
-    let engine_speedup = doc.engine_speedup(exec.label(), exec.workers() as u64);
+    let engine_speedup = doc.engine_speedup(exec, workers);
     if let Some(speedup) = engine_speedup {
-        println!(
-            "  bytecode speedup over tree on the {} engine: {speedup:.2}x",
-            exec.label()
-        );
+        println!("  bytecode speedup over tree on the {exec} engine: {speedup:.2}x");
     }
     if let Some(min) = args.get("bench-min-engine-speedup") {
         let min: f64 = min
@@ -372,10 +361,8 @@ fn bench_gate(args: &Args, suite: &Suite, done: &apex_lab::JournaledRun) -> Resu
             }
             None => {
                 return Err(format!(
-                    "engine speedup gate needs both a tree and a bytecode row for exec {} \
-                     (workers {}) in the bench doc",
-                    exec.label(),
-                    exec.workers()
+                    "engine speedup gate needs both a tree and a bytecode row for exec {exec} \
+                     (workers {workers}) in the bench doc"
                 ))
             }
         }
@@ -628,12 +615,12 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
             opts.shard_cells = args.num("shard", opts.shard_cells);
             opts.ttl = args.num("ttl", opts.ttl);
             opts.threads = args.get("threads").and_then(|v| v.parse().ok());
-            opts.exec = cli::exec_override(&args);
-            opts.engine = cli::engine_override(&args);
             // Bare `--trace` lands beside the store, one file per worker
             // (a trace describes one worker's run, not the fleet's).
             let trace_default = store.root().join(format!("trace-{}.jsonl", opts.worker));
-            opts.obs = cli::obs_override(&args, || trace_default);
+            let run_args = RunArgs::parse(&args, || trace_default);
+            opts.engine = run_args.engine;
+            opts.obs = run_args.obs;
             match run_worker(&queue, &store, &opts) {
                 Ok(report) => {
                     println!("{}", report.summary());
@@ -897,12 +884,6 @@ fn one_line(s: &apex_scenario::Scenario) -> String {
         Mode::Agreement { n, phases, .. } => format!(
             "agreement n={n} phases={phases} schedule={} seed={}",
             s.schedule.to_json().render(),
-            s.seed
-        ),
-        Mode::Kernel { kernel, n, ticks } => format!(
-            "kernel {}(n={n}) ticks={ticks} exec={} seed={}",
-            kernel.label(),
-            s.engine.exec,
             s.seed
         ),
     }

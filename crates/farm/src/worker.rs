@@ -26,12 +26,11 @@
 
 use apex_bench::runner::{resolve_threads, run_trials_threaded};
 use apex_lab::{
-    assemble_run, json_diff, lease_dir, lease_path, next_finish_seq, read_journal, read_leases,
-    CacheLookup, Cell, FaultInjector, Journal, JournalEntry, LabStore, Lease, Manifest, Suite,
-    CELL_PANIC_MARKER,
+    assemble_run, capture_cell, json_diff, lease_dir, lease_path, next_finish_seq, read_journal,
+    read_leases, CacheLookup, Cell, Journal, JournalEntry, LabStore, Lease, Manifest, Suite,
 };
-use apex_obs::{Metrics, Obs, ObsOpts, POW2_BOUNDS};
-use apex_scenario::{CacheStats, ExecMode, ExecStats, RunOutcome};
+use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
+use apex_scenario::{CacheStats, RunOpts, RunOutcome};
 use apex_sim::Json;
 
 use crate::queue::FarmQueue;
@@ -55,14 +54,9 @@ pub struct WorkerOpts {
     /// [`resolve_threads`]: `APEX_RUNNER_THREADS`, else all cores —
     /// identical semantics to `apex suite run --threads`).
     pub threads: Option<usize>,
-    /// Runtime execution-engine override for kernel-mode cells (intra-run
-    /// parallelism *inside* each cell, orthogonal to `threads`' across-cell
-    /// fan-out). Never changes a result byte, so workers running different
-    /// engines still converge to one record set.
-    pub exec: Option<ExecMode>,
-    /// Runtime interpreter-engine override for scheme-mode cells. Like
-    /// `exec`, it never changes a result byte, so workers running
-    /// different interpreters still converge to one record set.
+    /// Runtime interpreter-engine override for scheme-mode cells. It
+    /// never changes a result byte, so workers running different
+    /// interpreters still converge to one record set.
     pub engine: Option<apex_scenario::ProgramEngine>,
     /// Telemetry plane ([`apex_obs::ObsOpts`]). With `metrics` on, the
     /// worker writes a per-suite `metrics-<worker>.json` shard beside the
@@ -80,7 +74,6 @@ impl Default for WorkerOpts {
             shard_cells: DEFAULT_SHARD_CELLS,
             ttl: DEFAULT_TTL,
             threads: None,
-            exec: None,
             engine: None,
             obs: ObsOpts::off(),
         }
@@ -145,7 +138,7 @@ impl WorkerReport {
 
 /// Drain every queued suite: claim shards, execute misses, finalize
 /// completed suites. Returns when the whole queue is drained. Injected
-/// faults (via the store's [`FaultInjector`]) surface as `Err`, exactly
+/// faults (via the store's [`FaultInjector`](apex_lab::FaultInjector)) surface as `Err`, exactly
 /// like a crashed worker process.
 pub fn run_worker(
     queue: &FarmQueue,
@@ -153,15 +146,18 @@ pub fn run_worker(
     opts: &WorkerOpts,
 ) -> Result<WorkerReport, String> {
     let mut report = WorkerReport::default();
-    let obs = opts
-        .obs
-        .open_trace()
-        .map_err(|e| format!("trace open failed: {e}"))?;
+    let run_opts = RunOpts {
+        engine: opts.engine,
+        obs: opts
+            .obs
+            .open_trace()
+            .map_err(|e| format!("trace open failed: {e}"))?,
+    };
     for (digest, suite) in queue.entries()? {
         report.suites += 1;
-        drain_suite(store, &digest, &suite, opts, &obs, &mut report)?;
+        drain_suite(store, &digest, &suite, opts, &run_opts, &mut report)?;
     }
-    obs.flush();
+    run_opts.obs.flush();
     Ok(report)
 }
 
@@ -185,11 +181,11 @@ fn drain_suite(
     digest: &str,
     suite: &Suite,
     opts: &WorkerOpts,
-    obs: &Obs,
+    run_opts: &RunOpts,
     report: &mut WorkerReport,
 ) -> Result<(), String> {
     let mut metrics = Metrics::new();
-    drain_suite_inner(store, digest, suite, opts, obs, report, &mut metrics)?;
+    drain_suite_inner(store, digest, suite, opts, run_opts, report, &mut metrics)?;
     if opts.obs.metrics && !metrics.is_empty() {
         let path = store
             .suite_dir(digest)
@@ -208,7 +204,6 @@ struct CellTally {
     ok: bool,
     status: &'static str,
     ticks: Option<u64>,
-    stats: ExecStats,
 }
 
 /// Fold the tallies of every cell this worker owns into its metrics
@@ -254,10 +249,6 @@ fn attribute_result_plane(
             metrics.add("ticks.executed", ticks);
             metrics.observe_with("cells.ticks", &POW2_BOUNDS, ticks);
         }
-        metrics.add("exec.windows", t.stats.windows);
-        metrics.add("exec.conflicts", t.stats.conflicts);
-        metrics.add("exec.serial_reruns", t.stats.serial_reruns);
-        metrics.gauge_max("exec.workers", t.stats.workers as u64);
     }
 }
 
@@ -266,25 +257,22 @@ fn drain_suite_inner(
     digest: &str,
     suite: &Suite,
     opts: &WorkerOpts,
-    obs: &Obs,
+    run_opts: &RunOpts,
     report: &mut WorkerReport,
     metrics: &mut Metrics,
 ) -> Result<(), String> {
+    let obs = &run_opts.obs;
     let cells = suite.expand()?;
     // Seed every result-plane key so a shard that executes (or owns)
     // nothing still merges to the exact key set a serial run writes (a
     // missing counter and a zero counter must be the same document).
     metrics.gauge_max("cells.total", cells.len() as u64);
-    metrics.gauge_max("exec.workers", 0);
     for key in [
         "cells.executed",
         "cells.ok",
         "cells.exhausted",
         "cells.poisoned",
         "ticks.executed",
-        "exec.windows",
-        "exec.conflicts",
-        "exec.serial_reruns",
         "farm.executions",
     ] {
         metrics.add(key, 0);
@@ -436,9 +424,9 @@ fn drain_suite_inner(
                     .map_err(jerr)?;
             }
             let outcomes = run_trials_threaded(&pending, threads.min(pending.len()), |cell| {
-                run_one(store.faults(), opts.exec, opts.engine, obs, cell)
+                capture_cell(store, cell, run_opts)
             });
-            for (cell, (outcome, stats)) in pending.iter().zip(&outcomes) {
+            for (cell, outcome) in pending.iter().zip(&outcomes) {
                 commit_cell(store, digest, &journal, cell, outcome, &opts.worker, report)?;
                 report.executed += 1;
                 // Raw work including duplicate executions of stolen
@@ -450,7 +438,6 @@ fn drain_suite_inner(
                         ok: outcome.ok(),
                         status: outcome.status(),
                         ticks: outcome.record().map(|r| r.report.ticks()),
-                        stats: *stats,
                     },
                 );
             }
@@ -508,25 +495,6 @@ fn drain_suite_inner(
             // tiny ttls, barely wait).
             std::thread::sleep(std::time::Duration::from_millis(probes.min(10)));
         }
-    }
-}
-
-/// Run one cell (honoring an installed fault injector's panic plan and
-/// the worker's execution-engine override).
-fn run_one(
-    faults: Option<&std::sync::Arc<FaultInjector>>,
-    exec: Option<ExecMode>,
-    engine: Option<apex_scenario::ProgramEngine>,
-    obs: &Obs,
-    cell: &Cell,
-) -> (RunOutcome, ExecStats) {
-    if faults.is_some_and(|f| f.panics_cell(cell.index)) {
-        let outcome = RunOutcome::capture_with(&cell.scenario, |_| {
-            panic!("{CELL_PANIC_MARKER} in cell {}", cell.index)
-        });
-        (outcome, ExecStats::default())
-    } else {
-        RunOutcome::capture_engines_obs(&cell.scenario, exec, engine, obs)
     }
 }
 

@@ -1,148 +1,29 @@
-//! Throughput telemetry: the per-run `exec-stats.json` sidecar and the
-//! committed `BENCH_*.json` scaling artifact.
+//! Throughput telemetry: the committed `BENCH_*.json` artifact.
 //!
-//! Both documents are **telemetry, not store identity**: they carry
-//! wall-clock timings, so they are excluded from every byte-identity
-//! comparison (`diff -r --exclude=exec-stats.json`), ignored by drift
-//! checking, and never hashed into a content address. The *result* bytes
-//! of a run stay engine- and timing-independent; these files record how
-//! fast those bytes were produced.
-//!
-//! * [`ExecStatsDoc`] — one journaled run's execution telemetry: which
-//!   engine ran, how many cells executed vs were answered from cache,
-//!   the terminal-state tally, and the measured ticks/s. Written by
-//!   `apex suite run` when timing is requested, next to `manifest.json`.
-//! * [`BenchDoc`] — a keyed collection of such measurements for one
-//!   suite, accumulated across `apex suite run --bench` invocations
-//!   (one row per `(exec, workers)` point). The committed artifact is
-//!   what CI gates regressions against via [`BenchDoc::gate_against`].
+//! A [`BenchDoc`] is **telemetry, not store identity**: it carries
+//! wall-clock timings, so it is ignored by drift checking and never
+//! hashed into a content address. The *result* bytes of a run stay
+//! engine- and timing-independent; the artifact records how fast those
+//! bytes were produced. Rows accumulate across `apex suite run --bench`
+//! invocations (one row per `(exec, workers, engine)` point), and the
+//! committed artifact is what CI gates regressions against via
+//! [`BenchDoc::gate_against`].
 
 use std::path::Path;
 
 use apex_sim::{Json, JsonError};
 
-/// Integer ticks-per-second from a tick count and an elapsed duration
-/// (saturating; a sub-millisecond run is counted as one millisecond so
-/// the rate stays finite).
-fn rate(ticks: u64, elapsed_ms: u64) -> u64 {
-    ticks.saturating_mul(1000) / elapsed_ms.max(1)
-}
-
-/// One journaled run's execution telemetry (`exec-stats.json`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExecStatsDoc {
-    /// Engine label: `serial` or `ticketed`.
-    pub exec: String,
-    /// Worker count the engine ran with (1 for serial).
-    pub workers: u64,
-    /// Total cells in the suite expansion.
-    pub cells: u64,
-    /// Cells actually executed this run.
-    pub executed: u64,
-    /// Cells answered from verified store bytes.
-    pub skipped: u64,
-    /// Cells that exhausted their tick budget.
-    pub exhausted: u64,
-    /// Cells that poisoned (panicked).
-    pub poisoned: u64,
-    /// Machine ticks consumed by the executed cells.
-    pub ticks: u64,
-    /// Wall-clock milliseconds spent executing them.
-    pub elapsed_ms: u64,
-    /// Throughput over the executed cells, in ticks per second.
-    pub ticks_per_sec: u64,
-}
-
-impl ExecStatsDoc {
-    /// Assemble a document, deriving `ticks_per_sec` from the tick count
-    /// and elapsed time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        exec: impl Into<String>,
-        workers: u64,
-        cells: u64,
-        executed: u64,
-        skipped: u64,
-        exhausted: u64,
-        poisoned: u64,
-        ticks: u64,
-        elapsed_ms: u64,
-    ) -> Self {
-        ExecStatsDoc {
-            exec: exec.into(),
-            workers,
-            cells,
-            executed,
-            skipped,
-            exhausted,
-            poisoned,
-            ticks,
-            elapsed_ms,
-            ticks_per_sec: rate(ticks, elapsed_ms),
-        }
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} (workers {}): {} ticks in {} ms — {} ticks/s",
-            self.exec, self.workers, self.ticks, self.elapsed_ms, self.ticks_per_sec
-        )
-    }
-
-    /// Serialize (canonical field order).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("exec".into(), Json::Str(self.exec.clone())),
-            ("workers".into(), Json::UInt(self.workers)),
-            ("cells".into(), Json::UInt(self.cells)),
-            ("executed".into(), Json::UInt(self.executed)),
-            ("skipped".into(), Json::UInt(self.skipped)),
-            ("exhausted".into(), Json::UInt(self.exhausted)),
-            ("poisoned".into(), Json::UInt(self.poisoned)),
-            ("ticks".into(), Json::UInt(self.ticks)),
-            ("elapsed_ms".into(), Json::UInt(self.elapsed_ms)),
-            ("ticks_per_sec".into(), Json::UInt(self.ticks_per_sec)),
-        ])
-    }
-
-    /// Deserialize an exec-stats document.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ExecStatsDoc {
-            exec: v.get("exec")?.as_str()?.to_string(),
-            workers: v.get("workers")?.as_u64()?,
-            cells: v.get("cells")?.as_u64()?,
-            executed: v.get("executed")?.as_u64()?,
-            skipped: v.get("skipped")?.as_u64()?,
-            exhausted: v.get("exhausted")?.as_u64()?,
-            poisoned: v.get("poisoned")?.as_u64()?,
-            ticks: v.get("ticks")?.as_u64()?,
-            elapsed_ms: v.get("elapsed_ms")?.as_u64()?,
-            ticks_per_sec: v.get("ticks_per_sec")?.as_u64()?,
-        })
-    }
-
-    /// Parse a complete document.
-    pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
-    }
-
-    /// The canonical pretty-printed document.
-    pub fn render_pretty(&self) -> String {
-        self.to_json().render_pretty()
-    }
-}
-
 /// One measured point of a [`BenchDoc`]: how fast one
 /// `(exec, workers, engine)` configuration pushed the suite's ticks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchRun {
-    /// Execution-engine label: `serial` or `ticketed`.
+    /// Execution label; every run executes cells serially, so fresh rows
+    /// say `serial` (kept in the key so committed artifacts stay
+    /// byte-stable).
     pub exec: String,
-    /// Worker count (1 for serial).
+    /// Worker count within one run (1: a run is single-threaded).
     pub workers: u64,
-    /// Scheme-interpreter engine label: `tree` or `bytecode` (kernel
-    /// suites always measure `tree` — the knob does not apply to them).
+    /// Scheme-interpreter engine label: `tree` or `bytecode`.
     pub engine: String,
     /// Logical cores available on the measuring host (0 when unknown) —
     /// machine context for reading cross-host artifacts, never part of
@@ -236,16 +117,6 @@ impl BenchDoc {
         self.runs
             .iter()
             .find(|r| r.key() == (exec, workers, engine))
-    }
-
-    /// The ticketed-over-serial speedup at `workers` (tree interpreter
-    /// rows), when the artifact holds both measurements (what the
-    /// kernel-scaling acceptance gate reads).
-    pub fn speedup(&self, workers: u64) -> Option<f64> {
-        let serial = self.run("serial", 1, "tree")?;
-        let ticketed = self.run("ticketed", workers, "tree")?;
-        (serial.ticks_per_sec > 0)
-            .then(|| ticketed.ticks_per_sec as f64 / serial.ticks_per_sec as f64)
     }
 
     /// The bytecode-over-tree interpreter speedup at one
@@ -374,29 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn exec_stats_round_trip_and_rate() {
-        let doc = ExecStatsDoc::new("ticketed", 4, 10, 8, 2, 1, 0, 2_000_000, 500);
-        assert_eq!(doc.ticks_per_sec, 4_000_000);
-        let back = ExecStatsDoc::parse(&doc.render_pretty()).unwrap();
-        assert_eq!(back, doc);
-        assert!(doc.summary().contains("ticks/s"));
-        // Sub-millisecond runs stay finite.
-        assert_eq!(
-            ExecStatsDoc::new("serial", 1, 1, 1, 0, 0, 0, 100, 0).ticks_per_sec,
-            100_000
-        );
-    }
-
-    #[test]
     fn bench_doc_upserts_by_key_and_round_trips() {
-        let mut doc = BenchDoc::new("bench-kernel", "feedfacefeedface");
-        doc.upsert(measured("ticketed", 4, 100));
+        let mut doc = BenchDoc::new("bench-program", "feedfacefeedface");
+        doc.upsert(measured("serial", 4, 100));
         doc.upsert(measured("serial", 1, 50));
-        doc.upsert(measured("ticketed", 4, 120)); // replaces, not appends
+        doc.upsert(measured("serial", 4, 120)); // replaces, not appends
         assert_eq!(doc.runs.len(), 2);
-        assert_eq!(doc.runs[0].exec, "serial"); // sorted by key
-        assert_eq!(doc.run("ticketed", 4, "tree").unwrap().ticks_per_sec, 120);
-        assert_eq!(doc.speedup(4), Some(2.4));
+        assert_eq!(doc.runs[0].workers, 1); // sorted by key
+        assert_eq!(doc.run("serial", 4, "tree").unwrap().ticks_per_sec, 120);
         let back = BenchDoc::parse(&doc.render_pretty()).unwrap();
         assert_eq!(back, doc);
     }
@@ -426,17 +282,17 @@ mod tests {
     #[test]
     fn gate_flags_regressions_within_tolerance() {
         let mut baseline = BenchDoc::new("b", "d");
-        baseline.upsert(measured("serial", 1, 1000));
-        baseline.upsert(measured("ticketed", 4, 4000));
+        baseline.upsert(engine_measured("serial", 1, "tree", 1000));
+        baseline.upsert(engine_measured("serial", 1, "bytecode", 4000));
 
         let mut fresh = BenchDoc::new("b", "d");
-        fresh.upsert(measured("serial", 1, 900));
-        fresh.upsert(measured("ticketed", 4, 2300));
-        fresh.upsert(measured("ticketed", 8, 1)); // no baseline key — ignored
-                                                  // serial within 40%, ticketed is not (2300 < 4000 * 0.6).
+        fresh.upsert(engine_measured("serial", 1, "tree", 900));
+        fresh.upsert(engine_measured("serial", 1, "bytecode", 2300));
+        fresh.upsert(measured("serial", 8, 1)); // no baseline key — ignored
+                                                // tree within 40%, bytecode is not (2300 < 4000 * 0.6).
         let err = fresh.gate_against(&baseline, 0.4).unwrap_err();
-        assert!(err.contains("ticketed"), "{err}");
-        assert!(!err.contains("serial (workers 1)"), "{err}");
+        assert!(err.contains("engine bytecode"), "{err}");
+        assert!(!err.contains("engine tree"), "{err}");
         // A looser gate passes.
         fresh.gate_against(&baseline, 0.5).unwrap();
     }

@@ -21,12 +21,12 @@
 
 use std::path::{Path, PathBuf};
 
-use apex_scenario::{CacheStats, ReportRecord};
+use apex_scenario::ReportRecord;
 use apex_sim::Json;
 
 use crate::digest_hex;
 use crate::journal::{read_journal, JournalEntry, JournalState, JOURNAL_FILE};
-use crate::store::{LabStore, CACHE_STATS_FILE, EXEC_STATS_FILE};
+use crate::store::LabStore;
 
 /// What is wrong with one file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -300,8 +300,7 @@ fn scan_suite(
         }
         // `metrics.json` plus the farm's per-worker `metrics-<id>.json`
         // shards all carry the same unified document.
-        let is_metrics = name.starts_with("metrics") && name.ends_with(".json");
-        if name == CACHE_STATS_FILE || name == EXEC_STATS_FILE || is_metrics {
+        if name.starts_with("metrics") && name.ends_with(".json") {
             // Telemetry sidecars: not store identity, but they should
             // still parse — an unreadable one is debris worth
             // quarantining.
@@ -309,19 +308,9 @@ fn scan_suite(
             let parse = std::fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
                 .and_then(|text| {
-                    if name == CACHE_STATS_FILE {
-                        CacheStats::parse(&text)
-                            .map(drop)
-                            .map_err(|e| e.to_string())
-                    } else if name == EXEC_STATS_FILE {
-                        crate::bench::ExecStatsDoc::parse(&text)
-                            .map(drop)
-                            .map_err(|e| e.to_string())
-                    } else {
-                        apex_obs::Metrics::parse(&text)
-                            .map(drop)
-                            .map_err(|e| e.to_string())
-                    }
+                    apex_obs::Metrics::parse(&text)
+                        .map(drop)
+                        .map_err(|e| e.to_string())
                 });
             if let Err(e) = parse {
                 let quarantined = repair && quarantine(store, suite, &path)?;

@@ -36,7 +36,7 @@ pub mod runner;
 pub mod store;
 pub mod suite;
 
-pub use bench::{BenchDoc, BenchRun, ExecStatsDoc};
+pub use bench::{BenchDoc, BenchRun};
 pub use drift::{check_against_store, compare_stores, json_diff, DriftKind, DriftReport};
 pub use fault::{
     is_kill, BitFlip, FaultInjector, FaultPlan, TornWrite, TransientFault, WriteDirective,
@@ -53,12 +53,12 @@ pub use lease::{
     LEASE_FORMAT_MAJOR,
 };
 pub use runner::{
-    assemble_run, run_cells, run_suite, run_suite_journaled, JournalOpts, JournaledRun,
-    OutputMismatch, SuiteRun,
+    assemble_run, capture_cell, run_cells, run_suite, run_suite_journaled, JournalOpts,
+    JournaledRun, OutputMismatch, SuiteRun,
 };
 pub use store::{
-    CacheLookup, LabStore, Manifest, ManifestCell, CACHE_STATS_FILE, DEFAULT_STORE_ROOT,
-    EXEC_STATS_FILE, MAX_WRITE_ATTEMPTS, QUARANTINE_DIR, TELEMETRY_FILES,
+    CacheLookup, LabStore, Manifest, ManifestCell, DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS,
+    QUARANTINE_DIR, TELEMETRY_FILES,
 };
 pub use suite::{
     Cell, Grid, OutputExpectation, SeedRange, Suite, SUITE_FORMAT_MAJOR, SUITE_FORMAT_MINOR,

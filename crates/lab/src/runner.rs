@@ -6,9 +6,7 @@ use std::sync::mpsc;
 
 use apex_bench::runner::{resolve_threads, run_trials};
 use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
-use apex_scenario::{CacheStats, ExecMode, ExecStats, ReportRecord, RunOutcome};
-
-use crate::bench::ExecStatsDoc;
+use apex_scenario::{CacheStats, ReportRecord, RunOpts, RunOutcome};
 
 use crate::fault::CELL_PANIC_MARKER;
 use crate::journal::{next_finish_seq, Journal, JournalEntry};
@@ -101,6 +99,24 @@ pub fn run_cells(suite: &Suite, cells: &[Cell]) -> SuiteRun {
     finish_run(suite, cells, outcomes)
 }
 
+/// Run one cell of a store-backed campaign under `catch_unwind`
+/// ([`RunOutcome::capture_opts`]). A [`FaultInjector`] installed on
+/// `store` that plans a panic for this cell index gets one, so the
+/// isolation path is exercised exactly as a genuine engine panic would
+/// exercise it. The journaled runner and the farm worker both execute
+/// cells through here.
+///
+/// [`FaultInjector`]: crate::fault::FaultInjector
+pub fn capture_cell(store: &LabStore, cell: &Cell, opts: &RunOpts) -> RunOutcome {
+    if store.faults().is_some_and(|f| f.panics_cell(cell.index)) {
+        RunOutcome::capture_with(&cell.scenario, |_| {
+            panic!("{CELL_PANIC_MARKER} in cell {}", cell.index)
+        })
+    } else {
+        RunOutcome::capture_opts(&cell.scenario, opts)
+    }
+}
+
 /// Check pinned outputs and assemble the [`SuiteRun`] from outcomes
 /// gathered elsewhere — the farm's manifest merger reconstructs outcomes
 /// from verified records plus journal entries and finalizes through this
@@ -145,31 +161,25 @@ pub struct JournalOpts {
     /// cells whose stored records digest-verify byte-for-byte.
     pub resume: bool,
     /// Memoize: consult the store before executing any cell, skip
-    /// verified hits, tally a [`CacheStats`], and write the
-    /// `cache-stats.json` sidecar. Unlike `resume`, hits are also
-    /// checked against the existing manifest's pinned checksums, and the
-    /// tally distinguishes misses from rejected (present-but-unverified)
-    /// bytes.
+    /// verified hits, and tally a [`CacheStats`] (also written to
+    /// `metrics.json` as `cache.*` counters). Unlike `resume`, hits are
+    /// also checked against the existing manifest's pinned checksums, and
+    /// the tally distinguishes misses from rejected
+    /// (present-but-unverified) bytes.
     pub cached: bool,
     /// Explicit worker-thread count (`None` resolves through
     /// [`resolve_threads`] — `APEX_RUNNER_THREADS` if set, else all
     /// cores; `Some(1)` forces the serial path, whose journal line order
     /// is fully deterministic).
     pub threads: Option<usize>,
-    /// Runtime execution-engine override for kernel-mode cells
-    /// ([`Scenario::run_with_exec`](apex_scenario::Scenario::run_with_exec)):
-    /// `None` honors each scenario's own engine knob. The override never
-    /// changes a result byte — records, manifests, and digests are
-    /// engine-independent.
-    pub exec: Option<ExecMode>,
     /// Runtime interpreter-engine override for scheme-mode cells
-    /// ([`Scenario::run_with_engines`](apex_scenario::Scenario::run_with_engines)):
-    /// `None` honors each scenario's own engine knob. Like `exec`, the
-    /// override never changes a result byte.
+    /// ([`RunOpts::engine`]): `None` honors each scenario's own engine
+    /// knob. The override never changes a result byte — records,
+    /// manifests, and digests are engine-independent.
     pub engine: Option<apex_scenario::ProgramEngine>,
-    /// Measure wall-clock execution time and write the `exec-stats.json`
-    /// sidecar (timing telemetry, excluded from byte-identity checks).
-    /// Also folds `time.*` entries into the unified metrics document.
+    /// Measure wall-clock execution time: folds the `time.elapsed_ms`
+    /// entry into the metrics document (telemetry, excluded from
+    /// byte-identity checks).
     pub timing: bool,
     /// Telemetry plane: trace sink and metrics collection
     /// ([`apex_obs::ObsOpts`]). Telemetry observes the run and never
@@ -199,10 +209,6 @@ pub struct JournaledRun {
     /// Machine ticks consumed by the cells executed this run (skipped
     /// cells contribute nothing — their ticks were paid for earlier).
     pub executed_ticks: u64,
-    /// Aggregated execution-engine stats over the executed cells
-    /// (worker count is a max, window/conflict/rerun counts are sums —
-    /// see [`ExecStats::absorb`]). All trivial for serial-engine runs.
-    pub exec: ExecStats,
     /// The unified metrics document written to `metrics.json` (empty
     /// unless the run requested metrics, caching, or timing).
     pub metrics: Metrics,
@@ -265,13 +271,17 @@ pub fn run_suite_journaled(
 
     // Telemetry plane. The trace sink (when requested) sees lab-scope
     // cell-lifecycle events from this coordinator thread plus engine-
-    // and exec-scope events from inside each cell's run; with
-    // `threads = 1` the full interleaving is deterministic (the golden
-    // canonical-trace test pins it). Nothing here touches a result byte.
-    let obs = opts
-        .obs
-        .open_trace()
-        .map_err(|e| format!("trace open failed: {e}"))?;
+    // scope events from inside each cell's run; with `threads = 1` the
+    // full interleaving is deterministic (the golden canonical-trace test
+    // pins it). Nothing here touches a result byte.
+    let run_opts = RunOpts {
+        engine: opts.engine,
+        obs: opts
+            .obs
+            .open_trace()
+            .map_err(|e| format!("trace open failed: {e}"))?,
+    };
+    let obs = &run_opts.obs;
 
     // Resume and the cache path share one rule: trust nothing but
     // verified bytes. A record is skippable only if it exists, parses
@@ -321,17 +331,6 @@ pub fn run_suite_journaled(
 
     let pending: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
     let executed = pending.clone();
-
-    let run_one = |cell: &Cell| -> (RunOutcome, ExecStats) {
-        if store.faults().is_some_and(|f| f.panics_cell(cell.index)) {
-            let outcome = RunOutcome::capture_with(&cell.scenario, |_| {
-                panic!("{CELL_PANIC_MARKER} in cell {}", cell.index)
-            });
-            (outcome, ExecStats::default())
-        } else {
-            RunOutcome::capture_engines_obs(&cell.scenario, opts.exec, opts.engine, &obs)
-        }
-    };
 
     // Journal + store writes all happen on this thread, in a strict
     // claimed → (committed | poisoned) order per cell; workers only run
@@ -386,7 +385,6 @@ pub fn run_suite_journaled(
         }
     };
 
-    let mut exec = ExecStats::default();
     let threads = resolve_threads(opts.threads).min(pending.len().max(1));
     let started_at = std::time::Instant::now();
     if threads <= 1 {
@@ -399,8 +397,7 @@ pub fn run_suite_journaled(
                 })
                 .map_err(jerr)?;
             obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
-            let (outcome, stats) = run_one(cell);
-            exec.absorb(&stats);
+            let outcome = capture_cell(store, cell, &run_opts);
             commit(&journal, cell, &outcome)?;
             slots[i] = Some(outcome);
         }
@@ -410,17 +407,16 @@ pub fn run_suite_journaled(
         #[allow(clippy::large_enum_variant)]
         enum Msg {
             Claimed(usize),
-            Done(usize, RunOutcome, ExecStats),
+            Done(usize, RunOutcome),
         }
         let stop = AtomicBool::new(false);
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<Msg>();
-        let exec = &mut exec;
         let result: Result<(), String> = std::thread::scope(|scope| {
             for _ in 0..threads {
                 let tx = tx.clone();
                 let (cursor, stop, pending, cells) = (&cursor, &stop, &pending, &cells);
-                let run_one = &run_one;
+                let run_opts = &run_opts;
                 scope.spawn(move || loop {
                     if stop.load(Ordering::SeqCst) {
                         break;
@@ -430,8 +426,8 @@ pub fn run_suite_journaled(
                     if tx.send(Msg::Claimed(i)).is_err() {
                         break;
                     }
-                    let (outcome, stats) = run_one(&cells[i]);
-                    if tx.send(Msg::Done(i, outcome, stats)).is_err() {
+                    let outcome = capture_cell(store, &cells[i], run_opts);
+                    if tx.send(Msg::Done(i, outcome)).is_err() {
                         break;
                     }
                 });
@@ -453,12 +449,9 @@ pub fn run_suite_journaled(
                         .map(|()| {
                             obs.emit("lab", "claim", cells[i].index as u64, &cells[i].digest, &[]);
                         }),
-                    Msg::Done(i, outcome, stats) => {
-                        exec.absorb(&stats);
-                        commit(&journal, &cells[i], &outcome).map(|()| {
-                            slots[i] = Some(outcome);
-                        })
-                    }
+                    Msg::Done(i, outcome) => commit(&journal, &cells[i], &outcome).map(|()| {
+                        slots[i] = Some(outcome);
+                    }),
                 };
                 if let Err(e) = step {
                     stop.store(true, Ordering::SeqCst);
@@ -487,45 +480,9 @@ pub fn run_suite_journaled(
     store
         .write_manifest(&manifest)
         .map_err(|e| format!("manifest write failed: {e}"))?;
-    if opts.cached {
-        // Telemetry sidecar, not store identity — written before the
-        // `finished` line so a crash right after finalize still has it.
-        // Deprecated alias: the same tallies also land in metrics.json.
-        store
-            .write_cache_stats(&suite_digest, &cache)
-            .map_err(|e| format!("cache-stats write failed: {e}"))?;
-    }
-    if opts.timing {
-        // Same rules as cache-stats: timing telemetry beside the
-        // manifest, excluded from every byte-identity comparison.
-        // Deprecated alias: the same tallies also land in metrics.json.
-        let mode = opts.exec.unwrap_or_default();
-        let count =
-            |status: &str| run.outcomes.iter().filter(|o| o.status() == status).count() as u64;
-        let stats = ExecStatsDoc::new(
-            mode.label(),
-            mode.workers() as u64,
-            cells.len() as u64,
-            executed.len() as u64,
-            skipped.len() as u64,
-            count("exhausted"),
-            count("poisoned"),
-            executed_ticks,
-            elapsed_ms,
-        );
-        store
-            .write_exec_stats(&suite_digest, &stats)
-            .map_err(|e| format!("exec-stats write failed: {e}"))?;
-    }
-    let metrics = build_run_metrics(
-        opts,
-        &run,
-        &cache,
-        &executed,
-        executed_ticks,
-        exec,
-        elapsed_ms,
-    );
+    // Telemetry, not store identity — written before the `finished` line
+    // so a crash right after finalize still has it.
+    let metrics = build_run_metrics(opts, &run, &cache, &executed, executed_ticks, elapsed_ms);
     if !metrics.is_empty() {
         store
             .write_metrics(&suite_digest, &metrics)
@@ -546,7 +503,6 @@ pub fn run_suite_journaled(
         cache,
         elapsed_ms,
         executed_ticks,
-        exec,
         metrics,
     })
 }
@@ -556,18 +512,17 @@ pub fn run_suite_journaled(
 /// no telemetry was requested.
 ///
 /// Namespaces, chosen so [`Metrics::result_plane`] captures exactly the
-/// partition-independent slice: `cells.*` / `ticks.*` / `exec.*`
-/// counters and `cells.*` gauges are deterministic functions of *what*
-/// was computed (a fleet drain's merge equals the serial run's
-/// aggregate), while `cache.*` coordination tallies and wall-clock
-/// `time.*` describe *how this run* got there.
+/// partition-independent slice: `cells.*` / `ticks.*` counters and
+/// `cells.*` gauges are deterministic functions of *what* was computed
+/// (a fleet drain's merge equals the serial run's aggregate), while
+/// `cache.*` coordination tallies and wall-clock `time.*` describe *how
+/// this run* got there.
 fn build_run_metrics(
     opts: &JournalOpts,
     run: &SuiteRun,
     cache: &CacheStats,
     executed: &[usize],
     executed_ticks: u64,
-    exec: ExecStats,
     elapsed_ms: u64,
 ) -> Metrics {
     let mut metrics = Metrics::new();
@@ -583,10 +538,6 @@ fn build_run_metrics(
     metrics.add("cells.exhausted", count(&|o| o.status() == "exhausted"));
     metrics.add("cells.poisoned", count(&|o| o.status() == "poisoned"));
     metrics.add("ticks.executed", executed_ticks);
-    metrics.add("exec.windows", exec.windows);
-    metrics.add("exec.conflicts", exec.conflicts);
-    metrics.add("exec.serial_reruns", exec.serial_reruns);
-    metrics.gauge_max("exec.workers", exec.workers as u64);
     metrics.add("cache.hits", cache.hits);
     metrics.add("cache.misses", cache.misses);
     metrics.add("cache.rejected", cache.rejected);

@@ -32,7 +32,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use apex_scenario::{CacheStats, ReportRecord};
+use apex_scenario::ReportRecord;
 use apex_sim::{Json, JsonError};
 
 use crate::digest_hex;
@@ -49,24 +49,6 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// Bounded retry: total attempts per store write (1 initial + 3 retries).
 pub const MAX_WRITE_ATTEMPTS: u32 = 4;
 
-/// File name of the per-suite cache-stats sidecar. Like the journal,
-/// this is per-run telemetry, not part of the store's content-addressed
-/// identity: byte-identity comparisons exclude it (`diff -r
-/// --exclude=cache-stats.json`), and drift checking ignores it.
-pub const CACHE_STATS_FILE: &str = "cache-stats.json";
-
-/// File name of the per-suite execution-stats sidecar (engine, worker
-/// count, measured ticks/s). Like `cache-stats.json`, this is per-run
-/// telemetry carrying wall-clock timings — never store identity:
-/// byte-identity comparisons exclude it (`diff -r
-/// --exclude=exec-stats.json`) and drift checking ignores it.
-///
-/// **Deprecated alias**: runs that request timing now also write the
-/// unified [`apex_obs::METRICS_FILE`] sidecar, which subsumes this
-/// document; this filename is kept for one release so existing tooling
-/// keeps parsing.
-pub const EXEC_STATS_FILE: &str = "exec-stats.json";
-
 /// Every telemetry sidecar filename a suite directory may carry — the
 /// *single* source of truth for byte-identity exclusion lists (CI's
 /// `diff -r --exclude=…` flags are generated from this set; tests assert
@@ -74,8 +56,6 @@ pub const EXEC_STATS_FILE: &str = "exec-stats.json";
 /// went, never part of the store's content-addressed identity.
 pub const TELEMETRY_FILES: &[&str] = &[
     crate::journal::JOURNAL_FILE,
-    CACHE_STATS_FILE,
-    EXEC_STATS_FILE,
     apex_obs::METRICS_FILE,
     apex_obs::TRACE_FILE,
 ];
@@ -318,53 +298,6 @@ impl LabStore {
     pub fn journal_path(&self, suite_digest: &str) -> PathBuf {
         self.suite_dir(suite_digest)
             .join(crate::journal::JOURNAL_FILE)
-    }
-
-    /// The cache-stats sidecar path of one suite.
-    pub fn cache_stats_path(&self, suite_digest: &str) -> PathBuf {
-        self.suite_dir(suite_digest).join(CACHE_STATS_FILE)
-    }
-
-    /// Write one suite's cache-stats sidecar durably.
-    pub fn write_cache_stats(&self, suite_digest: &str, stats: &CacheStats) -> std::io::Result<()> {
-        std::fs::create_dir_all(self.suite_dir(suite_digest))?;
-        self.write_text(&self.cache_stats_path(suite_digest), &stats.render_pretty())
-    }
-
-    /// Load one suite's cache-stats sidecar (absent for runs that never
-    /// consulted the cache).
-    pub fn read_cache_stats(&self, suite_digest: &str) -> Result<CacheStats, String> {
-        let path = self.cache_stats_path(suite_digest);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        CacheStats::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// The exec-stats sidecar path of one suite.
-    pub fn exec_stats_path(&self, suite_digest: &str) -> PathBuf {
-        self.suite_dir(suite_digest).join(EXEC_STATS_FILE)
-    }
-
-    /// Write one suite's exec-stats sidecar durably.
-    pub fn write_exec_stats(
-        &self,
-        suite_digest: &str,
-        stats: &crate::bench::ExecStatsDoc,
-    ) -> std::io::Result<()> {
-        std::fs::create_dir_all(self.suite_dir(suite_digest))?;
-        self.write_text(&self.exec_stats_path(suite_digest), &stats.render_pretty())
-    }
-
-    /// Load one suite's exec-stats sidecar (absent for runs that never
-    /// requested timing).
-    pub fn read_exec_stats(
-        &self,
-        suite_digest: &str,
-    ) -> Result<crate::bench::ExecStatsDoc, String> {
-        let path = self.exec_stats_path(suite_digest);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        crate::bench::ExecStatsDoc::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// The unified metrics sidecar path of one suite
@@ -614,9 +547,9 @@ impl LabStore {
     }
 
     /// The record digests present under one suite directory (sorted; the
-    /// manifest and the cache-stats/exec-stats/metrics sidecars are
-    /// excluded, and the `.jsonl` journal and trace never match). Used to
-    /// detect records a suite no longer names.
+    /// manifest and the metrics sidecars are excluded, and the `.jsonl`
+    /// journal and trace never match). Used to detect records a suite no
+    /// longer names.
     pub fn record_digests(&self, suite_digest: &str) -> Result<Vec<String>, String> {
         let dir = self.suite_dir(suite_digest);
         let mut out = Vec::new();
@@ -629,11 +562,7 @@ impl LabStore {
             }
             if path.extension().is_some_and(|e| e == "json") {
                 if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                    if stem != "manifest"
-                        && stem != "cache-stats"
-                        && stem != "exec-stats"
-                        && !stem.starts_with("metrics")
-                    {
+                    if stem != "manifest" && !stem.starts_with("metrics") {
                         out.push(stem.to_string());
                     }
                 }

@@ -153,15 +153,11 @@ impl Grid {
                                             "scheme axis on an agreement-mode base".to_string()
                                         )
                                     }
-                                    Mode::Kernel { .. } => {
-                                        return Err("scheme axis on a kernel-mode base".to_string())
-                                    }
                                 }
                             }
                             if let Some(n) = self.ns.get(ni) {
                                 match &mut s.mode {
                                     Mode::Agreement { n: base_n, .. } => *base_n = *n,
-                                    Mode::Kernel { n: base_n, .. } => *base_n = *n,
                                     Mode::Scheme { program, .. } => match program {
                                         ProgramSource::Library { n: base_n, .. } => *base_n = *n,
                                         ProgramSource::Explicit(_) => {
@@ -673,28 +669,6 @@ mod tests {
         assert!(matches!(cells[2].scenario.mode, Mode::Agreement { .. }));
         assert_eq!(cells[2].scenario.n(), 4);
         assert_eq!(cells[3].scenario.n(), 16);
-    }
-
-    #[test]
-    fn kernel_grids_expand_over_n_and_reject_the_scheme_axis() {
-        use apex_scenario::{KernelSpec, Mode, Scenario};
-        let base = Scenario::kernel(KernelSpec::PrivateSlots { slots: 8 }, 8, 4096, 1);
-        let mut suite = Suite::new("kern");
-        let mut grid = Grid::new(base.clone());
-        grid.ns = vec![8, 64];
-        grid.seeds = Some(SeedRange { start: 1, count: 2 });
-        suite.grids.push(grid);
-        let cells = suite.expand().unwrap();
-        assert_eq!(cells.len(), 4);
-        assert!(matches!(cells[0].scenario.mode, Mode::Kernel { .. }));
-        assert_eq!(cells[0].scenario.n(), 8);
-        assert_eq!(cells[2].scenario.n(), 64);
-
-        let mut bad = Suite::new("kern-bad");
-        let mut grid = Grid::new(base);
-        grid.schemes = vec![SchemeKind::Nondet];
-        bad.grids.push(grid);
-        assert!(bad.expand().unwrap_err().contains("kernel-mode"));
     }
 
     #[test]

@@ -8,27 +8,8 @@
 //! nothing executed), **miss** (no bytes at the cell's address), or
 //! **rejected** (bytes present but they failed verification: parse,
 //! digest, canonical rendering, or pinned checksum — the cache never
-//! trusts unverified bytes). The tally is serializable like everything
-//! else here, so it lands both in the run summary and in a
-//! `cache-stats.json` sidecar next to the manifest.
-
-use apex_sim::{Json, JsonError};
-
-use crate::record::atomic_write;
-
-/// Major version of the cache-stats JSON format (mismatches are
-/// rejected).
-pub const CACHE_FORMAT_MAJOR: u64 = 1;
-/// Minor version of the cache-stats JSON format (additive extensions
-/// only).
-pub const CACHE_FORMAT_MINOR: u64 = 0;
-
-fn jerr(msg: impl Into<String>) -> JsonError {
-    JsonError {
-        msg: msg.into(),
-        at: 0,
-    }
-}
+//! trusts unverified bytes). The tally lands in the run summary and, as
+//! `cache.*` counters, in the run's `metrics.json`.
 
 /// Per-run memoization tally: every cell the runner looked up lands in
 /// exactly one bucket.
@@ -56,72 +37,12 @@ impl CacheStats {
         self.total() > 0 && self.misses == 0 && self.rejected == 0
     }
 
-    /// Fold another tally into this one (farm workers merge per-shard
-    /// tallies).
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.rejected += other.rejected;
-    }
-
     /// One-line human summary (what `apex suite run --cached` prints).
     pub fn summary(&self) -> String {
         format!(
             "cache: {} hits, {} misses, {} rejected",
             self.hits, self.misses, self.rejected
         )
-    }
-
-    /// Serialize to the versioned cache-stats document (canonical field
-    /// order).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "version".into(),
-                Json::Obj(vec![
-                    ("major".into(), Json::UInt(CACHE_FORMAT_MAJOR)),
-                    ("minor".into(), Json::UInt(CACHE_FORMAT_MINOR)),
-                ]),
-            ),
-            ("hits".into(), Json::UInt(self.hits)),
-            ("misses".into(), Json::UInt(self.misses)),
-            ("rejected".into(), Json::UInt(self.rejected)),
-        ])
-    }
-
-    /// Deserialize (rejects unknown major versions).
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let version = v
-            .get("version")
-            .map_err(|_| jerr("cache-stats document has no version field"))?;
-        let major = version.get("major")?.as_u64()?;
-        if major != CACHE_FORMAT_MAJOR {
-            return Err(jerr(format!(
-                "unsupported cache-stats format major version {major} (this build reads \
-                 {CACHE_FORMAT_MAJOR})"
-            )));
-        }
-        Ok(CacheStats {
-            hits: v.get("hits")?.as_u64()?,
-            misses: v.get("misses")?.as_u64()?,
-            rejected: v.get("rejected")?.as_u64()?,
-        })
-    }
-
-    /// Parse a complete cache-stats document.
-    pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
-    }
-
-    /// The canonical pretty-printed document.
-    pub fn render_pretty(&self) -> String {
-        self.to_json().render_pretty()
-    }
-
-    /// Write the canonical document to `path` atomically
-    /// (temp + fsync + rename).
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        atomic_write(path, &self.render_pretty())
     }
 }
 
@@ -130,57 +51,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_round_trip_byte_identically() {
-        for stats in [
-            CacheStats::default(),
-            CacheStats {
-                hits: 13,
-                misses: 2,
-                rejected: 1,
-            },
-        ] {
-            let text = stats.render_pretty();
-            let back = CacheStats::parse(&text).unwrap();
-            assert_eq!(back, stats);
-            assert_eq!(back.render_pretty(), text);
-        }
-    }
-
-    #[test]
     fn buckets_tally_and_classify() {
-        let mut a = CacheStats {
+        let a = CacheStats {
             hits: 3,
             misses: 0,
             rejected: 0,
         };
         assert!(a.all_hit());
         assert_eq!(a.total(), 3);
-        a.absorb(&CacheStats {
-            hits: 1,
+        let b = CacheStats {
+            hits: 4,
             misses: 2,
             rejected: 1,
-        });
-        assert_eq!(a.total(), 7);
-        assert!(!a.all_hit());
+        };
+        assert_eq!(b.total(), 7);
+        assert!(!b.all_hit());
         assert!(
             !CacheStats::default().all_hit(),
             "an empty tally proves nothing"
         );
-        assert!(a.summary().contains("4 hits"));
-    }
-
-    #[test]
-    fn unknown_major_version_is_rejected() {
-        let mut json = CacheStats::default().to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::Obj(vec![
-                ("major".into(), Json::UInt(CACHE_FORMAT_MAJOR + 1)),
-                ("minor".into(), Json::UInt(0)),
-            ]);
-        }
-        assert!(CacheStats::from_json(&json)
-            .unwrap_err()
-            .msg
-            .contains("major version"));
+        assert!(b.summary().contains("4 hits"));
     }
 }

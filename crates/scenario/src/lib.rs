@@ -15,7 +15,9 @@
 //! * [`Scenario::validate`] — rejects ill-formed points before any
 //!   machine is assembled;
 //! * [`Scenario::run`] — validate, assemble, execute, and report
-//!   ([`ScenarioReport`]);
+//!   ([`ScenarioReport`]); [`Scenario::run_opts`] does the same under
+//!   runtime [`RunOpts`] (interpreter override, trace sink) that change
+//!   no report byte;
 //! * [`Scenario::to_json`] / [`Scenario::from_json`] — a versioned,
 //!   exact round-trip through the workspace's dependency-free codec
 //!   ([`apex_sim::json`]), so every run anyone constructs — fuzzer
@@ -36,11 +38,7 @@ mod record;
 mod report;
 mod scenario;
 
-// Re-exported so downstream crates (lab, farm, cli, synth) can name the
-// execution engine and kernel families without depending on apex-exec.
-pub use apex_exec::{ExecMode, ExecStats, KernelReport, KernelSpec};
-
-pub use cache::{CacheStats, CACHE_FORMAT_MAJOR, CACHE_FORMAT_MINOR};
+pub use cache::CacheStats;
 pub use outcome::{RunOutcome, OUTCOME_FORMAT_MAJOR, OUTCOME_FORMAT_MINOR};
 pub use program::{
     op_from_name, op_name, program_from_json, program_to_json, scheme_from_label, ProgramSource,
@@ -52,7 +50,7 @@ pub use report::{
 };
 pub use scenario::{
     agreement_config_from_json, agreement_config_to_json, fnv1a64, EngineKnobs, Mode,
-    ProgramEngine, Scenario, ScenarioError, SourceSpec, FORMAT_MAJOR, FORMAT_MINOR,
+    ProgramEngine, RunOpts, Scenario, ScenarioError, SourceSpec, FORMAT_MAJOR, FORMAT_MINOR,
 };
 
 #[cfg(test)]
@@ -260,7 +258,10 @@ mod tests {
         // via the document knob and via the runtime override.
         let tree = base.run();
         let via_knob = bc.run();
-        let via_override = base.run_with_engines(None, Some(ProgramEngine::Bytecode));
+        let via_override = base.run_opts(&RunOpts {
+            engine: Some(ProgramEngine::Bytecode),
+            ..RunOpts::default()
+        });
         assert_eq!(tree.to_json().render(), via_knob.to_json().render());
         assert_eq!(tree.to_json().render(), via_override.to_json().render());
     }

@@ -13,7 +13,7 @@
 use apex_sim::{Json, JsonError};
 
 use crate::record::{atomic_write, ReportRecord};
-use crate::scenario::Scenario;
+use crate::scenario::{RunOpts, Scenario};
 
 /// Major version of the outcome JSON format (mismatches are rejected).
 pub const OUTCOME_FORMAT_MAJOR: u64 = 1;
@@ -63,60 +63,12 @@ impl RunOutcome {
         Self::capture_with(scenario, ReportRecord::run)
     }
 
-    /// [`RunOutcome::capture`] with a runtime execution-engine override
-    /// (see [`Scenario::run_with_exec`]); `None` is exactly `capture`.
-    pub fn capture_exec(scenario: &Scenario, exec: Option<apex_exec::ExecMode>) -> Self {
-        Self::capture_engines(scenario, exec, None)
-    }
-
-    /// [`RunOutcome::capture`] with runtime overrides for *both* engine
-    /// knobs (see [`Scenario::run_with_engines`]); `(None, None)` is
-    /// exactly `capture`.
-    pub fn capture_engines(
-        scenario: &Scenario,
-        exec: Option<apex_exec::ExecMode>,
-        engine: Option<crate::scenario::ProgramEngine>,
-    ) -> Self {
-        Self::capture_with(scenario, move |s| {
-            ReportRecord::run_engines(s, exec, engine)
-        })
-    }
-
-    /// [`RunOutcome::capture_exec`] with telemetry: trace events go to
-    /// `obs`, and the engine's [`apex_exec::ExecStats`] are returned even
-    /// though the run itself executes under `catch_unwind` (a run that
-    /// panics reports the trivial serial stats). The outcome is
-    /// byte-identical to `capture_exec`'s — telemetry never steers a run.
-    pub fn capture_exec_obs(
-        scenario: &Scenario,
-        exec: Option<apex_exec::ExecMode>,
-        obs: &apex_obs::Obs,
-    ) -> (Self, apex_exec::ExecStats) {
-        Self::capture_engines_obs(scenario, exec, None, obs)
-    }
-
-    /// [`RunOutcome::capture_engines`] with telemetry (the fully general
-    /// capture; every other `capture*` entry point delegates here).
-    pub fn capture_engines_obs(
-        scenario: &Scenario,
-        exec: Option<apex_exec::ExecMode>,
-        engine: Option<crate::scenario::ProgramEngine>,
-        obs: &apex_obs::Obs,
-    ) -> (Self, apex_exec::ExecStats) {
-        use std::sync::{Arc, Mutex};
-        // The stats ride out of the catch_unwind closure through a shared
-        // cell: on a panic the closure never reaches the store, so the
-        // cell keeps its trivial default.
-        let cell = Arc::new(Mutex::new(apex_exec::ExecStats::serial()));
-        let slot = Arc::clone(&cell);
-        let obs = obs.clone();
-        let outcome = Self::capture_with(scenario, move |s| {
-            let (record, stats) = ReportRecord::run_engines_obs(s, exec, engine, &obs);
-            *slot.lock().unwrap() = stats;
-            record
-        });
-        let stats = *cell.lock().unwrap();
-        (outcome, stats)
+    /// [`RunOutcome::capture`] under runtime [`RunOpts`] (see
+    /// [`Scenario::run_opts`]); the outcome is byte-identical to
+    /// `capture`'s — the options choose an engine and observe the run,
+    /// they never steer it.
+    pub fn capture_opts(scenario: &Scenario, opts: &RunOpts) -> Self {
+        Self::capture_with(scenario, |s| ReportRecord::run_opts(s, opts))
     }
 
     /// [`RunOutcome::capture`] with an explicit runner — the seam the

@@ -13,7 +13,7 @@ use std::path::Path;
 use apex_sim::{Json, JsonError};
 
 use crate::report::ScenarioReport;
-use crate::scenario::Scenario;
+use crate::scenario::{RunOpts, Scenario};
 
 /// Major version of the record JSON format (major mismatches are
 /// rejected on read).
@@ -94,53 +94,14 @@ impl ReportRecord {
     /// If the scenario is invalid or the run trips a stall budget (see
     /// [`Scenario::run`]).
     pub fn run(scenario: &Scenario) -> Self {
-        Self::from_run(scenario.clone(), scenario.run())
+        Self::run_opts(scenario, &RunOpts::default())
     }
 
-    /// [`ReportRecord::run`] with a runtime execution-engine override
-    /// (see [`Scenario::run_with_exec`]): the recorded scenario and its
-    /// digest are exactly as written — only the engine that produced the
-    /// (engine-independent) report differs.
-    pub fn run_exec(scenario: &Scenario, exec: Option<apex_exec::ExecMode>) -> Self {
-        Self::run_engines(scenario, exec, None)
-    }
-
-    /// [`ReportRecord::run`] with runtime overrides for *both* engine
-    /// knobs — `exec` for kernel scenarios, `engine` for scheme scenarios
-    /// (see [`Scenario::run_with_engines`]). The recorded scenario and its
-    /// digest are exactly as written either way.
-    pub fn run_engines(
-        scenario: &Scenario,
-        exec: Option<apex_exec::ExecMode>,
-        engine: Option<crate::scenario::ProgramEngine>,
-    ) -> Self {
-        Self::from_run(scenario.clone(), scenario.run_with_engines(exec, engine))
-    }
-
-    /// [`ReportRecord::run_exec`] with telemetry: routes trace events to
-    /// `obs` and returns the engine's [`apex_exec::ExecStats`] alongside
-    /// the record. The record bytes are identical to [`run_exec`]'s —
-    /// telemetry observes the run, it never participates in it.
-    ///
-    /// [`run_exec`]: ReportRecord::run_exec
-    pub fn run_exec_obs(
-        scenario: &Scenario,
-        exec: Option<apex_exec::ExecMode>,
-        obs: &apex_obs::Obs,
-    ) -> (Self, apex_exec::ExecStats) {
-        Self::run_engines_obs(scenario, exec, None, obs)
-    }
-
-    /// [`ReportRecord::run_engines`] with telemetry (the fully general
-    /// recorder; every other `run*` constructor delegates here).
-    pub fn run_engines_obs(
-        scenario: &Scenario,
-        exec: Option<apex_exec::ExecMode>,
-        engine: Option<crate::scenario::ProgramEngine>,
-        obs: &apex_obs::Obs,
-    ) -> (Self, apex_exec::ExecStats) {
-        let (report, stats) = scenario.run_with_engines_obs(exec, engine, obs);
-        (Self::from_run(scenario.clone(), report), stats)
+    /// [`ReportRecord::run`] under runtime [`RunOpts`] (see
+    /// [`Scenario::run_opts`]): the recorded scenario, its digest, and
+    /// every report byte are exactly as with the defaults.
+    pub fn run_opts(scenario: &Scenario, opts: &RunOpts) -> Self {
+        Self::from_run(scenario.clone(), scenario.run_opts(opts))
     }
 
     /// The record's content address: [`Scenario::digest`] of its scenario.

@@ -8,7 +8,6 @@
 
 use apex_core::validate::{BinCheck, TheoremOneReport};
 use apex_core::PhaseOutcome;
-use apex_exec::KernelReport;
 use apex_pram::refexec::ReplayError;
 use apex_scheme::{SchemeReport, VerifyReport};
 use apex_sim::{Json, JsonError};
@@ -75,20 +74,15 @@ pub enum ScenarioReport {
     Scheme(SchemeReport),
     /// An agreement-mode run (raw protocol phases + Theorem-1 validators).
     Agreement(AgreementRunReport),
-    /// A kernel-mode run (stress kernel under either execution engine;
-    /// the report is engine-independent by the ticketed engine's
-    /// byte-identity contract).
-    Kernel(KernelReport),
 }
 
 impl ScenarioReport {
     /// Did the run meet its mode's correctness bar (verifier clean /
-    /// Theorem 1 held every phase / kernel accounting consistent)?
+    /// Theorem 1 held every phase)?
     pub fn ok(&self) -> bool {
         match self {
             ScenarioReport::Scheme(r) => r.verify.ok(),
             ScenarioReport::Agreement(r) => r.ok(),
-            ScenarioReport::Kernel(r) => r.ok(),
         }
     }
 
@@ -125,23 +119,11 @@ impl ScenarioReport {
         }
     }
 
-    /// The kernel report.
-    ///
-    /// # Panics
-    /// If the scenario ran in another mode.
-    pub fn kernel(&self) -> &KernelReport {
-        match self {
-            ScenarioReport::Kernel(r) => r,
-            _ => panic!("scenario did not run in kernel mode"),
-        }
-    }
-
     /// Machine ticks the run consumed.
     pub fn ticks(&self) -> u64 {
         match self {
             ScenarioReport::Scheme(r) => r.ticks,
             ScenarioReport::Agreement(r) => r.ticks,
-            ScenarioReport::Kernel(r) => r.ticks,
         }
     }
 
@@ -156,10 +138,6 @@ impl ScenarioReport {
                 ("kind".into(), Json::Str("agreement".into())),
                 ("agreement".into(), r.to_json()),
             ]),
-            ScenarioReport::Kernel(r) => Json::Obj(vec![
-                ("kind".into(), Json::Str("kernel".into())),
-                ("kernel".into(), r.to_json()),
-            ]),
         }
     }
 
@@ -171,9 +149,6 @@ impl ScenarioReport {
             )?)),
             "agreement" => Ok(ScenarioReport::Agreement(AgreementRunReport::from_json(
                 v.get("agreement")?,
-            )?)),
-            "kernel" => Ok(ScenarioReport::Kernel(KernelReport::from_json(
-                v.get("kernel")?,
             )?)),
             other => Err(jerr(format!("unknown report kind {other:?}"))),
         }
@@ -205,7 +180,6 @@ impl ScenarioReport {
                 r.stability_violations,
                 if r.ok() { "Theorem 1 held" } else { "FAILED" },
             ),
-            ScenarioReport::Kernel(r) => r.summary(),
         }
     }
 }

@@ -7,7 +7,6 @@ use apex_core::{
     AgreementConfig, AgreementRun, CoinSource, InstrumentOpts, KeyedSource, RandomSource,
     ValueSource,
 };
-use apex_exec::{ExecMode, ExecStats, KernelSpec};
 use apex_obs::Obs;
 use apex_pram::{Program, VarBlock};
 use apex_scheme::tasks::eval_cost;
@@ -118,7 +117,7 @@ impl SourceSpec {
 /// Both engines perform the identical sequence of atomic operations and
 /// RNG draws per processor per tick, so schedules, work accounting, memory
 /// stamps, and reports are byte-for-byte the same — this is a pure
-/// throughput choice, like [`ExecMode`] for kernel scenarios.
+/// throughput choice.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ProgramEngine {
     /// The tree-walking scheme processors (`apex-scheme`): the reference
@@ -175,14 +174,9 @@ pub struct EngineKnobs {
     /// Per-subphase (scheme mode) / per-phase (agreement mode) stall
     /// budget in work units (`None` derives a generous default).
     pub tick_budget: Option<u64>,
-    /// Execution engine for kernel-mode scenarios (serial reference or
-    /// ticketed parallel; see [`ExecMode`]). Scheme and agreement modes
-    /// always run on the serial engine and ignore this knob. Reports are
-    /// byte-identical across modes, so this is a pure engine choice.
-    pub exec: ExecMode,
     /// Interpreter engine for scheme-mode scenarios (tree walker or
-    /// bytecode VM; see [`ProgramEngine`]). Agreement and kernel modes
-    /// ignore this knob. Reports are byte-identical across engines.
+    /// bytecode VM; see [`ProgramEngine`]). Agreement mode ignores this
+    /// knob. Reports are byte-identical across engines.
     pub program_engine: ProgramEngine,
 }
 
@@ -193,12 +187,9 @@ impl EngineKnobs {
             ("batch".into(), opt(self.batch.map(|b| b as u64))),
             ("tick_budget".into(), opt(self.tick_budget)),
         ];
-        // Omitted when Serial so every pre-existing document — and with it
-        // every content digest in every store — is byte-for-byte unchanged.
-        if self.exec != ExecMode::Serial {
-            fields.push(("exec".into(), self.exec.to_json()));
-        }
-        // Same digest-preservation rule: omitted at the Tree default.
+        // Omitted at the Tree default so every pre-existing document — and
+        // with it every content digest in every store — is byte-for-byte
+        // unchanged.
         if self.program_engine != ProgramEngine::Tree {
             fields.push(("program_engine".into(), self.program_engine.to_json()));
         }
@@ -219,10 +210,6 @@ impl EngineKnobs {
                 })
                 .transpose()?,
             tick_budget: opt(v.get_opt("tick_budget"))?,
-            exec: match v.get_opt("exec") {
-                None | Some(Json::Null) => ExecMode::Serial,
-                Some(e) => ExecMode::from_json(e)?,
-            },
             program_engine: match v.get_opt("program_engine") {
                 None | Some(Json::Null) => ProgramEngine::Tree,
                 Some(e) => ProgramEngine::from_json(e)?,
@@ -257,18 +244,23 @@ pub enum Mode {
         /// Instrumentation switches.
         instrument: InstrumentOpts,
     },
-    /// Drive a stress-kernel workload ([`KernelSpec`]) for a fixed number
-    /// of schedule ticks — the workload family the ticketed parallel
-    /// engine ([`ExecMode::Ticketed`]) can execute on multiple threads
-    /// with a byte-identical report.
-    Kernel {
-        /// The kernel family and its parameters.
-        kernel: KernelSpec,
-        /// Number of processors.
-        n: usize,
-        /// Schedule ticks to execute.
-        ticks: u64,
-    },
+}
+
+/// How one execution runs — never what it computes. Every field is a
+/// runtime choice that leaves the scenario document (and so its digest)
+/// untouched and every report byte identical; [`RunOpts::default`] is
+/// exactly [`Scenario::run`].
+#[derive(Clone, Debug, Default)]
+pub struct RunOpts {
+    /// Interpreter-engine override for scheme-mode scenarios: `None` runs
+    /// the scenario's own [`EngineKnobs::program_engine`] knob.
+    pub engine: Option<ProgramEngine>,
+    /// Trace sink. When enabled, scheme and agreement runs emit
+    /// `engine`-scope block events (labelled with the adversary's
+    /// self-description, so traces attribute ticks per adversary
+    /// combinator), and a scheme run on the bytecode engine emits one
+    /// `compile`-scope event with the lowering pass's sizing counters.
+    pub obs: Obs,
 }
 
 /// One fully-described run: everything the paper's claim is parameterized
@@ -328,18 +320,6 @@ impl Scenario {
         }
     }
 
-    /// A kernel-mode scenario with the harness defaults (uniform
-    /// adversary, serial engine).
-    pub fn kernel(kernel: KernelSpec, n: usize, ticks: u64, seed: u64) -> Self {
-        Scenario {
-            mode: Mode::Kernel { kernel, n, ticks },
-            schedule: AdversarySpec::Base(ScheduleKind::Uniform),
-            seed,
-            agreement: None,
-            engine: EngineKnobs::default(),
-        }
-    }
-
     /// Set the adversary (accepts a legacy [`ScheduleKind`] or any
     /// [`AdversarySpec`] composition).
     pub fn schedule(mut self, s: impl Into<AdversarySpec>) -> Self {
@@ -382,15 +362,8 @@ impl Scenario {
         self
     }
 
-    /// Set the execution engine (kernel mode; other modes carry the knob
-    /// but always run serially).
-    pub fn exec(mut self, exec: ExecMode) -> Self {
-        self.engine.exec = exec;
-        self
-    }
-
-    /// Set the interpreter engine (scheme mode; other modes carry the
-    /// knob but ignore it).
+    /// Set the interpreter engine (scheme mode; agreement mode carries
+    /// the knob but ignores it).
     pub fn program_engine(mut self, engine: ProgramEngine) -> Self {
         self.engine.program_engine = engine;
         self
@@ -401,7 +374,6 @@ impl Scenario {
         match &self.mode {
             Mode::Scheme { program, .. } => program.n_threads(),
             Mode::Agreement { n, .. } => *n,
-            Mode::Kernel { n, .. } => *n,
         }
     }
 
@@ -421,7 +393,7 @@ impl Scenario {
     pub fn io_blocks(&self) -> Option<(VarBlock, VarBlock)> {
         match &self.mode {
             Mode::Scheme { program, .. } => program.resolve_io().ok().flatten(),
-            Mode::Agreement { .. } | Mode::Kernel { .. } => None,
+            Mode::Agreement { .. } => None,
         }
     }
 
@@ -441,7 +413,6 @@ impl Scenario {
         if self.engine.batch == Some(0) {
             return fail("engine batch must be ≥ 1".into());
         }
-        self.engine.exec.validate().map_err(ScenarioError)?;
         let resolved = match &self.mode {
             Mode::Scheme {
                 program, replicas, ..
@@ -505,19 +476,6 @@ impl Scenario {
                 }
                 None
             }
-            Mode::Kernel { kernel, n, ticks } => {
-                if *n < 1 {
-                    return fail("kernel scenario needs ≥ 1 processor".into());
-                }
-                if *ticks < 1 {
-                    return fail("kernel scenario must run ≥ 1 tick".into());
-                }
-                kernel.validate().map_err(ScenarioError)?;
-                if self.agreement.is_some() {
-                    return fail("kernel scenarios take no agreement constants".into());
-                }
-                None
-            }
         };
         self.validate_schedule()?;
         Ok(resolved)
@@ -538,18 +496,13 @@ impl Scenario {
     /// # Panics
     /// If the scenario is invalid or not scheme-mode.
     pub fn build_scheme(&self) -> SchemeRun {
-        self.build_scheme_obs(None, &Obs::disabled())
+        self.assemble_scheme(&RunOpts::default())
     }
 
-    /// [`Scenario::build_scheme`] with a runtime interpreter-engine
-    /// override (`None` assembles the knob as written) and a trace sink:
-    /// when tracing is enabled and the bytecode engine is selected, the
-    /// lowering pass emits one `compile`-scope event carrying its sizing
-    /// counters ([`apex_bc::CompileStats`]).
-    ///
-    /// # Panics
-    /// If the scenario is invalid or not scheme-mode.
-    pub fn build_scheme_obs(&self, engine: Option<ProgramEngine>, obs: &Obs) -> SchemeRun {
+    /// [`Scenario::build_scheme`] on `opts.engine` (when set), with the
+    /// bytecode lowering pass reporting its sizing counters
+    /// ([`apex_bc::CompileStats`]) to `opts.obs`.
+    fn assemble_scheme(&self, opts: &RunOpts) -> SchemeRun {
         let program = match self.validate_resolving() {
             Ok(Some(p)) => p,
             Ok(None) => panic!("scenario is not scheme-mode"),
@@ -566,10 +519,11 @@ impl Scenario {
         cfg.agreement = self.agreement;
         cfg.batch = self.engine.batch;
         cfg.tick_budget = self.engine.tick_budget;
-        match engine.unwrap_or(self.engine.program_engine) {
+        match opts.engine.unwrap_or(self.engine.program_engine) {
             ProgramEngine::Tree => SchemeRun::new(program, cfg),
             ProgramEngine::Bytecode => SchemeRun::new_with_factory(program, cfg, |parts| {
                 let compiled = Rc::new(apex_bc::compile(parts));
+                let obs = &opts.obs;
                 if obs.enabled() {
                     let s = compiled.stats();
                     obs.emit(
@@ -643,66 +597,25 @@ impl Scenario {
     /// If [`Scenario::validate`] fails (validate first when the scenario
     /// comes from an untrusted file) or the run trips a stall budget.
     pub fn run(&self) -> ScenarioReport {
-        self.run_with_exec(None)
+        self.run_opts(&RunOpts::default())
     }
 
-    /// [`Scenario::run`] with a runtime engine override: `Some(mode)`
-    /// replaces the scenario's [`EngineKnobs::exec`] knob for this
-    /// execution only — the scenario document (and so its digest) is
-    /// untouched, and since reports are engine-independent the output
-    /// bytes cannot change either. `None` runs the knob as written.
-    /// Scheme and agreement modes always execute serially regardless.
-    pub fn run_with_exec(&self, exec: Option<ExecMode>) -> ScenarioReport {
-        self.run_with_exec_obs(exec, &Obs::disabled()).0
-    }
-
-    /// [`Scenario::run`] with runtime overrides for *both* engine knobs:
-    /// `exec` for kernel scenarios, `engine` for scheme scenarios. As with
-    /// [`Scenario::run_with_exec`], `Some(_)` replaces the corresponding
-    /// knob for this execution only — the document and its digest are
-    /// untouched, and since reports are engine-independent the output
-    /// bytes cannot change either.
-    pub fn run_with_engines(
-        &self,
-        exec: Option<ExecMode>,
-        engine: Option<ProgramEngine>,
-    ) -> ScenarioReport {
-        self.run_with_engines_obs(exec, engine, &Obs::disabled()).0
-    }
-
-    /// [`Scenario::run_with_exec`] with a trace sink, also returning the
-    /// engine's (telemetry-only) [`ExecStats`]. When tracing is enabled,
-    /// scheme/agreement runs emit `engine`-scope block events (labelled
-    /// with the adversary's self-description, so traces attribute ticks
-    /// per adversary combinator) and kernel runs emit the ticketed
-    /// engine's window/commit/conflict events. Telemetry never changes a
-    /// byte of the report.
-    pub fn run_with_exec_obs(
-        &self,
-        exec: Option<ExecMode>,
-        obs: &Obs,
-    ) -> (ScenarioReport, ExecStats) {
-        self.run_with_engines_obs(exec, None, obs)
-    }
-
-    /// [`Scenario::run_with_engines`] with a trace sink (the fully general
-    /// executor every other `run*` method delegates to). In addition to
-    /// the events described on [`Scenario::run_with_exec_obs`], a scheme
-    /// run on the bytecode engine emits one `compile`-scope event with the
-    /// lowering pass's sizing counters.
-    pub fn run_with_engines_obs(
-        &self,
-        exec: Option<ExecMode>,
-        engine: Option<ProgramEngine>,
-        obs: &Obs,
-    ) -> (ScenarioReport, ExecStats) {
+    /// [`Scenario::run`] under runtime [`RunOpts`]: an interpreter-engine
+    /// override and a trace sink. Neither touches the scenario document
+    /// (so its digest) nor a byte of the report — reports are
+    /// engine-independent, and telemetry only observes.
+    ///
+    /// # Panics
+    /// As [`Scenario::run`].
+    pub fn run_opts(&self, opts: &RunOpts) -> ScenarioReport {
+        let obs = &opts.obs;
         match &self.mode {
             Mode::Scheme { .. } => {
-                let mut run = self.build_scheme_obs(engine, obs);
+                let mut run = self.assemble_scheme(opts);
                 if obs.enabled() {
                     install_block_hook(run.machine_mut(), obs);
                 }
-                (ScenarioReport::Scheme(run.run()), ExecStats::serial())
+                ScenarioReport::Scheme(run.run())
             }
             Mode::Agreement { phases, .. } => {
                 let phases = *phases;
@@ -711,31 +624,11 @@ impl Scenario {
                     install_block_hook(run.machine_mut(), obs);
                 }
                 let outcomes = run.run_phases(phases);
-                (
-                    ScenarioReport::Agreement(AgreementRunReport {
-                        outcomes,
-                        ticks: run.machine().ticks(),
-                        stability_violations: run.stability_violations(),
-                    }),
-                    ExecStats::serial(),
-                )
-            }
-            Mode::Kernel { kernel, n, ticks } => {
-                if let Err(e) = self.validate() {
-                    panic!("invalid scenario: {e}");
-                }
-                let mode = exec.unwrap_or(self.engine.exec);
-                let (report, stats) = apex_exec::run_kernel_obs(
-                    *kernel,
-                    *n,
-                    *ticks,
-                    &self.schedule,
-                    self.seed,
-                    self.engine.batch,
-                    mode,
-                    obs,
-                );
-                (ScenarioReport::Kernel(report), stats)
+                ScenarioReport::Agreement(AgreementRunReport {
+                    outcomes,
+                    ticks: run.machine().ticks(),
+                    stability_violations: run.stability_violations(),
+                })
             }
         }
     }
@@ -773,12 +666,6 @@ impl Scenario {
                         ),
                     ]),
                 ),
-            ]),
-            Mode::Kernel { kernel, n, ticks } => Json::Obj(vec![
-                ("kind".into(), Json::Str("kernel".into())),
-                ("kernel".into(), kernel.to_json()),
-                ("n".into(), Json::UInt(*n as u64)),
-                ("ticks".into(), Json::UInt(*ticks)),
             ]),
         };
         Json::Obj(vec![
@@ -841,11 +728,6 @@ impl Scenario {
                     },
                 }
             }
-            "kernel" => Mode::Kernel {
-                kernel: KernelSpec::from_json(mode_v.get("kernel")?)?,
-                n: mode_v.get("n")?.as_usize()?,
-                ticks: mode_v.get("ticks")?.as_u64()?,
-            },
             other => return Err(jerr(format!("unknown scenario mode {other:?}"))),
         };
         Ok(Scenario {

@@ -522,13 +522,6 @@ impl Machine {
         self.mem.borrow().snapshot(region)
     }
 
-    /// Observer snapshot of the entire shared memory (instrumentation) —
-    /// the full image the ticketed parallel engine seeds its workers with
-    /// and checksums at the end of a run.
-    pub fn mem_image(&self) -> Vec<Stamped> {
-        self.mem.borrow().image()
-    }
-
     /// Test/setup write to a cell (instrumentation).
     pub fn poke(&self, addr: usize, w: Stamped) {
         self.mem.borrow_mut().poke(addr, w);

@@ -61,12 +61,21 @@ fn err<T>(msg: impl Into<String>, at: usize) -> Result<T, JsonError> {
     })
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive, so without a cap one hostile file of `[[[[…` overflows the
+/// stack and aborts the process (an abort, not a panic: no
+/// `catch_unwind` contains it). The deepest legal document in the
+/// workspace, a record embedding a maximal adversary tree, nests a few
+/// dozen levels; 128 leaves ample headroom.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
+    /// Documents nesting deeper than [`MAX_DEPTH`] are rejected.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
         let b = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return err("trailing characters after document", pos);
@@ -290,14 +299,18 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parse one value whose enclosing containers are `depth` levels deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
         return err("unexpected end of input", *pos);
     };
+    if matches!(c, b'{' | b'[') && depth >= MAX_DEPTH {
+        return err(format!("nesting deeper than {MAX_DEPTH} levels"), *pos);
+    }
     match c {
-        b'{' => parse_obj(b, pos),
-        b'[' => parse_arr(b, pos),
+        b'{' => parse_obj(b, pos, depth + 1),
+        b'[' => parse_arr(b, pos, depth + 1),
         b'"' => Ok(Json::Str(parse_string(b, pos)?)),
         b't' => parse_lit(b, pos, "true", Json::Bool(true)),
         b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -429,7 +442,7 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     debug_assert_eq!(b[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -439,7 +452,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => {
@@ -454,7 +467,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     debug_assert_eq!(b[*pos], b'{');
     *pos += 1;
     let mut fields = Vec::new();
@@ -474,7 +487,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return err("expected ':'", *pos);
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -572,5 +585,18 @@ mod tests {
         let e = Json::parse("[1, x]").unwrap_err();
         assert!(e.at > 0);
         assert!(!e.to_string().is_empty());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        assert_eq!(e.at, MAX_DEPTH);
+        // Far past the cap, including mixed containers, is the same typed
+        // error, never a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"k\":[".repeat(100_000)).is_err());
     }
 }

@@ -215,14 +215,6 @@ impl SharedMemory {
         self.cells[region.base..region.end()].to_vec()
     }
 
-    /// Instrumentation snapshot of the *entire* memory — the read
-    /// snapshot the ticketed parallel engine hands its speculative
-    /// workers, and the image checksummed by kernel reports. Costs no
-    /// work and no model-level reads.
-    pub fn image(&self) -> Vec<Stamped> {
-        self.cells.clone()
-    }
-
     /// Iterate (instrumentation) over the values of a region.
     pub fn region_values<'a>(&'a self, region: Region) -> impl Iterator<Item = Value> + 'a {
         self.cells[region.base..region.end()]

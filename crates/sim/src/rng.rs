@@ -22,12 +22,6 @@ pub const STREAM_SCHEDULE: u64 = 0x5C4ED;
 pub const STREAM_PROC: u64 = 0x9206C;
 /// Domain tag for auxiliary harness randomness (workload generation, …).
 pub const STREAM_AUX: u64 = 0xA0C11;
-/// Domain tag for per-ticket (tick-batch window) randomness in the
-/// ticketed parallel engine. Each window's ticket carries
-/// `derive_seed(master, STREAM_TICKET, window_index)`, the same stream
-/// discipline as the adversary algebra: a pure function of the master
-/// seed and a position, never of dynamic protocol draws.
-pub const STREAM_TICKET: u64 = 0x71C4E7;
 
 /// One step of the SplitMix64 generator. Small, fast, and good enough for
 /// seed derivation (its intended use here).
@@ -69,11 +63,6 @@ pub fn aux_rng(master: u64, salt: u64) -> SmallRng {
     small_rng(derive_seed(master, STREAM_AUX, salt))
 }
 
-/// RNG for window `index`'s ticket in the ticketed parallel engine.
-pub fn ticket_rng(master: u64, index: u64) -> SmallRng {
-    small_rng(derive_seed(master, STREAM_TICKET, index))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,15 +90,6 @@ mod tests {
         assert_ne!(
             derive_seed(1, STREAM_PROC, 0),
             derive_seed(2, STREAM_PROC, 0)
-        );
-        // The ticket stream is separated from every other stream at the
-        // same salt, and distinct per window index.
-        for other in [STREAM_SCHEDULE, STREAM_PROC, STREAM_AUX] {
-            assert_ne!(derive_seed(1, STREAM_TICKET, 0), derive_seed(1, other, 0));
-        }
-        assert_ne!(
-            derive_seed(1, STREAM_TICKET, 0),
-            derive_seed(1, STREAM_TICKET, 1)
         );
     }
 

@@ -10,9 +10,9 @@
 //! fuzz         --seed S --trials K [--out DIR] [--keep N] [--max-secs T]
 //!              [--shrink-budget R] [--no-det] [--comparators] [--no-write]
 //! shrink       --file REPRO.json [--out DIR] [--shrink-budget R]
-//! replay       --file REPRO.json | --dir DIR
+//! replay       --file REPRO.json | --dir DIR [--engine tree|bytecode]
 //! run          SCENARIO.json [--emit OUT.json] [--json] [--cached [--store DIR]]
-//!              [--trace [FILE]] [--metrics [FILE]] [--profile]
+//!              [--engine tree|bytecode] [--trace [FILE]] [--metrics [FILE]] [--profile]
 //! migrate      [--dir DIR]
 //! corpus-dedup [--dir DIR] [--dry-run]
 //! ```
@@ -20,7 +20,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use apex_scenario::{RunOutcome, Scenario};
+use apex_obs::ObsOpts;
+use apex_scenario::{ProgramEngine, RunOpts, RunOutcome, Scenario};
 use apex_scheme::SchemeKind;
 
 use crate::campaign::{campaign_triple, run_campaign, CampaignConfig, Finding};
@@ -36,14 +37,12 @@ pub fn usage() -> ! {
          fuzz         --seed S --trials K [--out DIR] [--keep N] [--max-secs T]\n\
          \x20             [--shrink-budget R] [--no-det] [--comparators] [--no-write]\n\
          shrink       --file F [--out DIR] [--shrink-budget R]\n\
-         replay       --file F | --dir DIR\n\
+         replay       --file F | --dir DIR [--engine tree|bytecode]\n\
          run          SCENARIO.json [--emit OUT.json] [--json] [--cached [--store DIR]]\n\
-         \x20             [--exec serial|ticketed [--workers N]] [--engine tree|bytecode]\n\
-         \x20             [--trace [FILE]] [--metrics [FILE]] [--profile]\n\
+         \x20             [--engine tree|bytecode] [--trace [FILE]] [--metrics [FILE]] [--profile]\n\
          \x20             execute a scenario file (--cached answers from the lab store;\n\
-         \x20             --exec overrides the kernel engine, --engine the scheme-mode\n\
-         \x20             interpreter, --trace/--metrics observe the run — none of them\n\
-         \x20             changes a result byte)\n\
+         \x20             --engine overrides the scheme-mode interpreter, --trace/--metrics\n\
+         \x20             observe the run — none of them changes a result byte)\n\
          migrate      [--dir DIR]                     rewrite artifacts at v{VERSION}\n\
          corpus-dedup [--dir DIR] [--dry-run]         drop scenario-digest duplicates"
     );
@@ -113,62 +112,51 @@ impl Args {
     }
 }
 
-/// Parse the shared `--exec serial|ticketed [--workers N]` engine
-/// override used by `run`, `suite run` and `farm worker`. `--workers N`
-/// alone implies the ticketed engine; the flags never change a result
-/// byte, only which engine computes it. Invalid values abort with the
-/// usage text.
-pub fn exec_override(args: &Args) -> Option<apex_scenario::ExecMode> {
-    use apex_scenario::ExecMode;
-    let workers: usize = args.num("workers", 4);
-    let mode = match args.get("exec") {
-        None if args.has("workers") => ExecMode::Ticketed { workers },
-        None => return None,
-        Some("serial") => ExecMode::Serial,
-        Some("ticketed") => ExecMode::Ticketed { workers },
-        Some(other) => {
-            eprintln!("invalid --exec value {other:?} (expected serial or ticketed)");
-            usage();
-        }
-    };
-    if let Err(e) = mode.validate() {
-        eprintln!("{e}");
-        usage();
-    }
-    Some(mode)
+/// The run flags every executing command shares — `--engine
+/// tree|bytecode` and `--trace [FILE]` / `--metrics` / `--profile` —
+/// parsed in one place for `apex run`, `apex suite run`, `apex farm
+/// worker`, and `apex-synth run|replay`. None of them changes a result
+/// byte: both interpreters produce byte-identical reports, and telemetry
+/// only observes.
+#[derive(Clone, Debug, Default)]
+pub struct RunArgs {
+    /// `--engine`: the scheme-interpreter override.
+    pub engine: Option<ProgramEngine>,
+    /// `--trace [FILE]`, `--metrics`, `--profile`.
+    pub obs: ObsOpts,
 }
 
-/// Parse the shared `--engine tree|bytecode` scheme-interpreter override
-/// used by `run`, `suite run` and `farm worker`. Like `--exec`, the flag
-/// never changes a result byte — both engines produce byte-identical
-/// reports — only which interpreter computes them. Invalid values abort
-/// with the usage text.
-pub fn engine_override(args: &Args) -> Option<apex_scenario::ProgramEngine> {
-    let value = args.get("engine")?;
-    match apex_scenario::ProgramEngine::parse(value) {
-        Some(engine) => Some(engine),
-        None => {
-            eprintln!("invalid --engine value {value:?} (expected tree or bytecode)");
-            usage();
-        }
+impl RunArgs {
+    /// Parse the shared run flags. A bare `--trace` resolves to
+    /// `default_trace` (a conventional location next to the run's other
+    /// artifacts); `--trace FILE` goes wherever the caller pointed.
+    /// Invalid values abort with the usage text.
+    pub fn parse(args: &Args, default_trace: impl FnOnce() -> PathBuf) -> RunArgs {
+        let engine = args.get("engine").map(|value| {
+            ProgramEngine::parse(value).unwrap_or_else(|| {
+                eprintln!("invalid --engine value {value:?} (expected tree or bytecode)");
+                usage();
+            })
+        });
+        let obs = ObsOpts {
+            trace: args.has("trace").then(|| {
+                args.get("trace")
+                    .map(PathBuf::from)
+                    .unwrap_or_else(default_trace)
+            }),
+            metrics: args.has("metrics"),
+            profile: args.has("profile"),
+        };
+        RunArgs { engine, obs }
     }
-}
 
-/// Parse the shared `--trace [FILE] --metrics --profile` telemetry
-/// flags used by `run`, `suite run` and `farm worker`. A bare
-/// `--trace` resolves to `default_trace` (a conventional location next
-/// to the run's other artifacts); `--trace FILE` goes wherever the
-/// caller pointed. Telemetry observes the run and never changes a
-/// result byte, so these flags compose freely with `--exec`/`--cached`.
-pub fn obs_override(args: &Args, default_trace: impl FnOnce() -> PathBuf) -> apex_obs::ObsOpts {
-    apex_obs::ObsOpts {
-        trace: args.has("trace").then(|| {
-            args.get("trace")
-                .map(PathBuf::from)
-                .unwrap_or_else(default_trace)
-        }),
-        metrics: args.has("metrics"),
-        profile: args.has("profile"),
+    /// The [`RunOpts`] for one in-process run: the engine override plus
+    /// the opened trace sink (a disabled handle without `--trace`).
+    pub fn run_opts(&self) -> std::io::Result<RunOpts> {
+        Ok(RunOpts {
+            engine: self.engine,
+            obs: self.obs.open_trace()?,
+        })
     }
 }
 
@@ -259,8 +247,8 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
     // Captured, not raw: a panicking or budget-exhausted scenario becomes
     // a typed outcome document and a failing exit code instead of an
     // abort, so campaign scripts can tell the failure classes apart.
-    let obs_opts = obs_override(&args, || PathBuf::from(apex_obs::TRACE_FILE));
-    let obs = match obs_opts.open_trace() {
+    let run_args = RunArgs::parse(&args, || PathBuf::from(apex_obs::TRACE_FILE));
+    let opts = match run_args.run_opts() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("--trace: {e}");
@@ -268,15 +256,10 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
         }
     };
     let stopwatch = apex_obs::Stopwatch::start();
-    let (outcome, exec_stats) = RunOutcome::capture_engines_obs(
-        &scenario,
-        exec_override(&args),
-        engine_override(&args),
-        &obs,
-    );
-    obs.flush();
-    if obs_opts.metrics || obs_opts.profile {
-        let metrics = single_run_metrics(&outcome, exec_stats, &obs_opts, &stopwatch);
+    let outcome = RunOutcome::capture_opts(&scenario, &opts);
+    opts.obs.flush();
+    if run_args.obs.metrics || run_args.obs.profile {
+        let metrics = single_run_metrics(&outcome, &run_args.obs, &stopwatch);
         let path = args.get("metrics").unwrap_or(apex_obs::METRICS_FILE);
         if let Err(e) = std::fs::write(path, metrics.render_pretty()) {
             eprintln!("--metrics: failed to write {path}: {e}");
@@ -314,8 +297,7 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
 /// alike.
 fn single_run_metrics(
     outcome: &RunOutcome,
-    exec_stats: apex_scenario::ExecStats,
-    opts: &apex_obs::ObsOpts,
+    opts: &ObsOpts,
     stopwatch: &apex_obs::Stopwatch,
 ) -> apex_obs::Metrics {
     let mut m = apex_obs::Metrics::new();
@@ -329,10 +311,6 @@ fn single_run_metrics(
     m.add("cells.poisoned", u64::from(outcome.status() == "poisoned"));
     let ticks = outcome.record().map(|r| r.report.ticks()).unwrap_or(0);
     m.add("ticks.executed", ticks);
-    m.add("exec.windows", exec_stats.windows);
-    m.add("exec.conflicts", exec_stats.conflicts);
-    m.add("exec.serial_reruns", exec_stats.serial_reruns);
-    m.gauge_max("exec.workers", exec_stats.workers as u64);
     if outcome.record().is_some() {
         m.observe("cells.ticks", ticks);
     }
@@ -630,10 +608,16 @@ fn cmd_replay(args: &Args) -> ExitCode {
         usage()
     };
 
-    let engine = engine_override(args);
+    let opts = match RunArgs::parse(args, || PathBuf::from(apex_obs::TRACE_FILE)).run_opts() {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("--trace: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut failures = 0;
     for (path, repro) in &entries {
-        match repro.check_with_engine(engine) {
+        match repro.check(&opts) {
             Ok(verdict) => println!(
                 "ok   {} ({}, expect {:?}, violations={})",
                 path.display(),

@@ -24,7 +24,7 @@
 //! hand-written workload to the synthesized program space).
 
 use apex_pram::Program;
-use apex_scenario::{ProgramSource, Scenario};
+use apex_scenario::{ProgramSource, RunOpts, Scenario};
 use apex_scheme::{SchemeKind, SchemeReport};
 use apex_sim::AdversarySpec;
 
@@ -93,21 +93,14 @@ impl Verdict {
 /// clock-stall assertion becomes [`RunAbort::ClockStall`]; any other panic
 /// (including a failed [`Scenario::validate`]) is [`RunAbort::Panic`] and
 /// must be treated as a failure by callers.
-pub fn run_scenario(scenario: &Scenario) -> Result<SchemeReport, RunAbort> {
-    run_scenario_with_engine(scenario, None)
-}
-
-/// [`run_scenario`] with a runtime interpreter-engine override (`None`
-/// runs the scenario's own knob). Reports are engine-independent, so a
-/// divergence found on one engine and replayed on the other is a bug in
-/// an interpreter, not in the finding.
-pub fn run_scenario_with_engine(
-    scenario: &Scenario,
-    engine: Option<apex_scenario::ProgramEngine>,
-) -> Result<SchemeReport, RunAbort> {
-    let scenario = scenario.clone();
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        scenario.run_with_engines(None, engine).into_scheme()
+///
+/// `opts` can override the interpreter engine ([`RunOpts::engine`]).
+/// Reports are engine-independent, so a divergence found on one engine
+/// and replayed on the other is a bug in an interpreter, not in the
+/// finding.
+pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<SchemeReport, RunAbort> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        scenario.run_opts(opts).into_scheme()
     }))
     .map_err(|payload| {
         let msg = payload
@@ -125,7 +118,7 @@ pub fn run_scenario_with_engine(
 
 /// [`run_scenario`] for a (triple, scheme) pair.
 pub fn run_triple(triple: &Triple, kind: SchemeKind) -> Result<SchemeReport, RunAbort> {
-    run_scenario(&triple.scenario(kind))
+    run_scenario(&triple.scenario(kind), &RunOpts::default())
 }
 
 /// Apply the oracle's checks to a completed run.
@@ -167,16 +160,8 @@ pub fn judge(report: &SchemeReport) -> Verdict {
 /// verdict with `stalled = true` and no divergence; any other panic *is* a
 /// divergence (recorded as a work anomaly so campaigns and reproducers
 /// fail loudly on engine crashes).
-pub fn check_scenario(scenario: &Scenario) -> Verdict {
-    check_scenario_with_engine(scenario, None)
-}
-
-/// [`check_scenario`] with a runtime interpreter-engine override.
-pub fn check_scenario_with_engine(
-    scenario: &Scenario,
-    engine: Option<apex_scenario::ProgramEngine>,
-) -> Verdict {
-    match run_scenario_with_engine(scenario, engine) {
+pub fn check_scenario(scenario: &Scenario, opts: &RunOpts) -> Verdict {
+    match run_scenario(scenario, opts) {
         Ok(report) => judge(&report),
         Err(RunAbort::ClockStall(_)) => Verdict {
             stalled: true,
@@ -191,7 +176,7 @@ pub fn check_scenario_with_engine(
 
 /// [`check_scenario`] for a (triple, scheme) pair.
 pub fn check_triple(triple: &Triple, kind: SchemeKind) -> Verdict {
-    check_scenario(&triple.scenario(kind))
+    check_scenario(&triple.scenario(kind), &RunOpts::default())
 }
 
 #[cfg(test)]

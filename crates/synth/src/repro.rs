@@ -219,20 +219,13 @@ impl Reproducer {
         self.scenario.digest()
     }
 
-    /// Replay the scenario and check the recorded expectation holds.
-    pub fn check(&self) -> Result<Verdict, String> {
-        self.check_with_engine(None)
-    }
-
-    /// [`Reproducer::check`] on a specific interpreter engine (`None` runs
-    /// the scenario's own knob). Corpus findings are engine-independent by
-    /// the bytecode determinism contract, so replaying the corpus under
-    /// `--engine bytecode` is a differential test of the interpreters.
-    pub fn check_with_engine(
-        &self,
-        engine: Option<apex_scenario::ProgramEngine>,
-    ) -> Result<Verdict, String> {
-        let verdict = crate::oracle::check_scenario_with_engine(&self.scenario, engine);
+    /// Replay the scenario under `opts` and check the recorded expectation
+    /// holds. Corpus findings are engine-independent by the bytecode
+    /// determinism contract, so replaying the corpus with
+    /// [`RunOpts::engine`](apex_scenario::RunOpts::engine) set to the
+    /// bytecode engine is a differential test of the interpreters.
+    pub fn check(&self, opts: &apex_scenario::RunOpts) -> Result<Verdict, String> {
+        let verdict = crate::oracle::check_scenario(&self.scenario, opts);
         match self.expected {
             Expectation::Clean if verdict.stalled => {
                 Err("expected clean run, but the clock stalled".to_string())
@@ -491,7 +484,7 @@ mod tests {
         assert_eq!(entries.len(), 1);
         // The nondet scheme must verify clean, which is what this artifact
         // asserts.
-        loaded.check().unwrap();
+        loaded.check(&Default::default()).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

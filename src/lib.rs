@@ -36,4 +36,4 @@ pub use apex_scenario as scenario;
 pub use apex_scheme as scheme;
 pub use apex_sim as sim;
 
-pub use apex_scenario::{ProgramSource, Scenario, ScenarioReport};
+pub use apex_scenario::{ProgramSource, RunOpts, Scenario, ScenarioReport};

@@ -12,21 +12,13 @@
 //!   log (addresses, values, writers, and work stamps).
 //! * The parallel trial runner must reproduce serial results exactly, in
 //!   config order.
-//! * The ticketed intra-run engine is a pure performance device too: for
-//!   every kernel workload, every composed adversary in the gallery, and
-//!   every worker count in {1, 2, 4, 8}, the recorded `ReportRecord` must
-//!   be byte-identical to the serial reference — and a proptest extends
-//!   the same oracle over random adversary trees.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use apex::scenario::{ExecMode, KernelSpec, ReportRecord, Scenario};
 use apex::sim::{
-    AdversarySpec, Group, IdlePolicy, Machine, MachineBuilder, OverlayKind, ProcId, Schedule,
-    ScheduleKind, Script, Span, Stamped,
+    IdlePolicy, Machine, MachineBuilder, ProcId, Schedule, ScheduleKind, Script, Stamped,
 };
-use proptest::prelude::*;
 
 /// Gallery plus the two kinds the ISSUE singles out.
 fn all_kinds() -> Vec<ScheduleKind> {
@@ -303,165 +295,4 @@ fn parallel_trial_runner_reproduces_serial_results_exactly() {
         render(&parallel),
         "artifact bytes must match"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Ticketed-vs-serial oracle: the speculative engine must be byte-invisible.
-// ---------------------------------------------------------------------------
-
-/// Worker counts the ISSUE pins for the oracle sweep.
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// The three kernel families, with parameters that exercise every
-/// conflict regime: disjoint footprints, periodic sharing, and a hot
-/// contended region that forces the serial-rerun fallback.
-fn kernel_specs() -> [KernelSpec; 3] {
-    [
-        KernelSpec::PrivateSlots { slots: 4 },
-        KernelSpec::SharedPulse {
-            slots: 2,
-            period: 16,
-        },
-        KernelSpec::Storm { region: 8 },
-    ]
-}
-
-/// Render the full recorded artifact for one (scenario, engine) pair.
-/// Comparing these strings is the byte-level contract: scenario bytes,
-/// digest, outputs, and the entire report must all agree.
-fn record_bytes(scenario: &Scenario, exec: ExecMode) -> String {
-    ReportRecord::run_exec(scenario, Some(exec)).render_pretty()
-}
-
-#[test]
-fn ticketed_matches_serial_over_the_composed_gallery() {
-    let n = 8;
-    for spec in AdversarySpec::composed_gallery(n) {
-        for kernel in kernel_specs() {
-            let scenario = Scenario::kernel(kernel, n, 20_000, 42).schedule(spec.clone());
-            scenario.validate().expect("gallery scenario is valid");
-            let want = record_bytes(&scenario, ExecMode::Serial);
-            for workers in WORKER_COUNTS {
-                let got = record_bytes(&scenario, ExecMode::Ticketed { workers });
-                assert_eq!(
-                    want,
-                    got,
-                    "kernel {} under {} diverged at {workers} workers",
-                    kernel.label(),
-                    spec.label(),
-                );
-            }
-        }
-    }
-}
-
-/// Deterministic splitter for deriving independent sub-seeds (same mixer
-/// the scenario property suite uses).
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn random_base(x: u64) -> ScheduleKind {
-    match x % 5 {
-        0 => ScheduleKind::RoundRobin,
-        1 => ScheduleKind::Uniform,
-        2 => ScheduleKind::Zipf {
-            s: 0.5 + (x >> 3) as f64 % 2.0,
-        },
-        3 => ScheduleKind::Bursty {
-            mean_burst: 1 + (x >> 3) % 128,
-        },
-        _ => ScheduleKind::TwoClass {
-            slow_frac: 0.5,
-            ratio: 4.0,
-        },
-    }
-}
-
-/// A random adversary tree for an `n`-processor machine: bases at the
-/// leaves, any of the four combinators at interior nodes, valid by
-/// construction (partition groups sized for their own sub-machine).
-fn random_tree(seed: u64, n: usize, depth: u32) -> AdversarySpec {
-    let x = mix(seed, u64::from(depth) + 1);
-    if depth == 0 {
-        return AdversarySpec::Base(random_base(x));
-    }
-    match x % 5 {
-        0 => AdversarySpec::Base(random_base(x >> 3)),
-        1 => AdversarySpec::Overlay {
-            layer: if x.is_multiple_of(2) {
-                OverlayKind::Crash {
-                    crash_frac: 0.25,
-                    horizon: 1 + (x >> 4) % 8192,
-                }
-            } else {
-                OverlayKind::Sleepy {
-                    sleepy_frac: 0.25,
-                    awake: 1 + (x >> 4) % 512,
-                    asleep: (x >> 4) % 2048,
-                }
-            },
-            base: Box::new(random_tree(mix(seed, 97), n, depth - 1)),
-        },
-        2 => AdversarySpec::PhaseSwitch {
-            spans: vec![Span {
-                ticks: 1 + (x >> 4) % 6000,
-                spec: random_tree(mix(seed, 98), n, depth - 1),
-            }],
-            tail: Box::new(random_tree(mix(seed, 99), n, depth - 1)),
-        },
-        3 if n >= 4 => {
-            let half = n / 2;
-            AdversarySpec::Partition {
-                groups: vec![
-                    Group {
-                        procs: (0..half).collect(),
-                        spec: random_tree(mix(seed, 100), half, depth - 1),
-                    },
-                    Group {
-                        procs: (half..n).collect(),
-                        spec: random_tree(mix(seed, 101), n - half, depth - 1),
-                    },
-                ],
-            }
-        }
-        _ => AdversarySpec::Scale {
-            factors: (0..n).map(|i| 1 + mix(seed, 70 + i as u64) % 4).collect(),
-            base: Box::new(random_tree(mix(seed, 96), n, depth - 1)),
-        },
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// Oracle over *random* adversary trees: any composition of the
-    /// algebra, any kernel, any worker count — same bytes as serial.
-    #[test]
-    fn ticketed_matches_serial_on_random_adversary_trees(
-        seed in any::<u64>(),
-        depth in 0u32..3,
-        kernel_sel in 0usize..3,
-        workers in 1usize..=8,
-    ) {
-        let n = 8;
-        let spec = random_tree(seed, n, depth);
-        let kernel = kernel_specs()[kernel_sel];
-        let scenario = Scenario::kernel(kernel, n, 10_000, mix(seed, 5))
-            .schedule(spec.clone());
-        prop_assert!(scenario.validate().is_ok(), "{spec:?}");
-        let want = record_bytes(&scenario, ExecMode::Serial);
-        let got = record_bytes(&scenario, ExecMode::Ticketed { workers });
-        prop_assert_eq!(
-            want,
-            got,
-            "kernel {} under {} diverged at {} workers",
-            kernel.label(),
-            spec.label(),
-            workers
-        );
-    }
 }

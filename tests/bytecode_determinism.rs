@@ -17,7 +17,7 @@
 //!   pinned divergence (and cleanliness) finding must reproduce
 //!   identically on both interpreters.
 
-use apex::scenario::{ProgramEngine, RunOutcome, Scenario};
+use apex::scenario::{ProgramEngine, RunOpts, RunOutcome, Scenario};
 use apex::scheme::SchemeKind;
 use apex_synth::gen::{generate_nondet_program, GenConfig};
 use apex_synth::repro::Reproducer;
@@ -25,10 +25,18 @@ use apex_synth::sched_gen::{generate_adversary, SchedGenConfig};
 use apex_synth::Triple;
 use proptest::prelude::*;
 
+/// Run options that override the interpreter.
+fn on(engine: ProgramEngine) -> RunOpts {
+    RunOpts {
+        engine: Some(engine),
+        ..RunOpts::default()
+    }
+}
+
 /// Render the full report record under `engine`; this is what the lab
 /// store writes, so equality here is store-level byte-identity.
-fn record_bytes(scenario: &Scenario, engine: Option<ProgramEngine>) -> String {
-    let outcome = RunOutcome::capture_engines(scenario, None, engine);
+fn record_bytes(scenario: &Scenario, engine: ProgramEngine) -> String {
+    let outcome = RunOutcome::capture_opts(scenario, &on(engine));
     assert!(
         outcome.record().is_some(),
         "scenario must execute: {}",
@@ -38,8 +46,8 @@ fn record_bytes(scenario: &Scenario, engine: Option<ProgramEngine>) -> String {
 }
 
 fn assert_engines_agree(scenario: &Scenario, what: &str) {
-    let tree = record_bytes(scenario, Some(ProgramEngine::Tree));
-    let bytecode = record_bytes(scenario, Some(ProgramEngine::Bytecode));
+    let tree = record_bytes(scenario, ProgramEngine::Tree);
+    let bytecode = record_bytes(scenario, ProgramEngine::Bytecode);
     assert_eq!(tree, bytecode, "{what}: engine records diverged");
 }
 
@@ -118,7 +126,7 @@ fn corpus_replays_identically_on_the_bytecode_engine() {
     assert!(!entries.is_empty(), "corpus must not be empty");
     for (path, repro) in &entries {
         repro
-            .check_with_engine(Some(ProgramEngine::Bytecode))
+            .check(&on(ProgramEngine::Bytecode))
             .unwrap_or_else(|e| panic!("{} on bytecode: {e}", path.display()));
         assert_engines_agree(&repro.scenario, &path.display().to_string());
     }

@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use apex::scenario::Mode;
+use apex::scenario::{Mode, RunOpts};
 use apex::scheme::SchemeKind;
 use apex::sim::Json;
 use apex_synth::repro::{Expectation, Reproducer, VERSION};
@@ -33,7 +33,7 @@ fn committed_corpus_replays_as_recorded() {
     );
     for (path, repro) in &entries {
         repro
-            .check()
+            .check(&RunOpts::default())
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 }
@@ -70,7 +70,10 @@ fn divergence_witnesses_are_clean_under_the_paper_scheme() {
         witnesses += 1;
         // The differential pair: the same scenario with only `mode.scheme`
         // flipped to the paper's scheme must verify clean.
-        let verdict = check_scenario(&repro.triple().scenario(SchemeKind::Nondet));
+        let verdict = check_scenario(
+            &repro.triple().scenario(SchemeKind::Nondet),
+            &RunOpts::default(),
+        );
         assert!(
             !verdict.stalled && !verdict.diverged(),
             "{}: paper scheme not clean on divergence witness: {verdict:?}",
@@ -132,7 +135,7 @@ fn legacy_v1_artifacts_still_read_and_replay() {
         VERSION
     );
     // And the artifact still replays as recorded.
-    repro.check().unwrap();
+    repro.check(&RunOpts::default()).unwrap();
     let nondet = check_triple(&triple, SchemeKind::Nondet);
     assert!(!nondet.diverged() && !nondet.stalled, "{nondet:?}");
 }

@@ -8,8 +8,8 @@
 //!   byte-identical;
 //! * any number of concurrent (or crashed-and-replaced) workers drain a
 //!   queued suite to a record set and manifest **byte-identical** to a
-//!   single serial `apex suite run` — the journal and cache-stats
-//!   sidecar are per-run telemetry and excluded from the comparison;
+//!   single serial `apex suite run` — the journal and metrics sidecars
+//!   are per-run telemetry and excluded from the comparison;
 //! * every bad-lease class (torn, stale, orphaned) is detected by fsck
 //!   and *reclaimed* — deleted, never quarantined — while a live claim
 //!   in an in-flight run is left alone;
@@ -140,9 +140,11 @@ fn cached_rerun_executes_nothing_and_is_byte_identical() {
     assert_eq!(done.cache.hits as usize, done.skipped.len());
     assert_eq!(file_map(&store.suite_dir(&suite.digest())), before);
 
-    // The sidecar is on disk and round-trips the tally.
-    let stats = store.read_cache_stats(&suite.digest()).unwrap();
-    assert_eq!(stats, done.cache);
+    // The tally is on disk too, as metrics.json's `cache.*` counters.
+    let metrics = store.read_metrics(&suite.digest()).unwrap();
+    assert_eq!(metrics.counter("cache.hits"), done.cache.hits);
+    assert_eq!(metrics.counter("cache.misses"), 0);
+    assert_eq!(metrics.counter("cache.rejected"), 0);
     let _ = std::fs::remove_dir_all(store.root());
 }
 

@@ -369,6 +369,17 @@ fn fsck_flags_orphans_stale_temps_and_journal_corruption_and_quarantines() {
     let store = temp_store("fsck-classes");
     run_suite_journaled(&suite, &store, &serial()).unwrap();
     let dir = store.suite_dir(&suite.digest());
+    // The manifest and every record, byte for byte: repair may move only
+    // the planted debris below.
+    let durable: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .map(|p| {
+            let bytes = std::fs::read(&p).unwrap();
+            (p, bytes)
+        })
+        .collect();
 
     // Orphan: a perfectly healthy record the manifest does not name
     // (here: a record from a different suite, at its own address).
@@ -389,6 +400,24 @@ fn fsck_flags_orphans_stale_temps_and_journal_corruption_and_quarantines() {
     let broken = text.replacen("\"kind\":\"claimed\"", "\"kind\":\"cla", 1);
     assert_ne!(text, broken);
     std::fs::write(&journal, broken).unwrap();
+    // The two retired per-run sidecars (`<stem>-stats.json`, for cache
+    // tallies and engine timings) that stores written by older builds may
+    // still hold: nothing writes or special-cases them any more, so they
+    // are non-record `.json` debris like any other.
+    let retired: Vec<String> = ["cache", "exec"]
+        .iter()
+        .map(|stem| format!("{stem}-stats.json"))
+        .collect();
+    std::fs::write(
+        dir.join(&retired[0]),
+        "{\"version\": {\"major\": 1, \"minor\": 0}, \"hits\": 3, \"misses\": 0, \"rejected\": 0}\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join(&retired[1]),
+        "{\"exec\": \"serial\", \"workers\": 1, \"ticks\": 10, \"elapsed_ms\": 1}\n",
+    )
+    .unwrap();
 
     let report = fsck(&store, true).unwrap();
     let mut kinds: Vec<FsckIssueKind> = report.issues.iter().map(|i| i.kind).collect();
@@ -399,11 +428,24 @@ fn fsck_flags_orphans_stale_temps_and_journal_corruption_and_quarantines() {
             FsckIssueKind::JournalCorrupt,
             FsckIssueKind::Orphan,
             FsckIssueKind::StaleTemp,
+            FsckIssueKind::TornOrTruncated,
+            FsckIssueKind::TornOrTruncated,
         ],
         "{}",
         report.summary()
     );
     assert!(report.issues.iter().all(|i| i.quarantined));
+    for sidecar in &retired {
+        assert!(!dir.join(sidecar).exists(), "{sidecar} left in place");
+        assert!(store
+            .quarantine_root()
+            .join(suite.digest())
+            .join(sidecar)
+            .exists());
+    }
+    for (path, bytes) in &durable {
+        assert_eq!(&std::fs::read(path).unwrap(), bytes, "{}", path.display());
+    }
 
     // Quarantine preserved the orphan's exact bytes.
     let qdir = store.quarantine_root().join(suite.digest());

@@ -24,14 +24,14 @@ use apex_lab::{
     fsck, run_suite_journaled, Grid, JournalOpts, LabStore, SeedRange, Suite, TELEMETRY_FILES,
 };
 use apex_obs::{read_trace, Metrics, Obs, ObsOpts};
-use apex_scenario::{ProgramSource, RunOutcome, Scenario, SourceSpec};
+use apex_scenario::{ProgramSource, RunOpts, RunOutcome, Scenario, SourceSpec};
 use apex_scheme::SchemeKind;
 use apex_sim::ScheduleKind;
 use proptest::prelude::*;
 
 /// A small mixed suite: agreement cells plus a nondet-scheme grid —
 /// cheap enough to run per proptest case, rich enough to exercise the
-/// engine, exec, and lab trace seams.
+/// engine and lab trace seams.
 fn obs_suite(seed: u64) -> Suite {
     let mut suite = Suite::new(format!("obs-unit-{seed}"));
     suite
@@ -224,9 +224,12 @@ fn canonical_trace_is_byte_pinned() {
     let dir = temp_dir("golden-trace");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.jsonl");
-    let obs = Obs::to_file(&path).unwrap();
-    let (outcome, _) = RunOutcome::capture_exec_obs(&scenario, None, &obs);
-    obs.flush();
+    let opts = RunOpts {
+        obs: Obs::to_file(&path).unwrap(),
+        ..RunOpts::default()
+    };
+    let outcome = RunOutcome::capture_opts(&scenario, &opts);
+    opts.obs.flush();
     assert!(outcome.ok(), "the canonical scenario must complete");
 
     let fresh = std::fs::read_to_string(&path).unwrap();

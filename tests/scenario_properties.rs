@@ -6,18 +6,25 @@
 //! documents with an unknown major version are rejected; and the
 //! canonical serialized form of one pinned scenario never drifts
 //! (`tests/golden/canonical-scenario.json`, also replayed by CI's
-//! scenario smoke step).
+//! scenario smoke step). Every committed suite keeps its digest, every
+//! golden file and corpus artifact re-renders byte-identically, and the
+//! removed kernel mode is a typed parse error.
+
+use std::path::Path;
 
 use apex::core::{AgreementConfig, InstrumentOpts};
 use apex::scenario::{
-    EngineKnobs, ExecMode, Mode, ProgramEngine, ProgramSource, Scenario, SourceSpec, FORMAT_MAJOR,
+    EngineKnobs, Mode, ProgramEngine, ProgramSource, Scenario, SourceSpec, FORMAT_MAJOR,
 };
 use apex::scheme::tasks::eval_cost;
 use apex::scheme::SchemeKind;
 use apex::sim::{
     AdversarySpec, Group, Json, OverlayKind, ScheduleKind, ScriptSegment, ScriptSpec, Span,
 };
+use apex_lab::{BenchDoc, JournalEntry, Suite};
+use apex_obs::TraceEvent;
 use apex_synth::gen::{generate_program, GenConfig};
+use apex_synth::repro::Reproducer;
 use proptest::prelude::*;
 
 /// Deterministic splitter for deriving independent sub-seeds.
@@ -207,7 +214,6 @@ fn scenario_from_seed(seed: u64) -> Scenario {
         batch: (mix(seed, 21).is_multiple_of(3)).then(|| 1 + (mix(seed, 22) as usize) % 256),
         tick_budget: (mix(seed, 23).is_multiple_of(4))
             .then(|| 1_000_000 + mix(seed, 24) % (1 << 50)),
-        exec: ExecMode::default(),
         program_engine: if mix(seed, 25).is_multiple_of(5) {
             ProgramEngine::Bytecode
         } else {
@@ -317,4 +323,93 @@ fn golden_scenario_runs_reproducibly() {
     let (a, b) = (a.scheme(), b.scheme());
     assert_eq!(a.total_work, b.total_work);
     assert_eq!(a.final_memory, b.final_memory);
+}
+
+/// Read a file committed at the repository root.
+fn committed(path: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Every committed suite keeps the digest its stores, bench artifacts,
+/// and CI runs are addressed by: the scenario format may change only in
+/// ways that leave every scheme and agreement document byte-identical.
+#[test]
+fn committed_suites_keep_their_digests() {
+    for (name, digest) in [
+        ("smoke", "0bddabfde932ae25"),
+        ("adversary", "ce71351ecd0598b9"),
+        ("bench-program", "7b4c5a1509323538"),
+    ] {
+        let suite = Suite::parse(&committed(&format!("suites/{name}.json"))).unwrap();
+        assert_eq!(
+            suite.digest(),
+            digest,
+            "suites/{name}.json moved its digest"
+        );
+    }
+    // The committed bench artifact names that same digest, and still
+    // parses and re-renders byte-identically.
+    let text = committed("BENCH_program-compile.json");
+    let bench = BenchDoc::parse(&text).unwrap();
+    assert_eq!(bench.digest, "7b4c5a1509323538");
+    assert_eq!(bench.render_pretty(), text);
+}
+
+/// Every golden file and every corpus artifact re-renders byte for byte
+/// through its own codec.
+#[test]
+fn goldens_and_corpus_re_render_byte_identically() {
+    let scenario = committed("tests/golden/canonical-scenario.json");
+    assert_eq!(
+        Scenario::parse(&scenario).unwrap().render_pretty(),
+        scenario
+    );
+    let suite = committed("tests/golden/canonical-suite.json");
+    assert_eq!(Suite::parse(&suite).unwrap().render_pretty(), suite);
+    let adversary = committed("tests/golden/canonical-adversary.json");
+    let spec = AdversarySpec::from_json(&Json::parse(&adversary).unwrap()).unwrap();
+    assert_eq!(spec.to_json().render_pretty(), adversary);
+
+    let lines = |path: &str, render: &dyn Fn(&str) -> String| {
+        let text = committed(path);
+        assert!(text.ends_with('\n'), "{path}");
+        for line in text.lines() {
+            assert_eq!(render(line), line, "{path}");
+        }
+    };
+    lines("tests/golden/canonical-journal.jsonl", &|l| {
+        JournalEntry::parse_line(l).unwrap().to_line()
+    });
+    lines("tests/golden/canonical-trace.jsonl", &|l| {
+        TraceEvent::parse_line(l).unwrap().to_line()
+    });
+
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let entries = Reproducer::load_dir(&dir).unwrap();
+    assert!(!entries.is_empty());
+    for (path, repro) in entries {
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(repro.to_json().render_pretty(), text, "{}", path.display());
+    }
+}
+
+/// The kernel mode is gone: a scenario document naming it is a typed
+/// parse error, not a panic and not a silently different scenario.
+#[test]
+fn kernel_mode_documents_are_a_typed_parse_error() {
+    let mut json = canonical_scenario().to_json();
+    let Json::Obj(fields) = &mut json else {
+        unreachable!("a scenario renders an object")
+    };
+    let mode = fields.iter_mut().find(|(k, _)| k == "mode").unwrap();
+    mode.1 = Json::parse(
+        r#"{"kind":"kernel","kernel":{"kind":"private-slots","slots":4},"n":8,"ticks":1000}"#,
+    )
+    .unwrap();
+    let err = Scenario::parse(&json.render()).unwrap_err();
+    assert!(
+        err.msg.contains("unknown scenario mode \"kernel\""),
+        "{err}"
+    );
 }
