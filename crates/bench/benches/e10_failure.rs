@@ -12,9 +12,10 @@
 //! (n, regime, scheme, seed) grid fans out on the parallel trial runner.
 
 use apex_baselines::adversary::{resonant_sleepy, sleepy_with_multiple};
-use apex_bench::runner::{run_scheme_trials, ProgramSpec, SchemeTrial};
 use apex_bench::{banner, seeds, Experiment, Table};
 use apex_core::AgreementConfig;
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{ProgramSource, Scenario};
 use apex_scheme::{tasks::eval_cost, SchemeKind};
 
 fn main() {
@@ -50,13 +51,9 @@ fn main() {
                 grid.push((n, label.clone(), scheme));
                 for &seed in &seed_list {
                     trials.push(
-                        SchemeTrial::new(
+                        Scenario::scheme(
                             scheme,
-                            ProgramSpec::RandomWalks {
-                                n,
-                                init: 1000,
-                                steps: 24,
-                            },
+                            ProgramSource::library("random-walks", n, vec![1000, 24]),
                             seed,
                         )
                         .schedule(kind.clone()),
@@ -65,11 +62,8 @@ fn main() {
             }
         }
     }
-    let reports = run_scheme_trials(&trials);
-    exp.add_trials(reports.len());
-    for r in &reports {
-        exp.add_ticks(r.ticks);
-    }
+    let reports = run_trials(&trials, resolve_threads(None), |s| s.run().into_scheme());
+    exp.record_trials(reports.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "n",

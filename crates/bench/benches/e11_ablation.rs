@@ -20,15 +20,13 @@ use std::rc::Rc;
 
 use apex_baselines::adversary::{gun_volley, resonant_sleepy};
 use apex_baselines::linear::{omega_linear, run_linear_participant};
-use apex_bench::runner::{
-    run_agreement_trials, run_scheme_trials, run_trials, AgreementTrial, ProgramSpec, SchemeTrial,
-    SourceSpec,
-};
 use apex_bench::{banner, seeds, Experiment, Table};
 use apex_clock::PhaseClock;
 use apex_core::{
     AgreementConfig, AgreementRun, BinLayout, InstrumentOpts, RandomSource, ValueSource,
 };
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{ProgramSource, Scenario, SourceSpec};
 use apex_scheme::{tasks::eval_cost, SchemeKind};
 use apex_sim::{MachineBuilder, RegionAllocator, ScheduleKind};
 
@@ -42,16 +40,14 @@ fn beta_sweep(exp: &mut Experiment) {
         let sleeper = resonant_sleepy(&cfg, 0.375);
         for &seed in &seed_list {
             trials.push(
-                AgreementTrial::new(32, seed, sleeper.clone(), SourceSpec::Random(1 << 20), 3)
-                    .config(cfg),
+                Scenario::agreement(32, SourceSpec::Random(1 << 20), 3, seed)
+                    .schedule(sleeper.clone())
+                    .agreement_config(cfg),
             );
         }
     }
-    let results = run_agreement_trials(&trials);
-    exp.add_trials(results.len());
-    for r in &results {
-        exp.add_ticks(r.ticks);
-    }
+    let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
+    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut t = Table::new(&["β", "cells/bin", "phases ok", "phases failed", "work/phase"]);
     let mut it = results.iter();
@@ -87,7 +83,7 @@ fn search_ablation(exp: &mut Experiment) {
     println!("\n-- ablation 2: binary vs linear frontier search (work to fill phase 0) --");
     let sizes = [16usize, 64, 256];
     // Per n: (binary phase work, linear phase work, total ticks).
-    let results = run_trials(&sizes, |&n| {
+    let results = run_trials(&sizes, resolve_threads(None), |&n| {
         let cfg = AgreementConfig::for_n(n, 1);
         // Binary: standard harness.
         let source: Rc<dyn ValueSource> = Rc::new(RandomSource::new(100));
@@ -115,10 +111,7 @@ fn search_ablation(exp: &mut Experiment) {
             .expect("linear phase");
         (binary_work, linear_work, run.machine().ticks() + m.ticks())
     });
-    exp.add_trials(results.len());
-    for (_, _, ticks) in &results {
-        exp.add_ticks(*ticks);
-    }
+    exp.record_trials(results.iter().map(|(_, _, ticks)| *ticks));
 
     let mut t = Table::new(&[
         "n",
@@ -155,13 +148,9 @@ fn replica_sweep(exp: &mut Experiment) {
     for &k in &ks {
         for &seed in &seed_list {
             trials.push(
-                SchemeTrial::new(
+                Scenario::scheme(
                     SchemeKind::Nondet,
-                    ProgramSpec::RandomWalks {
-                        n: 32,
-                        init: 1000,
-                        steps: 24,
-                    },
+                    ProgramSource::library("random-walks", 32, vec![1000, 24]),
                     seed,
                 )
                 .schedule(sched.clone())
@@ -169,11 +158,8 @@ fn replica_sweep(exp: &mut Experiment) {
             );
         }
     }
-    let reports = run_scheme_trials(&trials);
-    exp.add_trials(reports.len());
-    for r in &reports {
-        exp.add_ticks(r.ticks);
-    }
+    let reports = run_trials(&trials, resolve_threads(None), |s| s.run().into_scheme());
+    exp.record_trials(reports.iter().map(|r| r.ticks));
 
     let mut t = Table::new(&["K", "violations", "bad runs", "operand read failures"]);
     let mut it = reports.iter();
@@ -212,7 +198,7 @@ fn fig3_stress(exp: &mut Experiment) {
         }
     }
     // Scripted schedules are not Send; build them inside the workers.
-    let results = run_trials(&configs, |&(scripted, seed)| {
+    let results = run_trials(&configs, resolve_threads(None), |&(scripted, seed)| {
         let source: Rc<dyn ValueSource> = Rc::new(RandomSource::new(1 << 20));
         let mut run = if scripted {
             let sched = apex_baselines::adversary::fig3_interleave(n, &cfg, 20_000, seed);
@@ -233,10 +219,7 @@ fn fig3_stress(exp: &mut Experiment) {
             .count();
         (failures, run.stability_violations(), run.machine().ticks())
     });
-    exp.add_trials(results.len());
-    for (_, _, ticks) in &results {
-        exp.add_ticks(*ticks);
-    }
+    exp.record_trials(results.iter().map(|(_, _, ticks)| *ticks));
 
     let mut t = Table::new(&["schedule", "phases", "T1 failures", "stability violations"]);
     let mut it = results.iter();

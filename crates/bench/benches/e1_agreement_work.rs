@@ -12,10 +12,11 @@
 //! parallel trial runner; aggregation follows config order, so the table
 //! is identical to a serial sweep.
 
-use apex_bench::runner::{run_agreement_trials, AgreementTrial, SourceSpec};
 use apex_bench::{
     banner, fit_power, mean, seeds, stddev, sweep_sizes, theorem_one_bound, Experiment, Table,
 };
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{Scenario, SourceSpec};
 use apex_sim::ScheduleKind;
 
 fn main() {
@@ -45,21 +46,15 @@ fn main() {
     for &n in &sizes {
         for (_, kind) in &schedules {
             for &seed in &seed_list {
-                trials.push(AgreementTrial::new(
-                    n,
-                    seed,
-                    kind.clone(),
-                    SourceSpec::Random(1 << 30),
-                    2,
-                ));
+                trials.push(
+                    Scenario::agreement(n, SourceSpec::Random(1 << 30), 2, seed)
+                        .schedule(kind.clone()),
+                );
             }
         }
     }
-    let results = run_agreement_trials(&trials);
-    exp.add_trials(results.len());
-    for r in &results {
-        exp.add_ticks(r.ticks);
-    }
+    let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
+    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "n",

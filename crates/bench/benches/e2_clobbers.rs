@@ -7,9 +7,10 @@
 //! log₂ n. Seeds fan out on the parallel trial runner.
 
 use apex_baselines::adversary::resonant_sleepy;
-use apex_bench::runner::{run_agreement_trials, AgreementTrial, SourceSpec};
 use apex_bench::{banner, lg, mean, seeds, sweep_sizes, Experiment, Table};
 use apex_core::{AgreementConfig, InstrumentOpts};
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{Scenario, SourceSpec};
 
 fn main() {
     banner(
@@ -27,17 +28,15 @@ fn main() {
         let kind = resonant_sleepy(&cfg, 0.25);
         for &seed in &seed_list {
             trials.push(
-                AgreementTrial::new(n, seed, kind.clone(), SourceSpec::Random(100), 3)
-                    .opts(InstrumentOpts::clobbers_only())
-                    .config(cfg),
+                Scenario::agreement(n, SourceSpec::Random(100), 3, seed)
+                    .schedule(kind.clone())
+                    .instrument(InstrumentOpts::clobbers_only())
+                    .agreement_config(cfg),
             );
         }
     }
-    let results = run_agreement_trials(&trials);
-    exp.add_trials(results.len());
-    for r in &results {
-        exp.add_ticks(r.ticks);
-    }
+    let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
+    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "n",

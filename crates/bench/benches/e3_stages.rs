@@ -9,11 +9,12 @@
 //! analysis inside its worker thread and returns only the per-stage
 //! counts.
 
-use apex_bench::runner::{run_trials, AgreementTrial, SourceSpec};
 use apex_bench::{banner, mean, seeds, Experiment, Table};
 use apex_clock::ClockConfig;
 use apex_core::stages::analyze_stages_sized;
 use apex_core::InstrumentOpts;
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{Scenario, SourceSpec};
 use apex_sim::ScheduleKind;
 
 fn main() {
@@ -36,22 +37,23 @@ fn main() {
         for (_, kind) in &schedules {
             for &seed in &seed_list {
                 trials.push(
-                    AgreementTrial::new(n, seed, kind.clone(), SourceSpec::Random(100), 2)
-                        .opts(InstrumentOpts::full()),
+                    Scenario::agreement(n, SourceSpec::Random(100), 2, seed)
+                        .schedule(kind.clone())
+                        .instrument(InstrumentOpts::full()),
                 );
             }
         }
     }
     // Per trial: (complete-cycle counts per stage, machine ticks).
-    let results = run_trials(&trials, |t| {
-        let mut run = t.build();
+    let results = run_trials(&trials, resolve_threads(None), |s| {
+        let mut run = s.build_agreement();
         let o1 = run.run_phase();
         let o2 = run.run_phase();
         let log = run.sink.as_ref().unwrap().borrow();
         // Stage size: 3n cycle *footprints* (ω plus the amortized clock
         // interleave — see analyze_stages_sized docs).
         let cfg = run.cfg;
-        let n = t.n;
+        let n = s.n();
         let footprint = cfg.omega
             + ClockConfig::for_n(n).read_cost() / cfg.clock_read_period.max(1)
             + ClockConfig::update_cost() / cfg.update_period.max(1);
@@ -65,10 +67,7 @@ fn main() {
         drop(log);
         (counts, run.machine().ticks())
     });
-    exp.add_trials(results.len());
-    for (_, ticks) in &results {
-        exp.add_ticks(*ticks);
-    }
+    exp.record_trials(results.iter().map(|(_, ticks)| *ticks));
 
     let mut table = Table::new(&[
         "n",

@@ -5,8 +5,9 @@
 //! completion time and at clock advance, per adversary. Trials fan out on
 //! the parallel runner.
 
-use apex_bench::runner::{run_agreement_trials, AgreementTrial, SourceSpec};
 use apex_bench::{banner, mean, seeds, sweep_sizes, Experiment, Table};
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{Scenario, SourceSpec};
 use apex_sim::ScheduleKind;
 
 fn main() {
@@ -34,21 +35,14 @@ fn main() {
     for &n in &sizes {
         for (_, kind) in &schedules {
             for &seed in &seed_list {
-                trials.push(AgreementTrial::new(
-                    n,
-                    seed,
-                    kind.clone(),
-                    SourceSpec::Random(100),
-                    2,
-                ));
+                trials.push(
+                    Scenario::agreement(n, SourceSpec::Random(100), 2, seed).schedule(kind.clone()),
+                );
             }
         }
     }
-    let results = run_agreement_trials(&trials);
-    exp.add_trials(results.len());
-    for r in &results {
-        exp.add_ticks(r.ticks);
-    }
+    let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
+    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "n",

@@ -10,11 +10,11 @@
 //! "constant, independent of n" claim. Cycle logs are `Rc`-held, so each
 //! trial counts its structures inside its worker thread.
 
-use apex_bench::runner::{run_trials, AgreementTrial, SourceSpec};
 use apex_bench::{banner, seeds, Experiment, Table};
 use apex_core::stages::{analyze_stages, count_stabilizing_structures};
 use apex_core::InstrumentOpts;
-use apex_sim::ScheduleKind;
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{Scenario, SourceSpec};
 
 fn main() {
     banner(
@@ -30,21 +30,21 @@ fn main() {
     for &n in &sizes {
         for &seed in &seed_list {
             trials.push(
-                AgreementTrial::new(n, seed, ScheduleKind::Uniform, SourceSpec::Random(100), 2)
-                    .opts(InstrumentOpts::full()),
+                Scenario::agreement(n, SourceSpec::Random(100), 2, seed)
+                    .instrument(InstrumentOpts::full()),
             );
         }
     }
     // Per trial: (stage pairs × bins, stabilizing hits, ticks).
-    let results = run_trials(&trials, |t| {
-        let mut run = t.build();
+    let results = run_trials(&trials, resolve_threads(None), |s| {
+        let mut run = s.build_agreement();
         let o1 = run.run_phase();
         let o2 = run.run_phase();
         let log = run.sink.as_ref().unwrap().borrow();
         let a = analyze_stages(&log, &run.cfg, o1.advance_work, o2.advance_work);
         let mut pairs = 0usize;
         let mut hits = 0usize;
-        for bin in 0..t.n {
+        for bin in 0..s.n() {
             let c = count_stabilizing_structures(&log, &a, bin);
             pairs += c.pairs;
             hits += c.stabilizing;
@@ -52,10 +52,7 @@ fn main() {
         drop(log);
         (pairs, hits, run.machine().ticks())
     });
-    exp.add_trials(results.len());
-    for (_, _, ticks) in &results {
-        exp.add_ticks(*ticks);
-    }
+    exp.record_trials(results.iter().map(|(_, _, ticks)| *ticks));
 
     let mut table = Table::new(&[
         "n",

@@ -8,9 +8,10 @@
 //! much β-slack the default configuration leaves. Frontier extraction
 //! walks the `Rc`-held cycle log, so it runs inside each worker thread.
 
-use apex_bench::runner::{run_trials, AgreementTrial, SourceSpec};
 use apex_bench::{banner, mean, seeds, Experiment, Table};
 use apex_core::{CycleAction, InstrumentOpts};
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{Scenario, SourceSpec};
 use apex_sim::ScheduleKind;
 use std::collections::HashMap;
 
@@ -34,23 +35,25 @@ fn main() {
         ),
     ];
     let seed_list = seeds(3);
+    let phases = 3;
 
     let mut trials = Vec::new();
     for &n in &sizes {
         for (_, kind) in &schedules {
             for &seed in &seed_list {
                 trials.push(
-                    AgreementTrial::new(n, seed, kind.clone(), SourceSpec::Random(1 << 20), 3)
-                        .opts(InstrumentOpts::full()),
+                    Scenario::agreement(n, SourceSpec::Random(1 << 20), phases, seed)
+                        .schedule(kind.clone())
+                        .instrument(InstrumentOpts::full()),
                 );
             }
         }
     }
     // Per trial: (per-phase disagreement frontiers, upper-half start,
     // stability violations, ticks).
-    let results = run_trials(&trials, |t| {
-        let mut run = t.build();
-        let outcomes = run.run_phases(t.phases);
+    let results = run_trials(&trials, resolve_threads(None), |s| {
+        let mut run = s.build_agreement();
+        let outcomes = run.run_phases(phases);
         let half = run.cfg.upper_half_start();
         let violations = run.stability_violations();
         let log = run.sink.as_ref().unwrap().borrow();
@@ -60,7 +63,7 @@ fn main() {
             // order; frontier = max cell where value differed from the one
             // already propagating.
             let mut first_val: HashMap<usize, u64> = HashMap::new();
-            let mut frontier = vec![0usize; t.n];
+            let mut frontier = vec![0usize; s.n()];
             for c in log.cycles_of_phase(o.phase) {
                 let (cell, value) = match c.action {
                     CycleAction::Evaluated { value } => (0, value),
@@ -83,10 +86,7 @@ fn main() {
         drop(log);
         (frontiers, half, violations, run.machine().ticks())
     });
-    exp.add_trials(results.len());
-    for (_, _, _, ticks) in &results {
-        exp.add_ticks(*ticks);
-    }
+    exp.record_trials(results.iter().map(|(_, _, _, ticks)| *ticks));
 
     let mut table = Table::new(&[
         "n",

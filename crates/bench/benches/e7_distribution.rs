@@ -9,8 +9,9 @@
 //! with the true distribution via z-scores / χ². Runs fan out on the
 //! parallel trial runner.
 
-use apex_bench::runner::{run_agreement_trials, AgreementTrial, SourceSpec};
 use apex_bench::{banner, seeds, Experiment, Table};
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{Scenario, SourceSpec};
 use apex_sim::ScheduleKind;
 
 fn z(ones: u64, total: usize, p: f64) -> f64 {
@@ -56,21 +57,12 @@ fn main() {
     for (_, kind) in &kinds {
         for (_, source, _) in &sources {
             for seed in seeds(runs) {
-                trials.push(AgreementTrial::new(
-                    n,
-                    seed,
-                    kind.clone(),
-                    source.clone(),
-                    1,
-                ));
+                trials.push(Scenario::agreement(n, source.clone(), 1, seed).schedule(kind.clone()));
             }
         }
     }
-    let results = run_agreement_trials(&trials);
-    exp.add_trials(results.len());
-    for r in &results {
-        exp.add_ticks(r.ticks);
-    }
+    let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
+    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "source",

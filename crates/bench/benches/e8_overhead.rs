@@ -13,8 +13,9 @@
 //! crossover. Run with APEX_BENCH_FULL=1 to add n = 512, 1024. The
 //! (n, scheme) grid fans out on the parallel trial runner.
 
-use apex_bench::runner::{run_scheme_trials, ProgramSpec, SchemeTrial};
 use apex_bench::{banner, fit_power, full_scale, lg, lglg, sweep_sizes, Experiment, Table};
+use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{ProgramSource, Scenario};
 use apex_scheme::SchemeKind;
 
 fn main() {
@@ -34,9 +35,9 @@ fn main() {
     let mut trials = Vec::new();
     for &n in &sizes {
         for scheme in schemes {
-            trials.push(SchemeTrial::new(
+            trials.push(Scenario::scheme(
                 scheme,
-                ProgramSpec::CoinSum { n, bound: 1 << 20 },
+                ProgramSource::library("coin-sum", n, vec![1 << 20]),
                 1,
             ));
         }
@@ -44,21 +45,15 @@ fn main() {
     if full_scale() {
         // Confirmation point toward the crossover projection.
         for scheme in [SchemeKind::Nondet, SchemeKind::ScanConsensus] {
-            trials.push(SchemeTrial::new(
+            trials.push(Scenario::scheme(
                 scheme,
-                ProgramSpec::CoinSum {
-                    n: 2048,
-                    bound: 1 << 20,
-                },
+                ProgramSource::library("coin-sum", 2048, vec![1 << 20]),
                 1,
             ));
         }
     }
-    let reports = run_scheme_trials(&trials);
-    exp.add_trials(reports.len());
-    for r in &reports {
-        exp.add_ticks(r.ticks);
-    }
+    let reports = run_trials(&trials, resolve_threads(None), |s| s.run().into_scheme());
+    exp.record_trials(reports.iter().map(|r| r.ticks));
 
     // Both schemes pay the same phase-clock floor per subphase; the
     // ideal-CAS column *is* that floor (its agreement work is O(1)/value).

@@ -10,9 +10,9 @@
 //! the exact op costs of both procedures. The (n, adversary) advance
 //! measurements fan out on the parallel trial runner.
 
-use apex_bench::runner::run_trials;
 use apex_bench::{banner, sweep_sizes, Experiment, Table};
 use apex_clock::{measure_advances, ClockConfig};
+use apex_lab::runner::{resolve_threads, run_trials};
 use apex_sim::ScheduleKind;
 
 fn main() {
@@ -54,12 +54,15 @@ fn main() {
             configs.push((n, kind.clone()));
         }
     }
-    let stats = run_trials(&configs, |(n, kind)| measure_advances(*n, 8, kind, 7));
-    exp.add_trials(stats.len());
-    for s in &stats {
-        // Each recorded advance consumed ~updates × update_cost ticks.
-        exp.add_ticks(s.updates_per_advance.iter().sum::<u64>() * ClockConfig::update_cost());
-    }
+    let stats = run_trials(&configs, resolve_threads(None), |(n, kind)| {
+        measure_advances(*n, 8, kind, 7)
+    });
+    // Each recorded advance consumed ~updates × update_cost ticks.
+    exp.record_trials(
+        stats
+            .iter()
+            .map(|s| s.updates_per_advance.iter().sum::<u64>() * ClockConfig::update_cost()),
+    );
 
     let mut t = Table::new(&[
         "n",

@@ -1,26 +1,27 @@
-//! Shared experiment plumbing: the parallel trial runner, tables, fits,
+//! The experiment targets E1–E11 and their plumbing: tables, fits,
 //! scales, and machine-readable artifacts.
 //!
 //! Every `benches/e*.rs` target regenerates one experiment from
 //! EXPERIMENTS.md, prints a markdown table, and emits JSON artifacts (see
 //! [`Experiment`]). Measurements are in model work units (deterministic),
 //! so a single run per (config, seed) is exact; seeds supply the
-//! statistical dimension. Independent trials are fanned across OS threads
-//! by [`runner`] with results in config order, so every table and JSON
-//! results artifact is byte-identical to a serial run.
+//! statistical dimension. Each target builds its cells as
+//! [`Scenario`](apex_scenario::Scenario)s and fans them across OS threads
+//! with [`apex_lab::runner::run_trials`], which returns results in config
+//! order, so every table and JSON results artifact is byte-identical to a
+//! serial run.
 //!
 //! Environment knobs:
 //!
 //! * `APEX_BENCH_FULL=1` — large sizes (n up to 1024, plus the n = 2048
 //!   crossover confirmation point in E8).
-//! * `APEX_RUNNER_THREADS=k` — trial-runner thread count (default: all
-//!   cores; `1` forces the serial path).
+//! * `APEX_RUNNER_THREADS=k` — thread count of the fan-out
+//!   ([`apex_lab::runner::resolve_threads`]; default: all cores; `1` runs
+//!   every trial inline on the main thread).
 //! * `APEX_BENCH_DIR=path` — artifact directory (default
 //!   `target/bench-artifacts`).
 
 #![warn(missing_docs)]
-
-pub mod runner;
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -263,14 +264,13 @@ impl Experiment {
         }
     }
 
-    /// Record machine ticks consumed by finished trials.
-    pub fn add_ticks(&mut self, ticks: u64) {
-        self.total_ticks += ticks;
-    }
-
-    /// Record completed trials.
-    pub fn add_trials(&mut self, k: usize) {
-        self.trials += k;
+    /// Record finished trials, one item per trial: the machine ticks it
+    /// consumed.
+    pub fn record_trials(&mut self, ticks: impl IntoIterator<Item = u64>) {
+        for t in ticks {
+            self.trials += 1;
+            self.total_ticks += t;
+        }
     }
 
     /// Print a table to stdout and stage it for the results artifact.
@@ -315,7 +315,7 @@ impl Experiment {
             self.total_ticks,
             tps,
             self.trials,
-            runner::default_threads(),
+            apex_lab::runner::resolve_threads(None),
         );
         let perf_path = dir.join(format!("BENCH_{}_perf.json", self.id));
         let _ = std::fs::File::create(&perf_path).and_then(|mut f| f.write_all(perf.as_bytes()));
@@ -327,7 +327,7 @@ impl Experiment {
             self.total_ticks,
             tps / 1e6,
             self.trials,
-            runner::default_threads(),
+            apex_lab::runner::resolve_threads(None),
         );
         if ok {
             println!(

@@ -73,7 +73,7 @@ fn usage() -> ! {
          adversary validate SPEC.json --n N      parse + validate a composed adversary\n\
          adversary describe SPEC.json --n N [--seed S]  compile and describe it\n\
          adversary gallery  [--n N]              print the composed-adversary gallery\n\
-         synth        <subcommand> …             the apex-synth command set\n\
+         synth        <subcommand> …             the synthesis command set\n\
          \n\
          the default store is {:?}",
         apex_lab::DEFAULT_STORE_ROOT
@@ -627,7 +627,10 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
                     for d in &report.divergences {
                         println!("  DIVERGENCE: {d}");
                     }
-                    if report.divergences.is_empty() {
+                    for bad in &report.skipped {
+                        eprintln!("  SKIPPED: {bad}");
+                    }
+                    if report.divergences.is_empty() && report.skipped.is_empty() {
                         ExitCode::SUCCESS
                     } else {
                         ExitCode::FAILURE
@@ -661,7 +664,11 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
                             }
                         }
                     }
-                    ExitCode::SUCCESS
+                    if status.unreadable.is_empty() {
+                        ExitCode::SUCCESS
+                    } else {
+                        ExitCode::FAILURE
+                    }
                 }
                 Err(e) => {
                     eprintln!("farm status: {e}");

@@ -41,7 +41,7 @@ mod queue;
 mod worker;
 
 pub use query::{query, QueryAnswer};
-pub use queue::{FarmQueue, FarmStatus, SuiteProgress, DEFAULT_QUEUE_ROOT};
+pub use queue::{EntryError, FarmQueue, FarmStatus, QueueEntry, SuiteProgress, DEFAULT_QUEUE_ROOT};
 pub use worker::{
     run_worker, Divergence, WorkerOpts, WorkerReport, DEFAULT_SHARD_CELLS, DEFAULT_TTL,
 };

@@ -8,14 +8,64 @@
 //! fully-cached entry as already drained. Entries are never dequeued;
 //! a drained entry is simply one whose suite has a finished manifest in
 //! the store, which `apex farm status` reports.
+//!
+//! One bad entry never stops the fleet: a file that does not load,
+//! expand, or digest to its own name is reported as an [`EntryError`]
+//! and skipped, and every readable suite is still drained.
 
 use std::path::{Path, PathBuf};
 
-use apex_lab::{read_journal, read_leases, LabStore, Suite};
+use apex_lab::{read_journal, read_leases, Cell, LabStore, Suite};
 
 /// Default queue root, relative to the working directory (a sibling of
 /// the lab store's `.apex/lab`).
 pub const DEFAULT_QUEUE_ROOT: &str = ".apex/farm";
+
+/// One readable queue entry: a suite that loads, digests to its file
+/// name, and expands to its cells.
+#[derive(Clone, Debug)]
+pub struct QueueEntry {
+    /// The suite's content digest (the entry's file stem).
+    pub digest: String,
+    /// The suite document.
+    pub suite: Suite,
+    /// Its expansion.
+    pub cells: Vec<Cell>,
+}
+
+/// A queue file that was skipped instead of run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EntryError {
+    /// The file does not read, parse, or expand as a suite document.
+    Unreadable {
+        /// The entry's path.
+        path: PathBuf,
+        /// What failed.
+        error: String,
+    },
+    /// The suite digests to something other than its file name.
+    Misnamed {
+        /// The entry's path.
+        path: PathBuf,
+        /// The digest its content has.
+        digest: String,
+    },
+}
+
+impl std::fmt::Display for EntryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EntryError::Unreadable { path, error } => {
+                write!(f, "{}: unreadable queue entry: {error}", path.display())
+            }
+            EntryError::Misnamed { path, digest } => write!(
+                f,
+                "{}: queue entry digests to {digest}, not its file name",
+                path.display()
+            ),
+        }
+    }
+}
 
 /// A directory of enqueued suite documents.
 #[derive(Clone, Debug)]
@@ -63,11 +113,13 @@ impl FarmQueue {
         Ok((digest, path, true))
     }
 
-    /// Every queued suite, sorted by digest (deterministic worker scan
-    /// order). Each entry is re-validated: its digest must match its
-    /// file name, so a corrupted queue file is an error, not a silently
-    /// different workload.
-    pub fn entries(&self) -> Result<Vec<(String, Suite)>, String> {
+    /// Every queue file, sorted by name (deterministic worker scan
+    /// order). Each entry is re-validated — it must load, expand, and
+    /// digest to its file name — so a corrupted queue file is an
+    /// [`EntryError`] in its own slot, not a silently different workload
+    /// and not a failure of the whole scan. `Err` only when the queue
+    /// directory itself cannot be listed.
+    pub fn entries(&self) -> Result<Vec<Result<QueueEntry, EntryError>>, String> {
         if !self.root.exists() {
             return Ok(Vec::new());
         }
@@ -82,26 +134,47 @@ impl FarmQueue {
             if path.is_dir() || path.extension().is_none_or(|e| e != "json") {
                 continue;
             }
-            let suite = Suite::load(&path)?;
-            let digest = suite.digest();
-            let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-            if stem != digest {
-                return Err(format!(
-                    "{}: queue entry digests to {digest}, not its file name",
-                    path.display()
-                ));
-            }
-            out.push((digest, suite));
+            out.push(Self::load_entry(path));
         }
         Ok(out)
+    }
+
+    fn load_entry(path: PathBuf) -> Result<QueueEntry, EntryError> {
+        let loaded = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Suite::parse(&text).map_err(|e| e.to_string()))
+            .and_then(|suite| suite.expand().map(|cells| (suite, cells)));
+        let (suite, cells) = match loaded {
+            Ok(loaded) => loaded,
+            Err(error) => return Err(EntryError::Unreadable { path, error }),
+        };
+        let digest = suite.digest();
+        if path.file_stem().and_then(|s| s.to_str()) != Some(digest.as_str()) {
+            return Err(EntryError::Misnamed { path, digest });
+        }
+        Ok(QueueEntry {
+            digest,
+            suite,
+            cells,
+        })
     }
 
     /// Survey every queue entry against `store` (what `apex farm
     /// status` prints).
     pub fn status(&self, store: &LabStore) -> Result<FarmStatus, String> {
         let mut out = FarmStatus::default();
-        for (digest, suite) in self.entries()? {
-            let cells = suite.expand()?;
+        for entry in self.entries()? {
+            let QueueEntry {
+                digest,
+                suite,
+                cells,
+            } = match entry {
+                Ok(entry) => entry,
+                Err(bad) => {
+                    out.unreadable.push(bad);
+                    continue;
+                }
+            };
             let journal = read_journal(&store.journal_path(&digest)).ok();
             let poisoned: std::collections::BTreeSet<u64> = journal
                 .as_ref()
@@ -165,17 +238,19 @@ impl SuiteProgress {
 pub struct FarmStatus {
     /// Per-suite progress, in queue (digest) order.
     pub suites: Vec<SuiteProgress>,
+    /// Queue files no worker will run.
+    pub unreadable: Vec<EntryError>,
 }
 
 impl FarmStatus {
-    /// Whether every queued suite is finalized.
+    /// Whether every queue entry is readable and finalized.
     pub fn all_finished(&self) -> bool {
-        self.suites.iter().all(|s| s.finished)
+        self.unreadable.is_empty() && self.suites.iter().all(|s| s.finished)
     }
 
     /// Deterministic multi-line summary.
     pub fn summary(&self) -> String {
-        if self.suites.is_empty() {
+        if self.suites.is_empty() && self.unreadable.is_empty() {
             return "farm: queue is empty".to_string();
         }
         let mut out = format!(
@@ -183,6 +258,9 @@ impl FarmStatus {
             self.suites.len(),
             self.suites.iter().filter(|s| s.finished).count()
         );
+        if !self.unreadable.is_empty() {
+            out.push_str(&format!(", {} unreadable", self.unreadable.len()));
+        }
         for s in &self.suites {
             let state = if s.finished {
                 "finished".to_string()
@@ -202,6 +280,9 @@ impl FarmStatus {
                 s.records,
                 s.poisoned
             ));
+        }
+        for bad in &self.unreadable {
+            out.push_str(&format!("\n  {bad}"));
         }
         out
     }

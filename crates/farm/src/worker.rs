@@ -24,16 +24,17 @@
 //! workers' results for one cell is surfaced as a [`Divergence`] instead
 //! of being silently overwritten.
 
-use apex_bench::runner::{resolve_threads, run_trials_threaded};
+use apex_lab::runner::{resolve_threads, run_trials};
 use apex_lab::{
     assemble_run, capture_cell, json_diff, lease_dir, lease_path, next_finish_seq, read_journal,
-    read_leases, CacheLookup, Cell, Journal, JournalEntry, LabStore, Lease, Manifest, Suite,
+    read_leases, terminal_entry, CacheLookup, Cell, Journal, JournalEntry, LabStore, Lease,
+    Manifest, Suite,
 };
 use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
 use apex_scenario::{CacheStats, RunOpts, RunOutcome};
 use apex_sim::Json;
 
-use crate::queue::FarmQueue;
+use crate::queue::{EntryError, FarmQueue, QueueEntry};
 
 /// Default cells per shard (the lease granularity).
 pub const DEFAULT_SHARD_CELLS: usize = 4;
@@ -111,6 +112,9 @@ impl std::fmt::Display for Divergence {
 pub struct WorkerReport {
     /// Queue entries visited.
     pub suites: usize,
+    /// Queue files skipped because they do not load, expand, or digest
+    /// to their own name (every readable suite is still drained).
+    pub skipped: Vec<EntryError>,
     /// Cells this worker actually executed.
     pub executed: usize,
     /// Memoization tally across the first scan of every visited suite.
@@ -125,19 +129,27 @@ pub struct WorkerReport {
 impl WorkerReport {
     /// One-line human summary.
     pub fn summary(&self) -> String {
-        format!(
+        let mut out = format!(
             "worker: {} suites, {} executed, {} — finalized {}, {} divergences",
             self.suites,
             self.executed,
             self.cache.summary(),
             self.finalized.len(),
             self.divergences.len()
-        )
+        );
+        if !self.skipped.is_empty() {
+            out.push_str(&format!(
+                ", {} unreadable entries skipped",
+                self.skipped.len()
+            ));
+        }
+        out
     }
 }
 
 /// Drain every queued suite: claim shards, execute misses, finalize
-/// completed suites. Returns when the whole queue is drained. Injected
+/// completed suites. Returns when the whole queue is drained; unreadable
+/// entries are skipped and listed in [`WorkerReport::skipped`]. Injected
 /// faults (via the store's [`FaultInjector`](apex_lab::FaultInjector)) surface as `Err`, exactly
 /// like a crashed worker process.
 pub fn run_worker(
@@ -153,9 +165,14 @@ pub fn run_worker(
             .open_trace()
             .map_err(|e| format!("trace open failed: {e}"))?,
     };
-    for (digest, suite) in queue.entries()? {
-        report.suites += 1;
-        drain_suite(store, &digest, &suite, opts, &run_opts, &mut report)?;
+    for entry in queue.entries()? {
+        match entry {
+            Ok(entry) => {
+                report.suites += 1;
+                drain_suite(store, &entry, opts, &run_opts, &mut report)?;
+            }
+            Err(bad) => report.skipped.push(bad),
+        }
     }
     run_opts.obs.flush();
     Ok(report)
@@ -173,22 +190,36 @@ fn terminal(store: &LabStore, digest: &str, cell: &Cell, poisoned: &[u64]) -> bo
     )
 }
 
-/// Drain one suite, then (with `--metrics`) write this worker's
-/// per-suite metrics shard — `metrics-<worker>.json` beside the records,
-/// excluded from byte-identity like every telemetry sidecar.
+/// Drain one suite, sweep its leases, then (with `--metrics`) write this
+/// worker's per-suite metrics shard — `metrics-<worker>.json` beside the
+/// records, excluded from byte-identity like every telemetry sidecar.
 fn drain_suite(
     store: &LabStore,
-    digest: &str,
-    suite: &Suite,
+    entry: &QueueEntry,
     opts: &WorkerOpts,
     run_opts: &RunOpts,
     report: &mut WorkerReport,
 ) -> Result<(), String> {
     let mut metrics = Metrics::new();
-    drain_suite_inner(store, digest, suite, opts, run_opts, report, &mut metrics)?;
+    // Executed-cell contributions, attributed to shards only once the
+    // journal names an owner.
+    let mut tallies = std::collections::BTreeMap::new();
+    drain_suite_inner(
+        store,
+        entry,
+        opts,
+        run_opts,
+        report,
+        &mut metrics,
+        &mut tallies,
+    )?;
+    // Even an already-finalized suite gets swept, so a crashed worker's
+    // debris does not outlive the run it belonged to.
+    reclaim_all_leases(store, &entry.digest)?;
+    attribute_result_plane(store, &entry.digest, &opts.worker, &tallies, &mut metrics);
     if opts.obs.metrics && !metrics.is_empty() {
         let path = store
-            .suite_dir(digest)
+            .suite_dir(&entry.digest)
             .join(format!("metrics-{}.json", opts.worker));
         store
             .write_text(&path, &metrics.render_pretty())
@@ -254,15 +285,20 @@ fn attribute_result_plane(
 
 fn drain_suite_inner(
     store: &LabStore,
-    digest: &str,
-    suite: &Suite,
+    entry: &QueueEntry,
     opts: &WorkerOpts,
     run_opts: &RunOpts,
     report: &mut WorkerReport,
     metrics: &mut Metrics,
+    tallies: &mut std::collections::BTreeMap<u64, CellTally>,
 ) -> Result<(), String> {
     let obs = &run_opts.obs;
-    let cells = suite.expand()?;
+    let QueueEntry {
+        digest,
+        suite,
+        cells,
+    } = entry;
+    let digest = digest.as_str();
     // Seed every result-plane key so a shard that executes (or owns)
     // nothing still merges to the exact key set a serial run writes (a
     // missing counter and a zero counter must be the same document).
@@ -277,9 +313,6 @@ fn drain_suite_inner(
     ] {
         metrics.add(key, 0);
     }
-    // Executed-cell contributions, attributed to shards only once the
-    // journal names an owner.
-    let mut tallies = std::collections::BTreeMap::new();
     let dir = store.suite_dir(digest);
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let journal_path = store.journal_path(digest);
@@ -290,7 +323,7 @@ fn drain_suite_inner(
     let jerr = |e: std::io::Error| format!("journal append failed: {e}");
 
     // First scan: the memoization tally for this visit.
-    for cell in &cells {
+    for cell in cells {
         let verdict = match store.lookup_record(digest, &cell.digest, None) {
             CacheLookup::Hit(..) => {
                 report.cache.hits += 1;
@@ -311,12 +344,9 @@ fn drain_suite_inner(
         obs.emit("farm", "cache", cell.index as u64, verdict, &[]);
     }
 
-    // Fast path: already finalized. Still sweep leases so a crashed
-    // worker's debris does not outlive the run it belonged to.
+    // Fast path: already finalized.
     if read_journal(&journal_path).is_ok_and(|s| s.finished) && store.read_manifest(digest).is_ok()
     {
-        reclaim_all_leases(store, digest)?;
-        attribute_result_plane(store, digest, &opts.worker, &tallies, metrics);
         return Ok(());
     }
 
@@ -342,8 +372,6 @@ fn drain_suite_inner(
     loop {
         let state = read_journal(&journal_path).unwrap_or_default();
         if state.finished && store.read_manifest(digest).is_ok() {
-            reclaim_all_leases(store, digest)?;
-            attribute_result_plane(store, digest, &opts.worker, &tallies, metrics);
             return Ok(());
         }
         let mut progress = false;
@@ -423,7 +451,7 @@ fn drain_suite_inner(
                     })
                     .map_err(jerr)?;
             }
-            let outcomes = run_trials_threaded(&pending, threads.min(pending.len()), |cell| {
+            let outcomes = run_trials(&pending, threads, |cell| {
                 capture_cell(store, cell, run_opts)
             });
             for (cell, outcome) in pending.iter().zip(&outcomes) {
@@ -451,11 +479,9 @@ fn drain_suite_inner(
             .all(|c| terminal(store, digest, c, &state.poisoned));
         if all_terminal {
             if !state.finished || store.read_manifest(digest).is_err() {
-                finalize(store, digest, suite, &cells, &journal)?;
+                finalize(store, digest, suite, cells, &journal)?;
                 report.finalized.push(digest.to_string());
             }
-            reclaim_all_leases(store, digest)?;
-            attribute_result_plane(store, digest, &opts.worker, &tallies, metrics);
             return Ok(());
         }
         if !progress {
@@ -511,52 +537,31 @@ fn commit_cell(
     worker: &str,
     report: &mut WorkerReport,
 ) -> Result<(), String> {
-    let jerr = |e: std::io::Error| format!("journal append failed: {e}");
-    match outcome.record() {
-        Some(record) => {
-            let fresh = record.render_pretty();
-            match store.lookup_record(digest, &cell.digest, None) {
-                CacheLookup::Hit(stored, _) if stored != fresh => {
-                    let paths = match (Json::parse(&stored), Json::parse(&fresh)) {
-                        (Ok(a), Ok(b)) => json_diff(&a, &b, 8),
-                        _ => vec!["(stored bytes are not JSON)".to_string()],
-                    };
-                    report.divergences.push(Divergence {
-                        suite: digest.to_string(),
-                        cell: cell.digest.clone(),
-                        paths,
-                    });
-                }
-                CacheLookup::Hit(..) => {} // identical bytes already durable
-                _ => {
-                    store
-                        .write_record(digest, record)
-                        .map_err(|e| format!("record write failed: {e}"))?;
-                }
-            }
-            journal
-                .append(&JournalEntry::Committed {
-                    index: cell.index as u64,
+    if let Some(record) = outcome.record() {
+        let fresh = record.render_pretty();
+        match store.lookup_record(digest, &cell.digest, None) {
+            CacheLookup::Hit(stored, _) if stored != fresh => {
+                let paths = match (Json::parse(&stored), Json::parse(&fresh)) {
+                    (Ok(a), Ok(b)) => json_diff(&a, &b, 8),
+                    _ => vec!["(stored bytes are not JSON)".to_string()],
+                };
+                report.divergences.push(Divergence {
+                    suite: digest.to_string(),
                     cell: cell.digest.clone(),
-                    ok: outcome.ok(),
-                    by: worker.to_string(),
-                })
-                .map_err(jerr)
+                    paths,
+                });
+            }
+            CacheLookup::Hit(..) => {} // identical bytes already durable
+            _ => {
+                store
+                    .write_record(digest, record)
+                    .map_err(|e| format!("record write failed: {e}"))?;
+            }
         }
-        None => journal
-            .append(&JournalEntry::Poisoned {
-                index: cell.index as u64,
-                cell: cell.digest.clone(),
-                status: outcome.status().to_string(),
-                by: worker.to_string(),
-                message: match outcome {
-                    RunOutcome::Exhausted { message, .. }
-                    | RunOutcome::Poisoned { message, .. } => message.clone(),
-                    RunOutcome::Complete(_) => unreachable!("record() is None"),
-                },
-            })
-            .map_err(jerr),
     }
+    journal
+        .append(&terminal_entry(cell, outcome, worker))
+        .map_err(|e| format!("journal append failed: {e}"))
 }
 
 /// Merge + finalize: reconstruct every cell's outcome from verified

@@ -8,9 +8,11 @@
 //!   scenarios (axes over schemes, sizes, adversaries, engine batches and
 //!   seed ranges), expanded deterministically into content-digested
 //!   [`Cell`]s;
-//! * [`run_suite`] — execute every cell on the workspace's parallel trial
-//!   runner, producing one [`ReportRecord`](apex_scenario::ReportRecord)
-//!   per cell;
+//! * [`runner`] — the workspace's one thread fan-out
+//!   ([`runner::fan_out`], [`runner::run_trials`],
+//!   [`runner::resolve_threads`]), and [`run_suite`] /
+//!   [`run_suite_journaled`] on top of it, producing one
+//!   [`ReportRecord`](apex_scenario::ReportRecord) per cell;
 //! * [`LabStore`] — a filesystem-backed, content-addressed results store
 //!   (`.apex/lab/<suite-digest>/<cell-digest>.json` plus a deterministic
 //!   manifest — no timestamps, no database, diffable by hand);
@@ -53,15 +55,16 @@ pub use lease::{
     LEASE_FORMAT_MAJOR,
 };
 pub use runner::{
-    assemble_run, capture_cell, run_cells, run_suite, run_suite_journaled, JournalOpts,
-    JournaledRun, OutputMismatch, SuiteRun,
+    assemble_run, capture_cell, run_cells, run_suite, run_suite_journaled, terminal_entry,
+    JournalOpts, JournaledRun, OutputMismatch, SuiteRun,
 };
 pub use store::{
     CacheLookup, LabStore, Manifest, ManifestCell, DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS,
     QUARANTINE_DIR, TELEMETRY_FILES,
 };
 pub use suite::{
-    Cell, Grid, OutputExpectation, SeedRange, Suite, SUITE_FORMAT_MAJOR, SUITE_FORMAT_MINOR,
+    Cell, Grid, OutputExpectation, SeedRange, Suite, TooManyCells, MAX_SUITE_CELLS,
+    SUITE_FORMAT_MAJOR, SUITE_FORMAT_MINOR,
 };
 
 /// 16-hex-digit content digest (FNV-1a via

@@ -1,10 +1,18 @@
-//! Executing a suite on the workspace's parallel trial runner, with
-//! per-cell panic isolation and (optionally) write-ahead journaling.
+//! The workspace's one thread fan-out, and suite execution on top of it
+//! with per-cell panic isolation and (optionally) write-ahead journaling.
+//!
+//! [`fan_out`] is the only code that spreads independent cells over OS
+//! threads, in the queue-dispatch shape: a shared cursor is the queue, N
+//! workers drain it, and the calling thread consumes every [`Event`] (the
+//! journaled runner claims and commits there). [`run_trials`] collects
+//! results in config order on top of it, so every artifact is
+//! byte-identical at any thread count ([`resolve_threads`]). With one
+//! thread, trials run inline on the caller's thread, so journal line
+//! order and trace interleaving are fully deterministic.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 
-use apex_bench::runner::{resolve_threads, run_trials};
 use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
 use apex_scenario::{CacheStats, ReportRecord, RunOpts, RunOutcome};
 
@@ -12,6 +20,145 @@ use crate::fault::CELL_PANIC_MARKER;
 use crate::journal::{next_finish_seq, Journal, JournalEntry};
 use crate::store::{CacheLookup, LabStore, Manifest};
 use crate::suite::{Cell, Suite};
+
+/// The worker-thread count for a run: an explicit value wins (clamped to
+/// at least 1), otherwise `APEX_RUNNER_THREADS` if set and valid, else
+/// all cores. The variable is parsed once per process, so an invalid
+/// value warns once, not per sweep.
+pub fn resolve_threads(explicit: Option<usize>) -> usize {
+    static FROM_ENV: OnceLock<usize> = OnceLock::new();
+    explicit.map(|t| t.max(1)).unwrap_or_else(|| {
+        *FROM_ENV.get_or_init(|| {
+            if let Ok(v) = std::env::var("APEX_RUNNER_THREADS") {
+                match v.trim().parse::<usize>() {
+                    Ok(t) if t > 0 => return t,
+                    _ => eprintln!(
+                        "warning: ignoring invalid APEX_RUNNER_THREADS={v:?} (want a positive \
+                         integer); using all cores"
+                    ),
+                }
+            }
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        })
+    })
+}
+
+/// What [`fan_out`] reports to the calling thread about one trial,
+/// identified by its index into the config slice.
+#[derive(Debug)]
+pub enum Event<T> {
+    /// A worker took the trial from the queue.
+    Started(usize),
+    /// The trial returned, or panicked with the given message.
+    Finished(usize, Result<T, String>),
+}
+
+/// Run `f` over every config on up to `threads` scoped OS threads and
+/// hand each trial's [`Event`]s to `on_event` on the calling thread —
+/// `Started(i)` before `Finished(i, …)` for every `i`. Each trial runs
+/// under `catch_unwind`, so a panic becomes `Finished(i, Err(message))`
+/// and the other trials run regardless.
+///
+/// With `threads <= 1` (or a single config) the trials run inline on the
+/// caller's thread in config order, with no thread spawned. Returning
+/// `Err` from `on_event` stops the fan-out: workers take no further
+/// trials, and that error is returned once in-flight trials finish.
+pub fn fan_out<C, T, E, F>(
+    configs: &[C],
+    threads: usize,
+    f: F,
+    mut on_event: impl FnMut(Event<T>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    C: Sync,
+    T: Send,
+    F: Fn(&C) -> T + Sync,
+{
+    let run_one = |c: &C| -> Result<T, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(c))).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "non-string panic payload".to_string())
+        })
+    };
+
+    let threads = threads.min(configs.len());
+    if threads <= 1 {
+        for (i, c) in configs.iter().enumerate() {
+            on_event(Event::Started(i))?;
+            on_event(Event::Finished(i, run_one(c)))?;
+        }
+        return Ok(());
+    }
+
+    let stop = AtomicBool::new(false);
+    let cursor = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<Event<T>>();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let tx = tx.clone();
+            let (stop, cursor, run_one) = (&stop, &cursor, &run_one);
+            scope.spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(c) = configs.get(i) else { break };
+                    if tx.send(Event::Started(i)).is_err()
+                        || tx.send(Event::Finished(i, run_one(c))).is_err()
+                    {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+
+        let mut first_err = Ok(());
+        for event in rx {
+            // After an error, keep draining so workers exit promptly.
+            if first_err.is_ok() {
+                first_err = on_event(event);
+                if first_err.is_err() {
+                    stop.store(true, Ordering::SeqCst);
+                }
+            }
+        }
+        first_err
+    })
+}
+
+/// Map `f` over `configs` on up to `threads` threads ([`fan_out`]) and
+/// return the results in config order — exactly what a serial
+/// `configs.iter().map(f).collect()` returns, provided `f` is a pure
+/// function of its config (up to its own seeding).
+///
+/// # Panics
+/// If any trial panics — but only after every other trial has run, so
+/// one bad config never aborts the in-flight rest of a sweep.
+pub fn run_trials<C, T, F>(configs: &[C], threads: usize, f: F) -> Vec<T>
+where
+    C: Sync,
+    T: Send,
+    F: Fn(&C) -> T + Sync,
+{
+    let mut slots: Vec<Option<Result<T, String>>> = (0..configs.len()).map(|_| None).collect();
+    let Ok(()) = fan_out(configs, threads, f, |event| {
+        if let Event::Finished(i, out) = event {
+            slots[i] = Some(out);
+        }
+        Ok::<(), std::convert::Infallible>(())
+    });
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| match slot {
+            Some(Ok(t)) => t,
+            Some(Err(msg)) => panic!("trial {i} worker panicked: {msg}"),
+            None => panic!("trial {i} never finished"),
+        })
+        .collect()
+}
 
 /// A pinned cell whose run produced the wrong results: the suite's
 /// [`OutputExpectation`](crate::suite::OutputExpectation) disagreed with
@@ -95,8 +242,10 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteRun, String> {
 /// [`run_suite`] over an already-expanded cell list (callers that need
 /// the cells anyway, e.g. drift, avoid expanding twice).
 pub fn run_cells(suite: &Suite, cells: &[Cell]) -> SuiteRun {
-    let outcomes = run_trials(cells, |cell| RunOutcome::capture(&cell.scenario));
-    finish_run(suite, cells, outcomes)
+    let outcomes = run_trials(cells, resolve_threads(None), |cell| {
+        RunOutcome::capture(&cell.scenario)
+    });
+    assemble_run(suite, cells, outcomes)
 }
 
 /// Run one cell of a store-backed campaign under `catch_unwind`
@@ -117,16 +266,37 @@ pub fn capture_cell(store: &LabStore, cell: &Cell, opts: &RunOpts) -> RunOutcome
     }
 }
 
-/// Check pinned outputs and assemble the [`SuiteRun`] from outcomes
-/// gathered elsewhere — the farm's manifest merger reconstructs outcomes
+/// The journal entry that makes `cell` terminal: `committed` when its
+/// outcome carries a record, `poisoned` (with the outcome's status and
+/// message) when it does not. `by` names the committing worker (empty
+/// for a single runner). The journaled runner and the farm worker both
+/// journal through here.
+pub fn terminal_entry(cell: &Cell, outcome: &RunOutcome, by: &str) -> JournalEntry {
+    let (index, digest, by) = (cell.index as u64, cell.digest.clone(), by.to_string());
+    match outcome {
+        RunOutcome::Complete(_) => JournalEntry::Committed {
+            index,
+            cell: digest,
+            ok: outcome.ok(),
+            by,
+        },
+        RunOutcome::Exhausted { message, .. } | RunOutcome::Poisoned { message, .. } => {
+            JournalEntry::Poisoned {
+                index,
+                cell: digest,
+                status: outcome.status().to_string(),
+                message: message.clone(),
+                by,
+            }
+        }
+    }
+}
+
+/// Check pinned outputs and assemble the [`SuiteRun`] from outcomes in
+/// expansion order — the farm's manifest merger reconstructs outcomes
 /// from verified records plus journal entries and finalizes through this
 /// same path, so its manifest is byte-identical to a single-runner one.
 pub fn assemble_run(suite: &Suite, cells: &[Cell], outcomes: Vec<RunOutcome>) -> SuiteRun {
-    finish_run(suite, cells, outcomes)
-}
-
-/// Check pinned outputs and assemble the [`SuiteRun`].
-fn finish_run(suite: &Suite, cells: &[Cell], outcomes: Vec<RunOutcome>) -> SuiteRun {
     // Check the suite's pinned outputs against what actually ran
     // (expansion validated that every pinned digest names a cell).
     let mut output_mismatches = Vec::new();
@@ -329,151 +499,72 @@ pub fn run_suite_journaled(
         })
         .map_err(jerr)?;
 
-    let pending: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
-    let executed = pending.clone();
+    let executed: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
 
     // Journal + store writes all happen on this thread, in a strict
     // claimed → (committed | poisoned) order per cell; workers only run
-    // scenarios. `threads = 1` takes the fully deterministic serial
-    // path (the golden-journal test pins its exact line sequence).
-    let commit = |journal: &Journal, cell: &Cell, outcome: &RunOutcome| -> Result<(), String> {
-        match outcome.record() {
-            Some(record) => {
-                store
-                    .write_record(&suite_digest, record)
-                    .map_err(|e| format!("record write failed: {e}"))?;
-                journal
-                    .append(&JournalEntry::Committed {
-                        index: cell.index as u64,
-                        cell: cell.digest.clone(),
-                        ok: outcome.ok(),
-                        by: String::new(),
-                    })
-                    .map_err(jerr)?;
-                obs.emit(
-                    "lab",
-                    "commit",
-                    cell.index as u64,
-                    &cell.digest,
-                    &[("ok", u64::from(outcome.ok()))],
-                );
-                Ok(())
-            }
-            None => {
-                journal
-                    .append(&JournalEntry::Poisoned {
-                        index: cell.index as u64,
-                        cell: cell.digest.clone(),
-                        status: outcome.status().to_string(),
-                        message: match outcome {
-                            RunOutcome::Exhausted { message, .. }
-                            | RunOutcome::Poisoned { message, .. } => message.clone(),
-                            RunOutcome::Complete(_) => unreachable!("record() is None"),
-                        },
-                        by: String::new(),
-                    })
-                    .map_err(jerr)?;
-                obs.emit(
-                    "lab",
-                    outcome.status(),
-                    cell.index as u64,
-                    &cell.digest,
-                    &[],
-                );
-                Ok(())
-            }
-        }
-    };
-
-    let threads = resolve_threads(opts.threads).min(pending.len().max(1));
+    // scenarios. With `threads = 1` the cells run inline, so the line
+    // sequence is fully deterministic (the golden-journal test pins it).
+    let pending: Vec<&Cell> = executed.iter().map(|&i| &cells[i]).collect();
     let started_at = std::time::Instant::now();
-    if threads <= 1 {
-        for &i in &pending {
-            let cell = &cells[i];
-            journal
-                .append(&JournalEntry::Claimed {
-                    index: cell.index as u64,
-                    cell: cell.digest.clone(),
-                })
-                .map_err(jerr)?;
-            obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
-            let outcome = capture_cell(store, cell, &run_opts);
-            commit(&journal, cell, &outcome)?;
-            slots[i] = Some(outcome);
-        }
-    } else {
-        // One message per cell on a bounded campaign; the size skew is
-        // irrelevant next to the run each message reports on.
-        #[allow(clippy::large_enum_variant)]
-        enum Msg {
-            Claimed(usize),
-            Done(usize, RunOutcome),
-        }
-        let stop = AtomicBool::new(false);
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<Msg>();
-        let result: Result<(), String> = std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let (cursor, stop, pending, cells) = (&cursor, &stop, &pending, &cells);
-                let run_opts = &run_opts;
-                scope.spawn(move || loop {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = pending.get(k) else { break };
-                    if tx.send(Msg::Claimed(i)).is_err() {
-                        break;
-                    }
-                    let outcome = capture_cell(store, &cells[i], run_opts);
-                    if tx.send(Msg::Done(i, outcome)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            let mut first_err = None;
-            for msg in rx {
-                if first_err.is_some() {
-                    continue; // drain so workers exit promptly
-                }
-                let step = match msg {
-                    Msg::Claimed(i) => journal
+    fan_out(
+        &pending,
+        resolve_threads(opts.threads),
+        |cell| capture_cell(store, cell, &run_opts),
+        |event| -> Result<(), String> {
+            match event {
+                Event::Started(k) => {
+                    let cell = pending[k];
+                    journal
                         .append(&JournalEntry::Claimed {
-                            index: cells[i].index as u64,
-                            cell: cells[i].digest.clone(),
+                            index: cell.index as u64,
+                            cell: cell.digest.clone(),
                         })
-                        .map_err(jerr)
-                        .map(|()| {
-                            obs.emit("lab", "claim", cells[i].index as u64, &cells[i].digest, &[]);
-                        }),
-                    Msg::Done(i, outcome) => commit(&journal, &cells[i], &outcome).map(|()| {
-                        slots[i] = Some(outcome);
-                    }),
-                };
-                if let Err(e) = step {
-                    stop.store(true, Ordering::SeqCst);
-                    first_err = Some(e);
+                        .map_err(jerr)?;
+                    obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
+                }
+                Event::Finished(k, outcome) => {
+                    let cell = pending[k];
+                    let outcome = outcome
+                        .map_err(|msg| format!("cell {} worker panicked: {msg}", cell.index))?;
+                    if let Some(record) = outcome.record() {
+                        store
+                            .write_record(&suite_digest, record)
+                            .map_err(|e| format!("record write failed: {e}"))?;
+                    }
+                    journal
+                        .append(&terminal_entry(cell, &outcome, ""))
+                        .map_err(jerr)?;
+                    let (index, digest) = (cell.index as u64, &cell.digest);
+                    match outcome.record() {
+                        Some(_) => obs.emit(
+                            "lab",
+                            "commit",
+                            index,
+                            digest,
+                            &[("ok", outcome.ok().into())],
+                        ),
+                        None => obs.emit("lab", outcome.status(), index, digest, &[]),
+                    }
+                    slots[cell.index] = Some(outcome);
                 }
             }
-            first_err.map_or(Ok(()), Err)
-        });
-        result?;
-        if let Some(i) = slots.iter().position(Option::is_none) {
-            return Err(format!("cell {i} never reached a terminal state"));
-        }
-    }
+            Ok(())
+        },
+    )?;
 
     let elapsed_ms = started_at.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-    let outcomes: Vec<RunOutcome> = slots.into_iter().map(Option::unwrap).collect();
+    let outcomes: Vec<RunOutcome> = slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| slot.ok_or(format!("cell {i} never reached a terminal state")))
+        .collect::<Result<_, _>>()?;
     let executed_ticks: u64 = executed
         .iter()
         .filter_map(|&i| outcomes[i].record())
         .map(|r| r.report.ticks())
         .sum();
-    let run = finish_run(suite, &cells, outcomes);
+    let run = assemble_run(suite, &cells, outcomes);
     // Records are already durable (committed incrementally above); only
     // the manifest remains.
     let manifest = Manifest::from_run(&run);
@@ -551,4 +642,104 @@ fn build_run_metrics(
         metrics.add("time.elapsed_ms", elapsed_ms);
     }
     metrics
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn results_arrive_in_config_order_regardless_of_threads() {
+        let configs: Vec<u64> = (0..64).collect();
+        // Uneven per-trial cost to force out-of-order completion.
+        let work = |&c: &u64| {
+            let mut acc = c;
+            for _ in 0..(c % 7) * 10_000 {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+            }
+            (c, acc)
+        };
+        let serial = run_trials(&configs, 1, work);
+        let parallel = run_trials(&configs, 8, work);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial.len(), 64);
+        assert!(serial.iter().enumerate().all(|(i, (c, _))| *c == i as u64));
+    }
+
+    #[test]
+    fn inline_fan_out_interleaves_start_and_finish_in_config_order() {
+        let configs = [10u32, 20, 30];
+        let mut seen = Vec::new();
+        let caller = std::thread::current().id();
+        let done: Result<(), ()> = fan_out(
+            &configs,
+            1,
+            |&c| {
+                assert_eq!(std::thread::current().id(), caller, "inline trials");
+                c + 1
+            },
+            |event| {
+                seen.push(match event {
+                    Event::Started(i) => format!("s{i}"),
+                    Event::Finished(i, out) => format!("f{i}={}", out.unwrap()),
+                });
+                Ok(())
+            },
+        );
+        assert_eq!(done, Ok(()));
+        assert_eq!(seen, ["s0", "f0=11", "s1", "f1=21", "s2", "f2=31"]);
+    }
+
+    #[test]
+    fn callback_error_stops_the_fan_out() {
+        let configs: Vec<u32> = (0..200).collect();
+        for threads in [1, 4] {
+            let ran = AtomicUsize::new(0);
+            let mut finished = 0;
+            let done = fan_out(
+                &configs,
+                threads,
+                |_| {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    ran.fetch_add(1, Ordering::SeqCst)
+                },
+                |event| match event {
+                    Event::Finished(..) if finished == 2 => Err("stop"),
+                    Event::Finished(..) => {
+                        finished += 1;
+                        Ok(())
+                    }
+                    Event::Started(_) => Ok(()),
+                },
+            );
+            assert_eq!(done, Err("stop"));
+            // Inline, nothing runs past the failing callback; threaded,
+            // only trials already taken when the error landed finish.
+            let ran = ran.load(Ordering::SeqCst);
+            if threads == 1 {
+                assert_eq!(ran, 3);
+            } else {
+                assert!(ran < configs.len() / 2, "threads={threads}: {ran} ran");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_trial_surfaces_only_after_every_other_trial_ran() {
+        let configs: Vec<u32> = (0..8).collect();
+        for threads in [1, 4] {
+            let ran = AtomicUsize::new(0);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_trials(&configs, threads, |&c| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    assert_ne!(c, 5, "injected fault");
+                })
+            }));
+            let payload = caught.unwrap_err();
+            let msg = payload.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("trial 5 worker panicked"), "{msg}");
+            assert!(msg.contains("injected fault"), "{msg}");
+            assert_eq!(ran.load(Ordering::SeqCst), 8, "threads={threads}");
+        }
+    }
 }

@@ -95,14 +95,19 @@ impl Grid {
 
     /// Number of cells this grid expands to (0 for a zero-count seed
     /// range — the one way an axis can be genuinely empty rather than
-    /// "use the base value").
-    pub fn len(&self) -> usize {
-        let axis = |l: usize| l.max(1);
-        axis(self.schemes.len())
-            * axis(self.ns.len())
-            * axis(self.schedules.len())
-            * axis(self.batches.len())
-            * self.seeds.map_or(1, |r| r.count as usize)
+    /// "use the base value"), or `None` if the count overflows `usize`.
+    pub fn len(&self) -> Option<usize> {
+        let seeds = self
+            .seeds
+            .map_or(Some(1), |r| usize::try_from(r.count).ok())?;
+        [
+            self.schemes.len(),
+            self.ns.len(),
+            self.schedules.len(),
+            self.batches.len(),
+        ]
+        .into_iter()
+        .try_fold(seeds, |acc, axis| acc.checked_mul(axis.max(1)))
     }
 
     /// Whether the grid expands to no cells (only possible via a
@@ -278,6 +283,35 @@ impl OutputExpectation {
     }
 }
 
+/// Most cells one suite may expand to. Expansion materializes every
+/// cell, so a larger suite is rejected before anything is allocated.
+pub const MAX_SUITE_CELLS: usize = 1 << 20;
+
+/// A suite whose expansion would exceed [`MAX_SUITE_CELLS`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TooManyCells {
+    /// The suite's name.
+    pub suite: String,
+    /// The cell count the document asks for (`None` if it overflows).
+    pub cells: Option<usize>,
+}
+
+impl std::fmt::Display for TooManyCells {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.cells {
+            Some(n) => write!(f, "suite {:?} expands to {n} cells", self.suite)?,
+            None => write!(f, "suite {:?} cell count overflows", self.suite)?,
+        }
+        write!(f, "; the cap is {MAX_SUITE_CELLS}")
+    }
+}
+
+impl From<TooManyCells> for String {
+    fn from(e: TooManyCells) -> String {
+        e.to_string()
+    }
+}
+
 /// One expanded point of a suite: its position, its scenario, and the
 /// scenario's content digest (the record address in the lab store).
 #[derive(Clone, Debug, PartialEq)]
@@ -323,6 +357,22 @@ impl Suite {
         digest_hex(self.to_json().render().as_bytes())
     }
 
+    /// Number of cells the suite expands to — explicit cells plus every
+    /// grid's [`Grid::len`], in checked arithmetic — or [`TooManyCells`]
+    /// above [`MAX_SUITE_CELLS`].
+    pub fn cell_count(&self) -> Result<usize, TooManyCells> {
+        let total = self.grids.iter().try_fold(self.cells.len(), |acc, grid| {
+            grid.len().and_then(|n| acc.checked_add(n))
+        });
+        match total {
+            Some(n) if n <= MAX_SUITE_CELLS => Ok(n),
+            cells => Err(TooManyCells {
+                suite: self.name.clone(),
+                cells,
+            }),
+        }
+    }
+
     /// Check the document is well-formed: a filesystem-safe name, every
     /// expanded scenario valid, and no two cells sharing a digest (they
     /// would collide at one store address).
@@ -343,7 +393,8 @@ impl Suite {
                 self.name
             ));
         }
-        let mut scenarios = self.cells.clone();
+        let mut scenarios = Vec::with_capacity(self.cell_count()?);
+        scenarios.extend_from_slice(&self.cells);
         for (gi, grid) in self.grids.iter().enumerate() {
             grid.expand_into(&mut scenarios)
                 .map_err(|e| format!("suite {:?} grid {gi}: {e}", self.name))?;
@@ -681,7 +732,7 @@ mod tests {
             ScheduleKind::RoundRobin.into(),
         ];
         grid.seeds = Some(SeedRange { start: 1, count: 0 });
-        assert_eq!(grid.len(), 0);
+        assert_eq!(grid.len(), Some(0));
         assert!(grid.is_empty());
         let mut suite = Suite::new("zero");
         suite.grids.push(grid);

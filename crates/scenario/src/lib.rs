@@ -23,10 +23,10 @@
 //!   ([`apex_sim::json`]), so every run anyone constructs — fuzzer
 //!   finding, benchmark cell, or hand-written experiment — is a
 //!   shareable JSON file that reproduces bit-for-bit
-//!   (`cargo run -p apex-synth -- run scenario.json`).
+//!   (`apex run scenario.json`).
 //!
-//! The bench runner's trial recipes, the fuzzer's reproducers, and the
-//! examples are all thin wrappers over this type.
+//! The experiment targets and the lab's suite cells build this type
+//! directly; the fuzzer's reproducers and the examples wrap it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,7 +50,7 @@ pub use report::{
 };
 pub use scenario::{
     agreement_config_from_json, agreement_config_to_json, fnv1a64, EngineKnobs, Mode,
-    ProgramEngine, RunOpts, Scenario, ScenarioError, SourceSpec, FORMAT_MAJOR, FORMAT_MINOR,
+    ProgramEngine, RunOpts, Scenario, ScenarioError, SourceSpec, FORMAT_MAJOR, FORMAT_MINOR, MAX_N,
 };
 
 #[cfg(test)]

@@ -119,6 +119,17 @@ impl ScenarioReport {
         }
     }
 
+    /// The agreement report, by value.
+    ///
+    /// # Panics
+    /// If the scenario ran in another mode.
+    pub fn into_agreement(self) -> AgreementRunReport {
+        match self {
+            ScenarioReport::Agreement(r) => r,
+            _ => panic!("scenario did not run in agreement mode"),
+        }
+    }
+
     /// Machine ticks the run consumed.
     pub fn ticks(&self) -> u64 {
         match self {

@@ -30,6 +30,11 @@ pub const FORMAT_MAJOR: u64 = 1;
 /// with a clear "unknown schedule kind" parse error.
 pub const FORMAT_MINOR: u64 = 0;
 
+/// Largest machine size [`Scenario::validate`] accepts. Assembly
+/// allocates per-processor state up front, so a larger `n` is rejected
+/// before any program is resolved (E8's full-scale point is n = 2048).
+pub const MAX_N: usize = 1 << 16;
+
 /// Why a scenario is ill-formed (from [`Scenario::validate`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScenarioError(pub String);
@@ -270,7 +275,7 @@ pub struct RunOpts {
 /// A `Scenario` is the workspace's single entry point: benchmarks, the
 /// fuzzer's reproducers, the examples, and hand-written experiments all
 /// name their runs this way, so any run anyone constructs is a shareable
-/// JSON file that reproduces bit-for-bit (`apex-synth run scenario.json`).
+/// JSON file that reproduces bit-for-bit (`apex run scenario.json`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     /// What runs.
@@ -412,6 +417,12 @@ impl Scenario {
         let fail = |msg: String| Err(ScenarioError(msg));
         if self.engine.batch == Some(0) {
             return fail("engine batch must be ≥ 1".into());
+        }
+        if self.n() > MAX_N {
+            return fail(format!(
+                "machine size n={} exceeds the cap of {MAX_N}",
+                self.n()
+            ));
         }
         let resolved = match &self.mode {
             Mode::Scheme {

@@ -5,13 +5,13 @@
 //! clean — Theorem 1), and, when the program is nondeterministic, also
 //! through [`SchemeKind::DetBaseline`] (divergences are *findings*, the
 //! E10 failure mode reproduced from synthesized scenarios). Trials fan out
-//! across cores on the [`apex_bench::runner`] parallel trial runner;
+//! across cores on the workspace's one fan-out, [`apex_lab::runner`];
 //! results are collected in config order, so a campaign's outcome is
 //! byte-identical at any thread count.
 
 use std::time::Instant;
 
-use apex_bench::runner::run_trials;
+use apex_lab::runner::{resolve_threads, run_trials};
 use apex_scheme::SchemeKind;
 
 use crate::gen::{generate_nondet_program, generate_program, GenConfig};
@@ -140,7 +140,7 @@ pub fn run_campaign(
         // triple are scenarios differing only in `mode.scheme`
         // ([`Triple::scenario`]).
         type LegResults = (Triple, Verdict, Option<Verdict>, Vec<(SchemeKind, Verdict)>);
-        let results: Vec<LegResults> = run_trials(&indices, |&i| {
+        let results: Vec<LegResults> = run_trials(&indices, resolve_threads(None), |&i| {
             let triple = campaign_triple(cfg, i);
             let nondet = check_triple(&triple, SchemeKind::Nondet);
             let det = (cfg.det_leg && triple.program.is_nondeterministic())

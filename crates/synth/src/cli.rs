@@ -1,9 +1,7 @@
 //! The synthesis command set, as a library.
 //!
-//! Every subcommand of the `apex-synth` binary lives here so the
-//! top-level `apex` binary can front the same implementations (`apex
-//! synth …`, `apex run …`) without duplicating them — one front door,
-//! one implementation.
+//! Every `apex synth` subcommand lives here, and `apex run` shares its
+//! scenario runner — one front door, one implementation.
 //!
 //! ```text
 //! gen          --seed S --count K [--show-schedule]
@@ -31,7 +29,7 @@ use crate::{check_triple, shrink};
 /// Print the synthesis usage text and exit with status 2.
 pub fn usage() -> ! {
     eprintln!(
-        "usage: apex-synth <gen|fuzz|shrink|replay|run|migrate|corpus-dedup> [options]\n\
+        "usage: apex synth <gen|fuzz|shrink|replay|run|migrate|corpus-dedup> [options]\n\
          \n\
          gen          --seed S --count K [--show-schedule]   print generated programs\n\
          fuzz         --seed S --trials K [--out DIR] [--keep N] [--max-secs T]\n\
@@ -115,7 +113,7 @@ impl Args {
 /// The run flags every executing command shares — `--engine
 /// tree|bytecode` and `--trace [FILE]` / `--metrics` / `--profile` —
 /// parsed in one place for `apex run`, `apex suite run`, `apex farm
-/// worker`, and `apex-synth run|replay`. None of them changes a result
+/// worker`, and `apex synth run|replay`. None of them changes a result
 /// byte: both interpreters produce byte-identical reports, and telemetry
 /// only observes.
 #[derive(Clone, Debug, Default)]

@@ -18,7 +18,7 @@
 //!   replay the agreed choices through the ideal executor, and fail on any
 //!   memory / output / work-accounting divergence — the legs of a
 //!   comparison are scenarios differing in exactly one field;
-//! * [`campaign`] — seeded sweeps on the parallel trial runner:
+//! * [`campaign`] — seeded sweeps on the workspace's thread fan-out:
 //!   [`SchemeKind::Nondet`](apex_scheme::SchemeKind) must stay clean,
 //!   while the DetBaseline leg *finds* divergences (E10 generalized);
 //! * [`shrink`](mod@shrink) — greedy minimization of failing triples (drop steps /
@@ -27,9 +27,8 @@
 //!   an embedded scenario document plus the expected outcome; v1 still
 //!   reads), replayed by `cargo test` forever after.
 //!
-//! The command set lives in [`cli`] so both the `apex-synth` binary and
-//! the top-level `apex` binary (`apex synth …`) front it:
-//! `cargo run --release -p apex-synth -- gen|fuzz|shrink|replay|run|migrate|corpus-dedup …`.
+//! The command set lives in [`cli`]; the top-level `apex` binary fronts
+//! it: `apex synth gen|fuzz|shrink|replay|run|migrate|corpus-dedup …`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -13,9 +13,9 @@
 //! [`Scenario`] document — the workspace's single declarative run
 //! description — plus the expected outcome and a provenance note. A
 //! reproducer is therefore an ordinary scenario file with an assertion
-//! attached; `apex-synth run` executes the scenario half directly.
+//! attached; `apex synth run` executes the scenario half directly.
 //! **Format v1** (legacy) spelled the scheme/seed/schedule/program fields
-//! inline; the reader still accepts it (and `apex-synth migrate` rewrites
+//! inline; the reader still accepts it (and `apex synth migrate` rewrites
 //! old artifacts in place).
 
 use std::path::{Path, PathBuf};

@@ -10,7 +10,7 @@
 //! the paper's agreement-based execution scheme. The whole run is named by
 //! a single serializable [`Scenario`]: the JSON printed below is a complete,
 //! shareable description that reproduces this exact run bit-for-bit
-//! (`cargo run -p apex-synth -- run scenario.json`). The verifier then
+//! (`apex run scenario.json`). The verifier then
 //! replays the agreed random choices on the ideal machine and confirms the
 //! asynchronous execution was equivalent to a legal synchronous one.
 

@@ -251,17 +251,18 @@ fn run_until_and_idle_skip_match_the_reference() {
 
 #[test]
 fn parallel_trial_runner_reproduces_serial_results_exactly() {
-    use apex_bench::runner::{run_trials_threaded, AgreementTrial, SourceSpec};
+    use apex_lab::runner::run_trials;
+    use apex_scenario::{Scenario, SourceSpec};
 
     let mut trials = Vec::new();
     for n in [8usize, 16] {
         for kind in ScheduleKind::gallery() {
-            trials.push(AgreementTrial::new(n, 3, kind, SourceSpec::Random(100), 1));
+            trials.push(Scenario::agreement(n, SourceSpec::Random(100), 1, 3).schedule(kind));
         }
     }
     type TrialDigest = (u64, u64, Option<u64>, Vec<Option<u64>>, bool);
-    let run_one = |t: &AgreementTrial| -> TrialDigest {
-        let mut run = t.build();
+    let run_one = |s: &Scenario| -> TrialDigest {
+        let mut run = s.build_agreement();
         let o = run.run_phase();
         (
             run.machine().ticks(),
@@ -271,8 +272,8 @@ fn parallel_trial_runner_reproduces_serial_results_exactly() {
             o.report.all_hold(),
         )
     };
-    let serial = run_trials_threaded(&trials, 1, run_one);
-    let parallel = run_trials_threaded(&trials, 4, run_one);
+    let serial = run_trials(&trials, 1, run_one);
+    let parallel = run_trials(&trials, 4, run_one);
     assert_eq!(
         serial, parallel,
         "parallel runner must reproduce serial results in order"

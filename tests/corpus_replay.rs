@@ -1,7 +1,7 @@
 //! Replay the committed fuzz corpus.
 //!
 //! Every artifact in `corpus/` is a shrunk (program, schedule, seed)
-//! triple found by an `apex-synth` fuzz campaign, serialized as a
+//! triple found by an `apex synth fuzz` campaign, serialized as a
 //! format-v2 reproducer — a full [`Scenario`] document plus its scheme
 //! and expected outcome. This suite re-runs each one and asserts the
 //! recorded outcome still reproduces — so each past finding of the
@@ -51,7 +51,7 @@ fn committed_corpus_is_at_the_current_format_version() {
         assert_eq!(
             version,
             VERSION,
-            "{}: run `apex-synth migrate`",
+            "{}: run `apex synth migrate`",
             path.display()
         );
         // v2 artifacts embed a scheme-mode scenario document.
@@ -128,7 +128,7 @@ fn legacy_v1_artifacts_still_read_and_replay() {
     assert_eq!(triple.seed, 7);
     assert_eq!(triple.program.n_threads, 2);
     // The reader lifted the v1 fields into a scenario; re-serialization
-    // emits the current format (what `apex-synth migrate` writes).
+    // emits the current format (what `apex synth migrate` writes).
     let reserialized = repro.to_json();
     assert_eq!(
         reserialized.get("version").unwrap().as_u64().unwrap(),

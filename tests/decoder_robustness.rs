@@ -14,16 +14,28 @@
 //!   quarantines it without touching the manifest or other records;
 //! * a `--cached` run rejects the planted record and re-executes the
 //!   cell, restoring the byte-identical store.
+//!
+//! Oversized documents are typed errors too: a suite whose grid asks for
+//! more than [`MAX_SUITE_CELLS`] cells, or a scenario whose machine is
+//! larger than [`MAX_N`], is rejected before anything is allocated.
+//!
+//! Finally, a mutation sweep feeds every decoder truncations at every
+//! byte, a one-byte substitution at every position, and numeric
+//! blow-ups of every number in a canonical instance: each must decode to
+//! `Ok` or a typed `Err`, never a panic.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use apex_lab::{
-    fsck, run_suite_journaled, FsckIssueKind, JournalEntry, JournalOpts, LabStore, Suite,
+    fsck, run_suite, run_suite_journaled, BenchDoc, FaultPlan, FsckIssueKind, Grid, JournalEntry,
+    JournalOpts, LabStore, Lease, Manifest, SeedRange, Suite, TooManyCells, MAX_SUITE_CELLS,
 };
-use apex_scenario::{ProgramSource, ReportRecord, Scenario, SourceSpec};
+use apex_obs::{Metrics, TraceEvent};
+use apex_scenario::{ProgramSource, ReportRecord, RunOutcome, Scenario, SourceSpec, MAX_N};
 use apex_scheme::SchemeKind;
 use apex_sim::json::MAX_DEPTH;
 use apex_sim::{AdversarySpec, Json};
+use apex_synth::Reproducer;
 
 /// 200k unmatched `[` — deep enough to overflow any thread's stack if a
 /// decoder recursed on it.
@@ -139,4 +151,242 @@ fn cached_run_rejects_a_planted_deep_record_and_re_executes_the_cell() {
     assert_eq!(std::fs::read(&victim).unwrap(), before);
     assert!(fsck(&store, false).unwrap().clean());
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// A suite of one grid whose seed axis asks for `count` cells.
+fn seed_grid_suite(count: u64) -> Suite {
+    let mut grid = Grid::new(Scenario::agreement(8, SourceSpec::Random(50), 1, 0));
+    grid.seeds = Some(SeedRange { start: 0, count });
+    let mut suite = Suite::new("oversized");
+    suite.grids.push(grid);
+    suite
+}
+
+#[test]
+fn an_oversized_grid_is_a_typed_error_before_any_allocation() {
+    let huge = seed_grid_suite(1_000_000_000_000);
+    assert_eq!(
+        huge.cell_count(),
+        Err(TooManyCells {
+            suite: "oversized".into(),
+            cells: Some(1_000_000_000_000),
+        })
+    );
+    assert!(huge.expand().unwrap_err().contains("cap"));
+    assert!(huge.validate().is_err());
+    // The same document through the on-disk decoder path.
+    let reloaded = Suite::parse(&huge.render_pretty()).unwrap();
+    assert!(reloaded.expand().unwrap_err().contains("cap"));
+
+    // A count that overflows the product is the same typed error.
+    let mut overflow = seed_grid_suite(u64::MAX);
+    overflow.grids[0].schedules = vec![
+        apex_sim::ScheduleKind::Uniform.into(),
+        apex_sim::ScheduleKind::RoundRobin.into(),
+    ];
+    assert_eq!(overflow.cell_count().unwrap_err().cells, None);
+    assert!(overflow.expand().is_err());
+
+    // The cap itself is inclusive (counted, not expanded here).
+    assert_eq!(
+        seed_grid_suite(MAX_SUITE_CELLS as u64).cell_count(),
+        Ok(MAX_SUITE_CELLS)
+    );
+    assert!(seed_grid_suite(MAX_SUITE_CELLS as u64 + 1)
+        .cell_count()
+        .is_err());
+}
+
+#[test]
+fn an_oversized_machine_is_a_typed_error_before_any_program_resolves() {
+    let n = 1usize << 40;
+    let agreement = Scenario::agreement(n, SourceSpec::Random(50), 1, 0);
+    let scheme = Scenario::scheme(
+        SchemeKind::Nondet,
+        ProgramSource::library("coin-sum", n, vec![16]),
+        0,
+    );
+    for s in [agreement, scheme] {
+        let err = s.validate().unwrap_err();
+        assert!(err.0.contains("exceeds the cap"), "{err}");
+        // A decoded document hits the same check.
+        let reloaded = Scenario::parse(&s.render_pretty()).unwrap();
+        assert_eq!(reloaded.validate(), Err(err));
+    }
+    let at_cap = Scenario::agreement(MAX_N, SourceSpec::Random(50), 1, 0);
+    let past_cap = Scenario::agreement(MAX_N + 1, SourceSpec::Random(50), 1, 0);
+    assert!(!at_cap.validate().is_err_and(|e| e.0.contains("cap")));
+    assert!(past_cap.validate().is_err());
+}
+
+/// Decode `text` as a document of the given kind; `true` when it
+/// decodes.
+fn decodes(kind: &str, text: &str) -> bool {
+    let json = || Json::parse(text);
+    match kind {
+        "scenario" => Scenario::parse(text).is_ok(),
+        "suite" => Suite::parse(text).is_ok(),
+        "adversary" => json().and_then(|j| AdversarySpec::from_json(&j)).is_ok(),
+        "record" => ReportRecord::parse(text).is_ok(),
+        "outcome" => RunOutcome::parse(text).is_ok(),
+        "manifest" => json().and_then(|j| Manifest::from_json(&j)).is_ok(),
+        "journal" => JournalEntry::parse_line(text).is_ok(),
+        "lease" => Lease::parse(text).is_ok(),
+        "fault-plan" => FaultPlan::parse(text).is_ok(),
+        "bench" => BenchDoc::parse(text).is_ok(),
+        "metrics" => Metrics::parse(text).is_ok(),
+        "trace" => TraceEvent::parse_line(text).is_ok(),
+        "reproducer" => json().and_then(|j| Reproducer::from_json(&j)).is_ok(),
+        _ => unreachable!("no decoder for {kind}"),
+    }
+}
+
+fn golden(file: &str) -> String {
+    std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(file)).unwrap()
+}
+
+/// A canonical instance of every on-disk document the workspace decodes,
+/// by kind.
+fn subjects() -> Vec<(&'static str, String)> {
+    let suite = small_suite();
+    let run = run_suite(&suite).unwrap();
+    let record = run.records().nth(1).unwrap().clone();
+    let poisoned = RunOutcome::capture_with(&record.scenario, |_| panic!("planted"));
+    let mut metrics = Metrics::new();
+    metrics.add("cells.executed", 3);
+    metrics.gauge_max("cells.total", 4);
+    metrics.observe("cells.ticks", 300);
+    let plan = r#"{"kill_after_journal": 7, "torn_write": {"write": 2, "keep": 10},
+        "bit_flip": {"write": 1, "byte": 3, "mask": 4}, "panic_cells": [1, 2],
+        "transient": [{"write": 0, "fails": 2}]}"#;
+    let lease = Lease {
+        suite: suite.digest(),
+        shard: 1,
+        start: 4,
+        count: 4,
+        worker: "w".into(),
+        issued_at: 9,
+        ttl: 32,
+    };
+    let trace = golden("tests/golden/canonical-trace.jsonl");
+    let mut out = vec![
+        ("scenario", golden("tests/golden/canonical-scenario.json")),
+        ("suite", golden("tests/golden/canonical-suite.json")),
+        ("adversary", golden("tests/golden/canonical-adversary.json")),
+        ("record", record.render_pretty()),
+        ("outcome", poisoned.render_pretty()),
+        (
+            "manifest",
+            Manifest::from_run(&run).to_json().render_pretty(),
+        ),
+        ("lease", lease.render_pretty()),
+        (
+            "fault-plan",
+            FaultPlan::parse(plan).unwrap().to_json().render_pretty(),
+        ),
+        ("bench", golden("BENCH_program-compile.json")),
+        ("metrics", metrics.render_pretty()),
+        ("trace", trace.lines().next().unwrap().to_string()),
+        (
+            "reproducer",
+            golden("corpus/ideal-cas-17ba6fed69bb11e7.json"),
+        ),
+    ];
+    // One journal line per entry kind.
+    let journal = golden("tests/golden/canonical-journal.jsonl");
+    let mut kinds = std::collections::BTreeSet::new();
+    for line in journal.lines() {
+        if kinds.insert(Json::parse(line).unwrap().get("kind").unwrap().render()) {
+            out.push(("journal", line.to_string()));
+        }
+    }
+    for (kind, doc) in &out {
+        assert!(
+            decodes(kind, doc),
+            "{kind}: the canonical instance must decode"
+        );
+    }
+    out
+}
+
+/// Decode `text`, turning a panic into a test failure that names the
+/// document kind and the mutation.
+fn must_not_panic(kind: &str, mutation: &str, text: &str) {
+    if std::panic::catch_unwind(|| decodes(kind, text)).is_err() {
+        panic!("{kind} decoder panicked on {mutation}: {text:?}");
+    }
+}
+
+#[test]
+fn truncation_at_every_byte_never_panics() {
+    for (kind, doc) in subjects() {
+        for cut in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            must_not_panic(kind, &format!("truncation at {cut}"), &doc[..cut]);
+        }
+    }
+}
+
+#[test]
+fn a_substituted_byte_at_every_position_never_panics() {
+    // Every structural byte, plus a digit, a sign, an exponent letter
+    // and whitespace — each turns one token into another — everywhere.
+    const SUBSTITUTES: &[u8] = b"\"{}[]:,-09e \\";
+    let mut mutations = 0;
+    for (kind, doc) in subjects() {
+        let bytes = doc.as_bytes();
+        for pos in 0..bytes.len() {
+            for &with in SUBSTITUTES.iter().filter(|&&b| b != bytes[pos]) {
+                let mut mutated = bytes.to_vec();
+                mutated[pos] = with;
+                // A substitution inside a multi-byte character is not text.
+                if let Ok(text) = String::from_utf8(mutated) {
+                    mutations += 1;
+                    must_not_panic(kind, &format!("substitution at {pos}"), &text);
+                }
+            }
+        }
+    }
+    assert!(mutations > 100_000, "{mutations} substitutions");
+}
+
+/// Byte ranges of the unsigned integer literals in a JSON document: digit
+/// runs that start a value (after `:`, `[`, `,` or whitespace).
+fn number_spans(doc: &str) -> Vec<(usize, usize)> {
+    let bytes = doc.as_bytes();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let starts_value = i > 0 && b": [,\n".contains(&bytes[i - 1]);
+        let end = i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+        if starts_value && end > i {
+            spans.push((i, end));
+        }
+        i = end.max(i + 1);
+    }
+    spans
+}
+
+#[test]
+fn numeric_blow_ups_and_wrong_types_never_panic() {
+    const REPLACEMENTS: &[&str] = &[
+        "18446744073709551615",
+        "18446744073709551616",
+        "1e308",
+        "-1",
+        "\"7\"",
+        "[7]",
+        "{\"n\": 7}",
+        "null",
+    ];
+    let mut numbers = 0;
+    for (kind, doc) in subjects() {
+        for (start, end) in number_spans(&doc) {
+            numbers += 1;
+            for with in REPLACEMENTS {
+                let text = format!("{}{with}{}", &doc[..start], &doc[end..]);
+                must_not_panic(kind, &format!("number at {start} -> {with}"), &text);
+            }
+        }
+    }
+    assert!(numbers > 100, "the sweep must reach the documents' numbers");
 }

@@ -15,13 +15,15 @@
 //!   in an in-flight run is left alone;
 //! * seeded fault plans (kills mid-lease, torn lease writes, duplicate
 //!   claims via tiny ttls) never prevent convergence once a clean
-//!   worker finishes the drain.
+//!   worker finishes the drain;
+//! * one unreadable, misnamed or oversized queue entry is skipped with a
+//!   typed [`EntryError`], and every readable suite still drains.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
+use apex_farm::{query, run_worker, EntryError, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
     fsck, is_kill, lease_dir, lease_path, read_journal, run_suite_journaled, FaultInjector,
     FaultPlan, FsckIssueKind, Grid, JournalOpts, LabStore, Lease, SeedRange, Suite, TornWrite,
@@ -581,6 +583,66 @@ fn worker_cache_stats_tally_hits_on_a_pre_populated_store() {
     );
     assert!(report.finalized.is_empty(), "already finished upstream");
     assert_eq!(file_map(&store.suite_dir(&suite.digest())), before);
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(queue.root());
+}
+
+#[test]
+fn unreadable_queue_entries_are_skipped_and_every_readable_suite_drains() {
+    let suite = farm_suite();
+    let reference = reference_map(&suite, "bad-entries-ref");
+    let store = temp_store("bad-entries");
+    let queue = FarmQueue::new(temp_dir("queue-bad-entries"));
+    let (digest, _, _) = queue.submit(&suite).unwrap();
+
+    // Planted beside the real entry; `0-…` sorts ahead of every digest,
+    // so the worker meets the bad files first.
+    let torn = queue.root().join("0-torn.json");
+    std::fs::write(&torn, "{\"suite\": 5").unwrap();
+    let mut renamed = farm_suite();
+    renamed.name = "farm-renamed".into();
+    let misnamed = queue.root().join("0-misnamed.json");
+    std::fs::write(&misnamed, renamed.render_pretty()).unwrap();
+    // Named by its own digest, so only the cell cap rejects it.
+    let mut oversized = farm_suite();
+    oversized.grids[0].seeds = Some(SeedRange {
+        start: 0,
+        count: 1_000_000_000_000,
+    });
+    let oversized_path = queue.entry_path(&oversized.digest());
+    std::fs::write(&oversized_path, oversized.render_pretty()).unwrap();
+
+    let report = run_worker(&queue, &store, &worker("survivor")).unwrap();
+    assert_eq!(report.suites, 1);
+    assert_eq!(report.finalized, vec![digest.clone()]);
+    assert_eq!(file_map(&store.suite_dir(&digest)), reference);
+    assert!(report.summary().contains("3 unreadable entries skipped"));
+    assert_eq!(report.skipped.len(), 3, "{:?}", report.skipped);
+    assert!(report.skipped.contains(&EntryError::Misnamed {
+        path: misnamed,
+        digest: renamed.digest(),
+    }));
+    let unreadable = |path: &Path| {
+        report.skipped.iter().find_map(|e| match e {
+            EntryError::Unreadable { path: p, error } if p == path => Some(error.as_str()),
+            _ => None,
+        })
+    };
+    assert!(unreadable(&torn).is_some());
+    assert!(unreadable(&oversized_path).is_some_and(|e| e.contains("cap")));
+
+    // Status lists the same entries as unreadable and never reports the
+    // queue as finished while they sit in it.
+    let status = queue.status(&store).unwrap();
+    assert_eq!(status.unreadable, report.skipped);
+    assert_eq!(status.suites.len(), 1);
+    assert!(status.suites[0].finished);
+    assert!(!status.all_finished());
+    assert!(
+        status.summary().contains("3 unreadable"),
+        "{}",
+        status.summary()
+    );
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(queue.root());
 }

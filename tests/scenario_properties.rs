@@ -306,7 +306,7 @@ fn golden_scenario_form_is_pinned() {
         canonical.render_pretty(),
         golden,
         "canonical-scenario.json drifted; regenerate with \
-         `apex-synth run tests/golden/canonical-scenario.json --emit …` \
+         `apex synth run tests/golden/canonical-scenario.json --emit …` \
          only for a deliberate format change"
     );
     let parsed = Scenario::parse(golden).unwrap();
