@@ -124,7 +124,8 @@ fn dispatch_floor_probe() {
     impl Future for Drain {
         type Output = ();
         fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-            while self.0.take_credit() {}
+            let mut sess = self.0.session();
+            while sess.take_credit() {}
             Poll::Pending
         }
     }
@@ -164,6 +165,33 @@ fn perf_probe() {
                 "{sched:?} ticks {}: tree {tree_ms} ms, bytecode {bc_ms} ms",
                 a.ticks
             );
+        }
+    }
+}
+
+/// Run-ahead keeps the VM's polls at its shared-memory ops: under the
+/// uniform adversary (one-tick runs) the machine polls it about once per
+/// load/store, ~0.37 times per tick, where per-tick polling made ~0.95;
+/// under bursty runs of credits polls stay rare.
+#[test]
+fn run_ahead_polls_about_once_per_shared_op() {
+    use apex_pram::library::{blelloch_scan, gen_values, jacobi_smooth, odd_even_sort};
+    for (sched, bound) in [
+        (ScheduleKind::Uniform, 0.45),
+        (ScheduleKind::Bursty { mean_burst: 64 }, 0.03),
+    ] {
+        for built in [
+            coin_sum(16, 64),
+            blelloch_scan(&gen_values(16, 5)),
+            jacobi_smooth(&gen_values(16, 5), 8),
+            odd_even_sort(&gen_values(16, 5)),
+        ] {
+            let cfg = SchemeRunConfig::new(SchemeKind::Nondet, 1).schedule(sched.clone());
+            let mut run = SchemeRun::new_with_factory(built.program, cfg, factory);
+            let m = run.machine_mut();
+            m.run_ticks(50_000);
+            let ratio = m.polls() as f64 / m.ticks() as f64;
+            assert!(ratio <= bound, "{sched:?}: {ratio:.3} polls per tick");
         }
     }
 }

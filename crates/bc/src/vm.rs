@@ -13,17 +13,45 @@
 //! [`Future`] directly: one micro-state ([`St`]) per atomic operation, a
 //! dense `match` dispatch, and all protocol registers held as plain
 //! integers on the [`Vm`] struct. Each poll acquires one [`GateSession`]
-//! (a single `RefCell` borrow of memory and RNG for the whole granted run)
-//! and executes ops in a tight credit loop. Control flow between atomic
+//! (a single `RefCell` borrow of memory and RNG for the whole poll) and
+//! executes ops in a tight credit loop. Control flow between atomic
 //! operations is free, exactly as in the model.
 //!
 //! What this removes from the hot loop compared to the tree walker: nested
 //! `async` poll chains, per-evaluation boxed `dyn` futures, last-write
 //! binary searches, asserted address recomputation, cycle-log pushes, and
-//! two `RefCell` borrows per operation. Runs of *effect-free* ops
-//! (ω-padding, post-completion busy-waiting) are consumed in O(1) per poll
-//! via [`GateSession::take_credits`] — identical counter outcomes, none of
-//! the per-op dispatch.
+//! two `RefCell` borrows per operation.
+//!
+//! # Run-ahead
+//!
+//! Only shared-memory operations order one processor against another. When
+//! a poll's credit run is spent, the VM does not yield at a *private*
+//! state: it executes the op anyway and charges it with
+//! [`GateSession::prepay`], and the machine settles the tick when the
+//! schedule grants it, without polling (see `apex_sim`'s machine docs).
+//! The VM yields only at the next load, store or CAS, so it is polled
+//! about once per shared-memory op instead of once per tick.
+//!
+//! The run-ahead invariant: a prepaid op may change only the VM's
+//! registers and the processor's private RNG, because a run may stop
+//! before the op's tick ever comes. A state is private when neither its
+//! handler nor the free transition after it loads, stores, CASes or
+//! touches the [`EventsHandle`] counters:
+//!
+//! * Read-Clock: `ClockRand` (cell draw), `ClockIncorp`, `ClockDivide`;
+//! * Update-Clock: `UpdRandJ`, `UpdRandK`;
+//! * cycle: `CycRandBin` — unless bins are empty, when the draw falls
+//!   through to an evaluation that counts an event;
+//! * evaluation: `EvIdle`, `EvOp` (the compute or the program's draw);
+//! * copy: `CopyRandI`, `CopyRandR`, `CopyRandStart`;
+//! * task draws: `DetRandI`, `ScanRandI`, `CasRandI`;
+//! * ω-padding: charged in one `prepay` of the whole pad;
+//! * `Drain`: a finished processor prepays every future tick
+//!   (`prepay(u64::MAX)`) and is never polled again.
+//!
+//! Async `Ctx` operations never run ahead, so the tree walker remains the
+//! per-tick reference, and the tree-vs-VM byte identity checks that
+//! run-ahead is transparent.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -36,9 +64,9 @@ use apex_sim::{EngineGate, GateSession, Stamped};
 
 use crate::compile::{COperand, CompiledScheme, Slot};
 
-/// One micro-state of the dispatch loop. Every variant except [`St::Pad`]
-/// and [`St::Drain`] executes exactly one atomic operation (one op credit)
-/// when dispatched; `Pad`/`Drain` consume whole credit runs in O(1).
+/// One micro-state of the dispatch loop. Every variant except
+/// [`St::Drain`] executes exactly one atomic operation when dispatched;
+/// `Drain` prepays every future tick in O(1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum St {
     // Read-Clock: 3 ops per sample (draw, load, incorporate) + 1 (divide).
@@ -85,10 +113,50 @@ enum St {
     CasRandI,
     CasLoadCur,
     CasOp,
-    // Bulk states.
-    Pad,
+    // Program complete: busy-wait forever.
     Drain,
 }
+
+impl St {
+    #[inline]
+    fn bit(self) -> u64 {
+        1 << self as u8
+    }
+}
+
+/// The states whose op is processor-private *including* the free
+/// transition after it: no load, store or CAS, no [`EventsHandle`]
+/// update. These may run ahead of their ticks (see the module docs).
+fn private_states(p: &CompiledScheme) -> u64 {
+    let mut mask = [
+        St::ClockRand,
+        St::ClockIncorp,
+        St::ClockDivide,
+        St::UpdRandJ,
+        St::UpdRandK,
+        St::EvIdle,
+        St::EvOp,
+        St::CopyRandI,
+        St::CopyRandR,
+        St::CopyRandStart,
+        St::DetRandI,
+        St::ScanRandI,
+        St::CasRandI,
+    ]
+    .iter()
+    .fold(0, |m, st| m | st.bit());
+    // With an empty bin the draw falls straight through to the
+    // evaluation, whose operand bookkeeping counts an event.
+    if p.cells_per_bin > 0 {
+        mask |= St::CycRandBin.bit();
+    }
+    mask
+}
+
+/// Longest run-ahead one poll may accumulate. Only a degenerate run
+/// (every drawn slot idle, huge clock read and update periods) keeps a
+/// processor private for long; the cap keeps such a poll finite.
+const RUN_AHEAD_MAX: u64 = 1 << 16;
 
 /// Where a Read-Clock returns to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,8 +226,6 @@ struct Regs {
     sc_d0: (u64, usize, u64),
     // CAS.
     cas_cur: Stamped,
-    // Pad.
-    pad_left: u64,
 }
 
 /// One processor's bytecode execution over a compiled scheme. Implements
@@ -169,6 +235,8 @@ pub(crate) struct Vm {
     prog: std::rc::Rc<CompiledScheme>,
     gate: EngineGate,
     events: EventsHandle,
+    /// [`private_states`] of `prog`, one bit per [`St`].
+    private: u64,
     regs: Regs,
 }
 
@@ -185,6 +253,7 @@ impl Vm {
             St::ClockRand
         };
         Vm {
+            private: private_states(&prog),
             prog,
             gate,
             events,
@@ -233,7 +302,6 @@ impl Vm {
                 sc_minv: 0,
                 sc_d0: (0, usize::MAX, 0),
                 cas_cur: Stamped::ZERO,
-                pad_left: 0,
             },
         }
     }
@@ -247,30 +315,26 @@ impl Future for Vm {
         let this = self.get_mut();
         let p: &CompiledScheme = &this.prog;
         let events = &this.events;
+        let private = this.private;
         let mut sess = this.gate.session();
         let r = &mut this.regs;
         loop {
-            match r.st {
-                St::Pad => {
-                    r.pad_left -= sess.take_credits(r.pad_left);
-                    if r.pad_left > 0 {
-                        return Poll::Pending;
-                    }
-                    r.post_task(p);
-                }
-                St::Drain => {
-                    // Program complete: busy-wait forever (still counted
-                    // as work), draining each granted run in one call.
-                    sess.take_credits(u64::MAX);
+            let st = r.st;
+            if st == St::Drain {
+                // Busy-wait forever (still counted as work): every future
+                // tick is prepaid, so the machine never polls again.
+                sess.prepay(u64::MAX);
+                return Poll::Pending;
+            }
+            if !sess.take_credit() {
+                // The credit run is spent: a private op runs ahead, a
+                // shared one waits for its tick.
+                if private & st.bit() == 0 || sess.prepaid() >= RUN_AHEAD_MAX {
                     return Poll::Pending;
                 }
-                st => {
-                    if !sess.take_credit() {
-                        return Poll::Pending;
-                    }
-                    r.exec(st, p, &mut sess, events);
-                }
+                sess.prepay(1);
             }
+            r.exec(st, p, &mut sess, events);
         }
     }
 }
@@ -617,7 +681,7 @@ impl Regs {
                 self.post_task(p);
             }
 
-            St::Pad | St::Drain => unreachable!("bulk states are dispatched before exec"),
+            St::Drain => unreachable!("Drain is dispatched before exec"),
         }
     }
 
@@ -672,7 +736,7 @@ impl Regs {
     }
 
     /// Bisection finished: evaluate into an empty bin, help-copy, or pad.
-    fn search_done(&mut self, p: &CompiledScheme, sess: &GateSession<'_>, ev: &EventsHandle) {
+    fn search_done(&mut self, p: &CompiledScheme, sess: &mut GateSession<'_>, ev: &EventsHandle) {
         if self.lo == 0 {
             self.slot = p.slot(self.step, self.ti);
             self.ev_cont = EvCont::Cycle;
@@ -730,15 +794,12 @@ impl Regs {
         };
     }
 
-    /// Pad the cycle to exactly ω ops (consumed in bulk by [`St::Pad`]).
-    fn enter_pad(&mut self, p: &CompiledScheme, sess: &GateSession<'_>) {
+    /// Pad the cycle to exactly ω ops: the no-ops are private, so they
+    /// are charged in one [`GateSession::prepay`].
+    fn enter_pad(&mut self, p: &CompiledScheme, sess: &mut GateSession<'_>) {
         let used = sess.ops() - self.cyc_start_ops;
         debug_assert!(used <= p.omega, "cycle used {used} ops > ω = {}", p.omega);
-        self.pad_left = p.omega - used;
-        if self.pad_left > 0 {
-            self.st = St::Pad;
-        } else {
-            self.post_task(p);
-        }
+        sess.prepay(p.omega - used);
+        self.post_task(p);
     }
 }

@@ -245,10 +245,9 @@ impl AgreementRun {
         let mut completion_work: Option<u64> = None;
         // Generous stall budget: 64× the expected phase work, unless the
         // caller pinned an explicit per-phase budget.
-        let budget = start_work
-            + self.stall_budget.unwrap_or_else(|| {
-                64 * self.cfg.min_cycles_per_phase().max(1) * self.cfg.omega + 1_000_000
-            });
+        let budget = start_work.saturating_add(self.stall_budget.unwrap_or_else(|| {
+            64 * self.cfg.min_cycles_per_phase().max(1) * self.cfg.omega + 1_000_000
+        }));
         loop {
             self.machine.run_ticks(chunk);
             let (advanced, done) = self.machine.with_mem(|mem| {

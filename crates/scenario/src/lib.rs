@@ -50,7 +50,8 @@ pub use report::{
 };
 pub use scenario::{
     agreement_config_from_json, agreement_config_to_json, fnv1a64, EngineKnobs, Mode,
-    ProgramEngine, RunOpts, Scenario, ScenarioError, SourceSpec, FORMAT_MAJOR, FORMAT_MINOR, MAX_N,
+    ProgramEngine, RunOpts, Scenario, ScenarioError, SourceSpec, FORMAT_MAJOR, FORMAT_MINOR,
+    MAX_BATCH, MAX_N, MAX_REPLICAS,
 };
 
 #[cfg(test)]

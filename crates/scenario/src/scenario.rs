@@ -35,6 +35,15 @@ pub const FORMAT_MINOR: u64 = 0;
 /// before any program is resolved (E8's full-scale point is n = 2048).
 pub const MAX_N: usize = 1 << 16;
 
+/// Largest replica factor K [`Scenario::validate`] accepts. Assembly
+/// lays out K replicas of every program variable, so an unbounded K
+/// would abort on allocation (E11 sweeps K = 1–3).
+pub const MAX_REPLICAS: usize = 64;
+
+/// Largest engine batch [`Scenario::validate`] accepts: the machine
+/// allocates its schedule-prefetch queue up front (the default is 256).
+pub const MAX_BATCH: usize = 1 << 16;
+
 /// Why a scenario is ill-formed (from [`Scenario::validate`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScenarioError(pub String);
@@ -415,8 +424,12 @@ impl Scenario {
     /// scheme-mode scenario so `build_scheme` resolves exactly once.
     fn validate_resolving(&self) -> Result<Option<Program>, ScenarioError> {
         let fail = |msg: String| Err(ScenarioError(msg));
-        if self.engine.batch == Some(0) {
-            return fail("engine batch must be ≥ 1".into());
+        match self.engine.batch {
+            Some(0) => return fail("engine batch must be ≥ 1".into()),
+            Some(b) if b > MAX_BATCH => {
+                return fail(format!("engine batch {b} exceeds the cap of {MAX_BATCH}"))
+            }
+            _ => {}
         }
         if self.n() > MAX_N {
             return fail(format!(
@@ -430,6 +443,12 @@ impl Scenario {
             } => {
                 if replicas.0 < 1 {
                     return fail("replica factor K must be ≥ 1".into());
+                }
+                if replicas.0 > MAX_REPLICAS {
+                    return fail(format!(
+                        "replica factor K={} exceeds the cap of {MAX_REPLICAS}",
+                        replicas.0
+                    ));
                 }
                 let p = program.resolve()?;
                 if p.n_steps() < 1 {

@@ -253,7 +253,7 @@ impl SchemeRun {
             64 * self.cfg.nominal_cycles_per_phase().max(1) * self.cfg.omega + 2_000_000
         });
         while boundary < done {
-            let budget = self.machine.work() + subphase_budget;
+            let budget = self.machine.work().saturating_add(subphase_budget);
             loop {
                 self.machine.run_ticks(self.cfg.stage_work().max(64));
                 let v = self.machine.with_mem(|mem| self.map.clock.oracle(mem));

@@ -20,6 +20,31 @@
 //! polling would — until the run is exhausted. One poll per run instead of
 //! one per tick is the engine's largest win under bursty adversaries.
 //!
+//! ## Run-ahead of private ops
+//!
+//! In the A-PRAM model only shared-memory reads and writes order one
+//! processor against another; a private coin flip, a local computation or
+//! a no-op commutes with every step of every other processor. An engine
+//! may therefore execute a processor's *private* ops before their ticks
+//! arrive ([`GateSession::prepay`](super::GateSession::prepay)): the
+//! processor's prepaid count grows, and when the schedule later grants
+//! the processor ticks, the machine settles them against that count
+//! first — advancing `work`, `per_proc_work`, `ticks` and the op counter
+//! exactly as consumed credits would, in O(1) and without a poll — and
+//! polls only for the rest of the run. The run-ahead invariant:
+//!
+//! * a prepaid op changes only the processor's registers and its private
+//!   RNG (a run may stop before the op's tick comes, so nothing it does
+//!   may be visible outside the processor);
+//! * a processor with prepaid ops holds no credits, and is polled again
+//!   only after all of them are settled, so its next shared-memory op
+//!   still executes on the tick — and at the work instant — the per-tick
+//!   engine would give it;
+//! * a future never completes while it holds prepaid ops (asserted).
+//!
+//! Async [`Ctx`] operations never prepay; only the bytecode VM does.
+//! [`Machine::polls`] counts the polls that remain.
+//!
 //! ## Invariants (checked by `tests/batch_determinism.rs`)
 //!
 //! * **Batch transparency** — a machine driven by any mix of [`Machine::tick`],
@@ -36,7 +61,8 @@
 //! * **Work accounting** — identical to the per-tick engine: one work unit
 //!   per executed tick under [`IdlePolicy::CountAsWork`], one per live
 //!   tick under [`IdlePolicy::Skip`], and `WriteEvent::work` equals the
-//!   work counter at the instant of the write.
+//!   work counter at the instant of the write — prepaid ticks included,
+//!   since they are settled on the ticks that grant them.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -199,6 +225,7 @@ impl MachineBuilder {
             batch: self.batch,
             live,
             block_hook: None,
+            polls: 0,
         }
     }
 }
@@ -224,6 +251,8 @@ pub struct Machine {
     /// Telemetry observer called after each executed block (see
     /// [`Machine::set_block_hook`]); `None` costs one branch per block.
     block_hook: Option<Box<BlockHook>>,
+    /// Protocol-future polls so far (see [`Machine::polls`]).
+    polls: u64,
 }
 
 /// Block-boundary observer: `(executed, total_ticks, total_work)` —
@@ -252,6 +281,15 @@ impl Machine {
     /// [`IdlePolicy::CountAsWork`]).
     pub fn ticks(&self) -> u64 {
         self.ticks
+    }
+
+    /// Protocol-future polls so far: one per coalesced run that is not
+    /// wholly settled by prepaid ops (see the module docs). A
+    /// deterministic function of the run's configuration, like `ticks`,
+    /// but an engine cost rather than a model quantity — no report
+    /// carries it.
+    pub fn polls(&self) -> u64 {
+        self.polls
     }
 
     /// Configured schedule-prefetch block size.
@@ -289,6 +327,8 @@ impl Machine {
     /// poll (run coalescing). The innermost hot path — everything
     /// tick-invariant lives in the caller.
     ///
+    /// Ticks owed to prepaid ops are settled first, without a poll (see
+    /// the module docs); the rest of the run is granted as credits.
     /// Credits are charged inside the protocol's `OpTick` leaf (which also
     /// advances the work counter op by op), so granting a run of `k`
     /// credits and polling once is observably identical to `k` per-tick
@@ -309,68 +349,84 @@ impl Machine {
         truncate_on_done: bool,
     ) -> u64 {
         let slot = &mut self.procs[pid.0];
-        match slot.fut.as_mut() {
-            None => {
-                // Completed-processor fast path: busy-wait accounting for
-                // the whole run in O(1), no credit handshake, no poll.
-                if self.idle == IdlePolicy::CountAsWork {
-                    self.work.set(self.work.get() + run);
-                    self.per_proc_work[pid.0] += run;
+        let Some(fut) = slot.fut.as_mut() else {
+            // Completed-processor fast path: busy-wait accounting for the
+            // whole run in O(1), no credit handshake, no poll.
+            if self.idle == IdlePolicy::CountAsWork {
+                self.work.set(self.work.get() + run);
+                self.per_proc_work[pid.0] += run;
+            }
+            self.ticks += run;
+            return run;
+        };
+        // Prepaid fast path: each tick settles one op the processor already
+        // ran ahead, in O(1) and exactly as a consumed credit would.
+        let prepaid = slot.state.prepaid.get();
+        let settled = prepaid.min(run);
+        if settled > 0 {
+            slot.state.prepaid.set(prepaid - settled);
+            slot.state.ops.set(slot.state.ops.get() + settled);
+            self.work.set(self.work.get() + settled);
+            self.per_proc_work[pid.0] += settled;
+            self.ticks += settled;
+            if settled == run {
+                return run;
+            }
+        }
+        let run = run - settled;
+        self.polls += 1;
+        slot.state.credit.set(run);
+        match fut.as_mut().poll(cx) {
+            Poll::Ready(()) => {
+                assert_eq!(
+                    slot.state.prepaid.get(),
+                    0,
+                    "protocol on {pid} completed while holding prepaid ops"
+                );
+                // The future completed mid-run after consuming
+                // `run - leftover` ops; completion happens on the last
+                // consuming tick, and the rest of the run is busy-waiting.
+                // Exception: an await-free protocol completes on its first
+                // granted tick without consuming — the per-tick reference
+                // charges that live poll tick under both idle policies.
+                let leftover = slot.state.credit.get();
+                slot.state.credit.set(0);
+                slot.fut = None;
+                self.live -= 1;
+                let consumed = run - leftover;
+                let first_poll_tick = u64::from(consumed == 0);
+                if truncate_on_done && self.live == 0 {
+                    let used = consumed + first_poll_tick;
+                    self.work.set(self.work.get() + first_poll_tick);
+                    self.per_proc_work[pid.0] += used;
+                    self.ticks += used;
+                    return settled + used;
+                }
+                match self.idle {
+                    IdlePolicy::CountAsWork => {
+                        self.work.set(self.work.get() + leftover);
+                        self.per_proc_work[pid.0] += run;
+                    }
+                    IdlePolicy::Skip => {
+                        self.work.set(self.work.get() + first_poll_tick);
+                        self.per_proc_work[pid.0] += consumed + first_poll_tick;
+                    }
                 }
                 self.ticks += run;
-                run
+                settled + run
             }
-            Some(fut) => {
-                slot.state.credit.set(run);
-                match fut.as_mut().poll(cx) {
-                    Poll::Ready(()) => {
-                        // The future completed mid-run after consuming
-                        // `run - leftover` ops; completion happens on the
-                        // last consuming tick, and the rest of the run is
-                        // busy-waiting. Exception: an await-free protocol
-                        // completes on its first granted tick without
-                        // consuming — the per-tick reference charges that
-                        // live poll tick under both idle policies.
-                        let leftover = slot.state.credit.get();
-                        slot.state.credit.set(0);
-                        slot.fut = None;
-                        self.live -= 1;
-                        let consumed = run - leftover;
-                        let first_poll_tick = u64::from(consumed == 0);
-                        if truncate_on_done && self.live == 0 {
-                            let used = consumed + first_poll_tick;
-                            self.work.set(self.work.get() + first_poll_tick);
-                            self.per_proc_work[pid.0] += used;
-                            self.ticks += used;
-                            return used;
-                        }
-                        match self.idle {
-                            IdlePolicy::CountAsWork => {
-                                self.work.set(self.work.get() + leftover);
-                                self.per_proc_work[pid.0] += run;
-                            }
-                            IdlePolicy::Skip => {
-                                self.work.set(self.work.get() + first_poll_tick);
-                                self.per_proc_work[pid.0] += consumed + first_poll_tick;
-                            }
-                        }
-                        self.ticks += run;
-                        run
-                    }
-                    Poll::Pending => {
-                        assert_eq!(
-                            slot.state.credit.get(),
-                            0,
-                            "protocol on {pid} yielded without performing an atomic operation \
-                             (protocols must only await Ctx operations)"
-                        );
-                        // All `run` credits were consumed (and charged to
-                        // the work counter by OpTick).
-                        self.per_proc_work[pid.0] += run;
-                        self.ticks += run;
-                        run
-                    }
-                }
+            Poll::Pending => {
+                assert_eq!(
+                    slot.state.credit.get(),
+                    0,
+                    "protocol on {pid} yielded without performing an atomic operation \
+                     (protocols must only await Ctx operations)"
+                );
+                // All `run` credits were consumed (and charged to the work
+                // counter by OpTick or the engine's session).
+                self.per_proc_work[pid.0] += run;
+                self.ticks += run;
+                settled + run
             }
         }
     }

@@ -10,6 +10,11 @@
 //!   the `batch(1)` per-tick reference configuration: same work counters,
 //!   same per-processor work, same memory snapshot, same ordered write
 //!   log (addresses, values, writers, and work stamps).
+//! * The bytecode VM runs processor-private ops ahead of their ticks; for
+//!   every scheme kind × schedule kind × batch size it must still perform
+//!   the tree walker's writes on the same ticks: same ordered write log
+//!   (old and new contents, writers, work stamps) and the same work
+//!   report, per-processor work included.
 //! * The parallel trial runner must reproduce serial results exactly, in
 //!   config order.
 
@@ -17,8 +22,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use apex::sim::{
-    IdlePolicy, Machine, MachineBuilder, ProcId, Schedule, ScheduleKind, Script, Stamped,
+    IdlePolicy, Machine, MachineBuilder, ProcId, Schedule, ScheduleKind, Script, ScriptSegment,
+    ScriptSpec, Stamped, WorkReport,
 };
+use apex_scenario::{ProgramEngine, ProgramSource, Scenario};
+use apex_scheme::SchemeKind;
 
 /// Gallery plus the two kinds the ISSUE singles out.
 fn all_kinds() -> Vec<ScheduleKind> {
@@ -247,6 +255,90 @@ fn run_until_and_idle_skip_match_the_reference() {
     assert_eq!(wa, wb, "run_until work");
     assert_eq!(reference.ticks(), batched.ticks(), "run_until ticks");
     assert_eq!(reference.work(), batched.work(), "skip-policy live work");
+}
+
+/// Every `ScheduleKind` variant: the gallery, `Zipf`, `Crash`, and a
+/// scripted prefix of starvation windows.
+fn every_schedule_kind() -> Vec<ScheduleKind> {
+    let mut kinds = all_kinds();
+    let script = ScriptSpec::new(
+        8,
+        vec![
+            ScriptSegment::Run {
+                proc: 3,
+                ticks: 700,
+            },
+            ScriptSegment::AllExcept {
+                excluded: vec![0, 5],
+                rounds: 40,
+            },
+        ],
+    )
+    .fallback(ScheduleKind::Bursty { mean_burst: 9 });
+    kinds.push(ScheduleKind::Scripted(script));
+    kinds
+}
+
+/// One logged write: `(addr, old, new, writer, work)`.
+type FullWrite = (usize, Stamped, Stamped, usize, u64);
+
+/// Drive one scheme cell for a fixed number of ticks in ragged chunks
+/// (every cut can fall inside a run-ahead), logging every write.
+fn scheme_writes(
+    scheme: SchemeKind,
+    sched: &ScheduleKind,
+    engine: ProgramEngine,
+    batch: usize,
+) -> (Vec<FullWrite>, WorkReport) {
+    const TICKS: u64 = 120_000;
+    let scenario = Scenario::scheme(scheme, ProgramSource::library("coin-sum", 8, vec![16]), 21)
+        .schedule(sched.clone())
+        .program_engine(engine)
+        .batch(batch);
+    let mut run = scenario.build_scheme();
+    let machine = run.machine_mut();
+    let log: Rc<RefCell<Vec<FullWrite>>> = Rc::default();
+    let sink = log.clone();
+    machine.add_write_hook(Box::new(move |ev| {
+        sink.borrow_mut()
+            .push((ev.addr, ev.old, ev.new, ev.writer.0, ev.work));
+    }));
+    let chunks = [997u64, 1, 64, 4096, 13];
+    let mut ci = 0;
+    while machine.ticks() < TICKS {
+        machine.run_ticks(chunks[ci % chunks.len()].min(TICKS - machine.ticks()));
+        ci += 1;
+    }
+    let report = machine.report();
+    let writes = log.borrow().clone();
+    (writes, report)
+}
+
+#[test]
+fn vm_run_ahead_writes_on_the_tree_walkers_ticks() {
+    for scheme in [
+        SchemeKind::Nondet,
+        SchemeKind::DetBaseline,
+        SchemeKind::ScanConsensus,
+        SchemeKind::IdealCas,
+    ] {
+        for sched in every_schedule_kind() {
+            let (want_log, want) = scheme_writes(scheme, &sched, ProgramEngine::Tree, 1);
+            assert!(!want_log.is_empty());
+            for engine in [ProgramEngine::Tree, ProgramEngine::Bytecode] {
+                for batch in [1, 7, apex::sim::DEFAULT_BATCH] {
+                    let (log, report) = scheme_writes(scheme, &sched, engine, batch);
+                    let cell = format!(
+                        "{scheme:?} × {} on {} batch {batch}",
+                        sched.label(),
+                        engine.label()
+                    );
+                    assert_eq!(report, want, "{cell}: work report");
+                    assert!(log == want_log, "{cell}: ordered write log");
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -17,7 +17,9 @@
 //!
 //! Oversized documents are typed errors too: a suite whose grid asks for
 //! more than [`MAX_SUITE_CELLS`] cells, or a scenario whose machine is
-//! larger than [`MAX_N`], is rejected before anything is allocated.
+//! larger than [`MAX_N`], whose replica factor exceeds [`MAX_REPLICAS`] or
+//! whose engine batch exceeds [`MAX_BATCH`], is rejected before anything
+//! is allocated.
 //!
 //! Finally, a mutation sweep feeds every decoder truncations at every
 //! byte, a one-byte substitution at every position, and numeric
@@ -31,7 +33,9 @@ use apex_lab::{
     JournalOpts, LabStore, Lease, Manifest, SeedRange, Suite, TooManyCells, MAX_SUITE_CELLS,
 };
 use apex_obs::{Metrics, TraceEvent};
-use apex_scenario::{ProgramSource, ReportRecord, RunOutcome, Scenario, SourceSpec, MAX_N};
+use apex_scenario::{
+    ProgramSource, ReportRecord, RunOutcome, Scenario, SourceSpec, MAX_BATCH, MAX_N, MAX_REPLICAS,
+};
 use apex_scheme::SchemeKind;
 use apex_sim::json::MAX_DEPTH;
 use apex_sim::{AdversarySpec, Json};
@@ -217,6 +221,32 @@ fn an_oversized_machine_is_a_typed_error_before_any_program_resolves() {
     let past_cap = Scenario::agreement(MAX_N + 1, SourceSpec::Random(50), 1, 0);
     assert!(!at_cap.validate().is_err_and(|e| e.0.contains("cap")));
     assert!(past_cap.validate().is_err());
+}
+
+/// The golden scenario with one `"key": value` pair replaced.
+fn golden_with(key: &str, value: &str) -> Scenario {
+    let golden = include_str!("golden/canonical-scenario.json");
+    let (from, to) = match key {
+        "replicas" => ("\"replicas\": 2", format!("\"replicas\": {value}")),
+        "batch" => ("\"batch\": null", format!("\"batch\": {value}")),
+        _ => unreachable!("no such knob {key}"),
+    };
+    assert!(golden.contains(from));
+    Scenario::parse(&golden.replace(from, &to)).expect("decodes")
+}
+
+#[test]
+fn an_oversized_replica_factor_or_batch_is_a_typed_error() {
+    // 2^40 replicas or prefetch slots aborted the process on allocation.
+    for key in ["replicas", "batch"] {
+        let err = golden_with(key, "1099511627776").validate().unwrap_err();
+        assert!(err.0.contains("exceeds the cap"), "{key}: {err}");
+    }
+    let at_cap = |key, v: usize| golden_with(key, &v.to_string()).validate();
+    at_cap("replicas", MAX_REPLICAS).unwrap();
+    at_cap("batch", MAX_BATCH).unwrap();
+    assert!(at_cap("replicas", MAX_REPLICAS + 1).is_err());
+    assert!(at_cap("batch", MAX_BATCH + 1).is_err());
 }
 
 /// Decode `text` as a document of the given kind; `true` when it

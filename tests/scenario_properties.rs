@@ -325,6 +325,23 @@ fn golden_scenario_runs_reproducibly() {
     assert_eq!(a.final_memory, b.final_memory);
 }
 
+/// A `tick_budget` of `u64::MAX` is effectively unbounded: the stall
+/// checks saturate instead of wrapping (a false "clock stalled" in release,
+/// an overflow panic in debug), so the run is exactly the budget-less one.
+#[test]
+fn a_maximal_tick_budget_runs_like_no_budget() {
+    let golden = Scenario::parse(include_str!("golden/canonical-scenario.json")).unwrap();
+    let agreement = Scenario::agreement(8, SourceSpec::Random(50), 2, 3);
+    for free in [golden, agreement] {
+        let capped = free.clone().tick_budget(u64::MAX);
+        capped.validate().unwrap();
+        let (want, got) = (free.run(), capped.run());
+        assert!(got.ok(), "{}", got.summary());
+        assert_eq!(got.ticks(), want.ticks(), "ticks");
+        assert_eq!(got.to_json(), want.to_json(), "work, outputs and verdicts");
+    }
+}
+
 /// Read a file committed at the repository root.
 fn committed(path: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
