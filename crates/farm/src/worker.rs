@@ -1,17 +1,17 @@
 //! The farm worker: drain queued suites by leasing cell shards.
 //!
 //! Per suite, the worker sweeps the shard list; for each shard it can
-//! claim (no lease, its own lease, or a torn/expired one), it appends
-//! `claimed` journal entries for the shard's unterminated cells, runs
-//! them on the shared trial runner (thread fan-out via the workspace's
-//! one resolver, [`resolve_threads`]), writes records content-addressed,
-//! and appends `committed`/`poisoned` — the exact per-cell protocol of
-//! `apex suite run`, so the journal replays identically and fsck needs
-//! no new record rules. Once every cell of a suite is terminal, whoever
-//! gets there finalizes: outcomes are reconstructed from verified
-//! records (and journal `poisoned` entries for record-less cells),
-//! assembled through the runner's own finish path, and the manifest
-//! written — byte-identical to a single-worker run.
+//! claim (no lease, its own lease, or a torn/expired one), it claims the
+//! shard's unterminated cells in one journal batch, runs them on the
+//! shared trial runner (thread fan-out via the workspace's one resolver,
+//! [`resolve_threads`]), and commits all their outcomes as one group —
+//! records content-addressed, then `committed`/`poisoned` — through the
+//! runner's own [`Committer`], so the journal replays identically and
+//! fsck needs no new record rules. Once every cell of a suite is
+//! terminal, whoever gets there finalizes: outcomes are reconstructed
+//! from verified records (and journal `poisoned` entries for
+//! record-less cells), assembled through the runner's own finish path,
+//! and the manifest written — byte-identical to a single-worker run.
 //!
 //! **Stalls cannot deadlock.** Lease expiry is operation-indexed on the
 //! journal; when a sweep makes no progress because another worker holds
@@ -26,9 +26,9 @@
 
 use apex_lab::runner::{resolve_threads, run_trials};
 use apex_lab::{
-    assemble_run, capture_cell, json_diff, lease_dir, lease_path, next_finish_seq, read_journal,
-    read_leases, terminal_entry, CacheLookup, Cell, Journal, JournalEntry, LabStore, Lease,
-    Manifest, Suite,
+    assemble_run, capture_cell, claim_entry, json_diff, lease_dir, lease_path, next_finish_seq,
+    read_journal, read_leases, terminal_entry, CacheLookup, Cell, CommitBatch, Committer,
+    JournalEntry, LabStore, Lease, Manifest, Suite,
 };
 use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
 use apex_scenario::{CacheStats, RunOpts, RunOutcome};
@@ -316,11 +316,7 @@ fn drain_suite_inner(
     let dir = store.suite_dir(digest);
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let journal_path = store.journal_path(digest);
-    let mut journal = Journal::new(&journal_path);
-    if let Some(f) = store.faults() {
-        journal = journal.with_faults(f.clone());
-    }
-    let jerr = |e: std::io::Error| format!("journal append failed: {e}");
+    let mut committer = Committer::new(store, digest, &opts.worker);
 
     // First scan: the memoization tally for this visit.
     for cell in cells {
@@ -350,14 +346,12 @@ fn drain_suite_inner(
         return Ok(());
     }
 
-    journal
-        .append(&JournalEntry::Started {
-            suite: digest.to_string(),
-            name: suite.name.clone(),
-            cells: cells.len() as u64,
-            resumed: journal_path.exists(),
-        })
-        .map_err(jerr)?;
+    committer.append(&JournalEntry::Started {
+        suite: digest.to_string(),
+        name: suite.name.clone(),
+        cells: cells.len() as u64,
+        resumed: journal_path.exists(),
+    })?;
 
     let shard_cells = opts.shard_cells.max(1);
     let n_shards = cells.len().div_ceil(shard_cells);
@@ -442,20 +436,25 @@ fn drain_suite_inner(
             );
 
             // Write-ahead: claim every pending cell of the shard, then
-            // run them with the shared thread fan-out, then commit.
-            for cell in &pending {
-                journal
-                    .append(&JournalEntry::Claimed {
-                        index: cell.index as u64,
-                        cell: cell.digest.clone(),
-                    })
-                    .map_err(jerr)?;
-            }
+            // run them with the shared thread fan-out, then commit them
+            // as one group.
+            committer.commit(&CommitBatch {
+                claims: pending.iter().map(|cell| claim_entry(cell)).collect(),
+                ..CommitBatch::default()
+            })?;
             let outcomes = run_trials(&pending, threads, |cell| {
                 capture_cell(store, cell, run_opts)
             });
+            commit_shard(
+                store,
+                digest,
+                &mut committer,
+                &pending,
+                &outcomes,
+                &opts.worker,
+                report,
+            )?;
             for (cell, outcome) in pending.iter().zip(&outcomes) {
-                commit_cell(store, digest, &journal, cell, outcome, &opts.worker, report)?;
                 report.executed += 1;
                 // Raw work including duplicate executions of stolen
                 // cells; the result plane is attributed at drain end.
@@ -479,7 +478,7 @@ fn drain_suite_inner(
             .all(|c| terminal(store, digest, c, &state.poisoned));
         if all_terminal {
             if !state.finished || store.read_manifest(digest).is_err() {
-                finalize(store, digest, suite, cells, &journal)?;
+                finalize(store, digest, suite, cells, &mut committer)?;
                 report.finalized.push(digest.to_string());
             }
             return Ok(());
@@ -503,12 +502,7 @@ fn drain_suite_inner(
             else {
                 continue;
             };
-            journal
-                .append(&JournalEntry::Claimed {
-                    index: first_pending.index as u64,
-                    cell: first_pending.digest.clone(),
-                })
-                .map_err(jerr)?;
+            committer.append(&claim_entry(first_pending))?;
             obs.emit(
                 "farm",
                 "probe",
@@ -524,20 +518,25 @@ fn drain_suite_inner(
     }
 }
 
-/// Durably record one outcome: write the record (unless verified
-/// identical bytes are already there) and append the journal entry.
-/// A byte disagreement with an existing verified record becomes a
-/// [`Divergence`]; the stored bytes stay ground truth.
-fn commit_cell(
+/// Durably record a shard's outcomes as one group commit: every record
+/// (unless verified identical bytes are already there), then every
+/// terminal line. A byte disagreement with an existing verified record
+/// becomes a [`Divergence`]; the stored bytes stay ground truth.
+fn commit_shard(
     store: &LabStore,
     digest: &str,
-    journal: &Journal,
-    cell: &Cell,
-    outcome: &RunOutcome,
+    committer: &mut Committer<'_>,
+    cells: &[&Cell],
+    outcomes: &[RunOutcome],
     worker: &str,
     report: &mut WorkerReport,
 ) -> Result<(), String> {
-    if let Some(record) = outcome.record() {
+    let mut batch = CommitBatch::default();
+    for (cell, outcome) in cells.iter().zip(outcomes) {
+        batch.terminals.push(terminal_entry(cell, outcome, worker));
+        let Some(record) = outcome.record() else {
+            continue;
+        };
         let fresh = record.render_pretty();
         match store.lookup_record(digest, &cell.digest, None) {
             CacheLookup::Hit(stored, _) if stored != fresh => {
@@ -552,16 +551,10 @@ fn commit_cell(
                 });
             }
             CacheLookup::Hit(..) => {} // identical bytes already durable
-            _ => {
-                store
-                    .write_record(digest, record)
-                    .map_err(|e| format!("record write failed: {e}"))?;
-            }
+            _ => batch.records.push(record),
         }
     }
-    journal
-        .append(&terminal_entry(cell, outcome, worker))
-        .map_err(|e| format!("journal append failed: {e}"))
+    committer.commit(&batch)
 }
 
 /// Merge + finalize: reconstruct every cell's outcome from verified
@@ -573,7 +566,7 @@ fn finalize(
     digest: &str,
     suite: &Suite,
     cells: &[Cell],
-    journal: &Journal,
+    committer: &mut Committer<'_>,
 ) -> Result<(), String> {
     let state = read_journal(&store.journal_path(digest)).unwrap_or_default();
     let mut outcomes = Vec::with_capacity(cells.len());
@@ -616,13 +609,10 @@ fn finalize(
     store
         .write_manifest(&manifest)
         .map_err(|e| format!("manifest write failed: {e}"))?;
-    journal
-        .append(&JournalEntry::Finished {
-            ok: run.all_ok(),
-            seq: next_finish_seq(store),
-        })
-        .map_err(|e| format!("journal append failed: {e}"))?;
-    Ok(())
+    committer.append(&JournalEntry::Finished {
+        ok: run.all_ok(),
+        seq: next_finish_seq(store),
+    })
 }
 
 /// Delete every lease file of a finalized suite and the `leases/`

@@ -4,15 +4,54 @@
 //! (`.apex/lab/<suite-digest>/journal.jsonl`) records the life of a run:
 //! `started`, then per cell `claimed` → (`committed` | `poisoned`), then
 //! `finished`. Every line is a versioned, self-contained compact-JSON
-//! record, appended with a single write and fsynced, so after a crash
-//! the journal is a prefix of a valid history (at worst the final line
-//! is torn — [`read_journal`] tolerates exactly that and nothing else).
+//! record. Lines are appended whole — one `write` per batch of lines —
+//! so after a crash the journal is a prefix of a valid history (at worst
+//! the final line is torn — [`read_journal`] tolerates exactly that and
+//! nothing else).
 //!
 //! Resume does **not** trust the journal for results — record files are
 //! content-addressed and digest-verified independently. The journal is
 //! the *intent* log: which cells a previous run claimed and how far it
 //! got, so `apex suite run --resume` can report what it is skipping and
 //! fsck can tell an in-flight suite directory from an abandoned one.
+//!
+//! # Group commit
+//!
+//! Cells are made durable in batches, not one at a time. The runner's
+//! [`Committer`](crate::runner::Committer) takes whatever claims and
+//! finished cells are ready and commits them in four steps:
+//!
+//! 1. append the batch's `claimed` lines ([`Journal::append_batch`],
+//!    no fsync) and write every finished record's bytes to the `.tmp`
+//!    sibling of its final path ([`LabStore::stage_text`], no fsync);
+//! 2. **barrier 1** — one filesystem sync covering the temp bytes and
+//!    every claim line written so far;
+//! 3. rename each temp file into place, then **barrier 2** — one fsync of
+//!    the suite directory;
+//! 4. append every terminal line (`committed` / `poisoned`) in one write,
+//!    then **barrier 3** — one fsync of the journal.
+//!
+//! A barrier with nothing to cover is skipped: a batch of claims alone
+//! issues none, and a batch without records issues only barrier 3. On a
+//! single runner thread every batch holds one event, so the journal's
+//! line order is the same as committing cell by cell.
+//!
+//! The protocol keeps five invariants, whatever instant a crash picks:
+//!
+//! 1. a record's final path never holds a torn file: its bytes are
+//!    durable (barrier 1) before its rename;
+//! 2. a durable terminal line implies its record's rename is durable
+//!    (barrier 2 precedes step 4);
+//! 3. a record at its final path implies its `claimed` line is durable
+//!    (claims are written in step 1, before barrier 1 and the rename);
+//! 4. for each cell, `claimed` precedes its terminal line in the file
+//!    (a cell's claim is appended in the same or an earlier batch);
+//! 5. `finished` is appended only after the manifest is durable.
+//!
+//! `tests/lab_faults.rs` checks 2–4 on disk after a kill at every
+//! journal boundary of a two-thread run.
+//!
+//! [`LabStore::stage_text`]: crate::store::LabStore::stage_text
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -261,19 +300,40 @@ impl Journal {
         &self.path
     }
 
-    /// Append one entry durably: a single `write` of the full line plus
-    /// newline, then fsync — a crash between appends never tears an
-    /// earlier line.
+    /// Append one entry durably: one line, then fsync.
     pub fn append(&self, entry: &JournalEntry) -> std::io::Result<()> {
-        if let Some(f) = &self.faults {
-            f.on_journal_append().map_err(std::io::Error::other)?;
+        self.append_batch(std::slice::from_ref(entry), true)
+    }
+
+    /// Append `entries` with a single `write` of all their lines, then
+    /// fsync when `sync` is set — a crash between appends never tears an
+    /// earlier line. The fault injector is asked once per line, so a kill
+    /// planned inside the batch lands exactly the lines before it. An
+    /// empty batch touches nothing.
+    pub fn append_batch(&self, entries: &[JournalEntry], sync: bool) -> std::io::Result<()> {
+        let mut text = String::new();
+        let mut killed = None;
+        for entry in entries {
+            if let Some(f) = &self.faults {
+                if let Err(e) = f.on_journal_append() {
+                    killed = Some(std::io::Error::other(e));
+                    break;
+                }
+            }
+            text.push_str(&entry.to_line());
+            text.push('\n');
         }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.write_all(format!("{}\n", entry.to_line()).as_bytes())?;
-        file.sync_all()
+        if !text.is_empty() {
+            let mut file = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&self.path)?;
+            file.write_all(text.as_bytes())?;
+            if sync {
+                file.sync_all()?;
+            }
+        }
+        killed.map_or(Ok(()), Err)
     }
 }
 
@@ -455,6 +515,32 @@ mod tests {
         std::fs::write(&path, broken).unwrap();
         let err = read_journal(&path).unwrap_err();
         assert!(err.contains("corrupt journal line"), "{err}");
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn batch_append_is_one_history_and_a_kill_inside_it_lands_the_prefix() {
+        use crate::fault::{is_kill, FaultInjector, FaultPlan};
+        let path = temp_journal("batch");
+        Journal::new(&path)
+            .append_batch(&sample_entries(), false)
+            .unwrap();
+        assert_eq!(read_journal(&path).unwrap().entries, sample_entries());
+
+        let path = temp_journal("batch-kill");
+        let inj = Arc::new(FaultInjector::new(FaultPlan {
+            kill_after_journal: Some(4),
+            ..FaultPlan::default()
+        }));
+        let journal = Journal::new(&path).with_faults(inj);
+        let entries = sample_entries();
+        journal.append_batch(&entries[..1], true).unwrap();
+        journal.append_batch(&[], true).unwrap();
+        let err = journal.append_batch(&entries[1..], true).unwrap_err();
+        assert!(is_kill(&err.to_string()), "{err}");
+        let state = read_journal(&path).unwrap();
+        assert_eq!(state.entries, entries[..4]);
+        assert!(!state.torn_tail);
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

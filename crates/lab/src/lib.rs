@@ -55,8 +55,8 @@ pub use lease::{
     LEASE_FORMAT_MAJOR,
 };
 pub use runner::{
-    assemble_run, capture_cell, run_cells, run_suite, run_suite_journaled, terminal_entry,
-    JournalOpts, JournaledRun, OutputMismatch, SuiteRun,
+    assemble_run, capture_cell, claim_entry, run_cells, run_suite, run_suite_journaled,
+    terminal_entry, CommitBatch, Committer, JournalOpts, JournaledRun, OutputMismatch, SuiteRun,
 };
 pub use store::{
     CacheLookup, LabStore, Manifest, ManifestCell, DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS,

@@ -3,13 +3,16 @@
 //!
 //! [`fan_out`] is the only code that spreads independent cells over OS
 //! threads, in the queue-dispatch shape: a shared cursor is the queue, N
-//! workers drain it, and the calling thread consumes every [`Event`] (the
-//! journaled runner claims and commits there). [`run_trials`] collects
-//! results in config order on top of it, so every artifact is
-//! byte-identical at any thread count ([`resolve_threads`]). With one
-//! thread, trials run inline on the caller's thread, so journal line
+//! workers drain it, and the calling thread consumes the [`Event`]s in
+//! batches — every event that is ready when it looks, so the journaled
+//! runner can make a whole batch durable at once ([`Committer`]).
+//! [`run_trials`] collects results in config order on top of it, so
+//! every artifact is byte-identical at any thread count
+//! ([`resolve_threads`]). With one thread, trials run inline on the
+//! caller's thread and every batch holds one event, so journal line
 //! order and trace interleaving are fully deterministic.
 
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
 
@@ -54,20 +57,23 @@ pub enum Event<T> {
 }
 
 /// Run `f` over every config on up to `threads` scoped OS threads and
-/// hand each trial's [`Event`]s to `on_event` on the calling thread —
-/// `Started(i)` before `Finished(i, …)` for every `i`. Each trial runs
-/// under `catch_unwind`, so a panic becomes `Finished(i, Err(message))`
-/// and the other trials run regardless.
+/// hand the trials' [`Event`]s to `on_batch` on the calling thread —
+/// `Started(i)` before `Finished(i, …)` for every `i`. Each batch is
+/// every event that was ready when the previous batch returned (never
+/// empty; no size or timeout bounds it). Each trial runs under
+/// `catch_unwind`, so a panic becomes `Finished(i, Err(message))` and
+/// the other trials run regardless.
 ///
 /// With `threads <= 1` (or a single config) the trials run inline on the
-/// caller's thread in config order, with no thread spawned. Returning
-/// `Err` from `on_event` stops the fan-out: workers take no further
-/// trials, and that error is returned once in-flight trials finish.
+/// caller's thread in config order, with no thread spawned, and every
+/// batch holds exactly one event. Returning `Err` from `on_batch` stops
+/// the fan-out: workers take no further trials, and that error is
+/// returned once in-flight trials finish.
 pub fn fan_out<C, T, E, F>(
     configs: &[C],
     threads: usize,
     f: F,
-    mut on_event: impl FnMut(Event<T>) -> Result<(), E>,
+    mut on_batch: impl FnMut(Vec<Event<T>>) -> Result<(), E>,
 ) -> Result<(), E>
 where
     C: Sync,
@@ -87,8 +93,8 @@ where
     let threads = threads.min(configs.len());
     if threads <= 1 {
         for (i, c) in configs.iter().enumerate() {
-            on_event(Event::Started(i))?;
-            on_event(Event::Finished(i, run_one(c)))?;
+            on_batch(vec![Event::Started(i)])?;
+            on_batch(vec![Event::Finished(i, run_one(c))])?;
         }
         return Ok(());
     }
@@ -115,10 +121,12 @@ where
         drop(tx);
 
         let mut first_err = Ok(());
-        for event in rx {
+        while let Ok(event) = rx.recv() {
+            let mut batch = vec![event];
+            batch.extend(rx.try_iter());
             // After an error, keep draining so workers exit promptly.
             if first_err.is_ok() {
-                first_err = on_event(event);
+                first_err = on_batch(batch);
                 if first_err.is_err() {
                     stop.store(true, Ordering::SeqCst);
                 }
@@ -143,9 +151,11 @@ where
     F: Fn(&C) -> T + Sync,
 {
     let mut slots: Vec<Option<Result<T, String>>> = (0..configs.len()).map(|_| None).collect();
-    let Ok(()) = fan_out(configs, threads, f, |event| {
-        if let Event::Finished(i, out) = event {
-            slots[i] = Some(out);
+    let Ok(()) = fan_out(configs, threads, f, |batch| {
+        for event in batch {
+            if let Event::Finished(i, out) = event {
+                slots[i] = Some(out);
+            }
         }
         Ok::<(), std::convert::Infallible>(())
     });
@@ -266,6 +276,15 @@ pub fn capture_cell(store: &LabStore, cell: &Cell, opts: &RunOpts) -> RunOutcome
     }
 }
 
+/// The journal entry that claims `cell` for execution. The journaled
+/// runner and the farm worker both claim through here.
+pub fn claim_entry(cell: &Cell) -> JournalEntry {
+    JournalEntry::Claimed {
+        index: cell.index as u64,
+        cell: cell.digest.clone(),
+    }
+}
+
 /// The journal entry that makes `cell` terminal: `committed` when its
 /// outcome carries a record, `poisoned` (with the outcome's status and
 /// message) when it does not. `by` names the committing worker (empty
@@ -289,6 +308,125 @@ pub fn terminal_entry(cell: &Cell, outcome: &RunOutcome, by: &str) -> JournalEnt
                 by,
             }
         }
+    }
+}
+
+/// One group commit's worth of durable writes for one suite.
+#[derive(Debug, Default)]
+pub struct CommitBatch<'r> {
+    /// `claimed` lines for the cells that started ([`claim_entry`]).
+    pub claims: Vec<JournalEntry>,
+    /// Records of the cells that finished with one, to be written.
+    pub records: Vec<&'r ReportRecord>,
+    /// Terminal lines for the cells that finished ([`terminal_entry`]).
+    pub terminals: Vec<JournalEntry>,
+}
+
+/// The group committer of one suite's journal and records: each
+/// [`Committer::commit`] makes a whole [`CommitBatch`] durable with at
+/// most three barriers, whatever its size (the protocol and the five
+/// invariants it keeps are in [`crate::journal`]). The journaled runner
+/// and the farm worker both commit through here, and it counts what it
+/// issued: [`Committer::fsyncs`] and [`Committer::bytes`].
+#[derive(Debug)]
+pub struct Committer<'s> {
+    store: &'s LabStore,
+    suite_digest: String,
+    by: String,
+    journal: Journal,
+    fsyncs: u64,
+    bytes: u64,
+}
+
+impl<'s> Committer<'s> {
+    /// A committer for `suite_digest`'s journal and records in `store`
+    /// (gated by the store's fault injector, if any), writing as `by`:
+    /// empty for a single runner, the worker id for a farm worker.
+    pub fn new(store: &'s LabStore, suite_digest: &str, by: &str) -> Self {
+        let mut journal = Journal::new(store.journal_path(suite_digest));
+        if let Some(f) = store.faults() {
+            journal = journal.with_faults(f.clone());
+        }
+        Committer {
+            store,
+            suite_digest: suite_digest.to_string(),
+            by: by.to_string(),
+            journal,
+            fsyncs: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Where the record bound for `path` is staged: its plain `.tmp`
+    /// sibling for a single runner, so a resumed run overwrites what a
+    /// crash left there. Farm workers may commit the same record at
+    /// once, so each stages its own file (`<name>.<worker>.tmp`) that
+    /// no other worker can truncate or rename.
+    fn temp_for(&self, path: &Path) -> std::io::Result<PathBuf> {
+        let tmp = apex_scenario::temp_path(path)?;
+        Ok(if self.by.is_empty() {
+            tmp
+        } else {
+            tmp.with_extension(format!("{}.tmp", self.by))
+        })
+    }
+
+    /// Append one entry durably (`started`, `finished`, a farm probe):
+    /// one line and one barrier.
+    pub fn append(&mut self, entry: &JournalEntry) -> Result<(), String> {
+        self.journal
+            .append(entry)
+            .map_err(|e| format!("journal append failed: {e}"))?;
+        self.fsyncs += 1;
+        Ok(())
+    }
+
+    /// Make `batch` durable: claims and staged records, barrier 1,
+    /// renames, barrier 2, terminal lines, barrier 3 — skipping each
+    /// barrier that would cover nothing.
+    pub fn commit(&mut self, batch: &CommitBatch<'_>) -> Result<(), String> {
+        let jerr = |e: std::io::Error| format!("journal append failed: {e}");
+        let werr = |e: std::io::Error| format!("record write failed: {e}");
+        self.journal
+            .append_batch(&batch.claims, false)
+            .map_err(jerr)?;
+        let (mut temps, mut paths) = (Vec::new(), Vec::new());
+        for record in &batch.records {
+            let text = record.render_pretty();
+            let path = self.store.record_path(&self.suite_digest, &record.digest());
+            let tmp = self.temp_for(&path).map_err(werr)?;
+            self.store.stage_text(&path, &tmp, &text).map_err(werr)?;
+            self.bytes += text.len() as u64;
+            temps.push(tmp);
+            paths.push(path);
+        }
+        if !temps.is_empty() {
+            self.store
+                .sync_staged(&self.suite_digest, &temps)
+                .map_err(werr)?;
+            for (tmp, path) in temps.iter().zip(&paths) {
+                std::fs::rename(tmp, path).map_err(werr)?;
+            }
+            self.store.sync_suite_dir(&self.suite_digest);
+            self.fsyncs += 2;
+        }
+        if !batch.terminals.is_empty() {
+            self.journal
+                .append_batch(&batch.terminals, true)
+                .map_err(jerr)?;
+            self.fsyncs += 1;
+        }
+        Ok(())
+    }
+
+    /// Durability barriers issued so far.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
+    }
+
+    /// Record bytes written so far.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 }
 
@@ -402,12 +540,13 @@ impl JournaledRun {
 
 /// Execute `suite` with a write-ahead journal in `store`.
 ///
-/// Protocol, per cell: append `claimed`, run the cell under
-/// `catch_unwind`, then either write the record atomically and append
-/// `committed`, or append `poisoned` (no record). The run starts with a
-/// `started` entry and — once the manifest is durably written — ends
-/// with `finished`. A crash at *any* boundary leaves a journal prefix
-/// plus a set of verified record files; re-running with
+/// Protocol: every cell is claimed (`claimed`) before it runs under
+/// `catch_unwind`, then either its record is written and `committed`
+/// appended, or `poisoned` is appended (no record). Claims and outcomes
+/// are group-committed in whatever batches [`fan_out`] hands over
+/// ([`Committer`]). The run starts with a `started` entry and — once the
+/// manifest is durably written — ends with `finished`. A crash at *any*
+/// boundary leaves a journal prefix plus a set of verified record files; re-running with
 /// `opts.resume = true` skips every cell whose content-addressed record
 /// already exists, parses, digest-verifies, and is byte-identical to
 /// its canonical rendering, then executes only the remainder. The final
@@ -434,10 +573,7 @@ pub fn run_suite_journaled(
         std::fs::remove_file(&journal_path)
             .map_err(|e| format!("{}: {e}", journal_path.display()))?;
     }
-    let mut journal = Journal::new(&journal_path);
-    if let Some(f) = store.faults() {
-        journal = journal.with_faults(f.clone());
-    }
+    let mut committer = Committer::new(store, &suite_digest, "");
 
     // Telemetry plane. The trace sink (when requested) sees lab-scope
     // cell-lifecycle events from this coordinator thread plus engine-
@@ -489,65 +625,65 @@ pub fn run_suite_journaled(
         }
     }
 
-    let jerr = |e: std::io::Error| format!("journal append failed: {e}");
-    journal
-        .append(&JournalEntry::Started {
-            suite: suite_digest.clone(),
-            name: suite.name.clone(),
-            cells: cells.len() as u64,
-            resumed: opts.resume,
-        })
-        .map_err(jerr)?;
+    committer.append(&JournalEntry::Started {
+        suite: suite_digest.clone(),
+        name: suite.name.clone(),
+        cells: cells.len() as u64,
+        resumed: opts.resume,
+    })?;
 
     let executed: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
 
-    // Journal + store writes all happen on this thread, in a strict
-    // claimed → (committed | poisoned) order per cell; workers only run
-    // scenarios. With `threads = 1` the cells run inline, so the line
-    // sequence is fully deterministic (the golden-journal test pins it).
+    // Journal + store writes all happen on this thread, one group commit
+    // per batch of events; workers only run scenarios. A cell's claim is
+    // committed in the batch of its `Started` event, before (or with)
+    // its outcome's. With `threads = 1` the cells run inline and every
+    // batch is one event, so the line sequence is fully deterministic
+    // (the golden-journal test pins it).
     let pending: Vec<&Cell> = executed.iter().map(|&i| &cells[i]).collect();
     let started_at = std::time::Instant::now();
     fan_out(
         &pending,
         resolve_threads(opts.threads),
         |cell| capture_cell(store, cell, &run_opts),
-        |event| -> Result<(), String> {
-            match event {
-                Event::Started(k) => {
-                    let cell = pending[k];
-                    journal
-                        .append(&JournalEntry::Claimed {
-                            index: cell.index as u64,
-                            cell: cell.digest.clone(),
-                        })
-                        .map_err(jerr)?;
-                    obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
-                }
-                Event::Finished(k, outcome) => {
-                    let cell = pending[k];
-                    let outcome = outcome
-                        .map_err(|msg| format!("cell {} worker panicked: {msg}", cell.index))?;
-                    if let Some(record) = outcome.record() {
-                        store
-                            .write_record(&suite_digest, record)
-                            .map_err(|e| format!("record write failed: {e}"))?;
+        |batch| -> Result<(), String> {
+            let mut started = Vec::new();
+            let mut finished = Vec::new();
+            for event in batch {
+                match event {
+                    Event::Started(k) => started.push(pending[k]),
+                    Event::Finished(k, outcome) => {
+                        let cell = pending[k];
+                        let outcome = outcome
+                            .map_err(|msg| format!("cell {} worker panicked: {msg}", cell.index))?;
+                        finished.push((cell, outcome));
                     }
-                    journal
-                        .append(&terminal_entry(cell, &outcome, ""))
-                        .map_err(jerr)?;
-                    let (index, digest) = (cell.index as u64, &cell.digest);
-                    match outcome.record() {
-                        Some(_) => obs.emit(
-                            "lab",
-                            "commit",
-                            index,
-                            digest,
-                            &[("ok", outcome.ok().into())],
-                        ),
-                        None => obs.emit("lab", outcome.status(), index, digest, &[]),
-                    }
-                    slots[cell.index] = Some(outcome);
                 }
+            }
+            committer.commit(&CommitBatch {
+                claims: started.iter().map(|cell| claim_entry(cell)).collect(),
+                records: finished.iter().filter_map(|(_, o)| o.record()).collect(),
+                terminals: finished
+                    .iter()
+                    .map(|(cell, o)| terminal_entry(cell, o, ""))
+                    .collect(),
+            })?;
+            for cell in started {
+                obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
+            }
+            for (cell, outcome) in finished {
+                let (index, digest) = (cell.index as u64, &cell.digest);
+                match outcome.record() {
+                    Some(_) => obs.emit(
+                        "lab",
+                        "commit",
+                        index,
+                        digest,
+                        &[("ok", outcome.ok().into())],
+                    ),
+                    None => obs.emit("lab", outcome.status(), index, digest, &[]),
+                }
+                slots[cell.index] = Some(outcome);
             }
             Ok(())
         },
@@ -573,19 +709,25 @@ pub fn run_suite_journaled(
         .map_err(|e| format!("manifest write failed: {e}"))?;
     // Telemetry, not store identity — written before the `finished` line
     // so a crash right after finalize still has it.
-    let metrics = build_run_metrics(opts, &run, &cache, &executed, executed_ticks, elapsed_ms);
+    let metrics = build_run_metrics(
+        opts,
+        &run,
+        &cache,
+        &executed,
+        executed_ticks,
+        elapsed_ms,
+        &committer,
+    );
     if !metrics.is_empty() {
         store
             .write_metrics(&suite_digest, &metrics)
             .map_err(|e| format!("metrics write failed: {e}"))?;
     }
     obs.flush();
-    journal
-        .append(&JournalEntry::Finished {
-            ok: run.all_ok(),
-            seq: next_finish_seq(store),
-        })
-        .map_err(jerr)?;
+    committer.append(&JournalEntry::Finished {
+        ok: run.all_ok(),
+        seq: next_finish_seq(store),
+    })?;
     Ok(JournaledRun {
         run,
         manifest,
@@ -606,8 +748,11 @@ pub fn run_suite_journaled(
 /// partition-independent slice: `cells.*` / `ticks.*` counters and
 /// `cells.*` gauges are deterministic functions of *what* was computed
 /// (a fleet drain's merge equals the serial run's aggregate), while
-/// `cache.*` coordination tallies and wall-clock `time.*` describe *how
-/// this run* got there.
+/// `cache.*` coordination tallies, the committer's `store.*` counts and
+/// wall-clock `time.*` describe *how this run* got there. `store.fsyncs`
+/// counts the barriers issued before the manifest (the `started` line
+/// and every group commit's); at more than one thread it depends on how
+/// events happened to batch.
 fn build_run_metrics(
     opts: &JournalOpts,
     run: &SuiteRun,
@@ -615,6 +760,7 @@ fn build_run_metrics(
     executed: &[usize],
     executed_ticks: u64,
     elapsed_ms: u64,
+    committer: &Committer<'_>,
 ) -> Metrics {
     let mut metrics = Metrics::new();
     if !(opts.obs.metrics || opts.obs.profile || opts.cached || opts.timing) {
@@ -632,6 +778,8 @@ fn build_run_metrics(
     metrics.add("cache.hits", cache.hits);
     metrics.add("cache.misses", cache.misses);
     metrics.add("cache.rejected", cache.rejected);
+    metrics.add("store.fsyncs", committer.fsyncs());
+    metrics.add("store.bytes", committer.bytes());
     for &i in executed {
         if let Some(record) = run.outcomes[i].record() {
             metrics.observe_with("cells.ticks", &POW2_BOUNDS, record.report.ticks());
@@ -678,11 +826,12 @@ mod tests {
                 assert_eq!(std::thread::current().id(), caller, "inline trials");
                 c + 1
             },
-            |event| {
-                seen.push(match event {
+            |batch| {
+                assert_eq!(batch.len(), 1, "inline batches hold one event");
+                seen.extend(batch.into_iter().map(|event| match event {
                     Event::Started(i) => format!("s{i}"),
                     Event::Finished(i, out) => format!("f{i}={}", out.unwrap()),
-                });
+                }));
                 Ok(())
             },
         );
@@ -703,13 +852,16 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                     ran.fetch_add(1, Ordering::SeqCst)
                 },
-                |event| match event {
-                    Event::Finished(..) if finished == 2 => Err("stop"),
-                    Event::Finished(..) => {
-                        finished += 1;
-                        Ok(())
+                |batch| {
+                    for event in batch {
+                        if let Event::Finished(..) = event {
+                            if finished == 2 {
+                                return Err("stop");
+                            }
+                            finished += 1;
+                        }
                     }
-                    Event::Started(_) => Ok(()),
+                    Ok(())
                 },
             );
             assert_eq!(done, Err("stop"));

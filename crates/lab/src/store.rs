@@ -19,13 +19,19 @@
 //! is drift. The manifest carries no timestamps for exactly that reason:
 //! two runs of one suite must be byte-identical, end to end.
 //!
-//! **Crash safety.** Every write goes through temp + fsync + rename
-//! ([`apex_scenario::atomic_write`]), so a kill at any instant leaves
-//! old bytes, new bytes, or a stale `.tmp` sibling — never a torn file
-//! at a final path. Transient I/O errors are retried a bounded number of
-//! times with *attempt-indexed* backoff (the delay is a pure function of
-//! the attempt number, never of wall-clock readings), so a run's
-//! fault-handling behavior is as reproducible as its results. A
+//! **Crash safety.** Every write goes through temp + fsync + rename, so
+//! a kill at any instant leaves old bytes, new bytes, or a stale `.tmp`
+//! sibling — never a torn file at a final path. One-off writes
+//! (manifests, metrics, leases) do all three steps themselves
+//! ([`LabStore::write_text`]). Cell records are group-committed instead:
+//! [`LabStore::stage_text`] writes a batch's temp files unsynced,
+//! [`LabStore::sync_staged`] makes them durable with one barrier, the
+//! committer renames them, and [`LabStore::sync_suite_dir`] makes the
+//! renames durable with a second — see the protocol and its invariants
+//! in [`crate::journal`]. Transient I/O errors are retried a bounded
+//! number of times with *attempt-indexed* backoff (the delay is a pure
+//! function of the attempt number, never of wall-clock readings), so a
+//! run's fault-handling behavior is as reproducible as its results. A
 //! [`FaultInjector`] can be installed to exercise all of this
 //! deterministically — see `tests/lab_faults.rs`.
 
@@ -401,6 +407,70 @@ impl LabStore {
     /// [`KILL_MARKER`] are fatal and never retried: a dead process
     /// cannot try again.
     pub fn write_text(&self, path: &Path, text: &str) -> std::io::Result<()> {
+        self.write_with_faults(path, text, |bytes| {
+            apex_scenario::atomic_write_bytes(path, bytes)
+        })
+    }
+
+    /// Stage `text` for a group commit: write it to the temp file `tmp`
+    /// with no fsync; the caller syncs ([`LabStore::sync_staged`]) and
+    /// then renames `tmp` over `path`. Retries and fault directives are
+    /// exactly [`LabStore::write_text`]'s, under one store-write index
+    /// per call — a planned torn write lands its prefix at `path`.
+    pub fn stage_text(&self, path: &Path, tmp: &Path, text: &str) -> std::io::Result<()> {
+        self.write_with_faults(path, text, |bytes| std::fs::write(tmp, bytes))
+    }
+
+    /// Barrier 1 of a group commit: make the staged temp files `temps`
+    /// and every journal line written so far in `suite_digest` durable.
+    /// On Linux this is one `syncfs(2)` of the store's filesystem;
+    /// elsewhere each file is synced in turn.
+    pub fn sync_staged(&self, suite_digest: &str, temps: &[PathBuf]) -> std::io::Result<()> {
+        #[cfg(target_os = "linux")]
+        {
+            let _ = temps;
+            syncfs(&self.suite_dir(suite_digest))
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let sync = |path: &Path| {
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(path)?
+                    .sync_all()
+            };
+            for tmp in temps {
+                sync(tmp)?;
+            }
+            let journal = self.journal_path(suite_digest);
+            if journal.exists() {
+                sync(&journal)?;
+            }
+            Ok(())
+        }
+    }
+
+    /// Barrier 2 of a group commit: fsync one suite's directory so the
+    /// renames into it are durable (best-effort on filesystems that do
+    /// not support opening directories for sync, like
+    /// [`apex_scenario::atomic_write`]).
+    pub fn sync_suite_dir(&self, suite_digest: &str) {
+        if let Ok(d) = std::fs::File::open(self.suite_dir(suite_digest)) {
+            let _ = d.sync_all();
+        }
+    }
+
+    /// One logical store write of `text` toward `path` under the fault
+    /// plan: claim its store-write index, then per attempt ask the
+    /// injector what to do — `write` the bytes (flipped, for a planned
+    /// bit flip), fail transiently and back off, or tear a prefix onto
+    /// `path` and die.
+    fn write_with_faults(
+        &self,
+        path: &Path,
+        text: &str,
+        write: impl Fn(&[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         let write_idx = self.faults.as_ref().map(|f| f.next_store_write());
         let mut last_err = None;
         for attempt in 0..MAX_WRITE_ATTEMPTS {
@@ -416,7 +486,7 @@ impl LabStore {
                 _ => WriteDirective::Proceed,
             };
             let result = match directive {
-                WriteDirective::Proceed => apex_scenario::atomic_write(path, text),
+                WriteDirective::Proceed => write(text.as_bytes()),
                 WriteDirective::Flip { byte, mask } => {
                     // Silent corruption: the write "succeeds" with one
                     // byte XORed — only integrity checking can tell.
@@ -425,7 +495,7 @@ impl LabStore {
                         let i = byte.min(bytes.len() - 1);
                         bytes[i] ^= mask;
                     }
-                    atomic_write_bytes(path, &bytes)
+                    write(&bytes)
                 }
                 WriteDirective::Torn(keep) => {
                     // A torn write lands a prefix at the *final* path
@@ -573,26 +643,21 @@ impl LabStore {
     }
 }
 
-/// Byte-level sibling of [`apex_scenario::atomic_write`] (bit-flip
-/// injection can produce non-UTF-8 content, which must still be written
-/// with full temp + fsync + rename discipline).
-fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| std::io::Error::other(format!("{}: no file name", path.display())))?;
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+/// `syncfs(2)` on the filesystem holding `dir`: one barrier that makes
+/// every dirty file on it durable — a whole batch of temp files and the
+/// journal's pending lines at once.
+#[cfg(target_os = "linux")]
+fn syncfs(dir: &Path) -> std::io::Result<()> {
+    use std::os::fd::AsRawFd as _;
+    extern "C" {
+        fn syncfs(fd: std::os::raw::c_int) -> std::os::raw::c_int;
     }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
+    let d = std::fs::File::open(dir)?;
+    // SAFETY: `syncfs` reads no memory of ours; it takes one descriptor,
+    // which `d` keeps open for the duration of the call.
+    if unsafe { syncfs(d.as_raw_fd()) } == 0 {
+        Ok(())
+    } else {
+        Err(std::io::Error::last_os_error())
     }
-    Ok(())
 }

@@ -43,7 +43,10 @@ pub use outcome::{RunOutcome, OUTCOME_FORMAT_MAJOR, OUTCOME_FORMAT_MINOR};
 pub use program::{
     op_from_name, op_name, program_from_json, program_to_json, scheme_from_label, ProgramSource,
 };
-pub use record::{atomic_write, ReportRecord, RECORD_FORMAT_MAJOR, RECORD_FORMAT_MINOR};
+pub use record::{
+    atomic_write, atomic_write_bytes, temp_path, ReportRecord, RECORD_FORMAT_MAJOR,
+    RECORD_FORMAT_MINOR,
+};
 pub use report::{
     scheme_report_from_json, scheme_report_to_json, verify_report_from_json, verify_report_to_json,
     AgreementRunReport, ScenarioReport,
@@ -51,7 +54,7 @@ pub use report::{
 pub use scenario::{
     agreement_config_from_json, agreement_config_to_json, fnv1a64, EngineKnobs, Mode,
     ProgramEngine, RunOpts, Scenario, ScenarioError, SourceSpec, FORMAT_MAJOR, FORMAT_MINOR,
-    MAX_BATCH, MAX_N, MAX_REPLICAS,
+    MAX_BATCH, MAX_N, MAX_PHASES, MAX_REPLICAS,
 };
 
 #[cfg(test)]

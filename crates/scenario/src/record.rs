@@ -8,7 +8,7 @@
 //! the same scenario always lands at the same address, and a re-run that
 //! produces different bytes at that address *is* drift.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use apex_sim::{Json, JsonError};
 
@@ -28,21 +28,36 @@ fn jerr(msg: impl Into<String>) -> JsonError {
     }
 }
 
-/// Write `text` to `path` atomically: write a `.tmp` sibling, fsync it,
-/// rename it over `path`, then fsync the parent directory. A crash at any
-/// point leaves either the old bytes, the new bytes, or a stale `.tmp`
-/// sibling — never a torn file at the final path. This is the one write
-/// primitive every store/artifact writer in the workspace goes through.
-pub fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
-    use std::io::Write;
+/// The `.tmp` sibling an atomic write stages its bytes in
+/// (`<name>.tmp` next to `path`). A leftover one is the only debris a
+/// crash mid-write can leave.
+pub fn temp_path(path: &Path) -> std::io::Result<PathBuf> {
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())
         .ok_or_else(|| std::io::Error::other(format!("{}: no file name", path.display())))?;
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
+    Ok(path.with_file_name(format!("{file_name}.tmp")))
+}
+
+/// Write `text` to `path` atomically: write a `.tmp` sibling, fsync it,
+/// rename it over `path`, then fsync the parent directory. A crash at any
+/// point leaves either the old bytes, the new bytes, or a stale `.tmp`
+/// sibling — never a torn file at the final path. Every one-off
+/// store/artifact write in the workspace goes through it (the lab's
+/// group commit stages, syncs and renames record batches itself).
+pub fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
+    atomic_write_bytes(path, text.as_bytes())
+}
+
+/// Byte-level [`atomic_write`] (fault injection can produce non-UTF-8
+/// content, which must still be written with full temp + fsync + rename
+/// discipline).
+pub fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let tmp = temp_path(path)?;
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;

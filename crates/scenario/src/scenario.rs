@@ -44,6 +44,11 @@ pub const MAX_REPLICAS: usize = 64;
 /// allocates its schedule-prefetch queue up front (the default is 256).
 pub const MAX_BATCH: usize = 1 << 16;
 
+/// Most agreement phases [`Scenario::validate`] accepts: the run collects
+/// one outcome per phase up front, so an unbounded count would abort on
+/// allocation (the committed suites run 1–2, the experiments 3–4).
+pub const MAX_PHASES: usize = 1 << 16;
+
 /// Why a scenario is ill-formed (from [`Scenario::validate`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScenarioError(pub String);
@@ -486,6 +491,11 @@ impl Scenario {
                 }
                 if *phases < 1 {
                     return fail("agreement scenario must run ≥ 1 phase".into());
+                }
+                if *phases > MAX_PHASES {
+                    return fail(format!(
+                        "agreement phases {phases} exceeds the cap of {MAX_PHASES}"
+                    ));
                 }
                 source.validate()?;
                 if let Some(cfg) = &self.agreement {

@@ -71,6 +71,15 @@ pub enum OverlayKind {
     },
 }
 
+/// A sleepy pattern's period, `awake + asleep`, must fit in a `u64`: a
+/// wrapped period is a zero divisor when the pattern is sampled.
+fn sleepy_period(awake: u64, asleep: u64, what: &str) -> Result<(), String> {
+    awake
+        .checked_add(asleep)
+        .map(|_| ())
+        .ok_or_else(|| format!("{what} period awake + asleep = {awake} + {asleep} overflows a u64"))
+}
+
 impl OverlayKind {
     fn validate(&self) -> Result<(), String> {
         let frac = |x: f64, what: &str| {
@@ -83,14 +92,15 @@ impl OverlayKind {
         match *self {
             OverlayKind::Crash { crash_frac, .. } => frac(crash_frac, "overlay crash_frac"),
             OverlayKind::Sleepy {
-                sleepy_frac, awake, ..
+                sleepy_frac,
+                awake,
+                asleep,
             } => {
                 frac(sleepy_frac, "overlay sleepy_frac")?;
-                if awake >= 1 {
-                    Ok(())
-                } else {
-                    Err("overlay awake window must be ≥ 1".into())
+                if awake < 1 {
+                    return Err("overlay awake window must be ≥ 1".into());
                 }
+                sleepy_period(awake, asleep, "overlay")
             }
         }
     }
@@ -644,14 +654,15 @@ impl ScheduleKind {
                 }
             }
             ScheduleKind::Sleepy {
-                sleepy_frac, awake, ..
+                sleepy_frac,
+                awake,
+                asleep,
             } => {
                 frac(*sleepy_frac, "sleepy sleepy_frac")?;
-                if *awake >= 1 {
-                    Ok(())
-                } else {
-                    Err("sleepy awake window must be ≥ 1".into())
+                if *awake < 1 {
+                    return Err("sleepy awake window must be ≥ 1".into());
                 }
+                sleepy_period(*awake, *asleep, "sleepy")
             }
             ScheduleKind::Crash { crash_frac, .. } => frac(*crash_frac, "crash crash_frac"),
             ScheduleKind::Scripted(spec) => {

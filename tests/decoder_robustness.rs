@@ -17,9 +17,11 @@
 //!
 //! Oversized documents are typed errors too: a suite whose grid asks for
 //! more than [`MAX_SUITE_CELLS`] cells, or a scenario whose machine is
-//! larger than [`MAX_N`], whose replica factor exceeds [`MAX_REPLICAS`] or
-//! whose engine batch exceeds [`MAX_BATCH`], is rejected before anything
-//! is allocated.
+//! larger than [`MAX_N`], whose replica factor exceeds [`MAX_REPLICAS`],
+//! whose engine batch exceeds [`MAX_BATCH`] or whose agreement phases
+//! exceed [`MAX_PHASES`], is rejected before anything is allocated. A
+//! sleepy adversary whose period `awake + asleep` overflows is rejected
+//! by validation instead of dividing by a wrapped zero mid-run.
 //!
 //! Finally, a mutation sweep feeds every decoder truncations at every
 //! byte, a one-byte substitution at every position, and numeric
@@ -34,7 +36,8 @@ use apex_lab::{
 };
 use apex_obs::{Metrics, TraceEvent};
 use apex_scenario::{
-    ProgramSource, ReportRecord, RunOutcome, Scenario, SourceSpec, MAX_BATCH, MAX_N, MAX_REPLICAS,
+    ProgramSource, ReportRecord, RunOutcome, Scenario, SourceSpec, MAX_BATCH, MAX_N, MAX_PHASES,
+    MAX_REPLICAS,
 };
 use apex_scheme::SchemeKind;
 use apex_sim::json::MAX_DEPTH;
@@ -247,6 +250,52 @@ fn an_oversized_replica_factor_or_batch_is_a_typed_error() {
     at_cap("batch", MAX_BATCH).unwrap();
     assert!(at_cap("replicas", MAX_REPLICAS + 1).is_err());
     assert!(at_cap("batch", MAX_BATCH + 1).is_err());
+}
+
+#[test]
+fn an_oversized_agreement_phase_count_is_a_typed_error() {
+    // 2^40 phases aborted `apex run` collecting one outcome per phase.
+    let huge = Scenario::agreement(8, SourceSpec::Random(50), 1 << 40, 0);
+    let err = huge.validate().unwrap_err();
+    assert!(err.0.contains("exceeds the cap"), "{err}");
+    let reloaded = Scenario::parse(&huge.render_pretty()).unwrap();
+    assert_eq!(reloaded.validate(), Err(err));
+    // The run path hits the same check and poisons the cell, never aborts.
+    assert_eq!(RunOutcome::capture(&huge).status(), "poisoned");
+    let at_cap = Scenario::agreement(8, SourceSpec::Random(50), MAX_PHASES, 0);
+    at_cap.validate().unwrap();
+    let past_cap = Scenario::agreement(8, SourceSpec::Random(50), MAX_PHASES + 1, 0);
+    assert!(past_cap.validate().is_err());
+}
+
+/// A sleepy period of `u64::MAX + 1` ticks, as a base and as an overlay.
+fn overflowing_sleepy_specs() -> Vec<AdversarySpec> {
+    let fields = r#""sleepy_frac": 0.5, "awake": 18446744073709551615, "asleep": 1"#;
+    [
+        format!(r#"{{"kind": "sleepy", {fields}}}"#),
+        format!(
+            r#"{{"kind": "overlay", "layer": "sleepy", {fields}, "base": {{"kind": "uniform"}}}}"#
+        ),
+    ]
+    .iter()
+    .map(|text| AdversarySpec::from_json(&Json::parse(text).unwrap()).unwrap())
+    .collect()
+}
+
+#[test]
+fn an_overflowing_sleepy_base_period_is_rejected() {
+    let err = overflowing_sleepy_specs()[0].validate(8).unwrap_err();
+    assert!(err.contains("overflows"), "{err}");
+}
+
+#[test]
+fn an_overflowing_sleepy_overlay_period_is_rejected() {
+    let spec = &overflowing_sleepy_specs()[1];
+    let err = spec.validate(8).unwrap_err();
+    assert!(err.contains("overflows"), "{err}");
+    // A scenario carrying it is rejected before it runs.
+    let scenario = Scenario::agreement(8, SourceSpec::Random(50), 1, 0).schedule(spec.clone());
+    assert!(scenario.validate().unwrap_err().0.contains("overflows"));
 }
 
 /// Decode `text` as a document of the given kind; `true` when it

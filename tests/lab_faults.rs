@@ -13,16 +13,20 @@
 //!   `fsck`, which never reports an issue on a clean store and never
 //!   deletes — repair moves files to quarantine;
 //! * a panicking cell poisons exactly itself; transient write errors are
-//!   absorbed by bounded retry.
+//!   absorbed by bounded retry;
+//! * at two runner threads, where cells are group-committed in batches
+//!   of whatever finished together, a kill at any journal boundary leaves
+//!   the protocol's on-disk invariants intact (see `apex_lab::journal`).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use apex_lab::{
-    fsck, gc, is_kill, run_suite_journaled, BitFlip, FaultInjector, FaultPlan, FsckIssueKind, Grid,
-    JournalOpts, LabStore, SeedRange, Suite, TornWrite, TransientFault, CELL_PANIC_MARKER,
-    JOURNAL_FILE,
+    claim_entry, fsck, gc, is_kill, read_journal, run_suite_journaled, terminal_entry, BitFlip,
+    CacheLookup, CommitBatch, Committer, FaultInjector, FaultPlan, FsckIssueKind, Grid,
+    JournalEntry, JournalOpts, LabStore, SeedRange, Suite, TornWrite, TransientFault,
+    CELL_PANIC_MARKER, JOURNAL_FILE,
 };
 use apex_scenario::{ProgramSource, RunOutcome, Scenario, SourceSpec};
 use apex_scheme::SchemeKind;
@@ -159,6 +163,154 @@ fn kill_at_every_journal_boundary_then_resume_converges() {
     let done = run_suite_journaled(&suite, &store, &serial()).unwrap();
     assert!(done.run.all_ok());
     assert_eq!(file_map(&store.suite_dir(&suite.digest())), reference);
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(ref_root);
+}
+
+/// Invariants 2–4 of the group-commit protocol, checked on disk after a
+/// kill: every terminal line's cell was claimed earlier in the file, every
+/// `committed` line's record sits at its final path and verifies, and no
+/// record exists without a `claimed` line.
+fn assert_commit_invariants(store: &LabStore, suite: &Suite, k: u64) {
+    let digest = suite.digest();
+    let state = read_journal(&store.journal_path(&digest)).unwrap_or_default();
+    let mut claimed = std::collections::BTreeSet::new();
+    for entry in &state.entries {
+        match entry {
+            JournalEntry::Claimed { cell, .. } => {
+                claimed.insert(cell.clone());
+            }
+            JournalEntry::Committed { cell, .. } | JournalEntry::Poisoned { cell, .. } => {
+                assert!(
+                    claimed.contains(cell),
+                    "boundary {k}: {cell} terminal before claim"
+                );
+                if let JournalEntry::Committed { .. } = entry {
+                    assert!(
+                        matches!(
+                            store.lookup_record(&digest, cell, None),
+                            CacheLookup::Hit(..)
+                        ),
+                        "boundary {k}: {cell} committed without a verified record"
+                    );
+                }
+            }
+            _ => {}
+        }
+    }
+    for record in store.record_digests(&digest).unwrap_or_default() {
+        assert!(
+            claimed.contains(&record),
+            "boundary {k}: record {record} was never claimed"
+        );
+    }
+}
+
+#[test]
+fn kill_at_every_journal_boundary_at_two_threads_keeps_the_commit_invariants() {
+    let suite = sweep_suite();
+    let cells = suite.expand().unwrap().len();
+    // Batching changes when lines land, not how many: still started +
+    // (claimed + terminal) per cell + finished.
+    let total_appends = (2 * cells + 2) as u64;
+    let (reference, ref_root) = reference_map(&suite, "sweep2-ref");
+    let two = |resume| JournalOpts {
+        resume,
+        threads: Some(2),
+        ..JournalOpts::default()
+    };
+
+    for k in 0..total_appends {
+        let store = temp_store(&format!("sweep2-{k}"));
+        let injector = Arc::new(FaultInjector::new(FaultPlan {
+            kill_after_journal: Some(k),
+            ..FaultPlan::default()
+        }));
+        let faulty = store.clone().with_faults(injector);
+        let err = run_suite_journaled(&suite, &faulty, &two(false)).unwrap_err();
+        assert!(is_kill(&err), "boundary {k}: {err}");
+        let state = read_journal(&store.journal_path(&suite.digest())).unwrap_or_default();
+        assert_eq!(state.entries.len() as u64, k, "boundary {k}");
+        assert!(!state.torn_tail);
+        assert_commit_invariants(&store, &suite, k);
+
+        let done = run_suite_journaled(&suite, &store, &two(true)).unwrap();
+        assert_eq!(done.skipped.len() + done.executed.len(), cells);
+        assert_eq!(
+            file_map(&store.suite_dir(&suite.digest())),
+            reference,
+            "boundary {k}: resumed store diverges from the serial run"
+        );
+        let report = fsck(&store, false).unwrap();
+        assert!(report.clean(), "boundary {k}: {}", report.summary());
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+    let _ = std::fs::remove_dir_all(ref_root);
+}
+
+#[test]
+fn torn_write_inside_a_multi_record_batch_is_healed_by_resume() {
+    let suite = sweep_suite();
+    let cells = suite.expand().unwrap();
+    let (reference, ref_root) = reference_map(&suite, "batch-torn-ref");
+    let store = temp_store("batch-torn");
+    let faulty = store
+        .clone()
+        .with_faults(Arc::new(FaultInjector::new(FaultPlan {
+            // Store write 1 is the batch's second record: the first is
+            // staged in its temp file when the second tears.
+            torn_write: Some(TornWrite { write: 1, keep: 40 }),
+            ..FaultPlan::default()
+        })));
+    // One batch holding every cell's claim, record and terminal line.
+    let outcomes: Vec<RunOutcome> = cells
+        .iter()
+        .map(|c| RunOutcome::capture(&c.scenario))
+        .collect();
+    std::fs::create_dir_all(store.suite_dir(&suite.digest())).unwrap();
+    let mut committer = Committer::new(&faulty, &suite.digest(), "");
+    committer
+        .append(&JournalEntry::Started {
+            suite: suite.digest(),
+            name: suite.name.clone(),
+            cells: cells.len() as u64,
+            resumed: false,
+        })
+        .unwrap();
+    let err = committer
+        .commit(&CommitBatch {
+            claims: cells.iter().map(claim_entry).collect(),
+            records: outcomes.iter().filter_map(RunOutcome::record).collect(),
+            terminals: cells
+                .iter()
+                .zip(&outcomes)
+                .map(|(c, o)| terminal_entry(c, o, ""))
+                .collect(),
+        })
+        .unwrap_err();
+    assert!(is_kill(&err), "{err}");
+
+    // The batch died before any rename: every cell claimed, none
+    // terminal, one torn record and one staged temp on disk.
+    let state = read_journal(&store.journal_path(&suite.digest())).unwrap();
+    assert_eq!(state.claimed.len(), cells.len());
+    assert!(state.committed.is_empty());
+    assert_commit_invariants(&store, &suite, 0);
+    let kinds: Vec<FsckIssueKind> = fsck(&store, false)
+        .unwrap()
+        .issues
+        .iter()
+        .map(|i| i.kind)
+        .collect();
+    assert!(kinds.contains(&FsckIssueKind::TornOrTruncated), "{kinds:?}");
+    assert!(kinds.contains(&FsckIssueKind::StaleTemp), "{kinds:?}");
+
+    // Resume trusts neither file: it re-runs every cell, overwrites the
+    // staged temp, and converges with no debris left.
+    let done = run_suite_journaled(&suite, &store, &resume_serial()).unwrap();
+    assert_eq!(done.executed.len(), cells.len());
+    assert_eq!(file_map(&store.suite_dir(&suite.digest())), reference);
+    assert!(fsck(&store, false).unwrap().clean());
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(ref_root);
 }

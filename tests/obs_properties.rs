@@ -7,6 +7,9 @@
 //! * a fully instrumented suite run (`--trace --metrics`) writes a store
 //!   byte-identical — outside the telemetry sidecars — to an
 //!   uninstrumented run, at worker-thread counts 1, 2, and 4;
+//! * the store counters (`store.fsyncs`, `store.bytes`) the metrics carry
+//!   are coordination-plane only, and at one thread `store.fsyncs` is
+//!   exactly three barriers per executed cell plus the `started` line;
 //! * `apex obs metrics --merge` over a racing two-worker farm drain
 //!   equals the serial run's aggregate on the result plane, even when
 //!   lease stealing makes both workers execute the same cell;
@@ -125,6 +128,14 @@ proptest! {
             // The metrics sidecar round-trips through its own codec.
             let stored = Metrics::load(&lit_store.metrics_path(&suite.digest())).unwrap();
             prop_assert_eq!(&stored, &done.metrics);
+            // The store counters are there, count what was written, and
+            // stay out of the result plane.
+            let record_bytes: usize = done.run.records().map(|r| r.render_pretty().len()).sum();
+            prop_assert_eq!(done.metrics.counter("store.bytes"), record_bytes as u64);
+            prop_assert!(done.metrics.counter("store.fsyncs") > 0);
+            let plane = done.metrics.result_plane();
+            prop_assert_eq!(plane.counter("store.fsyncs"), 0);
+            prop_assert_eq!(plane.counter("store.bytes"), 0);
 
             let _ = std::fs::remove_dir_all(dark_store.root());
             let _ = std::fs::remove_dir_all(lit_store.root());
@@ -209,6 +220,27 @@ fn fleet_merge_equals_the_serial_aggregate() {
     let _ = std::fs::remove_dir_all(serial_store.root());
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(queue.root());
+}
+
+#[test]
+fn serial_smoke_run_issues_three_barriers_per_cell() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("suites/smoke.json");
+    let suite = Suite::load(&path).unwrap();
+    let store = LabStore::new(temp_dir("barriers"));
+    let metrics_on = ObsOpts {
+        trace: None,
+        metrics: true,
+        profile: false,
+    };
+    let done = run_suite_journaled(&suite, &store, &opts(1, metrics_on)).unwrap();
+    assert!(done.run.all_ok());
+    assert_eq!(done.executed.len(), 13);
+    // Per cell: one filesystem sync for its record and claim, one
+    // directory fsync for the rename, one journal fsync for `committed`
+    // (committing cell by cell took four). Plus the `started` line.
+    assert_eq!(done.metrics.counter("store.fsyncs"), 3 * 13 + 1);
+    assert_eq!(done.metrics.counter("store.bytes"), 24562);
+    let _ = std::fs::remove_dir_all(store.root());
 }
 
 #[test]
