@@ -32,11 +32,11 @@ use std::sync::Arc;
 
 use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
-    check_against_store, compare_stores, fsck, gc, run_suite_journaled, BenchDoc, BenchRun,
-    FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
+    bench_engine, check_against_store, compare_stores, fsck, gc, run_suite_journaled, BenchDoc,
+    BenchRun, FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
 };
 use apex_obs::{read_trace, summarize, Metrics, Table};
-use apex_scenario::{ProgramEngine, Scenario};
+use apex_scenario::{ProgramEngine, RunOpts, Scenario};
 use apex_sim::{AdversarySpec, Json};
 use apex_synth::cli::{self, Args, RunArgs};
 
@@ -74,6 +74,9 @@ fn usage() -> ! {
          adversary describe SPEC.json --n N [--seed S]  compile and describe it\n\
          adversary gallery  [--n N]              print the composed-adversary gallery\n\
          synth        <subcommand> …             the synthesis command set\n\
+         \n\
+         --engine picks the scheme interpreter, default bytecode: the flag beats a\n\
+         scenario's program_engine knob, which beats the default; tree is the walker\n\
          \n\
          the default store is {:?}",
         apex_lab::DEFAULT_STORE_ROOT
@@ -282,7 +285,7 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 );
             }
             if benching {
-                if let Err(e) = bench_gate(&args, &suite, &done, opts.engine.unwrap_or_default()) {
+                if let Err(e) = bench_gate(&args, &suite, &done, opts.engine) {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }
@@ -316,8 +319,21 @@ fn bench_gate(
     args: &Args,
     suite: &Suite,
     done: &apex_lab::JournaledRun,
-    engine: ProgramEngine,
+    engine: Option<ProgramEngine>,
 ) -> Result<(), String> {
+    // The row is labelled with the engine the executed cells ran on.
+    let ran = done
+        .executed
+        .iter()
+        .map(|&i| done.run.outcomes[i].scenario());
+    let engine = bench_engine(
+        ran,
+        &RunOpts {
+            engine,
+            ..RunOpts::default()
+        },
+    )
+    .map_err(|e| format!("--bench: {e}"))?;
     // Cells always execute serially; the row key keeps its `(exec,
     // workers)` prefix so committed artifacts stay byte-stable.
     let (exec, workers) = ("serial", 1);

@@ -55,7 +55,8 @@ pub struct WorkerOpts {
     /// [`resolve_threads`]: `APEX_RUNNER_THREADS`, else all cores —
     /// identical semantics to `apex suite run --threads`).
     pub threads: Option<usize>,
-    /// Runtime interpreter-engine override for scheme-mode cells. It
+    /// Runtime interpreter-engine override for scheme-mode cells (`None`:
+    /// each scenario's knob, else the bytecode VM). It
     /// never changes a result byte, so workers running different
     /// interpreters still converge to one record set.
     pub engine: Option<apex_scenario::ProgramEngine>,

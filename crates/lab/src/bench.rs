@@ -11,7 +11,58 @@
 
 use std::path::Path;
 
+use apex_scenario::{Mode, ProgramEngine, RunOpts, Scenario};
 use apex_sim::{Json, JsonError};
+
+/// A `--bench` run whose scheme-mode cells resolved to more than one
+/// engine: its throughput measures no single interpreter, so it gets no
+/// row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MixedEngines {
+    /// Cells that ran on the tree walker.
+    pub tree: usize,
+    /// Cells that ran on the bytecode VM.
+    pub bytecode: usize,
+}
+
+impl std::fmt::Display for MixedEngines {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "a bench row measures one engine, but {} cells ran on the tree walker and {} on \
+             the bytecode VM; pass --engine tree|bytecode",
+            self.tree, self.bytecode
+        )
+    }
+}
+
+impl std::error::Error for MixedEngines {}
+
+/// The engine a bench row measured: the one engine every scheme-mode
+/// scenario in `cells` resolved to under `opts`
+/// ([`ProgramEngine::resolve`]). Agreement-mode cells run no interpreter
+/// and are not counted; a run with no scheme-mode cell is labelled with
+/// what the rule gives an unset knob.
+pub fn bench_engine<'a>(
+    cells: impl IntoIterator<Item = &'a Scenario>,
+    opts: &RunOpts,
+) -> Result<ProgramEngine, MixedEngines> {
+    let (mut tree, mut bytecode) = (0, 0);
+    for scenario in cells {
+        if matches!(scenario.mode, Mode::Scheme { .. }) {
+            match ProgramEngine::resolve(opts.engine, scenario.engine.program_engine) {
+                ProgramEngine::Tree => tree += 1,
+                ProgramEngine::Bytecode => bytecode += 1,
+            }
+        }
+    }
+    match (tree, bytecode) {
+        (0, 0) => Ok(ProgramEngine::resolve(opts.engine, None)),
+        (_, 0) => Ok(ProgramEngine::Tree),
+        (0, _) => Ok(ProgramEngine::Bytecode),
+        _ => Err(MixedEngines { tree, bytecode }),
+    }
+}
 
 /// One measured point of a [`BenchDoc`]: how fast one
 /// `(exec, workers, engine)` configuration pushed the suite's ticks.
@@ -277,6 +328,58 @@ mod tests {
         assert_eq!(doc.runs[0].engine, "tree");
         assert_eq!(doc.runs[0].host_cores, 0);
         assert!(doc.run("serial", 1, "tree").is_some());
+    }
+
+    #[test]
+    fn bench_rows_are_labelled_with_the_engine_the_cells_resolved_to() {
+        use apex_scenario::{ProgramSource, SourceSpec};
+        use apex_scheme::SchemeKind;
+        let plain = Scenario::scheme(
+            SchemeKind::Nondet,
+            ProgramSource::library("coin-sum", 8, vec![32]),
+            1,
+        );
+        let tree = plain.clone().program_engine(ProgramEngine::Tree);
+        let agreement = Scenario::agreement(8, SourceSpec::Random(100), 1, 1)
+            .program_engine(ProgramEngine::Tree);
+        let over = |engine| RunOpts {
+            engine: Some(engine),
+            ..RunOpts::default()
+        };
+        let none = RunOpts::default();
+        // Unset knobs run the default, and the row says so.
+        assert_eq!(
+            bench_engine([&plain, &plain], &none),
+            Ok(ProgramEngine::Bytecode)
+        );
+        // A knob labels the row with the engine it selected …
+        assert_eq!(bench_engine([&tree], &none), Ok(ProgramEngine::Tree));
+        // … cells resolving to two engines are a typed error, not a guess …
+        assert_eq!(
+            bench_engine([&plain, &tree, &tree], &none),
+            Err(MixedEngines {
+                tree: 2,
+                bytecode: 1
+            })
+        );
+        // … which an override resolves.
+        assert_eq!(
+            bench_engine([&plain, &tree], &over(ProgramEngine::Tree)),
+            Ok(ProgramEngine::Tree)
+        );
+        // Agreement cells run no interpreter and never count.
+        assert_eq!(
+            bench_engine([&plain, &agreement], &none),
+            Ok(ProgramEngine::Bytecode)
+        );
+        assert_eq!(
+            bench_engine([&agreement], &none),
+            Ok(ProgramEngine::Bytecode)
+        );
+        assert_eq!(
+            bench_engine([&agreement], &over(ProgramEngine::Tree)),
+            Ok(ProgramEngine::Tree)
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod runner;
 pub mod store;
 pub mod suite;
 
-pub use bench::{BenchDoc, BenchRun};
+pub use bench::{bench_engine, BenchDoc, BenchRun, MixedEngines};
 pub use drift::{check_against_store, compare_stores, json_diff, DriftKind, DriftReport};
 pub use fault::{
     is_kill, BitFlip, FaultInjector, FaultPlan, TornWrite, TransientFault, WriteDirective,

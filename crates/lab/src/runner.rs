@@ -482,7 +482,9 @@ pub struct JournalOpts {
     pub threads: Option<usize>,
     /// Runtime interpreter-engine override for scheme-mode cells
     /// ([`RunOpts::engine`]): `None` honors each scenario's own engine
-    /// knob. The override never changes a result byte — records,
+    /// knob, and runs the bytecode VM where a scenario names none
+    /// ([`ProgramEngine::resolve`](apex_scenario::ProgramEngine::resolve)).
+    /// The override never changes a result byte — records,
     /// manifests, and digests are engine-independent.
     pub engine: Option<apex_scenario::ProgramEngine>,
     /// Measure wall-clock execution time: folds the `time.elapsed_ms`

@@ -248,26 +248,51 @@ mod tests {
             1,
         );
         let bc = base.clone().program_engine(ProgramEngine::Bytecode);
-        // The Tree default is omitted from the document, so every
+        let tree = base.clone().program_engine(ProgramEngine::Tree);
+        // An unset knob is omitted from the document, so every
         // pre-existing scenario digest is byte-for-byte unchanged …
+        assert_eq!(base.engine.program_engine, None);
         assert!(!base.to_json().render().contains("program_engine"));
-        assert_eq!(
-            base.digest(),
-            base.clone().program_engine(ProgramEngine::Tree).digest()
-        );
-        // … while an explicit bytecode knob round-trips exactly.
-        assert_ne!(base.digest(), bc.digest());
-        assert_eq!(Scenario::parse(&bc.to_json().render()).unwrap(), bc);
-        // Reports are engine-independent down to the rendered bytes, both
-        // via the document knob and via the runtime override.
-        let tree = base.run();
-        let via_knob = bc.run();
+        // … while either explicit knob round-trips exactly, as its own
+        // document.
+        for knobbed in [&bc, &tree] {
+            assert_ne!(base.digest(), knobbed.digest());
+            assert_eq!(
+                Scenario::parse(&knobbed.to_json().render()).unwrap(),
+                *knobbed
+            );
+        }
+        assert_ne!(bc.digest(), tree.digest());
+        assert!(tree
+            .to_json()
+            .render()
+            .contains(r#""program_engine":"tree""#));
+        // Reports are engine-independent down to the rendered bytes, via
+        // the default, the document knobs, and the runtime override.
+        let default = base.run();
         let via_override = base.run_opts(&RunOpts {
-            engine: Some(ProgramEngine::Bytecode),
+            engine: Some(ProgramEngine::Tree),
             ..RunOpts::default()
         });
-        assert_eq!(tree.to_json().render(), via_knob.to_json().render());
-        assert_eq!(tree.to_json().render(), via_override.to_json().render());
+        for other in [bc.run(), tree.run(), via_override] {
+            assert_eq!(default.to_json().render(), other.to_json().render());
+        }
+    }
+
+    #[test]
+    fn engine_resolves_override_then_knob_then_bytecode() {
+        use ProgramEngine::{Bytecode, Tree};
+        // Nothing named anywhere: the bytecode VM.
+        assert_eq!(ProgramEngine::resolve(None, None), Bytecode);
+        for knob in [Tree, Bytecode] {
+            // The knob beats the default …
+            assert_eq!(ProgramEngine::resolve(None, Some(knob)), knob);
+            for wanted in [Tree, Bytecode] {
+                // … and the override beats the knob.
+                assert_eq!(ProgramEngine::resolve(Some(wanted), Some(knob)), wanted);
+                assert_eq!(ProgramEngine::resolve(Some(wanted), None), wanted);
+            }
+        }
     }
 
     #[test]

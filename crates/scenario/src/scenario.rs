@@ -136,16 +136,19 @@ impl SourceSpec {
 /// Both engines perform the identical sequence of atomic operations and
 /// RNG draws per processor per tick, so schedules, work accounting, memory
 /// stamps, and reports are byte-for-byte the same — this is a pure
-/// throughput choice.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// throughput choice. A run resolves its engine in one place,
+/// [`ProgramEngine::resolve`]: the [`RunOpts::engine`] override, then the scenario's
+/// [`EngineKnobs::program_engine`] knob, then [`ProgramEngine::Bytecode`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProgramEngine {
     /// The tree-walking scheme processors (`apex-scheme`): the reference
     /// semantics and the oracle the bytecode engine is diffed against.
-    #[default]
+    /// Runs only when named (`--engine tree` or the scenario knob).
     Tree,
     /// The flat bytecode compiler + VM (`apex-bc`): the program is lowered
     /// once at assembly time into a contiguous slot table with
-    /// pre-resolved addresses and stamps, then executed by a flat VM.
+    /// pre-resolved addresses and stamps, then executed by a flat VM. The
+    /// engine of every run that names none.
     Bytecode,
 }
 
@@ -156,6 +159,13 @@ impl ProgramEngine {
             ProgramEngine::Tree => "tree",
             ProgramEngine::Bytecode => "bytecode",
         }
+    }
+
+    /// The engine a scheme-mode run uses: the `over`ride
+    /// ([`RunOpts::engine`]), then the scenario's `knob`
+    /// ([`EngineKnobs::program_engine`]), then the bytecode VM.
+    pub fn resolve(over: Option<ProgramEngine>, knob: Option<ProgramEngine>) -> Self {
+        over.or(knob).unwrap_or(ProgramEngine::Bytecode)
     }
 
     /// Parse a [`ProgramEngine::label`].
@@ -177,6 +187,17 @@ impl ProgramEngine {
     }
 }
 
+/// Compares an [`EngineKnobs::program_engine`] knob with an engine: equal
+/// only when the knob names that engine. An unset knob equals neither,
+/// even though it runs the bytecode VM ([`ProgramEngine::resolve`]).
+/// Kept only for perfbench's traced assembly, which compares the knob
+/// with a bare engine; it goes when that comparison resolves the knob.
+impl PartialEq<ProgramEngine> for Option<ProgramEngine> {
+    fn eq(&self, other: &ProgramEngine) -> bool {
+        *self == Some(*other)
+    }
+}
+
 impl std::fmt::Display for ProgramEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
@@ -194,9 +215,10 @@ pub struct EngineKnobs {
     /// budget in work units (`None` derives a generous default).
     pub tick_budget: Option<u64>,
     /// Interpreter engine for scheme-mode scenarios (tree walker or
-    /// bytecode VM; see [`ProgramEngine`]). Agreement mode ignores this
+    /// bytecode VM; see [`ProgramEngine`]). `None` leaves the choice to
+    /// the run ([`ProgramEngine::resolve`]). Agreement mode ignores this
     /// knob. Reports are byte-identical across engines.
-    pub program_engine: ProgramEngine,
+    pub program_engine: Option<ProgramEngine>,
 }
 
 impl EngineKnobs {
@@ -206,11 +228,11 @@ impl EngineKnobs {
             ("batch".into(), opt(self.batch.map(|b| b as u64))),
             ("tick_budget".into(), opt(self.tick_budget)),
         ];
-        // Omitted at the Tree default so every pre-existing document — and
-        // with it every content digest in every store — is byte-for-byte
+        // Omitted when unset so every pre-existing document — and with it
+        // every content digest in every store — is byte-for-byte
         // unchanged.
-        if self.program_engine != ProgramEngine::Tree {
-            fields.push(("program_engine".into(), self.program_engine.to_json()));
+        if let Some(engine) = self.program_engine {
+            fields.push(("program_engine".into(), engine.to_json()));
         }
         Json::Obj(fields)
     }
@@ -230,8 +252,8 @@ impl EngineKnobs {
                 .transpose()?,
             tick_budget: opt(v.get_opt("tick_budget"))?,
             program_engine: match v.get_opt("program_engine") {
-                None | Some(Json::Null) => ProgramEngine::Tree,
-                Some(e) => ProgramEngine::from_json(e)?,
+                None | Some(Json::Null) => None,
+                Some(e) => Some(ProgramEngine::from_json(e)?),
             },
         })
     }
@@ -272,7 +294,9 @@ pub enum Mode {
 #[derive(Clone, Debug, Default)]
 pub struct RunOpts {
     /// Interpreter-engine override for scheme-mode scenarios: `None` runs
-    /// the scenario's own [`EngineKnobs::program_engine`] knob.
+    /// the scenario's own [`EngineKnobs::program_engine`] knob, or the
+    /// bytecode VM when the scenario names none
+    /// ([`ProgramEngine::resolve`]).
     pub engine: Option<ProgramEngine>,
     /// Trace sink. When enabled, scheme and agreement runs emit
     /// `engine`-scope block events (labelled with the adversary's
@@ -384,7 +408,7 @@ impl Scenario {
     /// Set the interpreter engine (scheme mode; agreement mode carries
     /// the knob but ignores it).
     pub fn program_engine(mut self, engine: ProgramEngine) -> Self {
-        self.engine.program_engine = engine;
+        self.engine.program_engine = Some(engine);
         self
     }
 
@@ -530,8 +554,8 @@ impl Scenario {
     }
 
     /// Assemble the scheme-mode run without executing it (the layered
-    /// entry point the trial runner's recipes use), on the scenario's
-    /// [`EngineKnobs::program_engine`].
+    /// entry point the trial runner's recipes use), on the engine
+    /// [`ProgramEngine::resolve`] gives with no override.
     ///
     /// # Panics
     /// If the scenario is invalid or not scheme-mode.
@@ -539,9 +563,10 @@ impl Scenario {
         self.assemble_scheme(&RunOpts::default())
     }
 
-    /// [`Scenario::build_scheme`] on `opts.engine` (when set), with the
-    /// bytecode lowering pass reporting its sizing counters
-    /// ([`apex_bc::CompileStats`]) to `opts.obs`.
+    /// [`Scenario::build_scheme`] on the engine [`ProgramEngine::resolve`]
+    /// gives `opts.engine` and the knob, with the bytecode lowering pass
+    /// reporting its sizing counters ([`apex_bc::CompileStats`]) to
+    /// `opts.obs`.
     fn assemble_scheme(&self, opts: &RunOpts) -> SchemeRun {
         let program = match self.validate_resolving() {
             Ok(Some(p)) => p,
@@ -559,7 +584,7 @@ impl Scenario {
         cfg.agreement = self.agreement;
         cfg.batch = self.engine.batch;
         cfg.tick_budget = self.engine.tick_budget;
-        match opts.engine.unwrap_or(self.engine.program_engine) {
+        match ProgramEngine::resolve(opts.engine, self.engine.program_engine) {
             ProgramEngine::Tree => SchemeRun::new(program, cfg),
             ProgramEngine::Bytecode => SchemeRun::new_with_factory(program, cfg, |parts| {
                 let compiled = Rc::new(apex_bc::compile(parts));

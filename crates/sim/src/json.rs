@@ -467,8 +467,19 @@ fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError>
     }
 }
 
+/// A key `fields` holds twice, if any. Duplicate keys are rejected rather
+/// than resolved: keeping either one would let a document say two things
+/// and run one of them. Sorting keeps one hostile object with a huge key
+/// count at O(n log n).
+fn repeated_key(fields: &[(String, Json)]) -> Option<&str> {
+    let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     debug_assert_eq!(b[*pos], b'{');
+    let start = *pos;
     *pos += 1;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -496,6 +507,9 @@ fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError>
             }
             Some(b'}') => {
                 *pos += 1;
+                if let Some(key) = repeated_key(&fields) {
+                    return err(format!("duplicate object key {key:?}"), start);
+                }
                 return Ok(Json::Obj(fields));
             }
             _ => return err("expected ',' or '}'", *pos),
@@ -585,6 +599,21 @@ mod tests {
         let e = Json::parse("[1, x]").unwrap_err();
         assert!(e.at > 0);
         assert!(!e.to_string().is_empty());
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected_by_name() {
+        let e = Json::parse(r#"{"a":1,"b":{"x":1,"x":2}}"#).unwrap_err();
+        assert_eq!(e.msg, r#"duplicate object key "x""#);
+        assert_eq!(e.at, 11);
+        // Equal after unescaping is equal.
+        assert!(Json::parse(r#"{"a":1,"\u0061":2}"#).is_err());
+        // A large object is checked the same way.
+        let mut many: Vec<String> = (0..24).map(|i| format!("\"k{i}\":{i}")).collect();
+        assert!(Json::parse(&format!("{{{}}}", many.join(","))).is_ok());
+        many.push("\"k3\":0".into());
+        let e = Json::parse(&format!("{{{}}}", many.join(","))).unwrap_err();
+        assert_eq!(e.msg, r#"duplicate object key "k3""#);
     }
 
     #[test]

@@ -4,18 +4,22 @@
 //! generated from `seed + i`, run through [`SchemeKind::Nondet`] (must be
 //! clean — Theorem 1), and, when the program is nondeterministic, also
 //! through [`SchemeKind::DetBaseline`] (divergences are *findings*, the
-//! E10 failure mode reproduced from synthesized scenarios). Trials fan out
-//! across cores on the workspace's one fan-out, [`apex_lab::runner`];
-//! results are collected in config order, so a campaign's outcome is
-//! byte-identical at any thread count.
+//! E10 failure mode reproduced from synthesized scenarios). The Nondet leg
+//! runs on the default engine and again on the tree walker
+//! ([`ProgramEngine::Tree`]), the oracle the bytecode VM must match byte
+//! for byte, so random programs keep checking both interpreters. Trials
+//! fan out across cores on the workspace's one fan-out,
+//! [`apex_lab::runner`]; results are collected in config order, so a
+//! campaign's outcome is byte-identical at any thread count.
 
 use std::time::Instant;
 
 use apex_lab::runner::{resolve_threads, run_trials};
+use apex_scenario::{ProgramEngine, RunOpts};
 use apex_scheme::SchemeKind;
 
 use crate::gen::{generate_nondet_program, generate_program, GenConfig};
-use crate::oracle::{check_triple, Triple, Verdict};
+use crate::oracle::{check_triple, record_bytes, run_scenario, verdict, Triple, Verdict};
 use crate::sched_gen::{generate_adversary, SchedGenConfig};
 
 /// Campaign parameters.
@@ -95,6 +99,13 @@ pub struct CampaignOutcome {
     /// Comparator-leg divergences — like the Nondet leg, **any entry is a
     /// bug**: both comparators are sound on the synthesized space.
     pub comparator_divergences: Vec<Finding>,
+    /// Walker-leg trials run (one per triple: its Nondet leg re-run on the
+    /// tree walker).
+    pub engine_trials_run: usize,
+    /// Triples whose Nondet leg rendered different record bytes (or
+    /// aborted differently) on the tree walker than on the default
+    /// engine — **any entry is a bug** in an interpreter.
+    pub engine_divergences: Vec<Finding>,
     /// Clock-stall aborts (liveness budget trips, counted per scheme leg).
     pub stalls: usize,
     /// Campaign wall time in seconds.
@@ -136,13 +147,30 @@ pub fn run_campaign(
         let end = (next + cfg.chunk.max(1)).min(cfg.trials);
         let indices: Vec<usize> = (next..end).collect();
         // Each worker generates its own triple from the index (cheap and
-        // Send-friendly) and runs every enabled oracle leg. All legs of a
-        // triple are scenarios differing only in `mode.scheme`
-        // ([`Triple::scenario`]).
-        type LegResults = (Triple, Verdict, Option<Verdict>, Vec<(SchemeKind, Verdict)>);
+        // Send-friendly) and runs every enabled oracle leg. All scheme legs
+        // of a triple are scenarios differing only in `mode.scheme`
+        // ([`Triple::scenario`]); the walker leg differs from the Nondet
+        // leg only in its engine.
+        type LegResults = (
+            Triple,
+            Verdict,
+            bool,
+            Option<Verdict>,
+            Vec<(SchemeKind, Verdict)>,
+        );
         let results: Vec<LegResults> = run_trials(&indices, resolve_threads(None), |&i| {
             let triple = campaign_triple(cfg, i);
-            let nondet = check_triple(&triple, SchemeKind::Nondet);
+            let scenario = triple.scenario(SchemeKind::Nondet);
+            let run = run_scenario(&scenario, &RunOpts::default());
+            let nondet = verdict(&run);
+            let walker = run_scenario(
+                &scenario,
+                &RunOpts {
+                    engine: Some(ProgramEngine::Tree),
+                    ..RunOpts::default()
+                },
+            );
+            let engines_agree = record_bytes(&scenario, run) == record_bytes(&scenario, walker);
             let det = (cfg.det_leg && triple.program.is_nondeterministic())
                 .then(|| check_triple(&triple, SchemeKind::DetBaseline));
             let comparators = if cfg.comparator_legs {
@@ -153,11 +181,27 @@ pub fn run_campaign(
             } else {
                 Vec::new()
             };
-            (triple, nondet, det, comparators)
+            (triple, nondet, engines_agree, det, comparators)
         });
-        for (offset, (triple, nondet, det, comparators)) in results.into_iter().enumerate() {
+        for (offset, (triple, nondet, engines_agree, det, comparators)) in
+            results.into_iter().enumerate()
+        {
             let index = next + offset;
             outcome.trials_run += 1;
+            outcome.engine_trials_run += 1;
+            if !engines_agree {
+                outcome.engine_divergences.push(Finding {
+                    index,
+                    triple: triple.clone(),
+                    scheme: SchemeKind::Nondet,
+                    verdict: Verdict {
+                        work_anomalies: vec![
+                            "the tree walker's record differs from the default engine's".into(),
+                        ],
+                        ..Verdict::default()
+                    },
+                });
+            }
             outcome.stalls += usize::from(nondet.stalled);
             if nondet.diverged() {
                 outcome.nondet_divergences.push(Finding {
@@ -198,7 +242,8 @@ pub fn run_campaign(
                 outcome.trials_run,
                 outcome.nondet_divergences.len()
                     + outcome.det_divergences.len()
-                    + outcome.comparator_divergences.len(),
+                    + outcome.comparator_divergences.len()
+                    + outcome.engine_divergences.len(),
             );
         }
     }
@@ -221,6 +266,14 @@ mod tests {
             outcome.nondet_divergences
         );
         assert!(outcome.det_trials_run > 0);
+        // Every triple also ran its Nondet leg on the tree walker, and the
+        // two interpreters rendered the same record bytes.
+        assert_eq!(outcome.engine_trials_run, outcome.trials_run);
+        assert!(
+            outcome.engine_divergences.is_empty(),
+            "{:?}",
+            outcome.engine_divergences
+        );
     }
 
     /// The comparator legs (scan-consensus and ideal-CAS) verify clean

@@ -39,7 +39,8 @@ pub fn usage() -> ! {
          run          SCENARIO.json [--emit OUT.json] [--json] [--cached [--store DIR]]\n\
          \x20             [--engine tree|bytecode] [--trace [FILE]] [--metrics [FILE]] [--profile]\n\
          \x20             execute a scenario file (--cached answers from the lab store;\n\
-         \x20             --engine overrides the scheme-mode interpreter, --trace/--metrics\n\
+         \x20             --engine overrides the scheme-mode interpreter, default bytecode\n\
+         \x20             (tree runs the reference walker), --trace/--metrics\n\
          \x20             observe the run — none of them changes a result byte)\n\
          migrate      [--dir DIR]                     rewrite artifacts at v{VERSION}\n\
          corpus-dedup [--dir DIR] [--dry-run]         drop scenario-digest duplicates"
@@ -118,7 +119,8 @@ impl Args {
 /// only observes.
 #[derive(Clone, Debug, Default)]
 pub struct RunArgs {
-    /// `--engine`: the scheme-interpreter override.
+    /// `--engine`: the scheme-interpreter override (`None` leaves the
+    /// knob, then the bytecode default, to [`ProgramEngine::resolve`]).
     pub engine: Option<ProgramEngine>,
     /// `--trace [FILE]`, `--metrics`, `--profile`.
     pub obs: ObsOpts,
@@ -464,6 +466,21 @@ fn cmd_fuzz(args: &Args) -> ExitCode {
             outcome.comparator_trials_run
         );
     }
+    println!(
+        "engine divergences:        {} over {} tree-walker legs (must be 0)",
+        outcome.engine_divergences.len(),
+        outcome.engine_trials_run
+    );
+    // An engine divergence is an interpreter bug. Both engines may be
+    // clean on their own, so a reproducer cannot pin it; the triple is
+    // addressed by its campaign seed and index instead.
+    for finding in &outcome.engine_divergences {
+        println!(
+            "BUG: the tree walker and the default engine disagree on triple {} \
+             (campaign seed {seed})",
+            finding.index
+        );
+    }
 
     // A paper-scheme (or comparator) divergence is a real bug: record it
     // and fail loudly.
@@ -529,7 +546,10 @@ fn cmd_fuzz(args: &Args) -> ExitCode {
         }
     }
 
-    if !outcome.nondet_divergences.is_empty() || !outcome.comparator_divergences.is_empty() {
+    if !outcome.nondet_divergences.is_empty()
+        || !outcome.comparator_divergences.is_empty()
+        || !outcome.engine_divergences.is_empty()
+    {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -24,7 +24,7 @@
 //! hand-written workload to the synthesized program space).
 
 use apex_pram::Program;
-use apex_scenario::{ProgramSource, RunOpts, Scenario};
+use apex_scenario::{ProgramSource, ReportRecord, RunOpts, Scenario, ScenarioReport};
 use apex_scheme::{SchemeKind, SchemeReport};
 use apex_sim::AdversarySpec;
 
@@ -156,13 +156,13 @@ pub fn judge(report: &SchemeReport) -> Verdict {
     }
 }
 
-/// [`run_scenario`] + [`judge`] in one call. A clock stall yields a
-/// verdict with `stalled = true` and no divergence; any other panic *is* a
+/// [`judge`] extended to aborted runs. A clock stall yields a verdict
+/// with `stalled = true` and no divergence; any other panic *is* a
 /// divergence (recorded as a work anomaly so campaigns and reproducers
 /// fail loudly on engine crashes).
-pub fn check_scenario(scenario: &Scenario, opts: &RunOpts) -> Verdict {
-    match run_scenario(scenario, opts) {
-        Ok(report) => judge(&report),
+pub fn verdict(run: &Result<SchemeReport, RunAbort>) -> Verdict {
+    match run {
+        Ok(report) => judge(report),
         Err(RunAbort::ClockStall(_)) => Verdict {
             stalled: true,
             ..Verdict::default()
@@ -172,6 +172,25 @@ pub fn check_scenario(scenario: &Scenario, opts: &RunOpts) -> Verdict {
             ..Verdict::default()
         },
     }
+}
+
+/// [`run_scenario`] + [`verdict`] in one call.
+pub fn check_scenario(scenario: &Scenario, opts: &RunOpts) -> Verdict {
+    verdict(&run_scenario(scenario, opts))
+}
+
+/// The bytes the lab store would write for one [`run_scenario`] of
+/// `scenario` (the rendered [`ReportRecord`]), or how the run aborted —
+/// what two interpreters must agree on.
+pub fn record_bytes(
+    scenario: &Scenario,
+    run: Result<SchemeReport, RunAbort>,
+) -> Result<String, RunAbort> {
+    run.map(|report| {
+        ReportRecord::from_run(scenario.clone(), ScenarioReport::Scheme(report))
+            .to_json()
+            .render()
+    })
 }
 
 /// [`check_scenario`] for a (triple, scheme) pair.

@@ -221,9 +221,10 @@ impl Reproducer {
 
     /// Replay the scenario under `opts` and check the recorded expectation
     /// holds. Corpus findings are engine-independent by the bytecode
-    /// determinism contract, so replaying the corpus with
+    /// determinism contract, so replaying the corpus on the default
+    /// engine and again with
     /// [`RunOpts::engine`](apex_scenario::RunOpts::engine) set to the
-    /// bytecode engine is a differential test of the interpreters.
+    /// tree walker is a differential test of the interpreters.
     pub fn check(&self, opts: &apex_scenario::RunOpts) -> Result<Verdict, String> {
         let verdict = crate::oracle::check_scenario(&self.scenario, opts);
         match self.expected {

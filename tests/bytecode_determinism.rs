@@ -1,11 +1,12 @@
 //! Differential suite for the bytecode engine (`apex-bc`).
 //!
 //! The bytecode VM's contract is *byte-identity*: for any scheme-mode
-//! scenario, running with `--engine bytecode` must produce the exact
-//! [`ReportRecord`](apex::scenario::ReportRecord) bytes of the default
-//! tree-walking interpreter — same work, same final memory, same event
-//! counters, same verifier verdict, same digests. The tree walker is the
-//! oracle; the VM is only ever a faster spelling of the same op sequence.
+//! scenario, the default bytecode engine must produce the exact
+//! [`ReportRecord`](apex::scenario::ReportRecord) bytes of the
+//! tree-walking interpreter (`--engine tree`) — same work, same final
+//! memory, same event counters, same verifier verdict, same digests. The
+//! tree walker is the oracle; the VM is only ever a faster spelling of
+//! the same op sequence.
 //!
 //! Three layers pin the contract:
 //! * a proptest sweep over synthesized nondeterministic programs paired
@@ -94,9 +95,9 @@ fn all_scheme_kinds_render_identically_under_adversaries() {
 }
 
 /// The scenario knob (not just the runtime override) selects the engine,
-/// and the digest moves with it: an explicit `bytecode` knob is a
-/// different document than the default, while the default (tree) knob
-/// keeps the digest every pre-engine store recorded.
+/// and the digest moves with it: an explicit `bytecode` or `tree` knob is
+/// a different document than an unset one, while the unset knob keeps
+/// the digest every pre-engine store recorded.
 #[test]
 fn engine_knob_round_trips_and_default_digest_is_stable() {
     let base = Scenario::scheme(
@@ -104,30 +105,41 @@ fn engine_knob_round_trips_and_default_digest_is_stable() {
         apex::scenario::ProgramSource::library("coin-sum", 8, vec![32]),
         23,
     );
-    let knobbed = base.clone().program_engine(ProgramEngine::Bytecode);
-    assert_ne!(base.digest(), knobbed.digest());
-    let rt = Scenario::from_json(&knobbed.to_json()).unwrap();
-    assert_eq!(rt.digest(), knobbed.digest());
-    assert_eq!(rt.engine.program_engine, ProgramEngine::Bytecode);
-    // The default knob serializes without the field, so digests of
+    for engine in [ProgramEngine::Tree, ProgramEngine::Bytecode] {
+        let knobbed = base.clone().program_engine(engine);
+        assert_ne!(base.digest(), knobbed.digest());
+        let rt = Scenario::from_json(&knobbed.to_json()).unwrap();
+        assert_eq!(rt.digest(), knobbed.digest());
+        assert_eq!(rt.engine.program_engine, Some(engine));
+        // And the knob, which the run resolves to with no override,
+        // renders the record the other engine renders.
+        let other = match engine {
+            ProgramEngine::Tree => ProgramEngine::Bytecode,
+            ProgramEngine::Bytecode => ProgramEngine::Tree,
+        };
+        let via_knob = RunOutcome::capture(&knobbed).to_json().render_pretty();
+        assert_eq!(via_knob, record_bytes(&knobbed, other), "{engine} knob");
+    }
+    // The unset knob serializes without the field, so digests of
     // pre-engine documents are untouched.
     let rt = Scenario::from_json(&base.to_json()).unwrap();
+    assert_eq!(rt.engine.program_engine, None);
     assert_eq!(rt.digest(), base.digest());
-    // And the knobbed document executes identically anyway.
-    assert_engines_agree(&base, "engine knob");
 }
 
-/// The committed corpus replays to its recorded outcome on the bytecode
-/// engine, and every artifact's record bytes match the tree engine's.
+/// The committed corpus replays to its recorded outcome on both engines,
+/// and every artifact's record bytes match across them.
 #[test]
 fn corpus_replays_identically_on_the_bytecode_engine() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let entries = Reproducer::load_dir(&dir).expect("committed corpus loads");
     assert!(!entries.is_empty(), "corpus must not be empty");
     for (path, repro) in &entries {
-        repro
-            .check(&on(ProgramEngine::Bytecode))
-            .unwrap_or_else(|e| panic!("{} on bytecode: {e}", path.display()));
+        for engine in [ProgramEngine::Tree, ProgramEngine::Bytecode] {
+            repro
+                .check(&on(engine))
+                .unwrap_or_else(|e| panic!("{} on {engine}: {e}", path.display()));
+        }
         assert_engines_agree(&repro.scenario, &path.display().to_string());
     }
 }

@@ -239,6 +239,66 @@ fn golden_with(key: &str, value: &str) -> Scenario {
 }
 
 #[test]
+fn a_repeated_object_key_is_a_typed_error_naming_the_key() {
+    // A repeated key used to keep its first value: the canonical scenario
+    // with `"seed": 999` ahead of its own `"seed"` decoded, and ran seed
+    // 999.
+    let golden = include_str!("golden/canonical-scenario.json");
+    let seed_twice = golden.replacen('{', "{\"seed\": 999,", 1);
+    let err = Scenario::parse(&seed_twice).unwrap_err();
+    assert_eq!(err.msg, "duplicate object key \"seed\"");
+    // Nested objects are held to the same rule …
+    let batch_twice = golden.replacen("\"batch\": null", "\"batch\": 4, \"batch\": null", 1);
+    let err = Scenario::parse(&batch_twice).unwrap_err();
+    assert!(err.msg.contains("\"batch\""), "{err}");
+    // … and so is every document built on the same parser.
+    let suite = small_suite().render_pretty();
+    let name_twice = suite.replacen('{', "{\"name\": \"other\",", 1);
+    assert!(Suite::parse(&name_twice).is_err_and(|e| e.msg.contains("\"name\"")));
+    assert!(Scenario::parse(golden).is_ok());
+}
+
+#[test]
+fn every_committed_document_parses_without_a_repeated_key() {
+    // The committed suites, corpus, goldens, bench artifacts and
+    // benchmark references are all canonical renders, so rejecting
+    // repeated keys breaks none of them.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<PathBuf> = ["suites", "corpus", "tests/golden", "perfbench/reference"]
+        .iter()
+        .flat_map(|dir| std::fs::read_dir(root.join(dir)).unwrap())
+        .map(|entry| entry.unwrap().path())
+        .chain(
+            std::fs::read_dir(root)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|p| {
+                    let name = p.file_name().unwrap().to_string_lossy();
+                    name.starts_with("BENCH_") && name.ends_with(".json")
+                }),
+        )
+        .collect();
+    files.sort();
+    let mut documents = 0;
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap();
+        let docs: Vec<&str> = match path.extension().and_then(|e| e.to_str()) {
+            Some("json") => vec![text.as_str()],
+            Some("jsonl") => text.lines().collect(),
+            _ => continue,
+        };
+        for doc in docs {
+            Json::parse(doc).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            documents += 1;
+        }
+    }
+    assert!(
+        documents > files.len(),
+        "{documents} documents in {files:?}"
+    );
+}
+
+#[test]
 fn an_oversized_replica_factor_or_batch_is_a_typed_error() {
     // 2^40 replicas or prefetch slots aborted the process on allocation.
     for key in ["replicas", "batch"] {

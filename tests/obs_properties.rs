@@ -13,9 +13,11 @@
 //! * `apex obs metrics --merge` over a racing two-worker farm drain
 //!   equals the serial run's aggregate on the result plane, even when
 //!   lease stealing makes both workers execute the same cell;
-//! * the canonical scenario's `--threads 1` trace is byte-pinned
-//!   (`tests/golden/canonical-trace.jsonl`) — the trace codec and the
-//!   engine's operation-indexed batch boundaries cannot drift silently;
+//! * the canonical scenario's `--threads 1` trace on the tree walker is
+//!   byte-pinned (`tests/golden/canonical-trace.jsonl`) — the trace codec
+//!   and the engine's operation-indexed batch boundaries cannot drift
+//!   silently — and the default (bytecode) run emits the same engine
+//!   events behind one `compile`/`lower` event;
 //! * [`TELEMETRY_FILES`] — the single source of truth for byte-identity
 //!   exclusion — stays in sync with CI's `TELEMETRY_EXCLUDES` env list.
 
@@ -26,8 +28,8 @@ use apex_farm::{run_worker, FarmQueue, WorkerOpts};
 use apex_lab::{
     fsck, run_suite_journaled, Grid, JournalOpts, LabStore, SeedRange, Suite, TELEMETRY_FILES,
 };
-use apex_obs::{read_trace, Metrics, Obs, ObsOpts};
-use apex_scenario::{ProgramSource, RunOpts, RunOutcome, Scenario, SourceSpec};
+use apex_obs::{read_trace, Metrics, Obs, ObsOpts, TraceEvent, TraceLog};
+use apex_scenario::{ProgramEngine, ProgramSource, RunOpts, RunOutcome, Scenario, SourceSpec};
 use apex_scheme::SchemeKind;
 use apex_sim::ScheduleKind;
 use proptest::prelude::*;
@@ -243,40 +245,79 @@ fn serial_smoke_run_issues_three_barriers_per_cell() {
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-#[test]
-fn canonical_trace_is_byte_pinned() {
-    // The committed golden trace is what a single-threaded run of the
-    // canonical scenario emits, byte for byte — the versioned codec,
-    // the operation-indexed sequence numbers, and the engine's batch
-    // boundaries are all pinned at once. Regenerate with
-    // `apex run tests/golden/canonical-scenario.json --trace` if the
-    // engine's batching intentionally changes.
+/// Trace the canonical scenario at one thread under `engine` (`None`:
+/// the default): the trace file's text, and its events through the
+/// public reader.
+fn canonical_trace(engine: Option<ProgramEngine>, tag: &str) -> (String, TraceLog) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let scenario = Scenario::load(&root.join("tests/golden/canonical-scenario.json")).unwrap();
-    let dir = temp_dir("golden-trace");
+    let dir = temp_dir(tag);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.jsonl");
     let opts = RunOpts {
+        engine,
         obs: Obs::to_file(&path).unwrap(),
-        ..RunOpts::default()
     };
     let outcome = RunOutcome::capture_opts(&scenario, &opts);
     opts.obs.flush();
     assert!(outcome.ok(), "the canonical scenario must complete");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let log = read_trace(&path).unwrap();
+    assert!(!log.torn_tail);
+    let _ = std::fs::remove_dir_all(&dir);
+    (text, log)
+}
 
-    let fresh = std::fs::read_to_string(&path).unwrap();
+#[test]
+fn canonical_trace_is_byte_pinned() {
+    // The committed golden trace is what a single-threaded run of the
+    // canonical scenario emits on the tree walker, byte for byte — the
+    // versioned codec, the operation-indexed sequence numbers, and the
+    // engine's batch boundaries are all pinned at once. Regenerate with
+    // `apex run tests/golden/canonical-scenario.json --engine tree --trace`
+    // if the engine's batching intentionally changes.
+    let (fresh, log) = canonical_trace(Some(ProgramEngine::Tree), "golden-trace");
     let golden = include_str!("golden/canonical-trace.jsonl");
     assert_eq!(
         fresh, golden,
-        "canonical-trace.jsonl drifted; if the change is intentional, \
-         regenerate with `apex run tests/golden/canonical-scenario.json --trace`"
+        "canonical-trace.jsonl drifted; if the change is intentional, regenerate with \
+         `apex run tests/golden/canonical-scenario.json --engine tree --trace`"
     );
     // And the pinned bytes parse through the public reader.
-    let log = read_trace(&path).unwrap();
-    assert!(!log.torn_tail);
     assert_eq!(log.events.len(), golden.lines().count());
     assert!(log.events.iter().all(|e| e.scope == "engine"));
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn default_canonical_trace_is_the_golden_behind_one_lowering_event() {
+    // The default engine is the bytecode VM: it lowers the program once
+    // (one `compile`/`lower` event) and then emits exactly the tree
+    // walker's engine events, shifted one sequence number down.
+    let (_, fresh) = canonical_trace(None, "default-trace");
+    let golden: Vec<TraceEvent> = include_str!("golden/canonical-trace.jsonl")
+        .lines()
+        .map(|line| TraceEvent::parse_line(line).unwrap())
+        .collect();
+    let (lower, engine) = fresh.events.split_first().expect("a non-empty trace");
+    assert_eq!(
+        (lower.scope.as_str(), lower.kind.as_str()),
+        ("compile", "lower")
+    );
+    assert_eq!(lower.seq, 0);
+    let key = |e: &TraceEvent| {
+        (
+            e.kind.clone(),
+            e.scope.clone(),
+            e.op,
+            e.label.clone(),
+            e.fields.clone(),
+        )
+    };
+    assert_eq!(
+        engine.iter().map(key).collect::<Vec<_>>(),
+        golden.iter().map(key).collect::<Vec<_>>()
+    );
+    assert!(engine.iter().zip(&golden).all(|(e, g)| e.seq == g.seq + 1));
 }
 
 /// Minimal one-`*` glob match, the shape `diff --exclude` uses here.

@@ -214,10 +214,10 @@ fn scenario_from_seed(seed: u64) -> Scenario {
         batch: (mix(seed, 21).is_multiple_of(3)).then(|| 1 + (mix(seed, 22) as usize) % 256),
         tick_budget: (mix(seed, 23).is_multiple_of(4))
             .then(|| 1_000_000 + mix(seed, 24) % (1 << 50)),
-        program_engine: if mix(seed, 25).is_multiple_of(5) {
-            ProgramEngine::Bytecode
-        } else {
-            ProgramEngine::Tree
+        program_engine: match mix(seed, 25) % 5 {
+            0 => Some(ProgramEngine::Bytecode),
+            1 => Some(ProgramEngine::Tree),
+            _ => None,
         },
     };
     Scenario {
