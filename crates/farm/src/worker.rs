@@ -27,8 +27,8 @@
 use apex_lab::runner::{resolve_threads, run_trials};
 use apex_lab::{
     assemble_run, capture_cell, claim_entry, json_diff, lease_dir, lease_path, next_finish_seq,
-    read_journal, read_leases, terminal_entry, CacheLookup, Cell, CommitBatch, Committer,
-    JournalEntry, LabStore, Lease, Manifest, Suite,
+    read_journal, read_leases, read_verified, terminal_entry, CacheLookup, CachedCell, Cell,
+    CommitBatch, Committer, JournalEntry, LabStore, Lease, Manifest, Suite,
 };
 use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
 use apex_scenario::{CacheStats, RunOpts, RunOutcome};
@@ -318,28 +318,28 @@ fn drain_suite_inner(
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let journal_path = store.journal_path(digest);
     let mut committer = Committer::new(store, digest, &opts.worker);
+    let threads = resolve_threads(opts.threads);
 
-    // First scan: the memoization tally for this visit.
-    for cell in cells {
-        let verdict = match store.lookup_record(digest, &cell.digest, None) {
-            CacheLookup::Hit(..) => {
-                report.cache.hits += 1;
-                metrics.add("cache.hits", 1);
-                "hit"
-            }
-            CacheLookup::Miss => {
-                report.cache.misses += 1;
-                metrics.add("cache.misses", 1);
-                "miss"
-            }
-            CacheLookup::Rejected(_) => {
-                report.cache.rejected += 1;
-                metrics.add("cache.rejected", 1);
-                "rejected"
-            }
-        };
+    // First scan: the memoization tally for this visit, verified on the
+    // runner threads and counted here in cell order.
+    let mut cache = CacheStats::default();
+    let reads = read_verified(store, digest, cells, None, threads);
+    for (cell, read) in cells.iter().zip(reads) {
+        let verdict = read.tally(&mut cache);
         obs.emit("farm", "cache", cell.index as u64, verdict, &[]);
     }
+    for (key, n) in [
+        ("cache.hits", cache.hits),
+        ("cache.misses", cache.misses),
+        ("cache.rejected", cache.rejected),
+    ] {
+        if n > 0 {
+            metrics.add(key, n);
+        }
+    }
+    report.cache.hits += cache.hits;
+    report.cache.misses += cache.misses;
+    report.cache.rejected += cache.rejected;
 
     // Fast path: already finalized.
     if read_journal(&journal_path).is_ok_and(|s| s.finished) && store.read_manifest(digest).is_ok()
@@ -356,7 +356,6 @@ fn drain_suite_inner(
 
     let shard_cells = opts.shard_cells.max(1);
     let n_shards = cells.len().div_ceil(shard_cells);
-    let threads = resolve_threads(opts.threads);
     // Probes advance the operation clock when every remaining shard is
     // held by someone else; after this many fruitless sweeps even the
     // longest-ttl lease must have lapsed, so no progress then means the
@@ -479,7 +478,7 @@ fn drain_suite_inner(
             .all(|c| terminal(store, digest, c, &state.poisoned));
         if all_terminal {
             if !state.finished || store.read_manifest(digest).is_err() {
-                finalize(store, digest, suite, cells, &mut committer)?;
+                finalize(store, digest, suite, cells, threads, &mut committer)?;
                 report.finalized.push(digest.to_string());
             }
             return Ok(());
@@ -555,57 +554,62 @@ fn commit_shard(
             _ => batch.records.push(record),
         }
     }
-    committer.commit(&batch)
+    committer.commit(&batch).map(drop)
 }
 
 /// Merge + finalize: reconstruct every cell's outcome from verified
-/// records (or journal `poisoned` entries), run the suite's pinned
-/// output checks through the runner's own assembly path, and write the
-/// manifest — byte-identical to what a single `apex suite run` writes.
+/// records (read on `threads` runner threads by the shared
+/// verified-read pass) or journal `poisoned` entries, run the suite's
+/// pinned output checks through the runner's own assembly path, and
+/// write the manifest — byte-identical to what a single `apex suite run`
+/// writes, pinning the checksums the pass hashed.
 fn finalize(
     store: &LabStore,
     digest: &str,
     suite: &Suite,
     cells: &[Cell],
+    threads: usize,
     committer: &mut Committer<'_>,
 ) -> Result<(), String> {
     let state = read_journal(&store.journal_path(digest)).unwrap_or_default();
     let mut outcomes = Vec::with_capacity(cells.len());
-    for cell in cells {
-        match store.lookup_record(digest, &cell.digest, None) {
-            CacheLookup::Hit(_, record) => outcomes.push(RunOutcome::Complete(record)),
-            _ => {
-                let (status, message) = state
-                    .entries
-                    .iter()
-                    .rev()
-                    .find_map(|e| match e {
-                        JournalEntry::Poisoned {
-                            index,
-                            status,
-                            message,
-                            ..
-                        } if *index == cell.index as u64 => Some((status.clone(), message.clone())),
-                        _ => None,
-                    })
-                    .ok_or_else(|| {
-                        format!("cell {} of suite {digest} is not terminal", cell.index)
-                    })?;
-                outcomes.push(if status == "exhausted" {
-                    RunOutcome::Exhausted {
-                        scenario: cell.scenario.clone(),
-                        message,
-                    }
-                } else {
-                    RunOutcome::Poisoned {
-                        scenario: cell.scenario.clone(),
-                        message,
-                    }
-                });
-            }
+    let mut checksums = Vec::with_capacity(cells.len());
+    let reads = read_verified(store, digest, cells, None, threads);
+    for (cell, read) in cells.iter().zip(reads) {
+        if let CachedCell::Hit(checksum, record) = read {
+            outcomes.push(RunOutcome::Complete(record));
+            checksums.push(Some(checksum));
+            continue;
         }
+        let (status, message) = state
+            .entries
+            .iter()
+            .rev()
+            .find_map(|e| match e {
+                JournalEntry::Poisoned {
+                    index,
+                    status,
+                    message,
+                    ..
+                } if *index == cell.index as u64 => Some((status.clone(), message.clone())),
+                _ => None,
+            })
+            .ok_or_else(|| format!("cell {} of suite {digest} is not terminal", cell.index))?;
+        outcomes.push(if status == "exhausted" {
+            RunOutcome::Exhausted {
+                scenario: cell.scenario.clone(),
+                message,
+            }
+        } else {
+            RunOutcome::Poisoned {
+                scenario: cell.scenario.clone(),
+                message,
+            }
+        });
+        checksums.push(None);
     }
-    let run = assemble_run(suite, cells, outcomes);
+    let mut run = assemble_run(suite, cells, outcomes);
+    run.checksums = checksums;
     let manifest = Manifest::from_run(&run);
     store
         .write_manifest(&manifest)

@@ -4,9 +4,10 @@
 //! file against the store's own invariants: records must parse, sit at
 //! their content address, be byte-identical to their canonical
 //! rendering, and match the checksum their manifest row pinned at write
-//! time; manifests must parse and pass their self-checksum; journals
-//! must replay (a torn final line is legal — that is what a crash looks
-//! like); nothing may be left at a `.tmp` path. With `repair`, bad
+//! time; manifests must parse, pass their self-checksum and be
+//! byte-identical to their canonical rendering; journals must replay (a
+//! torn final line is legal — that is what a crash looks like); nothing
+//! may be left at a `.tmp` path. With `repair`, bad
 //! files are **moved** to `quarantine/<suite-digest>/` — fsck never
 //! deletes data, so a false positive costs a `mv` back, not evidence.
 //!
@@ -19,14 +20,15 @@
 //! (deleted) on repair, never quarantined. A live, unexpired lease in an
 //! in-flight suite is healthy and untouched.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use apex_scenario::ReportRecord;
+use apex_scenario::{ReportRecord, StoredRecordError};
 use apex_sim::Json;
 
 use crate::digest_hex;
 use crate::journal::{read_journal, JournalEntry, JournalState, JOURNAL_FILE};
-use crate::store::LabStore;
+use crate::store::{LabStore, Manifest};
 
 /// What is wrong with one file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,8 +40,8 @@ pub enum FsckIssueKind {
     /// digest disagrees with the embedded scenario, or the file sits at
     /// an address that is not its own digest.
     DigestMismatch,
-    /// The record parses and digest-verifies, but its bytes are not the
-    /// canonical rendering (whitespace/field-order tampering).
+    /// The record (or manifest) parses and verifies, but its bytes are
+    /// not its canonical rendering (whitespace/field-order tampering).
     NotCanonical,
     /// The record's bytes do not match the checksum its manifest row
     /// pinned at write time — a silent post-write corruption (bit flip)
@@ -249,7 +251,17 @@ fn scan_suite(
                 None
             }
             Ok(json) => match crate::store::Manifest::from_json(&json) {
-                Ok(m) => Some(m),
+                Ok(m) if text == m.to_json().render_pretty() => Some(m),
+                Ok(_) => {
+                    let quarantined = repair && quarantine(store, suite, &manifest_path)?;
+                    issue(
+                        "manifest.json",
+                        FsckIssueKind::NotCanonical,
+                        "bytes are not the canonical rendering".to_string(),
+                        quarantined,
+                    );
+                    None
+                }
                 Err(e) => {
                     let kind = if e.msg.contains("checksum") {
                         FsckIssueKind::ManifestChecksum
@@ -281,8 +293,9 @@ fn scan_suite(
         .collect::<Result<_, _>>()
         .map_err(|e| format!("{}: {e}", dir.display()))?;
     files.sort();
-    let mut present: Vec<String> = Vec::new();
-    let mut corrupt: Vec<String> = Vec::new();
+    let pins = manifest.as_ref().map(Manifest::pins);
+    let mut present: BTreeSet<String> = BTreeSet::new();
+    let mut corrupt: BTreeSet<String> = BTreeSet::new();
     for path in files {
         let Some(name) = path.file_name().and_then(|n| n.to_str()).map(String::from) else {
             continue;
@@ -329,14 +342,17 @@ fn scan_suite(
         report.files_checked += 1;
         let stem = name.trim_end_matches(".json").to_string();
         let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let (kind, detail) = match check_record(&stem, &bytes, manifest.as_ref()) {
+        let pinned = pins
+            .as_ref()
+            .and_then(|p| p.get(stem.as_str()).copied().flatten());
+        let (kind, detail) = match check_record(&stem, &bytes, pinned) {
             Ok(()) => {
-                present.push(stem);
+                present.insert(stem);
                 continue;
             }
             Err(pair) => pair,
         };
-        corrupt.push(stem);
+        corrupt.insert(stem);
         let quarantined = repair && quarantine(store, suite, &path)?;
         issue(&name, kind, detail, quarantined);
     }
@@ -344,7 +360,7 @@ fn scan_suite(
     // Manifest rows whose completed record is gone (no file to move —
     // report only; the fix is a re-run, which resume makes cheap). A
     // record already reported corrupt this pass is one issue, not two.
-    if let Some(m) = &manifest {
+    if let (Some(m), Some(pins)) = (&manifest, &pins) {
         for cell in &m.cells {
             if cell.status == "complete"
                 && !present.contains(&cell.digest)
@@ -363,7 +379,7 @@ fn scan_suite(
         }
         // Records the manifest does not name.
         for stem in &present {
-            if !m.cells.iter().any(|c| &c.digest == stem) {
+            if !pins.contains_key(stem.as_str()) {
                 let path = store.record_path(suite, stem);
                 let quarantined = repair && quarantine(store, suite, &path)?;
                 report.issues.push(FsckIssue {
@@ -469,11 +485,13 @@ fn scan_leases(
     Ok(())
 }
 
-/// Check one record file's full invariant stack. `Ok(())` means healthy.
+/// Check one record file's full invariant stack against its address
+/// `stem` and the checksum its manifest row pins, if any. `Ok(())` means
+/// healthy.
 fn check_record(
     stem: &str,
     bytes: &[u8],
-    manifest: Option<&crate::store::Manifest>,
+    pinned: Option<&str>,
 ) -> Result<(), (FsckIssueKind, String)> {
     let text = std::str::from_utf8(bytes).map_err(|e| {
         (
@@ -481,39 +499,32 @@ fn check_record(
             format!("not UTF-8 at byte {}", e.valid_up_to()),
         )
     })?;
-    let json = Json::parse(text)
-        .map_err(|e| (FsckIssueKind::TornOrTruncated, format!("not JSON: {e}")))?;
-    let record = ReportRecord::from_json(&json).map_err(|e| {
-        let kind = if e.msg.contains("digest") {
-            FsckIssueKind::DigestMismatch
-        } else {
-            FsckIssueKind::TornOrTruncated
-        };
-        (kind, e.msg)
-    })?;
-    if record.digest() != stem {
-        return Err((
+    ReportRecord::verify_stored(text, stem).map_err(|e| match e {
+        StoredRecordError::Json(e) => (FsckIssueKind::TornOrTruncated, format!("not JSON: {e}")),
+        StoredRecordError::Record(e) => {
+            let kind = if e.msg.contains("digest") {
+                FsckIssueKind::DigestMismatch
+            } else {
+                FsckIssueKind::TornOrTruncated
+            };
+            (kind, e.msg)
+        }
+        StoredRecordError::Misaddressed { claims } => (
             FsckIssueKind::DigestMismatch,
-            format!("record {} filed at address {stem}", record.digest()),
-        ));
-    }
-    if text != record.render_pretty() {
-        return Err((
+            format!("record {claims} filed at address {stem}"),
+        ),
+        StoredRecordError::NotCanonical => (
             FsckIssueKind::NotCanonical,
             "bytes are not the canonical rendering".to_string(),
-        ));
-    }
-    if let Some(m) = manifest {
-        if let Some(cell) = m.cells.iter().find(|c| c.digest == stem) {
-            if let Some(expect) = &cell.checksum {
-                let actual = digest_hex(bytes);
-                if &actual != expect {
-                    return Err((
-                        FsckIssueKind::ChecksumMismatch,
-                        format!("file checksum {actual} != pinned {expect}"),
-                    ));
-                }
-            }
+        ),
+    })?;
+    if let Some(expect) = pinned {
+        let actual = digest_hex(bytes);
+        if actual != expect {
+            return Err((
+                FsckIssueKind::ChecksumMismatch,
+                format!("file checksum {actual} != pinned {expect}"),
+            ));
         }
     }
     Ok(())

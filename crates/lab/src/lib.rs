@@ -55,8 +55,9 @@ pub use lease::{
     LEASE_FORMAT_MAJOR,
 };
 pub use runner::{
-    assemble_run, capture_cell, claim_entry, run_cells, run_suite, run_suite_journaled,
-    terminal_entry, CommitBatch, Committer, JournalOpts, JournaledRun, OutputMismatch, SuiteRun,
+    assemble_run, capture_cell, claim_entry, read_verified, run_cells, run_suite,
+    run_suite_journaled, terminal_entry, CachedCell, CommitBatch, Committer, JournalOpts,
+    JournaledRun, OutputMismatch, SuiteRun,
 };
 pub use store::{
     CacheLookup, LabStore, Manifest, ManifestCell, DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS,

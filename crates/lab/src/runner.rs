@@ -11,7 +11,19 @@
 //! ([`resolve_threads`]). With one thread, trials run inline on the
 //! caller's thread and every batch holds one event, so journal line
 //! order and trace interleaving are fully deterministic.
+//!
+//! Stored records are read back on the same threads. [`read_verified`]
+//! is the one verified-read pass: each worker reads one cell's record,
+//! verifies it (own address, canonical rendering, the manifest's pinned
+//! checksum), hashes the verified bytes once and drops the text; the
+//! caller tallies [`CacheStats`] and traces the verdicts in cell order.
+//! The `--cached`/`--resume` pre-pass of [`run_suite_journaled`] and the
+//! farm's scan and finalize all read through it. Those checksums, and
+//! the ones the [`Committer`] hashes as it stages records, ride on
+//! [`SuiteRun::checksums`], so [`Manifest::from_run`] renders no record
+//! it has already hashed.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
@@ -19,6 +31,7 @@ use std::sync::{mpsc, OnceLock};
 use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
 use apex_scenario::{CacheStats, ReportRecord, RunOpts, RunOutcome};
 
+use crate::digest_hex;
 use crate::fault::CELL_PANIC_MARKER;
 use crate::journal::{next_finish_seq, Journal, JournalEntry};
 use crate::store::{CacheLookup, LabStore, Manifest};
@@ -212,9 +225,18 @@ pub struct SuiteRun {
     pub suite_digest: String,
     /// One outcome per cell, in expansion order.
     pub outcomes: Vec<RunOutcome>,
+    /// Each cell's scenario digest, in expansion order: the digests
+    /// expansion computed, so the manifest need not hash any scenario
+    /// again. Set only by [`assemble_run`], from the cells it was given.
+    pub(crate) digests: Vec<String>,
     /// Output assertions that failed: pinned cells whose run produced
     /// different results even though the verifier may have been clean.
     pub output_mismatches: Vec<OutputMismatch>,
+    /// The checksum of each outcome's canonical record bytes (`None`
+    /// where it has no record), when the caller already hashed them —
+    /// verified on read or staged for write. Empty when unknown:
+    /// [`Manifest::from_run`] then renders each record to hash it.
+    pub checksums: Vec<Option<String>>,
 }
 
 impl SuiteRun {
@@ -383,16 +405,20 @@ impl<'s> Committer<'s> {
 
     /// Make `batch` durable: claims and staged records, barrier 1,
     /// renames, barrier 2, terminal lines, barrier 3 — skipping each
-    /// barrier that would cover nothing.
-    pub fn commit(&mut self, batch: &CommitBatch<'_>) -> Result<(), String> {
+    /// barrier that would cover nothing. Returns the checksum of each
+    /// record's staged bytes, in `batch.records` order (what the
+    /// manifest rows pin).
+    pub fn commit(&mut self, batch: &CommitBatch<'_>) -> Result<Vec<String>, String> {
         let jerr = |e: std::io::Error| format!("journal append failed: {e}");
         let werr = |e: std::io::Error| format!("record write failed: {e}");
         self.journal
             .append_batch(&batch.claims, false)
             .map_err(jerr)?;
         let (mut temps, mut paths) = (Vec::new(), Vec::new());
+        let mut checksums = Vec::with_capacity(batch.records.len());
         for record in &batch.records {
             let text = record.render_pretty();
+            checksums.push(digest_hex(text.as_bytes()));
             let path = self.store.record_path(&self.suite_digest, &record.digest());
             let tmp = self.temp_for(&path).map_err(werr)?;
             self.store.stage_text(&path, &tmp, &text).map_err(werr)?;
@@ -416,7 +442,7 @@ impl<'s> Committer<'s> {
                 .map_err(jerr)?;
             self.fsyncs += 1;
         }
-        Ok(())
+        Ok(checksums)
     }
 
     /// Durability barriers issued so far.
@@ -430,19 +456,97 @@ impl<'s> Committer<'s> {
     }
 }
 
+/// What the verified-read pass ([`read_verified`]) found at one cell's
+/// content address: a [`CacheLookup`] whose hit has had its file text
+/// hashed and dropped.
+#[derive(Debug)]
+pub enum CachedCell {
+    /// Verified bytes: their checksum and the parsed record.
+    Hit(String, Box<ReportRecord>),
+    /// No file at the cell's content address.
+    Miss,
+    /// Bytes present but untrustworthy; the reason they failed
+    /// verification.
+    Rejected(String),
+}
+
+impl CachedCell {
+    /// Count this verdict into `stats` and return its trace label:
+    /// `hit`, `miss` or `rejected`.
+    pub fn tally(&self, stats: &mut CacheStats) -> &'static str {
+        match self {
+            CachedCell::Hit(..) => {
+                stats.hits += 1;
+                "hit"
+            }
+            CachedCell::Miss => {
+                stats.misses += 1;
+                "miss"
+            }
+            CachedCell::Rejected(_) => {
+                stats.rejected += 1;
+                "rejected"
+            }
+        }
+    }
+}
+
+/// The verified-read pass: look up every cell of `cells` in suite
+/// `suite_digest` of `store` by the rules of [`LabStore::lookup_record`]
+/// (own address, canonical rendering, and the pinned checksum of
+/// `manifest`'s row, found through a digest index built once), on up to
+/// `threads` runner threads ([`run_trials`]). Each worker hashes a hit's
+/// verified bytes once — or takes the pin they just matched — and drops
+/// the text, so only parsed records outlive the pass.
+///
+/// The verdicts come back in cell order: a caller that tallies them and
+/// traces them in that order ([`CachedCell::tally`]) gets the same
+/// [`CacheStats`] and the same events at every thread count.
+pub fn read_verified(
+    store: &LabStore,
+    suite_digest: &str,
+    cells: &[Cell],
+    manifest: Option<&Manifest>,
+    threads: usize,
+) -> Vec<CachedCell> {
+    let pins = manifest.map(Manifest::pins);
+    run_trials(cells, threads, |cell| {
+        let pinned = pins
+            .as_ref()
+            .and_then(|p| p.get(cell.digest.as_str()).copied().flatten());
+        match store.lookup_pinned(suite_digest, &cell.digest, pinned) {
+            CacheLookup::Hit(text, record) => {
+                let checksum = pinned.map_or_else(|| digest_hex(text.as_bytes()), str::to_string);
+                CachedCell::Hit(checksum, record)
+            }
+            CacheLookup::Miss => CachedCell::Miss,
+            CacheLookup::Rejected(why) => CachedCell::Rejected(why),
+        }
+    })
+}
+
 /// Check pinned outputs and assemble the [`SuiteRun`] from outcomes in
 /// expansion order — the farm's manifest merger reconstructs outcomes
 /// from verified records plus journal entries and finalizes through this
 /// same path, so its manifest is byte-identical to a single-runner one.
 pub fn assemble_run(suite: &Suite, cells: &[Cell], outcomes: Vec<RunOutcome>) -> SuiteRun {
     // Check the suite's pinned outputs against what actually ran
-    // (expansion validated that every pinned digest names a cell).
+    // (expansion validated that every pinned digest names exactly one
+    // cell).
     let mut output_mismatches = Vec::new();
-    for expect in &suite.expect {
-        for (cell, outcome) in cells.iter().zip(&outcomes) {
-            if cell.digest != expect.cell {
+    if !suite.expect.is_empty() {
+        let position: HashMap<&str, usize> = cells
+            .iter()
+            .enumerate()
+            .map(|(k, cell)| (cell.digest.as_str(), k))
+            .collect();
+        for expect in &suite.expect {
+            let Some(&k) = position.get(expect.cell.as_str()) else {
                 continue;
-            }
+            };
+            let (Some(cell), Some(outcome)) = (cells.get(k), outcomes.get(k)) else {
+                continue;
+            };
             let actual = outcome.record().and_then(|r| r.outputs.clone());
             if actual.as_deref() != Some(expect.outputs.as_slice()) {
                 output_mismatches.push(OutputMismatch {
@@ -458,7 +562,9 @@ pub fn assemble_run(suite: &Suite, cells: &[Cell], outcomes: Vec<RunOutcome>) ->
         name: suite.name.clone(),
         suite_digest: suite.digest(),
         outcomes,
+        digests: cells.iter().map(|cell| cell.digest.clone()).collect(),
         output_mismatches,
+        checksums: Vec::new(),
     }
 }
 
@@ -596,7 +702,11 @@ pub fn run_suite_journaled(
     // (which digest-verifies the embedded scenario), sits at its own
     // address, and is byte-identical to its canonical rendering — and,
     // on the cached path, matches the manifest row's pinned checksum.
+    // The runner threads verify; this thread tallies and traces in cell
+    // order.
+    let threads = resolve_threads(opts.threads);
     let mut slots: Vec<Option<RunOutcome>> = vec![None; cells.len()];
+    let mut checksums: Vec<Option<String>> = vec![None; cells.len()];
     let mut skipped = Vec::new();
     let mut cache = CacheStats::default();
     if opts.resume || opts.cached {
@@ -605,25 +715,15 @@ pub fn run_suite_journaled(
         } else {
             None
         };
-        for cell in &cells {
-            let verdict = match store.lookup_record(&suite_digest, &cell.digest, manifest.as_ref())
-            {
-                CacheLookup::Hit(_, record) => {
-                    slots[cell.index] = Some(RunOutcome::Complete(record));
-                    skipped.push(cell.index);
-                    cache.hits += 1;
-                    "hit"
-                }
-                CacheLookup::Miss => {
-                    cache.misses += 1;
-                    "miss"
-                }
-                CacheLookup::Rejected(_) => {
-                    cache.rejected += 1;
-                    "rejected"
-                }
-            };
+        let reads = read_verified(store, &suite_digest, &cells, manifest.as_ref(), threads);
+        for (cell, read) in cells.iter().zip(reads) {
+            let verdict = read.tally(&mut cache);
             obs.emit("lab", "cache", cell.index as u64, verdict, &[]);
+            if let CachedCell::Hit(checksum, record) = read {
+                slots[cell.index] = Some(RunOutcome::Complete(record));
+                checksums[cell.index] = Some(checksum);
+                skipped.push(cell.index);
+            }
         }
     }
 
@@ -646,7 +746,7 @@ pub fn run_suite_journaled(
     let started_at = std::time::Instant::now();
     fan_out(
         &pending,
-        resolve_threads(opts.threads),
+        threads,
         |cell| capture_cell(store, cell, &run_opts),
         |batch| -> Result<(), String> {
             let mut started = Vec::new();
@@ -662,7 +762,7 @@ pub fn run_suite_journaled(
                     }
                 }
             }
-            committer.commit(&CommitBatch {
+            let staged = committer.commit(&CommitBatch {
                 claims: started.iter().map(|cell| claim_entry(cell)).collect(),
                 records: finished.iter().filter_map(|(_, o)| o.record()).collect(),
                 terminals: finished
@@ -670,6 +770,10 @@ pub fn run_suite_journaled(
                     .map(|(cell, o)| terminal_entry(cell, o, ""))
                     .collect(),
             })?;
+            let with_record = finished.iter().filter(|(_, o)| o.record().is_some());
+            for ((cell, _), checksum) in with_record.zip(staged) {
+                checksums[cell.index] = Some(checksum);
+            }
             for cell in started {
                 obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
             }
@@ -702,9 +806,10 @@ pub fn run_suite_journaled(
         .filter_map(|&i| outcomes[i].record())
         .map(|r| r.report.ticks())
         .sum();
-    let run = assemble_run(suite, &cells, outcomes);
+    let mut run = assemble_run(suite, &cells, outcomes);
     // Records are already durable (committed incrementally above); only
-    // the manifest remains.
+    // the manifest remains, pinning the checksums hashed on the way.
+    run.checksums = checksums;
     let manifest = Manifest::from_run(&run);
     store
         .write_manifest(&manifest)

@@ -38,7 +38,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use apex_scenario::ReportRecord;
+use apex_scenario::{ReportRecord, StoredRecordError};
 use apex_sim::{Json, JsonError};
 
 use crate::digest_hex;
@@ -124,8 +124,11 @@ pub struct Manifest {
 
 impl Manifest {
     /// Build the manifest for a completed run: one row per outcome in
-    /// expansion order, record checksums computed from the canonical
-    /// (intended) record bytes.
+    /// expansion order. Each row's cell digest is the one expansion
+    /// computed, and each record's checksum — the digest of its
+    /// canonical bytes — comes from [`SuiteRun::checksums`] when the run
+    /// carries them (bytes already verified or staged); either is
+    /// computed from the outcome when the run lacks it.
     pub fn from_run(run: &SuiteRun) -> Self {
         Manifest {
             name: run.name.clone(),
@@ -136,16 +139,31 @@ impl Manifest {
                 .enumerate()
                 .map(|(index, outcome)| ManifestCell {
                     index,
-                    digest: outcome.digest(),
+                    digest: known_or(run.digests.get(index), || outcome.digest()),
                     status: outcome.status().to_string(),
                     ok: outcome.ok(),
                     summary: outcome.summary(),
-                    checksum: outcome
-                        .record()
-                        .map(|r| digest_hex(r.render_pretty().as_bytes())),
+                    checksum: known_or(run.checksums.get(index), || {
+                        outcome
+                            .record()
+                            .map(|r| digest_hex(r.render_pretty().as_bytes()))
+                    }),
                 })
                 .collect(),
         }
+    }
+
+    /// The pinned checksum of every row, keyed by cell digest (the first
+    /// row wins, as a scan would find it): built once, so checking a
+    /// whole suite's records against the manifest is linear, not
+    /// quadratic.
+    pub(crate) fn pins(&self) -> std::collections::HashMap<&str, Option<&str>> {
+        let mut pins = std::collections::HashMap::with_capacity(self.cells.len());
+        for c in &self.cells {
+            pins.entry(c.digest.as_str())
+                .or_insert(c.checksum.as_deref());
+        }
+        pins
     }
 
     /// The manifest's core document, without the self-checksum field.
@@ -189,10 +207,12 @@ impl Manifest {
 
     /// Serialize (canonical field order, no timestamps — deterministic).
     pub fn to_json(&self) -> Json {
-        let Json::Obj(mut fields) = self.core_json() else {
+        let core = self.core_json();
+        let checksum = digest_hex(core.render().as_bytes());
+        let Json::Obj(mut fields) = core else {
             unreachable!("core_json renders an object");
         };
-        fields.push(("checksum".into(), Json::Str(self.self_checksum())));
+        fields.push(("checksum".into(), Json::Str(checksum)));
         Json::Obj(fields)
     }
 
@@ -238,6 +258,21 @@ impl Manifest {
             }
         }
         Ok(manifest)
+    }
+}
+
+/// The value a run already carries, else `compute()` — which, in debug
+/// builds, must agree with the carried value.
+fn known_or<T: Clone + PartialEq + std::fmt::Debug>(
+    known: Option<&T>,
+    compute: impl Fn() -> T,
+) -> T {
+    match known {
+        Some(known) => {
+            debug_assert_eq!(*known, compute(), "a run carries a stale value");
+            known.clone()
+        }
+        None => compute(),
     }
 }
 
@@ -335,17 +370,32 @@ impl LabStore {
 
     /// Look up one cell's record by digest, trusting only verified bytes.
     ///
-    /// Verification is the resume path from the journal runner: the file
-    /// must parse (which digest-verifies the embedded scenario), the
-    /// record digest must equal `cell_digest`, and the file text must be
-    /// the record's canonical rendering. When `manifest` is supplied, the
-    /// matching row's pinned checksum must also match the file bytes —
-    /// the same invariant `apex lab fsck` enforces.
+    /// Verification is the resume path from the journal runner
+    /// ([`ReportRecord::verify_stored`]): the file must parse (which
+    /// digest-verifies the embedded scenario), the record digest must
+    /// equal `cell_digest`, and the file text must be the record's
+    /// canonical rendering. When `manifest` is supplied, the matching
+    /// row's pinned checksum must also match the file bytes — the same
+    /// invariant `apex lab fsck` enforces.
     pub fn lookup_record(
         &self,
         suite_digest: &str,
         cell_digest: &str,
         manifest: Option<&Manifest>,
+    ) -> CacheLookup {
+        let pinned = manifest
+            .and_then(|m| m.cells.iter().find(|c| c.digest == cell_digest))
+            .and_then(|row| row.checksum.as_deref());
+        self.lookup_pinned(suite_digest, cell_digest, pinned)
+    }
+
+    /// [`LabStore::lookup_record`] with the manifest row's pinned
+    /// checksum, if any, already found.
+    pub(crate) fn lookup_pinned(
+        &self,
+        suite_digest: &str,
+        cell_digest: &str,
+        pinned: Option<&str>,
     ) -> CacheLookup {
         let path = self.record_path(suite_digest, cell_digest);
         if !path.exists() {
@@ -355,29 +405,26 @@ impl LabStore {
             Ok(t) => t,
             Err(e) => return CacheLookup::Rejected(format!("unreadable: {e}")),
         };
-        let record = match ReportRecord::parse(&text) {
+        let record = match ReportRecord::verify_stored(&text, cell_digest) {
             Ok(r) => r,
-            Err(e) => return CacheLookup::Rejected(format!("unparseable: {e}")),
+            Err(StoredRecordError::Json(e) | StoredRecordError::Record(e)) => {
+                return CacheLookup::Rejected(format!("unparseable: {e}"))
+            }
+            Err(StoredRecordError::Misaddressed { claims }) => {
+                return CacheLookup::Rejected(format!(
+                    "digest mismatch: file claims scenario {claims}, address says {cell_digest}"
+                ))
+            }
+            Err(StoredRecordError::NotCanonical) => {
+                return CacheLookup::Rejected("not the canonical rendering of its contents".into())
+            }
         };
-        if record.digest() != cell_digest {
-            return CacheLookup::Rejected(format!(
-                "digest mismatch: file claims scenario {}, address says {cell_digest}",
-                record.digest()
-            ));
-        }
-        if text != record.render_pretty() {
-            return CacheLookup::Rejected("not the canonical rendering of its contents".into());
-        }
-        if let Some(manifest) = manifest {
-            if let Some(row) = manifest.cells.iter().find(|c| c.digest == cell_digest) {
-                if let Some(pinned) = &row.checksum {
-                    let actual = digest_hex(text.as_bytes());
-                    if &actual != pinned {
-                        return CacheLookup::Rejected(format!(
-                            "manifest pins checksum {pinned}, file bytes hash to {actual}"
-                        ));
-                    }
-                }
+        if let Some(pinned) = pinned {
+            let actual = digest_hex(text.as_bytes());
+            if actual != pinned {
+                return CacheLookup::Rejected(format!(
+                    "manifest pins checksum {pinned}, file bytes hash to {actual}"
+                ));
             }
         }
         CacheLookup::Hit(text, Box::new(record))
@@ -572,13 +619,23 @@ impl LabStore {
         Ok(manifest)
     }
 
-    /// Load one suite's manifest (verifying its self-checksum).
+    /// Load one suite's manifest, verifying its self-checksum and that
+    /// the file is the manifest's canonical rendering (so no two byte
+    /// strings pass for one manifest).
     pub fn read_manifest(&self, suite_digest: &str) -> Result<Manifest, String> {
         let path = self.manifest_path(suite_digest);
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        Manifest::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))
+        let manifest =
+            Manifest::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))?;
+        if text != manifest.to_json().render_pretty() {
+            return Err(format!(
+                "{}: not the canonical rendering of its contents",
+                path.display()
+            ));
+        }
+        Ok(manifest)
     }
 
     /// Load one record, returning both the raw file text (what drift

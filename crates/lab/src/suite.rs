@@ -432,7 +432,7 @@ impl Suite {
                     self.name, expect.cell
                 ));
             }
-            let Some(cell) = cells.iter().find(|c| c.digest == expect.cell) else {
+            let Some(cell) = seen.get(&expect.cell).and_then(|&i| cells.get(i)) else {
                 return Err(format!(
                     "suite {:?}: expectation {ei} names cell {}, which no cell expands to",
                     self.name, expect.cell

@@ -44,8 +44,8 @@ pub use program::{
     op_from_name, op_name, program_from_json, program_to_json, scheme_from_label, ProgramSource,
 };
 pub use record::{
-    atomic_write, atomic_write_bytes, temp_path, ReportRecord, RECORD_FORMAT_MAJOR,
-    RECORD_FORMAT_MINOR,
+    atomic_write, atomic_write_bytes, temp_path, ReportRecord, StoredRecordError,
+    RECORD_FORMAT_MAJOR, RECORD_FORMAT_MINOR,
 };
 pub use report::{
     scheme_report_from_json, scheme_report_to_json, verify_report_from_json, verify_report_to_json,

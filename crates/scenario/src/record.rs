@@ -71,6 +71,25 @@ pub fn atomic_write_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Why stored bytes are not a trustworthy record for their address
+/// ([`ReportRecord::verify_stored`]), in the order the checks run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum StoredRecordError {
+    /// The bytes are not a JSON document.
+    Json(JsonError),
+    /// JSON, but not a record: a missing or mistyped field, an unknown
+    /// major version, or a stored digest that disagrees with the
+    /// embedded scenario.
+    Record(JsonError),
+    /// A well-formed record of another scenario, whose digest it names.
+    Misaddressed {
+        /// The digest the record's own scenario hashes to.
+        claims: String,
+    },
+    /// The record's content, but not its canonical rendering.
+    NotCanonical,
+}
+
 /// A recorded scenario run: scenario, named outputs (when the program
 /// source declares I/O blocks), and the full report.
 #[derive(Clone, Debug)]
@@ -131,6 +150,11 @@ impl ReportRecord {
 
     /// Serialize to the versioned record document (canonical field order).
     pub fn to_json(&self) -> Json {
+        self.to_json_as(self.digest())
+    }
+
+    /// [`ReportRecord::to_json`] with the record's digest already in hand.
+    fn to_json_as(&self, digest: String) -> Json {
         Json::Obj(vec![
             (
                 "version".into(),
@@ -139,7 +163,7 @@ impl ReportRecord {
                     ("minor".into(), Json::UInt(RECORD_FORMAT_MINOR)),
                 ]),
             ),
-            ("digest".into(), Json::Str(self.digest())),
+            ("digest".into(), Json::Str(digest)),
             ("scenario".into(), self.scenario.to_json()),
             (
                 "outputs".into(),
@@ -155,6 +179,11 @@ impl ReportRecord {
     /// records whose stored digest does not match the embedded scenario
     /// (a hand-edited or corrupted artifact).
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Self::from_json_digest(v).map(|(record, _)| record)
+    }
+
+    /// [`ReportRecord::from_json`], also returning the digest it verified.
+    fn from_json_digest(v: &Json) -> Result<(Self, String), JsonError> {
         let version = v
             .get("version")
             .map_err(|_| jerr("record document has no version field"))?;
@@ -184,6 +213,25 @@ impl ReportRecord {
             return Err(jerr(format!(
                 "record digest {stored:?} does not match its scenario (expected {actual:?})"
             )));
+        }
+        Ok((record, actual))
+    }
+
+    /// Decode the stored bytes of the record filed at content address
+    /// `address`, trusting only verified bytes: `text` must parse as a
+    /// record (which checks its digest against its scenario), that
+    /// digest must be `address`, and `text` must be the record's
+    /// canonical rendering. The scenario digest is computed once and
+    /// serves all three checks. The lab store's cache lookup and
+    /// `apex lab fsck` both verify records through here.
+    pub fn verify_stored(text: &str, address: &str) -> Result<Self, StoredRecordError> {
+        let json = Json::parse(text).map_err(StoredRecordError::Json)?;
+        let (record, digest) = Self::from_json_digest(&json).map_err(StoredRecordError::Record)?;
+        if digest != address {
+            return Err(StoredRecordError::Misaddressed { claims: digest });
+        }
+        if text != record.to_json_as(digest).render_pretty() {
+            return Err(StoredRecordError::NotCanonical);
         }
         Ok(record)
     }
@@ -286,6 +334,33 @@ mod tests {
         }
         let e = ReportRecord::from_json(&json).unwrap_err();
         assert!(e.msg.contains("major version"), "{e}");
+    }
+
+    #[test]
+    fn verify_stored_checks_json_record_address_and_canonical_bytes() {
+        let record = scheme_record();
+        let (text, digest) = (record.render_pretty(), record.digest());
+        let back = ReportRecord::verify_stored(&text, &digest).unwrap();
+        assert_eq!(back.render_pretty(), text);
+
+        let e = ReportRecord::verify_stored(&text[..text.len() / 2], &digest);
+        assert!(matches!(e, Err(StoredRecordError::Json(_))), "{e:?}");
+        let retagged = text.replacen(&digest, "0000000000000000", 1);
+        match ReportRecord::verify_stored(&retagged, &digest) {
+            Err(StoredRecordError::Record(e)) => assert!(e.msg.contains("digest"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(
+            ReportRecord::verify_stored(&text, "0000000000000000").unwrap_err(),
+            StoredRecordError::Misaddressed {
+                claims: digest.clone()
+            }
+        );
+        let padded = text.replacen("\n  ", "\n   ", 1);
+        assert_eq!(
+            ReportRecord::verify_stored(&padded, &digest).unwrap_err(),
+            StoredRecordError::NotCanonical
+        );
     }
 
     #[test]

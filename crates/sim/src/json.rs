@@ -275,21 +275,32 @@ fn render_f64(x: f64, out: &mut String) {
     }
 }
 
+/// Render `s` as a JSON string literal: `"`, `\\` and control bytes below
+/// 0x20 are escaped, everything else (DEL and multi-byte UTF-8 included)
+/// is copied as is. Each run of bytes that needs no escaping goes out
+/// with one `push_str`; the bytes that do are all ASCII, so every run
+/// boundary is a char boundary.
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -414,6 +425,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     }
                     _ => return err(format!("unknown escape \\{}", e as char), *pos),
                 }
+            }
+            // A run of plain ASCII is valid UTF-8 as it stands: copy it
+            // whole, up to the next quote, escape or non-ASCII byte.
+            0x00..=0x7f => {
+                let start = *pos - 1;
+                let run = b[*pos..]
+                    .iter()
+                    .take_while(|&&c| c < 0x80 && c != b'"' && c != b'\\')
+                    .count();
+                *pos += run;
+                out.push_str(std::str::from_utf8(&b[start..*pos]).expect("ascii run"));
             }
             _ => {
                 // Re-sync to a char boundary for multi-byte UTF-8.
@@ -627,5 +649,170 @@ mod tests {
         // error, never a stack overflow.
         assert!(Json::parse(&"[".repeat(200_000)).is_err());
         assert!(Json::parse(&"{\"k\":[".repeat(100_000)).is_err());
+    }
+
+    /// The char-at-a-time string codec (one `from_utf8` call per
+    /// character): the oracle the run-at-a-time fast paths must match.
+    mod reference {
+        use super::super::{err, utf8_len, JsonError};
+        use std::fmt::Write as _;
+
+        pub fn render_string(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+
+        pub fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+            *pos += 1;
+            let mut out = String::new();
+            loop {
+                let Some(&c) = b.get(*pos) else {
+                    return err("unterminated string", *pos);
+                };
+                *pos += 1;
+                match c {
+                    b'"' => return Ok(out),
+                    b'\\' => {
+                        let Some(&e) = b.get(*pos) else {
+                            return err("unterminated escape", *pos);
+                        };
+                        *pos += 1;
+                        match e {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b't' => out.push('\t'),
+                            b'r' => out.push('\r'),
+                            b'b' => out.push('\u{8}'),
+                            b'f' => out.push('\u{c}'),
+                            b'u' => {
+                                if *pos + 4 > b.len() {
+                                    return err("truncated \\u escape", *pos);
+                                }
+                                let hex = std::str::from_utf8(&b[*pos..*pos + 4])
+                                    .map_err(|_| JsonError {
+                                        msg: "non-ascii \\u escape".into(),
+                                        at: *pos,
+                                    })?
+                                    .to_string();
+                                let code =
+                                    u32::from_str_radix(&hex, 16).map_err(|_| JsonError {
+                                        msg: format!("bad \\u escape {hex:?}"),
+                                        at: *pos,
+                                    })?;
+                                *pos += 4;
+                                match char::from_u32(code) {
+                                    Some(c) => out.push(c),
+                                    None => return err("surrogate \\u escape unsupported", *pos),
+                                }
+                            }
+                            _ => return err(format!("unknown escape \\{}", e as char), *pos),
+                        }
+                    }
+                    _ => {
+                        let s = &b[*pos - 1..];
+                        let ch_len = utf8_len(c);
+                        if s.len() < ch_len {
+                            return err("truncated utf-8", *pos);
+                        }
+                        let ch = std::str::from_utf8(&s[..ch_len]).map_err(|_| JsonError {
+                            msg: "invalid utf-8 in string".into(),
+                            at: *pos,
+                        })?;
+                        out.push_str(ch);
+                        *pos += ch_len - 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every char class the string codec treats differently: plain
+    /// ASCII, the two escaped printables, every control byte, DEL, and
+    /// two-, three- and four-byte UTF-8.
+    fn string_chars() -> Vec<char> {
+        let mut pool: Vec<char> = "aZ0 /'".chars().collect();
+        pool.extend(['"', '\\', '\u{7f}', 'é', '∑', '😀']);
+        pool.extend((0u8..0x20).map(char::from));
+        pool
+    }
+
+    /// Byte pieces of a string literal's body, valid or not: plain and
+    /// escaped ASCII, good and bad `\u` escapes, whole, truncated and
+    /// invalid UTF-8.
+    const BODY_PIECES: &[&[u8]] = &[
+        b"abc",
+        b" ",
+        b"\x7f",
+        b"\\n",
+        b"\\\"",
+        b"\\/",
+        b"\\b",
+        b"\\u0041",
+        b"\\u00e9",
+        b"\\u001f",
+        b"\\ud800",
+        b"\\u12",
+        b"\\uzz00",
+        b"\\u\xc3\xa9zz",
+        b"\\q",
+        b"\\",
+        "é∑😀".as_bytes(),
+        b"\xe2\x88",
+        b"\xf0\x9f\x98",
+        b"\x80",
+        b"\xff",
+        b"\xc0\xaf",
+        b"\x01\x1f",
+    ];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn string_fast_paths_match_the_char_at_a_time_codec(
+            picks in collection::vec(0usize..string_chars().len(), 0..48),
+            pieces in collection::vec(0usize..BODY_PIECES.len(), 0..12),
+            closed in any::<bool>(),
+        ) {
+            let pool = string_chars();
+            let s: String = picks.iter().map(|&i| pool[i]).collect();
+            let (mut fast, mut slow) = (String::new(), String::new());
+            render_string(&s, &mut fast);
+            reference::render_string(&s, &mut slow);
+            prop_assert_eq!(&fast, &slow);
+            prop_assert_eq!(Json::parse(&fast), Ok(Json::Str(s)));
+
+            let mut literal = b"\"".to_vec();
+            for &i in &pieces {
+                literal.extend_from_slice(BODY_PIECES[i]);
+            }
+            if closed {
+                literal.push(b'"');
+            }
+            let (mut at_fast, mut at_slow) = (0, 0);
+            let got = parse_string(&literal, &mut at_fast);
+            let want = reference::parse_string(&literal, &mut at_slow);
+            prop_assert_eq!(&got, &want, "{:?}", String::from_utf8_lossy(&literal));
+            if want.is_ok() {
+                prop_assert_eq!(at_fast, at_slow);
+            }
+        }
     }
 }

@@ -26,13 +26,18 @@
 //! Finally, a mutation sweep feeds every decoder truncations at every
 //! byte, a one-byte substitution at every position, and numeric
 //! blow-ups of every number in a canonical instance: each must decode to
-//! `Ok` or a typed `Err`, never a panic.
+//! `Ok` or a typed `Err`, never a panic. Every mutated record the store's
+//! cache lookup returns as a hit, and every mutated manifest the store
+//! reads, must re-render to exactly its own bytes, so no two byte strings
+//! address one digest.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use apex_lab::{
-    fsck, run_suite, run_suite_journaled, BenchDoc, FaultPlan, FsckIssueKind, Grid, JournalEntry,
-    JournalOpts, LabStore, Lease, Manifest, SeedRange, Suite, TooManyCells, MAX_SUITE_CELLS,
+    fsck, run_suite, run_suite_journaled, BenchDoc, CacheLookup, FaultPlan, FsckIssueKind, Grid,
+    JournalEntry, JournalOpts, LabStore, Lease, Manifest, SeedRange, Suite, TooManyCells,
+    MAX_SUITE_CELLS,
 };
 use apex_obs::{Metrics, TraceEvent};
 use apex_scenario::{
@@ -156,6 +161,37 @@ fn cached_run_rejects_a_planted_deep_record_and_re_executes_the_cell() {
     assert_eq!(done.executed, vec![1]);
     assert!(done.run.all_ok());
     assert_eq!(std::fs::read(&victim).unwrap(), before);
+    assert!(fsck(&store, false).unwrap().clean());
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+#[test]
+fn a_non_canonical_manifest_is_refused_and_rewritten_by_a_cached_run() {
+    // One more space of indentation keeps the manifest's JSON and its
+    // self-checksum (taken over the compact rendering) intact: only the
+    // canonical re-render tells the two byte strings apart.
+    let suite = small_suite();
+    let store = temp_store("manifest-canonical");
+    run_suite_journaled(&suite, &store, &serial(false)).unwrap();
+    let digest = suite.digest();
+    let path = store.manifest_path(&digest);
+    let canonical = std::fs::read_to_string(&path).unwrap();
+    let padded = canonical.replacen("\n  ", "\n   ", 1);
+    assert!(Manifest::from_json(&Json::parse(&padded).unwrap()).is_ok());
+    std::fs::write(&path, &padded).unwrap();
+
+    let e = store.read_manifest(&digest).unwrap_err();
+    assert!(e.contains("canonical"), "{e}");
+    let report = fsck(&store, false).unwrap();
+    assert_eq!(report.issues.len(), 1, "{}", report.summary());
+    assert_eq!(report.issues[0].file, "manifest.json");
+    assert_eq!(report.issues[0].kind, FsckIssueKind::NotCanonical);
+
+    // Without a readable manifest there are no pins, but every record
+    // still verifies on its own: all hits, and the manifest is rewritten.
+    let done = run_suite_journaled(&suite, &store, &serial(true)).unwrap();
+    assert!(done.cache.all_hit(), "{}", done.cache.summary());
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), canonical);
     assert!(fsck(&store, false).unwrap().clean());
     let _ = std::fs::remove_dir_all(store.root());
 }
@@ -449,18 +485,89 @@ fn subjects() -> Vec<(&'static str, String)> {
 }
 
 /// Decode `text`, turning a panic into a test failure that names the
-/// document kind and the mutation.
-fn must_not_panic(kind: &str, mutation: &str, text: &str) {
-    if std::panic::catch_unwind(|| decodes(kind, text)).is_err() {
-        panic!("{kind} decoder panicked on {mutation}: {text:?}");
+/// document kind and the mutation; `true` when it decodes.
+fn must_not_panic(kind: &str, mutation: &str, text: &str) -> bool {
+    match std::panic::catch_unwind(|| decodes(kind, text)) {
+        Ok(decoded) => decoded,
+        Err(_) => panic!("{kind} decoder panicked on {mutation}: {text:?}"),
     }
 }
 
+/// A temporary store the sweeps file mutated records and manifests in, to
+/// ask the store itself whether it accepts them. Whatever it accepts
+/// must be the canonical rendering of what it decoded — then no two
+/// byte strings address one digest.
+struct Filing {
+    store: LabStore,
+    /// The address the canonical record is filed at.
+    record: String,
+    /// Mutations that decoded, and so reached the store.
+    filed: usize,
+}
+
+impl Filing {
+    fn new(tag: &str, subjects: &[(&str, String)]) -> Self {
+        let store = temp_store(tag);
+        std::fs::create_dir_all(store.suite_dir(FILING_SUITE)).unwrap();
+        let (_, record) = subjects.iter().find(|(k, _)| *k == "record").unwrap();
+        Filing {
+            store,
+            record: ReportRecord::parse(record).unwrap().digest(),
+            filed: 0,
+        }
+    }
+
+    /// File one decoded mutation of a `kind` document and, when the store
+    /// accepts it, check that it re-renders to exactly its own bytes.
+    fn check(&mut self, kind: &str, mutation: &str, text: &str) {
+        let rendered = match kind {
+            "record" => {
+                let path = self.store.record_path(FILING_SUITE, &self.record);
+                std::fs::write(path, text).unwrap();
+                match self.store.lookup_record(FILING_SUITE, &self.record, None) {
+                    CacheLookup::Hit(bytes, record) => {
+                        assert_eq!(bytes, text, "record {mutation}: a hit returns the file");
+                        record.render_pretty()
+                    }
+                    _ => return,
+                }
+            }
+            "manifest" => {
+                std::fs::write(self.store.manifest_path(FILING_SUITE), text).unwrap();
+                match self.store.read_manifest(FILING_SUITE) {
+                    Ok(manifest) => manifest.to_json().render_pretty(),
+                    Err(_) => return,
+                }
+            }
+            _ => return,
+        };
+        self.filed += 1;
+        assert_eq!(
+            rendered, text,
+            "{kind} {mutation} was accepted but is not canonical"
+        );
+    }
+}
+
+impl Drop for Filing {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(self.store.root());
+    }
+}
+
+/// The suite directory [`Filing`] files into.
+const FILING_SUITE: &str = "0000000000000000";
+
 #[test]
 fn truncation_at_every_byte_never_panics() {
-    for (kind, doc) in subjects() {
+    let subjects = subjects();
+    let mut filing = Filing::new("truncated", &subjects);
+    for (kind, doc) in &subjects {
         for cut in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
-            must_not_panic(kind, &format!("truncation at {cut}"), &doc[..cut]);
+            let mutation = format!("truncation at {cut}");
+            if must_not_panic(kind, &mutation, &doc[..cut]) {
+                filing.check(kind, &mutation, &doc[..cut]);
+            }
         }
     }
 }
@@ -470,8 +577,11 @@ fn a_substituted_byte_at_every_position_never_panics() {
     // Every structural byte, plus a digit, a sign, an exponent letter
     // and whitespace — each turns one token into another — everywhere.
     const SUBSTITUTES: &[u8] = b"\"{}[]:,-09e \\";
+    let subjects = subjects();
+    let mut filing = Filing::new("substituted", &subjects);
     let mut mutations = 0;
-    for (kind, doc) in subjects() {
+    let mut decoded = BTreeMap::new();
+    for (kind, doc) in &subjects {
         let bytes = doc.as_bytes();
         for pos in 0..bytes.len() {
             for &with in SUBSTITUTES.iter().filter(|&&b| b != bytes[pos]) {
@@ -480,12 +590,24 @@ fn a_substituted_byte_at_every_position_never_panics() {
                 // A substitution inside a multi-byte character is not text.
                 if let Ok(text) = String::from_utf8(mutated) {
                     mutations += 1;
-                    must_not_panic(kind, &format!("substitution at {pos}"), &text);
+                    let mutation = format!("substitution at {pos}");
+                    if must_not_panic(kind, &mutation, &text) {
+                        *decoded.entry(*kind).or_insert(0) += 1;
+                        filing.check(kind, &mutation, &text);
+                    }
                 }
             }
         }
     }
     assert!(mutations > 100_000, "{mutations} substitutions");
+    // Both digest-addressed kinds have mutations that still decode —
+    // whitespace that moved, a key renamed past the optional checksum,
+    // a report number changed — so the canonical check has work to do.
+    assert!(
+        decoded["record"] > 0 && decoded["manifest"] > 0,
+        "{decoded:?}"
+    );
+    assert!(filing.filed > 0, "some mutated record is still a hit");
 }
 
 /// Byte ranges of the unsigned integer literals in a JSON document: digit
@@ -517,15 +639,24 @@ fn numeric_blow_ups_and_wrong_types_never_panic() {
         "{\"n\": 7}",
         "null",
     ];
+    let subjects = subjects();
+    let mut filing = Filing::new("numeric", &subjects);
     let mut numbers = 0;
-    for (kind, doc) in subjects() {
-        for (start, end) in number_spans(&doc) {
+    for (kind, doc) in &subjects {
+        for (start, end) in number_spans(doc) {
             numbers += 1;
             for with in REPLACEMENTS {
                 let text = format!("{}{with}{}", &doc[..start], &doc[end..]);
-                must_not_panic(kind, &format!("number at {start} -> {with}"), &text);
+                let mutation = format!("number at {start} -> {with}");
+                if must_not_panic(kind, &mutation, &text) {
+                    filing.check(kind, &mutation, &text);
+                }
             }
         }
     }
     assert!(numbers > 100, "the sweep must reach the documents' numbers");
+    assert!(
+        filing.filed > 0,
+        "some replaced report number is still a hit"
+    );
 }

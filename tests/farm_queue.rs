@@ -5,7 +5,8 @@
 //!
 //! * a second `--cached` run of an already-stored suite executes zero
 //!   cells, tallies all-hit [`CacheStats`], and leaves the store
-//!   byte-identical;
+//!   byte-identical — with the same manifest, tally and cache trace at
+//!   every runner thread count, and the cold run's manifest bytes;
 //! * any number of concurrent (or crashed-and-replaced) workers drain a
 //!   queued suite to a record set and manifest **byte-identical** to a
 //!   single serial `apex suite run` — the journal and metrics sidecars
@@ -26,9 +27,10 @@ use std::sync::Arc;
 use apex_farm::{query, run_worker, EntryError, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
     fsck, is_kill, lease_dir, lease_path, read_journal, run_suite_journaled, FaultInjector,
-    FaultPlan, FsckIssueKind, Grid, JournalOpts, LabStore, Lease, SeedRange, Suite, TornWrite,
-    TELEMETRY_FILES,
+    FaultPlan, FsckIssueKind, Grid, JournalOpts, JournaledRun, LabStore, Lease, SeedRange, Suite,
+    TornWrite, TELEMETRY_FILES,
 };
+use apex_obs::{read_trace, ObsOpts};
 use apex_scenario::{CacheStats, ProgramSource, Scenario, SourceSpec};
 use apex_scheme::SchemeKind;
 use apex_sim::ScheduleKind;
@@ -148,6 +150,133 @@ fn cached_rerun_executes_nothing_and_is_byte_identical() {
     assert_eq!(metrics.counter("cache.misses"), 0);
     assert_eq!(metrics.counter("cache.rejected"), 0);
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// Copy one suite directory's files (not its subdirectories) from
+/// `from` into a fresh store tagged `tag`.
+fn copy_suite(from: &LabStore, digest: &str, tag: &str) -> LabStore {
+    let to = temp_store(tag);
+    let dir = to.suite_dir(digest);
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(from.suite_dir(digest)).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_file() {
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+    to
+}
+
+/// A `--cached` run of `suite` on `store` at `threads`, traced: the run
+/// and its `lab`/`cache` events as `(cell index, verdict)`.
+fn traced_cached_run(
+    suite: &Suite,
+    store: &LabStore,
+    threads: usize,
+) -> (JournaledRun, Vec<(u64, String)>) {
+    let trace = store.root().join("cache-trace.jsonl");
+    let opts = JournalOpts {
+        cached: true,
+        threads: Some(threads),
+        obs: ObsOpts {
+            trace: Some(trace.clone()),
+            ..ObsOpts::off()
+        },
+        ..JournalOpts::default()
+    };
+    let done = run_suite_journaled(suite, store, &opts).unwrap();
+    let events = read_trace(&trace)
+        .unwrap()
+        .events
+        .into_iter()
+        .filter(|e| e.scope == "lab" && e.kind == "cache")
+        .map(|e| (e.op, e.label))
+        .collect();
+    (done, events)
+}
+
+#[test]
+fn the_cached_path_does_not_depend_on_thread_count() {
+    // Cached lookups are verified on the runner threads but tallied and
+    // traced in cell order, so every observable of a `--cached` run is
+    // the same at one thread and at four — and the manifest it writes,
+    // built from the checksums the verified-read pass hashed, equals the
+    // cold run's byte for byte.
+    let suite = committed_suite("adversary");
+    let digest = suite.digest();
+    let cold = temp_store("threads-cold");
+    run_suite_journaled(&suite, &cold, &serial()).unwrap();
+    let reference = file_map(&cold.suite_dir(&digest));
+    let cells = suite.expand().unwrap().len();
+    let all_hit: Vec<(u64, String)> = (0..cells as u64).map(|i| (i, "hit".into())).collect();
+
+    let mut seen = Vec::new();
+    for threads in [1, 4] {
+        let store = copy_suite(&cold, &digest, &format!("threads-warm-{threads}"));
+        let (done, events) = traced_cached_run(&suite, &store, threads);
+        assert!(done.executed.is_empty(), "threads={threads}");
+        assert!(done.cache.all_hit(), "{}", done.cache.summary());
+        assert_eq!(
+            events, all_hit,
+            "threads={threads}: cache events in cell order"
+        );
+        assert_eq!(file_map(&store.suite_dir(&digest)), reference);
+        seen.push((done.manifest, done.cache, events));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+    assert_eq!(seen[0], seen[1]);
+
+    // One record corrupted mid-suite: both thread counts reject exactly
+    // that cell, re-run it, and restore the reference bytes.
+    let victim = cells / 2;
+    let victim_digest = &seen[0].0.cells[victim].digest;
+    let mut seen = Vec::new();
+    for threads in [1, 4] {
+        let store = copy_suite(&cold, &digest, &format!("threads-flip-{threads}"));
+        let path = store.record_path(&digest, victim_digest);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 1;
+        std::fs::write(&path, bytes).unwrap();
+        let (done, events) = traced_cached_run(&suite, &store, threads);
+        assert_eq!(done.executed, vec![victim], "threads={threads}");
+        assert_eq!(
+            done.cache,
+            CacheStats {
+                hits: cells as u64 - 1,
+                misses: 0,
+                rejected: 1
+            }
+        );
+        let mut expect = all_hit.clone();
+        expect[victim].1 = "rejected".into();
+        assert_eq!(events, expect, "threads={threads}");
+        assert_eq!(file_map(&store.suite_dir(&digest)), reference);
+        seen.push((done.manifest, done.cache, events));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+    assert_eq!(seen[0], seen[1]);
+
+    // The farm's finalize reads the same store through the same pass and
+    // writes that same manifest, at any width.
+    for threads in [1, 4] {
+        let store = copy_suite(&cold, &digest, &format!("threads-farm-{threads}"));
+        std::fs::remove_file(store.manifest_path(&digest)).unwrap();
+        let queue = FarmQueue::new(temp_dir(&format!("queue-threads-{threads}")));
+        queue.submit(&suite).unwrap();
+        let opts = WorkerOpts {
+            threads: Some(threads),
+            ..worker("finalizer")
+        };
+        let report = run_worker(&queue, &store, &opts).unwrap();
+        assert_eq!(report.executed, 0);
+        assert!(report.cache.all_hit(), "{}", report.cache.summary());
+        assert_eq!(report.finalized, vec![digest.clone()]);
+        assert_eq!(file_map(&store.suite_dir(&digest)), reference);
+        let _ = std::fs::remove_dir_all(store.root());
+        let _ = std::fs::remove_dir_all(queue.root());
+    }
+    let _ = std::fs::remove_dir_all(cold.root());
 }
 
 #[test]
