@@ -45,7 +45,7 @@ fn usage() -> ! {
         "usage: apex <suite|drift|lab|farm|obs|run|adversary|synth> …\n\
          \n\
          suite run    SUITE.json [--store DIR] [--resume] [--cached] [--faults PLAN.json]\n\
-         \x20            [--threads N] [--timing]\n\
+         \x20            [--threads N]\n\
          \x20            [--engine tree|bytecode] [--trace [FILE]] [--metrics] [--profile]\n\
          \x20            [--bench OUT.json] [--bench-baseline BASE.json [--bench-tolerance F]]\n\
          \x20                                        journaled expand-execute-record\n\
@@ -53,8 +53,7 @@ fn usage() -> ! {
          drift        SUITE.json [--store DIR]   re-run a suite, compare against the store\n\
          drift        --compare BASE CAND        byte-compare two stores\n\
          drift report BASE CAND                  suite-by-suite divergence matrix\n\
-         lab fsck     [--store DIR] [--repair]   integrity-scan (--repair quarantines;\n\
-         \x20                                        stale leases are reclaimed)\n\
+         lab fsck     [--store DIR] [--repair]   integrity-scan (--repair quarantines)\n\
          lab gc       [--store DIR] [--keep-last N] [--dry-run]  delete old suite dirs\n\
          farm submit  SUITE.json [--queue DIR]   enqueue a suite for the workers\n\
          farm worker  [--queue DIR] [--store DIR] [--threads N] [--worker ID]\n\
@@ -232,13 +231,14 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
             let benching = args.has("bench") || args.has("bench-baseline");
             // Bare `--trace` lands next to the suite's records.
             let trace_default = store.trace_path(&suite.digest());
-            let run_args = RunArgs::parse(&args, || trace_default);
+            let mut run_args = RunArgs::parse(&args, || trace_default);
+            // A bench row needs the run's wall-clock time.
+            run_args.obs.profile |= benching;
             let opts = JournalOpts {
                 resume: args.has("resume"),
                 cached: args.has("cached"),
                 threads: args.get("threads").and_then(|v| v.parse().ok()),
                 engine: run_args.engine,
-                timing: benching || args.has("timing"),
                 obs: run_args.obs,
             };
             let done = match run_suite_journaled(&suite, &store, &opts) {
@@ -266,7 +266,7 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
             if opts.cached {
                 println!("  {}", done.cache.summary());
             }
-            if opts.timing {
+            if opts.obs.profile {
                 println!(
                     "  executed {} ticks in {} ms — {} ticks/s",
                     done.executed_ticks,

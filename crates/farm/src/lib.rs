@@ -15,10 +15,10 @@
 //!   enqueues a suite document; entries are content-addressed and
 //!   idempotent like everything else);
 //! * [`run_worker`] — drain the queue ([`apex farm worker`]): lease
-//!   cell shards with fsynced lease files whose expiry is
-//!   *operation-indexed* on the suite journal (never wall-clock), answer
-//!   cells from verified store bytes, execute only true misses, and
-//!   finalize each suite with a manifest byte-identical to a
+//!   cell shards with `leased` lines in the suite journal, whose expiry
+//!   is *operation-indexed* on that same journal (never wall-clock),
+//!   answer cells from verified store bytes, execute only true misses,
+//!   and finalize each suite with a manifest byte-identical to a
 //!   single-runner run. Any two workers that produce bytes for the same
 //!   cell are diffed against each other ([`Divergence`]) — a free
 //!   integrity check on the whole deterministic pipeline;
@@ -26,12 +26,12 @@
 //!   scenario from cache, or enqueue it as a one-cell suite for the
 //!   workers.
 //!
-//! A crashed worker leaves, at worst, a journal prefix, verified
-//! records, and a lease that lapses once the operation clock passes its
-//! ttl — after which any worker (or `apex lab fsck`, which *reclaims*
-//! rather than quarantines leases) takes the shard over. Nothing a
-//! worker does requires coordination beyond the lease, and the lease
-//! itself is only an optimization against duplicated work.
+//! A crashed worker leaves, at worst, a journal prefix (its last
+//! `leased` line included) and verified records. The lease lapses once
+//! the operation clock passes its ttl, and any worker then takes the
+//! shard over. The journal is the only thing workers coordinate
+//! through, and the lease in it is only an optimization against
+//! duplicated work.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

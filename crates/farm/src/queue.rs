@@ -15,7 +15,8 @@
 
 use std::path::{Path, PathBuf};
 
-use apex_lab::{read_journal, read_leases, Cell, LabStore, Suite};
+use apex_lab::runner::resolve_threads;
+use apex_lab::{read_journal, read_verified, CachedCell, Cell, LabStore, Suite};
 
 /// Default queue root, relative to the working directory (a sibling of
 /// the lab store's `.apex/lab`).
@@ -163,6 +164,7 @@ impl FarmQueue {
     /// status` prints).
     pub fn status(&self, store: &LabStore) -> Result<FarmStatus, String> {
         let mut out = FarmStatus::default();
+        let threads = resolve_threads(None);
         for entry in self.entries()? {
             let QueueEntry {
                 digest,
@@ -180,18 +182,13 @@ impl FarmQueue {
                 .as_ref()
                 .map(|s| s.poisoned.iter().copied().collect())
                 .unwrap_or_default();
-            let records = cells
+            let records = read_verified(store, &digest, &cells, None, threads)
                 .iter()
-                .filter(|c| {
-                    matches!(
-                        store.lookup_record(&digest, &c.digest, None),
-                        apex_lab::CacheLookup::Hit(..)
-                    )
-                })
+                .filter(|read| matches!(read, CachedCell::Hit(..)))
                 .count();
             let finished = journal.as_ref().is_some_and(|s| s.finished)
                 && store.read_manifest(&digest).is_ok();
-            let leases = read_leases(store, &digest)?.len();
+            let leases = journal.as_ref().map_or(0, |s| s.live_leases().count());
             out.suites.push(SuiteProgress {
                 digest,
                 name: suite.name.clone(),
@@ -219,7 +216,7 @@ pub struct SuiteProgress {
     pub records: usize,
     /// Cells whose journal says they poisoned/exhausted (no record).
     pub poisoned: usize,
-    /// Live lease files currently present.
+    /// Unexpired `leased` lines in the suite's journal.
     pub leases: usize,
     /// Whether the journal has a `finished` entry and the manifest is
     /// readable.

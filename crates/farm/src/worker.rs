@@ -1,23 +1,28 @@
 //! The farm worker: drain queued suites by leasing cell shards.
 //!
-//! Per suite, the worker sweeps the shard list; for each shard it can
-//! claim (no lease, its own lease, or a torn/expired one), it claims the
-//! shard's unterminated cells in one journal batch, runs them on the
-//! shared trial runner (thread fan-out via the workspace's one resolver,
-//! [`resolve_threads`]), and commits all their outcomes as one group —
-//! records content-addressed, then `committed`/`poisoned` — through the
-//! runner's own [`Committer`], so the journal replays identically and
-//! fsck needs no new record rules. Once every cell of a suite is
-//! terminal, whoever gets there finalizes: outcomes are reconstructed
-//! from verified records (and journal `poisoned` entries for
-//! record-less cells), assembled through the runner's own finish path,
-//! and the manifest written — byte-identical to a single-worker run.
+//! Per suite, the worker sweeps the shard list. For each shard with
+//! unterminated cells that no other worker holds a live lease on, it
+//! appends one `leased` line and the cells' `claimed` lines in one
+//! journal batch, runs the cells on the shared trial runner (thread
+//! fan-out via the workspace's one resolver, [`resolve_threads`]), and
+//! commits all their outcomes as one group — records content-addressed,
+//! then `committed`/`poisoned` — through the runner's own [`Committer`],
+//! so the journal replays identically and fsck needs no new record
+//! rules. The loop learns which cells are terminal from the journal it
+//! reads on each shard visit, plus the records the first scan verified.
+//! Once every cell is terminal, whoever gets there finalizes: outcomes
+//! are reconstructed from verified records (and journal `poisoned`
+//! entries for record-less cells), assembled through the runner's own
+//! finish path, and the manifest written — byte-identical to a
+//! single-worker run. Finalize is the one place record bytes are
+//! trusted: a cell whose record it cannot verify is claimed, run and
+//! committed again through the same shard path first.
 //!
 //! **Stalls cannot deadlock.** Lease expiry is operation-indexed on the
-//! journal; when a sweep makes no progress because another worker holds
+//! journal; when a sweep makes no progress because other workers hold
 //! every remaining shard, this worker appends a probe entry (a duplicate
 //! `claimed` — journals are telemetry, not store identity) to advance
-//! the clock. A live holder keeps appending and stays ahead of its ttl;
+//! the clock. A live holder keeps appending and finishes within its ttl;
 //! a dead one's lease lapses after at most `ttl` probes and the shard is
 //! taken over. Stealing from a *slow but live* holder is safe too:
 //! record writes are idempotent, and any byte disagreement between two
@@ -26,9 +31,9 @@
 
 use apex_lab::runner::{resolve_threads, run_trials};
 use apex_lab::{
-    assemble_run, capture_cell, claim_entry, json_diff, lease_dir, lease_path, next_finish_seq,
-    read_journal, read_leases, read_verified, terminal_entry, CacheLookup, CachedCell, Cell,
-    CommitBatch, Committer, JournalEntry, LabStore, Lease, Manifest, Suite,
+    assemble_run, capture_cell, claim_entry, json_diff, next_finish_seq, read_journal,
+    read_verified, terminal_entry, CacheLookup, CachedCell, Cell, CommitBatch, Committer,
+    JournalEntry, JournalState, LabStore, Manifest, Suite,
 };
 use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
 use apex_scenario::{CacheStats, RunOpts, RunOutcome};
@@ -45,7 +50,7 @@ pub const DEFAULT_TTL: u64 = 32;
 /// Options for [`run_worker`].
 #[derive(Clone, Debug)]
 pub struct WorkerOpts {
-    /// Worker identifier (lands in lease files; diagnostic only).
+    /// Worker identifier (lands in `leased` and terminal journal lines).
     pub worker: String,
     /// Cells per shard — the unit of lease-based work stealing.
     pub shard_cells: usize,
@@ -179,19 +184,7 @@ pub fn run_worker(
     Ok(report)
 }
 
-/// Is this cell terminal — a verified record on disk, or a journal
-/// `poisoned`/`exhausted` entry?
-fn terminal(store: &LabStore, digest: &str, cell: &Cell, poisoned: &[u64]) -> bool {
-    if poisoned.contains(&(cell.index as u64)) {
-        return true;
-    }
-    matches!(
-        store.lookup_record(digest, &cell.digest, None),
-        CacheLookup::Hit(..)
-    )
-}
-
-/// Drain one suite, sweep its leases, then (with `--metrics`) write this
+/// Drain one suite, then (with `--metrics`) write this
 /// worker's per-suite metrics shard — `metrics-<worker>.json` beside the
 /// records, excluded from byte-identity like every telemetry sidecar.
 fn drain_suite(
@@ -214,9 +207,7 @@ fn drain_suite(
         &mut metrics,
         &mut tallies,
     )?;
-    // Even an already-finalized suite gets swept, so a crashed worker's
-    // debris does not outlive the run it belonged to.
-    reclaim_all_leases(store, &entry.digest)?;
+    sweep_record_temps(store, entry);
     attribute_result_plane(store, &entry.digest, &opts.worker, &tallies, &mut metrics);
     if opts.obs.metrics && !metrics.is_empty() {
         let path = store
@@ -227,6 +218,29 @@ fn drain_suite(
             .map_err(|e| format!("metrics write failed: {e}"))?;
     }
     Ok(())
+}
+
+/// Remove every record temp (`<cell>.json.<worker>.tmp`) from a finished
+/// suite's directory. Finalize verified each record at its final path,
+/// so a temp still there is a dead worker's interrupted commit — or a
+/// slow duplicate's, whose rename then finds the record already in
+/// place ([`Committer::commit`]).
+fn sweep_record_temps(store: &LabStore, entry: &QueueEntry) {
+    let Ok(files) = std::fs::read_dir(store.suite_dir(&entry.digest)) else {
+        return;
+    };
+    let cells: std::collections::BTreeSet<&str> =
+        entry.cells.iter().map(|c| c.digest.as_str()).collect();
+    for path in files.flatten().map(|f| f.path()) {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let is_record_temp = name.ends_with(".tmp")
+            && name
+                .split_once('.')
+                .is_some_and(|(stem, _)| cells.contains(stem));
+        if is_record_temp {
+            let _ = std::fs::remove_file(&path);
+        }
+    }
 }
 
 /// What one executed cell contributed, held back until the journal
@@ -324,9 +338,11 @@ fn drain_suite_inner(
     // runner threads and counted here in cell order.
     let mut cache = CacheStats::default();
     let reads = read_verified(store, digest, cells, None, threads);
+    let mut terminal = Terminal::new(cells.len());
     for (cell, read) in cells.iter().zip(reads) {
         let verdict = read.tally(&mut cache);
         obs.emit("farm", "cache", cell.index as u64, verdict, &[]);
+        terminal.verified[cell.index] = matches!(read, CachedCell::Hit(..));
     }
     for (key, n) in [
         ("cache.hits", cache.hits),
@@ -362,6 +378,7 @@ fn drain_suite_inner(
     // queue is genuinely wedged (e.g. a fault injector killed the world).
     let probe_budget = opts.ttl.max(1) * (n_shards as u64 + 1) + 64;
     let mut probes = 0u64;
+    let mut reruns = 0usize;
 
     loop {
         let state = read_journal(&journal_path).unwrap_or_default();
@@ -374,55 +391,39 @@ fn drain_suite_inner(
             let lo = shard * shard_cells;
             let hi = (lo + shard_cells).min(cells.len());
             let state = read_journal(&journal_path).unwrap_or_default();
-            let pending: Vec<&Cell> = cells[lo..hi]
-                .iter()
-                .filter(|c| !terminal(store, digest, c, &state.poisoned))
-                .collect();
+            let done = terminal.mask(&state);
+            let pending: Vec<&Cell> = cells[lo..hi].iter().filter(|c| !done[c.index]).collect();
             if pending.is_empty() {
                 continue;
             }
+            // Another worker's live lease on a pending cell holds the
+            // range; a lapsed one is taken over, and that takeover is a
+            // seam worth tracing (op-indexed on the operation clock).
             let journal_len = state.entries.len() as u64;
-            let path = lease_path(store, digest, shard as u64);
-            let claimable = match std::fs::read_to_string(&path) {
-                Err(_) => true, // no lease (or unreadable debris)
-                Ok(text) => match Lease::parse(&text) {
-                    Err(_) => true,                           // torn — reclaim
-                    Ok(l) if l.worker == opts.worker => true, // already ours
-                    Ok(l) => {
-                        // Steal only lapsed claims; the takeover of a
-                        // dead worker's lease is a seam worth tracing
-                        // (op-indexed on the journal's operation clock).
-                        let lapsed = l.expired(journal_len);
-                        if lapsed {
-                            obs.emit(
-                                "farm",
-                                "expire",
-                                journal_len,
-                                &l.worker,
-                                &[("shard", shard as u64)],
-                            );
-                        }
-                        lapsed
-                    }
-                },
-            };
-            if !claimable {
+            let mut held = false;
+            let mut lapsed = None;
+            for lease in state
+                .leases()
+                .filter(|l| l.by != opts.worker && pending.iter().any(|c| l.covers(c.index as u64)))
+            {
+                if lease.expired(journal_len) {
+                    lapsed = Some(lease.by);
+                } else {
+                    held = true;
+                }
+            }
+            if held {
                 continue;
             }
-            let lease = Lease {
-                suite: digest.to_string(),
-                shard: shard as u64,
-                start: lo as u64,
-                count: (hi - lo) as u64,
-                worker: opts.worker.clone(),
-                issued_at: journal_len,
-                ttl: opts.ttl,
-            };
-            let ldir = lease_dir(store, digest);
-            std::fs::create_dir_all(&ldir).map_err(|e| format!("{}: {e}", ldir.display()))?;
-            store
-                .write_text(&path, &lease.render_pretty())
-                .map_err(|e| format!("lease write failed: {e}"))?;
+            if let Some(holder) = lapsed {
+                obs.emit(
+                    "farm",
+                    "expire",
+                    journal_len,
+                    holder,
+                    &[("shard", shard as u64)],
+                );
+            }
             obs.emit(
                 "farm",
                 "lease",
@@ -435,11 +436,19 @@ fn drain_suite_inner(
                 ],
             );
 
-            // Write-ahead: claim every pending cell of the shard, then
-            // run them with the shared thread fan-out, then commit them
-            // as one group.
+            // Write-ahead: lease the shard and claim every pending cell
+            // in one journal write, then run them with the shared thread
+            // fan-out, then commit them as one group.
+            let lease = JournalEntry::Leased {
+                start: lo as u64,
+                count: (hi - lo) as u64,
+                by: opts.worker.clone(),
+                ttl: opts.ttl,
+            };
             committer.commit(&CommitBatch {
-                claims: pending.iter().map(|cell| claim_entry(cell)).collect(),
+                claims: std::iter::once(lease)
+                    .chain(pending.iter().map(|cell| claim_entry(cell)))
+                    .collect(),
                 ..CommitBatch::default()
             })?;
             let outcomes = run_trials(&pending, threads, |cell| {
@@ -468,21 +477,30 @@ fn drain_suite_inner(
                     },
                 );
             }
-            let _ = std::fs::remove_file(&path); // release our claim
             progress = true;
         }
 
         let state = read_journal(&journal_path).unwrap_or_default();
-        let all_terminal = cells
-            .iter()
-            .all(|c| terminal(store, digest, c, &state.poisoned));
-        if all_terminal {
-            if !state.finished || store.read_manifest(digest).is_err() {
-                finalize(store, digest, suite, cells, threads, &mut committer)?;
-                report.finalized.push(digest.to_string());
+        let Some(first_pending) = terminal.mask(&state).iter().position(|done| !done) else {
+            if state.finished && store.read_manifest(digest).is_ok() {
+                return Ok(());
             }
-            return Ok(());
-        }
+            let stale = finalize(store, digest, suite, cells, &state, threads, &mut committer)?;
+            if stale.is_empty() {
+                report.finalized.push(digest.to_string());
+                return Ok(());
+            }
+            // Committed records that no longer verify: run them again.
+            reruns += 1;
+            if reruns > MAX_RERUNS {
+                return Err(format!(
+                    "suite {digest}: records of cells {stale:?} still fail verification \
+                     after {MAX_RERUNS} re-runs"
+                ));
+            }
+            terminal.reopen(&stale, state.entries.len() as u64);
+            continue;
+        };
         if !progress {
             // Someone else holds every remaining shard. Advance the
             // operation clock so a dead holder's lease lapses.
@@ -493,16 +511,7 @@ fn drain_suite_inner(
                      remaining shards are leased but never complete"
                 ));
             }
-            // `terminal` reads the store, so a concurrent worker may have
-            // committed the remaining cells since the `all_terminal` pass
-            // above; an empty scan just means the next loop will finalize.
-            let Some(first_pending) = cells
-                .iter()
-                .find(|c| !terminal(store, digest, c, &state.poisoned))
-            else {
-                continue;
-            };
-            committer.append(&claim_entry(first_pending))?;
+            committer.append(&claim_entry(&cells[first_pending]))?;
             obs.emit(
                 "farm",
                 "probe",
@@ -514,6 +523,55 @@ fn drain_suite_inner(
             // workers spin less hot; in-process fault tests, which use
             // tiny ttls, barely wait).
             std::thread::sleep(std::time::Duration::from_millis(probes.min(10)));
+        }
+    }
+}
+
+/// How many times a worker re-runs cells whose committed records fail
+/// finalize's verification before it gives up on the suite.
+const MAX_RERUNS: usize = 3;
+
+/// Which cells of a suite the drain loop counts as terminal. A cell is
+/// terminal when the first scan verified its record, or when the
+/// journal holds a `committed`/`poisoned` line for it at or after
+/// `since[index]`. [`finalize`] is what trusts record bytes; a cell it
+/// cannot verify is reopened, so only a newer terminal line counts.
+struct Terminal {
+    verified: Vec<bool>,
+    since: Vec<u64>,
+}
+
+impl Terminal {
+    fn new(cells: usize) -> Self {
+        Terminal {
+            verified: vec![false; cells],
+            since: vec![0; cells],
+        }
+    }
+
+    /// Per cell index: terminal given the journal `state`.
+    fn mask(&self, state: &JournalState) -> Vec<bool> {
+        let mut done = self.verified.clone();
+        for (position, entry) in state.entries.iter().enumerate() {
+            let index = match entry {
+                JournalEntry::Committed { index, .. } | JournalEntry::Poisoned { index, .. } => {
+                    *index as usize
+                }
+                _ => continue,
+            };
+            if index < done.len() && position as u64 >= self.since[index] {
+                done[index] = true;
+            }
+        }
+        done
+    }
+
+    /// Stop trusting `cells` until the journal gains a terminal line
+    /// for them at position `at` or later.
+    fn reopen(&mut self, cells: &[usize], at: u64) {
+        for &index in cells {
+            self.verified[index] = false;
+            self.since[index] = at;
         }
     }
 }
@@ -559,21 +617,25 @@ fn commit_shard(
 
 /// Merge + finalize: reconstruct every cell's outcome from verified
 /// records (read on `threads` runner threads by the shared
-/// verified-read pass) or journal `poisoned` entries, run the suite's
-/// pinned output checks through the runner's own assembly path, and
-/// write the manifest — byte-identical to what a single `apex suite run`
-/// writes, pinning the checksums the pass hashed.
+/// verified-read pass) or the journal's `poisoned` entries, run the
+/// suite's pinned output checks through the runner's own assembly path,
+/// and write the manifest — byte-identical to what a single `apex suite
+/// run` writes, pinning the checksums the pass hashed. Returns the
+/// indices of cells with neither a verified record nor a `poisoned`
+/// entry; when there are any, nothing is written and they must run
+/// again.
 fn finalize(
     store: &LabStore,
     digest: &str,
     suite: &Suite,
     cells: &[Cell],
+    state: &JournalState,
     threads: usize,
     committer: &mut Committer<'_>,
-) -> Result<(), String> {
-    let state = read_journal(&store.journal_path(digest)).unwrap_or_default();
+) -> Result<Vec<usize>, String> {
     let mut outcomes = Vec::with_capacity(cells.len());
     let mut checksums = Vec::with_capacity(cells.len());
+    let mut stale = Vec::new();
     let reads = read_verified(store, digest, cells, None, threads);
     for (cell, read) in cells.iter().zip(reads) {
         if let CachedCell::Hit(checksum, record) = read {
@@ -581,20 +643,19 @@ fn finalize(
             checksums.push(Some(checksum));
             continue;
         }
-        let (status, message) = state
-            .entries
-            .iter()
-            .rev()
-            .find_map(|e| match e {
-                JournalEntry::Poisoned {
-                    index,
-                    status,
-                    message,
-                    ..
-                } if *index == cell.index as u64 => Some((status.clone(), message.clone())),
-                _ => None,
-            })
-            .ok_or_else(|| format!("cell {} of suite {digest} is not terminal", cell.index))?;
+        let poisoned = state.entries.iter().rev().find_map(|e| match e {
+            JournalEntry::Poisoned {
+                index,
+                status,
+                message,
+                ..
+            } if *index == cell.index as u64 => Some((status.clone(), message.clone())),
+            _ => None,
+        });
+        let Some((status, message)) = poisoned else {
+            stale.push(cell.index);
+            continue;
+        };
         outcomes.push(if status == "exhausted" {
             RunOutcome::Exhausted {
                 scenario: cell.scenario.clone(),
@@ -608,6 +669,9 @@ fn finalize(
         });
         checksums.push(None);
     }
+    if !stale.is_empty() {
+        return Ok(stale);
+    }
     let mut run = assemble_run(suite, cells, outcomes);
     run.checksums = checksums;
     let manifest = Manifest::from_run(&run);
@@ -617,15 +681,6 @@ fn finalize(
     committer.append(&JournalEntry::Finished {
         ok: run.all_ok(),
         seq: next_finish_seq(store),
-    })
-}
-
-/// Delete every lease file of a finalized suite and the `leases/`
-/// directory itself — a converged store carries no queue debris.
-fn reclaim_all_leases(store: &LabStore, digest: &str) -> Result<(), String> {
-    for (path, _) in read_leases(store, digest)? {
-        let _ = std::fs::remove_file(&path);
-    }
-    let _ = std::fs::remove_dir(lease_dir(store, digest));
-    Ok(())
+    })?;
+    Ok(Vec::new())
 }

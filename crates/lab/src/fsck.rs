@@ -10,15 +10,8 @@
 //! may be left at a `.tmp` path. With `repair`, bad
 //! files are **moved** to `quarantine/<suite-digest>/` — fsck never
 //! deletes data, so a false positive costs a `mv` back, not evidence.
-//!
-//! **Leases are the one exception to quarantine.** Farm shard leases
-//! (`leases/shard-<k>.json`) are disposable coordination hints — record
-//! writes are idempotent, so no lease ever guards data. Torn leases,
-//! stale leases (run finished, or expired on the journal's operation
-//! clock), and orphaned claims (no usable journal, wrong suite, or a
-//! cell range the suite does not have) are therefore **reclaimed**
-//! (deleted) on repair, never quarantined. A live, unexpired lease in an
-//! in-flight suite is healthy and untouched.
+//! Farm leases are `leased` journal lines, so a journal that replays
+//! has no lease to check.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -27,7 +20,7 @@ use apex_scenario::{ReportRecord, StoredRecordError};
 use apex_sim::Json;
 
 use crate::digest_hex;
-use crate::journal::{read_journal, JournalEntry, JournalState, JOURNAL_FILE};
+use crate::journal::{read_journal, JOURNAL_FILE};
 use crate::store::{LabStore, Manifest};
 
 /// What is wrong with one file.
@@ -62,16 +55,6 @@ pub enum FsckIssueKind {
     JournalCorrupt,
     /// A stale `.tmp` sibling left by an interrupted atomic write.
     StaleTemp,
-    /// A lease file that does not parse — a crashed worker's torn claim
-    /// write. Reclaimed, never quarantined.
-    LeaseTorn,
-    /// A parseable lease whose claim has lapsed: the run finished, or
-    /// the journal's operation clock passed `issued_at + ttl`. Reclaimed.
-    LeaseStale,
-    /// A lease that cannot belong to its suite: no usable journal, a
-    /// `suite` field naming a different digest, or a cell range outside
-    /// the suite's expansion. Reclaimed.
-    LeaseOrphan,
 }
 
 impl std::fmt::Display for FsckIssueKind {
@@ -88,9 +71,6 @@ impl std::fmt::Display for FsckIssueKind {
             FsckIssueKind::ManifestMissing => "manifest missing",
             FsckIssueKind::JournalCorrupt => "journal corrupt",
             FsckIssueKind::StaleTemp => "stale temp file",
-            FsckIssueKind::LeaseTorn => "torn lease",
-            FsckIssueKind::LeaseStale => "stale lease",
-            FsckIssueKind::LeaseOrphan => "orphaned lease",
         })
     }
 }
@@ -109,16 +89,13 @@ pub struct FsckIssue {
     pub detail: String,
     /// Whether repair moved the file to quarantine.
     pub quarantined: bool,
-    /// Whether repair reclaimed (deleted) the file — lease issues only;
-    /// leases are disposable and never quarantined.
-    pub reclaimed: bool,
 }
 
 impl std::fmt::Display for FsckIssue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}/{}: {} — {}{}{}",
+            "{}/{}: {} — {}{}",
             self.suite,
             if self.file.is_empty() {
                 "."
@@ -131,8 +108,7 @@ impl std::fmt::Display for FsckIssue {
                 " [quarantined]"
             } else {
                 ""
-            },
-            if self.reclaimed { " [reclaimed]" } else { "" }
+            }
         )
     }
 }
@@ -211,24 +187,17 @@ fn scan_suite(
             kind,
             detail,
             quarantined,
-            reclaimed: false,
         });
     };
 
-    // Journal: replay; only inner corruption is an issue. The replayed
-    // state doubles as the operation clock the lease scan judges expiry
-    // against.
+    // Journal: replay; only inner corruption is an issue.
     let journal_path = store.journal_path(suite);
     let has_journal = journal_path.exists();
-    let mut journal_state: Option<JournalState> = None;
     if has_journal {
         report.files_checked += 1;
-        match read_journal(&journal_path) {
-            Ok(state) => journal_state = Some(state),
-            Err(e) => {
-                let quarantined = repair && quarantine(store, suite, &journal_path)?;
-                issue(JOURNAL_FILE, FsckIssueKind::JournalCorrupt, e, quarantined);
-            }
+        if let Err(e) = read_journal(&journal_path) {
+            let quarantined = repair && quarantine(store, suite, &journal_path)?;
+            issue(JOURNAL_FILE, FsckIssueKind::JournalCorrupt, e, quarantined);
         }
     }
 
@@ -388,100 +357,11 @@ fn scan_suite(
                     kind: FsckIssueKind::Orphan,
                     detail: "record not named by the manifest".to_string(),
                     quarantined,
-                    reclaimed: false,
                 });
             }
         }
     }
 
-    scan_leases(store, suite, journal_state.as_ref(), repair, report)?;
-    Ok(())
-}
-
-/// Classify every lease file of one suite. Bad leases are *reclaimed*
-/// (deleted) on repair — they are coordination hints, not data. The
-/// expiry judgment uses the journal's parsed entry count as the
-/// operation clock, exactly as workers do.
-fn scan_leases(
-    store: &LabStore,
-    suite: &str,
-    journal: Option<&JournalState>,
-    repair: bool,
-    report: &mut FsckReport,
-) -> Result<(), String> {
-    let leases = crate::lease::read_leases(store, suite)?;
-    if leases.is_empty() {
-        if repair {
-            crate::lease::remove_lease_dir_if_empty(store, suite);
-        }
-        return Ok(());
-    }
-    let journal_len = journal.map(|s| s.entries.len() as u64);
-    let suite_cells = journal.and_then(|s| {
-        s.entries.iter().find_map(|e| match e {
-            JournalEntry::Started { cells, .. } => Some(*cells),
-            _ => None,
-        })
-    });
-    for (path, parsed) in leases {
-        report.files_checked += 1;
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("lease")
-            .to_string();
-        let file = format!("{}/{name}", crate::lease::LEASE_DIR);
-        let (kind, detail) = match &parsed {
-            Err(e) => (FsckIssueKind::LeaseTorn, format!("unparseable claim: {e}")),
-            Ok(lease) if lease.suite != suite => (
-                FsckIssueKind::LeaseOrphan,
-                format!("claims suite {}, filed under {suite}", lease.suite),
-            ),
-            Ok(lease) => match (journal_len, suite_cells) {
-                (None, _) => (
-                    FsckIssueKind::LeaseOrphan,
-                    "no usable journal — nothing was ever claimed here".to_string(),
-                ),
-                (Some(_), Some(cells)) if lease.start.saturating_add(lease.count) > cells => (
-                    FsckIssueKind::LeaseOrphan,
-                    format!(
-                        "shard covers cells {}..{} but the suite has {cells}",
-                        lease.start,
-                        lease.start + lease.count
-                    ),
-                ),
-                (Some(len), _) if journal.is_some_and(|s| s.finished) => (
-                    FsckIssueKind::LeaseStale,
-                    format!("the run already finished (journal length {len})"),
-                ),
-                (Some(len), _) if lease.expired(len) => (
-                    FsckIssueKind::LeaseStale,
-                    format!(
-                        "expired on the operation clock: issued at {} + ttl {} <= {len}",
-                        lease.issued_at, lease.ttl
-                    ),
-                ),
-                _ => continue, // live, unexpired claim in an in-flight run
-            },
-        };
-        let reclaimed = if repair {
-            std::fs::remove_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            true
-        } else {
-            false
-        };
-        report.issues.push(FsckIssue {
-            suite: suite.to_string(),
-            file,
-            kind,
-            detail,
-            quarantined: false,
-            reclaimed,
-        });
-    }
-    if repair {
-        crate::lease::remove_lease_dir_if_empty(store, suite);
-    }
     Ok(())
 }
 

@@ -3,7 +3,8 @@
 //! One append-only JSONL file per suite directory
 //! (`.apex/lab/<suite-digest>/journal.jsonl`) records the life of a run:
 //! `started`, then per cell `claimed` → (`committed` | `poisoned`), then
-//! `finished`. Every line is a versioned, self-contained compact-JSON
+//! `finished`. A farm worker also writes one `leased` line per shard it
+//! claims (see [`JournalEntry::Leased`]). Every line is a versioned, self-contained compact-JSON
 //! record. Lines are appended whole — one `write` per batch of lines —
 //! so after a crash the journal is a prefix of a valid history (at worst
 //! the final line is torn — [`read_journal`] tolerates exactly that and
@@ -120,6 +121,23 @@ pub enum JournalEntry {
         /// a lease-stolen, doubly-executed cell twice.
         by: String,
     },
+    /// A farm worker leased the cell range `start..start + count`. The
+    /// lease is issued at the line's position in the journal and
+    /// expires once the journal holds `position + ttl` entries
+    /// ([`LeaseLine::expired`]): expiry runs on the journal's own
+    /// operation clock, never the wall clock. Leases only keep workers
+    /// from duplicating work: records are content-addressed and
+    /// idempotent, so no lease guards a byte.
+    Leased {
+        /// First cell index covered.
+        start: u64,
+        /// Number of cells covered.
+        count: u64,
+        /// The leasing worker.
+        by: String,
+        /// Journal appends until expiry.
+        ttl: u64,
+    },
     /// A cell failed without a record: the scenario panicked
     /// (`status: "poisoned"`) or exhausted its tick budget
     /// (`status: "exhausted"`).
@@ -158,6 +176,7 @@ impl JournalEntry {
             JournalEntry::Claimed { .. } => "claimed",
             JournalEntry::Committed { .. } => "committed",
             JournalEntry::Poisoned { .. } => "poisoned",
+            JournalEntry::Leased { .. } => "leased",
             JournalEntry::Finished { .. } => "finished",
         }
     }
@@ -212,6 +231,17 @@ impl JournalEntry {
                     fields.push(("by".into(), Json::Str(by.clone())));
                 }
             }
+            JournalEntry::Leased {
+                start,
+                count,
+                by,
+                ttl,
+            } => {
+                fields.push(("start".into(), Json::UInt(*start)));
+                fields.push(("count".into(), Json::UInt(*count)));
+                fields.push(("by".into(), Json::Str(by.clone())));
+                fields.push(("ttl".into(), Json::UInt(*ttl)));
+            }
             JournalEntry::Finished { ok, seq } => {
                 fields.push(("ok".into(), Json::Bool(*ok)));
                 fields.push(("seq".into(), Json::UInt(*seq)));
@@ -258,6 +288,12 @@ impl JournalEntry {
                 status: v.get("status")?.as_str()?.to_string(),
                 message: v.get("message")?.as_str()?.to_string(),
                 by: opt_str(&v, "by")?,
+            }),
+            "leased" => Ok(JournalEntry::Leased {
+                start: v.get("start")?.as_u64()?,
+                count: v.get("count")?.as_u64()?,
+                by: v.get("by")?.as_str()?.to_string(),
+                ttl: v.get("ttl")?.as_u64()?,
             }),
             "finished" => Ok(JournalEntry::Finished {
                 ok: bool_field("ok")?,
@@ -359,6 +395,67 @@ pub struct JournalState {
     pub torn_tail: bool,
 }
 
+/// One `leased` line, located: its position is when it was issued.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LeaseLine<'a> {
+    /// Entry index of the line in the journal.
+    pub position: u64,
+    /// First cell index covered.
+    pub start: u64,
+    /// Number of cells covered.
+    pub count: u64,
+    /// The leasing worker.
+    pub by: &'a str,
+    /// Journal appends until expiry.
+    pub ttl: u64,
+}
+
+impl LeaseLine<'_> {
+    /// Whether the lease covers cell `index`.
+    pub fn covers(&self, index: u64) -> bool {
+        index >= self.start && index - self.start < self.count
+    }
+
+    /// Whether the lease has lapsed once the journal holds
+    /// `journal_len` entries: at `position + ttl`. A deadline that
+    /// overflows can never be reached, so such a lease never lapses.
+    pub fn expired(&self, journal_len: u64) -> bool {
+        self.position
+            .checked_add(self.ttl)
+            .is_some_and(|deadline| journal_len >= deadline)
+    }
+}
+
+impl JournalState {
+    /// Every `leased` line, in journal order.
+    pub fn leases(&self) -> impl Iterator<Item = LeaseLine<'_>> + '_ {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(position, entry)| match entry {
+                JournalEntry::Leased {
+                    start,
+                    count,
+                    by,
+                    ttl,
+                } => Some(LeaseLine {
+                    position: position as u64,
+                    start: *start,
+                    count: *count,
+                    by,
+                    ttl: *ttl,
+                }),
+                _ => None,
+            })
+    }
+
+    /// The `leased` lines that have not lapsed.
+    pub fn live_leases(&self) -> impl Iterator<Item = LeaseLine<'_>> + '_ {
+        let len = self.entries.len() as u64;
+        self.leases().filter(move |lease| !lease.expired(len))
+    }
+}
+
 /// The finish sequence number of one suite: the highest `finished` seq
 /// in its journal, or 0 when the suite has no journal, an unreadable
 /// one, or no `finished` entry. Never an error — gc and fsck must rank
@@ -403,7 +500,7 @@ pub fn read_journal(path: &Path) -> Result<JournalState, String> {
                         state.finished = true;
                         state.finish_seq = state.finish_seq.max(*seq);
                     }
-                    JournalEntry::Started { .. } => {}
+                    JournalEntry::Started { .. } | JournalEntry::Leased { .. } => {}
                 }
                 state.entries.push(entry);
             }
@@ -445,6 +542,12 @@ mod tests {
                 ok: true,
                 by: String::new(),
             },
+            JournalEntry::Leased {
+                start: 1,
+                count: 2,
+                by: "w1".into(),
+                ttl: 4,
+            },
             JournalEntry::Claimed {
                 index: 1,
                 cell: "bbbbbbbbbbbbbbbb".into(),
@@ -475,6 +578,41 @@ mod tests {
             assert!(!line.contains('\n'));
             assert_eq!(JournalEntry::parse_line(&line).unwrap(), entry);
         }
+    }
+
+    #[test]
+    fn lease_expiry_runs_on_the_journal_length() {
+        let lease = LeaseLine {
+            position: 11,
+            start: 0,
+            count: 1,
+            by: "w",
+            ttl: 6,
+        };
+        assert!(!lease.expired(11), "fresh when issued");
+        assert!(!lease.expired(16), "one append short of the budget");
+        assert!(lease.expired(17), "budget consumed");
+        let immortal = LeaseLine {
+            ttl: u64::MAX,
+            ..lease
+        };
+        assert!(!immortal.expired(u64::MAX), "saturating, not wrapping");
+
+        // The sample's lease sits at entry 3 with ttl 4: live while the
+        // journal holds six entries, lapsed once a seventh lands.
+        let mut state = JournalState {
+            entries: sample_entries()[..6].to_vec(),
+            ..JournalState::default()
+        };
+        let lease = state.leases().next().unwrap();
+        assert_eq!((lease.position, lease.by), (3, "w1"));
+        assert!(lease.covers(1) && lease.covers(2));
+        assert!(!lease.covers(0) && !lease.covers(3));
+        assert_eq!(state.live_leases().count(), 1);
+        state
+            .entries
+            .push(JournalEntry::Finished { ok: true, seq: 8 });
+        assert_eq!(state.live_leases().count(), 0);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod fault;
 pub mod fsck;
 pub mod gc;
 pub mod journal;
-pub mod lease;
 pub mod runner;
 pub mod store;
 pub mod suite;
@@ -47,12 +46,8 @@ pub use fault::{
 pub use fsck::{fsck, FsckIssue, FsckIssueKind, FsckReport};
 pub use gc::{gc, GcReport};
 pub use journal::{
-    finish_seq, next_finish_seq, read_journal, Journal, JournalEntry, JournalState, JOURNAL_FILE,
-    JOURNAL_FORMAT_MAJOR,
-};
-pub use lease::{
-    lease_dir, lease_path, read_leases, remove_lease_dir_if_empty, Lease, LEASE_DIR,
-    LEASE_FORMAT_MAJOR,
+    finish_seq, next_finish_seq, read_journal, Journal, JournalEntry, JournalState, LeaseLine,
+    JOURNAL_FILE, JOURNAL_FORMAT_MAJOR,
 };
 pub use runner::{
     assemble_run, capture_cell, claim_entry, read_verified, run_cells, run_suite,

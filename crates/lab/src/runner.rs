@@ -431,7 +431,16 @@ impl<'s> Committer<'s> {
                 .sync_staged(&self.suite_digest, &temps)
                 .map_err(werr)?;
             for (tmp, path) in temps.iter().zip(&paths) {
-                std::fs::rename(tmp, path).map_err(werr)?;
+                match std::fs::rename(tmp, path) {
+                    // A worker that found the suite finished swept this
+                    // farm worker's temp: finalize verified the record
+                    // already at its final path.
+                    Err(e)
+                        if e.kind() == std::io::ErrorKind::NotFound
+                            && !self.by.is_empty()
+                            && path.exists() => {}
+                    done => done.map_err(werr)?,
+                }
             }
             self.store.sync_suite_dir(&self.suite_digest);
             self.fsyncs += 2;
@@ -593,10 +602,6 @@ pub struct JournalOpts {
     /// The override never changes a result byte — records,
     /// manifests, and digests are engine-independent.
     pub engine: Option<apex_scenario::ProgramEngine>,
-    /// Measure wall-clock execution time: folds the `time.elapsed_ms`
-    /// entry into the metrics document (telemetry, excluded from
-    /// byte-identity checks).
-    pub timing: bool,
     /// Telemetry plane: trace sink and metrics collection
     /// ([`apex_obs::ObsOpts`]). Telemetry observes the run and never
     /// steers it — with any of this on, every record, manifest, and
@@ -626,7 +631,7 @@ pub struct JournaledRun {
     /// cells contribute nothing — their ticks were paid for earlier).
     pub executed_ticks: u64,
     /// The unified metrics document written to `metrics.json` (empty
-    /// unless the run requested metrics, caching, or timing).
+    /// unless the run requested metrics, profiling, or caching).
     pub metrics: Metrics,
 }
 
@@ -870,7 +875,7 @@ fn build_run_metrics(
     committer: &Committer<'_>,
 ) -> Metrics {
     let mut metrics = Metrics::new();
-    if !(opts.obs.metrics || opts.obs.profile || opts.cached || opts.timing) {
+    if !(opts.obs.metrics || opts.obs.profile || opts.cached) {
         return metrics;
     }
     metrics.gauge_max("cells.total", run.outcomes.len() as u64);
@@ -892,7 +897,7 @@ fn build_run_metrics(
             metrics.observe_with("cells.ticks", &POW2_BOUNDS, record.report.ticks());
         }
     }
-    if opts.timing || opts.obs.profile {
+    if opts.obs.profile {
         // The only wall-clock entry — profiling plane, never compared.
         metrics.add("time.elapsed_ms", elapsed_ms);
     }

@@ -22,7 +22,7 @@
 //! **Crash safety.** Every write goes through temp + fsync + rename, so
 //! a kill at any instant leaves old bytes, new bytes, or a stale `.tmp`
 //! sibling — never a torn file at a final path. One-off writes
-//! (manifests, metrics, leases) do all three steps themselves
+//! (manifests, metrics) do all three steps themselves
 //! ([`LabStore::write_text`]). Cell records are group-committed instead:
 //! [`LabStore::stage_text`] writes a batch's temp files unsynced,
 //! [`LabStore::sync_staged`] makes them durable with one barrier, the
@@ -487,7 +487,12 @@ impl LabStore {
                     .sync_all()
             };
             for tmp in temps {
-                sync(tmp)?;
+                match sync(tmp) {
+                    // Swept by a farm worker that found the suite
+                    // finished (see `Committer::commit`).
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    synced => synced?,
+                }
             }
             let journal = self.journal_path(suite_digest);
             if journal.exists() {

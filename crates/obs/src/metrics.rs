@@ -20,7 +20,7 @@
 //! Naming convention (one dot-separated namespace per plane):
 //! `cells.*` and `ticks.*` are the **result plane** — functions
 //! of *what was computed*, identical however the fleet was arranged;
-//! `cache.*`, `journal.*`, `lease.*`, `store.*` are the
+//! `cache.*`, `farm.*`, `journal.*`, `store.*` are the
 //! **coordination plane** — functions of *how* this particular run got
 //! there; `time.*` is the **profiling plane** — wall clock, present
 //! only on request. [`Metrics::result_plane`] carves out the first

@@ -36,8 +36,7 @@ use std::path::{Path, PathBuf};
 
 use apex_lab::{
     fsck, run_suite, run_suite_journaled, BenchDoc, CacheLookup, FaultPlan, FsckIssueKind, Grid,
-    JournalEntry, JournalOpts, LabStore, Lease, Manifest, SeedRange, Suite, TooManyCells,
-    MAX_SUITE_CELLS,
+    JournalEntry, JournalOpts, LabStore, Manifest, SeedRange, Suite, TooManyCells, MAX_SUITE_CELLS,
 };
 use apex_obs::{Metrics, TraceEvent};
 use apex_scenario::{
@@ -406,7 +405,6 @@ fn decodes(kind: &str, text: &str) -> bool {
         "outcome" => RunOutcome::parse(text).is_ok(),
         "manifest" => json().and_then(|j| Manifest::from_json(&j)).is_ok(),
         "journal" => JournalEntry::parse_line(text).is_ok(),
-        "lease" => Lease::parse(text).is_ok(),
         "fault-plan" => FaultPlan::parse(text).is_ok(),
         "bench" => BenchDoc::parse(text).is_ok(),
         "metrics" => Metrics::parse(text).is_ok(),
@@ -434,15 +432,6 @@ fn subjects() -> Vec<(&'static str, String)> {
     let plan = r#"{"kill_after_journal": 7, "torn_write": {"write": 2, "keep": 10},
         "bit_flip": {"write": 1, "byte": 3, "mask": 4}, "panic_cells": [1, 2],
         "transient": [{"write": 0, "fails": 2}]}"#;
-    let lease = Lease {
-        suite: suite.digest(),
-        shard: 1,
-        start: 4,
-        count: 4,
-        worker: "w".into(),
-        issued_at: 9,
-        ttl: 32,
-    };
     let trace = golden("tests/golden/canonical-trace.jsonl");
     let mut out = vec![
         ("scenario", golden("tests/golden/canonical-scenario.json")),
@@ -454,7 +443,6 @@ fn subjects() -> Vec<(&'static str, String)> {
             "manifest",
             Manifest::from_run(&run).to_json().render_pretty(),
         ),
-        ("lease", lease.render_pretty()),
         (
             "fault-plan",
             FaultPlan::parse(plan).unwrap().to_json().render_pretty(),
@@ -474,6 +462,24 @@ fn subjects() -> Vec<(&'static str, String)> {
         if kinds.insert(Json::parse(line).unwrap().get("kind").unwrap().render()) {
             out.push(("journal", line.to_string()));
         }
+    }
+    // The farm's lines: a shard lease, and a terminal line naming its
+    // worker (single-runner journals omit `by`).
+    for entry in [
+        JournalEntry::Leased {
+            start: 4,
+            count: 4,
+            by: "w".into(),
+            ttl: 32,
+        },
+        JournalEntry::Committed {
+            index: 5,
+            cell: record.digest(),
+            ok: true,
+            by: "w".into(),
+        },
+    ] {
+        out.push(("journal", entry.to_line()));
     }
     for (kind, doc) in &out {
         assert!(

@@ -1,5 +1,5 @@
 //! The campaign farm, end to end: memoizing cache, multi-worker claim
-//! queue, lease reclamation, and convergence under injected faults.
+//! queue, journal leases, and convergence under injected faults.
 //!
 //! The invariants this file pins:
 //!
@@ -11,10 +11,12 @@
 //!   queued suite to a record set and manifest **byte-identical** to a
 //!   single serial `apex suite run` — the journal and metrics sidecars
 //!   are per-run telemetry and excluded from the comparison;
-//! * every bad-lease class (torn, stale, orphaned) is detected by fsck
-//!   and *reclaimed* — deleted, never quarantined — while a live claim
-//!   in an in-flight run is left alone;
-//! * seeded fault plans (kills mid-lease, torn lease writes, duplicate
+//! * a live `leased` journal line by another worker holds its range
+//!   until probes expire it, and fsck leaves a live claim in an
+//!   in-flight run alone;
+//! * a record corrupted after its `committed` line is re-run before
+//!   finalize, so the manifest only ever pins verified bytes;
+//! * seeded fault plans (kills mid-lease, torn record writes, duplicate
 //!   claims via tiny ttls) never prevent convergence once a clean
 //!   worker finishes the drain;
 //! * one unreadable, misnamed or oversized queue entry is skipped with a
@@ -26,9 +28,9 @@ use std::sync::Arc;
 
 use apex_farm::{query, run_worker, EntryError, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
-    fsck, is_kill, lease_dir, lease_path, read_journal, run_suite_journaled, FaultInjector,
-    FaultPlan, FsckIssueKind, Grid, JournalOpts, JournaledRun, LabStore, Lease, SeedRange, Suite,
-    TornWrite, TELEMETRY_FILES,
+    fsck, is_kill, read_journal, run_suite_journaled, FaultInjector, FaultPlan, Grid, Journal,
+    JournalEntry, JournalOpts, JournaledRun, LabStore, SeedRange, Suite, TornWrite,
+    TELEMETRY_FILES,
 };
 use apex_obs::{read_trace, ObsOpts};
 use apex_scenario::{CacheStats, ProgramSource, Scenario, SourceSpec};
@@ -83,16 +85,18 @@ fn serial() -> JournalOpts {
 
 /// The suite directory's durable identity: file name → bytes, minus the
 /// telemetry sidecars ([`TELEMETRY_FILES`] plus per-worker
-/// `metrics-*`/`trace-*` shards) and any `leases/` debris — exactly what
-/// must be byte-identical across runner topologies.
+/// `metrics-*`/`trace-*` shards) — exactly what must be byte-identical
+/// across runner topologies. Subdirectories are listed by name, so a
+/// stray one fails the comparison.
 fn file_map(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
         if path.is_dir() {
+            out.insert(format!("{name}/"), Vec::new());
             continue;
         }
-        let name = path.file_name().unwrap().to_str().unwrap().to_string();
         if TELEMETRY_FILES.contains(&name.as_str())
             || name.starts_with("metrics-")
             || name.starts_with("trace-")
@@ -339,10 +343,6 @@ fn two_concurrent_workers_converge_byte_identically_to_serial() {
     assert!(reports.iter().map(|r| r.executed).sum::<usize>() >= cells);
 
     assert_eq!(file_map(&store.suite_dir(&suite.digest())), reference);
-    assert!(
-        !lease_dir(&store, &suite.digest()).exists(),
-        "a converged store carries no queue debris"
-    );
     assert!(fsck(&store, false).unwrap().clean());
     let status = queue.status(&store).unwrap();
     assert!(status.all_finished(), "{}", status.summary());
@@ -358,8 +358,8 @@ fn worker_killed_mid_lease_is_replaced_and_converges() {
     let queue = FarmQueue::new(temp_dir("queue-kill"));
     queue.submit(&suite).unwrap();
 
-    // Worker one dies mid-drain: a few cells committed, a lease likely
-    // still on disk, journal unfinished.
+    // Worker one dies mid-drain: a few cells committed, its last lease
+    // still live in the journal, journal unfinished.
     let faulty = store
         .clone()
         .with_faults(Arc::new(FaultInjector::new(FaultPlan {
@@ -382,148 +382,9 @@ fn worker_killed_mid_lease_is_replaced_and_converges() {
     assert!(report.divergences.is_empty());
 
     assert_eq!(file_map(&store.suite_dir(&suite.digest())), reference);
-    assert!(!lease_dir(&store, &suite.digest()).exists());
     assert!(fsck(&store, false).unwrap().clean());
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(queue.root());
-}
-
-/// Write a syntactically valid lease file for `suite`'s shard `k`.
-fn plant_lease(store: &LabStore, suite: &str, lease: &Lease) {
-    let dir = lease_dir(store, suite);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(lease_path(store, suite, lease.shard), lease.render_pretty()).unwrap();
-}
-
-#[test]
-fn fsck_reclaims_torn_leases_from_a_fault_plan() {
-    // The first store write of a worker drain is the shard lease; tear
-    // it and die. fsck must classify the debris as a torn lease and
-    // reclaim (not quarantine) it.
-    let suite = farm_suite();
-    let store = temp_store("lease-torn");
-    let queue = FarmQueue::new(temp_dir("queue-torn"));
-    queue.submit(&suite).unwrap();
-    let faulty = store
-        .clone()
-        .with_faults(Arc::new(FaultInjector::new(FaultPlan {
-            torn_write: Some(TornWrite { write: 0, keep: 24 }),
-            ..FaultPlan::default()
-        })));
-    let err = run_worker(&queue, &faulty, &worker("tearer")).unwrap_err();
-    assert!(is_kill(&err), "{err}");
-    let shard0 = lease_path(&store, &suite.digest(), 0);
-    assert!(shard0.exists(), "the torn lease must be on disk");
-
-    let report = fsck(&store, true).unwrap();
-    let lease_issues: Vec<_> = report
-        .issues
-        .iter()
-        .filter(|i| i.kind == FsckIssueKind::LeaseTorn)
-        .collect();
-    assert_eq!(lease_issues.len(), 1, "{}", report.summary());
-    assert!(lease_issues[0].reclaimed && !lease_issues[0].quarantined);
-    assert!(!shard0.exists());
-    assert!(
-        !store.quarantine_root().exists()
-            || !store
-                .quarantine_root()
-                .join(suite.digest())
-                .join("shard-0.json")
-                .exists(),
-        "leases are reclaimed, never quarantined"
-    );
-    let _ = std::fs::remove_dir_all(store.root());
-    let _ = std::fs::remove_dir_all(queue.root());
-}
-
-#[test]
-fn fsck_reclaims_stale_leases_after_the_run_finishes() {
-    // A kill plan leaves a live lease behind; the run is then finished
-    // by the journaled runner (which knows nothing of leases). The
-    // leftover claim outlived its run: stale, reclaimed.
-    let suite = farm_suite();
-    let store = temp_store("lease-stale");
-    let queue = FarmQueue::new(temp_dir("queue-stale"));
-    queue.submit(&suite).unwrap();
-    let faulty = store
-        .clone()
-        .with_faults(Arc::new(FaultInjector::new(FaultPlan {
-            kill_after_journal: Some(3),
-            ..FaultPlan::default()
-        })));
-    let err = run_worker(&queue, &faulty, &worker("doomed")).unwrap_err();
-    assert!(is_kill(&err), "{err}");
-    assert!(lease_path(&store, &suite.digest(), 0).exists());
-
-    let resume = JournalOpts {
-        resume: true,
-        threads: Some(1),
-        ..JournalOpts::default()
-    };
-    run_suite_journaled(&suite, &store, &resume).unwrap();
-
-    let report = fsck(&store, true).unwrap();
-    let stale: Vec<_> = report
-        .issues
-        .iter()
-        .filter(|i| i.kind == FsckIssueKind::LeaseStale)
-        .collect();
-    assert_eq!(stale.len(), 1, "{}", report.summary());
-    assert!(stale[0].reclaimed && !stale[0].quarantined);
-    assert!(!lease_dir(&store, &suite.digest()).exists());
-    assert!(fsck(&store, false).unwrap().clean());
-    let _ = std::fs::remove_dir_all(store.root());
-    let _ = std::fs::remove_dir_all(queue.root());
-}
-
-#[test]
-fn fsck_reclaims_orphaned_shard_claims() {
-    let suite = farm_suite();
-    let store = temp_store("lease-orphan");
-    run_suite_journaled(&suite, &store, &serial()).unwrap();
-    let digest = suite.digest();
-
-    // Orphan class 1: a lease filed under this suite but claiming
-    // another. Orphan class 2: a shard range past the suite's expansion.
-    plant_lease(
-        &store,
-        &digest,
-        &Lease {
-            suite: "feedfacefeedface".into(),
-            shard: 0,
-            start: 0,
-            count: 2,
-            worker: "stray".into(),
-            issued_at: 0,
-            ttl: u64::MAX,
-        },
-    );
-    plant_lease(
-        &store,
-        &digest,
-        &Lease {
-            suite: digest.clone(),
-            shard: 7,
-            start: 90,
-            count: 2,
-            worker: "confused".into(),
-            issued_at: 0,
-            ttl: u64::MAX,
-        },
-    );
-
-    let report = fsck(&store, true).unwrap();
-    let orphans: Vec<_> = report
-        .issues
-        .iter()
-        .filter(|i| i.kind == FsckIssueKind::LeaseOrphan)
-        .collect();
-    assert_eq!(orphans.len(), 2, "{}", report.summary());
-    assert!(orphans.iter().all(|i| i.reclaimed && !i.quarantined));
-    assert!(!lease_dir(&store, &digest).exists());
-    assert!(fsck(&store, false).unwrap().clean());
-    let _ = std::fs::remove_dir_all(store.root());
 }
 
 #[test]
@@ -532,7 +393,7 @@ fn fsck_leaves_a_live_claim_in_an_inflight_run_alone() {
     let store = temp_store("lease-live");
     let queue = FarmQueue::new(temp_dir("queue-live"));
     queue.submit(&suite).unwrap();
-    // Die right after the first shard's claims hit the journal: the
+    // Die right after the first shard's lease hits the journal: the
     // journal is in-flight and the lease's operation budget is unspent.
     let faulty = store
         .clone()
@@ -550,19 +411,121 @@ fn fsck_leaves_a_live_claim_in_an_inflight_run_alone() {
     )
     .unwrap_err();
     assert!(is_kill(&err), "{err}");
-    assert!(lease_path(&store, &suite.digest(), 0).exists());
+    let journal = read_journal(&store.journal_path(&suite.digest())).unwrap();
+    let live: Vec<_> = journal.live_leases().map(|l| l.by).collect();
+    assert_eq!(live, vec!["live"]);
 
-    // No lease issue: the claim is within budget and the run in-flight.
+    // No issue: the claim is within budget and the run in-flight.
     let report = fsck(&store, false).unwrap();
-    assert!(
-        !report.issues.iter().any(|i| matches!(
-            i.kind,
-            FsckIssueKind::LeaseTorn | FsckIssueKind::LeaseStale | FsckIssueKind::LeaseOrphan
-        )),
-        "{}",
-        report.summary()
-    );
-    assert!(lease_path(&store, &suite.digest(), 0).exists());
+    assert!(report.clean(), "{}", report.summary());
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(queue.root());
+}
+
+#[test]
+fn a_live_foreign_lease_holds_its_range_until_probes_expire_it() {
+    // A planted `leased` line by a worker that never comes back covers
+    // shard 0. The worker runs shard 1, then probes until the lease
+    // lapses on the journal's operation clock, then takes shard 0 over
+    // and traces the takeover naming the holder.
+    let suite = farm_suite();
+    let reference = reference_map(&suite, "foreign-ref");
+    let store = temp_store("foreign");
+    let queue = FarmQueue::new(temp_dir("queue-foreign"));
+    queue.submit(&suite).unwrap();
+    let digest = suite.digest();
+    std::fs::create_dir_all(store.suite_dir(&digest)).unwrap();
+    let ttl = 16;
+    Journal::new(store.journal_path(&digest))
+        .append(&JournalEntry::Leased {
+            start: 0,
+            count: 2,
+            by: "ghost".into(),
+            ttl,
+        })
+        .unwrap();
+
+    let trace = store.root().join("foreign-trace.jsonl");
+    let opts = WorkerOpts {
+        obs: ObsOpts {
+            trace: Some(trace.clone()),
+            ..ObsOpts::off()
+        },
+        ..worker("heir")
+    };
+    let report = run_worker(&queue, &store, &opts).unwrap();
+    assert_eq!(report.finalized, vec![digest.clone()]);
+    assert_eq!(report.executed, 4, "no cell ran twice");
+
+    let farm: Vec<(String, u64, String)> = read_trace(&trace)
+        .unwrap()
+        .events
+        .into_iter()
+        .filter(|e| e.scope == "farm" && e.kind != "cache")
+        .map(|e| (e.kind, e.op, e.label))
+        .collect();
+    let kinds: Vec<&str> = farm.iter().map(|(kind, ..)| kind.as_str()).collect();
+    let probes = kinds.iter().filter(|k| **k == "probe").count();
+    assert!(probes > 0, "{farm:?}");
+    // Shard 1 first, then probes, then the takeover of shard 0 — once
+    // the journal has reached the ghost lease's deadline.
+    let mut expect = vec!["lease"];
+    expect.extend(std::iter::repeat_n("probe", probes));
+    expect.extend(["expire", "lease"]);
+    assert_eq!(kinds, expect, "{farm:?}");
+    let (_, op, holder) = &farm[probes + 1];
+    assert_eq!(holder, "ghost");
+    assert!(*op >= ttl, "expired at journal length {op}");
+
+    assert_eq!(file_map(&store.suite_dir(&digest)), reference);
+    assert!(fsck(&store, false).unwrap().clean());
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(queue.root());
+}
+
+#[test]
+fn a_record_corrupted_after_its_commit_is_re_run_before_finalize() {
+    // The doomed worker commits shard 0 and dies. A committed record is
+    // then flipped on disk. The relief worker counts the cell terminal
+    // from its `committed` line, but finalize cannot verify the record,
+    // so the cell is claimed, run and committed again before the
+    // manifest is written.
+    let suite = farm_suite();
+    let reference = reference_map(&suite, "recommit-ref");
+    let store = temp_store("recommit");
+    let queue = FarmQueue::new(temp_dir("queue-recommit"));
+    queue.submit(&suite).unwrap();
+    let digest = suite.digest();
+    // started, leased, 2 claims, 2 committed: die on shard 1's lease.
+    let faulty = store
+        .clone()
+        .with_faults(Arc::new(FaultInjector::new(FaultPlan {
+            kill_after_journal: Some(6),
+            ..FaultPlan::default()
+        })));
+    let err = run_worker(&queue, &faulty, &worker("doomed")).unwrap_err();
+    assert!(is_kill(&err), "{err}");
+    let journal = read_journal(&store.journal_path(&digest)).unwrap();
+    assert_eq!(journal.committed, vec![0, 1]);
+
+    let cells = suite.expand().unwrap();
+    // With no manifest yet there is no pinned checksum, so the flip
+    // must break the JSON itself: `{` becomes `z`.
+    let victim = store.record_path(&digest, &cells[1].digest);
+    let mut bytes = std::fs::read(&victim).unwrap();
+    bytes[0] ^= 1;
+    std::fs::write(&victim, bytes).unwrap();
+
+    let report = run_worker(&queue, &store, &worker("relief")).unwrap();
+    assert_eq!(report.finalized, vec![digest.clone()]);
+    assert_eq!(report.cache.rejected, 1, "{}", report.summary());
+    assert_eq!(report.executed, 3, "shard 1 plus the re-run of cell 1");
+    let journal = read_journal(&store.journal_path(&digest)).unwrap();
+    let commits_of_1 = journal.committed.iter().filter(|&&i| i == 1).count();
+    assert_eq!(commits_of_1, 2, "committed once by each worker");
+
+    assert_eq!(file_map(&store.suite_dir(&digest)), reference);
+    assert!(fsck(&store, false).unwrap().clean());
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(queue.root());
 }
@@ -609,7 +572,8 @@ fn query_misses_enqueue_then_hit_after_a_worker_drains() {
 }
 
 /// Seed → a worker fleet's fault plans. Worker 0 may be killed at a
-/// seeded journal boundary, worker 1 may tear its first lease write;
+/// seeded journal boundary, worker 1 may tear one of its first two
+/// record writes;
 /// tiny ttls plus concurrency produce duplicate claims organically.
 fn fleet_plans(seed: u64, workers: usize) -> Vec<Option<FaultPlan>> {
     (0..workers)
@@ -634,7 +598,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// For any seeded fleet of 2–4 in-process workers — some killed
-    /// mid-lease, some tearing lease writes, all racing with tiny ttls —
+    /// mid-lease, some tearing record writes, all racing with tiny ttls —
     /// the merged store converges byte-identical to the single-worker
     /// reference once a final clean worker drains what is left.
     #[test]
@@ -673,13 +637,12 @@ proptest! {
             }
         });
 
-        // One final clean sweep: reclaims dead leases, runs stragglers,
+        // One final clean sweep: outwaits dead leases, runs stragglers,
         // finalizes if nobody else did.
         let report = run_worker(&queue, &store, &worker("closer")).unwrap();
         prop_assert!(report.divergences.is_empty(), "{}", report.summary());
 
         prop_assert_eq!(file_map(&store.suite_dir(&suite.digest())), reference);
-        prop_assert!(!lease_dir(&store, &suite.digest()).exists());
         prop_assert!(fsck(&store, false).unwrap().clean());
         prop_assert!(queue.status(&store).unwrap().all_finished());
 
