@@ -24,7 +24,7 @@ fn main() {
         "§1 headline: prior schemes fail on nondeterministic programs",
         "det-baseline: violations > 0 under tardy schedules; paper's scheme: 0",
     );
-    let mut exp = Experiment::start("E10");
+    let mut exp = Experiment::new("E10");
     let sizes = [16usize, 32, 64];
     let seed_list = seeds(5);
 
@@ -63,7 +63,6 @@ fn main() {
         }
     }
     let reports = run_trials(&trials, resolve_threads(None), |s| s.run().into_scheme());
-    exp.record_trials(reports.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "n",

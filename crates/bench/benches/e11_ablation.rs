@@ -47,7 +47,6 @@ fn beta_sweep(exp: &mut Experiment) {
         }
     }
     let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
-    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut t = Table::new(&["β", "cells/bin", "phases ok", "phases failed", "work/phase"]);
     let mut it = results.iter();
@@ -82,7 +81,7 @@ fn beta_sweep(exp: &mut Experiment) {
 fn search_ablation(exp: &mut Experiment) {
     println!("\n-- ablation 2: binary vs linear frontier search (work to fill phase 0) --");
     let sizes = [16usize, 64, 256];
-    // Per n: (binary phase work, linear phase work, total ticks).
+    // Per n: (binary phase work, linear phase work).
     let results = run_trials(&sizes, resolve_threads(None), |&n| {
         let cfg = AgreementConfig::for_n(n, 1);
         // Binary: standard harness.
@@ -109,9 +108,8 @@ fn search_ablation(exp: &mut Experiment) {
         let linear_work = m
             .run_until(u64::MAX / 2, 4096, |mem| clock.oracle(mem) >= 1)
             .expect("linear phase");
-        (binary_work, linear_work, run.machine().ticks() + m.ticks())
+        (binary_work, linear_work)
     });
-    exp.record_trials(results.iter().map(|(_, _, ticks)| *ticks));
 
     let mut t = Table::new(&[
         "n",
@@ -121,7 +119,7 @@ fn search_ablation(exp: &mut Experiment) {
         "work linear",
         "ratio",
     ]);
-    for (&n, (binary_work, linear_work, _)) in sizes.iter().zip(&results) {
+    for (&n, (binary_work, linear_work)) in sizes.iter().zip(&results) {
         let cfg = AgreementConfig::for_n(n, 1);
         t.row(vec![
             format!("{n}"),
@@ -159,7 +157,6 @@ fn replica_sweep(exp: &mut Experiment) {
         }
     }
     let reports = run_trials(&trials, resolve_threads(None), |s| s.run().into_scheme());
-    exp.record_trials(reports.iter().map(|r| r.ticks));
 
     let mut t = Table::new(&["K", "violations", "bad runs", "operand read failures"]);
     let mut it = reports.iter();
@@ -217,9 +214,8 @@ fn fig3_stress(exp: &mut Experiment) {
             .iter()
             .filter(|o| !o.report.all_hold())
             .count();
-        (failures, run.stability_violations(), run.machine().ticks())
+        (failures, run.stability_violations())
     });
-    exp.record_trials(results.iter().map(|(_, _, ticks)| *ticks));
 
     let mut t = Table::new(&["schedule", "phases", "T1 failures", "stability violations"]);
     let mut it = results.iter();
@@ -227,7 +223,7 @@ fn fig3_stress(exp: &mut Experiment) {
         let mut failures = 0usize;
         let mut stability = 0usize;
         for _ in &seed_list {
-            let (f, s, _) = it.next().expect("result per config");
+            let (f, s) = it.next().expect("result per config");
             failures += f;
             stability += s;
         }
@@ -250,7 +246,7 @@ fn main() {
         "Design ablations (β, binary search, replicas, Fig. 3)",
         "each design choice is load-bearing at the measured margin",
     );
-    let mut exp = Experiment::start("E11");
+    let mut exp = Experiment::new("E11");
     beta_sweep(&mut exp);
     search_ablation(&mut exp);
     replica_sweep(&mut exp);

@@ -25,7 +25,7 @@ fn main() {
         "Theorem 1 (work bound of the agreement protocol)",
         "work to (uniqueness ∧ accessibility ∧ correctness) = O(n log n log log n)",
     );
-    let mut exp = Experiment::start("E1");
+    let mut exp = Experiment::new("E1");
     let schedules = [
         ("uniform", ScheduleKind::Uniform),
         ("bursty", ScheduleKind::Bursty { mean_burst: 64 }),
@@ -54,7 +54,6 @@ fn main() {
         }
     }
     let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
-    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "n",

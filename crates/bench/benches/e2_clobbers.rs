@@ -18,7 +18,7 @@ fn main() {
         "Lemma 1 (clobbers by tardy processors)",
         "max clobbers per bin per phase = O(log n)",
     );
-    let mut exp = Experiment::start("E2");
+    let mut exp = Experiment::new("E2");
     let sizes = sweep_sizes();
     let seed_list = seeds(3);
 
@@ -36,7 +36,6 @@ fn main() {
         }
     }
     let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
-    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "n",

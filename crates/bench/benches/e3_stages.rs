@@ -23,7 +23,7 @@ fn main() {
         "Lemma 2 (stage decomposition)",
         "complete cycles per 3ωn-work stage ∈ [n, 3n]",
     );
-    let mut exp = Experiment::start("E3");
+    let mut exp = Experiment::new("E3");
     let sizes = [16usize, 32, 64];
     let schedules = [
         ("uniform", ScheduleKind::Uniform),
@@ -44,7 +44,7 @@ fn main() {
             }
         }
     }
-    // Per trial: (complete-cycle counts per stage, machine ticks).
+    // Per trial: complete-cycle counts per stage.
     let results = run_trials(&trials, resolve_threads(None), |s| {
         let mut run = s.build_agreement();
         let o1 = run.run_phase();
@@ -65,9 +65,8 @@ fn main() {
         );
         let counts: Vec<usize> = a.stages.iter().map(|s| s.complete_cycles).collect();
         drop(log);
-        (counts, run.machine().ticks())
+        counts
     });
-    exp.record_trials(results.iter().map(|(_, ticks)| *ticks));
 
     let mut table = Table::new(&[
         "n",
@@ -86,7 +85,7 @@ fn main() {
             let mut below = 0usize;
             let mut above = 0usize;
             for _ in &seed_list {
-                let (stage_counts, _) = it.next().expect("result per trial");
+                let stage_counts = it.next().expect("result per trial");
                 for &c in stage_counts {
                     counts.push(c as f64);
                     below += (c < n) as usize;

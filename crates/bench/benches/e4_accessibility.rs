@@ -16,7 +16,7 @@ fn main() {
         "Lemma 4 (accessibility of the agreement values)",
         "≥ 1/2 of the upper-half cells of every bin are filled",
     );
-    let mut exp = Experiment::start("E4");
+    let mut exp = Experiment::new("E4");
     let sizes = sweep_sizes();
     let schedules = [
         ("uniform", ScheduleKind::Uniform),
@@ -42,7 +42,6 @@ fn main() {
         }
     }
     let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
-    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "n",

@@ -22,7 +22,7 @@ fn main() {
         "Lemma 6 / Definition 2 / Fig. 4 (stabilizing structures)",
         "Pr[stage pair is a stabilizing structure on a given bin] ≥ p > 0, independent of n",
     );
-    let mut exp = Experiment::start("E5");
+    let mut exp = Experiment::new("E5");
     let sizes = [8usize, 16, 32, 64];
     let seed_list = seeds(3);
 
@@ -35,7 +35,7 @@ fn main() {
             );
         }
     }
-    // Per trial: (stage pairs × bins, stabilizing hits, ticks).
+    // Per trial: (stage pairs × bins, stabilizing hits).
     let results = run_trials(&trials, resolve_threads(None), |s| {
         let mut run = s.build_agreement();
         let o1 = run.run_phase();
@@ -50,9 +50,8 @@ fn main() {
             hits += c.stabilizing;
         }
         drop(log);
-        (pairs, hits, run.machine().ticks())
+        (pairs, hits)
     });
-    exp.record_trials(results.iter().map(|(_, _, ticks)| *ticks));
 
     let mut table = Table::new(&[
         "n",
@@ -66,7 +65,7 @@ fn main() {
         let mut pairs = 0usize;
         let mut hits = 0usize;
         for _ in &seed_list {
-            let (p, h, _) = it.next().expect("result per trial");
+            let (p, h) = it.next().expect("result per trial");
             pairs += p;
             hits += h;
         }

@@ -21,7 +21,7 @@ fn main() {
         "Lemma 7 (stability reached by cell β·log n / 2)",
         "no bin carries conflicting values at or beyond the middle cell",
     );
-    let mut exp = Experiment::start("E6");
+    let mut exp = Experiment::new("E6");
     let sizes = [16usize, 32, 64];
     let schedules = [
         ("uniform", ScheduleKind::Uniform),
@@ -50,7 +50,7 @@ fn main() {
         }
     }
     // Per trial: (per-phase disagreement frontiers, upper-half start,
-    // stability violations, ticks).
+    // stability violations).
     let results = run_trials(&trials, resolve_threads(None), |s| {
         let mut run = s.build_agreement();
         let outcomes = run.run_phases(phases);
@@ -84,9 +84,8 @@ fn main() {
             frontiers.extend(frontier);
         }
         drop(log);
-        (frontiers, half, violations, run.machine().ticks())
+        (frontiers, half, violations)
     });
-    exp.record_trials(results.iter().map(|(_, _, _, ticks)| *ticks));
 
     let mut table = Table::new(&[
         "n",
@@ -106,7 +105,7 @@ fn main() {
             let mut stability_violations = 0usize;
             let mut half = 0usize;
             for _ in &seed_list {
-                let (fs, h, violations, _) = it.next().expect("result per trial");
+                let (fs, h, violations) = it.next().expect("result per trial");
                 half = *h;
                 stability_violations += violations;
                 for &f in fs {

@@ -26,7 +26,7 @@ fn main() {
         "Claim 8 (the protocol does not disturb the program's distribution)",
         "Pr[v_i = x] = p_i(x) for every value x",
     );
-    let mut exp = Experiment::start("E7");
+    let mut exp = Experiment::new("E7");
     let n = 32;
     let runs = 8;
     let kinds = [
@@ -62,7 +62,6 @@ fn main() {
         }
     }
     let results = run_trials(&trials, resolve_threads(None), |s| s.run().into_agreement());
-    exp.record_trials(results.iter().map(|r| r.ticks));
 
     let mut table = Table::new(&[
         "source",

@@ -24,7 +24,7 @@ fn main() {
         "Execution-scheme overhead (Fig. 1 end-to-end; §1 related-work table)",
         "agreement scheme O(log n log log n) overhead vs Θ(n) for classical consensus",
     );
-    let mut exp = Experiment::start("E8");
+    let mut exp = Experiment::new("E8");
     let sizes = sweep_sizes();
     let schemes = [
         SchemeKind::Nondet,
@@ -53,7 +53,6 @@ fn main() {
         }
     }
     let reports = run_trials(&trials, resolve_threads(None), |s| s.run().into_scheme());
-    exp.record_trials(reports.iter().map(|r| r.ticks));
 
     // Both schemes pay the same phase-clock floor per subphase; the
     // ideal-CAS column *is* that floor (its agreement work is O(1)/value).

@@ -21,7 +21,7 @@ fn main() {
         "Phase Clock interface contract",
         "update O(1); read Θ(log n); Θ(n) updates per level for any invoker mix",
     );
-    let mut exp = Experiment::start("E9");
+    let mut exp = Experiment::new("E9");
     println!(
         "op costs: Update-Clock = {} ops (constant);",
         ClockConfig::update_cost()
@@ -57,12 +57,6 @@ fn main() {
     let stats = run_trials(&configs, resolve_threads(None), |(n, kind)| {
         measure_advances(*n, 8, kind, 7)
     });
-    // Each recorded advance consumed ~updates × update_cost ticks.
-    exp.record_trials(
-        stats
-            .iter()
-            .map(|s| s.updates_per_advance.iter().sum::<u64>() * ClockConfig::update_cost()),
-    );
 
     let mut t = Table::new(&[
         "n",

@@ -2,14 +2,15 @@
 //! scales, and machine-readable artifacts.
 //!
 //! Every `benches/e*.rs` target regenerates one experiment from
-//! EXPERIMENTS.md, prints a markdown table, and emits JSON artifacts (see
-//! [`Experiment`]). Measurements are in model work units (deterministic),
-//! so a single run per (config, seed) is exact; seeds supply the
-//! statistical dimension. Each target builds its cells as
-//! [`Scenario`](apex_scenario::Scenario)s and fans them across OS threads
-//! with [`apex_lab::runner::run_trials`], which returns results in config
-//! order, so every table and JSON results artifact is byte-identical to a
-//! serial run.
+//! EXPERIMENTS.md, prints a markdown table, and emits one JSON results
+//! artifact (see [`Experiment`]). Measurements are in model work units
+//! (deterministic), so a single run per (config, seed) is exact; seeds
+//! supply the statistical dimension. The targets time nothing: wall-clock
+//! measurement, with repeats and spread, is perfbench's job. Each target
+//! builds its cells as [`Scenario`](apex_scenario::Scenario)s and fans
+//! them across OS threads with [`apex_lab::runner::run_trials`], which
+//! returns results in config order, so every table and JSON results
+//! artifact is byte-identical to a serial run.
 //!
 //! Environment knobs:
 //!
@@ -23,9 +24,9 @@
 
 #![warn(missing_docs)]
 
-use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
+
+use apex_sim::Json;
 
 /// Problem sizes for sweeps.
 pub fn sweep_sizes() -> Vec<usize> {
@@ -138,22 +139,16 @@ impl Table {
         &self.rows
     }
 
-    /// Deterministic JSON rendering: `{"headers": [...], "rows": [[...]]}`.
-    pub fn to_json(&self) -> String {
-        let headers: Vec<String> = self.headers.iter().map(|h| json_string(h)).collect();
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let cells: Vec<String> = r.iter().map(|c| json_string(c)).collect();
-                format!("[{}]", cells.join(","))
-            })
-            .collect();
-        format!(
-            "{{\"headers\":[{}],\"rows\":[{}]}}",
-            headers.join(","),
-            rows.join(",")
-        )
+    /// The table as JSON: `{"headers": [...], "rows": [[...]]}`.
+    pub fn to_json(&self) -> Json {
+        let strings = |cells: &[String]| Json::Arr(cells.iter().cloned().map(Json::Str).collect());
+        Json::Obj(vec![
+            ("headers".into(), strings(&self.headers)),
+            (
+                "rows".into(),
+                Json::Arr(self.rows.iter().map(|r| strings(r)).collect()),
+            ),
+        ])
     }
 
     /// Render to stdout as github-flavored markdown.
@@ -200,25 +195,6 @@ pub fn banner(id: &str, paper_item: &str, claim: &str) {
     println!("================================================================\n");
 }
 
-/// JSON string literal with minimal escaping (sufficient for table cells).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Artifact directory: `APEX_BENCH_DIR` (resolved against the process
 /// working directory) or, by default, `target/bench-artifacts` under the
 /// *workspace* root — cargo runs bench executables with the package
@@ -234,42 +210,23 @@ pub fn artifact_dir() -> PathBuf {
         })
 }
 
-/// Wall-clock + throughput bookkeeping for one experiment target.
+/// The tables one experiment target prints, collected for its results
+/// artifact.
 ///
-/// [`Experiment::finish`] writes two artifacts into [`artifact_dir`]:
-///
-/// * `BENCH_<ID>.json` — the experiment's deterministic results (every
-///   printed table). Byte-identical across runner modes and thread counts.
-/// * `BENCH_<ID>_perf.json` — the perf trajectory: wall-clock, total
-///   machine ticks, ticks/sec, trial and thread counts. Inherently
-///   machine- and run-dependent; kept out of the results artifact so the
-///   results stay comparable byte-for-byte.
+/// [`Experiment::finish`] writes `BENCH_<ID>.json` into [`artifact_dir`]:
+/// every printed table, in order. It holds model work units only, so it
+/// is byte-identical across runner modes and thread counts.
 pub struct Experiment {
     id: String,
-    start: Instant,
-    tables: Vec<(String, String)>,
-    total_ticks: u64,
-    trials: usize,
+    tables: Vec<(String, Json)>,
 }
 
 impl Experiment {
-    /// Start the experiment clock.
-    pub fn start(id: &str) -> Self {
+    /// An experiment with no tables yet.
+    pub fn new(id: &str) -> Self {
         Experiment {
             id: id.to_string(),
-            start: Instant::now(),
             tables: Vec::new(),
-            total_ticks: 0,
-            trials: 0,
-        }
-    }
-
-    /// Record finished trials, one item per trial: the machine ticks it
-    /// consumed.
-    pub fn record_trials(&mut self, ticks: impl IntoIterator<Item = u64>) {
-        for t in ticks {
-            self.trials += 1;
-            self.total_ticks += t;
         }
     }
 
@@ -279,66 +236,18 @@ impl Experiment {
         self.tables.push((name.to_string(), table.to_json()));
     }
 
-    /// Write both artifacts; returns the results path when writable.
+    /// Write the results artifact; returns its path when writable.
     pub fn finish(self) -> Option<PathBuf> {
-        let wall = self.start.elapsed();
         let dir = artifact_dir();
-        if std::fs::create_dir_all(&dir).is_err() {
-            return None;
-        }
-
-        let tables: Vec<String> = self
-            .tables
-            .iter()
-            .map(|(name, json)| format!("{}:{}", json_string(name), json))
-            .collect();
-        let results = format!(
-            "{{\"experiment\":{},\"tables\":{{{}}}}}\n",
-            json_string(&self.id),
-            tables.join(",")
-        );
-        let results_path = dir.join(format!("BENCH_{}.json", self.id));
-        let ok = std::fs::File::create(&results_path)
-            .and_then(|mut f| f.write_all(results.as_bytes()))
-            .is_ok();
-
-        let wall_s = wall.as_secs_f64();
-        let tps = if wall_s > 0.0 {
-            self.total_ticks as f64 / wall_s
-        } else {
-            0.0
-        };
-        let perf = format!(
-            "{{\"experiment\":{},\"wall_seconds\":{:.6},\"total_ticks\":{},\"ticks_per_sec\":{:.1},\"trials\":{},\"runner_threads\":{}}}\n",
-            json_string(&self.id),
-            wall_s,
-            self.total_ticks,
-            tps,
-            self.trials,
-            apex_lab::runner::resolve_threads(None),
-        );
-        let perf_path = dir.join(format!("BENCH_{}_perf.json", self.id));
-        let _ = std::fs::File::create(&perf_path).and_then(|mut f| f.write_all(perf.as_bytes()));
-
-        println!(
-            "\n[{}] wall {:.2}s, {} ticks, {:.2}M ticks/s, {} trials on {} thread(s)",
-            self.id,
-            wall_s,
-            self.total_ticks,
-            tps / 1e6,
-            self.trials,
-            apex_lab::runner::resolve_threads(None),
-        );
-        if ok {
-            println!(
-                "[{}] artifacts: {} (+ _perf.json)",
-                self.id,
-                results_path.display()
-            );
-            Some(results_path)
-        } else {
-            None
-        }
+        let path = dir.join(format!("BENCH_{}.json", self.id));
+        let results = Json::Obj(vec![
+            ("experiment".into(), Json::Str(self.id.clone())),
+            ("tables".into(), Json::Obj(self.tables)),
+        ]);
+        std::fs::create_dir_all(&dir).ok()?;
+        std::fs::write(&path, results.render() + "\n").ok()?;
+        println!("\n[{}] artifact: {}", self.id, path.display());
+        Some(path)
     }
 }
 

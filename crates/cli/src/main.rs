@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! apex suite run    SUITE.json [--store DIR] [--resume] [--cached] [--faults PLAN.json]
+//!                   [--threads N] [--engine E] [--trace [FILE]] [--metrics] [--profile]
 //!                   journaled expand-execute-record (crash-safe, resumable, memoizing)
 //! apex suite expand SUITE.json                  print the deterministic cell list
 //! apex drift        SUITE.json [--store DIR]    re-run and compare against the store
@@ -25,6 +26,10 @@
 //! `adversary` fronts the [`apex_sim::AdversarySpec`] algebra; `run`
 //! and `synth` delegate to [`apex_synth::cli`], so every entry point
 //! in the workspace is reachable from one binary.
+//!
+//! Every subcommand names the flags it reads ([`Args::parse`]); any
+//! other flag exits 2 with the usage text. The shared run flags are
+//! [`RunArgs::FLAGS`].
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -32,11 +37,11 @@ use std::sync::Arc;
 
 use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
-    bench_engine, check_against_store, compare_stores, fsck, gc, run_suite_journaled, BenchDoc,
-    BenchRun, FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
+    check_against_store, compare_stores, fsck, gc, run_suite_journaled, FaultInjector, FaultPlan,
+    JournalOpts, LabStore, Suite,
 };
 use apex_obs::{read_trace, summarize, Metrics, Table};
-use apex_scenario::{ProgramEngine, RunOpts, Scenario};
+use apex_scenario::Scenario;
 use apex_sim::{AdversarySpec, Json};
 use apex_synth::cli::{self, Args, RunArgs};
 
@@ -47,7 +52,6 @@ fn usage() -> ! {
          suite run    SUITE.json [--store DIR] [--resume] [--cached] [--faults PLAN.json]\n\
          \x20            [--threads N]\n\
          \x20            [--engine tree|bytecode] [--trace [FILE]] [--metrics] [--profile]\n\
-         \x20            [--bench OUT.json] [--bench-baseline BASE.json [--bench-tolerance F]]\n\
          \x20                                        journaled expand-execute-record\n\
          suite expand SUITE.json                 print the deterministic cell list\n\
          drift        SUITE.json [--store DIR]   re-run a suite, compare against the store\n\
@@ -76,6 +80,7 @@ fn usage() -> ! {
          \n\
          --engine picks the scheme interpreter, default bytecode: the flag beats a\n\
          scenario's program_engine knob, which beats the default; tree is the walker\n\
+         a flag the subcommand does not read exits 2 with this text\n\
          \n\
          the default store is {:?}",
         apex_lab::DEFAULT_STORE_ROOT
@@ -106,7 +111,12 @@ fn main() -> ExitCode {
 fn cmd_adversary(raw: &[String]) -> ExitCode {
     let Some(verb) = raw.first() else { usage() };
     let (file, rest) = positional(&raw[1..]);
-    let args = Args::parse(rest);
+    let known: &[&str] = if verb == "describe" {
+        &["n", "seed"]
+    } else {
+        &["n"]
+    };
+    let args = Args::parse(rest, &[known], usage);
     let n: usize = args.get("n").and_then(|v| v.parse().ok()).unwrap_or(8);
     let load = |file: &str| -> Result<AdversarySpec, String> {
         let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
@@ -189,8 +199,16 @@ fn store_from(args: &Args) -> LabStore {
 
 fn cmd_suite(raw: &[String]) -> ExitCode {
     let Some(verb) = raw.first() else { usage() };
+    let known: &[&[&str]] = match verb.as_str() {
+        "run" => &[
+            &["store", "resume", "cached", "faults", "threads"],
+            RunArgs::FLAGS,
+        ],
+        "expand" => &[],
+        _ => usage(),
+    };
     let (file, rest) = positional(&raw[1..]);
-    let args = Args::parse(rest);
+    let args = Args::parse(rest, known, usage);
     let Some(file) = file else { usage() };
     let suite = match load_suite(&file) {
         Ok(s) => s,
@@ -228,12 +246,9 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 };
                 store = store.with_faults(Arc::new(FaultInjector::new(plan)));
             }
-            let benching = args.has("bench") || args.has("bench-baseline");
             // Bare `--trace` lands next to the suite's records.
             let trace_default = store.trace_path(&suite.digest());
-            let mut run_args = RunArgs::parse(&args, || trace_default);
-            // A bench row needs the run's wall-clock time.
-            run_args.obs.profile |= benching;
+            let run_args = RunArgs::parse(&args, || trace_default);
             let opts = JournalOpts {
                 resume: args.has("resume"),
                 cached: args.has("cached"),
@@ -284,12 +299,6 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                     done.metrics.summary()
                 );
             }
-            if benching {
-                if let Err(e) = bench_gate(&args, &suite, &done, opts.engine) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
             for cell in &done.manifest.cells {
                 println!(
                     "  [{:>4}] {} {} {}",
@@ -310,101 +319,6 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
         }
         _ => usage(),
     }
-}
-
-/// Fold this run's measured throughput into a `--bench` artifact and/or
-/// gate it against a committed `--bench-baseline` document. Telemetry
-/// only — nothing here touches the store's result bytes.
-fn bench_gate(
-    args: &Args,
-    suite: &Suite,
-    done: &apex_lab::JournaledRun,
-    engine: Option<ProgramEngine>,
-) -> Result<(), String> {
-    // The row is labelled with the engine the executed cells ran on.
-    let ran = done
-        .executed
-        .iter()
-        .map(|&i| done.run.outcomes[i].scenario());
-    let engine = bench_engine(
-        ran,
-        &RunOpts {
-            engine,
-            ..RunOpts::default()
-        },
-    )
-    .map_err(|e| format!("--bench: {e}"))?;
-    // Cells always execute serially; the row key keeps its `(exec,
-    // workers)` prefix so committed artifacts stay byte-stable.
-    let (exec, workers) = ("serial", 1);
-    let fresh = BenchRun {
-        exec: exec.into(),
-        workers,
-        engine: engine.label().into(),
-        host_cores: std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(0),
-        cells: done.executed.len() as u64,
-        ticks: done.executed_ticks,
-        elapsed_ms: done.elapsed_ms,
-        ticks_per_sec: done.ticks_per_sec(),
-    };
-    let digest = suite.digest();
-    let mut doc = match args.get("bench") {
-        Some(path) => BenchDoc::load_or_new(Path::new(path), &suite.name, &digest)?,
-        None => BenchDoc::new(&suite.name, &digest),
-    };
-    doc.upsert(fresh);
-    let engine_speedup = doc.engine_speedup(exec, workers);
-    if let Some(speedup) = engine_speedup {
-        println!("  bytecode speedup over tree on the {exec} engine: {speedup:.2}x");
-    }
-    if let Some(min) = args.get("bench-min-engine-speedup") {
-        let min: f64 = min
-            .parse()
-            .map_err(|e| format!("--bench-min-engine-speedup {min}: {e}"))?;
-        // Host-independent gate: the tree/bytecode rows come from the same
-        // machine and run back to back, so their ratio is meaningful even
-        // when absolute throughput is not comparable to the baseline's.
-        match engine_speedup {
-            Some(s) if s >= min => {
-                println!("  engine speedup gate: {s:.2}x >= {min:.2}x")
-            }
-            Some(s) => {
-                return Err(format!(
-                    "engine speedup gate failed: bytecode is {s:.2}x tree, need {min:.2}x"
-                ))
-            }
-            None => {
-                return Err(format!(
-                    "engine speedup gate needs both a tree and a bytecode row for exec {exec} \
-                     (workers {workers}) in the bench doc"
-                ))
-            }
-        }
-    }
-    if let Some(path) = args.get("bench") {
-        doc.save(Path::new(path))
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("  bench: wrote {path}");
-    }
-    if let Some(base_path) = args.get("bench-baseline") {
-        let text = std::fs::read_to_string(base_path).map_err(|e| format!("{base_path}: {e}"))?;
-        let baseline = BenchDoc::parse(&text).map_err(|e| format!("{base_path}: {e}"))?;
-        if baseline.digest != digest {
-            return Err(format!(
-                "{base_path}: baseline measures suite {} but this run is suite {digest}",
-                baseline.digest
-            ));
-        }
-        let tolerance: f64 = args.num("bench-tolerance", 0.5);
-        doc.gate_against(&baseline, tolerance)?;
-        println!(
-            "  bench gate vs {base_path}: ok (tolerance {:.0}%)",
-            tolerance * 100.0
-        );
-    }
-    Ok(())
 }
 
 fn cmd_drift(raw: &[String]) -> ExitCode {
@@ -431,7 +345,7 @@ fn cmd_drift(raw: &[String]) -> ExitCode {
         };
     }
     let (file, rest) = positional(raw);
-    let args = Args::parse(rest);
+    let args = Args::parse(rest, &[&["store"]], usage);
     let Some(file) = file else { usage() };
     let suite = match load_suite(&file) {
         Ok(s) => s,
@@ -541,7 +455,12 @@ fn drift_report_matrix(base: &LabStore, cand: &LabStore) -> ExitCode {
 /// never touched).
 fn cmd_lab(raw: &[String]) -> ExitCode {
     let Some(verb) = raw.first() else { usage() };
-    let args = Args::parse(&raw[1..]);
+    let known: &[&str] = match verb.as_str() {
+        "fsck" => &["store", "repair"],
+        "gc" => &["store", "keep-last", "dry-run"],
+        _ => usage(),
+    };
+    let args = Args::parse(&raw[1..], &[known], usage);
     let store = store_from(&args);
     match verb.as_str() {
         "fsck" => {
@@ -583,8 +502,20 @@ fn cmd_lab(raw: &[String]) -> ExitCode {
 /// enqueues it as a one-cell suite.
 fn cmd_farm(raw: &[String]) -> ExitCode {
     let Some(verb) = raw.first() else { usage() };
+    let known: &[&[&str]] = match verb.as_str() {
+        "submit" => &[&["queue"]],
+        "worker" => &[
+            &[
+                "queue", "store", "threads", "worker", "shard", "ttl", "faults",
+            ],
+            RunArgs::FLAGS,
+        ],
+        "status" => &[&["queue", "store", "metrics"]],
+        "query" => &[&["queue", "store", "json"]],
+        _ => usage(),
+    };
     let (file, rest) = positional(&raw[1..]);
-    let args = Args::parse(rest);
+    let args = Args::parse(rest, known, usage);
     let queue = match args.get("queue") {
         Some(dir) => FarmQueue::new(dir),
         None => FarmQueue::default_location(),
@@ -751,8 +682,13 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
 /// `--result-plane` projects onto the partition-independent subset).
 fn cmd_obs(raw: &[String]) -> ExitCode {
     let Some(verb) = raw.first() else { usage() };
+    let known: &[&str] = match verb.as_str() {
+        "view" => &["scope", "kind", "label", "raw"],
+        "metrics" => &["merge", "result-plane", "json"],
+        _ => usage(),
+    };
     let (file, rest) = positional(&raw[1..]);
-    let args = Args::parse(rest);
+    let args = Args::parse(rest, &[known], usage);
     match verb.as_str() {
         "view" => {
             let Some(file) = file else { usage() };

@@ -21,13 +21,19 @@
 //!   end, so *any* byte difference on re-execution is a real regression
 //!   (reported per cell with the JSON paths that moved).
 //!
+//! Results are bytes; speed is telemetry. A journaled run reports its
+//! throughput ([`JournaledRun::ticks_per_sec`], and `time.elapsed_ms` in
+//! `metrics.json` under profiling) but writes no benchmark artifact:
+//! wall-clock benchmarking, with repeats and spread, is the `perfbench`
+//! package's, and the run's deterministic counts are pinned by
+//! `tests/golden/counts-*.json`.
+//!
 //! The `apex` binary (`crates/cli`) fronts all of it:
 //! `apex suite run|expand`, `apex drift`, `apex run`, `apex synth …`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bench;
 pub mod drift;
 pub mod fault;
 pub mod fsck;
@@ -37,7 +43,6 @@ pub mod runner;
 pub mod store;
 pub mod suite;
 
-pub use bench::{bench_engine, BenchDoc, BenchRun, MixedEngines};
 pub use drift::{check_against_store, compare_stores, json_diff, DriftKind, DriftReport};
 pub use fault::{
     is_kill, BitFlip, FaultInjector, FaultPlan, TornWrite, TransientFault, WriteDirective,

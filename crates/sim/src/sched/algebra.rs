@@ -478,12 +478,29 @@ impl AdversarySpec {
     /// Deserialize a spec tree. The `kind` tag dispatches: the four
     /// combinator tags parse structurally; any other tag is handed to
     /// [`ScheduleKind::from_json`] and becomes a [`AdversarySpec::Base`]
-    /// leaf (which is how every pre-algebra document reads).
+    /// leaf (which is how every pre-algebra document reads). A tree
+    /// deeper than [`MAX_ADVERSARY_DEPTH`] is an error naming the depth,
+    /// raised before anything below the cap is decoded.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+        Self::from_json_at(v, 1)
+    }
+
+    /// [`AdversarySpec::from_json`] for a node `depth` levels down (the
+    /// root is at depth 1).
+    fn from_json_at(v: &Json, depth: usize) -> Result<Self, JsonError> {
+        if depth > MAX_ADVERSARY_DEPTH {
+            return Err(JsonError {
+                msg: format!(
+                    "adversary tree depth {depth} exceeds the maximum {MAX_ADVERSARY_DEPTH}"
+                ),
+                at: 0,
+            });
+        }
+        let child = |v: &Json| Self::from_json_at(v, depth + 1);
         match v.get("kind")?.as_str()? {
             "overlay" => Ok(AdversarySpec::Overlay {
                 layer: OverlayKind::from_json(v)?,
-                base: Box::new(AdversarySpec::from_json(v.get("base")?)?),
+                base: Box::new(child(v.get("base")?)?),
             }),
             "phase-switch" => Ok(AdversarySpec::PhaseSwitch {
                 spans: v
@@ -493,11 +510,11 @@ impl AdversarySpec {
                     .map(|s| {
                         Ok(Span {
                             ticks: s.get("ticks")?.as_u64()?,
-                            spec: AdversarySpec::from_json(s.get("spec")?)?,
+                            spec: child(s.get("spec")?)?,
                         })
                     })
                     .collect::<Result<_, JsonError>>()?,
-                tail: Box::new(AdversarySpec::from_json(v.get("tail")?)?),
+                tail: Box::new(child(v.get("tail")?)?),
             }),
             "partition" => Ok(AdversarySpec::Partition {
                 groups: v
@@ -512,7 +529,7 @@ impl AdversarySpec {
                                 .iter()
                                 .map(Json::as_usize)
                                 .collect::<Result<_, _>>()?,
-                            spec: AdversarySpec::from_json(g.get("spec")?)?,
+                            spec: child(g.get("spec")?)?,
                         })
                     })
                     .collect::<Result<_, JsonError>>()?,
@@ -524,7 +541,7 @@ impl AdversarySpec {
                     .iter()
                     .map(Json::as_u64)
                     .collect::<Result<_, _>>()?,
-                base: Box::new(AdversarySpec::from_json(v.get("base")?)?),
+                base: Box::new(child(v.get("base")?)?),
             }),
             _ => Ok(AdversarySpec::Base(ScheduleKind::from_json(v)?)),
         }

@@ -8,12 +8,14 @@
 //! fuzz         --seed S --trials K [--out DIR] [--keep N] [--max-secs T]
 //!              [--shrink-budget R] [--no-det] [--comparators] [--no-write]
 //! shrink       --file REPRO.json [--out DIR] [--shrink-budget R]
-//! replay       --file REPRO.json | --dir DIR [--engine tree|bytecode]
+//! replay       --file REPRO.json | --dir DIR [--engine tree|bytecode] [--trace [FILE]]
 //! run          SCENARIO.json [--emit OUT.json] [--json] [--cached [--store DIR]]
 //!              [--engine tree|bytecode] [--trace [FILE]] [--metrics [FILE]] [--profile]
 //! migrate      [--dir DIR]
 //! corpus-dedup [--dir DIR] [--dry-run]
 //! ```
+//!
+//! A flag the subcommand does not read exits 2 with the usage text.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -35,7 +37,7 @@ pub fn usage() -> ! {
          fuzz         --seed S --trials K [--out DIR] [--keep N] [--max-secs T]\n\
          \x20             [--shrink-budget R] [--no-det] [--comparators] [--no-write]\n\
          shrink       --file F [--out DIR] [--shrink-budget R]\n\
-         replay       --file F | --dir DIR [--engine tree|bytecode]\n\
+         replay       --file F | --dir DIR [--engine tree|bytecode] [--trace [FILE]]\n\
          run          SCENARIO.json [--emit OUT.json] [--json] [--cached [--store DIR]]\n\
          \x20             [--engine tree|bytecode] [--trace [FILE]] [--metrics [FILE]] [--profile]\n\
          \x20             execute a scenario file (--cached answers from the lab store;\n\
@@ -51,19 +53,21 @@ pub fn usage() -> ! {
 /// Minimal `--flag [value]` argument list shared by the workspace CLIs.
 pub struct Args {
     flags: Vec<(String, Option<String>)>,
+    usage: fn() -> !,
 }
 
 impl Args {
-    /// Parse `--name [value]` pairs; anything not starting with `--`
-    /// where a flag is expected aborts with the usage text.
-    pub fn parse(raw: &[String]) -> Args {
+    /// [`Args::parse`], returning the error instead of exiting.
+    fn try_parse(raw: &[String], known: &[&[&str]], usage: fn() -> !) -> Result<Args, String> {
         let mut flags = Vec::new();
         let mut it = raw.iter().peekable();
         while let Some(arg) = it.next() {
             let Some(name) = arg.strip_prefix("--") else {
-                eprintln!("unexpected argument {arg:?}");
-                usage();
+                return Err(format!("unexpected argument {arg:?}"));
             };
+            if !known.iter().any(|group| group.contains(&name)) {
+                return Err(format!("unknown flag {arg}"));
+            }
             let value = it
                 .peek()
                 .filter(|v| !v.starts_with("--"))
@@ -73,7 +77,26 @@ impl Args {
             }
             flags.push((name.to_string(), value));
         }
-        Args { flags }
+        Ok(Args { flags, usage })
+    }
+
+    /// Parse `--name [value]` pairs, accepting only the flags `known`
+    /// lists (one slice per flag group, e.g. a command's own flags and
+    /// [`RunArgs::FLAGS`]). A bare word where a flag is expected, or a
+    /// flag the command does not read, prints an error naming it and
+    /// then `usage`, which exits with status 2. An invalid value read
+    /// later ([`Args::num`], [`RunArgs::parse`]) does the same.
+    pub fn parse(raw: &[String], known: &[&[&str]], usage: fn() -> !) -> Args {
+        Args::try_parse(raw, known, usage).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage()
+        })
+    }
+
+    /// Print `msg` and the command's usage text, then exit with status 2.
+    fn fail(&self, msg: &str) -> ! {
+        eprintln!("{msg}");
+        (self.usage)()
     }
 
     /// The value of `--name`, if present with a value.
@@ -103,10 +126,9 @@ impl Args {
     pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.get(name) {
             None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid --{name} value {v:?}");
-                usage();
-            }),
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| self.fail(&format!("invalid --{name} value {v:?}"))),
         }
     }
 }
@@ -127,6 +149,9 @@ pub struct RunArgs {
 }
 
 impl RunArgs {
+    /// The shared run flags, for [`Args::parse`]'s `known` list.
+    pub const FLAGS: &'static [&'static str] = &["engine", "trace", "metrics", "profile"];
+
     /// Parse the shared run flags. A bare `--trace` resolves to
     /// `default_trace` (a conventional location next to the run's other
     /// artifacts); `--trace FILE` goes wherever the caller pointed.
@@ -134,8 +159,9 @@ impl RunArgs {
     pub fn parse(args: &Args, default_trace: impl FnOnce() -> PathBuf) -> RunArgs {
         let engine = args.get("engine").map(|value| {
             ProgramEngine::parse(value).unwrap_or_else(|| {
-                eprintln!("invalid --engine value {value:?} (expected tree or bytecode)");
-                usage();
+                args.fail(&format!(
+                    "invalid --engine value {value:?} (expected tree or bytecode)"
+                ))
             })
         });
         let obs = ObsOpts {
@@ -169,16 +195,30 @@ pub fn dispatch(argv: &[String]) -> ExitCode {
         // `run` takes a positional scenario file.
         return cmd_run(&argv[1..]);
     }
-    let args = Args::parse(&argv[1..]);
-    match cmd.as_str() {
-        "gen" => cmd_gen(&args),
-        "fuzz" => cmd_fuzz(&args),
-        "shrink" => cmd_shrink(&args),
-        "replay" => cmd_replay(&args),
-        "migrate" => cmd_migrate(&args),
-        "corpus-dedup" => cmd_corpus_dedup(&args),
+    let (known, run): (&[&str], fn(&Args) -> ExitCode) = match cmd.as_str() {
+        "gen" => (&["seed", "count", "show-schedule"], cmd_gen),
+        "fuzz" => (
+            &[
+                "seed",
+                "trials",
+                "out",
+                "keep",
+                "max-secs",
+                "shrink-budget",
+                "no-det",
+                "comparators",
+                "no-write",
+            ],
+            cmd_fuzz,
+        ),
+        "shrink" => (&["file", "out", "shrink-budget"], cmd_shrink),
+        // Replay opens a trace but records no metrics or profile.
+        "replay" => (&["file", "dir", "engine", "trace"], cmd_replay),
+        "migrate" => (&["dir"], cmd_migrate),
+        "corpus-dedup" => (&["dir", "dry-run"], cmd_corpus_dedup),
         _ => usage(),
-    }
+    };
+    run(&Args::parse(&argv[1..], &[known], usage))
 }
 
 /// Execute one scenario file: validate, (optionally) re-emit the
@@ -191,7 +231,11 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
         Some(f) if !f.starts_with("--") => (Some(f.clone()), &raw[1..]),
         _ => (None, raw),
     };
-    let args = Args::parse(rest);
+    let args = Args::parse(
+        rest,
+        &[&["emit", "json", "cached", "store", "file"], RunArgs::FLAGS],
+        usage,
+    );
     let Some(file) = file.or_else(|| args.get("file").map(str::to_string)) else {
         usage()
     };
@@ -658,5 +702,32 @@ fn cmd_replay(args: &Args) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn args_accept_known_flags_and_name_the_first_unknown_one() {
+        let known: &[&[&str]] = &[&["store", "threads"], RunArgs::FLAGS];
+        let parse = |line: &str| Args::try_parse(&argv(line), known, usage);
+        let args = parse("--threads 2 --store /s --trace --profile").unwrap();
+        assert_eq!(args.get("threads"), Some("2"));
+        assert_eq!(args.get("store"), Some("/s"));
+        assert!(args.has("trace") && args.get("trace").is_none());
+        assert!(args.has("profile") && !args.has("metrics"));
+        // A misspelled flag is refused, not ignored; so is a removed one,
+        // value and all.
+        let err = |line: &str| parse(line).err().unwrap();
+        assert_eq!(err("--store /s --threds 2"), "unknown flag --threds");
+        assert_eq!(err("--bench x.json"), "unknown flag --bench");
+        assert_eq!(err("--threads 2 stray"), "unexpected argument \"stray\"");
+        assert!(Args::try_parse(&[], &[], usage).is_ok());
     }
 }

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use apex_lab::{
-    fsck, run_suite, run_suite_journaled, BenchDoc, CacheLookup, FaultPlan, FsckIssueKind, Grid,
+    fsck, run_suite, run_suite_journaled, CacheLookup, FaultPlan, FsckIssueKind, Grid,
     JournalEntry, JournalOpts, LabStore, Manifest, SeedRange, Suite, TooManyCells, MAX_SUITE_CELLS,
 };
 use apex_obs::{Metrics, TraceEvent};
@@ -45,7 +45,7 @@ use apex_scenario::{
 };
 use apex_scheme::SchemeKind;
 use apex_sim::json::MAX_DEPTH;
-use apex_sim::{AdversarySpec, Json};
+use apex_sim::{AdversarySpec, Json, ScheduleKind, MAX_ADVERSARY_DEPTH};
 use apex_synth::Reproducer;
 
 /// 200k unmatched `[` — deep enough to overflow any thread's stack if a
@@ -94,6 +94,37 @@ fn nesting_at_the_cap_parses_and_one_past_it_is_a_typed_error() {
     assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
     let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
     assert!(err.msg.contains("nesting"), "{err}");
+}
+
+#[test]
+fn an_adversary_tree_past_the_depth_cap_is_refused_while_decoding() {
+    // `depth` levels of speed warps over a uniform leaf.
+    let tree = |depth: usize| {
+        (1..depth).fold(AdversarySpec::Base(ScheduleKind::Uniform), |base, _| {
+            AdversarySpec::Scale {
+                factors: vec![1, 1],
+                base: Box::new(base),
+            }
+        })
+    };
+    let decode = |depth: usize| {
+        let text = tree(depth).to_json().render();
+        AdversarySpec::from_json(&Json::parse(&text).unwrap())
+    };
+    assert_eq!(
+        decode(MAX_ADVERSARY_DEPTH).unwrap().depth(),
+        MAX_ADVERSARY_DEPTH
+    );
+    let err = decode(MAX_ADVERSARY_DEPTH + 1).unwrap_err();
+    assert_eq!(
+        err.msg,
+        format!(
+            "adversary tree depth {} exceeds the maximum {MAX_ADVERSARY_DEPTH}",
+            MAX_ADVERSARY_DEPTH + 1
+        )
+    );
+    // `validate` still refuses a tree built in code.
+    assert!(tree(MAX_ADVERSARY_DEPTH + 1).validate(2).is_err());
 }
 
 #[test]
@@ -406,7 +437,6 @@ fn decodes(kind: &str, text: &str) -> bool {
         "manifest" => json().and_then(|j| Manifest::from_json(&j)).is_ok(),
         "journal" => JournalEntry::parse_line(text).is_ok(),
         "fault-plan" => FaultPlan::parse(text).is_ok(),
-        "bench" => BenchDoc::parse(text).is_ok(),
         "metrics" => Metrics::parse(text).is_ok(),
         "trace" => TraceEvent::parse_line(text).is_ok(),
         "reproducer" => json().and_then(|j| Reproducer::from_json(&j)).is_ok(),
@@ -447,7 +477,6 @@ fn subjects() -> Vec<(&'static str, String)> {
             "fault-plan",
             FaultPlan::parse(plan).unwrap().to_json().render_pretty(),
         ),
-        ("bench", golden("BENCH_program-compile.json")),
         ("metrics", metrics.render_pretty()),
         ("trace", trace.lines().next().unwrap().to_string()),
         (

@@ -21,7 +21,7 @@ use apex::scheme::SchemeKind;
 use apex::sim::{
     AdversarySpec, Group, Json, OverlayKind, ScheduleKind, ScriptSegment, ScriptSpec, Span,
 };
-use apex_lab::{BenchDoc, JournalEntry, Suite};
+use apex_lab::{JournalEntry, Suite};
 use apex_obs::TraceEvent;
 use apex_synth::gen::{generate_program, GenConfig};
 use apex_synth::repro::Reproducer;
@@ -348,8 +348,8 @@ fn committed(path: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Every committed suite keeps the digest its stores, bench artifacts,
-/// and CI runs are addressed by: the scenario format may change only in
+/// Every committed suite keeps the digest its stores, count goldens and
+/// CI runs are addressed by: the scenario format may change only in
 /// ways that leave every scheme and agreement document byte-identical.
 #[test]
 fn committed_suites_keep_their_digests() {
@@ -365,12 +365,6 @@ fn committed_suites_keep_their_digests() {
             "suites/{name}.json moved its digest"
         );
     }
-    // The committed bench artifact names that same digest, and still
-    // parses and re-renders byte-identically.
-    let text = committed("BENCH_program-compile.json");
-    let bench = BenchDoc::parse(&text).unwrap();
-    assert_eq!(bench.digest, "7b4c5a1509323538");
-    assert_eq!(bench.render_pretty(), text);
 }
 
 /// Every golden file and every corpus artifact re-renders byte for byte
