@@ -31,9 +31,10 @@
 //! decision streams as pure functions of their spec, their derived seed,
 //! and the tick index — never of protocol state.
 
-use super::combinators::{
-    OverlayPattern, OverlaySchedule, PartitionSchedule, PhaseSwitchSchedule, ScaleSchedule,
-};
+use super::availability::OverlayPattern;
+use super::basic::{two_class_weights, zipf_weight};
+use super::bursty::log_stay;
+use super::combinators::{OverlaySchedule, PartitionSchedule, PhaseSwitchSchedule, ScaleSchedule};
 use super::{BoxedSchedule, ScheduleKind};
 use crate::json::{Json, JsonError};
 use crate::rng::{derive_seed, small_rng};
@@ -649,25 +650,46 @@ impl ScheduleKind {
         match self {
             ScheduleKind::RoundRobin | ScheduleKind::Uniform => Ok(()),
             ScheduleKind::Zipf { s } => {
-                if *s > 0.0 {
-                    Ok(())
-                } else {
+                // The sampler needs every weight positive, and a subnormal
+                // one has lost its precision on the way to 0. The slowest
+                // processor, the last, has the least weight.
+                let least = zipf_weight(n.saturating_sub(1), *s);
+                if s.is_nan() || *s <= 0.0 {
                     Err(format!("zipf exponent must be > 0, got {s}"))
+                } else if !least.is_normal() {
+                    Err(format!(
+                        "zipf exponent {s} gives the slowest of {n} processors the weight \
+                         {least:e}, not a normal positive number"
+                    ))
+                } else {
+                    Ok(())
                 }
             }
             ScheduleKind::TwoClass { slow_frac, ratio } => {
                 frac(*slow_frac, "two-class slow_frac")?;
-                if *ratio >= 1.0 {
-                    Ok(())
-                } else {
+                let total: f64 = two_class_weights(n, *slow_frac, *ratio).1.iter().sum();
+                if ratio.is_nan() || *ratio < 1.0 {
                     Err(format!("two-class ratio must be ≥ 1, got {ratio}"))
+                } else if !total.is_finite() {
+                    Err(format!(
+                        "two-class ratio {ratio:e} makes the total weight of {n} processors \
+                         overflow"
+                    ))
+                } else {
+                    Ok(())
                 }
             }
             ScheduleKind::Bursty { mean_burst } => {
-                if *mean_burst >= 1 {
+                if *mean_burst < 1 {
+                    return Err("bursty mean_burst must be ≥ 1".into());
+                }
+                if log_stay(*mean_burst) < 0.0 {
                     Ok(())
                 } else {
-                    Err("bursty mean_burst must be ≥ 1".into())
+                    Err(format!(
+                        "bursty mean_burst {mean_burst} is too large: 1 − 1/mean rounds to 1, \
+                         so every burst would have length 1"
+                    ))
                 }
             }
             ScheduleKind::Sleepy {

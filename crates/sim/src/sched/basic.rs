@@ -115,7 +115,7 @@ impl WeightedSpeeds {
 
     /// Zipf-skewed speeds: `w_i = 1/(i+1)^s`.
     pub fn zipf(n: usize, s: f64, rng: SmallRng) -> Self {
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect();
+        let weights: Vec<f64> = (0..n).map(|i| zipf_weight(i, s)).collect();
         Self::new(&weights, rng, format!("zipf(n={n},s={s})"))
     }
 
@@ -124,14 +124,26 @@ impl WeightedSpeeds {
     pub fn two_class(n: usize, slow_frac: f64, ratio: f64, rng: SmallRng) -> Self {
         assert!((0.0..=1.0).contains(&slow_frac));
         assert!(ratio >= 1.0);
-        let slow = ((slow_frac * n as f64).ceil() as usize).min(n);
-        let weights: Vec<f64> = (0..n).map(|i| if i < slow { 1.0 } else { ratio }).collect();
+        let (slow, weights) = two_class_weights(n, slow_frac, ratio);
         Self::new(
             &weights,
             rng,
             format!("two-class(n={n},slow={slow},ratio={ratio})"),
         )
     }
+}
+
+/// The zipf speed weight `1/(i+1)^s` of processor `i`.
+pub(crate) fn zipf_weight(i: usize, s: f64) -> f64 {
+    1.0 / ((i + 1) as f64).powf(s)
+}
+
+/// The two-class speed weights of processors `0..n`, with the number of
+/// slow processors.
+pub(crate) fn two_class_weights(n: usize, slow_frac: f64, ratio: f64) -> (usize, Vec<f64>) {
+    let slow = ((slow_frac * n as f64).ceil() as usize).min(n);
+    let weights = (0..n).map(|i| if i < slow { 1.0 } else { ratio }).collect();
+    (slow, weights)
 }
 
 impl Schedule for WeightedSpeeds {

@@ -14,20 +14,38 @@ use rand::rngs::SmallRng;
 pub struct Bursty {
     n: usize,
     mean_burst: u64,
+    /// `ln(1 − 1/mean_burst)`, the geometric law's log-survival per step.
+    log_stay: f64,
     current: ProcId,
     remaining: u64,
     rng: SmallRng,
 }
 
+/// `ln(1 − 1/mean)` for a geometric burst law of the given mean: the
+/// constant every burst draw divides by. It is negative for every mean
+/// of at least 1 whose `1 − 1/mean` rounds below 1, that is, up to about
+/// 2^53; past that it is 0 and every burst would have length 1.
+pub(crate) fn log_stay(mean_burst: u64) -> f64 {
+    let p = 1.0 / mean_burst as f64;
+    (1.0 - p).max(f64::MIN_POSITIVE).ln()
+}
+
 impl Bursty {
     /// Bursty schedule over `n` processors with geometric bursts of the given
-    /// mean length (≥ 1).
+    /// mean length (≥ 1, and small enough that `ln(1 − 1/mean)` is
+    /// negative).
     pub fn new(n: usize, mean_burst: u64, rng: SmallRng) -> Self {
         assert!(n > 0);
         assert!(mean_burst >= 1);
+        let log_stay = log_stay(mean_burst);
+        assert!(
+            log_stay < 0.0,
+            "bursty mean_burst {mean_burst} is too large"
+        );
         Bursty {
             n,
             mean_burst,
+            log_stay,
             current: ProcId(0),
             remaining: 0,
             rng,
@@ -36,9 +54,8 @@ impl Bursty {
 
     fn draw_burst(&mut self) -> u64 {
         // Geometric(p) with p = 1/mean via inversion; at least 1.
-        let p = 1.0 / self.mean_burst as f64;
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let len = (u.ln() / (1.0 - p).max(f64::MIN_POSITIVE).ln()).ceil();
+        let len = (u.ln() / self.log_stay).ceil();
         if len < 1.0 {
             1
         } else {

@@ -9,96 +9,9 @@
 //!
 //! [`AdversarySpec`]: super::AdversarySpec
 
+use super::availability::{OverlayPattern, Window, WindowKind};
 use super::Schedule;
 use crate::word::ProcId;
-use rand::rngs::SmallRng;
-
-/// Precomputed per-processor availability pattern of an overlay: a pure
-/// function of `(processor, tick)`, fixed before the run (oblivious by
-/// construction). Processor 0 is always available, so redirection always
-/// terminates and the composed schedule stays total.
-pub(crate) enum OverlayPattern {
-    /// Fail-stop overlay: each victim has a crash tick after which it is
-    /// never available.
-    Crash {
-        /// Per-processor crash tick (`None` = never crashes).
-        crash_at: Vec<Option<u64>>,
-    },
-    /// Tardy overlay: sleepers alternate awake/asleep windows with
-    /// per-processor phase offsets (`u64::MAX` marks always-awake).
-    Sleepy {
-        /// Ticks awake per period.
-        awake: u64,
-        /// Ticks asleep per period.
-        asleep: u64,
-        /// Per-processor phase offsets.
-        offsets: Vec<u64>,
-    },
-}
-
-impl OverlayPattern {
-    /// Crash overlay: the exact derivation of
-    /// [`CrashSchedule::uniform_crashes`](super::CrashSchedule::uniform_crashes)
-    /// (shared helper, so the two can never drift apart).
-    pub(crate) fn crash(n: usize, crash_frac: f64, horizon: u64, mut rng: SmallRng) -> Self {
-        OverlayPattern::Crash {
-            crash_at: super::crash::uniform_crash_times(n, crash_frac, horizon, &mut rng),
-        }
-    }
-
-    /// Sleepy overlay: the exact derivation of
-    /// [`Sleepy::new`](super::Sleepy::new) (shared helper).
-    pub(crate) fn sleepy(
-        n: usize,
-        sleepy_frac: f64,
-        awake: u64,
-        asleep: u64,
-        mut rng: SmallRng,
-    ) -> Self {
-        OverlayPattern::Sleepy {
-            awake,
-            asleep,
-            offsets: super::sleepy::sleep_offsets(n, sleepy_frac, awake, asleep, &mut rng),
-        }
-    }
-
-    /// Whether processor `p` is available at tick `t`.
-    pub(crate) fn is_active(&self, p: usize, t: u64) -> bool {
-        match self {
-            OverlayPattern::Crash { crash_at } => match crash_at[p] {
-                None => true,
-                Some(c) => t < c,
-            },
-            OverlayPattern::Sleepy {
-                awake,
-                asleep,
-                offsets,
-            } => {
-                let off = offsets[p];
-                if off == u64::MAX {
-                    return true;
-                }
-                (t + off) % (awake + asleep) < *awake
-            }
-        }
-    }
-
-    fn victims(&self) -> usize {
-        match self {
-            OverlayPattern::Crash { crash_at } => crash_at.iter().filter(|c| c.is_some()).count(),
-            OverlayPattern::Sleepy { offsets, .. } => {
-                offsets.iter().filter(|&&o| o != u64::MAX).count()
-            }
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            OverlayPattern::Crash { .. } => "crash",
-            OverlayPattern::Sleepy { .. } => "sleepy",
-        }
-    }
-}
 
 /// `Overlay`: a fault pattern layered onto any inner adversary. The inner
 /// schedule proposes a processor for each tick; if the overlay marks that
@@ -107,33 +20,40 @@ impl OverlayPattern {
 ///
 /// **Batch transparency:** the redirection is a pure function of the
 /// proposed processor and the tick index. `next_batch` delegates the
-/// whole window to the inner schedule (itself batch-transparent) and then
-/// remaps slot `i` at tick `tick + i`, which is exactly the sequence of
-/// per-tick remaps `next` would have performed.
+/// whole window to the inner schedule (itself batch-transparent), then
+/// cuts the ticks at the pattern's `next_change` points. On each piece
+/// every processor's availability is constant, so the per-tick remap
+/// `next` performs is one fixed map for the whole piece. A piece where
+/// all processors are available is left as drawn; a piece of at least
+/// `n` ticks is remapped through an `n`-entry table built once for it,
+/// whose entry for `p` is what the per-tick cyclic search returns for
+/// `p`; a shorter piece is remapped slot by slot with that search.
 pub struct OverlaySchedule {
     inner: Box<dyn Schedule>,
-    pattern: OverlayPattern,
+    window: Window,
     tick: u64,
 }
 
 impl OverlaySchedule {
     pub(crate) fn new(inner: Box<dyn Schedule>, pattern: OverlayPattern) -> Self {
+        assert_eq!(pattern.n(), inner.n(), "overlay built for wrong size");
         OverlaySchedule {
             inner,
-            pattern,
+            window: Window::new(pattern),
             tick: 0,
         }
     }
 
     #[inline]
     fn redirect(&self, p: ProcId, t: u64) -> ProcId {
-        if self.pattern.is_active(p.0, t) {
+        let pattern = self.window.pattern();
+        if pattern.is_active(p.0, t) {
             return p;
         }
         let n = self.inner.n();
         for d in 1..n {
             let q = (p.0 + d) % n;
-            if self.pattern.is_active(q, t) {
+            if pattern.is_active(q, t) {
                 return ProcId(q);
             }
         }
@@ -153,9 +73,28 @@ impl Schedule for OverlaySchedule {
     fn next_batch(&mut self, out: &mut [ProcId]) {
         self.inner.next_batch(out);
         let mut t = self.tick;
-        for slot in out.iter_mut() {
-            *slot = self.redirect(*slot, t);
-            t += 1;
+        let mut i = 0;
+        while i < out.len() {
+            let (kind, run) = self.window.span(t, out.len() - i);
+            let piece = &mut out[i..i + run];
+            match kind {
+                WindowKind::AllActive => {}
+                WindowKind::Table => {
+                    let table = self.window.redirect();
+                    for slot in piece {
+                        *slot = table[slot.0];
+                    }
+                }
+                WindowKind::PerTick => {
+                    // Availability is constant on the piece, so its first
+                    // tick stands for all of them.
+                    for slot in piece {
+                        *slot = self.redirect(*slot, t);
+                    }
+                }
+            }
+            i += run;
+            t += run as u64;
         }
         self.tick = t;
     }
@@ -165,10 +104,11 @@ impl Schedule for OverlaySchedule {
     }
 
     fn describe(&self) -> String {
+        let pattern = self.window.pattern();
         format!(
             "overlay({}:{} over {})",
-            self.pattern.label(),
-            self.pattern.victims(),
+            pattern.label(),
+            pattern.victims(),
             self.inner.describe()
         )
     }
@@ -268,9 +208,14 @@ impl Schedule for PhaseSwitchSchedule {
 /// **Batch transparency:** the tick-to-group assignment is a pure
 /// function of the tick index, and a window's ticks reach each group in
 /// increasing order — the same order `next` would poll that group's
-/// sub-schedule. `next_batch` therefore counts each group's share of the
-/// window, batches each sub-schedule once (sub-batches in stream order),
-/// and scatters the results back into tick order.
+/// sub-schedule. Within a window starting at slot `c`, a group's ticks
+/// are its members at or after `c` (offset `p − c`), then those before
+/// `c` (offset `p + n − c`), repeating every `n` ticks: that list is
+/// ascending. `next_batch` counts each group's share of the window, draws
+/// it with one sub-batch, and writes draw `i` to the group's `i`-th tick
+/// of that list: exactly the draw `next` would have made on that tick.
+/// The count takes two binary searches per group and the scatter no
+/// division, so a batch costs O(1) per decision plus O(log n) per group.
 pub struct PartitionSchedule {
     /// `(sorted global member ids, local sub-schedule)` per group.
     groups: Vec<(Vec<usize>, Box<dyn Schedule>)>,
@@ -278,12 +223,9 @@ pub struct PartitionSchedule {
     owner: Vec<usize>,
     /// `tick mod n`.
     cursor: usize,
-    /// Per-group scratch for batched dispatch.
-    scratch: Vec<Vec<ProcId>>,
-    /// Per-group counters reused across `next_batch` calls (kept here so
-    /// the prefetch hot path stays allocation-free in steady state).
-    counts: Vec<usize>,
-    taken: Vec<usize>,
+    /// One group's draws of a batch (kept here so the prefetch hot path
+    /// stays allocation-free in steady state).
+    scratch: Vec<ProcId>,
 }
 
 impl PartitionSchedule {
@@ -296,6 +238,10 @@ impl PartitionSchedule {
                 procs.len(),
                 "group schedule built for wrong size"
             );
+            assert!(
+                procs.windows(2).all(|w| w[0] < w[1]),
+                "group members must be strictly increasing"
+            );
             for &p in procs {
                 assert!(owner[p] == usize::MAX, "processor {p} in two groups");
                 owner[p] = g;
@@ -305,16 +251,11 @@ impl PartitionSchedule {
             owner.iter().all(|&g| g != usize::MAX),
             "groups must cover all processors"
         );
-        let scratch = groups.iter().map(|_| Vec::new()).collect();
-        let counts = vec![0; groups.len()];
-        let taken = vec![0; groups.len()];
         PartitionSchedule {
             groups,
             owner,
             cursor: 0,
-            scratch,
-            counts,
-            taken,
+            scratch: Vec::new(),
         }
     }
 }
@@ -322,7 +263,10 @@ impl PartitionSchedule {
 impl Schedule for PartitionSchedule {
     fn next(&mut self) -> ProcId {
         let g = self.owner[self.cursor];
-        self.cursor = (self.cursor + 1) % self.owner.len();
+        self.cursor += 1;
+        if self.cursor == self.owner.len() {
+            self.cursor = 0;
+        }
         let (procs, sched) = &mut self.groups[g];
         let local = sched.next();
         ProcId(procs[local.0])
@@ -330,30 +274,43 @@ impl Schedule for PartitionSchedule {
 
     fn next_batch(&mut self, out: &mut [ProcId]) {
         let n = self.owner.len();
-        // Count each group's share of this window.
-        self.counts.fill(0);
-        let mut slot = self.cursor;
-        for _ in 0..out.len() {
-            self.counts[self.owner[slot]] += 1;
-            slot = (slot + 1) % n;
-        }
-        // One batched draw per group, in stream order.
-        for (g, count) in self.counts.iter().enumerate() {
-            let buf = &mut self.scratch[g];
-            buf.resize(*count, ProcId(0));
-            if *count > 0 {
-                self.groups[g].1.next_batch(buf);
+        let c = self.cursor;
+        let (full, rem) = (out.len() / n, out.len() % n);
+        for (procs, sched) in &mut self.groups {
+            // Members from `split` on come at or after the cursor.
+            let split = procs.partition_point(|&p| p < c);
+            let after = procs.partition_point(|&p| p < c + rem) - split;
+            let before = if c + rem > n {
+                procs.partition_point(|&p| p < c + rem - n)
+            } else {
+                0
+            };
+            let count = full * procs.len() + after + before;
+            if count == 0 {
+                continue;
+            }
+            self.scratch.resize(count, ProcId(0));
+            sched.next_batch(&mut self.scratch);
+            let mut drawn = self.scratch.iter();
+            // `round` is the window tick of slot `c` in the current round.
+            let mut round = 0;
+            'scatter: loop {
+                for &p in &procs[split..] {
+                    let Some(local) = drawn.next() else {
+                        break 'scatter;
+                    };
+                    out[round + p - c] = ProcId(procs[local.0]);
+                }
+                for &p in &procs[..split] {
+                    let Some(local) = drawn.next() else {
+                        break 'scatter;
+                    };
+                    out[round + n - c + p] = ProcId(procs[local.0]);
+                }
+                round += n;
             }
         }
-        // Scatter back into tick order, mapping local ids to global.
-        self.taken.fill(0);
-        for slot_out in out.iter_mut() {
-            let g = self.owner[self.cursor];
-            self.cursor = (self.cursor + 1) % n;
-            let local = self.scratch[g][self.taken[g]];
-            self.taken[g] += 1;
-            *slot_out = ProcId(self.groups[g].0[local.0]);
-        }
+        self.cursor = if c + rem >= n { c + rem - n } else { c + rem };
     }
 
     fn n(&self) -> usize {
@@ -449,9 +406,7 @@ mod tests {
     fn overlay_redirects_only_inactive_ticks() {
         // Processor 2 crashes at tick 3; before that the stream is
         // untouched, after it every proposed 2 lands on 3 (next cyclic).
-        let pattern = OverlayPattern::Crash {
-            crash_at: vec![None, None, Some(3), None],
-        };
+        let pattern = OverlayPattern::crash_times(vec![None, None, Some(3), None]);
         let mut s = OverlaySchedule::new(round_robin(4), pattern);
         let picks: Vec<usize> = (0..8).map(|_| s.next().0).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 3, 3]);

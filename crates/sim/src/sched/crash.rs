@@ -1,5 +1,6 @@
 //! Fail-stop schedule: the paper's `S_i(k) = ∞` faulty processors.
 
+use super::availability::{AvailableUniform, OverlayPattern};
 use super::Schedule;
 use crate::word::ProcId;
 use rand::prelude::*;
@@ -11,12 +12,11 @@ use rand::rngs::SmallRng;
 /// crashes, so the schedule stays total and the computation can always make
 /// progress — the execution scheme must then shoulder the dead processors'
 /// tasks.
+///
+/// The pick among the survivors is `AvailableUniform`'s rule, read
+/// through the same `OverlayPattern` the algebra's crash overlay uses.
 pub struct CrashSchedule {
-    n: usize,
-    crash_at: Vec<Option<u64>>,
-    tick: u64,
-    rng: SmallRng,
-    crashed_planned: usize,
+    picks: AvailableUniform,
 }
 
 impl CrashSchedule {
@@ -24,14 +24,8 @@ impl CrashSchedule {
     /// `None`.
     pub fn new(crash_at: Vec<Option<u64>>, rng: SmallRng) -> Self {
         assert!(!crash_at.is_empty());
-        assert!(crash_at[0].is_none(), "processor 0 must survive");
-        let crashed_planned = crash_at.iter().filter(|c| c.is_some()).count();
         CrashSchedule {
-            n: crash_at.len(),
-            crash_at,
-            tick: 0,
-            rng,
-            crashed_planned,
+            picks: AvailableUniform::new(OverlayPattern::crash_times(crash_at), rng),
         }
     }
 
@@ -41,34 +35,6 @@ impl CrashSchedule {
         assert!(n > 0);
         let crash_at = uniform_crash_times(n, crash_frac, horizon, &mut rng);
         Self::new(crash_at, rng)
-    }
-
-    /// Whether processor `p` is alive at tick `t`.
-    pub fn is_alive(&self, p: usize, t: u64) -> bool {
-        match self.crash_at[p] {
-            None => true,
-            Some(c) => t < c,
-        }
-    }
-
-    /// One decision at tick `t` (shared by `next` and `next_batch`; both
-    /// must consume the RNG identically).
-    #[inline]
-    fn pick_at(&mut self, t: u64) -> ProcId {
-        for _ in 0..16 {
-            let p = self.rng.gen_range(0..self.n);
-            if self.is_alive(p, t) {
-                return ProcId(p);
-            }
-        }
-        let start = self.rng.gen_range(0..self.n);
-        for d in 0..self.n {
-            let p = (start + d) % self.n;
-            if self.is_alive(p, t) {
-                return ProcId(p);
-            }
-        }
-        ProcId(0)
     }
 }
 
@@ -96,26 +62,23 @@ pub(crate) fn uniform_crash_times(
 
 impl Schedule for CrashSchedule {
     fn next(&mut self) -> ProcId {
-        let t = self.tick;
-        self.tick += 1;
-        self.pick_at(t)
+        self.picks.next()
     }
 
     fn next_batch(&mut self, out: &mut [ProcId]) {
-        let mut t = self.tick;
-        for slot in out.iter_mut() {
-            *slot = self.pick_at(t);
-            t += 1;
-        }
-        self.tick = t;
+        self.picks.next_batch(out);
     }
 
     fn n(&self) -> usize {
-        self.n
+        self.picks.n()
     }
 
     fn describe(&self) -> String {
-        format!("crash(n={},victims={})", self.n, self.crashed_planned)
+        format!(
+            "crash(n={},victims={})",
+            self.picks.n(),
+            self.picks.pattern().victims()
+        )
     }
 }
 
@@ -128,7 +91,7 @@ mod tests {
     fn crashed_processors_never_run_again() {
         let mut s = CrashSchedule::new(vec![None, Some(100), Some(500), None], schedule_rng(17));
         for _ in 0..10_000u64 {
-            let t = s.tick;
+            let t = s.picks.tick();
             let p = s.next();
             if p.0 == 1 {
                 assert!(t < 100, "P1 ran at tick {t} after crashing");
@@ -160,7 +123,7 @@ mod tests {
     #[test]
     fn uniform_crashes_respects_fraction() {
         let s = CrashSchedule::uniform_crashes(16, 0.5, 1000, schedule_rng(20));
-        assert_eq!(s.crashed_planned, 8);
-        assert!(s.crash_at[0].is_none());
+        assert_eq!(s.picks.pattern().victims(), 8);
+        assert!((0..2000).all(|t| s.picks.pattern().is_active(0, t)));
     }
 }

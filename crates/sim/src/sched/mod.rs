@@ -13,6 +13,7 @@
 //! protocol state, so obliviousness holds by construction.
 
 mod algebra;
+mod availability;
 mod basic;
 mod bursty;
 mod combinators;
@@ -50,7 +51,27 @@ use crate::word::ProcId;
 ///
 /// Mixing `next()` and `next_batch()` calls on one schedule is therefore
 /// legal and cannot change the decision stream. The regression suite in
-/// `tests/batch_determinism.rs` checks this for every [`ScheduleKind`].
+/// `tests/batch_determinism.rs` checks this for every [`ScheduleKind`],
+/// and `tests/decision_streams.rs` pins the streams themselves.
+///
+/// # Cost contract
+///
+/// `next_batch` is the hot path: every machine tick's decision comes
+/// through it. It costs O(1) amortized per decision, whatever `n` is:
+///
+/// * uniform, round-robin, bursty and scripted decisions are O(1) each;
+/// * zipf and two-class decisions look up a guide table
+///   (`rand::distributions::WeightedIndex`), O(1) per draw;
+/// * a partition pays two binary searches per group per batch, and no
+///   division per decision;
+/// * an overlay, and the base sleepy and crash schedules, cut the batch
+///   where the fault pattern's availability changes (found in O(log n))
+///   and build an `n`-entry availability table only for a window of at
+///   least `n` ticks. A shorter window is decided tick by tick against
+///   the pattern, as `next` does.
+///
+/// `next()` is the per-tick reference that `next_batch` must reproduce;
+/// it is not optimized, and nothing on the hot path calls it per tick.
 pub trait Schedule {
     /// The processor that performs the next atomic step.
     fn next(&mut self) -> ProcId;

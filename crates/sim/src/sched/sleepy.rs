@@ -5,6 +5,7 @@
 //! (writes carrying an old phase stamp, §4 Lemma 1), so this adversary is the
 //! stress test for the bin array's timestamp machinery.
 
+use super::availability::{AvailableUniform, OverlayPattern};
 use super::Schedule;
 use crate::word::ProcId;
 use rand::prelude::*;
@@ -16,16 +17,13 @@ use rand::rngs::SmallRng;
 /// each tick, the processor is chosen uniformly.
 ///
 /// The awake/asleep pattern is a pure function of the tick counter and the
-/// seed, so the schedule is oblivious.
+/// seed, so the schedule is oblivious. The pick among the awake is
+/// `AvailableUniform`'s rule, read through the same `OverlayPattern`
+/// the algebra's sleepy overlay uses.
 pub struct Sleepy {
-    n: usize,
     awake: u64,
     asleep: u64,
-    /// Per-processor phase offset; `u64::MAX` marks an always-awake processor.
-    offsets: Vec<u64>,
-    tick: u64,
-    rng: SmallRng,
-    sleepy_count: usize,
+    picks: AvailableUniform,
 }
 
 impl Sleepy {
@@ -35,48 +33,14 @@ impl Sleepy {
         assert!(n > 0);
         assert!(awake >= 1);
         let offsets = sleep_offsets(n, sleepy_frac, awake, asleep, &mut rng);
-        let sleepy_count = offsets.iter().filter(|&&o| o != u64::MAX).count();
         Sleepy {
-            n,
             awake,
             asleep,
-            offsets,
-            tick: 0,
-            rng,
-            sleepy_count,
+            picks: AvailableUniform::new(
+                OverlayPattern::sleep_offsets(awake, asleep, offsets),
+                rng,
+            ),
         }
-    }
-
-    /// Whether processor `p` is awake at tick `t`.
-    pub fn is_awake(&self, p: usize, t: u64) -> bool {
-        let off = self.offsets[p];
-        if off == u64::MAX {
-            return true;
-        }
-        let period = self.awake + self.asleep;
-        (t + off) % period < self.awake
-    }
-
-    /// One decision at tick `t` (shared by `next` and `next_batch`; both
-    /// must consume the RNG identically).
-    #[inline]
-    fn pick_at(&mut self, t: u64) -> ProcId {
-        // Rejection-sample an awake processor; bounded attempts, then scan.
-        for _ in 0..16 {
-            let p = self.rng.gen_range(0..self.n);
-            if self.is_awake(p, t) {
-                return ProcId(p);
-            }
-        }
-        let start = self.rng.gen_range(0..self.n);
-        for d in 0..self.n {
-            let p = (start + d) % self.n;
-            if self.is_awake(p, t) {
-                return ProcId(p);
-            }
-        }
-        // Processor 0 is always awake, so this is unreachable; kept total.
-        ProcId(0)
     }
 }
 
@@ -107,28 +71,24 @@ pub(crate) fn sleep_offsets(
 
 impl Schedule for Sleepy {
     fn next(&mut self) -> ProcId {
-        let t = self.tick;
-        self.tick += 1;
-        self.pick_at(t)
+        self.picks.next()
     }
 
     fn next_batch(&mut self, out: &mut [ProcId]) {
-        let mut t = self.tick;
-        for slot in out.iter_mut() {
-            *slot = self.pick_at(t);
-            t += 1;
-        }
-        self.tick = t;
+        self.picks.next_batch(out);
     }
 
     fn n(&self) -> usize {
-        self.n
+        self.picks.n()
     }
 
     fn describe(&self) -> String {
         format!(
             "sleepy(n={},sleepers={},awake={},asleep={})",
-            self.n, self.sleepy_count, self.awake, self.asleep
+            self.picks.n(),
+            self.picks.pattern().victims(),
+            self.awake,
+            self.asleep
         )
     }
 }
@@ -141,9 +101,12 @@ mod tests {
     #[test]
     fn sleepers_get_no_ticks_while_asleep() {
         let mut s = Sleepy::new(8, 0.5, 100, 400, schedule_rng(11));
-        let offsets = s.offsets.clone();
+        let OverlayPattern::Sleepy { offsets, .. } = s.picks.pattern() else {
+            unreachable!("a sleepy schedule has a sleepy pattern")
+        };
+        let offsets = offsets.clone();
         for _ in 0..20_000u64 {
-            let t = s.tick;
+            let t = s.picks.tick();
             let p = s.next();
             let off = offsets[p.0];
             if off != u64::MAX {
@@ -159,7 +122,7 @@ mod tests {
     fn processor_zero_never_sleeps() {
         let s = Sleepy::new(4, 1.0, 10, 1000, schedule_rng(2));
         for t in 0..5000 {
-            assert!(s.is_awake(0, t));
+            assert!(s.picks.pattern().is_active(0, t));
         }
     }
 

@@ -21,7 +21,9 @@
 //! whose engine batch exceeds [`MAX_BATCH`] or whose agreement phases
 //! exceed [`MAX_PHASES`], is rejected before anything is allocated. A
 //! sleepy adversary whose period `awake + asleep` overflows is rejected
-//! by validation instead of dividing by a wrapped zero mid-run.
+//! by validation instead of dividing by a wrapped zero mid-run, and so
+//! are zipf, two-class and bursty adversaries whose sampler weights or
+//! burst law degenerate in floating point.
 //!
 //! Finally, a mutation sweep feeds every decoder truncations at every
 //! byte, a one-byte substitution at every position, and numeric
@@ -422,6 +424,66 @@ fn an_overflowing_sleepy_overlay_period_is_rejected() {
     // A scenario carrying it is rejected before it runs.
     let scenario = Scenario::agreement(8, SourceSpec::Random(50), 1, 0).schedule(spec.clone());
     assert!(scenario.validate().unwrap_err().0.contains("overflows"));
+}
+
+/// Adversaries whose parameters parse and are in their documented
+/// ranges, but whose sampler weights or burst law degenerate in floating
+/// point, with the word their validation error must carry:
+///
+/// * zipf `s = 1000`: `1/8^1000` underflows to 0, and building the
+///   sampler panicked (`weights must be positive`) mid-run;
+/// * two-class ratio `1e308`: the total weight overflows to +inf, and
+///   every draw landed on the last processor;
+/// * bursty mean `2^54`: `1 − 1/mean` rounds to 1, its log is 0, and
+///   every burst silently had length 1.
+const SAMPLER_BREAKERS: [(&str, &str); 3] = [
+    (r#"{"kind": "zipf", "s": 1000}"#, "normal positive"),
+    (
+        r#"{"kind": "two-class", "slow_frac": 0.25, "ratio": 1e308}"#,
+        "overflow",
+    ),
+    (
+        r#"{"kind": "bursty", "mean_burst": 18014398509481984}"#,
+        "too large",
+    ),
+];
+
+#[test]
+fn adversaries_that_break_the_sampler_are_typed_errors() {
+    for (text, word) in SAMPLER_BREAKERS {
+        let spec = AdversarySpec::from_json(&Json::parse(text).unwrap()).unwrap();
+        let err = spec.validate(8).unwrap_err();
+        assert!(err.contains(word), "{text}: {err}");
+        // Nested under a combinator, the leaf is still checked.
+        let overlay = format!(
+            r#"{{"kind": "overlay", "layer": "crash", "crash_frac": 0.25, "horizon": 64,
+                "base": {text}}}"#
+        );
+        let overlay = AdversarySpec::from_json(&Json::parse(&overlay).unwrap()).unwrap();
+        assert!(overlay.validate(8).unwrap_err().contains(word), "{text}");
+        // A scenario carrying it is rejected before it runs, and the run
+        // path poisons the cell instead of panicking in the sampler.
+        let scenario = Scenario::agreement(8, SourceSpec::Random(50), 1, 0).schedule(spec);
+        assert!(scenario.validate().unwrap_err().0.contains(word), "{text}");
+        assert_eq!(
+            RunOutcome::capture(&scenario).status(),
+            "poisoned",
+            "{text}"
+        );
+    }
+    // The rules reject no sampler that works: the edges just inside them.
+    for text in [
+        r#"{"kind": "zipf", "s": 300}"#,
+        r#"{"kind": "two-class", "slow_frac": 0.25, "ratio": 1e307}"#,
+        r#"{"kind": "bursty", "mean_burst": 9007199254740992}"#,
+    ] {
+        let spec = AdversarySpec::from_json(&Json::parse(text).unwrap()).unwrap();
+        spec.validate(8).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let mut schedule = spec.build(8, 1);
+        for _ in 0..1000 {
+            assert!(schedule.next().0 < 8, "{text}");
+        }
+    }
 }
 
 /// Decode `text` as a document of the given kind; `true` when it
