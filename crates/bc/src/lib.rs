@@ -6,8 +6,10 @@
 //! cycle-log bookkeeping, and deep nested poll chains. This crate lowers a
 //! resolved program *once*, at machine-assembly time, into a contiguous
 //! slot table with pre-resolved operand addresses and expected stamps
-//! ([`compile`]), and executes it with a flat VM over the simulator's
-//! synchronous [`EngineGate`] credit protocol.
+//! ([`compile`]), and executes it with a flat VM: one processor [`Bank`]
+//! that holds every processor's registers, credit and op counters and
+//! private RNG as plain fields, and takes one memory borrow per decision
+//! block.
 //!
 //! The VM is op-for-op identical to the tree walker — same operation
 //! kinds, addresses, and RNG draws per processor per tick — so schedules,
@@ -27,26 +29,21 @@ mod compile;
 mod tests;
 mod vm;
 
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use apex_scheme::SchemeParts;
-use apex_sim::{Ctx, EngineGate};
+use apex_sim::{Bank, Spawn, Wiring};
 
 pub use compile::{compile, CompileStats, CompiledScheme};
 
-use vm::Vm;
+use vm::VmBank;
 
-/// Per-processor future type produced by the [`factory`] closure.
-pub type VmFuture = Pin<Box<dyn Future<Output = ()>>>;
-
-/// Compile `parts` and return the per-processor builder for
+/// Compile `parts` and return the processors for
 /// [`SchemeRun::new_with_factory`](apex_scheme::SchemeRun::new_with_factory):
-/// each processor gets a VM over the shared compiled table, driven by the
-/// machine through the same credit protocol as the tree-walking
+/// one VM bank over the shared compiled table, driven by the machine's
+/// dispatch loop through the same credit protocol as the tree-walking
 /// processors.
-pub fn factory(parts: &SchemeParts) -> impl FnMut(Ctx) -> VmFuture {
+pub fn factory(parts: &SchemeParts) -> impl Spawn {
     factory_of(Rc::new(compile(parts)), parts)
 }
 
@@ -54,7 +51,21 @@ pub fn factory(parts: &SchemeParts) -> impl FnMut(Ctx) -> VmFuture {
 /// [`CompileStats`] before the run starts (the scenario layer's `compile.*`
 /// trace instrument) call [`compile`] themselves and hand the result in,
 /// so lowering still happens exactly once.
-pub fn factory_of(prog: Rc<CompiledScheme>, parts: &SchemeParts) -> impl FnMut(Ctx) -> VmFuture {
-    let events = parts.events.clone();
-    move |ctx| Box::pin(Vm::new(prog.clone(), EngineGate::new(&ctx), events.clone())) as VmFuture
+pub fn factory_of(prog: Rc<CompiledScheme>, parts: &SchemeParts) -> impl Spawn {
+    VmSpawn {
+        prog,
+        events: parts.events.clone(),
+    }
+}
+
+/// The VM bank, waiting for its machine's [`Wiring`].
+struct VmSpawn {
+    prog: Rc<CompiledScheme>,
+    events: apex_scheme::tasks::EventsHandle,
+}
+
+impl Spawn for VmSpawn {
+    fn spawn(self, wiring: Wiring) -> Box<dyn Bank> {
+        Box::new(VmBank::new(self.prog, self.events, wiring))
+    }
 }

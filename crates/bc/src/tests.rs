@@ -111,29 +111,51 @@ fn compile_stats_count_live_slots() {
 }
 
 // Not a correctness test: measures the machine's raw dispatch floor — 16
-// processors that do nothing but consume credits — to bound what any
+// processors that do nothing but spend credits — to bound what any
 // interpreter can achieve. Run manually with
 // `cargo test -p apex-bc --release -- --ignored --nocapture`.
 #[test]
 #[ignore]
 fn dispatch_floor_probe() {
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::task::{Context, Poll};
-    struct Drain(apex_sim::EngineGate);
-    impl Future for Drain {
-        type Output = ();
-        fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-            let mut sess = self.0.session();
-            while sess.take_credit() {}
-            Poll::Pending
+    use apex_sim::{Account, Bank, Block, Port, Processors, Resumed, Spawn, Wiring};
+    struct Drain {
+        wiring: Wiring,
+        accts: Vec<Account>,
+    }
+    struct DrainBlock<'a> {
+        port: Port<'a>,
+        accts: &'a mut [Account],
+    }
+    struct SpawnDrain;
+    impl Spawn for SpawnDrain {
+        fn spawn(self, wiring: Wiring) -> Box<dyn Bank> {
+            let accts = vec![Account::default(); wiring.n()];
+            Box::new(Drain { wiring, accts })
+        }
+    }
+    impl Bank for Drain {
+        fn run_block(&mut self, block: &mut Block<'_>) {
+            self.wiring.with_port(|port| {
+                block.run(&mut DrainBlock {
+                    port,
+                    accts: &mut self.accts,
+                })
+            });
+        }
+    }
+    impl Processors for DrainBlock<'_> {
+        fn resume(&mut self, p: usize, credit: u64) -> Resumed {
+            let acct = &mut self.accts[p];
+            acct.grant(credit);
+            while self.port.take_credit(acct) {}
+            Resumed::Yielded { credit_left: 0 }
         }
     }
     for _ in 0..2 {
         let mut m = apex_sim::MachineBuilder::new(16, 64)
             .seed(11)
             .schedule_kind(&ScheduleKind::Uniform)
-            .build(|ctx| Drain(apex_sim::EngineGate::new(&ctx)));
+            .spawn(SpawnDrain);
         let t = std::time::Instant::now();
         m.run_ticks(2_670_912);
         println!("floor: 2670912 ticks in {} ms", t.elapsed().as_millis());

@@ -1,4 +1,4 @@
-//! The bytecode VM: a flat, resumable dispatch loop over a [`GateSession`].
+//! The bytecode VM: a processor bank of flat, resumable register files.
 //!
 //! Determinism contract: for every processor the VM performs the *identical*
 //! sequence of atomic operations — same kinds, same addresses, same RNG
@@ -9,13 +9,18 @@
 //! walker remains the oracle and `tests/bytecode_determinism.rs` enforces
 //! the equivalence.
 //!
-//! Mechanically the VM is a hand-rolled state machine implementing
-//! [`Future`] directly: one micro-state ([`St`]) per atomic operation, a
-//! dense `match` dispatch, and all protocol registers held as plain
-//! integers on the [`Vm`] struct. Each poll acquires one [`GateSession`]
-//! (a single `RefCell` borrow of memory and RNG for the whole poll) and
-//! executes ops in a tight credit loop. Control flow between atomic
-//! operations is free, exactly as in the model.
+//! Mechanically the VM is one [`Bank`] for all `n` processors, not `n`
+//! futures: each processor is a hand-rolled state machine — one
+//! micro-state ([`St`]) per atomic operation, a dense `match` dispatch,
+//! and all protocol registers held as plain integers — next to its
+//! [`Account`] (credit, op and prepaid counters) and its private RNG
+//! (`proc_rng(seed, i)`), all plain fields. The machine hands the bank
+//! each decision block in one call; the bank borrows the shared memory,
+//! the work counter and the event counters once for the block
+//! ([`Wiring::with_port`]) and runs the block through apex-sim's dispatch loop
+//! ([`Block::run`]), which resumes a processor with a direct call: no
+//! vtable, no `Context`, no `RefCell` borrow per resume. Control flow
+//! between atomic operations is free, exactly as in the model.
 //!
 //! What this removes from the hot loop compared to the tree walker: nested
 //! `async` poll chains, per-evaluation boxed `dyn` futures, last-write
@@ -25,18 +30,18 @@
 //! # Run-ahead
 //!
 //! Only shared-memory operations order one processor against another. When
-//! a poll's credit run is spent, the VM does not yield at a *private*
-//! state: it executes the op anyway and charges it with
-//! [`GateSession::prepay`], and the machine settles the tick when the
-//! schedule grants it, without polling (see `apex_sim`'s machine docs).
-//! The VM yields only at the next load, store or CAS, so it is polled
-//! about once per shared-memory op instead of once per tick.
+//! a resume's credit run is spent, the VM does not yield at a *private*
+//! state: it executes the op anyway and charges it with [`Port::prepay`],
+//! and the dispatch loop settles the tick when the schedule grants it,
+//! without resuming (see `apex_sim`'s machine docs). The VM yields only at
+//! the next load, store or CAS, so it is resumed about once per
+//! shared-memory op instead of once per tick.
 //!
 //! The run-ahead invariant: a prepaid op may change only the VM's
 //! registers and the processor's private RNG, because a run may stop
 //! before the op's tick ever comes. A state is private when neither its
 //! handler nor the free transition after it loads, stores, CASes or
-//! touches the [`EventsHandle`] counters:
+//! touches the [`SchemeEvents`] counters:
 //!
 //! * Read-Clock: `ClockRand` (cell draw), `ClockIncorp`, `ClockDivide`;
 //! * Update-Clock: `UpdRandJ`, `UpdRandK`;
@@ -47,20 +52,21 @@
 //! * task draws: `DetRandI`, `ScanRandI`, `CasRandI`;
 //! * ω-padding: charged in one `prepay` of the whole pad;
 //! * `Drain`: a finished processor prepays every future tick
-//!   (`prepay(u64::MAX)`) and is never polled again.
+//!   (`prepay(u64::MAX)`) and is never resumed again.
 //!
 //! Async `Ctx` operations never run ahead, so the tree walker remains the
 //! per-tick reference, and the tree-vs-VM byte identity checks that
 //! run-ahead is transparent.
 
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll};
+use std::cell::RefMut;
+use std::rc::Rc;
 
 use apex_pram::Op;
-use apex_scheme::tasks::EventsHandle;
+use apex_scheme::tasks::{EventsHandle, SchemeEvents};
 use apex_scheme::SchemeKind;
-use apex_sim::{EngineGate, GateSession, Stamped};
+use apex_sim::{Account, Bank, Block, Port, ProcId, Processors, Resumed, Stamped, Wiring};
+use rand::rngs::SmallRng;
+use rand::Rng;
 
 use crate::compile::{COperand, CompiledScheme, Slot};
 
@@ -176,8 +182,8 @@ enum EvCont {
     Cas,
 }
 
-/// Protocol registers: everything the flat loop needs between polls, all
-/// plain data (the future is trivially `Unpin`).
+/// Protocol registers: everything the flat loop needs between resumes,
+/// all plain data.
 struct Regs {
     st: St,
     me: usize,
@@ -228,121 +234,218 @@ struct Regs {
     cas_cur: Stamped,
 }
 
-/// One processor's bytecode execution over a compiled scheme. Implements
-/// [`Future`] directly — the machine drives it exactly like any protocol
-/// future, granting credit runs and polling.
-pub(crate) struct Vm {
-    prog: std::rc::Rc<CompiledScheme>,
-    gate: EngineGate,
+/// One processor of the bank: its registers, its op accounting and its
+/// private random source.
+struct Proc {
+    regs: Regs,
+    acct: Account,
+    rng: SmallRng,
+}
+
+/// The bytecode execution of all `n` processors over one compiled scheme.
+pub(crate) struct VmBank {
+    prog: Rc<CompiledScheme>,
     events: EventsHandle,
     /// [`private_states`] of `prog`, one bit per [`St`].
     private: u64,
-    regs: Regs,
+    wiring: Wiring,
+    procs: Vec<Proc>,
 }
 
-impl Vm {
-    pub(crate) fn new(
-        prog: std::rc::Rc<CompiledScheme>,
-        gate: EngineGate,
-        events: EventsHandle,
-    ) -> Self {
-        let me = gate.id().0;
+impl VmBank {
+    pub(crate) fn new(prog: Rc<CompiledScheme>, events: EventsHandle, wiring: Wiring) -> Self {
         let start = if prog.clock_samples == 0 {
             St::ClockDivide
         } else {
             St::ClockRand
         };
-        Vm {
+        let procs = (0..wiring.n())
+            .map(|me| Proc {
+                regs: Regs::new(start, me),
+                acct: Account::default(),
+                rng: wiring.rng(me),
+            })
+            .collect();
+        VmBank {
             private: private_states(&prog),
             prog,
-            gate,
             events,
-            regs: Regs {
-                st: start,
-                me,
-                clockv: 0,
-                step: 0,
-                since_read: 0,
-                since_update: 0,
-                upd_left: 0,
-                ck_cont: CkCont::Init,
-                ck_sample: 0,
-                ck_best: 0,
-                ck_idx: 0,
-                upd_j: 0,
-                upd_k: 0,
-                upd_vj: 0,
-                upd_vk: 0,
-                ti: 0,
-                stamp: 0,
-                slot: Slot {
-                    live: false,
-                    op: Op::Mov,
-                    dst_base: 0,
-                    a: COperand::Const(0),
-                    b: COperand::Const(0),
-                },
-                cyc_start_ops: 0,
-                bin_base: 0,
-                lo: 0,
-                hi: 0,
-                ev_cont: EvCont::Cycle,
-                opnd_r: 0,
-                x: 0,
-                y: 0,
-                v: 0,
-                cp_r: 0,
-                cp_start: 0,
-                cp_t: 0,
-                cp_span: 0,
-                sc_pass: 0,
-                sc_q: 0,
-                sc_count: 0,
-                sc_minp: usize::MAX,
-                sc_minv: 0,
-                sc_d0: (0, usize::MAX, 0),
-                cas_cur: Stamped::ZERO,
-            },
+            wiring,
+            procs,
         }
     }
 }
 
-impl Future for Vm {
-    type Output = ();
+impl Bank for VmBank {
+    fn run_block(&mut self, block: &mut Block<'_>) {
+        self.wiring.with_port(|port| {
+            block.run(&mut Cpu {
+                prog: &self.prog,
+                private: self.private,
+                port,
+                events: self.events.borrow_mut(),
+                procs: &mut self.procs,
+            })
+        });
+    }
+}
 
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        // All fields are plain data — `Vm` is `Unpin`.
-        let this = self.get_mut();
-        let p: &CompiledScheme = &this.prog;
-        let events = &this.events;
-        let private = this.private;
-        let mut sess = this.gate.session();
-        let r = &mut this.regs;
+/// The bank for one block: memory, work counter and event counters
+/// borrowed once.
+struct Cpu<'a> {
+    prog: &'a CompiledScheme,
+    private: u64,
+    port: Port<'a>,
+    events: RefMut<'a, SchemeEvents>,
+    procs: &'a mut [Proc],
+}
+
+impl Processors for Cpu<'_> {
+    #[inline]
+    fn prepaid(&self, p: usize) -> u64 {
+        self.procs[p].acct.prepaid()
+    }
+
+    #[inline]
+    fn settle(&mut self, p: usize, k: u64) {
+        self.procs[p].acct.settle(k);
+    }
+
+    fn resume(&mut self, p: usize, credit: u64) -> Resumed {
+        let proc = &mut self.procs[p];
+        proc.acct.grant(credit);
+        let mut sess = Sess {
+            port: self.port.reborrow(),
+            acct: &mut proc.acct,
+            rng: &mut proc.rng,
+            me: ProcId(p),
+        };
+        let r = &mut proc.regs;
         loop {
             let st = r.st;
             if st == St::Drain {
                 // Busy-wait forever (still counted as work): every future
-                // tick is prepaid, so the machine never polls again.
+                // tick is prepaid, so the dispatch loop never resumes it.
                 sess.prepay(u64::MAX);
-                return Poll::Pending;
+                break;
             }
             if !sess.take_credit() {
                 // The credit run is spent: a private op runs ahead, a
                 // shared one waits for its tick.
-                if private & st.bit() == 0 || sess.prepaid() >= RUN_AHEAD_MAX {
-                    return Poll::Pending;
+                if self.private & st.bit() == 0 || sess.acct.prepaid() >= RUN_AHEAD_MAX {
+                    break;
                 }
                 sess.prepay(1);
             }
-            r.exec(st, p, &mut sess, events);
+            r.exec(st, self.prog, &mut sess, &mut self.events);
+        }
+        Resumed::Yielded {
+            credit_left: sess.acct.credit(),
         }
     }
 }
 
+/// One processor's access to the block's [`Port`] while it runs.
+struct Sess<'a, 'p> {
+    port: Port<'p>,
+    acct: &'a mut Account,
+    rng: &'a mut SmallRng,
+    me: ProcId,
+}
+
+impl Sess<'_, '_> {
+    #[inline]
+    fn take_credit(&mut self) -> bool {
+        self.port.take_credit(self.acct)
+    }
+
+    #[inline]
+    fn prepay(&mut self, k: u64) {
+        self.port.prepay(self.acct, k);
+    }
+
+    #[inline]
+    fn ops(&self) -> u64 {
+        self.acct.ops()
+    }
+
+    #[inline]
+    fn load(&mut self, addr: usize) -> Stamped {
+        self.port.load(addr, self.me)
+    }
+
+    #[inline]
+    fn store(&mut self, addr: usize, w: Stamped) {
+        self.port.store(addr, w, self.me);
+    }
+
+    #[inline]
+    fn cas(&mut self, addr: usize, expect: Stamped, new: Stamped) -> Stamped {
+        self.port.cas(addr, expect, new, self.me)
+    }
+
+    /// The draw `Ctx::rand_below` makes.
+    #[inline]
+    fn rand_below(&mut self, bound: u64) -> u64 {
+        assert!(bound > 0, "rand_below(0)");
+        self.rng.gen_range(0..bound)
+    }
+}
+
 impl Regs {
+    fn new(st: St, me: usize) -> Self {
+        Regs {
+            st,
+            me,
+            clockv: 0,
+            step: 0,
+            since_read: 0,
+            since_update: 0,
+            upd_left: 0,
+            ck_cont: CkCont::Init,
+            ck_sample: 0,
+            ck_best: 0,
+            ck_idx: 0,
+            upd_j: 0,
+            upd_k: 0,
+            upd_vj: 0,
+            upd_vk: 0,
+            ti: 0,
+            stamp: 0,
+            slot: Slot {
+                live: false,
+                op: Op::Mov,
+                dst_base: 0,
+                a: COperand::Const(0),
+                b: COperand::Const(0),
+            },
+            cyc_start_ops: 0,
+            bin_base: 0,
+            lo: 0,
+            hi: 0,
+            ev_cont: EvCont::Cycle,
+            opnd_r: 0,
+            x: 0,
+            y: 0,
+            v: 0,
+            cp_r: 0,
+            cp_start: 0,
+            cp_t: 0,
+            cp_span: 0,
+            sc_pass: 0,
+            sc_q: 0,
+            sc_count: 0,
+            sc_minp: usize::MAX,
+            sc_minv: 0,
+            sc_d0: (0, usize::MAX, 0),
+            cas_cur: Stamped::ZERO,
+        }
+    }
+
     /// Execute the single atomic operation `st` stands for (its credit is
     /// already consumed) and advance to the next state.
-    fn exec(&mut self, st: St, p: &CompiledScheme, sess: &mut GateSession<'_>, ev: &EventsHandle) {
+    #[inline(always)]
+    fn exec(&mut self, st: St, p: &CompiledScheme, sess: &mut Sess<'_, '_>, ev: &mut SchemeEvents) {
         match st {
             // ---- Read-Clock -------------------------------------------
             St::ClockRand => {
@@ -464,7 +567,7 @@ impl Regs {
                 } else {
                     self.opnd_r += 1;
                     if self.opnd_r >= p.k {
-                        ev.borrow_mut().operand_read_failures += 1;
+                        ev.operand_read_failures += 1;
                         self.eval_b(ev);
                     }
                 }
@@ -480,7 +583,7 @@ impl Regs {
                 } else {
                     self.opnd_r += 1;
                     if self.opnd_r >= p.k {
-                        ev.borrow_mut().operand_read_failures += 1;
+                        ev.operand_read_failures += 1;
                         self.operands_done(ev);
                     }
                 }
@@ -539,7 +642,7 @@ impl Regs {
                 } else {
                     self.cp_t += 1;
                     if self.cp_t >= self.cp_span {
-                        ev.borrow_mut().aborted_copies += 1;
+                        ev.aborted_copies += 1;
                         self.post_task(p);
                     }
                 }
@@ -550,7 +653,7 @@ impl Regs {
                     self.v = cell.value;
                     self.st = St::CopyStore;
                 } else {
-                    ev.borrow_mut().aborted_copies += 1;
+                    ev.aborted_copies += 1;
                     self.post_task(p);
                 }
             }
@@ -559,7 +662,7 @@ impl Regs {
                     self.slot.dst_base as usize + self.cp_r,
                     Stamped::new(self.v, self.step + 1),
                 );
-                ev.borrow_mut().copy_writes += 1;
+                ev.copy_writes += 1;
                 self.post_task(p);
             }
 
@@ -736,7 +839,7 @@ impl Regs {
     }
 
     /// Bisection finished: evaluate into an empty bin, help-copy, or pad.
-    fn search_done(&mut self, p: &CompiledScheme, sess: &mut GateSession<'_>, ev: &EventsHandle) {
+    fn search_done(&mut self, p: &CompiledScheme, sess: &mut Sess<'_, '_>, ev: &mut SchemeEvents) {
         if self.lo == 0 {
             self.slot = p.slot(self.step, self.ti);
             self.ev_cont = EvCont::Cycle;
@@ -753,7 +856,7 @@ impl Regs {
     }
 
     /// Begin reading operand `a` (constants cost no ops).
-    fn eval_a(&mut self, ev: &EventsHandle) {
+    fn eval_a(&mut self, ev: &mut SchemeEvents) {
         match self.slot.a {
             COperand::Const(c) => {
                 self.x = c;
@@ -766,7 +869,7 @@ impl Regs {
         }
     }
 
-    fn eval_b(&mut self, ev: &EventsHandle) {
+    fn eval_b(&mut self, ev: &mut SchemeEvents) {
         match self.slot.b {
             COperand::Const(c) => {
                 self.y = c;
@@ -779,8 +882,8 @@ impl Regs {
         }
     }
 
-    fn operands_done(&mut self, ev: &EventsHandle) {
-        ev.borrow_mut().evals += 1;
+    fn operands_done(&mut self, ev: &mut SchemeEvents) {
+        ev.evals += 1;
         self.st = St::EvOp;
     }
 
@@ -795,8 +898,8 @@ impl Regs {
     }
 
     /// Pad the cycle to exactly ω ops: the no-ops are private, so they
-    /// are charged in one [`GateSession::prepay`].
-    fn enter_pad(&mut self, p: &CompiledScheme, sess: &mut GateSession<'_>) {
+    /// are charged in one [`Port::prepay`].
+    fn enter_pad(&mut self, p: &CompiledScheme, sess: &mut Sess<'_, '_>) {
         let used = sess.ops() - self.cyc_start_ops;
         debug_assert!(used <= p.omega, "cycle used {used} ops > ω = {}", p.omega);
         sess.prepay(p.omega - used);

@@ -336,8 +336,9 @@ impl Journal {
         &self.path
     }
 
-    /// Append one entry durably: one line, then fsync.
-    pub fn append(&self, entry: &JournalEntry) -> std::io::Result<()> {
+    /// Append one entry durably: one line, then fsync. Returns the
+    /// barriers issued (1).
+    pub fn append(&self, entry: &JournalEntry) -> std::io::Result<u64> {
         self.append_batch(std::slice::from_ref(entry), true)
     }
 
@@ -345,8 +346,9 @@ impl Journal {
     /// fsync when `sync` is set — a crash between appends never tears an
     /// earlier line. The fault injector is asked once per line, so a kill
     /// planned inside the batch lands exactly the lines before it. An
-    /// empty batch touches nothing.
-    pub fn append_batch(&self, entries: &[JournalEntry], sync: bool) -> std::io::Result<()> {
+    /// empty batch touches nothing. Returns the barriers issued: 1 when
+    /// it fsynced, else 0.
+    pub fn append_batch(&self, entries: &[JournalEntry], sync: bool) -> std::io::Result<u64> {
         let mut text = String::new();
         let mut killed = None;
         for entry in entries {
@@ -359,6 +361,7 @@ impl Journal {
             text.push_str(&entry.to_line());
             text.push('\n');
         }
+        let mut barriers = 0;
         if !text.is_empty() {
             let mut file = std::fs::OpenOptions::new()
                 .create(true)
@@ -367,9 +370,10 @@ impl Journal {
             file.write_all(text.as_bytes())?;
             if sync {
                 file.sync_all()?;
+                barriers = 1;
             }
         }
-        killed.map_or(Ok(()), Err)
+        killed.map_or(Ok(barriers), Err)
     }
 }
 

@@ -396,10 +396,10 @@ impl<'s> Committer<'s> {
     /// Append one entry durably (`started`, `finished`, a farm probe):
     /// one line and one barrier.
     pub fn append(&mut self, entry: &JournalEntry) -> Result<(), String> {
-        self.journal
+        self.fsyncs += self
+            .journal
             .append(entry)
             .map_err(|e| format!("journal append failed: {e}"))?;
-        self.fsyncs += 1;
         Ok(())
     }
 
@@ -411,7 +411,8 @@ impl<'s> Committer<'s> {
     pub fn commit(&mut self, batch: &CommitBatch<'_>) -> Result<Vec<String>, String> {
         let jerr = |e: std::io::Error| format!("journal append failed: {e}");
         let werr = |e: std::io::Error| format!("record write failed: {e}");
-        self.journal
+        self.fsyncs += self
+            .journal
             .append_batch(&batch.claims, false)
             .map_err(jerr)?;
         let (mut temps, mut paths) = (Vec::new(), Vec::new());
@@ -427,7 +428,8 @@ impl<'s> Committer<'s> {
             paths.push(path);
         }
         if !temps.is_empty() {
-            self.store
+            self.fsyncs += self
+                .store
                 .sync_staged(&self.suite_digest, &temps)
                 .map_err(werr)?;
             for (tmp, path) in temps.iter().zip(&paths) {
@@ -442,19 +444,17 @@ impl<'s> Committer<'s> {
                     done => done.map_err(werr)?,
                 }
             }
-            self.store.sync_suite_dir(&self.suite_digest);
-            self.fsyncs += 2;
+            self.fsyncs += self.store.sync_suite_dir(&self.suite_digest);
         }
-        if !batch.terminals.is_empty() {
-            self.journal
-                .append_batch(&batch.terminals, true)
-                .map_err(jerr)?;
-            self.fsyncs += 1;
-        }
+        self.fsyncs += self
+            .journal
+            .append_batch(&batch.terminals, true)
+            .map_err(jerr)?;
         Ok(checksums)
     }
 
-    /// Durability barriers issued so far.
+    /// Durability barriers issued so far, as the calls that issued them
+    /// reported.
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs
     }

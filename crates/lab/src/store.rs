@@ -471,12 +471,13 @@ impl LabStore {
     /// Barrier 1 of a group commit: make the staged temp files `temps`
     /// and every journal line written so far in `suite_digest` durable.
     /// On Linux this is one `syncfs(2)` of the store's filesystem;
-    /// elsewhere each file is synced in turn.
-    pub fn sync_staged(&self, suite_digest: &str, temps: &[PathBuf]) -> std::io::Result<()> {
+    /// elsewhere each file is synced in turn. Returns the barriers issued
+    /// (1).
+    pub fn sync_staged(&self, suite_digest: &str, temps: &[PathBuf]) -> std::io::Result<u64> {
         #[cfg(target_os = "linux")]
         {
             let _ = temps;
-            syncfs(&self.suite_dir(suite_digest))
+            syncfs(&self.suite_dir(suite_digest)).map(|()| 1)
         }
         #[cfg(not(target_os = "linux"))]
         {
@@ -498,17 +499,22 @@ impl LabStore {
             if journal.exists() {
                 sync(&journal)?;
             }
-            Ok(())
+            Ok(1)
         }
     }
 
     /// Barrier 2 of a group commit: fsync one suite's directory so the
     /// renames into it are durable (best-effort on filesystems that do
     /// not support opening directories for sync, like
-    /// [`apex_scenario::atomic_write`]).
-    pub fn sync_suite_dir(&self, suite_digest: &str) {
-        if let Ok(d) = std::fs::File::open(self.suite_dir(suite_digest)) {
-            let _ = d.sync_all();
+    /// [`apex_scenario::atomic_write`]). Returns the barriers issued: 1,
+    /// or 0 when the directory could not be opened.
+    pub fn sync_suite_dir(&self, suite_digest: &str) -> u64 {
+        match std::fs::File::open(self.suite_dir(suite_digest)) {
+            Ok(d) => {
+                let _ = d.sync_all();
+                1
+            }
+            Err(_) => 0,
         }
     }
 

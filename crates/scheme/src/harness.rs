@@ -1,13 +1,12 @@
 //! The scheme run harness: machine assembly, phase-boundary observation,
 //! and verification.
 
-use std::future::Future;
 use std::rc::Rc;
 
 use apex_core::{new_sink, AgreementConfig, ValueSource};
 use apex_pram::{LastWriteTable, Program, Value};
 use apex_sim::{
-    AdversarySpec, Ctx, Machine, MachineBuilder, RegionAllocator, ScheduleKind, Stamped,
+    AdversarySpec, Ctx, Machine, MachineBuilder, RegionAllocator, ScheduleKind, Spawn, Stamped,
 };
 
 use crate::drivers::{SchemeKind, SchemeProcessor};
@@ -147,20 +146,16 @@ impl SchemeRun {
     /// factory.
     ///
     /// The factory receives the assembled [`SchemeParts`] and returns the
-    /// per-processor builder handed to the machine (called once per
-    /// processor). Alternative engines (the bytecode VM) use this seam to
+    /// machine's processors: a per-processor `FnMut(Ctx) -> impl Future`
+    /// builder (called once per processor), or a whole processor bank.
+    /// Alternative engines (the bytecode VM's bank) use this seam to
     /// substitute their own execution loop while the harness — memory
     /// layout, initial pokes, phase observation, verification — stays
     /// identical.
-    pub fn new_with_factory<F, B, Fut>(
-        program: Program,
-        run_cfg: SchemeRunConfig,
-        factory: F,
-    ) -> Self
+    pub fn new_with_factory<F, B>(program: Program, run_cfg: SchemeRunConfig, factory: F) -> Self
     where
         F: FnOnce(&SchemeParts) -> B,
-        B: FnMut(Ctx) -> Fut,
-        Fut: Future<Output = ()> + 'static,
+        B: Spawn,
     {
         assert!(program.n_steps() >= 1, "empty program");
         program.validate().expect("valid program");
@@ -201,7 +196,7 @@ impl SchemeRun {
         if let Some(b) = run_cfg.batch {
             builder = builder.batch(b);
         }
-        let machine = builder.build(proc_builder);
+        let machine = builder.spawn(proc_builder);
 
         // Install the initial program-variable values into every replica
         // with stamp 0 (the "input" state of the machine).
@@ -238,11 +233,15 @@ impl SchemeRun {
 
     /// Run to completion: drive the machine until the clock oracle reaches
     /// `2T`, observing each step's chosen values at its Copy-subphase
-    /// boundary, then verify.
+    /// boundary, then verify. The machine stays readable afterwards
+    /// ([`SchemeRun::machine_mut`]) for engine costs no report carries,
+    /// such as [`Machine::polls`].
+    ///
+    /// Call it once per run.
     ///
     /// # Panics
     /// If the clock stalls (protocol misconfiguration).
-    pub fn run(mut self) -> SchemeReport {
+    pub fn run(&mut self) -> SchemeReport {
         let t_steps = self.program.n_steps();
         let done = SchemeMap::done_clock(t_steps as u64);
 

@@ -27,7 +27,7 @@ use rand::rngs::SmallRng;
 use crate::memory::SharedMemory;
 use crate::word::{ProcId, Stamped};
 
-/// Per-processor executor state shared between the machine and the
+/// Per-processor executor state shared between the future bank and the
 /// processor's [`Ctx`].
 ///
 /// `Cell` fields instead of a `RefCell` wrapper: the credit handshake is
@@ -43,22 +43,8 @@ pub(crate) struct ProcState {
     /// the entire run inside one poll (run coalescing — see the machine
     /// module docs).
     pub(crate) credit: Cell<u64>,
-    /// Atomic operations executed by this processor whose ticks have been
-    /// granted.
+    /// Atomic operations executed by this processor.
     pub(crate) ops: Cell<u64>,
-    /// Private operations an engine ran ahead of their ticks
-    /// ([`GateSession::prepay`]); the machine settles them against the
-    /// processor's next granted ticks before it polls again. Nonzero only
-    /// while `credit` is zero.
-    pub(crate) prepaid: Cell<u64>,
-}
-
-impl ProcState {
-    /// Atomic operations executed so far, prepaid ones included.
-    #[inline]
-    pub(crate) fn executed(&self) -> u64 {
-        self.ops.get().saturating_add(self.prepaid.get())
-    }
 }
 
 /// Handle through which a protocol performs its atomic operations.
@@ -104,7 +90,7 @@ impl Ctx {
     /// a processor may keep a step counter in a register).
     #[inline]
     pub fn ops(&self) -> u64 {
-        self.state.executed()
+        self.state.ops.get()
     }
 
     /// Global work counter (instrumentation only: protocols must not branch
@@ -191,186 +177,6 @@ impl std::fmt::Debug for Ctx {
             .field("id", &self.id)
             .field("ops", &self.ops())
             .finish()
-    }
-}
-
-/// Synchronous gateway to the same per-processor machinery a [`Ctx`] wraps,
-/// for engines that execute many atomic operations per poll without the
-/// `async` state machine (the bytecode VM).
-///
-/// An `EngineGate` shares the processor's credit cell, op counter, shared
-/// memory, private random source, and the global work counter with the `Ctx`
-/// it was derived from. Every atomic operation goes through a
-/// [`GateSession`] opened with [`EngineGate::session`], so an engine performs
-/// the *identical* sequence of (credit, op-count, work, memory, RNG)
-/// transitions as `async` protocol code awaiting `Ctx` operations —
-/// read/write counters, write-event stamps, and the random stream all match
-/// op for op.
-#[derive(Clone)]
-pub struct EngineGate {
-    id: ProcId,
-    mem: Rc<RefCell<SharedMemory>>,
-    state: Rc<ProcState>,
-    rng: Rc<RefCell<SmallRng>>,
-    work: Rc<Cell<u64>>,
-}
-
-impl EngineGate {
-    /// Derive a gate from a processor's context. The gate aliases the
-    /// context's state; interleaving gated operations with `Ctx` awaits on
-    /// the same processor is well-defined (both consume the same credits).
-    pub fn new(ctx: &Ctx) -> Self {
-        EngineGate {
-            id: ctx.id,
-            mem: ctx.mem.clone(),
-            state: ctx.state.clone(),
-            rng: ctx.rng.clone(),
-            work: ctx.work.clone(),
-        }
-    }
-
-    /// This processor's identity.
-    #[inline]
-    pub fn id(&self) -> ProcId {
-        self.id
-    }
-
-    /// Borrow the shared memory and RNG for the duration of one poll. See
-    /// [`GateSession`].
-    ///
-    /// # Panics
-    /// If the memory or RNG is already borrowed (a session is still live,
-    /// or protocol code is mid-operation — neither can happen from the
-    /// machine's poll loop).
-    #[inline]
-    pub fn session(&self) -> GateSession<'_> {
-        GateSession {
-            id: self.id,
-            mem: self.mem.borrow_mut(),
-            rng: self.rng.borrow_mut(),
-            state: &self.state,
-            work: &self.work,
-        }
-    }
-}
-
-impl std::fmt::Debug for EngineGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineGate").field("id", &self.id).finish()
-    }
-}
-
-/// One poll's access to an [`EngineGate`]: the shared memory and the
-/// private RNG are borrowed **once per poll** instead of once per
-/// operation.
-///
-/// Acquire with [`EngineGate::session`] at poll entry and drop before
-/// returning — the machine (and any instrumentation hooks outside the
-/// poll) must be able to reborrow.
-///
-/// The contract is the machine's credit protocol, plus run-ahead:
-///
-/// * A shared-memory operation ([`load`](GateSession::load),
-///   [`store`](GateSession::store), [`cas`](GateSession::cas)) needs a
-///   credit: call [`take_credit`](GateSession::take_credit) first; when it
-///   returns `false`, return `Poll::Pending` without performing further
-///   effects and resume at the same operation on the next poll.
-/// * A *private* operation (a draw from the private RNG, a local
-///   computation, a no-op) may instead be charged with
-///   [`prepay`](GateSession::prepay): it runs now, and its tick is settled
-///   by the machine when the schedule grants it, without a poll. A
-///   prepaid op may change only the engine's registers and the private
-///   RNG — a run can stop before the op's tick ever comes, so nothing it
-///   does may be observable outside the processor.
-pub struct GateSession<'a> {
-    id: ProcId,
-    mem: std::cell::RefMut<'a, SharedMemory>,
-    rng: std::cell::RefMut<'a, SmallRng>,
-    state: &'a ProcState,
-    work: &'a Cell<u64>,
-}
-
-impl GateSession<'_> {
-    /// Atomic operations executed so far by this processor, prepaid ones
-    /// included (free to query, like [`Ctx::ops`]).
-    #[inline]
-    pub fn ops(&self) -> u64 {
-        self.state.executed()
-    }
-
-    /// Private operations run ahead whose ticks the machine has not yet
-    /// settled.
-    #[inline]
-    pub fn prepaid(&self) -> u64 {
-        self.state.prepaid.get()
-    }
-
-    /// Consume one op credit if available, advancing the op and work
-    /// counters exactly as a `Ctx` await does. Returns `false` when the
-    /// current run of credits is exhausted.
-    #[inline]
-    pub fn take_credit(&mut self) -> bool {
-        let credit = self.state.credit.get();
-        if credit > 0 {
-            self.state.credit.set(credit - 1);
-            self.state.ops.set(self.state.ops.get() + 1);
-            self.work.set(self.work.get() + 1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Charge `k` consecutive *private* operations. As many as the current
-    /// credit run covers are consumed now, exactly like `k` calls to
-    /// [`take_credit`](GateSession::take_credit); the rest are prepaid and
-    /// settled against this processor's next granted ticks (saturating:
-    /// `prepay(u64::MAX)` busy-waits forever without another poll).
-    ///
-    /// Within one granted run no other processor executes, and a prepaid
-    /// op touches nothing another processor can see, so charging its tick
-    /// later is observably identical to executing it then.
-    #[inline]
-    pub fn prepay(&mut self, k: u64) {
-        let st = self.state;
-        let now = st.credit.get().min(k);
-        if now > 0 {
-            st.credit.set(st.credit.get() - now);
-            st.ops.set(st.ops.get() + now);
-            self.work.set(self.work.get() + now);
-        }
-        st.prepaid.set(st.prepaid.get().saturating_add(k - now));
-    }
-
-    /// The shared-memory effect of [`Ctx::read`]. Call after
-    /// [`take_credit`](GateSession::take_credit).
-    #[inline]
-    pub fn load(&mut self, addr: usize) -> Stamped {
-        self.mem.load(addr, self.id)
-    }
-
-    /// The shared-memory effect of [`Ctx::write`]. Call after
-    /// [`take_credit`](GateSession::take_credit).
-    #[inline]
-    pub fn store(&mut self, addr: usize, w: Stamped) {
-        self.mem.store(addr, w, self.id);
-    }
-
-    /// The shared-memory effect of [`Ctx::cas`]. Call after
-    /// [`take_credit`](GateSession::take_credit).
-    #[inline]
-    pub fn cas(&mut self, addr: usize, expect: Stamped, new: Stamped) -> Stamped {
-        self.mem.cas(addr, expect, new, self.id)
-    }
-
-    /// The RNG effect of [`Ctx::rand_below`]: a private operation.
-    ///
-    /// # Panics
-    /// If `bound == 0`.
-    #[inline]
-    pub fn rand_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "rand_below(0)");
-        self.rng.gen_range(0..bound)
     }
 }
 

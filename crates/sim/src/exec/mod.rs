@@ -1,23 +1,25 @@
-//! The cooperative executor: processors as futures, one op credit per
+//! The cooperative executor: a bank of processors, one op credit per
 //! atomic op.
 
+mod bank;
 mod ctx;
 mod machine;
 
-pub use ctx::{Ctx, EngineGate, GateSession};
+pub use bank::{Account, Bank, Block, Port, Processors, Resumed, Spawn, Wiring};
+pub use ctx::Ctx;
 pub use machine::{BlockHook, IdlePolicy, Machine, MachineBuilder, DEFAULT_BATCH};
 
 #[cfg(test)]
 mod tests {
     use std::cell::RefCell;
-    use std::future::Future;
-    use std::pin::Pin;
     use std::rc::Rc;
-    use std::task::{Context, Poll};
+
+    use rand::rngs::SmallRng;
+    use rand::Rng;
 
     use super::*;
     use crate::sched::{RoundRobin, ScheduleKind, Script};
-    use crate::word::Stamped;
+    use crate::word::{ProcId, Stamped};
 
     /// Protocol that writes its id to cell `id`, then reads it back, then
     /// stops: exactly 2 ops.
@@ -213,10 +215,74 @@ mod tests {
             })
     }
 
-    /// The same protocol over an [`EngineGate`] that runs its private ops
-    /// ahead: polled only at the write.
+    /// A test bank: per-processor registers `S` with an [`Account`], and
+    /// one resume function over the block's [`Port`].
+    type Step<S> = fn(&mut Port<'_>, ProcId, &mut Account, &mut S) -> Resumed;
+
+    struct TestBank<S> {
+        wiring: Wiring,
+        procs: Vec<(Account, S)>,
+        step: Step<S>,
+    }
+
+    /// [`Spawn`] for a [`TestBank`]: `init` builds each processor's
+    /// registers from the wiring.
+    struct TestSpawn<I, S> {
+        init: I,
+        step: Step<S>,
+    }
+
+    impl<I: Fn(&Wiring, usize) -> S, S: 'static> Spawn for TestSpawn<I, S> {
+        fn spawn(self, wiring: Wiring) -> Box<dyn Bank> {
+            let procs = (0..wiring.n())
+                .map(|p| (Account::default(), (self.init)(&wiring, p)))
+                .collect();
+            Box::new(TestBank {
+                wiring,
+                procs,
+                step: self.step,
+            })
+        }
+    }
+
+    impl<S> Bank for TestBank<S> {
+        fn run_block(&mut self, block: &mut Block<'_>) {
+            self.wiring.with_port(|port| {
+                block.run(&mut TestBlock {
+                    port,
+                    procs: &mut self.procs,
+                    step: self.step,
+                })
+            });
+        }
+    }
+
+    struct TestBlock<'a, S> {
+        port: Port<'a>,
+        procs: &'a mut [(Account, S)],
+        step: Step<S>,
+    }
+
+    impl<S> Processors for TestBlock<'_, S> {
+        fn prepaid(&self, p: usize) -> u64 {
+            self.procs[p].0.prepaid()
+        }
+
+        fn settle(&mut self, p: usize, k: u64) {
+            self.procs[p].0.settle(k);
+        }
+
+        fn resume(&mut self, p: usize, credit: u64) -> Resumed {
+            let (acct, regs) = &mut self.procs[p];
+            acct.grant(credit);
+            (self.step)(&mut self.port, ProcId(p), acct, regs)
+        }
+    }
+
+    /// [`per_op_machine`]'s protocol as a bank that runs its private ops
+    /// ahead: resumed only at the write.
     struct RunAhead {
-        gate: EngineGate,
+        rng: SmallRng,
         rounds: u64,
         round: u64,
         pc: u8,
@@ -224,32 +290,34 @@ mod tests {
         b: u64,
     }
 
-    impl Future for RunAhead {
-        type Output = ();
-
-        fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-            let this = self.get_mut();
-            let mut s = this.gate.session();
-            loop {
-                if this.pc < 3 {
-                    s.prepay(1);
-                    match this.pc {
-                        0 => this.a = s.rand_below(8),
-                        1 => {}
-                        _ => this.b = s.rand_below(8),
-                    }
-                    this.pc += 1;
-                } else {
-                    if !s.take_credit() {
-                        return Poll::Pending;
-                    }
-                    let w = Stamped::new(this.a * 8 + this.b, s.ops());
-                    s.store(this.gate.id().0, w);
-                    this.pc = 0;
-                    this.round += 1;
-                    if this.round == this.rounds {
-                        return Poll::Ready(());
-                    }
+    fn run_ahead_step(
+        port: &mut Port<'_>,
+        me: ProcId,
+        acct: &mut Account,
+        r: &mut RunAhead,
+    ) -> Resumed {
+        loop {
+            if r.pc < 3 {
+                port.prepay(acct, 1);
+                match r.pc {
+                    0 => r.a = r.rng.gen_range(0..8),
+                    1 => {}
+                    _ => r.b = r.rng.gen_range(0..8),
+                }
+                r.pc += 1;
+            } else {
+                if !port.take_credit(acct) {
+                    return Resumed::Yielded {
+                        credit_left: acct.credit(),
+                    };
+                }
+                port.store(me.0, Stamped::new(r.a * 8 + r.b, acct.ops()), me);
+                r.pc = 0;
+                r.round += 1;
+                if r.round == r.rounds {
+                    return Resumed::Completed {
+                        credit_left: acct.credit(),
+                    };
                 }
             }
         }
@@ -261,14 +329,23 @@ mod tests {
             .schedule_kind(&ScheduleKind::Uniform)
             .batch(batch)
             .idle_policy(idle)
-            .build(move |ctx| RunAhead {
-                gate: EngineGate::new(&ctx),
+            .spawn(TestSpawn {
+                init: move |w: &Wiring, p| RunAhead::new(w, p, rounds),
+                step: run_ahead_step,
+            })
+    }
+
+    impl RunAhead {
+        fn new(w: &Wiring, p: usize, rounds: u64) -> Self {
+            RunAhead {
+                rng: w.rng(p),
                 rounds,
                 round: 0,
                 pc: 0,
                 a: 0,
                 b: 0,
-            })
+            }
+        }
     }
 
     type Log = Rc<RefCell<Vec<(usize, Stamped, usize, u64)>>>;
@@ -349,21 +426,65 @@ mod tests {
         }
     }
 
+    /// A one-processor machine whose only processor resumes with `step`.
+    fn contract_machine(step: Step<()>) -> Machine {
+        MachineBuilder::new(1, 1)
+            .schedule(Box::new(RoundRobin::new(1)))
+            .spawn(TestSpawn {
+                init: |_: &Wiring, _| (),
+                step,
+            })
+    }
+
     #[test]
     #[should_panic(expected = "completed while holding prepaid ops")]
     fn completing_with_prepaid_ops_is_rejected() {
-        struct Cheat(EngineGate);
-        impl Future for Cheat {
-            type Output = ();
-            fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-                let mut s = self.0.session();
-                s.prepay(2);
-                Poll::Ready(())
+        let mut m = contract_machine(|port, _, acct, _| {
+            port.prepay(acct, 2);
+            Resumed::Completed {
+                credit_left: acct.credit(),
             }
-        }
-        let mut m = MachineBuilder::new(1, 1)
-            .schedule(Box::new(RoundRobin::new(1)))
-            .build(|ctx| Cheat(EngineGate::new(&ctx)));
+        });
         m.tick();
+    }
+
+    #[test]
+    #[should_panic(expected = "yielded holding op credits")]
+    fn yielding_with_credit_is_rejected() {
+        let mut m = contract_machine(|_, _, acct, _| Resumed::Yielded {
+            credit_left: acct.credit(),
+        });
+        m.tick();
+    }
+
+    /// A processor that prepays every future tick is resumed once: the
+    /// dispatch loop settles the rest, charging work and ticks as spent
+    /// credits would.
+    #[test]
+    fn prepaid_ticks_settle_without_a_resume() {
+        let drain: Step<()> = |port, _, acct, _| {
+            port.prepay(acct, u64::MAX);
+            Resumed::Yielded {
+                credit_left: acct.credit(),
+            }
+        };
+        for batch in [1, 7, DEFAULT_BATCH] {
+            let mut m = MachineBuilder::new(4, 1)
+                .seed(5)
+                .schedule_kind(&ScheduleKind::Bursty { mean_burst: 3 })
+                .batch(batch)
+                .spawn(TestSpawn {
+                    init: |_: &Wiring, _| (),
+                    step: drain,
+                });
+            m.run_ticks(10_000);
+            for _ in 0..50 {
+                m.tick();
+            }
+            assert_eq!(m.polls(), 4, "one resume per processor at batch {batch}");
+            assert_eq!((m.ticks(), m.work()), (10_050, 10_050));
+            assert_eq!(m.per_proc_work().iter().sum::<u64>(), 10_050);
+            assert_eq!(m.live_procs(), 4, "a draining processor never completes");
+        }
     }
 }

@@ -22,7 +22,10 @@
 //! `Ctx` operation is exactly one atomic step, granted by the adversary
 //! schedule one tick at a time (the `exec` engine). This gives exact, replayable
 //! work accounting — the measurement the paper's theorems are stated in —
-//! which physical threads cannot provide.
+//! which physical threads cannot provide. An engine that holds its
+//! processors itself (the bytecode VM) implements a processor [`Bank`]
+//! instead and populates the machine with [`MachineBuilder::spawn`]; the
+//! same dispatch loop ([`Block::run`]) drives both.
 //!
 //! ```
 //! use apex_sim::{MachineBuilder, ScheduleKind, Stamped};
@@ -57,7 +60,8 @@ mod word;
 
 pub use error::RunTimeout;
 pub use exec::{
-    BlockHook, Ctx, EngineGate, GateSession, IdlePolicy, Machine, MachineBuilder, DEFAULT_BATCH,
+    Account, Bank, Block, BlockHook, Ctx, IdlePolicy, Machine, MachineBuilder, Port, Processors,
+    Resumed, Spawn, Wiring, DEFAULT_BATCH,
 };
 pub use json::{Json, JsonError};
 pub use memory::{Region, RegionAllocator, SharedMemory, WriteEvent, WriteHook};

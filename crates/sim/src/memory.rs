@@ -143,6 +143,7 @@ impl SharedMemory {
     }
 
     /// Atomic store performed by a processor (called from `Ctx::write`).
+    #[inline]
     pub(crate) fn store(&mut self, addr: usize, new: Stamped, who: ProcId) {
         self.writes += 1;
         self.poke_observed(addr, new, who);
@@ -187,27 +188,34 @@ impl SharedMemory {
     /// Instrumentation write that *does* fire write hooks, attributed to
     /// `who` — lets tests exercise observers without a live processor.
     /// Costs no work and no model-level write.
+    #[inline]
     pub fn poke_observed(&mut self, addr: usize, w: Stamped, who: ProcId) {
         let old = self.cells[addr];
         self.cells[addr] = w;
         if !self.hooks.is_empty() {
-            let ev = WriteEvent {
+            self.fire_hooks(WriteEvent {
                 addr,
                 old,
                 new: w,
                 writer: who,
                 work: self.now(),
-            };
-            // Hooks are moved out during iteration so they may themselves
-            // inspect the memory via `peek` without aliasing issues. Hooks
-            // installed *by* hooks are not supported.
-            let mut hooks = std::mem::take(&mut self.hooks);
-            for h in &mut hooks {
-                h(&ev);
-            }
-            debug_assert!(self.hooks.is_empty());
-            self.hooks = hooks;
+            });
         }
+    }
+
+    /// Run every write hook on `ev` (kept out of line: the store path
+    /// without observers is the hot one).
+    #[cold]
+    fn fire_hooks(&mut self, ev: WriteEvent) {
+        // Hooks are moved out during iteration so they may themselves
+        // inspect the memory via `peek` without aliasing issues. Hooks
+        // installed *by* hooks are not supported.
+        let mut hooks = std::mem::take(&mut self.hooks);
+        for h in &mut hooks {
+            h(&ev);
+        }
+        debug_assert!(self.hooks.is_empty());
+        self.hooks = hooks;
     }
 
     /// Instrumentation snapshot of a region.
