@@ -7,7 +7,6 @@
 //! apex suite expand SUITE.json                  print the deterministic cell list
 //! apex drift        SUITE.json [--store DIR]    re-run and compare against the store
 //! apex drift        --compare BASELINE CANDIDATE  byte-compare two stores
-//! apex drift report BASELINE CANDIDATE          suite-by-suite divergence matrix
 //! apex lab fsck     [--store DIR] [--repair]    integrity-scan the store
 //! apex lab gc       [--store DIR] [--keep-last N] [--dry-run]  reclaim old suites
 //! apex farm submit  SUITE.json [--queue DIR]    enqueue a suite for the workers
@@ -18,7 +17,7 @@
 //! apex obs metrics  [FILE] [--merge DIR]…       render / fleet-merge metrics
 //! apex run          SCENARIO.json [--emit F] [--json]   execute one scenario
 //! apex adversary    <validate|describe|gallery> …  lint/inspect adversary specs
-//! apex synth        <gen|fuzz|shrink|replay|run|migrate|corpus-dedup> …
+//! apex synth        <gen|fuzz|shrink|replay|run|corpus-dedup> …
 //! ```
 //!
 //! `suite`/`drift`/`lab` front [`apex_lab`]; `farm` fronts
@@ -37,8 +36,8 @@ use std::sync::Arc;
 
 use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
-    check_against_store, compare_stores, fsck, gc, run_suite_journaled, FaultInjector, FaultPlan,
-    JournalOpts, LabStore, Suite,
+    check_against_store, compare_stores, fsck, gc, run_suite_journaled, DriftKind, DriftReport,
+    FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
 };
 use apex_obs::{read_trace, summarize, Metrics, Table};
 use apex_scenario::Scenario;
@@ -56,7 +55,6 @@ fn usage() -> ! {
          suite expand SUITE.json                 print the deterministic cell list\n\
          drift        SUITE.json [--store DIR]   re-run a suite, compare against the store\n\
          drift        --compare BASE CAND        byte-compare two stores\n\
-         drift report BASE CAND                  suite-by-suite divergence matrix\n\
          lab fsck     [--store DIR] [--repair]   integrity-scan (--repair quarantines)\n\
          lab gc       [--store DIR] [--keep-last N] [--dry-run]  delete old suite dirs\n\
          farm submit  SUITE.json [--queue DIR]   enqueue a suite for the workers\n\
@@ -322,11 +320,6 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
 }
 
 fn cmd_drift(raw: &[String]) -> ExitCode {
-    if raw.first().is_some_and(|a| a == "report") {
-        // report BASELINE CANDIDATE: per-suite divergence matrix.
-        let [base, cand] = &raw[1..] else { usage() };
-        return drift_report_matrix(&LabStore::new(base), &LabStore::new(cand));
-    }
     if raw.first().is_some_and(|a| a == "--compare") {
         // --compare BASELINE CANDIDATE: byte-compare two store roots.
         let [base, cand] = &raw[1..] else { usage() };
@@ -337,6 +330,7 @@ fn cmd_drift(raw: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        print_drift_table(&report);
         println!("{}", report.summary());
         return if report.clean() {
             ExitCode::SUCCESS
@@ -366,86 +360,29 @@ fn cmd_drift(raw: &[String]) -> ExitCode {
     }
 }
 
-/// `apex drift report BASE CAND` — the divergence matrix: one row per
-/// suite (one version of the experiment grid), cell-divergence counts
-/// as columns. Cells are compared byte-for-byte, records named by each
-/// store's manifest (falling back to a directory scan when a manifest
-/// is missing). Exit 0 iff every suite row is clean.
-fn drift_report_matrix(base: &LabStore, cand: &LabStore) -> ExitCode {
-    let digests = |s: &LabStore| s.suite_digests().unwrap_or_default();
-    let mut suites = digests(base);
-    for d in digests(cand) {
-        if !suites.contains(&d) {
-            suites.push(d);
-        }
+/// The per-suite view of a store comparison: one row per suite with a
+/// divergence, counted by kind.
+fn print_drift_table(report: &DriftReport) {
+    let mut rows: std::collections::BTreeMap<&str, [u64; 4]> = Default::default();
+    for d in &report.divergences {
+        let column = match d.kind {
+            DriftKind::RecordDiffers => 0,
+            DriftKind::MissingRecord => 1,
+            DriftKind::ExtraRecord => 2,
+            DriftKind::ManifestMismatch => 3,
+        };
+        rows.entry(&d.suite).or_default()[column] += 1;
     }
-    suites.sort();
-    // Cells a store holds for a suite, preferring the manifest's list
-    // (the run's own account of itself) over a raw directory scan.
-    let cells_of = |s: &LabStore, suite: &str| -> Vec<String> {
-        match s.read_manifest(suite) {
-            Ok(m) => m.cells.iter().map(|c| c.digest.clone()).collect(),
-            Err(_) => s.record_digests(suite).unwrap_or_default(),
-        }
-    };
-    let mut table = Table::new(&[
-        "suite",
-        "cells",
-        "identical",
-        "differs",
-        "missing",
-        "extra",
-        "verdict",
-    ]);
-    let mut clean = true;
-    for suite in &suites {
-        let base_cells = cells_of(base, suite);
-        let cand_cells = cells_of(cand, suite);
-        let (mut identical, mut differs, mut missing) = (0u64, 0u64, 0u64);
-        for cell in &base_cells {
-            let b = std::fs::read_to_string(base.record_path(suite, cell)).ok();
-            let c = std::fs::read_to_string(cand.record_path(suite, cell)).ok();
-            match (b, c) {
-                (Some(b), Some(c)) if b == c => identical += 1,
-                (Some(_), Some(_)) => differs += 1,
-                _ => missing += 1,
-            }
-        }
-        let extra = cand_cells
-            .iter()
-            .filter(|c| !base_cells.contains(c))
-            .count() as u64;
-        let ok = differs == 0 && missing == 0 && extra == 0;
-        clean &= ok;
-        table.row(&[
-            suite.clone(),
-            (base_cells.len() as u64 + extra).to_string(),
-            identical.to_string(),
-            differs.to_string(),
-            missing.to_string(),
-            extra.to_string(),
-            (if ok { "ok" } else { "DRIFT" }).to_string(),
-        ]);
+    if rows.is_empty() {
+        return;
     }
-    if table.is_empty() {
-        println!("drift report: no suites in either store");
-        return ExitCode::SUCCESS;
+    let mut table = Table::new(&["suite", "differs", "missing", "extra", "manifest"]);
+    for (suite, counts) in rows {
+        let mut cells = vec![suite.to_string()];
+        cells.extend(counts.iter().map(u64::to_string));
+        table.row(&cells);
     }
     print!("{}", table.render());
-    println!(
-        "drift report: {} suites, {}",
-        suites.len(),
-        if clean {
-            "no divergence"
-        } else {
-            "DIVERGENCES"
-        }
-    );
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 /// `apex lab <fsck|gc>` — store maintenance. `fsck` integrity-scans every

@@ -238,7 +238,7 @@ fn sweep_record_temps(store: &LabStore, entry: &QueueEntry) {
                 .split_once('.')
                 .is_some_and(|(stem, _)| cells.contains(stem));
         if is_record_temp {
-            let _ = std::fs::remove_file(&path);
+            let _ = store.disk().remove(&path);
         }
     }
 }

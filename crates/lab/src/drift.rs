@@ -39,10 +39,13 @@ impl std::fmt::Display for DriftKind {
     }
 }
 
-/// One divergent cell.
+/// One divergent cell, record or manifest.
 #[derive(Clone, Debug)]
 pub struct Divergence {
-    /// The cell's scenario digest (record address).
+    /// The suite it belongs to.
+    pub suite: String,
+    /// The cell's scenario digest (record address), or the suite digest
+    /// for a suite-level divergence.
     pub cell: String,
     /// Position in the suite's expansion order, when the cell is named by
     /// the suite (extra records are not).
@@ -56,13 +59,11 @@ pub struct Divergence {
 impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.index {
-            Some(i) => write!(
-                f,
-                "cell {i} ({}): {} — {}",
-                self.cell, self.kind, self.detail
-            ),
-            None => write!(f, "record {}: {} — {}", self.cell, self.kind, self.detail),
+            Some(i) => write!(f, "cell {i} ({})", self.cell)?,
+            None if self.cell == self.suite => write!(f, "suite {}", self.suite)?,
+            None => write!(f, "record {}/{}", self.suite, self.cell)?,
         }
+        write!(f, ": {} — {}", self.kind, self.detail)
     }
 }
 
@@ -127,6 +128,7 @@ pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftRepor
             // stored record is the consistent state.
             if path.exists() {
                 divergences.push(Divergence {
+                    suite: suite_digest.clone(),
                     cell: cell.digest.clone(),
                     index: Some(cell.index),
                     kind: DriftKind::RecordDiffers,
@@ -144,33 +146,20 @@ pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftRepor
         // absent file is "missing".
         match std::fs::read_to_string(&path) {
             Err(e) => divergences.push(Divergence {
+                suite: suite_digest.clone(),
                 cell: cell.digest.clone(),
                 index: Some(cell.index),
                 kind: DriftKind::MissingRecord,
                 detail: format!("{}: {e}", path.display()),
             }),
             Ok(stored_text) if stored_text == fresh_text => {}
-            Ok(stored_text) => {
-                let detail = match (Json::parse(&stored_text), Json::parse(&fresh_text)) {
-                    (Ok(stored), Ok(fresh)) => {
-                        let diffs = json_diff(&stored, &fresh, 4);
-                        if diffs.is_empty() {
-                            // Same tree, different bytes: whitespace or
-                            // field-order tampering.
-                            "stored bytes are not the canonical rendering".to_string()
-                        } else {
-                            diffs.join("; ")
-                        }
-                    }
-                    _ => "stored record is not parseable JSON".to_string(),
-                };
-                divergences.push(Divergence {
-                    cell: cell.digest.clone(),
-                    index: Some(cell.index),
-                    kind: DriftKind::RecordDiffers,
-                    detail,
-                });
-            }
+            Ok(stored_text) => divergences.push(Divergence {
+                suite: suite_digest.clone(),
+                cell: cell.digest.clone(),
+                index: Some(cell.index),
+                kind: DriftKind::RecordDiffers,
+                detail: diff_detail(&stored_text, &fresh_text),
+            }),
         }
     }
 
@@ -181,6 +170,7 @@ pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftRepor
         if !named.contains(stored.as_str()) {
             extra += 1;
             divergences.push(Divergence {
+                suite: suite_digest.clone(),
                 cell: stored,
                 index: None,
                 kind: DriftKind::ExtraRecord,
@@ -203,6 +193,7 @@ pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftRepor
         .collect();
     if expect != got {
         divergences.push(Divergence {
+            suite: suite_digest.clone(),
             cell: suite_digest.clone(),
             index: None,
             kind: DriftKind::ManifestMismatch,
@@ -222,63 +213,85 @@ pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftRepor
     })
 }
 
-/// Compare two stores (e.g. runs of the same suites under two builds):
-/// for every suite directory in `baseline`, every record must exist in
-/// `candidate` with identical bytes, and vice versa.
+/// Compare two stores (e.g. runs of the same suites under two builds),
+/// suite by suite: every suite either store holds must be in both, with
+/// byte-identical `manifest.json` files and byte-identical records.
+/// Each divergence names its suite, so a caller can tabulate them per
+/// suite.
 pub fn compare_stores(baseline: &LabStore, candidate: &LabStore) -> Result<DriftReport, String> {
     let mut divergences = Vec::new();
     let mut checked = 0;
     let base_suites = baseline.suite_digests()?;
-    for suite_digest in &base_suites {
-        let base_records = baseline.record_digests(suite_digest)?;
+    for suite in &base_suites {
+        let mut flag = |cell: &str, kind, detail| {
+            divergences.push(Divergence {
+                suite: suite.clone(),
+                cell: cell.to_string(),
+                index: None,
+                kind,
+                detail,
+            })
+        };
+        let manifest = |s: &LabStore| std::fs::read_to_string(s.manifest_path(suite)).ok();
+        match (manifest(baseline), manifest(candidate)) {
+            (base, cand) if base == cand => {}
+            (Some(base), Some(cand)) => flag(
+                suite,
+                DriftKind::ManifestMismatch,
+                diff_detail(&base, &cand),
+            ),
+            (_, cand) => flag(
+                suite,
+                DriftKind::ManifestMismatch,
+                format!(
+                    "manifest.json only in the {} store",
+                    if cand.is_some() {
+                        "candidate"
+                    } else {
+                        "baseline"
+                    }
+                ),
+            ),
+        }
+        let base_records = baseline.record_digests(suite)?;
         for cell in &base_records {
             checked += 1;
-            let base_path = baseline.record_path(suite_digest, cell);
+            let base_path = baseline.record_path(suite, cell);
             let base_text = std::fs::read_to_string(&base_path)
                 .map_err(|e| format!("{}: {e}", base_path.display()))?;
-            let cand_path = candidate.record_path(suite_digest, cell);
+            let cand_path = candidate.record_path(suite, cell);
             match std::fs::read_to_string(&cand_path) {
-                Err(e) => divergences.push(Divergence {
-                    cell: cell.clone(),
-                    index: None,
-                    kind: DriftKind::MissingRecord,
-                    detail: format!("{}: {e}", cand_path.display()),
-                }),
+                Err(e) => flag(
+                    cell,
+                    DriftKind::MissingRecord,
+                    format!("{}: {e}", cand_path.display()),
+                ),
                 Ok(cand_text) if cand_text == base_text => {}
-                Ok(cand_text) => {
-                    let detail = match (Json::parse(&base_text), Json::parse(&cand_text)) {
-                        (Ok(a), Ok(b)) => json_diff(&a, &b, 4).join("; "),
-                        _ => "unparseable record".to_string(),
-                    };
-                    divergences.push(Divergence {
-                        cell: cell.clone(),
-                        index: None,
-                        kind: DriftKind::RecordDiffers,
-                        detail,
-                    });
-                }
+                Ok(cand_text) => flag(
+                    cell,
+                    DriftKind::RecordDiffers,
+                    diff_detail(&base_text, &cand_text),
+                ),
             }
         }
         // Records only the candidate has.
-        if let Ok(cand_records) = candidate.record_digests(suite_digest) {
-            for cell in cand_records {
-                if !base_records.contains(&cell) {
-                    checked += 1;
-                    divergences.push(Divergence {
-                        cell,
-                        index: None,
-                        kind: DriftKind::ExtraRecord,
-                        detail: "present in candidate store only".to_string(),
-                    });
-                }
+        for cell in candidate.record_digests(suite).unwrap_or_default() {
+            if !base_records.contains(&cell) {
+                checked += 1;
+                flag(
+                    &cell,
+                    DriftKind::ExtraRecord,
+                    "present in candidate store only".to_string(),
+                );
             }
         }
     }
-    for suite_digest in candidate.suite_digests()? {
-        if !base_suites.contains(&suite_digest) {
+    for suite in candidate.suite_digests()? {
+        if !base_suites.contains(&suite) {
             checked += 1;
             divergences.push(Divergence {
-                cell: suite_digest,
+                cell: suite.clone(),
+                suite,
                 index: None,
                 kind: DriftKind::ExtraRecord,
                 detail: "suite present in candidate store only".to_string(),
@@ -294,6 +307,24 @@ pub fn compare_stores(baseline: &LabStore, candidate: &LabStore) -> Result<Drift
         checked,
         divergences,
     })
+}
+
+/// What differs between two stored documents: the JSON paths that moved,
+/// or why none can be named.
+fn diff_detail(stored: &str, fresh: &str) -> String {
+    match (Json::parse(stored), Json::parse(fresh)) {
+        (Ok(stored), Ok(fresh)) => {
+            let diffs = json_diff(&stored, &fresh, 4);
+            if diffs.is_empty() {
+                // Same tree, different bytes: whitespace or field-order
+                // tampering.
+                "stored bytes are not the canonical rendering".to_string()
+            } else {
+                diffs.join("; ")
+            }
+        }
+        _ => "stored document is not parseable JSON".to_string(),
+    }
 }
 
 /// Paths at which two JSON trees differ, depth-first, capped at `max`

@@ -1,19 +1,26 @@
 //! Deterministic fault injection for the lab's crash-safety machinery.
 //!
-//! A [`FaultPlan`] is a serializable description of *exactly which* store
+//! A [`FaultPlan`] is a serializable description of *exactly which*
 //! operations misbehave — kill the process before the k-th journal
-//! append, tear the j-th store write, flip one bit of another, fail a
-//! write transiently, panic a chosen cell. Injected into a
-//! [`LabStore`](crate::LabStore) (and the journaled runner) via a
-//! [`FaultInjector`], the plan triggers by **operation index**, never by
-//! wall clock or thread timing, so every fault scenario in
-//! `tests/lab_faults.rs` replays bit-for-bit. This is the same move the
-//! rest of the workspace makes for adversarial schedules: the adversary
-//! is data, the run is a pure function of it.
+//! line, tear the j-th store write, flip one bit of another, fail a
+//! write transiently, panic a chosen cell. A [`FaultInjector`] runs a
+//! plan as a [`Disk`]: it wraps the real disk (`FsDisk`) and, installed
+//! with [`LabStore::with_faults`](crate::LabStore::with_faults), sits
+//! under every store write and journal append of the run. The plan
+//! triggers by **operation index**, never by wall clock or thread
+//! timing, so every fault scenario in `tests/lab_faults.rs` replays
+//! bit-for-bit. This is the same move the rest of the workspace makes
+//! for adversarial schedules: the adversary is data, the run is a pure
+//! function of it.
 
+use std::cell::Cell;
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use apex_sim::{Json, JsonError};
+
+use crate::disk::{Disk, FsDisk};
 
 /// Marker carried by every error produced by a simulated process kill.
 /// Retry logic treats errors containing this marker as fatal (a dead
@@ -199,15 +206,15 @@ impl FaultPlan {
     }
 
     /// Load and parse a plan file.
-    pub fn load(path: &std::path::Path) -> Result<Self, String> {
+    pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
-/// What the injector tells the store to do with one write attempt.
+/// What the plan does to one store-write attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WriteDirective {
+enum WriteDirective {
     /// Perform the write normally.
     Proceed,
     /// Fail this attempt with a transient (retryable) I/O error.
@@ -223,14 +230,22 @@ pub enum WriteDirective {
     },
 }
 
-/// Shared runtime state driving a [`FaultPlan`]: operation counters and
-/// the "process is dead" latch. Threads share one injector via `Arc`.
+/// A [`FaultPlan`] running as a [`Disk`] over the real one: operation
+/// counters (one store-write index per logical write, shared by its
+/// retries; one journal-append index per line) and the "process is
+/// dead" latch. Threads share one injector via `Arc`.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     plan: FaultPlan,
     journal_appends: AtomicU64,
     store_writes: AtomicU64,
     killed: AtomicBool,
+    disk: FsDisk,
+}
+
+thread_local! {
+    /// The store-write index of this thread's write in flight.
+    static WRITE_IN_FLIGHT: Cell<u64> = const { Cell::new(0) };
 }
 
 impl FaultInjector {
@@ -242,45 +257,40 @@ impl FaultInjector {
         }
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Whether a simulated kill has fired (after which every operation
-    /// fails).
+    /// Whether a simulated kill has fired (after which every store write
+    /// and journal append fails).
     pub fn killed(&self) -> bool {
         self.killed.load(Ordering::SeqCst)
     }
 
     /// Journal appends that have been allowed so far.
-    pub fn journal_appends(&self) -> u64 {
+    #[cfg(test)]
+    fn journal_appends(&self) -> u64 {
         self.journal_appends.load(Ordering::SeqCst)
     }
 
-    /// Gate one journal append: `Err(KILL_MARKER…)` when the plan kills
-    /// at this boundary (or already killed), `Ok` otherwise.
-    pub fn on_journal_append(&self) -> Result<(), String> {
+    /// Gate one journal line: `Err(KILL_MARKER…)` when the plan kills at
+    /// this boundary (or already killed), `Ok` otherwise.
+    fn on_journal_append(&self) -> Result<(), String> {
         if self.killed() {
             return Err(format!("{KILL_MARKER} (process already dead)"));
         }
         let n = self.journal_appends.load(Ordering::SeqCst);
         if self.plan.kill_after_journal == Some(n) {
-            self.killed.store(true, Ordering::SeqCst);
+            self.kill();
             return Err(format!("{KILL_MARKER} before journal append {n}"));
         }
         self.journal_appends.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
-    /// Claim the next store-write index (one per *logical* write; retry
-    /// attempts reuse the index via [`FaultInjector::directive`]).
-    pub fn next_store_write(&self) -> u64 {
+    /// Claim the next store-write index.
+    fn next_store_write(&self) -> u64 {
         self.store_writes.fetch_add(1, Ordering::SeqCst)
     }
 
     /// What should happen to attempt `attempt` of store write `write`.
-    pub fn directive(&self, write: u64, attempt: u32) -> WriteDirective {
+    fn directive(&self, write: u64, attempt: u32) -> WriteDirective {
         if let Some(t) = &self.plan.torn_write {
             if t.write == write {
                 return WriteDirective::Torn(t.keep);
@@ -305,14 +315,77 @@ impl FaultInjector {
         WriteDirective::Proceed
     }
 
-    /// Latch the dead-process state (torn writes die after tearing).
-    pub fn kill(&self) {
+    /// Latch the dead-process state.
+    fn kill(&self) {
         self.killed.store(true, Ordering::SeqCst);
     }
 
     /// Whether the plan panics the runner inside cell `index`.
-    pub fn panics_cell(&self, index: usize) -> bool {
+    pub(crate) fn panics_cell(&self, index: usize) -> bool {
         self.plan.panic_cells.contains(&index)
+    }
+}
+
+/// Store writes and journal lines follow the plan; renames, removals and
+/// barriers are the filesystem's.
+impl Disk for FaultInjector {
+    fn barrier_count(&self) -> &AtomicU64 {
+        self.disk.barrier_count()
+    }
+
+    /// Write the bytes (one flipped, for a planned bit flip), fail
+    /// transiently, or tear a prefix onto the final path — a write with
+    /// no atomic-write discipline — and die.
+    fn write(&self, path: &Path, tmp: Option<&Path>, bytes: &[u8], attempt: u32) -> io::Result<()> {
+        if self.killed() {
+            return Err(io::Error::other(format!(
+                "{KILL_MARKER} (process already dead)"
+            )));
+        }
+        if attempt == 0 {
+            WRITE_IN_FLIGHT.set(self.next_store_write());
+        }
+        match self.directive(WRITE_IN_FLIGHT.get(), attempt) {
+            WriteDirective::Proceed => self.disk.write(path, tmp, bytes, attempt),
+            WriteDirective::Flip { byte, mask } => {
+                // Silent corruption: the write "succeeds" with one byte
+                // XORed — only integrity checking can tell.
+                let mut bytes = bytes.to_vec();
+                if let Some(last) = bytes.len().checked_sub(1) {
+                    bytes[byte.min(last)] ^= mask;
+                }
+                self.disk.write(path, tmp, &bytes, attempt)
+            }
+            WriteDirective::Torn(keep) => {
+                let prefix = &bytes[..keep.min(bytes.len())];
+                self.disk.write(path, Some(path), prefix, attempt)?;
+                self.kill();
+                Err(io::Error::other(format!(
+                    "{KILL_MARKER} after torn write of {}",
+                    path.display()
+                )))
+            }
+            WriteDirective::Transient => Err(io::Error::new(
+                io::ErrorKind::Interrupted,
+                format!("injected fault: transient write error (attempt {attempt})"),
+            )),
+        }
+    }
+
+    /// The lines before a planned kill land (and are synced when `sync`
+    /// is set); the kill's line and every later one do not.
+    fn append(&self, path: &Path, text: &str, sync: bool) -> io::Result<()> {
+        let mut landed = 0;
+        for line in text.split_inclusive('\n') {
+            if let Err(e) = self.on_journal_append() {
+                if landed > 0 {
+                    self.disk.append(path, &text[..landed], sync)?;
+                }
+                return Err(io::Error::other(e));
+            }
+            landed += line.len();
+        }
+        self.disk.append(path, text, sync)
     }
 }
 

@@ -26,9 +26,9 @@
 //!    no fsync) and write every finished record's bytes to the `.tmp`
 //!    sibling of its final path ([`LabStore::stage_text`], no fsync);
 //! 2. **barrier 1** — one filesystem sync covering the temp bytes and
-//!    every claim line written so far;
+//!    every claim line written so far ([`Disk::sync_files`]);
 //! 3. rename each temp file into place, then **barrier 2** — one fsync of
-//!    the suite directory;
+//!    the suite directory ([`Disk::sync_dir`]);
 //! 4. append every terminal line (`committed` / `poisoned`) in one write,
 //!    then **barrier 3** — one fsync of the journal.
 //!
@@ -50,17 +50,17 @@
 //! 5. `finished` is appended only after the manifest is durable.
 //!
 //! `tests/lab_faults.rs` checks 2–4 on disk after a kill at every
-//! journal boundary of a two-thread run.
+//! journal boundary of a two-thread run. Every step goes through the
+//! store's [`Disk`], which counts the barriers it issues.
 //!
 //! [`LabStore::stage_text`]: crate::store::LabStore::stage_text
 
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use apex_sim::{Json, JsonError};
 
-use crate::fault::FaultInjector;
+use crate::disk::{Disk, FsDisk};
 
 /// File name of the journal inside a suite directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
@@ -307,28 +307,22 @@ impl JournalEntry {
     }
 }
 
-/// An append-only journal writer bound to one file, optionally gated by
-/// a [`FaultInjector`] (each append asks the injector first, so a plan
-/// can kill the process at any journal boundary).
+/// An append-only journal writer bound to one file, writing through a
+/// [`Disk`] (a store builds its journals on its own disk).
 #[derive(Clone, Debug)]
 pub struct Journal {
-    path: PathBuf,
-    faults: Option<Arc<FaultInjector>>,
+    pub(crate) path: PathBuf,
+    pub(crate) disk: Arc<dyn Disk>,
 }
 
 impl Journal {
-    /// A journal at `path` (the file is created on first append).
+    /// A journal at `path` on the filesystem (the file is created on
+    /// first append).
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Journal {
             path: path.into(),
-            faults: None,
+            disk: Arc::new(FsDisk::default()),
         }
-    }
-
-    /// Gate every append through `faults`.
-    pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
-        self.faults = Some(faults);
-        self
     }
 
     /// The journal's path.
@@ -336,44 +330,20 @@ impl Journal {
         &self.path
     }
 
-    /// Append one entry durably: one line, then fsync. Returns the
-    /// barriers issued (1).
-    pub fn append(&self, entry: &JournalEntry) -> std::io::Result<u64> {
+    /// Append one entry durably: one line, then fsync.
+    pub fn append(&self, entry: &JournalEntry) -> std::io::Result<()> {
         self.append_batch(std::slice::from_ref(entry), true)
     }
 
     /// Append `entries` with a single `write` of all their lines, then
     /// fsync when `sync` is set — a crash between appends never tears an
-    /// earlier line. The fault injector is asked once per line, so a kill
-    /// planned inside the batch lands exactly the lines before it. An
-    /// empty batch touches nothing. Returns the barriers issued: 1 when
-    /// it fsynced, else 0.
-    pub fn append_batch(&self, entries: &[JournalEntry], sync: bool) -> std::io::Result<u64> {
-        let mut text = String::new();
-        let mut killed = None;
-        for entry in entries {
-            if let Some(f) = &self.faults {
-                if let Err(e) = f.on_journal_append() {
-                    killed = Some(std::io::Error::other(e));
-                    break;
-                }
-            }
-            text.push_str(&entry.to_line());
-            text.push('\n');
+    /// earlier line. An empty batch touches nothing.
+    pub fn append_batch(&self, entries: &[JournalEntry], sync: bool) -> std::io::Result<()> {
+        if entries.is_empty() {
+            return Ok(());
         }
-        let mut barriers = 0;
-        if !text.is_empty() {
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&self.path)?;
-            file.write_all(text.as_bytes())?;
-            if sync {
-                file.sync_all()?;
-                barriers = 1;
-            }
-        }
-        killed.map_or(Ok(barriers), Err)
+        let text: String = entries.iter().map(|e| e.to_line() + "\n").collect();
+        self.disk.append(&self.path, &text, sync)
     }
 }
 
@@ -575,6 +545,14 @@ mod tests {
         dir.join(JOURNAL_FILE)
     }
 
+    /// The journal at `path` (as [`temp_journal`] lays it out) of a
+    /// store whose disk is `faults`.
+    fn faulty_journal(path: &Path, faults: Arc<crate::fault::FaultInjector>) -> Journal {
+        let dir = path.parent().unwrap();
+        let store = crate::LabStore::new(dir.parent().unwrap()).with_faults(faults);
+        store.journal(dir.file_name().unwrap().to_str().unwrap())
+    }
+
     #[test]
     fn entries_round_trip_through_lines() {
         for entry in sample_entries() {
@@ -674,7 +652,7 @@ mod tests {
             kill_after_journal: Some(4),
             ..FaultPlan::default()
         }));
-        let journal = Journal::new(&path).with_faults(inj);
+        let journal = faulty_journal(&path, inj);
         let entries = sample_entries();
         journal.append_batch(&entries[..1], true).unwrap();
         journal.append_batch(&[], true).unwrap();
@@ -694,7 +672,7 @@ mod tests {
             kill_after_journal: Some(2),
             ..FaultPlan::default()
         }));
-        let journal = Journal::new(&path).with_faults(inj);
+        let journal = faulty_journal(&path, inj);
         let entries = sample_entries();
         journal.append(&entries[0]).unwrap();
         journal.append(&entries[1]).unwrap();

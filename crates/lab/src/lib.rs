@@ -15,7 +15,9 @@
 //!   [`ReportRecord`](apex_scenario::ReportRecord) per cell;
 //! * [`LabStore`] — a filesystem-backed, content-addressed results store
 //!   (`.apex/lab/<suite-digest>/<cell-digest>.json` plus a deterministic
-//!   manifest — no timestamps, no database, diffable by hand);
+//!   manifest — no timestamps, no database, diffable by hand), written
+//!   through one [`Disk`]: the filesystem or a
+//!   [`FaultInjector`] running a [`FaultPlan`];
 //! * [`check_against_store`] / [`compare_stores`] — drift detection: the
 //!   stored run is ground truth, the pipeline is deterministic end to
 //!   end, so *any* byte difference on re-execution is a real regression
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod disk;
 pub mod drift;
 pub mod fault;
 pub mod fsck;
@@ -43,10 +46,11 @@ pub mod runner;
 pub mod store;
 pub mod suite;
 
+pub use disk::Disk;
 pub use drift::{check_against_store, compare_stores, json_diff, DriftKind, DriftReport};
 pub use fault::{
-    is_kill, BitFlip, FaultInjector, FaultPlan, TornWrite, TransientFault, WriteDirective,
-    CELL_PANIC_MARKER, KILL_MARKER,
+    is_kill, BitFlip, FaultInjector, FaultPlan, TornWrite, TransientFault, CELL_PANIC_MARKER,
+    KILL_MARKER,
 };
 pub use fsck::{fsck, FsckIssue, FsckIssueKind, FsckReport};
 pub use gc::{gc, GcReport};

@@ -348,33 +348,30 @@ pub struct CommitBatch<'r> {
 /// [`Committer::commit`] makes a whole [`CommitBatch`] durable with at
 /// most three barriers, whatever its size (the protocol and the five
 /// invariants it keeps are in [`crate::journal`]). The journaled runner
-/// and the farm worker both commit through here, and it counts what it
-/// issued: [`Committer::fsyncs`] and [`Committer::bytes`].
+/// and the farm worker both commit through here, on the store's
+/// [`Disk`](crate::Disk), and it reports what the disk issued for it:
+/// [`Committer::fsyncs`] and [`Committer::bytes`].
 #[derive(Debug)]
 pub struct Committer<'s> {
     store: &'s LabStore,
     suite_digest: String,
     by: String,
     journal: Journal,
-    fsyncs: u64,
+    barriers_before: u64,
     bytes: u64,
 }
 
 impl<'s> Committer<'s> {
-    /// A committer for `suite_digest`'s journal and records in `store`
-    /// (gated by the store's fault injector, if any), writing as `by`:
-    /// empty for a single runner, the worker id for a farm worker.
+    /// A committer for `suite_digest`'s journal and records in `store`,
+    /// writing as `by`: empty for a single runner, the worker id for a
+    /// farm worker.
     pub fn new(store: &'s LabStore, suite_digest: &str, by: &str) -> Self {
-        let mut journal = Journal::new(store.journal_path(suite_digest));
-        if let Some(f) = store.faults() {
-            journal = journal.with_faults(f.clone());
-        }
         Committer {
             store,
             suite_digest: suite_digest.to_string(),
             by: by.to_string(),
-            journal,
-            fsyncs: 0,
+            journal: store.journal(suite_digest),
+            barriers_before: store.disk().barriers(),
             bytes: 0,
         }
     }
@@ -396,11 +393,9 @@ impl<'s> Committer<'s> {
     /// Append one entry durably (`started`, `finished`, a farm probe):
     /// one line and one barrier.
     pub fn append(&mut self, entry: &JournalEntry) -> Result<(), String> {
-        self.fsyncs += self
-            .journal
+        self.journal
             .append(entry)
-            .map_err(|e| format!("journal append failed: {e}"))?;
-        Ok(())
+            .map_err(|e| format!("journal append failed: {e}"))
     }
 
     /// Make `batch` durable: claims and staged records, barrier 1,
@@ -411,8 +406,7 @@ impl<'s> Committer<'s> {
     pub fn commit(&mut self, batch: &CommitBatch<'_>) -> Result<Vec<String>, String> {
         let jerr = |e: std::io::Error| format!("journal append failed: {e}");
         let werr = |e: std::io::Error| format!("record write failed: {e}");
-        self.fsyncs += self
-            .journal
+        self.journal
             .append_batch(&batch.claims, false)
             .map_err(jerr)?;
         let (mut temps, mut paths) = (Vec::new(), Vec::new());
@@ -428,12 +422,12 @@ impl<'s> Committer<'s> {
             paths.push(path);
         }
         if !temps.is_empty() {
-            self.fsyncs += self
-                .store
-                .sync_staged(&self.suite_digest, &temps)
-                .map_err(werr)?;
+            let (disk, dir) = (self.store.disk(), self.store.suite_dir(&self.suite_digest));
+            let mut synced: Vec<&Path> = temps.iter().map(PathBuf::as_path).collect();
+            synced.push(self.journal.path());
+            disk.sync_files(&dir, &synced).map_err(werr)?;
             for (tmp, path) in temps.iter().zip(&paths) {
-                match std::fs::rename(tmp, path) {
+                match disk.rename(tmp, path) {
                     // A worker that found the suite finished swept this
                     // farm worker's temp: finalize verified the record
                     // already at its final path.
@@ -444,19 +438,18 @@ impl<'s> Committer<'s> {
                     done => done.map_err(werr)?,
                 }
             }
-            self.fsyncs += self.store.sync_suite_dir(&self.suite_digest);
+            disk.sync_dir(&dir);
         }
-        self.fsyncs += self
-            .journal
+        self.journal
             .append_batch(&batch.terminals, true)
             .map_err(jerr)?;
         Ok(checksums)
     }
 
-    /// Durability barriers issued so far, as the calls that issued them
-    /// reported.
+    /// Durability barriers the store's disk issued since this committer
+    /// was made.
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
+        self.store.disk().barriers() - self.barriers_before
     }
 
     /// Record bytes written so far.
@@ -683,7 +676,9 @@ pub fn run_suite_journaled(
         // A fresh run owns its journal; the previous history is not part
         // of this run's story. Records stay — they are content-addressed
         // and will be rewritten with identical bytes anyway.
-        std::fs::remove_file(&journal_path)
+        store
+            .disk()
+            .remove(&journal_path)
             .map_err(|e| format!("{}: {e}", journal_path.display()))?;
     }
     let mut committer = Committer::new(store, &suite_digest, "");
@@ -800,7 +795,7 @@ pub fn run_suite_journaled(
         },
     )?;
 
-    let elapsed_ms = started_at.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
+    let elapsed_ms = apex_obs::elapsed_ms(started_at);
     let outcomes: Vec<RunOutcome> = slots
         .into_iter()
         .enumerate()

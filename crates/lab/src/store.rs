@@ -24,16 +24,14 @@
 //! sibling — never a torn file at a final path. One-off writes
 //! (manifests, metrics) do all three steps themselves
 //! ([`LabStore::write_text`]). Cell records are group-committed instead:
-//! [`LabStore::stage_text`] writes a batch's temp files unsynced,
-//! [`LabStore::sync_staged`] makes them durable with one barrier, the
-//! committer renames them, and [`LabStore::sync_suite_dir`] makes the
-//! renames durable with a second — see the protocol and its invariants
-//! in [`crate::journal`]. Transient I/O errors are retried a bounded
-//! number of times with *attempt-indexed* backoff (the delay is a pure
-//! function of the attempt number, never of wall-clock readings), so a
-//! run's fault-handling behavior is as reproducible as its results. A
-//! [`FaultInjector`] can be installed to exercise all of this
-//! deterministically — see `tests/lab_faults.rs`.
+//! [`LabStore::stage_text`] writes a batch's temp files unsynced and the
+//! [`Committer`](crate::Committer) syncs, renames and syncs again — see
+//! [`crate::journal`]. Transient I/O errors are retried a bounded number
+//! of times with *attempt-indexed* backoff (never wall-clock), so a run's
+//! fault handling is as reproducible as its results. All of it goes
+//! through one [`Disk`]: the filesystem (`FsDisk`), or a
+//! [`FaultInjector`] installed with [`LabStore::with_faults`] — see
+//! `tests/lab_faults.rs`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -42,7 +40,9 @@ use apex_scenario::{ReportRecord, StoredRecordError};
 use apex_sim::{Json, JsonError};
 
 use crate::digest_hex;
-use crate::fault::{FaultInjector, WriteDirective, KILL_MARKER};
+use crate::disk::{Disk, FsDisk};
+use crate::fault::{is_kill, FaultInjector};
+use crate::journal::Journal;
 use crate::runner::SuiteRun;
 
 /// Default store root, relative to the working directory.
@@ -280,6 +280,7 @@ fn known_or<T: Clone + PartialEq + std::fmt::Debug>(
 #[derive(Clone, Debug)]
 pub struct LabStore {
     root: PathBuf,
+    disk: Arc<dyn Disk>,
     faults: Option<Arc<FaultInjector>>,
 }
 
@@ -288,6 +289,7 @@ impl LabStore {
     pub fn new(root: impl Into<PathBuf>) -> Self {
         LabStore {
             root: root.into(),
+            disk: Arc::new(FsDisk::default()),
             faults: None,
         }
     }
@@ -297,11 +299,25 @@ impl LabStore {
         Self::new(DEFAULT_STORE_ROOT)
     }
 
-    /// Route every write of this store through `faults` (the test-only
-    /// seam for deterministic kill / torn-write / bit-flip injection).
+    /// Make `faults` this store's disk (the test-only seam for
+    /// deterministic kill / torn-write / bit-flip injection).
     pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
+        self.disk = faults.clone();
         self.faults = Some(faults);
         self
+    }
+
+    /// The disk every write of this store goes through.
+    pub fn disk(&self) -> &dyn Disk {
+        &*self.disk
+    }
+
+    /// One suite's journal, written through this store's disk.
+    pub(crate) fn journal(&self, suite_digest: &str) -> Journal {
+        Journal {
+            path: self.journal_path(suite_digest),
+            disk: self.disk.clone(),
+        }
     }
 
     /// The installed fault injector, if any.
@@ -451,144 +467,17 @@ impl LabStore {
     /// up to [`MAX_WRITE_ATTEMPTS`] times with attempt-indexed backoff
     /// (attempt *a* sleeps *a²* ms — a pure function of the attempt
     /// number, so retry behavior is deterministic). Errors carrying
-    /// [`KILL_MARKER`] are fatal and never retried: a dead process
-    /// cannot try again.
+    /// [`KILL_MARKER`](crate::KILL_MARKER) are fatal and never retried: a
+    /// dead process cannot try again.
     pub fn write_text(&self, path: &Path, text: &str) -> std::io::Result<()> {
-        self.write_with_faults(path, text, |bytes| {
-            apex_scenario::atomic_write_bytes(path, bytes)
-        })
+        retrying(|attempt| self.disk.write(path, None, text.as_bytes(), attempt))
     }
 
     /// Stage `text` for a group commit: write it to the temp file `tmp`
-    /// with no fsync; the caller syncs ([`LabStore::sync_staged`]) and
-    /// then renames `tmp` over `path`. Retries and fault directives are
-    /// exactly [`LabStore::write_text`]'s, under one store-write index
-    /// per call — a planned torn write lands its prefix at `path`.
+    /// with no fsync; the committer syncs and then renames `tmp` over
+    /// `path`. Retries are exactly [`LabStore::write_text`]'s.
     pub fn stage_text(&self, path: &Path, tmp: &Path, text: &str) -> std::io::Result<()> {
-        self.write_with_faults(path, text, |bytes| std::fs::write(tmp, bytes))
-    }
-
-    /// Barrier 1 of a group commit: make the staged temp files `temps`
-    /// and every journal line written so far in `suite_digest` durable.
-    /// On Linux this is one `syncfs(2)` of the store's filesystem;
-    /// elsewhere each file is synced in turn. Returns the barriers issued
-    /// (1).
-    pub fn sync_staged(&self, suite_digest: &str, temps: &[PathBuf]) -> std::io::Result<u64> {
-        #[cfg(target_os = "linux")]
-        {
-            let _ = temps;
-            syncfs(&self.suite_dir(suite_digest)).map(|()| 1)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let sync = |path: &Path| {
-                std::fs::OpenOptions::new()
-                    .write(true)
-                    .open(path)?
-                    .sync_all()
-            };
-            for tmp in temps {
-                match sync(tmp) {
-                    // Swept by a farm worker that found the suite
-                    // finished (see `Committer::commit`).
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    synced => synced?,
-                }
-            }
-            let journal = self.journal_path(suite_digest);
-            if journal.exists() {
-                sync(&journal)?;
-            }
-            Ok(1)
-        }
-    }
-
-    /// Barrier 2 of a group commit: fsync one suite's directory so the
-    /// renames into it are durable (best-effort on filesystems that do
-    /// not support opening directories for sync, like
-    /// [`apex_scenario::atomic_write`]). Returns the barriers issued: 1,
-    /// or 0 when the directory could not be opened.
-    pub fn sync_suite_dir(&self, suite_digest: &str) -> u64 {
-        match std::fs::File::open(self.suite_dir(suite_digest)) {
-            Ok(d) => {
-                let _ = d.sync_all();
-                1
-            }
-            Err(_) => 0,
-        }
-    }
-
-    /// One logical store write of `text` toward `path` under the fault
-    /// plan: claim its store-write index, then per attempt ask the
-    /// injector what to do — `write` the bytes (flipped, for a planned
-    /// bit flip), fail transiently and back off, or tear a prefix onto
-    /// `path` and die.
-    fn write_with_faults(
-        &self,
-        path: &Path,
-        text: &str,
-        write: impl Fn(&[u8]) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        let write_idx = self.faults.as_ref().map(|f| f.next_store_write());
-        let mut last_err = None;
-        for attempt in 0..MAX_WRITE_ATTEMPTS {
-            let directive = match (&self.faults, write_idx) {
-                (Some(f), Some(i)) => {
-                    if f.killed() {
-                        return Err(std::io::Error::other(format!(
-                            "{KILL_MARKER} (process already dead)"
-                        )));
-                    }
-                    f.directive(i, attempt)
-                }
-                _ => WriteDirective::Proceed,
-            };
-            let result = match directive {
-                WriteDirective::Proceed => write(text.as_bytes()),
-                WriteDirective::Flip { byte, mask } => {
-                    // Silent corruption: the write "succeeds" with one
-                    // byte XORed — only integrity checking can tell.
-                    let mut bytes = text.as_bytes().to_vec();
-                    if !bytes.is_empty() {
-                        let i = byte.min(bytes.len() - 1);
-                        bytes[i] ^= mask;
-                    }
-                    write(&bytes)
-                }
-                WriteDirective::Torn(keep) => {
-                    // A torn write lands a prefix at the *final* path
-                    // (simulating a crash without atomic-write
-                    // discipline), then the process dies.
-                    let keep = keep.min(text.len());
-                    std::fs::write(path, &text.as_bytes()[..keep])?;
-                    if let Some(f) = &self.faults {
-                        f.kill();
-                    }
-                    return Err(std::io::Error::other(format!(
-                        "{KILL_MARKER} after torn write of {}",
-                        path.display()
-                    )));
-                }
-                WriteDirective::Transient => Err(std::io::Error::new(
-                    std::io::ErrorKind::Interrupted,
-                    format!("injected fault: transient write error (attempt {attempt})"),
-                )),
-            };
-            match result {
-                Ok(()) => return Ok(()),
-                Err(e) if e.to_string().contains(KILL_MARKER) => return Err(e),
-                Err(e) => {
-                    last_err = Some(e);
-                    if attempt + 1 < MAX_WRITE_ATTEMPTS {
-                        // Attempt-indexed, bounded, wall-clock-free
-                        // backoff: 1 ms, 4 ms, 9 ms.
-                        let ms = u64::from(attempt + 1) * u64::from(attempt + 1);
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                }
-            }
-        }
-        Err(last_err.unwrap_or_else(|| std::io::Error::other("write failed with no error")))
+        retrying(|attempt| self.disk.write(path, Some(tmp), text.as_bytes(), attempt))
     }
 
     /// Write one cell record durably, returning the checksum of the
@@ -711,21 +600,18 @@ impl LabStore {
     }
 }
 
-/// `syncfs(2)` on the filesystem holding `dir`: one barrier that makes
-/// every dirty file on it durable — a whole batch of temp files and the
-/// journal's pending lines at once.
-#[cfg(target_os = "linux")]
-fn syncfs(dir: &Path) -> std::io::Result<()> {
-    use std::os::fd::AsRawFd as _;
-    extern "C" {
-        fn syncfs(fd: std::os::raw::c_int) -> std::os::raw::c_int;
-    }
-    let d = std::fs::File::open(dir)?;
-    // SAFETY: `syncfs` reads no memory of ours; it takes one descriptor,
-    // which `d` keeps open for the duration of the call.
-    if unsafe { syncfs(d.as_raw_fd()) } == 0 {
-        Ok(())
-    } else {
-        Err(std::io::Error::last_os_error())
+/// Run attempts `0, 1, …` of one logical write: the bounded,
+/// attempt-indexed retry of [`LabStore::write_text`].
+fn retrying(write: impl Fn(u32) -> std::io::Result<()>) -> std::io::Result<()> {
+    let mut attempt = 0;
+    loop {
+        match write(attempt) {
+            Err(e) if attempt + 1 < MAX_WRITE_ATTEMPTS && !is_kill(&e.to_string()) => {
+                attempt += 1;
+                let ms = u64::from(attempt * attempt);
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+            }
+            done => return done,
+        }
     }
 }

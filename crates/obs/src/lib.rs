@@ -7,14 +7,12 @@
 //!   structured trace events with a versioned compact-JSON line codec
 //!   (the journal's conventions), emitted through a pluggable
 //!   [`TraceSink`] that is a no-op null check when disabled;
-//! * [`Metrics`] / [`MetricsHub`] — typed counters, gauges, and
-//!   fixed-bucket histograms with deterministic merge rules, written
-//!   to a `metrics.json` sidecar;
-//! * [`Stopwatch`] — wall-clock profiling confined to the telemetry
-//!   plane and feature-gated (`wallclock`, on by default); with the
-//!   feature off every reading is 0;
+//! * [`Metrics`] — typed counters, gauges, and fixed-bucket histograms
+//!   with deterministic merge rules, written to a `metrics.json`
+//!   sidecar; wall-clock readings (`time.*`, only under `--profile`)
+//!   stay in its profiling plane, out of every byte-identity check;
 //! * [`Table`] / [`summarize`] — the plain-text renderers behind
-//!   `apex obs view`, `apex obs metrics`, `apex drift report`, and
+//!   `apex obs view`, `apex obs metrics`, `apex drift --compare`, and
 //!   `apex farm status --metrics`.
 //!
 //! The load-bearing invariant, property-tested in
@@ -31,7 +29,7 @@ pub mod sink;
 pub mod trace;
 pub mod view;
 
-pub use metrics::{Hist, Metrics, MetricsHub, METRICS_FILE, METRICS_FORMAT_MAJOR, POW2_BOUNDS};
+pub use metrics::{Hist, Metrics, METRICS_FILE, METRICS_FORMAT_MAJOR, POW2_BOUNDS};
 pub use sink::{FileSink, MemEvents, Obs, TraceSink};
 pub use trace::{read_trace, TraceEvent, TraceLog, TRACE_FILE, TRACE_FORMAT_MAJOR};
 pub use view::{summarize, Table, TraceSummary};
@@ -58,11 +56,6 @@ impl ObsOpts {
         ObsOpts::default()
     }
 
-    /// Whether any telemetry was requested.
-    pub fn any(&self) -> bool {
-        self.trace.is_some() || self.metrics || self.profile
-    }
-
     /// Open the trace sink named by `self.trace` (disabled handle when
     /// no trace was requested).
     pub fn open_trace(&self) -> std::io::Result<Obs> {
@@ -71,53 +64,13 @@ impl ObsOpts {
             None => Ok(Obs::disabled()),
         }
     }
-
-    /// A metrics hub matching `self.metrics` / `self.profile`.
-    pub fn open_metrics(&self) -> MetricsHub {
-        if self.metrics || self.profile {
-            MetricsHub::live()
-        } else {
-            MetricsHub::disabled()
-        }
-    }
 }
 
-/// A wall-clock stopwatch confined to the telemetry plane. With the
-/// `wallclock` feature disabled it always reads 0 ms, making even the
-/// profiling plane deterministic.
-#[derive(Clone, Copy, Debug)]
-pub struct Stopwatch {
-    #[cfg(feature = "wallclock")]
-    start: std::time::Instant,
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Self {
-        Stopwatch {
-            #[cfg(feature = "wallclock")]
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Milliseconds elapsed since [`Stopwatch::start`] (0 without the
-    /// `wallclock` feature).
-    pub fn elapsed_ms(&self) -> u64 {
-        #[cfg(feature = "wallclock")]
-        {
-            self.start.elapsed().as_millis() as u64
-        }
-        #[cfg(not(feature = "wallclock"))]
-        {
-            0
-        }
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
+/// Whole milliseconds since `start`: the one clock behind every
+/// `time.elapsed_ms` reading (`apex run --profile`, `apex suite run
+/// --profile`).
+pub fn elapsed_ms(start: std::time::Instant) -> u64 {
+    u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -127,25 +80,7 @@ mod tests {
     #[test]
     fn opts_default_off_and_open_disabled_handles() {
         let opts = ObsOpts::off();
-        assert!(!opts.any());
+        assert_eq!(opts, ObsOpts::default());
         assert!(!opts.open_trace().unwrap().enabled());
-        assert!(!opts.open_metrics().enabled());
-
-        let on = ObsOpts {
-            metrics: true,
-            ..ObsOpts::off()
-        };
-        assert!(on.any());
-        assert!(on.open_metrics().enabled());
-    }
-
-    #[test]
-    fn stopwatch_is_monotone() {
-        let sw = Stopwatch::start();
-        // Either the feature is on (any reading is >= 0 and monotone)
-        // or off (always 0); both satisfy this.
-        let a = sw.elapsed_ms();
-        let b = sw.elapsed_ms();
-        assert!(b >= a);
     }
 }

@@ -115,11 +115,6 @@ impl Metrics {
         }
     }
 
-    /// Increment counter `name` by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
     /// Raise gauge `name` to at least `v` (gauges merge by max, so the
     /// recording operation is max too).
     pub fn gauge_max(&mut self, name: &str, v: u64) {
@@ -327,77 +322,6 @@ impl Metrics {
     }
 }
 
-/// Cloneable, thread-safe handle over one shared [`Metrics`] registry
-/// — the recording side used by instrumented code, mirroring how
-/// [`crate::Obs`] fronts a shared trace sink. `None` (default) is a
-/// zero-cost no-op.
-#[derive(Clone, Default)]
-pub struct MetricsHub {
-    inner: Option<std::sync::Arc<std::sync::Mutex<Metrics>>>,
-}
-
-impl MetricsHub {
-    /// The no-op hub.
-    pub fn disabled() -> Self {
-        MetricsHub { inner: None }
-    }
-
-    /// A live hub over a fresh registry.
-    pub fn live() -> Self {
-        MetricsHub {
-            inner: Some(std::sync::Arc::new(std::sync::Mutex::new(Metrics::new()))),
-        }
-    }
-
-    /// Whether recording does anything.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Add `by` to counter `name`.
-    pub fn add(&self, name: &str, by: u64) {
-        if let Some(m) = &self.inner {
-            m.lock().expect("metrics poisoned").add(name, by);
-        }
-    }
-
-    /// Increment counter `name`.
-    pub fn inc(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Raise gauge `name` to at least `v`.
-    pub fn gauge_max(&self, name: &str, v: u64) {
-        if let Some(m) = &self.inner {
-            m.lock().expect("metrics poisoned").gauge_max(name, v);
-        }
-    }
-
-    /// Record an observation with the default power-of-two bounds.
-    pub fn observe(&self, name: &str, v: u64) {
-        if let Some(m) = &self.inner {
-            m.lock().expect("metrics poisoned").observe(name, v);
-        }
-    }
-
-    /// Snapshot the registry (empty when disabled).
-    pub fn snapshot(&self) -> Metrics {
-        match &self.inner {
-            Some(m) => m.lock().expect("metrics poisoned").clone(),
-            None => Metrics::new(),
-        }
-    }
-}
-
-impl std::fmt::Debug for MetricsHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsHub")
-            .field("enabled", &self.enabled())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,7 +330,7 @@ mod tests {
     fn counters_gauges_hists_round_trip() {
         let mut m = Metrics::new();
         m.add("cells.executed", 5);
-        m.inc("cells.executed");
+        m.add("cells.executed", 1);
         m.gauge_max("cells.total", 8);
         m.gauge_max("cells.total", 3); // max keeps 8
         m.observe("cell.ticks", 100);
@@ -457,19 +381,6 @@ mod tests {
         assert_eq!(rp.gauge("cells.total"), Some(4));
         assert_eq!(rp.gauge("time.elapsed_ms"), None);
         assert!(rp.hist("cell.ticks").is_none());
-    }
-
-    #[test]
-    fn hub_is_shared_and_inert_when_disabled() {
-        let off = MetricsHub::disabled();
-        off.inc("cells.executed");
-        assert!(off.snapshot().is_empty());
-
-        let hub = MetricsHub::live();
-        let clone = hub.clone();
-        hub.inc("cells.executed");
-        clone.add("cells.executed", 2);
-        assert_eq!(hub.snapshot().counter("cells.executed"), 3);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Rendering helpers: a plain-text column table and trace summaries.
 //!
-//! These back `apex obs view`, `apex obs metrics`, the drift report
-//! matrix, and `apex farm status --metrics` — one aligner instead of
-//! four ad-hoc `format!` layouts.
+//! These back `apex obs view`, `apex obs metrics`, the per-suite table
+//! of `apex drift --compare`, and `apex farm status --metrics` — one
+//! aligner instead of four ad-hoc `format!` layouts.
 
 use std::collections::BTreeMap;
 

@@ -36,7 +36,6 @@ use crate::rng::proc_rng;
 use crate::word::{ProcId, Stamped};
 
 use super::ctx::{Ctx, ProcState};
-use super::machine::IdlePolicy;
 
 /// How a resumed processor handed control back to the dispatch loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -288,7 +287,6 @@ pub(crate) struct Core {
     pub(crate) work: Rc<Cell<u64>>,
     pub(crate) per_proc_work: Vec<u64>,
     pub(crate) ticks: u64,
-    pub(crate) idle: IdlePolicy,
     /// Processors whose protocol has completed.
     pub(crate) done: Vec<bool>,
     /// Processors whose protocol has not completed.
@@ -342,10 +340,8 @@ impl Core {
         if self.done[p] {
             // Completed-processor fast path: busy-wait accounting for the
             // whole run in O(1), no resume.
-            if self.idle == IdlePolicy::CountAsWork {
-                work.set(work.get() + run);
-                self.per_proc_work[p] += run;
-            }
+            work.set(work.get() + run);
+            self.per_proc_work[p] += run;
             return run;
         }
         self.polls += 1;
@@ -361,7 +357,7 @@ impl Core {
                 // spending tick, and the rest of the run is busy-waiting.
                 // Exception: an await-free protocol completes on its first
                 // granted tick without spending — the per-tick reference
-                // charges that live tick under both idle policies.
+                // charges that live tick.
                 self.done[p] = true;
                 self.live -= 1;
                 let consumed = run - credit_left;
@@ -372,16 +368,8 @@ impl Core {
                     self.per_proc_work[p] += used;
                     return settled + used;
                 }
-                match self.idle {
-                    IdlePolicy::CountAsWork => {
-                        work.set(work.get() + credit_left);
-                        self.per_proc_work[p] += run;
-                    }
-                    IdlePolicy::Skip => {
-                        work.set(work.get() + first_poll_tick);
-                        self.per_proc_work[p] += consumed + first_poll_tick;
-                    }
-                }
+                work.set(work.get() + credit_left);
+                self.per_proc_work[p] += run;
                 settled + run
             }
             Resumed::Yielded { credit_left } => {

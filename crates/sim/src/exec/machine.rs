@@ -61,10 +61,10 @@
 //!   call, so early exits (`run_to_completion` finishing mid-block) never
 //!   skip or replay a decision.
 //! * **Work accounting** — identical to the per-tick engine: one work unit
-//!   per executed tick under [`IdlePolicy::CountAsWork`], one per live
-//!   tick under [`IdlePolicy::Skip`], and `WriteEvent::work` equals the
-//!   work counter at the instant of the write — prepaid ticks included,
-//!   since they are settled on the ticks that grant them.
+//!   per executed tick, a step granted to a completed processor included
+//!   (it busy-waits — the paper's accounting), and `WriteEvent::work`
+//!   equals the work counter at the instant of the write — prepaid ticks
+//!   included, since they are settled on the ticks that grant them.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -82,26 +82,12 @@ use super::ctx::Ctx;
 /// Default number of schedule decisions prefetched per block.
 pub const DEFAULT_BATCH: usize = 256;
 
-/// What happens when the schedule grants a step to a processor whose
-/// protocol future has completed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum IdlePolicy {
-    /// The step is busy-waiting and counts as a work unit — the paper's
-    /// accounting ("busy waiting and idling" count). Default.
-    #[default]
-    CountAsWork,
-    /// The step is dropped silently (useful for harnesses that want to
-    /// measure only live work).
-    Skip,
-}
-
 /// Builder for a [`Machine`].
 pub struct MachineBuilder {
     n: usize,
     mem_size: usize,
     seed: u64,
     schedule: Option<BoxedSchedule>,
-    idle: IdlePolicy,
     batch: usize,
 }
 
@@ -114,7 +100,6 @@ impl MachineBuilder {
             mem_size,
             seed: 0xA93B_5EED,
             schedule: None,
-            idle: IdlePolicy::default(),
             batch: DEFAULT_BATCH,
         }
     }
@@ -148,12 +133,6 @@ impl MachineBuilder {
         let n = self.n;
         let seed = self.seed;
         self.schedule(spec.build(n, seed))
-    }
-
-    /// Policy for steps granted to completed processors.
-    pub fn idle_policy(mut self, idle: IdlePolicy) -> Self {
-        self.idle = idle;
-        self
     }
 
     /// Schedule-prefetch block size (default [`DEFAULT_BATCH`]). The
@@ -197,7 +176,6 @@ impl MachineBuilder {
                 work,
                 per_proc_work: vec![0; self.n],
                 ticks: 0,
-                idle: self.idle,
                 done: vec![false; self.n],
                 live: self.n,
                 polls: 0,
@@ -250,8 +228,7 @@ impl Machine {
         &self.core.per_proc_work
     }
 
-    /// Schedule ticks elapsed (equals `work()` under
-    /// [`IdlePolicy::CountAsWork`]).
+    /// Schedule ticks elapsed (equals `work()`).
     pub fn ticks(&self) -> u64 {
         self.core.ticks
     }

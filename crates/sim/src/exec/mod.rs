@@ -7,7 +7,7 @@ mod machine;
 
 pub use bank::{Account, Bank, Block, Port, Processors, Resumed, Spawn, Wiring};
 pub use ctx::Ctx;
-pub use machine::{BlockHook, IdlePolicy, Machine, MachineBuilder, DEFAULT_BATCH};
+pub use machine::{BlockHook, Machine, MachineBuilder, DEFAULT_BATCH};
 
 #[cfg(test)]
 mod tests {
@@ -57,19 +57,6 @@ mod tests {
         assert!(m.all_done());
         // 4 live ops + 6 busy-wait ticks, all counted as work.
         assert_eq!(m.work(), 10);
-    }
-
-    #[test]
-    fn idle_policy_skip_counts_only_live_ops() {
-        let mut m = MachineBuilder::new(2, 2)
-            .schedule(Box::new(RoundRobin::new(2)))
-            .idle_policy(IdlePolicy::Skip)
-            .build(|ctx| async move {
-                ctx.nop().await;
-            });
-        m.run_ticks(10);
-        assert_eq!(m.work(), 2);
-        assert_eq!(m.ticks(), 10);
     }
 
     #[test]
@@ -197,12 +184,11 @@ mod tests {
     /// Per round: two private draws around a compute, then one write of
     /// the draws, stamped with the processor's op count — written with
     /// `Ctx` awaits, one poll per op.
-    fn per_op_machine(n: usize, rounds: u64, batch: usize, idle: IdlePolicy) -> Machine {
+    fn per_op_machine(n: usize, rounds: u64, batch: usize) -> Machine {
         MachineBuilder::new(n, n)
             .seed(9)
             .schedule_kind(&ScheduleKind::Uniform)
             .batch(batch)
-            .idle_policy(idle)
             .build(move |ctx| async move {
                 let me = ctx.id().0;
                 for _ in 0..rounds {
@@ -323,12 +309,11 @@ mod tests {
         }
     }
 
-    fn run_ahead_machine(n: usize, rounds: u64, batch: usize, idle: IdlePolicy) -> Machine {
+    fn run_ahead_machine(n: usize, rounds: u64, batch: usize) -> Machine {
         MachineBuilder::new(n, n)
             .seed(9)
             .schedule_kind(&ScheduleKind::Uniform)
             .batch(batch)
-            .idle_policy(idle)
             .spawn(TestSpawn {
                 init: move |w: &Wiring, p| RunAhead::new(w, p, rounds),
                 step: run_ahead_step,
@@ -368,14 +353,9 @@ mod tests {
 
     #[test]
     fn prepaid_ticks_settle_under_per_tick_stepping() {
-        let (mut reference, lr) = logged(per_op_machine(4, 30, 1, IdlePolicy::CountAsWork));
-        let (mut stepped, ls) = logged(run_ahead_machine(4, 30, 1, IdlePolicy::CountAsWork));
-        let (mut batched, lb) = logged(run_ahead_machine(
-            4,
-            30,
-            DEFAULT_BATCH,
-            IdlePolicy::CountAsWork,
-        ));
+        let (mut reference, lr) = logged(per_op_machine(4, 30, 1));
+        let (mut stepped, ls) = logged(run_ahead_machine(4, 30, 1));
+        let (mut batched, lb) = logged(run_ahead_machine(4, 30, DEFAULT_BATCH));
         for t in 1..=700u64 {
             assert_eq!(reference.tick(), stepped.tick());
             if t % 50 == 0 {
@@ -392,25 +372,24 @@ mod tests {
     }
 
     #[test]
-    fn prepaid_ticks_settle_under_idle_skip() {
+    fn prepaid_ticks_settle_across_ragged_chunks() {
         for batch in [1, 7, DEFAULT_BATCH] {
-            let (mut reference, lr) = logged(per_op_machine(5, 20, batch, IdlePolicy::Skip));
-            let (mut ahead, la) = logged(run_ahead_machine(5, 20, batch, IdlePolicy::Skip));
+            let (mut reference, lr) = logged(per_op_machine(5, 20, batch));
+            let (mut ahead, la) = logged(run_ahead_machine(5, 20, batch));
             for chunk in [1u64, 13, 64, 3, 500] {
                 reference.run_ticks(chunk);
                 ahead.run_ticks(chunk);
                 assert_same_run(&reference, &lr, &ahead, &la);
             }
             assert!(reference.all_done());
-            assert_eq!(reference.work(), 5 * 20 * 4, "only live ops count");
         }
     }
 
     #[test]
     fn prepaid_ticks_settle_across_a_run_to_completion_cut() {
         for batch in [1, 7, DEFAULT_BATCH] {
-            let (mut reference, lr) = logged(per_op_machine(3, 25, batch, IdlePolicy::CountAsWork));
-            let (mut ahead, la) = logged(run_ahead_machine(3, 25, batch, IdlePolicy::CountAsWork));
+            let (mut reference, lr) = logged(per_op_machine(3, 25, batch));
+            let (mut ahead, la) = logged(run_ahead_machine(3, 25, batch));
             // Caps that cut mid-run, while processors hold prepaid ops.
             for cap in [5u64, 6, 41, 202] {
                 let a = reference.run_to_completion(cap).unwrap_err();

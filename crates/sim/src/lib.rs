@@ -60,8 +60,8 @@ mod word;
 
 pub use error::RunTimeout;
 pub use exec::{
-    Account, Bank, Block, BlockHook, Ctx, IdlePolicy, Machine, MachineBuilder, Port, Processors,
-    Resumed, Spawn, Wiring, DEFAULT_BATCH,
+    Account, Bank, Block, BlockHook, Ctx, Machine, MachineBuilder, Port, Processors, Resumed,
+    Spawn, Wiring, DEFAULT_BATCH,
 };
 pub use json::{Json, JsonError};
 pub use memory::{Region, RegionAllocator, SharedMemory, WriteEvent, WriteHook};

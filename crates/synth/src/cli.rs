@@ -11,7 +11,6 @@
 //! replay       --file REPRO.json | --dir DIR [--engine tree|bytecode] [--trace [FILE]]
 //! run          SCENARIO.json [--emit OUT.json] [--json] [--cached [--store DIR]]
 //!              [--engine tree|bytecode] [--trace [FILE]] [--metrics [FILE]] [--profile]
-//! migrate      [--dir DIR]
 //! corpus-dedup [--dir DIR] [--dry-run]
 //! ```
 //!
@@ -25,13 +24,13 @@ use apex_scenario::{ProgramEngine, RunOpts, RunOutcome, Scenario};
 use apex_scheme::SchemeKind;
 
 use crate::campaign::{campaign_triple, run_campaign, CampaignConfig, Finding};
-use crate::repro::{dedup_corpus, Expectation, Reproducer, VERSION};
+use crate::repro::{dedup_corpus, Expectation, Reproducer};
 use crate::{check_triple, shrink};
 
 /// Print the synthesis usage text and exit with status 2.
 pub fn usage() -> ! {
     eprintln!(
-        "usage: apex synth <gen|fuzz|shrink|replay|run|migrate|corpus-dedup> [options]\n\
+        "usage: apex synth <gen|fuzz|shrink|replay|run|corpus-dedup> [options]\n\
          \n\
          gen          --seed S --count K [--show-schedule]   print generated programs\n\
          fuzz         --seed S --trials K [--out DIR] [--keep N] [--max-secs T]\n\
@@ -44,7 +43,6 @@ pub fn usage() -> ! {
          \x20             --engine overrides the scheme-mode interpreter, default bytecode\n\
          \x20             (tree runs the reference walker), --trace/--metrics\n\
          \x20             observe the run — none of them changes a result byte)\n\
-         migrate      [--dir DIR]                     rewrite artifacts at v{VERSION}\n\
          corpus-dedup [--dir DIR] [--dry-run]         drop scenario-digest duplicates"
     );
     std::process::exit(2)
@@ -214,7 +212,6 @@ pub fn dispatch(argv: &[String]) -> ExitCode {
         "shrink" => (&["file", "out", "shrink-budget"], cmd_shrink),
         // Replay opens a trace but records no metrics or profile.
         "replay" => (&["file", "dir", "engine", "trace"], cmd_replay),
-        "migrate" => (&["dir"], cmd_migrate),
         "corpus-dedup" => (&["dir", "dry-run"], cmd_corpus_dedup),
         _ => usage(),
     };
@@ -299,11 +296,12 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let stopwatch = apex_obs::Stopwatch::start();
+    let started_at = std::time::Instant::now();
     let outcome = RunOutcome::capture_opts(&scenario, &opts);
+    let elapsed_ms = apex_obs::elapsed_ms(started_at);
     opts.obs.flush();
     if run_args.obs.metrics || run_args.obs.profile {
-        let metrics = single_run_metrics(&outcome, &run_args.obs, &stopwatch);
+        let metrics = single_run_metrics(&outcome, &run_args.obs, elapsed_ms);
         let path = args.get("metrics").unwrap_or(apex_obs::METRICS_FILE);
         if let Err(e) = std::fs::write(path, metrics.render_pretty()) {
             eprintln!("--metrics: failed to write {path}: {e}");
@@ -339,11 +337,7 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
 /// same instrument names `apex suite run` records, over a suite of one
 /// cell, so `apex obs metrics --merge` folds single runs and suite runs
 /// alike.
-fn single_run_metrics(
-    outcome: &RunOutcome,
-    opts: &ObsOpts,
-    stopwatch: &apex_obs::Stopwatch,
-) -> apex_obs::Metrics {
+fn single_run_metrics(outcome: &RunOutcome, opts: &ObsOpts, elapsed_ms: u64) -> apex_obs::Metrics {
     let mut m = apex_obs::Metrics::new();
     m.gauge_max("cells.total", 1);
     m.add("cells.executed", 1);
@@ -359,42 +353,9 @@ fn single_run_metrics(
         m.observe("cells.ticks", ticks);
     }
     if opts.profile {
-        m.add("time.elapsed_ms", stopwatch.elapsed_ms());
+        m.add("time.elapsed_ms", elapsed_ms);
     }
     m
-}
-
-/// Rewrite every artifact in a corpus directory in the current format
-/// (legacy v1 files come back v2 under their new content-derived names).
-pub fn cmd_migrate(args: &Args) -> ExitCode {
-    let dir = PathBuf::from(args.get("dir").unwrap_or("corpus"));
-    let entries = match Reproducer::load_dir(&dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (path, repro) in &entries {
-        let new_path = match repro.save(&dir) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("failed to rewrite {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        if *path != new_path {
-            if let Err(e) = std::fs::remove_file(path) {
-                eprintln!("failed to remove superseded {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("migrated {} -> {}", path.display(), new_path.display());
-        } else {
-            println!("rewrote {} in place", path.display());
-        }
-    }
-    println!("{} artifacts now at format v{VERSION}", entries.len());
-    ExitCode::SUCCESS
 }
 
 /// Remove reproducers whose canonical scenario digests collide (first

@@ -28,7 +28,7 @@
 //!   reads), replayed by `cargo test` forever after.
 //!
 //! The command set lives in [`cli`]; the top-level `apex` binary fronts
-//! it: `apex synth gen|fuzz|shrink|replay|run|migrate|corpus-dedup …`.
+//! it: `apex synth gen|fuzz|shrink|replay|run|corpus-dedup …`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -13,16 +13,15 @@
 //! [`Scenario`] document — the workspace's single declarative run
 //! description — plus the expected outcome and a provenance note. A
 //! reproducer is therefore an ordinary scenario file with an assertion
-//! attached; `apex synth run` executes the scenario half directly.
-//! **Format v1** (legacy) spelled the scheme/seed/schedule/program fields
-//! inline; the reader still accepts it (and `apex synth migrate` rewrites
-//! old artifacts in place).
+//! attached; `apex synth run` executes the scenario half directly. Any
+//! other version, the retired v1 layout included, is a typed
+//! "unsupported artifact version" error.
 
 use std::path::{Path, PathBuf};
 
-use apex_scenario::{Mode, ProgramSource, Scenario};
+use apex_scenario::{Mode, Scenario};
 use apex_scheme::SchemeKind;
-use apex_sim::{Json, JsonError, ScheduleKind};
+use apex_sim::{Json, JsonError};
 
 // The stable program/op JSON codec moved to `apex-scenario` with the
 // Scenario redesign; re-exported here for the original importers.
@@ -32,10 +31,8 @@ pub use apex_scenario::{
 
 use crate::oracle::{Triple, Verdict};
 
-/// Current artifact format version.
+/// Current artifact format version, the only one the reader accepts.
 pub const VERSION: u64 = 2;
-/// Oldest artifact format version the reader still accepts.
-pub const OLDEST_READABLE_VERSION: u64 = 1;
 
 fn jerr(msg: impl Into<String>) -> JsonError {
     JsonError {
@@ -130,23 +127,18 @@ impl Reproducer {
         ])
     }
 
-    /// Deserialize from artifact JSON, accepting both the current v2 form
-    /// and the legacy v1 form; the scenario is validated either way.
+    /// Deserialize from (v2) artifact JSON, validating the scenario.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
         let version = v.get("version")?.as_u64()?;
-        let repro = match version {
-            1 => Self::from_json_v1(v)?,
-            2 => Reproducer {
-                expected: Expectation::from_label(v.get("expected")?.as_str()?)?,
-                note: v.get("note")?.as_str()?.to_string(),
-                scenario: Scenario::from_json(v.get("scenario")?)?,
-            },
-            other => {
-                return Err(jerr(format!(
-                    "unsupported artifact version {other} (this build reads \
-                     {OLDEST_READABLE_VERSION}..={VERSION})"
-                )))
-            }
+        if version != VERSION {
+            return Err(jerr(format!(
+                "unsupported artifact version {version} (this build reads {VERSION})"
+            )));
+        }
+        let repro = Reproducer {
+            expected: Expectation::from_label(v.get("expected")?.as_str()?)?,
+            note: v.get("note")?.as_str()?.to_string(),
+            scenario: Scenario::from_json(v.get("scenario")?)?,
         };
         if !matches!(repro.scenario.mode, Mode::Scheme { .. }) {
             return Err(jerr("reproducer scenario must be scheme-mode"));
@@ -156,21 +148,6 @@ impl Reproducer {
             .validate()
             .map_err(|e| jerr(format!("invalid scenario in artifact: {e}")))?;
         Ok(repro)
-    }
-
-    /// The legacy v1 layout: scheme / seed / schedule / program spelled
-    /// inline instead of an embedded scenario document.
-    fn from_json_v1(v: &Json) -> Result<Self, JsonError> {
-        let scheme = scheme_from_label(v.get("scheme")?.as_str()?)?;
-        let program = program_from_json(v.get("program")?)?;
-        let schedule = ScheduleKind::from_json(v.get("schedule")?)?;
-        let seed = v.get("seed")?.as_u64()?;
-        Ok(Reproducer {
-            expected: Expectation::from_label(v.get("expected")?.as_str()?)?,
-            note: v.get("note")?.as_str()?.to_string(),
-            scenario: Scenario::scheme(scheme, ProgramSource::Explicit(program), seed)
-                .schedule(schedule),
-        })
     }
 
     /// Stable content-derived file name (FNV-1a over the compact JSON,
@@ -307,21 +284,6 @@ mod tests {
         )
     }
 
-    /// Render a reproducer in the legacy v1 layout (what pre-migration
-    /// corpus files look like).
-    fn to_json_v1(r: &Reproducer) -> Json {
-        let t = r.triple();
-        Json::Obj(vec![
-            ("version".into(), Json::UInt(1)),
-            ("scheme".into(), Json::Str(r.scheme().label().into())),
-            ("expected".into(), Json::Str(r.expected.label().into())),
-            ("seed".into(), Json::UInt(t.seed)),
-            ("note".into(), Json::Str(r.note.clone())),
-            ("schedule".into(), t.schedule.to_json()),
-            ("program".into(), program_to_json(&t.program)),
-        ])
-    }
-
     #[test]
     fn program_json_round_trips_exactly() {
         for seed in 0..20 {
@@ -369,23 +331,6 @@ mod tests {
         assert_eq!(back.note, r.note);
         assert_eq!(back.scenario, r.scenario);
         assert_eq!(back.triple(), r.triple());
-    }
-
-    #[test]
-    fn v1_artifacts_read_as_the_same_reproducer() {
-        let r = reproducer(9);
-        let v1_text = to_json_v1(&r).render_pretty();
-        let legacy = Reproducer::from_json(&Json::parse(&v1_text).unwrap()).unwrap();
-        assert_eq!(legacy.scheme(), r.scheme());
-        assert_eq!(legacy.expected, r.expected);
-        assert_eq!(legacy.note, r.note);
-        // The legacy reader lifts v1 fields into a full scenario — equal to
-        // the native v2 one, so re-saving migrates the artifact.
-        assert_eq!(legacy.scenario, r.scenario);
-        assert_eq!(
-            legacy.to_json().get("version").unwrap().as_u64().unwrap(),
-            2
-        );
     }
 
     #[test]

@@ -22,8 +22,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use apex::sim::{
-    IdlePolicy, Machine, MachineBuilder, ProcId, Schedule, ScheduleKind, Script, ScriptSegment,
-    ScriptSpec, Stamped, WorkReport,
+    Machine, MachineBuilder, ProcId, Schedule, ScheduleKind, Script, ScriptSegment, ScriptSpec,
+    Stamped, WorkReport,
 };
 use apex_scenario::{ProgramEngine, ProgramSource, Scenario};
 use apex_scheme::SchemeKind;
@@ -233,12 +233,11 @@ fn huge_tick_budgets_do_not_overflow_the_block_arithmetic() {
 }
 
 #[test]
-fn run_until_and_idle_skip_match_the_reference() {
+fn run_until_matches_the_reference() {
     let build = |batch: usize| {
         MachineBuilder::new(6, 6)
             .seed(11)
             .schedule_kind(&ScheduleKind::Bursty { mean_burst: 17 })
-            .idle_policy(IdlePolicy::Skip)
             .batch(batch)
             .build(|ctx| async move {
                 let me = ctx.id().0;
@@ -254,7 +253,7 @@ fn run_until_and_idle_skip_match_the_reference() {
     let wb = batched.run_until(1_000_000, 97, pred).expect("batched");
     assert_eq!(wa, wb, "run_until work");
     assert_eq!(reference.ticks(), batched.ticks(), "run_until ticks");
-    assert_eq!(reference.work(), batched.work(), "skip-policy live work");
+    assert_eq!(reference.work(), batched.work(), "run_until total work");
 }
 
 /// Every `ScheduleKind` variant: the gallery, `Zipf`, `Crash`, and a

@@ -7,16 +7,15 @@
 //! recorded outcome still reproduces — so each past finding of the
 //! deterministic baseline's unsoundness stays pinned — and additionally
 //! asserts the *differential* half: the paper's scheme verifies clean on
-//! the very same divergence-witness triples. A dedicated test keeps the
-//! legacy v1 reader exercised.
+//! the very same divergence-witness triples.
 
 use std::path::Path;
 
 use apex::scenario::{Mode, RunOpts};
 use apex::scheme::SchemeKind;
 use apex::sim::Json;
+use apex_synth::check_scenario;
 use apex_synth::repro::{Expectation, Reproducer, VERSION};
-use apex_synth::{check_scenario, check_triple};
 
 fn corpus() -> Vec<(std::path::PathBuf, Reproducer)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
@@ -51,7 +50,7 @@ fn committed_corpus_is_at_the_current_format_version() {
         assert_eq!(
             version,
             VERSION,
-            "{}: run `apex synth migrate`",
+            "{}: not at the current artifact format",
             path.display()
         );
         // v2 artifacts embed a scheme-mode scenario document.
@@ -94,48 +93,4 @@ fn corpus_artifacts_are_validated_on_load() {
             path.display()
         );
     }
-}
-
-/// The legacy v1 artifact layout (scheme / seed / schedule / program
-/// spelled inline) must keep reading: old corpus checkouts, third-party
-/// archives, and bisects depend on it.
-#[test]
-fn legacy_v1_artifacts_still_read_and_replay() {
-    let v1 = r#"{
-      "version": 1,
-      "scheme": "nondet-scheme",
-      "expected": "clean",
-      "seed": 7,
-      "note": "hand-written v1 artifact kept for the legacy reader",
-      "schedule": {"kind": "bursty", "mean_burst": 16},
-      "program": {
-        "name": "v1-legacy-pair",
-        "n_threads": 2,
-        "mem_size": 2,
-        "init": [1, 2],
-        "steps": [
-          [
-            {"dst": 0, "op": "add", "a": {"var": 0}, "b": {"const": 1}},
-            {"dst": 1, "op": "rand-bit", "a": {"const": 0}, "b": {"const": 0}}
-          ]
-        ]
-      }
-    }"#;
-    let repro = Reproducer::from_json(&Json::parse(v1).unwrap()).unwrap();
-    assert_eq!(repro.scheme(), SchemeKind::Nondet);
-    assert_eq!(repro.expected, Expectation::Clean);
-    let triple = repro.triple();
-    assert_eq!(triple.seed, 7);
-    assert_eq!(triple.program.n_threads, 2);
-    // The reader lifted the v1 fields into a scenario; re-serialization
-    // emits the current format (what `apex synth migrate` writes).
-    let reserialized = repro.to_json();
-    assert_eq!(
-        reserialized.get("version").unwrap().as_u64().unwrap(),
-        VERSION
-    );
-    // And the artifact still replays as recorded.
-    repro.check(&RunOpts::default()).unwrap();
-    let nondet = check_triple(&triple, SchemeKind::Nondet);
-    assert!(!nondet.diverged() && !nondet.stalled, "{nondet:?}");
 }

@@ -23,7 +23,8 @@
 //! sleepy adversary whose period `awake + asleep` overflows is rejected
 //! by validation instead of dividing by a wrapped zero mid-run, and so
 //! are zipf, two-class and bursty adversaries whose sampler weights or
-//! burst law degenerate in floating point.
+//! burst law degenerate in floating point. A reproducer in any format
+//! but the current one is an "unsupported artifact version" error.
 //!
 //! Finally, a mutation sweep feeds every decoder truncations at every
 //! byte, a one-byte substitution at every position, and numeric
@@ -394,6 +395,23 @@ fn an_oversized_agreement_phase_count_is_a_typed_error() {
     at_cap.validate().unwrap();
     let past_cap = Scenario::agreement(8, SourceSpec::Random(50), MAX_PHASES + 1, 0);
     assert!(past_cap.validate().is_err());
+}
+
+#[test]
+fn a_v1_reproducer_is_an_unsupported_version() {
+    // The retired v1 layout spelled scheme, seed, schedule and program
+    // inline; no committed artifact uses it.
+    let v1 = r#"{
+      "version": 1,
+      "scheme": "nondet-scheme",
+      "expected": "clean",
+      "seed": 7,
+      "note": "v1 layout",
+      "schedule": {"kind": "bursty", "mean_burst": 16},
+      "program": {"name": "pair", "n_threads": 2, "mem_size": 2, "init": [1, 2], "steps": []}
+    }"#;
+    let err = Reproducer::from_json(&Json::parse(v1).unwrap()).unwrap_err();
+    assert!(err.msg.contains("unsupported artifact version 1"), "{err}");
 }
 
 /// A sleepy period of `u64::MAX + 1` ticks, as a base and as an overlay.

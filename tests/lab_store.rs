@@ -3,7 +3,7 @@
 //! byte-identical records with a clean drift report, and mutating or
 //! deleting a stored record is flagged as drift.
 
-use apex_lab::{check_against_store, run_suite, DriftKind, LabStore, Suite};
+use apex_lab::{check_against_store, compare_stores, run_suite, DriftKind, LabStore, Suite};
 use apex_scenario::ReportRecord;
 
 fn smoke_suite() -> Suite {
@@ -99,4 +99,36 @@ fn drift_is_clean_until_a_record_is_mutated_or_deleted() {
     assert!(check_against_store(&edited, &store).is_err());
 
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+#[test]
+fn stores_whose_manifests_differ_do_not_compare_clean() {
+    let suite = smoke_suite();
+    let (a, b) = (temp_store("cmp-manifest-a"), temp_store("cmp-manifest-b"));
+    a.write_run(&run_suite(&suite).unwrap()).unwrap();
+    b.write_run(&run_suite(&suite).unwrap()).unwrap();
+    let report = compare_stores(&a, &b).unwrap();
+    assert!(report.clean(), "{}", report.summary());
+
+    // Rename the suite in one manifest: every record still matches.
+    let path = b.manifest_path(&suite.digest());
+    let text = std::fs::read_to_string(&path).unwrap();
+    let renamed = text.replacen("\"name\": \"smoke\"", "\"name\": \"smoke-edited\"", 1);
+    assert_ne!(text, renamed, "the smoke manifest names its suite");
+    std::fs::write(&path, renamed).unwrap();
+    let report = compare_stores(&a, &b).unwrap();
+    assert_eq!(report.divergences.len(), 1, "{}", report.summary());
+    let d = &report.divergences[0];
+    assert_eq!(d.kind, DriftKind::ManifestMismatch);
+    assert!(d.to_string().contains(&suite.digest()), "{d}");
+    assert!(d.detail.contains(".name"), "{}", d.detail);
+
+    // A manifest only one store holds is drift too.
+    std::fs::remove_file(&path).unwrap();
+    let report = compare_stores(&a, &b).unwrap();
+    assert_eq!(report.divergences.len(), 1, "{}", report.summary());
+    assert_eq!(report.divergences[0].kind, DriftKind::ManifestMismatch);
+
+    let _ = std::fs::remove_dir_all(a.root());
+    let _ = std::fs::remove_dir_all(b.root());
 }

@@ -1,6 +1,6 @@
 //! Property tests for the A-PRAM simulator's invariants.
 
-use apex::sim::{IdlePolicy, MachineBuilder, ScheduleKind, Stamped};
+use apex::sim::{MachineBuilder, ScheduleKind, Stamped};
 use proptest::prelude::*;
 
 fn any_schedule() -> impl Strategy<Value = ScheduleKind> {
@@ -28,7 +28,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// Work conservation: total work equals the sum of per-processor work,
-    /// equals ticks under the counting idle policy.
+    /// equals ticks.
     #[test]
     fn work_conservation(
         seed in any::<u64>(),
@@ -104,9 +104,10 @@ proptest! {
         prop_assert_eq!(total, r.mem_writes);
     }
 
-    /// Idle policy Skip counts only live ops; CountAsWork counts all ticks.
+    /// A halted processor's granted steps busy-wait and count as work, so
+    /// work equals ticks after every protocol has completed.
     #[test]
-    fn idle_policies_differ_exactly_by_halted_ticks(
+    fn halted_processors_busy_wait_as_work(
         seed in any::<u64>(),
         n in 1usize..8,
         ticks in 10u64..2000,
@@ -115,20 +116,14 @@ proptest! {
         // t ticks exactly min(n, t) distinct processors run. (A uniform
         // random schedule may miss processors in few ticks — a proptest
         // counterexample caught exactly that.)
-        let build = |policy| {
-            MachineBuilder::new(n, n)
-                .seed(seed)
-                .schedule_kind(&ScheduleKind::RoundRobin)
-                .idle_policy(policy)
-                .build(|ctx| async move {
-                    ctx.nop().await; // one op then halt
-                })
-        };
-        let mut a = build(IdlePolicy::CountAsWork);
-        let mut b = build(IdlePolicy::Skip);
-        a.run_ticks(ticks);
-        b.run_ticks(ticks);
-        prop_assert_eq!(a.work(), ticks);
-        prop_assert_eq!(b.work(), n.min(ticks as usize) as u64);
+        let mut m = MachineBuilder::new(n, n)
+            .seed(seed)
+            .schedule_kind(&ScheduleKind::RoundRobin)
+            .build(|ctx| async move {
+                ctx.nop().await; // one op then halt
+            });
+        m.run_ticks(ticks);
+        prop_assert!(m.all_done());
+        prop_assert_eq!(m.work(), ticks);
     }
 }
