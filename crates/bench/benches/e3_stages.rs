@@ -79,6 +79,8 @@ fn main() {
         "above 3n",
     ]);
     let mut it = results.iter();
+    // Rows with a stage outside [n, 3n], as `(n, schedule, below, above)`.
+    let mut violations = Vec::new();
     for &n in &sizes {
         for (label, _) in &schedules {
             let mut counts: Vec<f64> = Vec::new();
@@ -91,6 +93,9 @@ fn main() {
                     below += (c < n) as usize;
                     above += (c > 3 * n) as usize;
                 }
+            }
+            if below + above > 0 {
+                violations.push((n, *label, below, above));
             }
             let min = counts.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = counts.iter().cloned().fold(0.0, f64::max);
@@ -107,8 +112,18 @@ fn main() {
         }
     }
     exp.table("stages", &table);
-    println!("\nverdict: complete-cycle counts per stage land in Lemma 2's [n, 3n]");
-    println!("band (stages sized by the full cycle footprint; the paper's 3ωn");
-    println!("assumes cycle-only work, which holds asymptotically).");
+    if violations.is_empty() {
+        println!("\nverdict: complete-cycle counts per stage land in Lemma 2's [n, 3n]");
+        println!("band (stages sized by the full cycle footprint; the paper's 3ωn");
+        println!("assumes cycle-only work, which holds asymptotically).");
+    } else {
+        println!("\nverdict: Lemma 2's [n, 3n] band fails — stages outside it:");
+        for (n, label, below, above) in &violations {
+            println!("  n={n} {label}: {below} below n, {above} above 3n");
+        }
+    }
     exp.finish();
+    if !violations.is_empty() {
+        std::process::exit(1);
+    }
 }

@@ -250,7 +250,7 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
             let opts = JournalOpts {
                 resume: args.has("resume"),
                 cached: args.has("cached"),
-                threads: args.get("threads").and_then(|v| v.parse().ok()),
+                threads: args.get("threads").map(|_| args.num("threads", 0)),
                 engine: run_args.engine,
                 obs: run_args.obs,
             };
@@ -498,7 +498,7 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
             }
             opts.shard_cells = args.num("shard", opts.shard_cells);
             opts.ttl = args.num("ttl", opts.ttl);
-            opts.threads = args.get("threads").and_then(|v| v.parse().ok());
+            opts.threads = args.get("threads").map(|_| args.num("threads", 0));
             // Bare `--trace` lands beside the store, one file per worker
             // (a trace describes one worker's run, not the fleet's).
             let trace_default = store.root().join(format!("trace-{}.jsonl", opts.worker));

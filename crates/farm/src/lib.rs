@@ -20,8 +20,11 @@
 //!   answer cells from verified store bytes, execute only true misses,
 //!   and finalize each suite with a manifest byte-identical to a
 //!   single-runner run. Any two workers that produce bytes for the same
-//!   cell are diffed against each other ([`Divergence`]) — a free
-//!   integrity check on the whole deterministic pipeline;
+//!   cell are diffed against each other (drift's
+//!   [`Divergence`](apex_lab::Divergence)) — a free integrity check on
+//!   the whole deterministic pipeline. A worker id must be
+//!   `[A-Za-z0-9_-]+` ([`check_worker_id`]): it names journal lines and
+//!   files;
 //! * [`query`] — the front-end (`apex farm query`): answer a single
 //!   scenario from cache, or enqueue it as a one-cell suite for the
 //!   workers.
@@ -43,5 +46,6 @@ mod worker;
 pub use query::{query, QueryAnswer};
 pub use queue::{EntryError, FarmQueue, FarmStatus, QueueEntry, SuiteProgress, DEFAULT_QUEUE_ROOT};
 pub use worker::{
-    run_worker, Divergence, WorkerOpts, WorkerReport, DEFAULT_SHARD_CELLS, DEFAULT_TTL,
+    check_worker_id, run_worker, InvalidWorkerId, WorkerOpts, WorkerReport, DEFAULT_SHARD_CELLS,
+    DEFAULT_TTL,
 };

@@ -12,11 +12,14 @@
 //! reads on each shard visit, plus the records the first scan verified.
 //! Once every cell is terminal, whoever gets there finalizes: outcomes
 //! are reconstructed from verified records (and journal `poisoned`
-//! entries for record-less cells), assembled through the runner's own
-//! finish path, and the manifest written — byte-identical to a
+//! entries for record-less cells) and the suite is closed through the
+//! runner's own finish ([`Committer::finish`]) — byte-identical to a
 //! single-worker run. Finalize is the one place record bytes are
 //! trusted: a cell whose record it cannot verify is claimed, run and
-//! committed again through the same shard path first.
+//! committed again through the same shard path first. The first scan
+//! is the runner's cache pre-pass ([`scan_cache`]), and a worker's
+//! metrics shard counts the cells it owns with the runner's per-cell
+//! tally ([`CellTally`]).
 //!
 //! **Stalls cannot deadlock.** Lease expiry is operation-indexed on the
 //! journal; when a sweep makes no progress because other workers hold
@@ -26,18 +29,17 @@
 //! a dead one's lease lapses after at most `ttl` probes and the shard is
 //! taken over. Stealing from a *slow but live* holder is safe too:
 //! record writes are idempotent, and any byte disagreement between two
-//! workers' results for one cell is surfaced as a [`Divergence`] instead
-//! of being silently overwritten.
+//! workers' results for one cell is surfaced as drift's [`Divergence`]
+//! (kind `RecordDiffers`) instead of being silently overwritten.
 
 use apex_lab::runner::{resolve_threads, run_trials};
 use apex_lab::{
-    assemble_run, capture_cell, claim_entry, json_diff, next_finish_seq, read_journal,
-    read_verified, terminal_entry, CacheLookup, CachedCell, Cell, CommitBatch, Committer,
-    JournalEntry, JournalState, LabStore, Manifest, Suite,
+    capture_cell, claim_entry, diff_detail, read_journal, read_verified, scan_cache,
+    terminal_entry, CacheLookup, CachedCell, Cell, CellTally, CommitBatch, Committer, Divergence,
+    DriftKind, JournalEntry, JournalState, LabStore, Suite,
 };
-use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
+use apex_obs::{Metrics, ObsOpts};
 use apex_scenario::{CacheStats, RunOpts, RunOutcome};
-use apex_sim::Json;
 
 use crate::queue::{EntryError, FarmQueue, QueueEntry};
 
@@ -87,29 +89,32 @@ impl Default for WorkerOpts {
     }
 }
 
-/// Two workers produced different bytes for one cell — the free
-/// integrity check the merger performs. The first durable record stays
-/// ground truth; the disagreement is reported with JSON-path precision.
-#[derive(Clone, Debug)]
-pub struct Divergence {
-    /// Suite the cell belongs to.
-    pub suite: String,
-    /// The cell's scenario digest.
-    pub cell: String,
-    /// JSON paths that differ between the stored and fresh documents
-    /// (byte-level detail when the documents do not even parse).
-    pub paths: Vec<String>,
-}
+/// A worker id that is empty or not `[A-Za-z0-9_-]+`. Ids name journal
+/// lines and files (`metrics-<id>.json`, `trace-<id>.jsonl`,
+/// `<cell>.json.<id>.tmp`); an empty one would stage records at the
+/// single runner's shared `.tmp` path.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InvalidWorkerId(pub String);
 
-impl std::fmt::Display for Divergence {
+impl std::fmt::Display for InvalidWorkerId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "divergent results for cell {} of suite {}: {}",
-            self.cell,
-            self.suite,
-            self.paths.join("; ")
+            "invalid worker id {:?}: want one or more of [A-Za-z0-9_-]",
+            self.0
         )
+    }
+}
+
+impl std::error::Error for InvalidWorkerId {}
+
+/// Accept `id` as a worker id, or say why it is not one.
+pub fn check_worker_id(id: &str) -> Result<(), InvalidWorkerId> {
+    let valid = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    if !id.is_empty() && id.chars().all(valid) {
+        Ok(())
+    } else {
+        Err(InvalidWorkerId(id.to_string()))
     }
 }
 
@@ -128,7 +133,9 @@ pub struct WorkerReport {
     /// Suites this worker finalized (wrote the manifest + `finished`).
     pub finalized: Vec<String>,
     /// Byte disagreements between this worker's results and records
-    /// already in the store (empty on a healthy deterministic pipeline).
+    /// already in the store (empty on a healthy deterministic pipeline):
+    /// drift's [`Divergence`]s of kind `RecordDiffers`, the stored bytes
+    /// on the expected side.
     pub divergences: Vec<Divergence>,
 }
 
@@ -155,14 +162,17 @@ impl WorkerReport {
 
 /// Drain every queued suite: claim shards, execute misses, finalize
 /// completed suites. Returns when the whole queue is drained; unreadable
-/// entries are skipped and listed in [`WorkerReport::skipped`]. Injected
-/// faults (via the store's [`FaultInjector`](apex_lab::FaultInjector)) surface as `Err`, exactly
+/// entries are skipped and listed in [`WorkerReport::skipped`]. An
+/// invalid worker id ([`check_worker_id`]) is refused before anything is
+/// opened or written. Injected faults (via the store's
+/// [`FaultInjector`](apex_lab::FaultInjector)) surface as `Err`, exactly
 /// like a crashed worker process.
 pub fn run_worker(
     queue: &FarmQueue,
     store: &LabStore,
     opts: &WorkerOpts,
 ) -> Result<WorkerReport, String> {
+    check_worker_id(&opts.worker).map_err(|e| e.to_string())?;
     let mut report = WorkerReport::default();
     let run_opts = RunOpts {
         engine: opts.engine,
@@ -243,18 +253,9 @@ fn sweep_record_temps(store: &LabStore, entry: &QueueEntry) {
     }
 }
 
-/// What one executed cell contributed, held back until the journal
-/// says whether this worker *owns* the cell (see
-/// [`attribute_result_plane`]).
-struct CellTally {
-    ok: bool,
-    status: &'static str,
-    ticks: Option<u64>,
-}
-
-/// Fold the tallies of every cell this worker owns into its metrics
-/// shard. Ownership is the first terminal (`committed`/`poisoned`)
-/// journal entry per index: the journal is one totally-ordered file
+/// Fold the tallies ([`CellTally`]) of every cell this worker owns into
+/// its metrics shard. Ownership is the first terminal
+/// (`committed`/`poisoned`) journal entry per index: the journal is one totally-ordered file
 /// all workers share, so every worker computes the same attribution
 /// and a doubly-executed cell (a lease stolen from a slow-but-live
 /// holder) lands in exactly one shard. Merging the shards therefore
@@ -279,21 +280,8 @@ fn attribute_result_plane(
         if !seen.insert(index) || by != worker {
             continue;
         }
-        let Some(t) = tallies.get(&index) else {
-            continue;
-        };
-        metrics.add("cells.executed", 1);
-        if t.ok {
-            metrics.add("cells.ok", 1);
-        }
-        match t.status {
-            "exhausted" => metrics.add("cells.exhausted", 1),
-            "poisoned" => metrics.add("cells.poisoned", 1),
-            _ => {}
-        }
-        if let Some(ticks) = t.ticks {
-            metrics.add("ticks.executed", ticks);
-            metrics.observe_with("cells.ticks", &POW2_BOUNDS, ticks);
+        if let Some(tally) = tallies.get(&index) {
+            tally.add_to(metrics);
         }
     }
 }
@@ -314,20 +302,10 @@ fn drain_suite_inner(
         cells,
     } = entry;
     let digest = digest.as_str();
-    // Seed every result-plane key so a shard that executes (or owns)
-    // nothing still merges to the exact key set a serial run writes (a
-    // missing counter and a zero counter must be the same document).
-    metrics.gauge_max("cells.total", cells.len() as u64);
-    for key in [
-        "cells.executed",
-        "cells.ok",
-        "cells.exhausted",
-        "cells.poisoned",
-        "ticks.executed",
-        "farm.executions",
-    ] {
-        metrics.add(key, 0);
-    }
+    // A shard that executes (or owns) nothing still merges to the key
+    // set a serial run writes.
+    CellTally::seed(metrics, cells.len());
+    metrics.add("farm.executions", 0);
     let dir = store.suite_dir(digest);
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let journal_path = store.journal_path(digest);
@@ -336,14 +314,14 @@ fn drain_suite_inner(
 
     // First scan: the memoization tally for this visit, verified on the
     // runner threads and counted here in cell order.
-    let mut cache = CacheStats::default();
-    let reads = read_verified(store, digest, cells, None, threads);
-    let mut terminal = Terminal::new(cells.len());
-    for (cell, read) in cells.iter().zip(reads) {
-        let verdict = read.tally(&mut cache);
-        obs.emit("farm", "cache", cell.index as u64, verdict, &[]);
-        terminal.verified[cell.index] = matches!(read, CachedCell::Hit(..));
-    }
+    let (cache, reads) = scan_cache(store, digest, cells, None, threads, obs, "farm");
+    let mut terminal = Terminal {
+        verified: reads
+            .into_iter()
+            .map(|read| matches!(read, CachedCell::Hit(..)))
+            .collect(),
+        since: vec![0; cells.len()],
+    };
     for (key, n) in [
         ("cache.hits", cache.hits),
         ("cache.misses", cache.misses),
@@ -468,14 +446,7 @@ fn drain_suite_inner(
                 // Raw work including duplicate executions of stolen
                 // cells; the result plane is attributed at drain end.
                 metrics.add("farm.executions", 1);
-                tallies.insert(
-                    cell.index as u64,
-                    CellTally {
-                        ok: outcome.ok(),
-                        status: outcome.status(),
-                        ticks: outcome.record().map(|r| r.report.ticks()),
-                    },
-                );
+                tallies.insert(cell.index as u64, CellTally::of(outcome));
             }
             progress = true;
         }
@@ -542,13 +513,6 @@ struct Terminal {
 }
 
 impl Terminal {
-    fn new(cells: usize) -> Self {
-        Terminal {
-            verified: vec![false; cells],
-            since: vec![0; cells],
-        }
-    }
-
     /// Per cell index: terminal given the journal `state`.
     fn mask(&self, state: &JournalState) -> Vec<bool> {
         let mut done = self.verified.clone();
@@ -597,17 +561,13 @@ fn commit_shard(
         };
         let fresh = record.render_pretty();
         match store.lookup_record(digest, &cell.digest, None) {
-            CacheLookup::Hit(stored, _) if stored != fresh => {
-                let paths = match (Json::parse(&stored), Json::parse(&fresh)) {
-                    (Ok(a), Ok(b)) => json_diff(&a, &b, 8),
-                    _ => vec!["(stored bytes are not JSON)".to_string()],
-                };
-                report.divergences.push(Divergence {
-                    suite: digest.to_string(),
-                    cell: cell.digest.clone(),
-                    paths,
-                });
-            }
+            CacheLookup::Hit(stored, _) if stored != fresh => report.divergences.push(Divergence {
+                suite: digest.to_string(),
+                cell: cell.digest.clone(),
+                index: Some(cell.index),
+                kind: DriftKind::RecordDiffers,
+                detail: diff_detail(stored.as_bytes(), fresh.as_bytes()),
+            }),
             CacheLookup::Hit(..) => {} // identical bytes already durable
             _ => batch.records.push(record),
         }
@@ -617,10 +577,10 @@ fn commit_shard(
 
 /// Merge + finalize: reconstruct every cell's outcome from verified
 /// records (read on `threads` runner threads by the shared
-/// verified-read pass) or the journal's `poisoned` entries, run the
-/// suite's pinned output checks through the runner's own assembly path,
-/// and write the manifest — byte-identical to what a single `apex suite
-/// run` writes, pinning the checksums the pass hashed. Returns the
+/// verified-read pass) or the journal's `poisoned` entries, and close
+/// the suite through the runner's own finish ([`Committer::finish`]) —
+/// byte-identical to what a single `apex suite run` writes, pinning the
+/// checksums the pass hashed. Returns the
 /// indices of cells with neither a verified record nor a `poisoned`
 /// entry; when there are any, nothing is written and they must run
 /// again.
@@ -672,15 +632,6 @@ fn finalize(
     if !stale.is_empty() {
         return Ok(stale);
     }
-    let mut run = assemble_run(suite, cells, outcomes);
-    run.checksums = checksums;
-    let manifest = Manifest::from_run(&run);
-    store
-        .write_manifest(&manifest)
-        .map_err(|e| format!("manifest write failed: {e}"))?;
-    committer.append(&JournalEntry::Finished {
-        ok: run.all_ok(),
-        seq: next_finish_seq(store),
-    })?;
+    committer.finish(suite, cells, outcomes, checksums, |_, _| Ok(()))?;
     Ok(Vec::new())
 }

@@ -7,12 +7,23 @@
 //! bytes. When bytes differ, the parsed JSON trees are diffed to name the
 //! paths that moved (verdict, work counters, final memory, …) so a drift
 //! report reads like a regression report, not a checksum mismatch.
+//!
+//! Both verbs go through one comparator, `compare_suite`, over one
+//! suite's manifest bytes and record bytes by cell digest, the expected
+//! side first. [`check_against_store`] feeds it a fresh run (its
+//! rendered records and the manifest it would write) against the store;
+//! [`compare_stores`] a baseline store against a candidate. The farm
+//! reports two workers' disagreeing bytes as the same [`Divergence`],
+//! with the same [`diff_detail`].
+
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 
 use apex_sim::Json;
 
-use crate::runner::run_cells;
-use crate::store::LabStore;
-use crate::suite::Suite;
+use crate::runner::{run_cells, SuiteRun};
+use crate::store::{LabStore, Manifest};
+use crate::suite::{Cell, Suite};
 
 /// What kind of divergence a cell showed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,114 +118,31 @@ impl DriftReport {
     }
 }
 
-/// Re-run `suite` and compare every fresh record against `store`,
-/// byte-for-byte. Also cross-checks the stored manifest and flags stored
-/// records the suite no longer names.
+/// Re-run `suite` and compare it with its stored run in `store`: the
+/// fresh records and the manifest the fresh run would write are the
+/// expected side of `compare_suite`, the store the actual side.
 pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftReport, String> {
     let cells = suite.expand()?;
     let suite_digest = suite.digest();
-    let manifest = store.read_manifest(&suite_digest).map_err(|e| {
-        format!("no stored run for suite {suite_digest} (run `apex suite run` first): {e}")
-    })?;
-    let fresh = run_cells(suite, &cells);
-
+    let stored = SuiteBytes::read(store, &suite_digest)?;
+    if stored.manifest.is_none() {
+        return Err(format!(
+            "no stored run for suite {suite_digest} (run `apex suite run` first)"
+        ));
+    }
+    let fresh = SuiteBytes::fresh(&run_cells(suite, &cells), &cells);
     let mut divergences = Vec::new();
-    for (cell, outcome) in cells.iter().zip(&fresh.outcomes) {
-        let path = store.record_path(&suite_digest, &cell.digest);
-        let Some(record) = outcome.record() else {
-            // The fresh run did not complete this cell (exhausted or
-            // poisoned). A stored record at its address then *is* drift
-            // — the stored run completed where this one cannot. No
-            // stored record is the consistent state.
-            if path.exists() {
-                divergences.push(Divergence {
-                    suite: suite_digest.clone(),
-                    cell: cell.digest.clone(),
-                    index: Some(cell.index),
-                    kind: DriftKind::RecordDiffers,
-                    detail: format!(
-                        "stored record exists but the fresh run did not complete ({})",
-                        outcome.summary()
-                    ),
-                });
-            }
-            continue;
-        };
-        let fresh_text = record.render_pretty();
-        // Compare raw bytes, not parsed records: a present-but-corrupt
-        // file is drift of the "differs" kind, and only a genuinely
-        // absent file is "missing".
-        match std::fs::read_to_string(&path) {
-            Err(e) => divergences.push(Divergence {
-                suite: suite_digest.clone(),
-                cell: cell.digest.clone(),
-                index: Some(cell.index),
-                kind: DriftKind::MissingRecord,
-                detail: format!("{}: {e}", path.display()),
-            }),
-            Ok(stored_text) if stored_text == fresh_text => {}
-            Ok(stored_text) => divergences.push(Divergence {
-                suite: suite_digest.clone(),
-                cell: cell.digest.clone(),
-                index: Some(cell.index),
-                kind: DriftKind::RecordDiffers,
-                detail: diff_detail(&stored_text, &fresh_text),
-            }),
-        }
-    }
-
-    // Stored records the suite no longer names.
-    let named: std::collections::HashSet<&str> = cells.iter().map(|c| c.digest.as_str()).collect();
-    let mut extra = 0;
-    for stored in store.record_digests(&suite_digest)? {
-        if !named.contains(stored.as_str()) {
-            extra += 1;
-            divergences.push(Divergence {
-                suite: suite_digest.clone(),
-                cell: stored,
-                index: None,
-                kind: DriftKind::ExtraRecord,
-                detail: "present in the store but not in the suite expansion".to_string(),
-            });
-        }
-    }
-
-    // Manifest cross-check: same cells, same order, same verdicts.
-    let expect: Vec<(usize, String, bool)> = fresh
-        .outcomes
-        .iter()
-        .enumerate()
-        .map(|(i, o)| (i, o.digest(), o.ok()))
-        .collect();
-    let got: Vec<(usize, String, bool)> = manifest
-        .cells
-        .iter()
-        .map(|c| (c.index, c.digest.clone(), c.ok))
-        .collect();
-    if expect != got {
-        divergences.push(Divergence {
-            suite: suite_digest.clone(),
-            cell: suite_digest.clone(),
-            index: None,
-            kind: DriftKind::ManifestMismatch,
-            detail: format!(
-                "manifest lists {} cells, fresh run produced {} (or order/verdicts differ)",
-                got.len(),
-                expect.len()
-            ),
-        });
-    }
-
-    divergences.sort_by_key(|d| (d.index.unwrap_or(usize::MAX), d.cell.clone()));
+    let checked = compare_suite(&suite_digest, &fresh, &stored, &mut divergences);
     Ok(DriftReport {
         suite_digest,
-        checked: cells.len() + extra,
+        checked,
         divergences,
     })
 }
 
 /// Compare two stores (e.g. runs of the same suites under two builds),
-/// suite by suite: every suite either store holds must be in both, with
+/// suite by suite through `compare_suite`, the baseline as the
+/// expected side: every suite either store holds must be in both, with
 /// byte-identical `manifest.json` files and byte-identical records.
 /// Each divergence names its suite, so a caller can tabulate them per
 /// suite.
@@ -223,68 +151,9 @@ pub fn compare_stores(baseline: &LabStore, candidate: &LabStore) -> Result<Drift
     let mut checked = 0;
     let base_suites = baseline.suite_digests()?;
     for suite in &base_suites {
-        let mut flag = |cell: &str, kind, detail| {
-            divergences.push(Divergence {
-                suite: suite.clone(),
-                cell: cell.to_string(),
-                index: None,
-                kind,
-                detail,
-            })
-        };
-        let manifest = |s: &LabStore| std::fs::read_to_string(s.manifest_path(suite)).ok();
-        match (manifest(baseline), manifest(candidate)) {
-            (base, cand) if base == cand => {}
-            (Some(base), Some(cand)) => flag(
-                suite,
-                DriftKind::ManifestMismatch,
-                diff_detail(&base, &cand),
-            ),
-            (_, cand) => flag(
-                suite,
-                DriftKind::ManifestMismatch,
-                format!(
-                    "manifest.json only in the {} store",
-                    if cand.is_some() {
-                        "candidate"
-                    } else {
-                        "baseline"
-                    }
-                ),
-            ),
-        }
-        let base_records = baseline.record_digests(suite)?;
-        for cell in &base_records {
-            checked += 1;
-            let base_path = baseline.record_path(suite, cell);
-            let base_text = std::fs::read_to_string(&base_path)
-                .map_err(|e| format!("{}: {e}", base_path.display()))?;
-            let cand_path = candidate.record_path(suite, cell);
-            match std::fs::read_to_string(&cand_path) {
-                Err(e) => flag(
-                    cell,
-                    DriftKind::MissingRecord,
-                    format!("{}: {e}", cand_path.display()),
-                ),
-                Ok(cand_text) if cand_text == base_text => {}
-                Ok(cand_text) => flag(
-                    cell,
-                    DriftKind::RecordDiffers,
-                    diff_detail(&base_text, &cand_text),
-                ),
-            }
-        }
-        // Records only the candidate has.
-        for cell in candidate.record_digests(suite).unwrap_or_default() {
-            if !base_records.contains(&cell) {
-                checked += 1;
-                flag(
-                    &cell,
-                    DriftKind::ExtraRecord,
-                    "present in candidate store only".to_string(),
-                );
-            }
-        }
+        let expected = SuiteBytes::read(baseline, suite)?;
+        let actual = SuiteBytes::read(candidate, suite)?;
+        checked += compare_suite(suite, &expected, &actual, &mut divergences);
     }
     for suite in candidate.suite_digests()? {
         if !base_suites.contains(&suite) {
@@ -309,21 +178,138 @@ pub fn compare_stores(baseline: &LabStore, candidate: &LabStore) -> Result<Drift
     })
 }
 
-/// What differs between two stored documents: the JSON paths that moved,
-/// or why none can be named.
-fn diff_detail(stored: &str, fresh: &str) -> String {
-    match (Json::parse(stored), Json::parse(fresh)) {
-        (Ok(stored), Ok(fresh)) => {
-            let diffs = json_diff(&stored, &fresh, 4);
+/// One side of a suite comparison: the manifest's bytes and each
+/// record's bytes by cell digest.
+#[derive(Default)]
+struct SuiteBytes {
+    manifest: Option<Vec<u8>>,
+    /// Cell digest → the cell's expansion index (when the side knows
+    /// it) and its record bytes (`None`: the cell completed no record).
+    records: BTreeMap<String, (Option<usize>, Option<Vec<u8>>)>,
+}
+
+impl SuiteBytes {
+    /// What `store` holds for `suite` (nothing, when it has no such
+    /// suite directory).
+    fn read(store: &LabStore, suite: &str) -> Result<Self, String> {
+        let mut side = SuiteBytes::default();
+        if !store.suite_dir(suite).is_dir() {
+            return Ok(side);
+        }
+        let read =
+            |path: PathBuf| std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()));
+        let manifest = store.manifest_path(suite);
+        if manifest.exists() {
+            side.manifest = Some(read(manifest)?);
+        }
+        for cell in store.record_digests(suite)? {
+            let bytes = read(store.record_path(suite, &cell))?;
+            side.records.insert(cell, (None, Some(bytes)));
+        }
+        Ok(side)
+    }
+
+    /// What a store holding `run` of `cells` would hold: each cell's
+    /// canonical record bytes and the manifest the run writes.
+    fn fresh(run: &SuiteRun, cells: &[Cell]) -> Self {
+        let records = cells.iter().zip(&run.outcomes).map(|(cell, outcome)| {
+            let bytes = outcome.record().map(|r| r.render_pretty().into_bytes());
+            (cell.digest.clone(), (Some(cell.index), bytes))
+        });
+        SuiteBytes {
+            manifest: Some(
+                Manifest::from_run(run)
+                    .to_json()
+                    .render_pretty()
+                    .into_bytes(),
+            ),
+            records: records.collect(),
+        }
+    }
+}
+
+/// The one suite comparator behind both drift verbs: push a
+/// [`Divergence`] for every byte difference between what `expected`
+/// and `actual` hold for `suite` — the manifest, each record the
+/// expected side names (a record where the expected side completed
+/// none differs too), and each record only the actual side holds — in
+/// cell order. Returns how many cells it compared.
+fn compare_suite(
+    suite: &str,
+    expected: &SuiteBytes,
+    actual: &SuiteBytes,
+    out: &mut Vec<Divergence>,
+) -> usize {
+    use DriftKind::*;
+    let mut found = Vec::new();
+    let mut flag = |cell: &str, index, kind, detail| {
+        let (suite, cell) = (suite.to_string(), cell.to_string());
+        found.push(Divergence {
+            suite,
+            cell,
+            index,
+            kind,
+            detail,
+        })
+    };
+    let detail = match (&expected.manifest, &actual.manifest) {
+        (want, got) if want == got => None,
+        (Some(want), Some(got)) => Some(diff_detail(want, got)),
+        (want, _) => Some(format!(
+            "manifest.json only on the {} side",
+            if want.is_some() { "expected" } else { "actual" }
+        )),
+    };
+    if let Some(detail) = detail {
+        flag(suite, None, ManifestMismatch, detail);
+    }
+    for (cell, (index, want)) in &expected.records {
+        let got = actual.records.get(cell).and_then(|(_, got)| got.as_ref());
+        let (kind, detail) = match (want, got) {
+            (want, got) if want.as_ref() == got => continue,
+            (Some(want), Some(got)) => (RecordDiffers, diff_detail(want, got)),
+            (Some(_), None) => (MissingRecord, "no record at this address".into()),
+            (None, _) => (
+                RecordDiffers,
+                "stored, but the expected side completed none".into(),
+            ),
+        };
+        flag(cell, *index, kind, detail);
+    }
+    let mut checked = expected.records.len();
+    for cell in actual.records.keys() {
+        if !expected.records.contains_key(cell) {
+            checked += 1;
+            flag(
+                cell,
+                None,
+                ExtraRecord,
+                "present only on the actual side".into(),
+            );
+        }
+    }
+    found.sort_by_key(|d| (d.index.unwrap_or(usize::MAX), d.cell.clone()));
+    out.extend(found);
+    checked
+}
+
+/// What differs between two stored documents, the expected one first:
+/// the JSON paths that moved, or why none can be named. Every
+/// [`DriftKind::RecordDiffers`] divergence carries it, the farm's too.
+pub fn diff_detail(expected: &[u8], actual: &[u8]) -> String {
+    let parse = |bytes| Json::parse(std::str::from_utf8(bytes).ok()?).ok();
+    match (parse(expected), parse(actual)) {
+        (Some(expected), Some(actual)) => {
+            let diffs = json_diff(&expected, &actual, 4);
             if diffs.is_empty() {
                 // Same tree, different bytes: whitespace or field-order
                 // tampering.
-                "stored bytes are not the canonical rendering".to_string()
+                "the documents differ only in their rendering".to_string()
             } else {
                 diffs.join("; ")
             }
         }
-        _ => "stored document is not parseable JSON".to_string(),
+        _ => "a document is not parseable JSON".to_string(),
     }
 }
 

@@ -1,11 +1,15 @@
 //! Store integrity checking (`apex lab fsck`).
 //!
 //! Scans every suite directory of a [`LabStore`] and classifies each
-//! file against the store's own invariants: records must parse, sit at
-//! their content address, be byte-identical to their canonical
-//! rendering, and match the checksum their manifest row pinned at write
-//! time; manifests must parse, pass their self-checksum and be
-//! byte-identical to their canonical rendering; journals must replay (a
+//! file against the store's own invariants. Records and manifests are
+//! judged by the store's own verifiers, the ones the cache and
+//! [`LabStore::read_manifest`] use ([`verify_record`],
+//! [`verify_manifest`]), and each [`StoreFault`](crate::StoreFault)
+//! becomes one issue of its class: a record must parse, sit at its
+//! content address, be byte-identical to its canonical rendering, and
+//! match the checksum its manifest row pinned at write time; a manifest
+//! must parse, pass its self-checksum and be byte-identical to its
+//! canonical rendering. Journals must replay (a
 //! torn final line is legal — that is what a crash looks like); nothing
 //! may be left at a `.tmp` path. With `repair`, bad
 //! files are **moved** to `quarantine/<suite-digest>/` — fsck never
@@ -16,12 +20,8 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use apex_scenario::{ReportRecord, StoredRecordError};
-use apex_sim::Json;
-
-use crate::digest_hex;
 use crate::journal::{read_journal, JOURNAL_FILE};
-use crate::store::{LabStore, Manifest};
+use crate::store::{verify_manifest, verify_record, LabStore, Manifest};
 
 /// What is wrong with one file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,47 +201,20 @@ fn scan_suite(
         }
     }
 
-    // Manifest: parse + self-checksum. An in-flight run (journal, no
-    // manifest) is legal; a directory with neither is not.
+    // Manifest: judged by the store's own rule. An in-flight run
+    // (journal, no manifest) is legal; a directory with neither is not.
     let manifest_path = store.manifest_path(suite);
     let manifest = if manifest_path.exists() {
         report.files_checked += 1;
-        let text = std::fs::read_to_string(&manifest_path)
+        let bytes = std::fs::read(&manifest_path)
             .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
-        match Json::parse(&text) {
-            Err(e) => {
+        match verify_manifest(&bytes) {
+            Ok(m) => Some(m),
+            Err(fault) => {
                 let quarantined = repair && quarantine(store, suite, &manifest_path)?;
-                issue(
-                    "manifest.json",
-                    FsckIssueKind::ManifestUnreadable,
-                    format!("not parseable JSON: {e}"),
-                    quarantined,
-                );
+                issue("manifest.json", fault.kind, fault.detail, quarantined);
                 None
             }
-            Ok(json) => match crate::store::Manifest::from_json(&json) {
-                Ok(m) if text == m.to_json().render_pretty() => Some(m),
-                Ok(_) => {
-                    let quarantined = repair && quarantine(store, suite, &manifest_path)?;
-                    issue(
-                        "manifest.json",
-                        FsckIssueKind::NotCanonical,
-                        "bytes are not the canonical rendering".to_string(),
-                        quarantined,
-                    );
-                    None
-                }
-                Err(e) => {
-                    let kind = if e.msg.contains("checksum") {
-                        FsckIssueKind::ManifestChecksum
-                    } else {
-                        FsckIssueKind::ManifestUnreadable
-                    };
-                    let quarantined = repair && quarantine(store, suite, &manifest_path)?;
-                    issue("manifest.json", kind, e.msg, quarantined);
-                    None
-                }
-            },
         }
     } else {
         if !has_journal {
@@ -314,16 +287,13 @@ fn scan_suite(
         let pinned = pins
             .as_ref()
             .and_then(|p| p.get(stem.as_str()).copied().flatten());
-        let (kind, detail) = match check_record(&stem, &bytes, pinned) {
-            Ok(()) => {
-                present.insert(stem);
-                continue;
-            }
-            Err(pair) => pair,
-        };
-        corrupt.insert(stem);
-        let quarantined = repair && quarantine(store, suite, &path)?;
-        issue(&name, kind, detail, quarantined);
+        if let Err(fault) = verify_record(bytes, &stem, pinned) {
+            corrupt.insert(stem);
+            let quarantined = repair && quarantine(store, suite, &path)?;
+            issue(&name, fault.kind, fault.detail, quarantined);
+        } else {
+            present.insert(stem);
+        }
     }
 
     // Manifest rows whose completed record is gone (no file to move —
@@ -362,51 +332,6 @@ fn scan_suite(
         }
     }
 
-    Ok(())
-}
-
-/// Check one record file's full invariant stack against its address
-/// `stem` and the checksum its manifest row pins, if any. `Ok(())` means
-/// healthy.
-fn check_record(
-    stem: &str,
-    bytes: &[u8],
-    pinned: Option<&str>,
-) -> Result<(), (FsckIssueKind, String)> {
-    let text = std::str::from_utf8(bytes).map_err(|e| {
-        (
-            FsckIssueKind::TornOrTruncated,
-            format!("not UTF-8 at byte {}", e.valid_up_to()),
-        )
-    })?;
-    ReportRecord::verify_stored(text, stem).map_err(|e| match e {
-        StoredRecordError::Json(e) => (FsckIssueKind::TornOrTruncated, format!("not JSON: {e}")),
-        StoredRecordError::Record(e) => {
-            let kind = if e.msg.contains("digest") {
-                FsckIssueKind::DigestMismatch
-            } else {
-                FsckIssueKind::TornOrTruncated
-            };
-            (kind, e.msg)
-        }
-        StoredRecordError::Misaddressed { claims } => (
-            FsckIssueKind::DigestMismatch,
-            format!("record {claims} filed at address {stem}"),
-        ),
-        StoredRecordError::NotCanonical => (
-            FsckIssueKind::NotCanonical,
-            "bytes are not the canonical rendering".to_string(),
-        ),
-    })?;
-    if let Some(expect) = pinned {
-        let actual = digest_hex(bytes);
-        if actual != expect {
-            return Err((
-                FsckIssueKind::ChecksumMismatch,
-                format!("file checksum {actual} != pinned {expect}"),
-            ));
-        }
-    }
     Ok(())
 }
 

@@ -17,11 +17,19 @@
 //!   (`.apex/lab/<suite-digest>/<cell-digest>.json` plus a deterministic
 //!   manifest — no timestamps, no database, diffable by hand), written
 //!   through one [`Disk`]: the filesystem or a
-//!   [`FaultInjector`] running a [`FaultPlan`];
-//! * [`check_against_store`] / [`compare_stores`] — drift detection: the
-//!   stored run is ground truth, the pipeline is deterministic end to
-//!   end, so *any* byte difference on re-execution is a real regression
-//!   (reported per cell with the JSON paths that moved).
+//!   [`FaultInjector`] running a [`FaultPlan`]. One rule per stored
+//!   document decides which bytes are trusted ([`verify_record`],
+//!   [`verify_manifest`]), for the cache and [`fsck()`] alike;
+//! * [`check_against_store`] / [`compare_stores`] — drift detection
+//!   through one suite comparator: the pipeline is deterministic end to
+//!   end, so *any* byte difference in a record or a manifest on
+//!   re-execution is a real regression (reported per cell with the JSON
+//!   paths that moved).
+//!
+//! The farm (`apex-farm`) adds no store rule of its own: it commits,
+//! tallies and finishes a suite through the runner's [`Committer`],
+//! [`CellTally`] and [`Committer::finish`], and reports disagreeing
+//! bytes as drift's [`Divergence`].
 //!
 //! Results are bytes; speed is telemetry. A journaled run reports its
 //! throughput ([`JournaledRun::ticks_per_sec`], and `time.elapsed_ms` in
@@ -47,7 +55,9 @@ pub mod store;
 pub mod suite;
 
 pub use disk::Disk;
-pub use drift::{check_against_store, compare_stores, json_diff, DriftKind, DriftReport};
+pub use drift::{
+    check_against_store, compare_stores, diff_detail, json_diff, Divergence, DriftKind, DriftReport,
+};
 pub use fault::{
     is_kill, BitFlip, FaultInjector, FaultPlan, TornWrite, TransientFault, CELL_PANIC_MARKER,
     KILL_MARKER,
@@ -60,12 +70,12 @@ pub use journal::{
 };
 pub use runner::{
     assemble_run, capture_cell, claim_entry, read_verified, run_cells, run_suite,
-    run_suite_journaled, terminal_entry, CachedCell, CommitBatch, Committer, JournalOpts,
-    JournaledRun, OutputMismatch, SuiteRun,
+    run_suite_journaled, scan_cache, terminal_entry, CachedCell, CellTally, CommitBatch, Committer,
+    JournalOpts, JournaledRun, OutputMismatch, SuiteRun,
 };
 pub use store::{
-    CacheLookup, LabStore, Manifest, ManifestCell, DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS,
-    QUARANTINE_DIR, TELEMETRY_FILES,
+    verify_manifest, verify_record, CacheLookup, LabStore, Manifest, ManifestCell, StoreFault,
+    DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS, QUARANTINE_DIR, TELEMETRY_FILES,
 };
 pub use suite::{
     Cell, Grid, OutputExpectation, SeedRange, Suite, TooManyCells, MAX_SUITE_CELLS,
@@ -110,16 +120,20 @@ mod tests {
         LabStore::new(dir)
     }
 
+    /// Run `suite` into `store` through the journaled runner.
+    fn store_run(suite: &Suite, store: &LabStore) -> JournaledRun {
+        run_suite_journaled(suite, store, &JournalOpts::default()).unwrap()
+    }
+
     #[test]
     fn run_store_drift_round_trip_and_mutation_detection() {
         let suite = small_suite();
         let store = temp_store("roundtrip");
 
         // Run and store.
-        let run = run_suite(&suite).unwrap();
+        let JournaledRun { run, manifest, .. } = store_run(&suite, &store);
         assert_eq!(run.outcomes.len(), 5);
         assert_eq!(run.records().count(), 5);
-        let manifest = store.write_run(&run).unwrap();
         assert_eq!(manifest.cells.len(), 5);
         assert!(manifest.cells.iter().all(|c| c.status == "complete"));
         assert!(manifest.cells.iter().all(|c| c.checksum.is_some()));
@@ -130,16 +144,10 @@ mod tests {
 
         // Re-writing the same run is byte-idempotent.
         let digest = suite.digest();
-        let before = store
-            .read_record(&digest, &manifest.cells[0].digest)
-            .unwrap()
-            .0;
-        store.write_run(&run).unwrap();
-        let after = store
-            .read_record(&digest, &manifest.cells[0].digest)
-            .unwrap()
-            .0;
-        assert_eq!(before, after);
+        let first = store.record_path(&digest, &manifest.cells[0].digest);
+        let before = std::fs::read(&first).unwrap();
+        store_run(&suite, &store);
+        assert_eq!(before, std::fs::read(&first).unwrap());
 
         // Mutating one record is flagged with a field-level detail.
         let victim = store.record_path(&digest, &manifest.cells[1].digest);
@@ -158,7 +166,7 @@ mod tests {
         );
 
         // A present-but-unparseable record is "differs", not "missing".
-        store.write_run(&run).unwrap();
+        store_run(&suite, &store);
         std::fs::write(
             store.record_path(&digest, &manifest.cells[1].digest),
             "not json at all",
@@ -169,7 +177,7 @@ mod tests {
         assert_eq!(report.divergences[0].kind, DriftKind::RecordDiffers);
 
         // Deleting a record is flagged as missing.
-        store.write_run(&run).unwrap();
+        store_run(&suite, &store);
         std::fs::remove_file(store.record_path(&digest, &manifest.cells[2].digest)).unwrap();
         let report = check_against_store(&suite, &store).unwrap();
         assert!(report
@@ -219,7 +227,7 @@ mod tests {
     fn changed_scenario_shows_up_as_missing_plus_extra() {
         let mut suite = small_suite();
         let store = temp_store("changed");
-        store.write_run(&run_suite(&suite).unwrap()).unwrap();
+        store_run(&suite, &store);
 
         // Changing a cell moves its content address; checking the *edited*
         // suite against the old store is a different suite digest, so pin
@@ -253,9 +261,8 @@ mod tests {
         let suite = small_suite();
         let a = temp_store("cmp-a");
         let b = temp_store("cmp-b");
-        let run = run_suite(&suite).unwrap();
-        a.write_run(&run).unwrap();
-        b.write_run(&run).unwrap();
+        store_run(&suite, &a);
+        store_run(&suite, &b);
         let report = compare_stores(&a, &b).unwrap();
         assert!(report.clean(), "{}", report.summary());
 

@@ -18,17 +18,18 @@
 //! checksum), hashes the verified bytes once and drops the text; the
 //! caller tallies [`CacheStats`] and traces the verdicts in cell order.
 //! The `--cached`/`--resume` pre-pass of [`run_suite_journaled`] and the
-//! farm's scan and finalize all read through it. Those checksums, and
-//! the ones the [`Committer`] hashes as it stages records, ride on
-//! [`SuiteRun::checksums`], so [`Manifest::from_run`] renders no record
-//! it has already hashed.
+//! farm's first scan tally and trace it through one helper,
+//! [`scan_cache`]; the farm's finalize reads through it too. Those
+//! checksums, and the ones the [`Committer`] hashes as it stages
+//! records, ride on [`SuiteRun::checksums`], so [`Manifest::from_run`]
+//! renders no record it has already hashed.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
 
-use apex_obs::{Metrics, ObsOpts, POW2_BOUNDS};
+use apex_obs::{Metrics, Obs, ObsOpts, POW2_BOUNDS};
 use apex_scenario::{CacheStats, ReportRecord, RunOpts, RunOutcome};
 
 use crate::digest_hex;
@@ -446,6 +447,34 @@ impl<'s> Committer<'s> {
         Ok(checksums)
     }
 
+    /// Close a finished suite — the one finish path of the journaled
+    /// runner and the farm: assemble `outcomes` ([`assemble_run`]), pin
+    /// `checksums` (see [`SuiteRun::checksums`]), write the manifest
+    /// ([`Manifest::from_run`]), hand the run to `before_close`, then
+    /// append `finished`. The runner writes its metrics in
+    /// `before_close`, so they count every barrier before the manifest.
+    pub fn finish(
+        &mut self,
+        suite: &Suite,
+        cells: &[Cell],
+        outcomes: Vec<RunOutcome>,
+        checksums: Vec<Option<String>>,
+        before_close: impl FnOnce(&SuiteRun, &Self) -> Result<(), String>,
+    ) -> Result<(SuiteRun, Manifest), String> {
+        let mut run = assemble_run(suite, cells, outcomes);
+        run.checksums = checksums;
+        let manifest = Manifest::from_run(&run);
+        self.store
+            .write_manifest(&manifest)
+            .map_err(|e| format!("manifest write failed: {e}"))?;
+        before_close(&run, self)?;
+        self.append(&JournalEntry::Finished {
+            ok: run.all_ok(),
+            seq: next_finish_seq(self.store),
+        })?;
+        Ok((run, manifest))
+    }
+
     /// Durability barriers the store's disk issued since this committer
     /// was made.
     pub fn fsyncs(&self) -> u64 {
@@ -472,27 +501,6 @@ pub enum CachedCell {
     Rejected(String),
 }
 
-impl CachedCell {
-    /// Count this verdict into `stats` and return its trace label:
-    /// `hit`, `miss` or `rejected`.
-    pub fn tally(&self, stats: &mut CacheStats) -> &'static str {
-        match self {
-            CachedCell::Hit(..) => {
-                stats.hits += 1;
-                "hit"
-            }
-            CachedCell::Miss => {
-                stats.misses += 1;
-                "miss"
-            }
-            CachedCell::Rejected(_) => {
-                stats.rejected += 1;
-                "rejected"
-            }
-        }
-    }
-}
-
 /// The verified-read pass: look up every cell of `cells` in suite
 /// `suite_digest` of `store` by the rules of [`LabStore::lookup_record`]
 /// (own address, canonical rendering, and the pinned checksum of
@@ -502,7 +510,7 @@ impl CachedCell {
 /// the text, so only parsed records outlive the pass.
 ///
 /// The verdicts come back in cell order: a caller that tallies them and
-/// traces them in that order ([`CachedCell::tally`]) gets the same
+/// traces them in that order ([`scan_cache`]) gets the same
 /// [`CacheStats`] and the same events at every thread count.
 pub fn read_verified(
     store: &LabStore,
@@ -525,6 +533,87 @@ pub fn read_verified(
             CacheLookup::Rejected(why) => CachedCell::Rejected(why),
         }
     })
+}
+
+/// The cache pre-pass of a journaled run and of a farm worker's first
+/// scan: read every cell of `cells` through [`read_verified`], count
+/// each verdict and trace it as a `scope`/`cache` event (`hit`, `miss`
+/// or `rejected`), in cell order. Returns the tally and the verdicts.
+pub fn scan_cache(
+    store: &LabStore,
+    suite_digest: &str,
+    cells: &[Cell],
+    manifest: Option<&Manifest>,
+    threads: usize,
+    obs: &Obs,
+    scope: &str,
+) -> (CacheStats, Vec<CachedCell>) {
+    let mut stats = CacheStats::default();
+    let reads = read_verified(store, suite_digest, cells, manifest, threads);
+    for (cell, read) in cells.iter().zip(&reads) {
+        let (count, verdict) = match read {
+            CachedCell::Hit(..) => (&mut stats.hits, "hit"),
+            CachedCell::Miss => (&mut stats.misses, "miss"),
+            CachedCell::Rejected(_) => (&mut stats.rejected, "rejected"),
+        };
+        *count += 1;
+        obs.emit(scope, "cache", cell.index as u64, verdict, &[]);
+    }
+    (stats, reads)
+}
+
+/// What one executed cell adds to a run's result plane: `cells.executed`,
+/// `cells.ok`, `cells.exhausted` or `cells.poisoned`, and for a record
+/// its `ticks.executed` and `cells.ticks` sample. The journaled runner
+/// tallies every cell it executed, a farm worker every cell it owns, so
+/// a fleet's merged shards equal the serial run's document.
+#[derive(Clone, Copy, Debug)]
+pub struct CellTally {
+    ok: bool,
+    status: &'static str,
+    ticks: Option<u64>,
+}
+
+impl CellTally {
+    /// The tally of one executed cell's outcome.
+    pub fn of(outcome: &RunOutcome) -> Self {
+        CellTally {
+            ok: outcome.ok(),
+            status: outcome.status(),
+            ticks: outcome.record().map(|r| r.report.ticks()),
+        }
+    }
+
+    /// Seed the result-plane keys of a suite of `cells` cells, so a
+    /// document that tallies nothing has the key set of one that does
+    /// (a missing counter and a zero counter must be the same document).
+    pub fn seed(metrics: &mut Metrics, cells: usize) {
+        metrics.gauge_max("cells.total", cells as u64);
+        for key in [
+            "cells.executed",
+            "cells.ok",
+            "cells.exhausted",
+            "cells.poisoned",
+            "ticks.executed",
+        ] {
+            metrics.add(key, 0);
+        }
+    }
+
+    /// Count this cell into `metrics`.
+    pub fn add_to(&self, metrics: &mut Metrics) {
+        metrics.add("cells.executed", 1);
+        metrics.add("cells.ok", u64::from(self.ok));
+        match self.status {
+            "exhausted" => metrics.add("cells.exhausted", 1),
+            "poisoned" => metrics.add("cells.poisoned", 1),
+            _ => {}
+        }
+        if let Some(ticks) = self.ticks {
+            metrics.add("ticks.executed", ticks);
+            metrics.observe_with("cells.ticks", &POW2_BOUNDS, ticks);
+        }
+    }
 }
 
 /// Check pinned outputs and assemble the [`SuiteRun`] from outcomes in
@@ -715,10 +804,17 @@ pub fn run_suite_journaled(
         } else {
             None
         };
-        let reads = read_verified(store, &suite_digest, &cells, manifest.as_ref(), threads);
+        let reads;
+        (cache, reads) = scan_cache(
+            store,
+            &suite_digest,
+            &cells,
+            manifest.as_ref(),
+            threads,
+            obs,
+            "lab",
+        );
         for (cell, read) in cells.iter().zip(reads) {
-            let verdict = read.tally(&mut cache);
-            obs.emit("lab", "cache", cell.index as u64, verdict, &[]);
             if let CachedCell::Hit(checksum, record) = read {
                 slots[cell.index] = Some(RunOutcome::Complete(record));
                 checksums[cell.index] = Some(checksum);
@@ -806,35 +902,22 @@ pub fn run_suite_journaled(
         .filter_map(|&i| outcomes[i].record())
         .map(|r| r.report.ticks())
         .sum();
-    let mut run = assemble_run(suite, &cells, outcomes);
-    // Records are already durable (committed incrementally above); only
-    // the manifest remains, pinning the checksums hashed on the way.
-    run.checksums = checksums;
-    let manifest = Manifest::from_run(&run);
-    store
-        .write_manifest(&manifest)
-        .map_err(|e| format!("manifest write failed: {e}"))?;
-    // Telemetry, not store identity — written before the `finished` line
-    // so a crash right after finalize still has it.
-    let metrics = build_run_metrics(
-        opts,
-        &run,
-        &cache,
-        &executed,
-        executed_ticks,
-        elapsed_ms,
-        &committer,
-    );
-    if !metrics.is_empty() {
-        store
-            .write_metrics(&suite_digest, &metrics)
-            .map_err(|e| format!("metrics write failed: {e}"))?;
-    }
-    obs.flush();
-    committer.append(&JournalEntry::Finished {
-        ok: run.all_ok(),
-        seq: next_finish_seq(store),
-    })?;
+    // Records are already durable (committed incrementally above); the
+    // finish writes the manifest, pinning the checksums hashed on the
+    // way. Metrics are telemetry, not store identity — written before
+    // the `finished` line so a crash right after finalize still has them.
+    let mut metrics = Metrics::new();
+    let (run, manifest) =
+        committer.finish(suite, &cells, outcomes, checksums, |run, committer| {
+            metrics = build_run_metrics(opts, run, &cache, &executed, elapsed_ms, committer);
+            if !metrics.is_empty() {
+                store
+                    .write_metrics(&suite_digest, &metrics)
+                    .map_err(|e| format!("metrics write failed: {e}"))?;
+            }
+            obs.flush();
+            Ok(())
+        })?;
     Ok(JournaledRun {
         run,
         manifest,
@@ -865,7 +948,6 @@ fn build_run_metrics(
     run: &SuiteRun,
     cache: &CacheStats,
     executed: &[usize],
-    executed_ticks: u64,
     elapsed_ms: u64,
     committer: &Committer<'_>,
 ) -> Metrics {
@@ -873,25 +955,15 @@ fn build_run_metrics(
     if !(opts.obs.metrics || opts.obs.profile || opts.cached) {
         return metrics;
     }
-    metrics.gauge_max("cells.total", run.outcomes.len() as u64);
-    metrics.add("cells.executed", executed.len() as u64);
-    let count = |pred: &dyn Fn(&RunOutcome) -> bool| {
-        executed.iter().filter(|&&i| pred(&run.outcomes[i])).count() as u64
-    };
-    metrics.add("cells.ok", count(&|o| o.ok()));
-    metrics.add("cells.exhausted", count(&|o| o.status() == "exhausted"));
-    metrics.add("cells.poisoned", count(&|o| o.status() == "poisoned"));
-    metrics.add("ticks.executed", executed_ticks);
+    CellTally::seed(&mut metrics, run.outcomes.len());
+    for &i in executed {
+        CellTally::of(&run.outcomes[i]).add_to(&mut metrics);
+    }
     metrics.add("cache.hits", cache.hits);
     metrics.add("cache.misses", cache.misses);
     metrics.add("cache.rejected", cache.rejected);
     metrics.add("store.fsyncs", committer.fsyncs());
     metrics.add("store.bytes", committer.bytes());
-    for &i in executed {
-        if let Some(record) = run.outcomes[i].record() {
-            metrics.observe_with("cells.ticks", &POW2_BOUNDS, record.report.ticks());
-        }
-    }
     if opts.obs.profile {
         // The only wall-clock entry — profiling plane, never compared.
         metrics.add("time.elapsed_ms", elapsed_ms);

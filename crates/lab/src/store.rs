@@ -19,6 +19,14 @@
 //! is drift. The manifest carries no timestamps for exactly that reason:
 //! two runs of one suite must be byte-identical, end to end.
 //!
+//! **Trust.** Stored bytes are judged by one rule per document:
+//! [`verify_record`] for a record, [`verify_manifest`] for a manifest.
+//! Each returns a typed [`StoreFault`] — the class `apex lab fsck`
+//! reports and a detail — so the cache ([`LabStore::lookup_record`],
+//! which turns a fault into [`CacheLookup::Rejected`]),
+//! [`LabStore::read_manifest`] and fsck cannot disagree on which bytes
+//! are trusted.
+//!
 //! **Crash safety.** Every write goes through temp + fsync + rename, so
 //! a kill at any instant leaves old bytes, new bytes, or a stale `.tmp`
 //! sibling — never a torn file at a final path. One-off writes
@@ -42,6 +50,7 @@ use apex_sim::{Json, JsonError};
 use crate::digest_hex;
 use crate::disk::{Disk, FsDisk};
 use crate::fault::{is_kill, FaultInjector};
+use crate::fsck::FsckIssueKind;
 use crate::journal::Journal;
 use crate::runner::SuiteRun;
 
@@ -216,10 +225,10 @@ impl Manifest {
         Json::Obj(fields)
     }
 
-    /// Deserialize, verifying the self-checksum when present (manifests
-    /// written before the checksum existed are tolerated).
+    /// Decode, without judging: the self-checksum and the canonical
+    /// rendering are checked by [`verify_manifest`], the trusted read.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let manifest = Manifest {
+        Ok(Manifest {
             name: v.get("name")?.as_str()?.to_string(),
             suite_digest: v.get("suite_digest")?.as_str()?.to_string(),
             cells: v
@@ -246,19 +255,108 @@ impl Manifest {
                     })
                 })
                 .collect::<Result<_, JsonError>>()?,
-        };
-        if let Some(stored) = v.get_opt("checksum") {
-            let stored = stored.as_str()?;
-            let actual = manifest.self_checksum();
-            if stored != actual {
-                return Err(jerr(format!(
+        })
+    }
+}
+
+/// Why stored bytes are not trusted: the fsck class and what failed.
+/// [`verify_record`] and [`verify_manifest`] return it; the cache turns
+/// it into [`CacheLookup::Rejected`], `apex lab fsck` into an issue.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StoreFault {
+    /// The class fsck reports.
+    pub kind: FsckIssueKind,
+    /// What failed, for a human.
+    pub detail: String,
+}
+
+impl std::fmt::Display for StoreFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.kind, self.detail)
+    }
+}
+
+fn fault(kind: FsckIssueKind, detail: impl Into<String>) -> StoreFault {
+    StoreFault {
+        kind,
+        detail: detail.into(),
+    }
+}
+
+const NOT_CANONICAL: &str = "bytes are not the canonical rendering";
+
+/// The one verdict on a stored record's bytes, for the cache
+/// ([`LabStore::lookup_record`]) and `apex lab fsck` alike. The bytes
+/// must be UTF-8 and parse ([`ReportRecord::verify_stored`], which
+/// digest-verifies the embedded scenario), the record must sit at its
+/// own `address`, the bytes must be its canonical rendering, and, when
+/// its manifest row pins a checksum, they must hash to `pinned`. Returns
+/// the text and the parsed record.
+pub fn verify_record(
+    bytes: Vec<u8>,
+    address: &str,
+    pinned: Option<&str>,
+) -> Result<(String, ReportRecord), StoreFault> {
+    use FsckIssueKind::*;
+    let text = String::from_utf8(bytes).map_err(|e| {
+        let at = e.utf8_error().valid_up_to();
+        fault(TornOrTruncated, format!("not UTF-8 at byte {at}"))
+    })?;
+    let record = ReportRecord::verify_stored(&text, address).map_err(|e| match e {
+        StoredRecordError::Json(e) => fault(TornOrTruncated, format!("not JSON: {e}")),
+        StoredRecordError::Record(e) if e.msg.contains("digest") => fault(DigestMismatch, e.msg),
+        StoredRecordError::Record(e) => fault(TornOrTruncated, e.msg),
+        StoredRecordError::Misaddressed { claims } => fault(
+            DigestMismatch,
+            format!("record {claims} filed at address {address}"),
+        ),
+        StoredRecordError::NotCanonical => fault(NotCanonical, NOT_CANONICAL),
+    })?;
+    if let Some(pinned) = pinned {
+        let actual = digest_hex(text.as_bytes());
+        if actual != pinned {
+            let detail = format!("file checksum {actual} != pinned {pinned}");
+            return Err(fault(ChecksumMismatch, detail));
+        }
+    }
+    Ok((text, record))
+}
+
+/// The one verdict on a manifest's bytes, for
+/// [`LabStore::read_manifest`] and `apex lab fsck` alike: UTF-8 JSON
+/// that decodes as a manifest ([`Manifest::from_json`]), passes its
+/// self-checksum, and is its own canonical rendering (so no two byte
+/// strings pass for one manifest).
+pub fn verify_manifest(bytes: &[u8]) -> Result<Manifest, StoreFault> {
+    use FsckIssueKind::*;
+    let text = std::str::from_utf8(bytes).map_err(|e| {
+        let at = e.valid_up_to();
+        fault(ManifestUnreadable, format!("not UTF-8 at byte {at}"))
+    })?;
+    let json = Json::parse(text)
+        .map_err(|e| fault(ManifestUnreadable, format!("not parseable JSON: {e}")))?;
+    let unreadable = |e: JsonError| fault(ManifestUnreadable, e.msg);
+    let manifest = Manifest::from_json(&json).map_err(unreadable)?;
+    // Manifests written before the self-checksum existed carry none.
+    if let Some(stored) = json.get_opt("checksum") {
+        let (stored, actual) = (
+            stored.as_str().map_err(unreadable)?,
+            manifest.self_checksum(),
+        );
+        if stored != actual {
+            return Err(fault(
+                ManifestChecksum,
+                format!(
                     "manifest checksum {stored:?} does not match its contents (expected \
                      {actual:?}) — the file was corrupted after it was written"
-                )));
-            }
+                ),
+            ));
         }
-        Ok(manifest)
     }
+    if text != manifest.to_json().render_pretty() {
+        return Err(fault(NotCanonical, NOT_CANONICAL));
+    }
+    Ok(manifest)
 }
 
 /// The value a run already carries, else `compute()` — which, in debug
@@ -384,15 +482,10 @@ impl LabStore {
         apex_obs::Metrics::load(&self.metrics_path(suite_digest))
     }
 
-    /// Look up one cell's record by digest, trusting only verified bytes.
-    ///
-    /// Verification is the resume path from the journal runner
-    /// ([`ReportRecord::verify_stored`]): the file must parse (which
-    /// digest-verifies the embedded scenario), the record digest must
-    /// equal `cell_digest`, and the file text must be the record's
-    /// canonical rendering. When `manifest` is supplied, the matching
-    /// row's pinned checksum must also match the file bytes — the same
-    /// invariant `apex lab fsck` enforces.
+    /// Look up one cell's record by digest, trusting only verified bytes:
+    /// those that pass [`verify_record`] against the cell's address and,
+    /// when `manifest` is supplied, the checksum its matching row pins —
+    /// exactly what `apex lab fsck` checks.
     pub fn lookup_record(
         &self,
         suite_digest: &str,
@@ -413,37 +506,15 @@ impl LabStore {
         cell_digest: &str,
         pinned: Option<&str>,
     ) -> CacheLookup {
-        let path = self.record_path(suite_digest, cell_digest);
-        if !path.exists() {
-            return CacheLookup::Miss;
-        }
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(self.record_path(suite_digest, cell_digest)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheLookup::Miss,
             Err(e) => return CacheLookup::Rejected(format!("unreadable: {e}")),
         };
-        let record = match ReportRecord::verify_stored(&text, cell_digest) {
-            Ok(r) => r,
-            Err(StoredRecordError::Json(e) | StoredRecordError::Record(e)) => {
-                return CacheLookup::Rejected(format!("unparseable: {e}"))
-            }
-            Err(StoredRecordError::Misaddressed { claims }) => {
-                return CacheLookup::Rejected(format!(
-                    "digest mismatch: file claims scenario {claims}, address says {cell_digest}"
-                ))
-            }
-            Err(StoredRecordError::NotCanonical) => {
-                return CacheLookup::Rejected("not the canonical rendering of its contents".into())
-            }
-        };
-        if let Some(pinned) = pinned {
-            let actual = digest_hex(text.as_bytes());
-            if actual != pinned {
-                return CacheLookup::Rejected(format!(
-                    "manifest pins checksum {pinned}, file bytes hash to {actual}"
-                ));
-            }
+        match verify_record(bytes, cell_digest, pinned) {
+            Ok((text, record)) => CacheLookup::Hit(text, Box::new(record)),
+            Err(fault) => CacheLookup::Rejected(fault.to_string()),
         }
-        CacheLookup::Hit(text, Box::new(record))
     }
 
     /// Cross-suite cache lookup: find a verified record for
@@ -502,54 +573,12 @@ impl LabStore {
         )
     }
 
-    /// Write a completed run: every completed cell's record,
-    /// content-addressed, plus the manifest. Returns the manifest.
-    /// Idempotent — re-running the same suite rewrites the same files
-    /// with the same bytes.
-    pub fn write_run(&self, run: &SuiteRun) -> std::io::Result<Manifest> {
-        let dir = self.suite_dir(&run.suite_digest);
-        std::fs::create_dir_all(&dir)?;
-        for outcome in &run.outcomes {
-            if let Some(record) = outcome.record() {
-                self.write_record(&run.suite_digest, record)?;
-            }
-        }
-        let manifest = Manifest::from_run(run);
-        self.write_manifest(&manifest)?;
-        Ok(manifest)
-    }
-
-    /// Load one suite's manifest, verifying its self-checksum and that
-    /// the file is the manifest's canonical rendering (so no two byte
-    /// strings pass for one manifest).
+    /// Load one suite's manifest, trusting it only if it passes
+    /// [`verify_manifest`].
     pub fn read_manifest(&self, suite_digest: &str) -> Result<Manifest, String> {
         let path = self.manifest_path(suite_digest);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let manifest =
-            Manifest::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))?;
-        if text != manifest.to_json().render_pretty() {
-            return Err(format!(
-                "{}: not the canonical rendering of its contents",
-                path.display()
-            ));
-        }
-        Ok(manifest)
-    }
-
-    /// Load one record, returning both the raw file text (what drift
-    /// compares byte-for-byte) and the parsed record.
-    pub fn read_record(
-        &self,
-        suite_digest: &str,
-        cell_digest: &str,
-    ) -> Result<(String, ReportRecord), String> {
-        let path = self.record_path(suite_digest, cell_digest);
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let record = ReportRecord::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok((text, record))
+        let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        verify_manifest(&bytes).map_err(|fault| format!("{}: {fault}", path.display()))
     }
 
     /// The suite digests present in this store (sorted, for deterministic

@@ -10,7 +10,7 @@
 
 use std::path::Path;
 
-use apex_lab::{check_against_store, run_suite, LabStore, Suite};
+use apex_lab::{check_against_store, run_suite_journaled, JournalOpts, LabStore, Suite};
 
 fn main() {
     // The committed example suite: 12 cells spanning both modes, four
@@ -28,11 +28,11 @@ fn main() {
     );
 
     // Run every cell (APEX_RUNNER_THREADS controls fan-out) and store the
-    // records content-addressed under a scratch lab store.
+    // records content-addressed under a scratch lab store, journaled.
     let store = LabStore::new(std::env::temp_dir().join("apex-suite-demo"));
     let _ = std::fs::remove_dir_all(store.root());
-    let run = run_suite(&suite).expect("suite runs");
-    let manifest = store.write_run(&run).expect("store writes");
+    let done = run_suite_journaled(&suite, &store, &JournalOpts::default()).expect("suite runs");
+    let (run, manifest) = (&done.run, &done.manifest);
     println!(
         "ran {} cells ({} ok) -> {}",
         run.outcomes.len(),

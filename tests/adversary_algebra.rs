@@ -25,7 +25,9 @@ use apex::scheme::SchemeKind;
 use apex::sim::{
     AdversarySpec, Group, Json, OverlayKind, ScheduleKind, ScriptSegment, ScriptSpec, Span,
 };
-use apex_lab::{check_against_store, compare_stores, run_suite, LabStore, Suite};
+use apex_lab::{
+    check_against_store, compare_stores, run_suite_journaled, JournalOpts, LabStore, Suite,
+};
 use proptest::prelude::*;
 
 /// Deterministic splitter for deriving independent sub-seeds.
@@ -335,10 +337,10 @@ fn composed_suite_runs_end_to_end_byte_identically() {
     };
     let a = mk_store("a");
     let b = mk_store("b");
-    let run_a = run_suite(&suite).unwrap();
+    let opts = JournalOpts::default();
+    let run_a = run_suite_journaled(&suite, &a, &opts).unwrap().run;
     assert!(run_a.all_ok(), "{:?}", run_a.output_mismatches);
-    a.write_run(&run_a).unwrap();
-    b.write_run(&run_suite(&suite).unwrap()).unwrap();
+    run_suite_journaled(&suite, &b, &opts).unwrap();
 
     // Byte-identical stores, clean drift both ways.
     let report = compare_stores(&a, &b).unwrap();

@@ -680,6 +680,26 @@ fn worker_cache_stats_tally_hits_on_a_pre_populated_store() {
 }
 
 #[test]
+fn invalid_worker_ids_are_refused_before_anything_is_written() {
+    // An id names journal lines and files (`metrics-<id>.json`,
+    // `<cell>.json.<id>.tmp`); an empty one would stage records at the
+    // single runner's shared `.tmp` path.
+    let suite = farm_suite();
+    let store = temp_store("bad-id");
+    let queue = FarmQueue::new(temp_dir("queue-bad-id"));
+    queue.submit(&suite).unwrap();
+    for id in ["", "a/b", "../up", "two words", "dot.ted", "ünï"] {
+        let err = run_worker(&queue, &store, &worker(id)).unwrap_err();
+        assert!(err.contains("worker id"), "{id:?}: {err}");
+        assert!(!store.root().exists(), "{id:?} wrote into the store");
+    }
+    let report = run_worker(&queue, &store, &worker("ok_id-2")).unwrap();
+    assert_eq!(report.finalized, vec![suite.digest()]);
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(queue.root());
+}
+
+#[test]
 fn unreadable_queue_entries_are_skipped_and_every_readable_suite_drains() {
     let suite = farm_suite();
     let reference = reference_map(&suite, "bad-entries-ref");

@@ -1,9 +1,13 @@
 //! End-to-end lab store contract over the committed example suite:
 //! write → read → byte-identical re-render, a second run produces
-//! byte-identical records with a clean drift report, and mutating or
-//! deleting a stored record is flagged as drift.
+//! byte-identical records with a clean drift report, mutating or
+//! deleting a stored record or editing a manifest row is flagged as
+//! drift, and the cache and fsck pass one verdict on stored bytes.
 
-use apex_lab::{check_against_store, compare_stores, run_suite, DriftKind, LabStore, Suite};
+use apex_lab::{
+    check_against_store, compare_stores, fsck, run_suite_journaled, verify_record, CacheLookup,
+    DriftKind, FsckIssueKind, JournalOpts, JournaledRun, LabStore, Suite,
+};
 use apex_scenario::ReportRecord;
 
 fn smoke_suite() -> Suite {
@@ -19,12 +23,24 @@ fn temp_store(tag: &str) -> LabStore {
     LabStore::new(dir)
 }
 
+/// Run `suite` into `store` through the journaled runner.
+fn store_run(suite: &Suite, store: &LabStore) -> JournaledRun {
+    run_suite_journaled(suite, store, &JournalOpts::default()).unwrap()
+}
+
+/// One stored record's verified text and parsed record.
+fn stored(store: &LabStore, suite: &str, cell: &str) -> (String, ReportRecord) {
+    match store.lookup_record(suite, cell, None) {
+        CacheLookup::Hit(text, record) => (text, *record),
+        other => panic!("{cell}: {other:?}"),
+    }
+}
+
 #[test]
 fn store_round_trip_is_byte_identical() {
     let suite = smoke_suite();
     let store = temp_store("roundtrip");
-    let run = run_suite(&suite).unwrap();
-    let manifest = store.write_run(&run).unwrap();
+    let JournaledRun { run, manifest, .. } = store_run(&suite, &store);
     assert_eq!(run.outcomes.len(), 13);
     assert_eq!(run.records().count(), 13, "every smoke cell completes");
     assert_eq!(run.ok_count(), 13, "every smoke cell verifies clean");
@@ -33,7 +49,7 @@ fn store_round_trip_is_byte_identical() {
     // Read every record back: the parsed record re-renders to exactly the
     // stored bytes, and a full load/save cycle is the identity.
     for cell in &manifest.cells {
-        let (text, record) = store.read_record(&suite.digest(), &cell.digest).unwrap();
+        let (text, record) = stored(&store, &suite.digest(), &cell.digest);
         assert_eq!(record.render_pretty(), text, "cell {}", cell.index);
         let path = store.record_path(&suite.digest(), &cell.digest);
         let reloaded = ReportRecord::load(&path).unwrap();
@@ -43,10 +59,10 @@ fn store_round_trip_is_byte_identical() {
 
     // A second, independent run writes byte-identical records.
     let second = temp_store("roundtrip-b");
-    second.write_run(&run_suite(&suite).unwrap()).unwrap();
+    store_run(&suite, &second);
     for cell in &manifest.cells {
-        let (a, _) = store.read_record(&suite.digest(), &cell.digest).unwrap();
-        let (b, _) = second.read_record(&suite.digest(), &cell.digest).unwrap();
+        let (a, _) = stored(&store, &suite.digest(), &cell.digest);
+        let (b, _) = stored(&second, &suite.digest(), &cell.digest);
         assert_eq!(a, b, "cell {}", cell.index);
     }
     assert_eq!(
@@ -62,8 +78,7 @@ fn store_round_trip_is_byte_identical() {
 fn drift_is_clean_until_a_record_is_mutated_or_deleted() {
     let suite = smoke_suite();
     let store = temp_store("drift");
-    let run = run_suite(&suite).unwrap();
-    let manifest = store.write_run(&run).unwrap();
+    let manifest = store_run(&suite, &store).manifest;
 
     let report = check_against_store(&suite, &store).unwrap();
     assert!(report.clean(), "{}", report.summary());
@@ -105,8 +120,8 @@ fn drift_is_clean_until_a_record_is_mutated_or_deleted() {
 fn stores_whose_manifests_differ_do_not_compare_clean() {
     let suite = smoke_suite();
     let (a, b) = (temp_store("cmp-manifest-a"), temp_store("cmp-manifest-b"));
-    a.write_run(&run_suite(&suite).unwrap()).unwrap();
-    b.write_run(&run_suite(&suite).unwrap()).unwrap();
+    store_run(&suite, &a);
+    store_run(&suite, &b);
     let report = compare_stores(&a, &b).unwrap();
     assert!(report.clean(), "{}", report.summary());
 
@@ -131,4 +146,114 @@ fn stores_whose_manifests_differ_do_not_compare_clean() {
 
     let _ = std::fs::remove_dir_all(a.root());
     let _ = std::fs::remove_dir_all(b.root());
+}
+
+#[test]
+fn drift_sees_an_edited_manifest_row() {
+    let suite = smoke_suite();
+    let store = temp_store("drift-manifest");
+    store_run(&suite, &store);
+
+    // A valid, canonical manifest that no longer describes the run:
+    // every record still matches, only one row's summary moved.
+    let mut manifest = store.read_manifest(&suite.digest()).unwrap();
+    manifest.cells[3].summary.push_str(" (edited)");
+    store.write_manifest(&manifest).unwrap();
+    assert_eq!(store.read_manifest(&suite.digest()).unwrap(), manifest);
+
+    let report = check_against_store(&suite, &store).unwrap();
+    assert_eq!(report.divergences.len(), 1, "{}", report.summary());
+    let d = &report.divergences[0];
+    assert_eq!(d.kind, DriftKind::ManifestMismatch);
+    assert!(d.detail.contains("summary"), "{}", d.detail);
+
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// `bytes` with the last digit of the first `"total_work"` value
+/// changed: still canonical JSON at the same address, so only the
+/// checksum its manifest row pins can tell.
+fn flip_total_work(bytes: &[u8]) -> Vec<u8> {
+    let text = std::str::from_utf8(bytes).unwrap();
+    let key = "\"total_work\": ";
+    let start = text.find(key).expect("the smoke records carry total_work") + key.len();
+    let len = text[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let mut out = bytes.to_vec();
+    let last = &mut out[start + len - 1];
+    *last = b'0' + (*last - b'0' + 1) % 10;
+    out
+}
+
+#[test]
+fn the_cache_and_fsck_pass_one_verdict_on_stored_records() {
+    let suite = smoke_suite();
+    let digest = suite.digest();
+    let store = temp_store("verdicts");
+    let manifest = store_run(&suite, &store).manifest;
+    let (victim, donor) = (&manifest.cells[0], &manifest.cells[1]);
+    let path = store.record_path(&digest, &victim.digest);
+    let good = std::fs::read(&path).unwrap();
+    let text = String::from_utf8(good.clone()).unwrap();
+    let mut not_utf8 = good.clone();
+    not_utf8.insert(good.len() / 2, 0xff);
+
+    use FsckIssueKind::*;
+    let cases: [(&str, Vec<u8>, Option<FsckIssueKind>); 7] = [
+        ("healthy", good.clone(), None),
+        (
+            "torn prefix",
+            good[..good.len() / 2].to_vec(),
+            Some(TornOrTruncated),
+        ),
+        ("non-UTF-8", not_utf8, Some(TornOrTruncated)),
+        (
+            "bit flip under a pinned checksum",
+            flip_total_work(&good),
+            Some(ChecksumMismatch),
+        ),
+        (
+            "misaddressed",
+            std::fs::read(store.record_path(&digest, &donor.digest)).unwrap(),
+            Some(DigestMismatch),
+        ),
+        (
+            "non-canonical whitespace",
+            text.replacen("\n  ", "\n   ", 1).into_bytes(),
+            Some(NotCanonical),
+        ),
+        (
+            "nesting bomb",
+            "[".repeat(200_000).into_bytes(),
+            Some(TornOrTruncated),
+        ),
+    ];
+    for (name, bytes, class) in cases {
+        std::fs::write(&path, &bytes).unwrap();
+        let verdict = verify_record(bytes, &victim.digest, victim.checksum.as_deref());
+        let issues = fsck(&store, false).unwrap().issues;
+        let lookup = store.lookup_record(&digest, &victim.digest, Some(&manifest));
+        match class {
+            None => {
+                assert!(verdict.is_ok(), "{name}: {verdict:?}");
+                assert!(issues.is_empty(), "{name}: {issues:?}");
+                assert!(matches!(lookup, CacheLookup::Hit(..)), "{name}: {lookup:?}");
+            }
+            Some(class) => {
+                let fault = verdict.expect_err(name);
+                assert_eq!(fault.kind, class, "{name}: {fault}");
+                assert_eq!(issues.len(), 1, "{name}: {issues:?}");
+                assert_eq!(issues[0].file, format!("{}.json", victim.digest), "{name}");
+                assert_eq!(
+                    (issues[0].kind, &issues[0].detail),
+                    (fault.kind, &fault.detail)
+                );
+                let CacheLookup::Rejected(reason) = lookup else {
+                    panic!("{name}: the cache trusted bytes fsck reports: {lookup:?}");
+                };
+                assert_eq!(reason, fault.to_string(), "{name}");
+            }
+        }
+    }
+
+    let _ = std::fs::remove_dir_all(store.root());
 }
