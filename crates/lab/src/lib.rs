@@ -88,6 +88,19 @@ pub fn digest_hex(bytes: &[u8]) -> String {
     format!("{:016x}", apex_scenario::fnv1a64(bytes))
 }
 
+/// [`digest_hex`] of `doc`'s compact rendering, or of its pretty one
+/// when `pretty`, hashed as it renders (see [`apex_sim::json`]): the
+/// bytes are never built.
+pub(crate) fn rendered_digest_hex(doc: &apex_sim::Json, pretty: bool) -> String {
+    let mut h = apex_sim::Fnv1a::new();
+    if pretty {
+        doc.render_pretty_to(&mut h);
+    } else {
+        doc.render_to(&mut h);
+    }
+    format!("{:016x}", h.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,16 +1,27 @@
 //! The workspace's one thread fan-out, and suite execution on top of it
 //! with per-cell panic isolation and (optionally) write-ahead journaling.
 //!
-//! [`fan_out`] is the only code that spreads independent cells over OS
-//! threads, in the queue-dispatch shape: a shared cursor is the queue, N
-//! workers drain it, and the calling thread consumes the [`Event`]s in
-//! batches — every event that is ready when it looks, so the journaled
-//! runner can make a whole batch durable at once ([`Committer`]).
-//! [`run_trials`] collects results in config order on top of it, so
-//! every artifact is byte-identical at any thread count
-//! ([`resolve_threads`]). With one thread, trials run inline on the
-//! caller's thread and every batch holds one event, so journal line
-//! order and trace interleaving are fully deterministic.
+//! Two functions spread independent cells over OS threads, both in the
+//! queue-dispatch shape: a shared cursor is the queue and N scoped
+//! workers drain it ([`resolve_threads`] picks N). They differ in who
+//! watches the trials:
+//!
+//! - [`fan_out`] streams them. The calling thread consumes each trial's
+//!   `Started` and `Finished` [`Event`]s through a channel, in batches —
+//!   every event that is ready when it looks — so the journaled runner
+//!   can claim a cell before its outcome lands and make a whole batch
+//!   durable at once ([`Committer`]).
+//! - [`run_trials`] is a plain parallel map. Its callers want only the
+//!   results, in config order, so each worker keeps its own and they are
+//!   merged once every worker is done: no channel, no message per trial.
+//!   That is what lets a read-only pass such as [`read_verified`], whose
+//!   trials take microseconds, scale with its threads.
+//!
+//! Both run each trial under `catch_unwind` through one helper, and both
+//! leave every artifact byte-identical at any thread count. With one
+//! thread, trials run inline on the caller's thread and every batch
+//! holds one event, so journal line order and trace interleaving are
+//! fully deterministic.
 //!
 //! Stored records are read back on the same threads. [`read_verified`]
 //! is the one verified-read pass: each worker reads one cell's record,
@@ -94,15 +105,7 @@ where
     T: Send,
     F: Fn(&C) -> T + Sync,
 {
-    let run_one = |c: &C| -> Result<T, String> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(c))).map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string())
-        })
-    };
+    let run_one = |c: &C| catching(|| f(c));
 
     let threads = threads.min(configs.len());
     if threads <= 1 {
@@ -150,10 +153,30 @@ where
     })
 }
 
-/// Map `f` over `configs` on up to `threads` threads ([`fan_out`]) and
-/// return the results in config order — exactly what a serial
+/// Run `f` under `catch_unwind`, turning a panic into its message (the
+/// payload when it is a string, else a fixed placeholder).
+fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
+
+/// Map `f` over `configs` on up to `threads` scoped threads and return
+/// the results in config order — exactly what a serial
 /// `configs.iter().map(f).collect()` returns, provided `f` is a pure
 /// function of its config (up to its own seeding).
+///
+/// A plain parallel map: each worker takes indices from a shared cursor
+/// and keeps its own `(index, result)` list, and the lists are merged
+/// into config order once every worker is done. Nothing crosses threads
+/// per trial but the cursor, because no caller watches trials as they
+/// finish; [`fan_out`]'s event stream is for the one that does (the
+/// journaled runner). With `threads <= 1` (or a single config) the
+/// trials run inline, in order.
 ///
 /// # Panics
 /// If any trial panics — but only after every other trial has run, so
@@ -164,23 +187,42 @@ where
     T: Send,
     F: Fn(&C) -> T + Sync,
 {
-    let mut slots: Vec<Option<Result<T, String>>> = (0..configs.len()).map(|_| None).collect();
-    let Ok(()) = fan_out(configs, threads, f, |batch| {
-        for event in batch {
-            if let Event::Finished(i, out) = event {
-                slots[i] = Some(out);
+    let threads = threads.min(configs.len());
+    let outs: Vec<Result<T, String>> = if threads <= 1 {
+        configs.iter().map(|c| catching(|| f(c))).collect()
+    } else {
+        let cursor = AtomicUsize::new(0);
+        let mut slots: Vec<Option<Result<T, String>>> = (0..configs.len()).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    let (cursor, f) = (&cursor, &f);
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(c) = configs.get(i) else { break };
+                            done.push((i, catching(|| f(c))));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let done = worker.join().expect("a trial worker's panics are caught");
+                for (i, out) in done {
+                    slots[i] = Some(out);
+                }
             }
-        }
-        Ok::<(), std::convert::Infallible>(())
-    });
-    slots
-        .into_iter()
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("the cursor hands out every index"))
+            .collect()
+    };
+    outs.into_iter()
         .enumerate()
-        .map(|(i, slot)| match slot {
-            Some(Ok(t)) => t,
-            Some(Err(msg)) => panic!("trial {i} worker panicked: {msg}"),
-            None => panic!("trial {i} never finished"),
-        })
+        .map(|(i, out)| out.unwrap_or_else(|msg| panic!("trial {i} worker panicked: {msg}")))
         .collect()
 }
 
@@ -895,7 +937,7 @@ pub fn run_suite_journaled(
     let outcomes: Vec<RunOutcome> = slots
         .into_iter()
         .enumerate()
-        .map(|(i, slot)| slot.ok_or(format!("cell {i} never reached a terminal state")))
+        .map(|(i, slot)| slot.ok_or_else(|| format!("cell {i} never reached a terminal state")))
         .collect::<Result<_, _>>()?;
     let executed_ticks: u64 = executed
         .iter()

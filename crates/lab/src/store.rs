@@ -47,12 +47,12 @@ use std::sync::Arc;
 use apex_scenario::{ReportRecord, StoredRecordError};
 use apex_sim::{Json, JsonError};
 
-use crate::digest_hex;
 use crate::disk::{Disk, FsDisk};
 use crate::fault::{is_kill, FaultInjector};
 use crate::fsck::FsckIssueKind;
 use crate::journal::Journal;
 use crate::runner::SuiteRun;
+use crate::{digest_hex, rendered_digest_hex};
 
 /// Default store root, relative to the working directory.
 pub const DEFAULT_STORE_ROOT: &str = ".apex/lab";
@@ -155,7 +155,7 @@ impl Manifest {
                     checksum: known_or(run.checksums.get(index), || {
                         outcome
                             .record()
-                            .map(|r| digest_hex(r.render_pretty().as_bytes()))
+                            .map(|r| rendered_digest_hex(&r.to_json(), true))
                     }),
                 })
                 .collect(),
@@ -211,13 +211,13 @@ impl Manifest {
     /// verified on read, so a bit flip anywhere in a stored manifest —
     /// including one that keeps the JSON well-formed — is detected.
     pub fn self_checksum(&self) -> String {
-        digest_hex(self.core_json().render().as_bytes())
+        rendered_digest_hex(&self.core_json(), false)
     }
 
     /// Serialize (canonical field order, no timestamps — deterministic).
     pub fn to_json(&self) -> Json {
         let core = self.core_json();
-        let checksum = digest_hex(core.render().as_bytes());
+        let checksum = rendered_digest_hex(&core, false);
         let Json::Obj(mut fields) = core else {
             unreachable!("core_json renders an object");
         };
@@ -337,11 +337,17 @@ pub fn verify_manifest(bytes: &[u8]) -> Result<Manifest, StoreFault> {
         .map_err(|e| fault(ManifestUnreadable, format!("not parseable JSON: {e}")))?;
     let unreadable = |e: JsonError| fault(ManifestUnreadable, e.msg);
     let manifest = Manifest::from_json(&json).map_err(unreadable)?;
+    // One canonical document serves both checks: its last field is the
+    // self-checksum of the rest.
+    let canonical = manifest.to_json();
     // Manifests written before the self-checksum existed carry none.
     if let Some(stored) = json.get_opt("checksum") {
         let (stored, actual) = (
             stored.as_str().map_err(unreadable)?,
-            manifest.self_checksum(),
+            canonical
+                .get("checksum")
+                .and_then(Json::as_str)
+                .map_err(unreadable)?,
         );
         if stored != actual {
             return Err(fault(
@@ -353,7 +359,7 @@ pub fn verify_manifest(bytes: &[u8]) -> Result<Manifest, StoreFault> {
             ));
         }
     }
-    if text != manifest.to_json().render_pretty() {
+    if !canonical.renders_pretty_as(text) {
         return Err(fault(NotCanonical, NOT_CANONICAL));
     }
     Ok(manifest)

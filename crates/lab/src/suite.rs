@@ -11,11 +11,11 @@
 //! the same cell digests, which is what lets the lab store content-address
 //! results and `apex drift` treat any difference as a regression.
 
-use apex_scenario::{Scenario, ScenarioError};
+use apex_scenario::{ProgramMemo, Scenario, ScenarioError};
 use apex_scheme::SchemeKind;
 use apex_sim::{AdversarySpec, Json, JsonError};
 
-use crate::digest_hex;
+use crate::rendered_digest_hex;
 
 /// Major version of the suite JSON format (mismatches are rejected).
 pub const SUITE_FORMAT_MAJOR: u64 = 1;
@@ -354,7 +354,7 @@ impl Suite {
     /// Content digest of the canonical compact suite document (16 hex
     /// digits of FNV-1a) — the suite's directory name in the lab store.
     pub fn digest(&self) -> String {
-        digest_hex(self.to_json().render().as_bytes())
+        rendered_digest_hex(&self.to_json(), false)
     }
 
     /// Number of cells the suite expands to — explicit cells plus every
@@ -402,11 +402,16 @@ impl Suite {
         if scenarios.is_empty() {
             return Err(format!("suite {:?} expands to no cells", self.name));
         }
-        let mut cells = Vec::with_capacity(scenarios.len());
+        // One pass validates and addresses every cell, resolving each
+        // distinct program once (`ProgramMemo`); the memo borrows the
+        // scenarios, so they move into cells only after it.
+        let mut memo = ProgramMemo::default();
+        let mut digests = Vec::with_capacity(scenarios.len());
+        let mut declares_io = Vec::with_capacity(scenarios.len());
         let mut seen: std::collections::HashMap<String, usize> = Default::default();
-        for (index, scenario) in scenarios.into_iter().enumerate() {
-            scenario
-                .validate()
+        for (index, scenario) in scenarios.iter().enumerate() {
+            let io = scenario
+                .validate_in(&mut memo)
                 .map_err(|e: ScenarioError| format!("suite {:?} cell {index}: {e}", self.name))?;
             let digest = scenario.digest();
             if let Some(prev) = seen.insert(digest.clone(), index) {
@@ -416,12 +421,19 @@ impl Suite {
                     self.name
                 ));
             }
-            cells.push(Cell {
+            digests.push(digest);
+            declares_io.push(io.is_some());
+        }
+        let cells: Vec<Cell> = scenarios
+            .into_iter()
+            .zip(digests)
+            .enumerate()
+            .map(|(index, (scenario, digest))| Cell {
                 index,
                 scenario,
                 digest,
-            });
-        }
+            })
+            .collect();
         // Output assertions must name expanded cells (by digest, exactly
         // once each) that actually declare named outputs.
         let mut pinned: std::collections::HashSet<&str> = Default::default();
@@ -432,17 +444,17 @@ impl Suite {
                     self.name, expect.cell
                 ));
             }
-            let Some(cell) = seen.get(&expect.cell).and_then(|&i| cells.get(i)) else {
+            let Some(&index) = seen.get(&expect.cell) else {
                 return Err(format!(
                     "suite {:?}: expectation {ei} names cell {}, which no cell expands to",
                     self.name, expect.cell
                 ));
             };
-            if cell.scenario.io_blocks().is_none() {
+            if !declares_io[index] {
                 return Err(format!(
-                    "suite {:?}: expectation {ei} pins cell {} (index {}), whose scenario \
+                    "suite {:?}: expectation {ei} pins cell {} (index {index}), whose scenario \
                      declares no named outputs (library scheme-mode sources only)",
-                    self.name, expect.cell, cell.index
+                    self.name, expect.cell
                 ));
             }
         }

@@ -38,10 +38,14 @@ mod record;
 mod report;
 mod scenario;
 
+/// 64-bit FNV-1a over `bytes` — the workspace's content-address hash
+/// (the same construction names fuzz-corpus artifacts).
+pub use apex_sim::fnv1a64;
 pub use cache::CacheStats;
 pub use outcome::{RunOutcome, OUTCOME_FORMAT_MAJOR, OUTCOME_FORMAT_MINOR};
 pub use program::{
-    op_from_name, op_name, program_from_json, program_to_json, scheme_from_label, ProgramSource,
+    op_from_name, op_name, program_from_json, program_to_json, scheme_from_label, ProgramMemo,
+    ProgramSource,
 };
 pub use record::{
     atomic_write, atomic_write_bytes, temp_path, ReportRecord, StoredRecordError,
@@ -52,9 +56,9 @@ pub use report::{
     AgreementRunReport, ScenarioReport,
 };
 pub use scenario::{
-    agreement_config_from_json, agreement_config_to_json, fnv1a64, EngineKnobs, Mode,
-    ProgramEngine, RunOpts, Scenario, ScenarioError, SourceSpec, FORMAT_MAJOR, FORMAT_MINOR,
-    MAX_BATCH, MAX_N, MAX_PHASES, MAX_REPLICAS,
+    agreement_config_from_json, agreement_config_to_json, EngineKnobs, Mode, ProgramEngine,
+    RunOpts, Scenario, ScenarioError, SourceSpec, FORMAT_MAJOR, FORMAT_MINOR, MAX_BATCH, MAX_N,
+    MAX_PHASES, MAX_REPLICAS,
 };
 
 #[cfg(test)]

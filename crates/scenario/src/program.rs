@@ -12,6 +12,8 @@
 //! the synthesis subsystem's reproducers; it lives here now so every
 //! scenario consumer shares one codec.
 
+use std::collections::HashMap;
+
 use apex_pram::library::{
     blelloch_scan, coin_sum, gen_values, hypercube_allreduce, jacobi_smooth, leader_election,
     matvec, odd_even_sort, random_walks, tree_reduce, Built,
@@ -298,6 +300,73 @@ impl ProgramSource {
                 v.get("program")?,
             )?)),
             other => Err(jerr(format!("unknown program source {other:?}"))),
+        }
+    }
+}
+
+/// What validating a scenario needs of its resolved program: the
+/// program's shape and its declared I/O blocks. [`ProgramMemo`] keeps
+/// one per distinct library source instead of the program itself.
+#[derive(Clone, Debug)]
+pub(crate) struct ProgramFacts {
+    pub(crate) name: String,
+    pub(crate) n_steps: usize,
+    pub(crate) n_threads: usize,
+    pub(crate) io: Option<(VarBlock, VarBlock)>,
+}
+
+impl ProgramFacts {
+    fn of(program: &Program, io: Option<(VarBlock, VarBlock)>) -> Self {
+        ProgramFacts {
+            name: program.name.clone(),
+            n_steps: program.n_steps(),
+            n_threads: program.n_threads,
+            io,
+        }
+    }
+}
+
+/// A library source by its fields, borrowed from the scenarios a memo
+/// serves.
+type LibraryKey<'s> = (&'s str, usize, &'s [u64]);
+
+/// Program resolution memoized over one batch of scenarios — one suite
+/// expansion ([`Scenario::validate_in`](crate::Scenario::validate_in)).
+/// Each distinct library source is built once, taking its program's
+/// shape and its I/O blocks from that one build, so a suite of a
+/// thousand cells over four programs builds four programs, not a
+/// thousand. Failures are memoized too: every cell naming a bad source
+/// gets the error one resolution gave. Explicit programs are validated
+/// per scenario, as [`ProgramSource::resolve`] does, without the copy.
+///
+/// The memo borrows the scenarios it serves and keeps a few words per
+/// distinct source, never a program; drop it with the batch.
+#[derive(Debug, Default)]
+pub struct ProgramMemo<'s> {
+    library: HashMap<LibraryKey<'s>, Result<ProgramFacts, ScenarioError>>,
+}
+
+impl<'s> ProgramMemo<'s> {
+    /// The facts of `source`'s program: memoized for a library entry,
+    /// checked afresh for an explicit program.
+    pub(crate) fn resolve(
+        &mut self,
+        source: &'s ProgramSource,
+    ) -> Result<ProgramFacts, ScenarioError> {
+        match source {
+            ProgramSource::Explicit(p) => {
+                p.validate()
+                    .map_err(|e| ScenarioError(format!("invalid explicit program: {e}")))?;
+                Ok(ProgramFacts::of(p, None))
+            }
+            ProgramSource::Library { name, n, params } => self
+                .library
+                .entry((name.as_str(), *n, params.as_slice()))
+                .or_insert_with(|| {
+                    resolve_library(name, *n, params)
+                        .map(|b| ProgramFacts::of(&b.program, Some((b.inputs, b.outputs))))
+                })
+                .clone(),
         }
     }
 }

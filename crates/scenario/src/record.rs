@@ -222,15 +222,18 @@ impl ReportRecord {
     /// record (which checks its digest against its scenario), that
     /// digest must be `address`, and `text` must be the record's
     /// canonical rendering. The scenario digest is computed once and
-    /// serves all three checks. The lab store's cache lookup and
-    /// `apex lab fsck` both verify records through here.
+    /// serves all three checks, and the canonical check compares the
+    /// rendering with `text` as it is produced
+    /// ([`Json::renders_pretty_as`]), building no second copy. The lab
+    /// store's cache lookup and `apex lab fsck` both verify records
+    /// through here.
     pub fn verify_stored(text: &str, address: &str) -> Result<Self, StoredRecordError> {
         let json = Json::parse(text).map_err(StoredRecordError::Json)?;
         let (record, digest) = Self::from_json_digest(&json).map_err(StoredRecordError::Record)?;
         if digest != address {
             return Err(StoredRecordError::Misaddressed { claims: digest });
         }
-        if text != record.to_json_as(digest).render_pretty() {
+        if !record.to_json_as(digest).renders_pretty_as(text) {
             return Err(StoredRecordError::NotCanonical);
         }
         Ok(record)

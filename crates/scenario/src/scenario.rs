@@ -13,7 +13,7 @@ use apex_scheme::tasks::eval_cost;
 use apex_scheme::{ReplicaK, SchemeKind, SchemeRun, SchemeRunConfig};
 use apex_sim::{AdversarySpec, Json, JsonError, ScheduleKind};
 
-use crate::program::{scheme_from_label, ProgramSource};
+use crate::program::{scheme_from_label, ProgramFacts, ProgramMemo, ProgramSource};
 use crate::report::{AgreementRunReport, ScenarioReport};
 
 /// Major version of the scenario JSON format. Readers reject documents
@@ -421,13 +421,14 @@ impl Scenario {
     }
 
     /// Content digest of the canonical compact scenario document: 16 hex
-    /// digits of FNV-1a over [`Scenario::to_json`]`.render()`. Two
+    /// digits of FNV-1a over [`Scenario::to_json`]`.render()`, hashed as
+    /// it renders ([`Json::fnv1a64`]). Two
     /// scenarios share a digest iff they serialize identically, so the
     /// digest is the scenario's *content address* — the lab store keys
     /// every [`ReportRecord`](crate::ReportRecord) by it, and corpus dedup
     /// treats a collision as a duplicate reproducer.
     pub fn digest(&self) -> String {
-        format!("{:016x}", fnv1a64(self.to_json().render().as_bytes()))
+        format!("{:016x}", self.to_json().fnv1a64())
     }
 
     /// The named input/output [`VarBlock`]s of a scheme-mode scenario
@@ -446,12 +447,27 @@ impl Scenario {
     /// [`Scenario::run`] calls this and panics on failure; untrusted
     /// inputs (files, CLI) should validate first and surface the error.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        self.validate_resolving().map(|_| ())
+        self.validate_resolving(ProgramSource::resolve).map(|_| ())
     }
 
-    /// [`Scenario::validate`], returning the resolved program of a
-    /// scheme-mode scenario so `build_scheme` resolves exactly once.
-    fn validate_resolving(&self) -> Result<Option<Program>, ScenarioError> {
+    /// [`Scenario::validate`] with the program resolved through `memo`,
+    /// so a batch of scenarios over a few programs builds each once.
+    /// Returns what [`Scenario::io_blocks`] would, from the same build.
+    pub fn validate_in<'s>(
+        &'s self,
+        memo: &mut ProgramMemo<'s>,
+    ) -> Result<Option<(VarBlock, VarBlock)>, ScenarioError> {
+        let facts = self.validate_resolving(|source| memo.resolve(source))?;
+        Ok(facts.and_then(|f| f.io))
+    }
+
+    /// [`Scenario::validate`] with the program of a scheme-mode scenario
+    /// resolved by `resolve`, which it returns — so `build_scheme`
+    /// resolves exactly once.
+    fn validate_resolving<'s, P: ProgramShape>(
+        &'s self,
+        resolve: impl FnOnce(&'s ProgramSource) -> Result<P, ScenarioError>,
+    ) -> Result<Option<P>, ScenarioError> {
         let fail = |msg: String| Err(ScenarioError(msg));
         match self.engine.batch {
             Some(0) => return fail("engine batch must be ≥ 1".into()),
@@ -479,21 +495,21 @@ impl Scenario {
                         replicas.0
                     ));
                 }
-                let p = program.resolve()?;
-                if p.n_steps() < 1 {
-                    return fail(format!("program {:?} has no steps", p.name));
+                let p = resolve(program)?;
+                let (name, n_steps, n_threads) = p.shape();
+                if n_steps < 1 {
+                    return fail(format!("program {name:?} has no steps"));
                 }
-                if p.n_threads < 2 {
+                if n_threads < 2 {
                     return fail(format!(
-                        "program {:?} has {} threads; the agreement layout needs ≥ 2",
-                        p.name, p.n_threads
+                        "program {name:?} has {n_threads} threads; the agreement layout needs ≥ 2"
                     ));
                 }
                 if let Some(cfg) = &self.agreement {
-                    if cfg.n != p.n_threads {
+                    if cfg.n != n_threads {
                         return fail(format!(
-                            "agreement constants sized for n={}, program has {} threads",
-                            cfg.n, p.n_threads
+                            "agreement constants sized for n={}, program has {n_threads} threads",
+                            cfg.n
                         ));
                     }
                     if cfg.eval_cost < eval_cost(replicas.0) {
@@ -568,7 +584,7 @@ impl Scenario {
     /// reporting its sizing counters ([`apex_bc::CompileStats`]) to
     /// `opts.obs`.
     fn assemble_scheme(&self, opts: &RunOpts) -> SchemeRun {
-        let program = match self.validate_resolving() {
+        let program = match self.validate_resolving(ProgramSource::resolve) {
             Ok(Some(p)) => p,
             Ok(None) => panic!("scenario is not scheme-mode"),
             Err(e) => panic!("invalid scenario: {e}"),
@@ -835,6 +851,25 @@ impl Scenario {
     }
 }
 
+/// What validation checks of a resolved program — its name, step
+/// count and thread count — whether it holds the program itself or the
+/// [`ProgramFacts`] a [`ProgramMemo`] keeps.
+trait ProgramShape {
+    fn shape(&self) -> (&str, usize, usize);
+}
+
+impl ProgramShape for Program {
+    fn shape(&self) -> (&str, usize, usize) {
+        (&self.name, self.n_steps(), self.n_threads)
+    }
+}
+
+impl ProgramShape for ProgramFacts {
+    fn shape(&self) -> (&str, usize, usize) {
+        (&self.name, self.n_steps, self.n_threads)
+    }
+}
+
 /// Wire a machine's block boundaries into the trace: one `engine`-scope
 /// `block` event per executed block, op-indexed by the machine's tick
 /// counter and labelled with the adversary's self-description (which is
@@ -851,18 +886,6 @@ fn install_block_hook(machine: &mut apex_sim::Machine, obs: &Obs) {
             &[("ticks", executed), ("work", work)],
         );
     }));
-}
-
-/// 64-bit FNV-1a over `bytes` — the workspace's content-address hash
-/// (dependency-free, stable across platforms and versions; the same
-/// construction names fuzz-corpus artifacts).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Serialize the agreement constants (all fields explicit, so a scenario

@@ -15,6 +15,20 @@
 //! shape of the artifacts this workspace writes; it is not a
 //! general-purpose JSON library (no arbitrary-precision numbers, no
 //! surrogate-pair escapes).
+//!
+//! **One renderer, three sinks.** Compact and pretty rendering write
+//! through a [`Sink`] rather than into a `String`. The store's
+//! identities are all functions of a rendering — a scenario's content
+//! address is FNV-1a over its compact document, a manifest's
+//! self-checksum FNV-1a over its core, and a stored record or manifest
+//! is trusted only if its bytes *are* its canonical pretty rendering —
+//! and none of them needs the rendered text itself. So a digest renders
+//! into an [`Fnv1a`] ([`Json::fnv1a64`]), a canonical check into a
+//! comparator that matches each piece against the stored bytes as it is
+//! produced ([`Json::renders_pretty_as`]), and only a document that is
+//! written out is materialised. Because every sink sees the same pieces
+//! in the same order, a hash or a comparison is exactly what it would be
+//! over [`Json::render`] or [`Json::render_pretty`] (tests pin this).
 
 use std::fmt::Write as _;
 
@@ -86,7 +100,7 @@ impl Json {
     /// Render to a compact JSON string.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_to(&mut out);
         out
     }
 
@@ -94,51 +108,69 @@ impl Json {
     /// humans).
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.render_pretty_into(&mut out, 0);
-        out.push('\n');
+        self.render_pretty_to(&mut out);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// FNV-1a over [`Json::render`]'s bytes, hashed as they are rendered:
+    /// the content address of a canonical compact document, with no
+    /// `String` built to hold it.
+    pub fn fnv1a64(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        self.render_to(&mut h);
+        h.finish()
+    }
+
+    /// Whether `text` is exactly [`Json::render_pretty`]'s output,
+    /// compared byte by byte as it is rendered: the canonical check of a
+    /// stored document, with no second copy of it built.
+    pub fn renders_pretty_as(&self, text: &str) -> bool {
+        let mut expect = Expect::new(text);
+        self.render_pretty_to(&mut expect);
+        expect.matched()
+    }
+
+    /// Render compactly into `out`.
+    pub fn render_to(&self, out: &mut impl Sink) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
+            Json::Null => out.put("null"),
+            Json::Bool(b) => out.put(if *b { "true" } else { "false" }),
+            Json::UInt(u) => render_u64(*u, out),
             Json::Num(x) => render_f64(*x, out),
             Json::Str(s) => render_string(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.put("[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.put(",");
                     }
-                    item.render_into(out);
+                    item.render_to(out);
                 }
-                out.push(']');
+                out.put("]");
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.put("{");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.put(",");
                     }
                     render_string(k, out);
-                    out.push(':');
-                    v.render_into(out);
+                    out.put(":");
+                    v.render_to(out);
                 }
-                out.push('}');
+                out.put("}");
             }
         }
     }
 
-    fn render_pretty_into(&self, out: &mut String, depth: usize) {
-        let pad = |out: &mut String, d: usize| {
-            for _ in 0..d {
-                out.push_str("  ");
-            }
-        };
+    /// Render with two-space indentation and a trailing newline into
+    /// `out`.
+    pub fn render_pretty_to(&self, out: &mut impl Sink) {
+        self.render_pretty_at(out, 0);
+        out.put("\n");
+    }
+
+    fn render_pretty_at(&self, out: &mut impl Sink, depth: usize) {
         match self {
             Json::Arr(items) if !items.is_empty() => {
                 // Arrays of scalars stay on one line; arrays of containers
@@ -147,37 +179,31 @@ impl Json {
                     .iter()
                     .any(|i| matches!(i, Json::Arr(_) | Json::Obj(_)));
                 if !nested {
-                    self.render_into(out);
+                    self.render_to(out);
                     return;
                 }
-                out.push_str("[\n");
+                out.put("[\n");
                 for (i, item) in items.iter().enumerate() {
                     pad(out, depth + 1);
-                    item.render_pretty_into(out, depth + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
+                    item.render_pretty_at(out, depth + 1);
+                    out.put(if i + 1 < items.len() { ",\n" } else { "\n" });
                 }
                 pad(out, depth);
-                out.push(']');
+                out.put("]");
             }
             Json::Obj(fields) if !fields.is_empty() => {
-                out.push_str("{\n");
+                out.put("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     pad(out, depth + 1);
                     render_string(k, out);
-                    out.push_str(": ");
-                    v.render_pretty_into(out, depth + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
+                    out.put(": ");
+                    v.render_pretty_at(out, depth + 1);
+                    out.put(if i + 1 < fields.len() { ",\n" } else { "\n" });
                 }
                 pad(out, depth);
-                out.push('}');
+                out.put("}");
             }
-            _ => self.render_into(out),
+            _ => self.render_to(out),
         }
     }
 
@@ -230,16 +256,14 @@ impl Json {
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Result<&Json, JsonError> {
         match self {
-            Json::Obj(fields) => {
-                fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
-                    .ok_or(JsonError {
-                        msg: format!("missing field {key:?}"),
-                        at: 0,
-                    })
-            }
+            Json::Obj(fields) => fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .ok_or_else(|| JsonError {
+                    msg: format!("missing field {key:?}"),
+                    at: 0,
+                }),
             other => err(format!("expected object with {key:?}, got {other:?}"), 0),
         }
     }
@@ -253,55 +277,174 @@ impl Json {
     }
 }
 
-fn render_f64(x: f64, out: &mut String) {
-    assert!(x.is_finite(), "JSON cannot represent {x}");
-    if x == x.trunc() && x.abs() < 1e15 {
-        // Keep a fractional marker so the value re-parses as Num when
-        // negative; non-negative integral floats legitimately collapse to
-        // UInt on re-parse (as_f64 accepts both).
-        let _ = write!(out, "{x:.1}");
-    } else {
-        // 17 significant digits round-trip every finite f64.
-        let mut s = format!("{x:.17e}");
-        if let Ok(back) = s.parse::<f64>() {
-            if back == x {
-                let short = format!("{x}");
-                if short.parse::<f64>() == Ok(x) {
-                    s = short;
-                }
-            }
-        }
-        let _ = write!(out, "{s}");
+/// Where a renderer writes its output, piece by piece, in document
+/// order. The same renderer serves every use: a `String` materialises
+/// the document, an [`Fnv1a`] hashes it, and a comparator checks it
+/// against text already in hand ([`Json::renders_pretty_as`]).
+pub trait Sink {
+    /// Take the next piece of the rendering.
+    fn put(&mut self, s: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
     }
+}
+
+/// 64-bit FNV-1a, fed incrementally — the workspace's content-address
+/// hash (dependency-free, stable across platforms and versions). As a
+/// [`Sink`] it hashes a rendering without building it.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The hash of no bytes.
+    pub const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Hash `bytes` in.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sink for Fnv1a {
+    fn put(&mut self, s: &str) {
+        self.update(s.as_bytes());
+    }
+}
+
+/// 64-bit FNV-1a over `bytes` ([`Fnv1a`] in one call).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// A [`Sink`] that checks a rendering against expected text as it is
+/// produced: each piece must be the next bytes of the text. After the
+/// first mismatch it ignores the rest.
+struct Expect<'t> {
+    rest: &'t [u8],
+    ok: bool,
+}
+
+impl<'t> Expect<'t> {
+    fn new(text: &'t str) -> Self {
+        Expect {
+            rest: text.as_bytes(),
+            ok: true,
+        }
+    }
+
+    /// Whether everything rendered so far matched and the text is used
+    /// up.
+    fn matched(&self) -> bool {
+        self.ok && self.rest.is_empty()
+    }
+}
+
+impl Sink for Expect<'_> {
+    fn put(&mut self, s: &str) {
+        if !self.ok {
+            return;
+        }
+        match self.rest.strip_prefix(s.as_bytes()) {
+            Some(rest) => self.rest = rest,
+            None => self.ok = false,
+        }
+    }
+}
+
+/// `fmt` output routed into a [`Sink`], for the few values whose
+/// rendering is `std`'s (floats, `\u` escapes).
+struct Fmt<'s, S>(&'s mut S);
+
+impl<S: Sink> std::fmt::Write for Fmt<'_, S> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.put(s);
+        Ok(())
+    }
+}
+
+fn pad(out: &mut impl Sink, depth: usize) {
+    for _ in 0..depth {
+        out.put("  ");
+    }
+}
+
+/// Decimal digits of `u`, written right to left into a stack buffer.
+fn render_u64(mut u: u64, out: &mut impl Sink) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.put(std::str::from_utf8(&buf[at..]).expect("ascii digits"));
+}
+
+/// Integral values below 10¹⁵ keep a fractional marker (`{x:.1}`) so a
+/// negative one re-parses as `Num`; non-negative integral floats
+/// legitimately collapse to `UInt` on re-parse (`as_f64` accepts both).
+/// Everything else is `Display`, which prints the shortest string that
+/// round-trips.
+fn render_f64(x: f64, out: &mut impl Sink) {
+    assert!(x.is_finite(), "JSON cannot represent {x}");
+    let _ = if x == x.trunc() && x.abs() < 1e15 {
+        write!(Fmt(out), "{x:.1}")
+    } else {
+        write!(Fmt(out), "{x}")
+    };
 }
 
 /// Render `s` as a JSON string literal: `"`, `\\` and control bytes below
 /// 0x20 are escaped, everything else (DEL and multi-byte UTF-8 included)
 /// is copied as is. Each run of bytes that needs no escaping goes out
-/// with one `push_str`; the bytes that do are all ASCII, so every run
-/// boundary is a char boundary.
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
+/// in one piece; the bytes that do are all ASCII, so every run boundary
+/// is a char boundary.
+fn render_string(s: &str, out: &mut impl Sink) {
+    out.put("\"");
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
             continue;
         }
-        out.push_str(&s[run..i]);
+        out.put(&s[run..i]);
         match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\t' => out.push_str("\\t"),
-            b'\r' => out.push_str("\\r"),
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\t' => out.put("\\t"),
+            b'\r' => out.put("\\r"),
             _ => {
-                let _ = write!(out, "\\u{b:04x}");
+                let _ = write!(Fmt(out), "\\u{b:04x}");
             }
         }
         run = i + 1;
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    out.put(&s[run..]);
+    out.put("\"");
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -489,11 +632,29 @@ fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError>
     }
 }
 
-/// A key `fields` holds twice, if any. Duplicate keys are rejected rather
-/// than resolved: keeping either one would let a document say two things
-/// and run one of them. Sorting keeps one hostile object with a huge key
-/// count at O(n log n).
+/// Objects with at most this many keys are checked for a repeated key
+/// pair by pair, allocating nothing; larger ones are sorted.
+const PAIRWISE_KEYS: usize = 16;
+
+/// The least key `fields` holds twice, if any. Duplicate keys are
+/// rejected rather than resolved: keeping either one would let a
+/// document say two things and run one of them. Small objects — nearly
+/// every object the workspace writes — compare their keys pairwise;
+/// sorting keeps one hostile object with a huge key count at
+/// O(n log n). Both report the same key.
 fn repeated_key(fields: &[(String, Json)]) -> Option<&str> {
+    if fields.len() <= PAIRWISE_KEYS {
+        let mut least: Option<&str> = None;
+        for (i, (key, _)) in fields.iter().enumerate() {
+            if least.is_some_and(|l| l <= key.as_str()) {
+                continue;
+            }
+            if fields[i + 1..].iter().any(|(other, _)| other == key) {
+                least = Some(key);
+            }
+        }
+        return least;
+    }
     let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     keys.sort_unstable();
     keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
@@ -651,6 +812,143 @@ mod tests {
         assert!(Json::parse(&"{\"k\":[".repeat(100_000)).is_err());
     }
 
+    /// The sort-based duplicate-key search every object used before the
+    /// pairwise path: the oracle for which key is reported.
+    fn sorted_repeated_key(fields: &[(String, Json)]) -> Option<&str> {
+        let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+    }
+
+    #[test]
+    fn duplicate_keys_are_caught_at_every_size_and_position() {
+        // Nested one level in, so the reported offset is the inner
+        // object's: byte 9, after `{"outer":`.
+        let doc = |keys: &[String]| {
+            let fields: Vec<String> = keys
+                .iter()
+                .enumerate()
+                .map(|(v, k)| format!("\"{k}\":{v}"))
+                .collect();
+            format!("{{\"outer\":{{{}}}}}", fields.join(","))
+        };
+        for n in 2..=40usize {
+            let distinct: Vec<String> = (0..n).map(|i| format!("k{i:02}")).collect();
+            assert!(Json::parse(&doc(&distinct)).is_ok(), "n={n}");
+            for i in 0..n {
+                for j in i + 1..n {
+                    let mut keys = distinct.clone();
+                    keys[j] = keys[i].clone();
+                    let e = Json::parse(&doc(&keys)).unwrap_err();
+                    assert_eq!(e.msg, format!("duplicate object key {:?}", keys[i]));
+                    assert_eq!(e.at, 9, "n={n} i={i} j={j}");
+                }
+            }
+        }
+        // Keys equal only after unescaping, below and above the pairwise
+        // threshold.
+        for n in [2, PAIRWISE_KEYS, PAIRWISE_KEYS + 1, 40] {
+            let mut fields: Vec<String> = (0..n - 2).map(|i| format!("\"k{i}\":0")).collect();
+            fields.push("\"a\":1".into());
+            fields.push("\"\\u0061\":2".into());
+            let e = Json::parse(&format!("{{{}}}", fields.join(","))).unwrap_err();
+            assert_eq!(e.msg, r#"duplicate object key "a""#, "n={n}");
+            assert_eq!(e.at, 0);
+        }
+    }
+
+    /// The `{:.17e}` → parse → `{}` → parse sequence the non-integral
+    /// branch of `render_f64` used: the oracle for plain `Display`.
+    fn render_f64_by_round_trip(x: f64) -> String {
+        if x == x.trunc() && x.abs() < 1e15 {
+            return format!("{x:.1}");
+        }
+        let mut s = format!("{x:.17e}");
+        if let Ok(back) = s.parse::<f64>() {
+            if back == x {
+                let short = format!("{x}");
+                if short.parse::<f64>() == Ok(x) {
+                    s = short;
+                }
+            }
+        }
+        s
+    }
+
+    /// Arbitrary documents: every variant, strings over the codec's
+    /// char classes, floats from raw bit patterns, containers nested up
+    /// to `depth` levels.
+    struct Trees {
+        depth: usize,
+    }
+
+    impl proptest::Strategy for Trees {
+        type Value = Json;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> Json {
+            tree(rng, self.depth)
+        }
+    }
+
+    fn tree(rng: &mut proptest::TestRng, depth: usize) -> Json {
+        let pool = string_chars();
+        let string = |rng: &mut proptest::TestRng| -> String {
+            let len = rng.below(8);
+            (0..len)
+                .map(|_| pool[rng.below(pool.len() as u64) as usize])
+                .collect()
+        };
+        let leaf_kinds = 5;
+        match rng.below(if depth == 0 {
+            leaf_kinds
+        } else {
+            leaf_kinds + 2
+        }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next_u64() & 1 == 1),
+            2 => Json::UInt(rng.next_u64() >> rng.below(64)),
+            3 => {
+                let x = f64::from_bits(rng.next_u64());
+                Json::Num(if x.is_finite() { x } else { -0.5 })
+            }
+            4 => Json::Str(string(rng)),
+            5 => Json::Arr((0..rng.below(5)).map(|_| tree(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (string(rng), tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// `text` with one ASCII byte changed, dropped, or one appended — the
+    /// edits that keep it UTF-8, so it could reach a canonical check.
+    /// `pick` chooses among the ASCII bytes.
+    fn one_byte_edits(text: &str, pick: usize) -> [String; 3] {
+        let ascii: Vec<usize> = (0..text.len())
+            .filter(|&i| text.as_bytes()[i].is_ascii())
+            .collect();
+        let at = ascii[pick % ascii.len()];
+        let mut flipped = text.as_bytes().to_vec();
+        flipped[at] ^= 1 << (pick % 7);
+        let mut dropped = text.to_string();
+        dropped.remove(at);
+        [
+            String::from_utf8(flipped).expect("an ASCII flip keeps UTF-8"),
+            dropped,
+            format!("{text} "),
+        ]
+    }
+
+    #[test]
+    fn render_f64_is_display_past_the_integral_branch() {
+        for x in [0.1, -2.5e-300, 1e15, -1e15, 1.7976931348623157e308, 5e-324] {
+            let mut out = String::new();
+            render_f64(x, &mut out);
+            assert_eq!(out, render_f64_by_round_trip(x), "{x:e}");
+        }
+    }
+
     /// The char-at-a-time string codec (one `from_utf8` call per
     /// character): the oracle the run-at-a-time fast paths must match.
     mod reference {
@@ -784,6 +1082,47 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn render_f64_matches_the_round_trip_sequence(
+            patterns in collection::vec(any::<u64>(), 256..257),
+        ) {
+            for x in patterns.into_iter().map(f64::from_bits).filter(|x| x.is_finite()) {
+                let mut out = String::new();
+                render_f64(x, &mut out);
+                prop_assert_eq!(out, render_f64_by_round_trip(x), "{:e}", x);
+            }
+        }
+
+        #[test]
+        fn sinks_agree_with_the_rendered_text(
+            doc in Trees { depth: 4 },
+            pick in 0usize..1 << 20,
+        ) {
+            let compact = doc.render();
+            let pretty = doc.render_pretty();
+            prop_assert_eq!(doc.fnv1a64(), fnv1a64(compact.as_bytes()));
+            let mut h = Fnv1a::new();
+            doc.render_pretty_to(&mut h);
+            prop_assert_eq!(h.finish(), fnv1a64(pretty.as_bytes()));
+            prop_assert!(doc.renders_pretty_as(&pretty));
+            for edited in one_byte_edits(&pretty, pick) {
+                prop_assert!(!doc.renders_pretty_as(&edited), "{:?}", edited);
+            }
+            prop_assert!(!doc.renders_pretty_as(pretty.trim_end_matches('\n')));
+        }
+
+        #[test]
+        fn pairwise_and_sorted_key_searches_report_the_same_key(
+            picks in collection::vec(0u64..48, 0..40),
+        ) {
+            // Keys from a small alphabet, so most objects repeat several.
+            let fields: Vec<(String, Json)> = picks
+                .iter()
+                .map(|&p| (format!("k{p}"), Json::Null))
+                .collect();
+            prop_assert_eq!(repeated_key(&fields), sorted_repeated_key(&fields));
+        }
 
         #[test]
         fn string_fast_paths_match_the_char_at_a_time_codec(

@@ -63,7 +63,7 @@ pub use exec::{
     Account, Bank, Block, BlockHook, Ctx, Machine, MachineBuilder, Port, Processors, Resumed,
     Spawn, Wiring, DEFAULT_BATCH,
 };
-pub use json::{Json, JsonError};
+pub use json::{fnv1a64, Fnv1a, Json, JsonError, Sink};
 pub use memory::{Region, RegionAllocator, SharedMemory, WriteEvent, WriteHook};
 pub use metrics::WorkReport;
 pub use sched::{

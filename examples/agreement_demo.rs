@@ -36,8 +36,7 @@ fn main() {
         println!(
             "work: {} to completion, {} to clock advance (n log n log log n = {})",
             o.work_to_completion()
-                .map(|w| w.to_string())
-                .unwrap_or("-".into()),
+                .map_or_else(|| "-".into(), |w| w.to_string()),
             o.phase_work(),
             (n as f64 * (n as f64).log2() * (n as f64).log2().log2()) as u64,
         );

@@ -10,10 +10,11 @@
 //! a seed range.
 
 use apex::core::InstrumentOpts;
-use apex::scenario::{Mode, ProgramSource, Scenario, SourceSpec};
+use apex::pram::VarBlock;
+use apex::scenario::{Mode, ProgramMemo, ProgramSource, Scenario, SourceSpec};
 use apex::scheme::SchemeKind;
 use apex::sim::ScheduleKind;
-use apex_lab::{Grid, SeedRange, Suite};
+use apex_lab::{Grid, OutputExpectation, SeedRange, Suite};
 use proptest::prelude::*;
 
 /// Deterministic splitter for deriving independent sub-seeds.
@@ -222,4 +223,109 @@ fn committed_smoke_suite_is_canonical_and_broad() {
     seeds.sort_unstable();
     seeds.dedup();
     assert!(seeds.len() >= 2, "a seed range is swept");
+}
+
+/// A program source's I/O blocks as comparable numbers.
+fn io_shape(io: Option<(VarBlock, VarBlock)>) -> Option<(usize, usize, usize, usize)> {
+    io.map(|(i, o)| (i.base, i.len, o.base, o.len))
+}
+
+/// Expansion validates through a [`ProgramMemo`] that builds each
+/// distinct program once. It must hide nothing: for every committed
+/// suite, each cell's unmemoized `Scenario::validate` and `io_blocks`
+/// agree with what the memo reports for it.
+#[test]
+fn the_expansion_memo_agrees_with_unmemoized_validation() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for name in ["smoke", "adversary", "bench-program"] {
+        let suite = Suite::load(&root.join(format!("suites/{name}.json"))).unwrap();
+        let cells = suite.expand().unwrap();
+        let mut memo = ProgramMemo::default();
+        for cell in &cells {
+            let memoized = cell.scenario.validate_in(&mut memo);
+            assert_eq!(
+                cell.scenario.validate(),
+                memoized.as_ref().map(|_| ()).map_err(Clone::clone),
+                "{name} cell {}",
+                cell.index
+            );
+            assert_eq!(
+                io_shape(cell.scenario.io_blocks()),
+                io_shape(memoized.unwrap()),
+                "{name} cell {}",
+                cell.index
+            );
+        }
+    }
+}
+
+/// A grid whose base names a bad library program fails at its first
+/// cell, with exactly the message unmemoized validation gives — though
+/// a good program of the same name was resolved just before it.
+#[test]
+fn a_bad_library_base_fails_at_its_first_cell() {
+    for (bad, why) in [
+        (
+            ProgramSource::library("coin-sum", 8, vec![0]),
+            "coin-sum bound must be ≥ 1",
+        ),
+        (
+            ProgramSource::library("coin-sum", 3, vec![16]),
+            "library program \"coin-sum\" needs a power-of-two n ≥ 2, got 3",
+        ),
+    ] {
+        let mut suite = Suite::new("bad-base");
+        suite.cells.push(Scenario::scheme(
+            SchemeKind::Nondet,
+            ProgramSource::library("coin-sum", 8, vec![16]),
+            1,
+        ));
+        suite
+            .cells
+            .push(Scenario::agreement(8, SourceSpec::Keyed, 1, 1));
+        let mut grid = Grid::new(Scenario::scheme(SchemeKind::Nondet, bad.clone(), 0));
+        grid.seeds = Some(SeedRange { start: 0, count: 3 });
+        suite.grids.push(grid);
+        let unmemoized = Scenario::scheme(SchemeKind::Nondet, bad, 0)
+            .validate()
+            .unwrap_err();
+        assert_eq!(unmemoized.0, why);
+        assert_eq!(
+            suite.expand().unwrap_err(),
+            format!("suite \"bad-base\" cell 2: {unmemoized}")
+        );
+    }
+}
+
+/// Output expectations still need a cell that declares named outputs:
+/// a library scheme-mode cell passes, an agreement-mode or explicit
+/// program cell fails.
+#[test]
+fn expectations_pin_only_cells_with_named_outputs() {
+    let library = Scenario::scheme(
+        SchemeKind::Nondet,
+        ProgramSource::library("tree-reduce-max", 8, vec![3]),
+        1,
+    );
+    let agreement = Scenario::agreement(8, SourceSpec::Keyed, 1, 42);
+    let explicit = Scenario::scheme(
+        SchemeKind::Nondet,
+        ProgramSource::Explicit(apex::pram::library::coin_sum(4, 8).program),
+        1,
+    );
+    for (pinned, ok) in [(&library, true), (&agreement, false), (&explicit, false)] {
+        let mut suite = Suite::new("pins");
+        suite.cells = vec![library.clone(), agreement.clone(), explicit.clone()];
+        suite.expect.push(OutputExpectation {
+            cell: pinned.digest(),
+            outputs: vec![1],
+        });
+        match suite.validate() {
+            Ok(()) => assert!(ok, "pinning {} passed", pinned.digest()),
+            Err(e) => {
+                assert!(!ok, "{e}");
+                assert!(e.contains("declares no named outputs"), "{e}");
+            }
+        }
+    }
 }
