@@ -1,25 +1,31 @@
 //! The farm worker: drain queued suites by leasing cell shards.
 //!
-//! Per suite, the worker sweeps the shard list. For each shard with
-//! unterminated cells that no other worker holds a live lease on, it
-//! appends one `leased` line and the cells' `claimed` lines in one
-//! journal batch, runs the cells on the shared trial runner (thread
-//! fan-out via the workspace's one resolver, [`resolve_threads`]), and
-//! commits all their outcomes as one group — records content-addressed,
-//! then `committed`/`poisoned` — through the runner's own [`Committer`],
-//! so the journal replays identically and fsck needs no new record
-//! rules. The loop learns which cells are terminal from the journal it
-//! reads on each shard visit, plus the records the first scan verified.
-//! Once every cell is terminal, whoever gets there finalizes: outcomes
-//! are reconstructed from verified records (and journal `poisoned`
-//! entries for record-less cells) and the suite is closed through the
-//! runner's own finish ([`Committer::finish`]) — byte-identical to a
-//! single-worker run. Finalize is the one place record bytes are
-//! trusted: a cell whose record it cannot verify is claimed, run and
-//! committed again through the same shard path first. The first scan
-//! is the runner's cache pre-pass ([`scan_cache`]), and a worker's
+//! Per suite, the worker sweeps the shard list through the runner's one
+//! drain loop ([`drain`]), the loop `apex suite run` uses. Only the
+//! claim policy differs: a unit is a shard, consulted as the dispatch
+//! cursor reaches it. A shard whose cells are all terminal, or which
+//! another worker holds a live lease on, is skipped; otherwise its
+//! `leased` line and its pending cells' `claimed` lines go out in one
+//! journal write, the cells run in order on one runner thread, and
+//! their records and `committed`/`poisoned` lines are group-committed
+//! on the shard's `Finished` event — through the runner's own
+//! [`Committer`], so the journal replays identically and fsck needs no
+//! new record rules. The worker learns which cells are terminal from
+//! the records the first scan verified and from its journal, which it
+//! reads as it grows ([`JournalReader`]: each read parses only what was
+//! appended since the last). Once every cell is terminal, whoever gets
+//! there finalizes: outcomes are reconstructed from verified records
+//! (and journal `poisoned` entries for record-less cells) and the suite
+//! is closed through the runner's own finish ([`Committer::finish`]) —
+//! byte-identical to a single-worker run. Finalize is the one place
+//! record bytes are trusted: a cell whose record it cannot verify is
+//! claimed, run and committed again by the next sweep first. The first
+//! scan is the runner's cache pre-pass ([`scan_cache`]), and a worker's
 //! metrics shard counts the cells it owns with the runner's per-cell
 //! tally ([`CellTally`]).
+//!
+//! A shard's cells run on one thread, so a suite with fewer shards than
+//! runner threads uses fewer threads.
 //!
 //! **Stalls cannot deadlock.** Lease expiry is operation-indexed on the
 //! journal; when a sweep makes no progress because other workers hold
@@ -28,17 +34,18 @@
 //! the clock. A live holder keeps appending and finishes within its ttl;
 //! a dead one's lease lapses after at most `ttl` probes and the shard is
 //! taken over. Stealing from a *slow but live* holder is safe too:
-//! record writes are idempotent, and any byte disagreement between two
-//! workers' results for one cell is surfaced as drift's [`Divergence`]
-//! (kind `RecordDiffers`) instead of being silently overwritten.
+//! record writes are idempotent, and the committer keeps any byte
+//! disagreement between two workers' results for one cell as drift's
+//! [`Divergence`] (kind `RecordDiffers`) instead of overwriting it.
 
-use apex_lab::runner::{resolve_threads, run_trials};
+use std::sync::Mutex;
+
+use apex_lab::runner::{drain, resolve_threads, Claim};
 use apex_lab::{
-    capture_cell, claim_entry, diff_detail, read_journal, read_verified, scan_cache,
-    terminal_entry, CacheLookup, CachedCell, Cell, CellTally, CommitBatch, Committer, Divergence,
-    DriftKind, JournalEntry, JournalState, LabStore, Suite,
+    claim_entry, read_journal, read_verified, scan_cache, CachedCell, Cell, CellTally, Committer,
+    Divergence, JournalEntry, JournalReader, JournalState, LabStore, Suite,
 };
-use apex_obs::{Metrics, ObsOpts};
+use apex_obs::{Metrics, Obs, ObsOpts};
 use apex_scenario::{CacheStats, RunOpts, RunOutcome};
 
 use crate::queue::{EntryError, FarmQueue, QueueEntry};
@@ -205,18 +212,7 @@ fn drain_suite(
     report: &mut WorkerReport,
 ) -> Result<(), String> {
     let mut metrics = Metrics::new();
-    // Executed-cell contributions, attributed to shards only once the
-    // journal names an owner.
-    let mut tallies = std::collections::BTreeMap::new();
-    drain_suite_inner(
-        store,
-        entry,
-        opts,
-        run_opts,
-        report,
-        &mut metrics,
-        &mut tallies,
-    )?;
+    let tallies = drain_suite_inner(store, entry, opts, run_opts, report, &mut metrics)?;
     sweep_record_temps(store, entry);
     attribute_result_plane(store, &entry.digest, &opts.worker, &tallies, &mut metrics);
     if opts.obs.metrics && !metrics.is_empty() {
@@ -286,6 +282,9 @@ fn attribute_result_plane(
     }
 }
 
+/// Drain one suite. Returns the tally of every cell this worker
+/// executed, attributed to shards only once the journal names an owner
+/// ([`attribute_result_plane`]).
 fn drain_suite_inner(
     store: &LabStore,
     entry: &QueueEntry,
@@ -293,8 +292,7 @@ fn drain_suite_inner(
     run_opts: &RunOpts,
     report: &mut WorkerReport,
     metrics: &mut Metrics,
-    tallies: &mut std::collections::BTreeMap<u64, CellTally>,
-) -> Result<(), String> {
+) -> Result<std::collections::BTreeMap<u64, CellTally>, String> {
     let obs = &run_opts.obs;
     let QueueEntry {
         digest,
@@ -311,16 +309,17 @@ fn drain_suite_inner(
     let journal_path = store.journal_path(digest);
     let mut committer = Committer::new(store, digest, &opts.worker);
     let threads = resolve_threads(opts.threads);
+    let mut tallies = std::collections::BTreeMap::new();
 
     // First scan: the memoization tally for this visit, verified on the
     // runner threads and counted here in cell order.
     let (cache, reads) = scan_cache(store, digest, cells, None, threads, obs, "farm");
-    let mut terminal = Terminal {
-        verified: reads
+    let mut view = View {
+        journal: JournalReader::new(&journal_path),
+        done: reads
             .into_iter()
             .map(|read| matches!(read, CachedCell::Hit(..)))
             .collect(),
-        since: vec![0; cells.len()],
     };
     for (key, n) in [
         ("cache.hits", cache.hits),
@@ -336,9 +335,10 @@ fn drain_suite_inner(
     report.cache.rejected += cache.rejected;
 
     // Fast path: already finalized.
-    if read_journal(&journal_path).is_ok_and(|s| s.finished) && store.read_manifest(digest).is_ok()
-    {
-        return Ok(());
+    let finished =
+        |view: &View| view.journal.state().finished && store.read_manifest(digest).is_ok();
+    if view.refresh().is_ok() && finished(&view) {
+        return Ok(tallies);
     }
 
     committer.append(&JournalEntry::Started {
@@ -349,119 +349,58 @@ fn drain_suite_inner(
     })?;
 
     let shard_cells = opts.shard_cells.max(1);
-    let n_shards = cells.len().div_ceil(shard_cells);
+    let shards: Vec<(usize, &[Cell])> = cells.chunks(shard_cells).enumerate().collect();
     // Probes advance the operation clock when every remaining shard is
     // held by someone else; after this many fruitless sweeps even the
     // longest-ttl lease must have lapsed, so no progress then means the
     // queue is genuinely wedged (e.g. a fault injector killed the world).
-    let probe_budget = opts.ttl.max(1) * (n_shards as u64 + 1) + 64;
+    let probe_budget = opts.ttl.max(1) * (shards.len() as u64 + 1) + 64;
     let mut probes = 0u64;
     let mut reruns = 0usize;
 
     loop {
-        let state = read_journal(&journal_path).unwrap_or_default();
-        if state.finished && store.read_manifest(digest).is_ok() {
-            return Ok(());
+        view.refresh()?;
+        if finished(&view) {
+            break;
         }
+        // One sweep of the shard list through the runner's drain loop:
+        // a shard is claimed as the cursor reaches it, unless it is done
+        // or another worker holds it. The claim policy runs on the
+        // runner threads, so the view is shared for the sweep.
         let mut progress = false;
-
-        for shard in 0..n_shards {
-            let lo = shard * shard_cells;
-            let hi = (lo + shard_cells).min(cells.len());
-            let state = read_journal(&journal_path).unwrap_or_default();
-            let done = terminal.mask(&state);
-            let pending: Vec<&Cell> = cells[lo..hi].iter().filter(|c| !done[c.index]).collect();
-            if pending.is_empty() {
-                continue;
-            }
-            // Another worker's live lease on a pending cell holds the
-            // range; a lapsed one is taken over, and that takeover is a
-            // seam worth tracing (op-indexed on the operation clock).
-            let journal_len = state.entries.len() as u64;
-            let mut held = false;
-            let mut lapsed = None;
-            for lease in state
-                .leases()
-                .filter(|l| l.by != opts.worker && pending.iter().any(|c| l.covers(c.index as u64)))
-            {
-                if lease.expired(journal_len) {
-                    lapsed = Some(lease.by);
-                } else {
-                    held = true;
+        let shared = Mutex::new(view);
+        drain(
+            &mut committer,
+            &shards,
+            threads,
+            |&(number, shard)| claim_shard(&shared, number as u64, shard, opts, obs),
+            run_opts,
+            |_, finished| {
+                for (cell, outcome, _) in finished {
+                    progress = true;
+                    report.executed += 1;
+                    // Raw work including duplicate executions of stolen
+                    // cells; the result plane is attributed at drain end.
+                    metrics.add("farm.executions", 1);
+                    tallies.insert(cell.index as u64, CellTally::of(&outcome));
                 }
-            }
-            if held {
-                continue;
-            }
-            if let Some(holder) = lapsed {
-                obs.emit(
-                    "farm",
-                    "expire",
-                    journal_len,
-                    holder,
-                    &[("shard", shard as u64)],
-                );
-            }
-            obs.emit(
-                "farm",
-                "lease",
-                journal_len,
-                &opts.worker,
-                &[
-                    ("shard", shard as u64),
-                    ("start", lo as u64),
-                    ("count", (hi - lo) as u64),
-                ],
-            );
+            },
+        )?;
+        view = shared.into_inner().expect("the claim policy never panics");
 
-            // Write-ahead: lease the shard and claim every pending cell
-            // in one journal write, then run them with the shared thread
-            // fan-out, then commit them as one group.
-            let lease = JournalEntry::Leased {
-                start: lo as u64,
-                count: (hi - lo) as u64,
-                by: opts.worker.clone(),
-                ttl: opts.ttl,
-            };
-            committer.commit(&CommitBatch {
-                claims: std::iter::once(lease)
-                    .chain(pending.iter().map(|cell| claim_entry(cell)))
-                    .collect(),
-                ..CommitBatch::default()
-            })?;
-            let outcomes = run_trials(&pending, threads, |cell| {
-                capture_cell(store, cell, run_opts)
-            });
-            commit_shard(
-                store,
-                digest,
-                &mut committer,
-                &pending,
-                &outcomes,
-                &opts.worker,
-                report,
-            )?;
-            for (cell, outcome) in pending.iter().zip(&outcomes) {
-                report.executed += 1;
-                // Raw work including duplicate executions of stolen
-                // cells; the result plane is attributed at drain end.
-                metrics.add("farm.executions", 1);
-                tallies.insert(cell.index as u64, CellTally::of(outcome));
+        view.refresh()?;
+        let Some(first_pending) = view.done.iter().position(|done| !done) else {
+            if finished(&view) {
+                break;
             }
-            progress = true;
-        }
-
-        let state = read_journal(&journal_path).unwrap_or_default();
-        let Some(first_pending) = terminal.mask(&state).iter().position(|done| !done) else {
-            if state.finished && store.read_manifest(digest).is_ok() {
-                return Ok(());
-            }
-            let stale = finalize(store, digest, suite, cells, &state, threads, &mut committer)?;
+            let state = view.journal.state();
+            let stale = finalize(store, digest, suite, cells, state, threads, &mut committer)?;
             if stale.is_empty() {
                 report.finalized.push(digest.to_string());
-                return Ok(());
+                break;
             }
-            // Committed records that no longer verify: run them again.
+            // Committed records that no longer verify: run them again
+            // once the journal holds a newer terminal line for them.
             reruns += 1;
             if reruns > MAX_RERUNS {
                 return Err(format!(
@@ -469,7 +408,9 @@ fn drain_suite_inner(
                      after {MAX_RERUNS} re-runs"
                 ));
             }
-            terminal.reopen(&stale, state.entries.len() as u64);
+            for index in stale {
+                view.done[index] = false;
+            }
             continue;
         };
         if !progress {
@@ -486,7 +427,7 @@ fn drain_suite_inner(
             obs.emit(
                 "farm",
                 "probe",
-                state.entries.len() as u64,
+                view.journal.state().entries.len() as u64,
                 &opts.worker,
                 &[("probes", probes)],
             );
@@ -496,83 +437,97 @@ fn drain_suite_inner(
             std::thread::sleep(std::time::Duration::from_millis(probes.min(10)));
         }
     }
+    report
+        .divergences
+        .extend_from_slice(committer.divergences());
+    Ok(tallies)
 }
 
 /// How many times a worker re-runs cells whose committed records fail
 /// finalize's verification before it gives up on the suite.
 const MAX_RERUNS: usize = 3;
 
-/// Which cells of a suite the drain loop counts as terminal. A cell is
-/// terminal when the first scan verified its record, or when the
-/// journal holds a `committed`/`poisoned` line for it at or after
-/// `since[index]`. [`finalize`] is what trusts record bytes; a cell it
-/// cannot verify is reopened, so only a newer terminal line counts.
-struct Terminal {
-    verified: Vec<bool>,
-    since: Vec<u64>,
+/// A worker's view of one suite: its journal, read as it grows, and
+/// which cells count as terminal. A cell is terminal once the first
+/// scan verified its record or the journal gains a `committed` or
+/// `poisoned` line for it. [`finalize`] is what trusts record bytes; a
+/// cell it cannot verify is marked pending again, so only a terminal
+/// line read after that counts.
+struct View {
+    journal: JournalReader,
+    done: Vec<bool>,
 }
 
-impl Terminal {
-    /// Per cell index: terminal given the journal `state`.
-    fn mask(&self, state: &JournalState) -> Vec<bool> {
-        let mut done = self.verified.clone();
-        for (position, entry) in state.entries.iter().enumerate() {
-            let index = match entry {
-                JournalEntry::Committed { index, .. } | JournalEntry::Poisoned { index, .. } => {
-                    *index as usize
+impl View {
+    /// Read what the journal gained and mark its terminal lines.
+    fn refresh(&mut self) -> Result<(), String> {
+        for entry in self.journal.read()? {
+            if let JournalEntry::Committed { index, .. } | JournalEntry::Poisoned { index, .. } =
+                entry
+            {
+                if let Some(done) = self.done.get_mut(*index as usize) {
+                    *done = true;
                 }
-                _ => continue,
-            };
-            if index < done.len() && position as u64 >= self.since[index] {
-                done[index] = true;
             }
         }
-        done
-    }
-
-    /// Stop trusting `cells` until the journal gains a terminal line
-    /// for them at position `at` or later.
-    fn reopen(&mut self, cells: &[usize], at: u64) {
-        for &index in cells {
-            self.verified[index] = false;
-            self.since[index] = at;
-        }
+        Ok(())
     }
 }
 
-/// Durably record a shard's outcomes as one group commit: every record
-/// (unless verified identical bytes are already there), then every
-/// terminal line. A byte disagreement with an existing verified record
-/// becomes a [`Divergence`]; the stored bytes stay ground truth.
-fn commit_shard(
-    store: &LabStore,
-    digest: &str,
-    committer: &mut Committer<'_>,
-    cells: &[&Cell],
-    outcomes: &[RunOutcome],
-    worker: &str,
-    report: &mut WorkerReport,
-) -> Result<(), String> {
-    let mut batch = CommitBatch::default();
-    for (cell, outcome) in cells.iter().zip(outcomes) {
-        batch.terminals.push(terminal_entry(cell, outcome, worker));
-        let Some(record) = outcome.record() else {
-            continue;
-        };
-        let fresh = record.render_pretty();
-        match store.lookup_record(digest, &cell.digest, None) {
-            CacheLookup::Hit(stored, _) if stored != fresh => report.divergences.push(Divergence {
-                suite: digest.to_string(),
-                cell: cell.digest.clone(),
-                index: Some(cell.index),
-                kind: DriftKind::RecordDiffers,
-                detail: diff_detail(stored.as_bytes(), fresh.as_bytes()),
-            }),
-            CacheLookup::Hit(..) => {} // identical bytes already durable
-            _ => batch.records.push(record),
+/// The farm's claim policy, consulted as the drain loop's cursor
+/// reaches `shard`: skip it when every cell is terminal or another
+/// worker holds a live lease on a pending one; otherwise lease it,
+/// taking over a lapsed lease (a seam worth tracing, op-indexed on the
+/// operation clock), and claim its pending cells.
+fn claim_shard<'c>(
+    view: &Mutex<View>,
+    number: u64,
+    shard: &'c [Cell],
+    opts: &WorkerOpts,
+    obs: &Obs,
+) -> Option<Claim<'c>> {
+    let mut view = view.lock().expect("the claim policy never panics");
+    // An unreadable journal claims nothing; the sweep's own refresh
+    // reports it.
+    view.refresh().ok()?;
+    let pending: Vec<&Cell> = shard.iter().filter(|c| !view.done[c.index]).collect();
+    pending.first()?;
+    let state = view.journal.state();
+    let journal_len = state.entries.len() as u64;
+    let mut lapsed = None;
+    for lease in state
+        .leases()
+        .filter(|l| l.by != opts.worker && pending.iter().any(|c| l.covers(c.index as u64)))
+    {
+        if !lease.expired(journal_len) {
+            return None;
         }
+        lapsed = Some(lease.by);
     }
-    committer.commit(&batch).map(drop)
+    let (lo, count) = (shard[0].index, shard.len());
+    if let Some(holder) = lapsed {
+        obs.emit("farm", "expire", journal_len, holder, &[("shard", number)]);
+    }
+    obs.emit(
+        "farm",
+        "lease",
+        journal_len,
+        &opts.worker,
+        &[
+            ("shard", number),
+            ("start", lo as u64),
+            ("count", count as u64),
+        ],
+    );
+    Some(Claim {
+        lease: Some(JournalEntry::Leased {
+            start: lo as u64,
+            count: count as u64,
+            by: opts.worker.clone(),
+            ttl: opts.ttl,
+        }),
+        cells: pending,
+    })
 }
 
 /// Merge + finalize: reconstruct every cell's outcome from verified

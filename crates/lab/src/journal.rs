@@ -4,11 +4,14 @@
 //! (`.apex/lab/<suite-digest>/journal.jsonl`) records the life of a run:
 //! `started`, then per cell `claimed` → (`committed` | `poisoned`), then
 //! `finished`. A farm worker also writes one `leased` line per shard it
-//! claims (see [`JournalEntry::Leased`]). Every line is a versioned, self-contained compact-JSON
-//! record. Lines are appended whole — one `write` per batch of lines —
-//! so after a crash the journal is a prefix of a valid history (at worst
-//! the final line is torn — [`read_journal`] tolerates exactly that and
-//! nothing else).
+//! claims (see [`JournalEntry::Leased`]). Every line is a versioned,
+//! self-contained compact-JSON record. Lines are appended whole — one
+//! `write` per batch of lines — so after a crash the journal is a
+//! prefix of a valid history (at worst the final line is torn —
+//! [`read_journal`] tolerates exactly that and nothing else). Lines have
+//! one parser: [`JournalReader`], which a farm worker keeps as the
+//! journal grows, parsing only what was appended since its last read;
+//! [`read_journal`] is one pass of it over a file.
 //!
 //! Resume does **not** trust the journal for results — record files are
 //! content-addressed and digest-verified independently. The journal is
@@ -22,9 +25,10 @@
 //! [`Committer`](crate::runner::Committer) takes whatever claims and
 //! finished cells are ready and commits them in four steps:
 //!
-//! 1. append the batch's `claimed` lines ([`Journal::append_batch`],
-//!    no fsync) and write every finished record's bytes to the `.tmp`
-//!    sibling of its final path ([`LabStore::stage_text`], no fsync);
+//! 1. append the batch's `claimed` lines, each farm shard's `leased`
+//!    line ahead of its claims ([`Journal::append_batch`], no fsync),
+//!    and write every finished record's bytes to the `.tmp` sibling of
+//!    its final path ([`LabStore::stage_text`], no fsync);
 //! 2. **barrier 1** — one filesystem sync covering the temp bytes and
 //!    every claim line written so far ([`Disk::sync_files`]);
 //! 3. rename each temp file into place, then **barrier 2** — one fsync of
@@ -456,16 +460,110 @@ pub fn next_finish_seq(store: &crate::store::LabStore) -> u64 {
 /// Read and replay a journal file. A torn **final** line is tolerated
 /// (`torn_tail` is set); a corrupt line anywhere else is an error — the
 /// append discipline cannot produce one, so it means real tampering.
+/// This is one [`JournalReader`] pass over the whole file, its last
+/// line judged with or without its newline.
 pub fn read_journal(path: &Path) -> Result<JournalState, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut state = JournalState::default();
-    let lines: Vec<&str> = text.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut reader = JournalReader::new(path);
+    reader.replay(&bytes, true)?;
+    Ok(reader.state)
+}
+
+/// A journal replayed as it grows: each [`JournalReader::read`] parses
+/// only the bytes appended since the last one. After every read the
+/// state is [`read_journal`]'s for the file up to its last newline: a
+/// final line without its newline is held back until it lands (and is
+/// not `torn_tail`). A file that no longer holds the last line read
+/// where it was read — it shrank, or was removed and written anew, as
+/// a fresh `suite run` does — is replayed from offset 0; a missing file
+/// reads as empty.
+#[derive(Clone, Debug)]
+pub struct JournalReader {
+    path: PathBuf,
+    state: JournalState,
+    /// Bytes and lines replayed so far.
+    offset: usize,
+    lines: usize,
+    /// The last line replayed, newline included.
+    tail: Vec<u8>,
+}
+
+impl JournalReader {
+    /// A reader of the journal at `path` that has read nothing yet.
+    pub fn new(path: impl Into<PathBuf>) -> Self {
+        JournalReader {
+            path: path.into(),
+            state: JournalState::default(),
+            offset: 0,
+            lines: 0,
+            tail: Vec::new(),
         }
-        match JournalEntry::parse_line(line) {
-            Ok(entry) => {
+    }
+
+    /// The state replayed so far.
+    pub fn state(&self) -> &JournalState {
+        &self.state
+    }
+
+    /// Replay what was appended since the last read, and return the
+    /// entries this read added (every entry, after a replay from 0).
+    pub fn read(&mut self) -> Result<&[JournalEntry], String> {
+        let mut bytes = self.bytes_from(self.offset - self.tail.len())?;
+        if bytes.starts_with(&self.tail) {
+            bytes.drain(..self.tail.len());
+        } else {
+            *self = JournalReader::new(std::mem::take(&mut self.path));
+            bytes = self.bytes_from(0)?;
+        }
+        let first = self.state.entries.len();
+        self.replay(&bytes, false)?;
+        Ok(&self.state.entries[first..])
+    }
+
+    /// The file's bytes from `offset` on (none if it is missing).
+    fn bytes_from(&self, offset: usize) -> Result<Vec<u8>, String> {
+        use std::io::{Read as _, Seek as _};
+        let mut bytes = Vec::new();
+        let read = std::fs::File::open(&self.path).and_then(|mut file| {
+            file.seek(std::io::SeekFrom::Start(offset as u64))?;
+            file.read_to_end(&mut bytes)
+        });
+        match read {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                Err(format!("{}: {e}", self.path.display()))
+            }
+            _ => Ok(bytes),
+        }
+    }
+
+    /// The journal's one parser: replay the lines of `bytes`, which
+    /// start at `self.offset` — only newline-terminated ones, unless
+    /// `eof` makes the rest the file's final line. A final line that
+    /// does not parse sets `torn_tail` (expected after a mid-append
+    /// crash) and stays unread; any other is an error.
+    fn replay(&mut self, bytes: &[u8], eof: bool) -> Result<(), String> {
+        let end = match eof {
+            true => bytes.len(),
+            false => bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1),
+        };
+        self.state.torn_tail = false;
+        let mut lines = bytes[..end].split_inclusive(|&b| b == b'\n').peekable();
+        while let Some(raw) = lines.next() {
+            let line = String::from_utf8_lossy(raw);
+            let line = line.trim_end_matches(['\n', '\r']);
+            if !line.trim().is_empty() {
+                let entry = match JournalEntry::parse_line(line) {
+                    Ok(entry) => entry,
+                    Err(_) if lines.peek().is_none() => {
+                        self.state.torn_tail = true;
+                        break;
+                    }
+                    Err(e) => {
+                        let (path, at) = (self.path.display(), self.lines + 1);
+                        return Err(format!("{path}:{at}: corrupt journal line: {e}"));
+                    }
+                };
+                let state = &mut self.state;
                 match &entry {
                     JournalEntry::Claimed { index, .. } => state.claimed.push(*index),
                     JournalEntry::Committed { index, .. } => state.committed.push(*index),
@@ -478,20 +576,12 @@ pub fn read_journal(path: &Path) -> Result<JournalState, String> {
                 }
                 state.entries.push(entry);
             }
-            Err(e) if i + 1 == lines.len() => {
-                state.torn_tail = true;
-                let _ = e; // a torn tail is expected after a mid-append crash
-            }
-            Err(e) => {
-                return Err(format!(
-                    "{}:{}: corrupt journal line: {e}",
-                    path.display(),
-                    i + 1
-                ));
-            }
+            self.offset += raw.len();
+            self.lines += 1;
+            self.tail = raw.to_vec();
         }
+        Ok(())
     }
-    Ok(state)
 }
 
 #[cfg(test)]

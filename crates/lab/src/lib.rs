@@ -10,8 +10,9 @@
 //!   [`Cell`]s;
 //! * [`runner`] — the workspace's one thread fan-out
 //!   ([`runner::fan_out`], [`runner::run_trials`],
-//!   [`runner::resolve_threads`]), and [`run_suite`] /
-//!   [`run_suite_journaled`] on top of it, producing one
+//!   [`runner::resolve_threads`]), the one drain loop of the journal
+//!   protocol on top of it ([`runner::drain`]), and [`run_suite`] /
+//!   [`run_suite_journaled`], producing one
 //!   [`ReportRecord`](apex_scenario::ReportRecord) per cell;
 //! * [`LabStore`] — a filesystem-backed, content-addressed results store
 //!   (`.apex/lab/<suite-digest>/<cell-digest>.json` plus a deterministic
@@ -26,10 +27,12 @@
 //!   re-execution is a real regression (reported per cell with the JSON
 //!   paths that moved).
 //!
-//! The farm (`apex-farm`) adds no store rule of its own: it commits,
-//! tallies and finishes a suite through the runner's [`Committer`],
-//! [`CellTally`] and [`Committer::finish`], and reports disagreeing
-//! bytes as drift's [`Divergence`].
+//! The farm (`apex-farm`) adds no store rule and no loop of its own: it
+//! runs cells through the runner's drain loop under its own claim
+//! policy, reads its journal with a [`JournalReader`], tallies and
+//! finishes a suite through [`CellTally`] and [`Committer::finish`],
+//! and reports the bytes its [`Committer`] found disagreeing as drift's
+//! [`Divergence`].
 //!
 //! Results are bytes; speed is telemetry. A journaled run reports its
 //! throughput ([`JournaledRun::ticks_per_sec`], and `time.elapsed_ms` in
@@ -65,13 +68,13 @@ pub use fault::{
 pub use fsck::{fsck, FsckIssue, FsckIssueKind, FsckReport};
 pub use gc::{gc, GcReport};
 pub use journal::{
-    finish_seq, next_finish_seq, read_journal, Journal, JournalEntry, JournalState, LeaseLine,
-    JOURNAL_FILE, JOURNAL_FORMAT_MAJOR,
+    finish_seq, next_finish_seq, read_journal, Journal, JournalEntry, JournalReader, JournalState,
+    LeaseLine, JOURNAL_FILE, JOURNAL_FORMAT_MAJOR,
 };
 pub use runner::{
-    assemble_run, capture_cell, claim_entry, read_verified, run_cells, run_suite,
-    run_suite_journaled, scan_cache, terminal_entry, CachedCell, CellTally, CommitBatch, Committer,
-    JournalOpts, JournaledRun, OutputMismatch, SuiteRun,
+    assemble_run, claim_entry, read_verified, run_cells, run_suite, run_suite_journaled,
+    scan_cache, terminal_entry, CachedCell, CellTally, CommitBatch, Committer, JournalOpts,
+    JournaledRun, OutputMismatch, SuiteRun,
 };
 pub use store::{
     verify_manifest, verify_record, CacheLookup, LabStore, Manifest, ManifestCell, StoreFault,

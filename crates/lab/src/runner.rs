@@ -6,11 +6,15 @@
 //! workers drain it ([`resolve_threads`] picks N). They differ in who
 //! watches the trials:
 //!
-//! - [`fan_out`] streams them. The calling thread consumes each trial's
-//!   `Started` and `Finished` [`Event`]s through a channel, in batches —
-//!   every event that is ready when it looks — so the journaled runner
-//!   can claim a cell before its outcome lands and make a whole batch
-//!   durable at once ([`Committer`]).
+//! - [`fan_out`] streams them. A claim policy is consulted as the
+//!   cursor reaches each config and may skip it; the calling thread
+//!   consumes each granted trial's `Started` and `Finished` [`Event`]s
+//!   through a channel, in batches — every event that is ready when it
+//!   looks — so a cell is claimed before its outcome lands and a whole
+//!   batch is made durable at once ([`Committer`]). [`drain`] is that
+//!   loop, the one both `apex suite run` ([`run_suite_journaled`]: a
+//!   unit is one cell, always claimed) and a farm worker (a unit is a
+//!   shard, claimed under a lease) execute cells through.
 //! - [`run_trials`] is a plain parallel map. Its callers want only the
 //!   results, in config order, so each worker keeps its own and they are
 //!   merged once every worker is done: no channel, no message per trial.
@@ -44,9 +48,10 @@ use apex_obs::{Metrics, Obs, ObsOpts, POW2_BOUNDS};
 use apex_scenario::{CacheStats, ReportRecord, RunOpts, RunOutcome};
 
 use crate::digest_hex;
+use crate::drift::{diff_detail, Divergence, DriftKind};
 use crate::fault::CELL_PANIC_MARKER;
 use crate::journal::{next_finish_seq, Journal, JournalEntry};
-use crate::store::{CacheLookup, LabStore, Manifest};
+use crate::store::{verify_record, LabStore, Manifest};
 use crate::suite::{Cell, Suite};
 
 /// The worker-thread count for a run: an explicit value wins (clamped to
@@ -74,16 +79,20 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 /// What [`fan_out`] reports to the calling thread about one trial,
 /// identified by its index into the config slice.
 #[derive(Debug)]
-pub enum Event<T> {
-    /// A worker took the trial from the queue.
-    Started(usize),
+pub enum Event<K, T> {
+    /// A worker took the trial from the queue, and the claim policy
+    /// granted it this claim.
+    Started(usize, K),
     /// The trial returned, or panicked with the given message.
     Finished(usize, Result<T, String>),
 }
 
-/// Run `f` over every config on up to `threads` scoped OS threads and
-/// hand the trials' [`Event`]s to `on_batch` on the calling thread —
-/// `Started(i)` before `Finished(i, …)` for every `i`. Each batch is
+/// Run `f` over the configs `claim` grants, on up to `threads` scoped
+/// OS threads, and hand the trials' [`Event`]s to `on_batch` on the
+/// calling thread — `Started(i, k)` before `Finished(i, …)` for every
+/// granted `i`. The claim policy is consulted when the dispatch cursor
+/// reaches a config, before its `Started` event: `None` skips the
+/// config (no event), `Some(k)` runs `f(config, &k)`. Each batch is
 /// every event that was ready when the previous batch returned (never
 /// empty; no size or timeout bounds it). Each trial runs under
 /// `catch_unwind`, so a panic becomes `Finished(i, Err(message))` and
@@ -94,41 +103,42 @@ pub enum Event<T> {
 /// batch holds exactly one event. Returning `Err` from `on_batch` stops
 /// the fan-out: workers take no further trials, and that error is
 /// returned once in-flight trials finish.
-pub fn fan_out<C, T, E, F>(
+pub fn fan_out<C, K, T, E>(
     configs: &[C],
     threads: usize,
-    f: F,
-    mut on_batch: impl FnMut(Vec<Event<T>>) -> Result<(), E>,
+    claim: impl Fn(&C) -> Option<K> + Sync,
+    f: impl Fn(&C, &K) -> T + Sync,
+    mut on_batch: impl FnMut(Vec<Event<K, T>>) -> Result<(), E>,
 ) -> Result<(), E>
 where
     C: Sync,
+    K: Clone + Send,
     T: Send,
-    F: Fn(&C) -> T + Sync,
 {
-    let run_one = |c: &C| catching(|| f(c));
-
     let threads = threads.min(configs.len());
     if threads <= 1 {
         for (i, c) in configs.iter().enumerate() {
-            on_batch(vec![Event::Started(i)])?;
-            on_batch(vec![Event::Finished(i, run_one(c))])?;
+            let Some(k) = claim(c) else { continue };
+            on_batch(vec![Event::Started(i, k.clone())])?;
+            on_batch(vec![Event::Finished(i, catching(|| f(c, &k)))])?;
         }
         return Ok(());
     }
 
     let stop = AtomicBool::new(false);
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Event<T>>();
+    let (tx, rx) = mpsc::channel::<Event<K, T>>();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
-            let (stop, cursor, run_one) = (&stop, &cursor, &run_one);
+            let (stop, cursor, claim, f) = (&stop, &cursor, &claim, &f);
             scope.spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(c) = configs.get(i) else { break };
-                    if tx.send(Event::Started(i)).is_err()
-                        || tx.send(Event::Finished(i, run_one(c))).is_err()
+                    let Some(k) = claim(c) else { continue };
+                    if tx.send(Event::Started(i, k.clone())).is_err()
+                        || tx.send(Event::Finished(i, catching(|| f(c, &k)))).is_err()
                     {
                         break;
                     }
@@ -327,11 +337,10 @@ pub fn run_cells(suite: &Suite, cells: &[Cell]) -> SuiteRun {
 /// ([`RunOutcome::capture_opts`]). A [`FaultInjector`] installed on
 /// `store` that plans a panic for this cell index gets one, so the
 /// isolation path is exercised exactly as a genuine engine panic would
-/// exercise it. The journaled runner and the farm worker both execute
-/// cells through here.
+/// exercise it. The drain loop runs every cell through here.
 ///
 /// [`FaultInjector`]: crate::fault::FaultInjector
-pub fn capture_cell(store: &LabStore, cell: &Cell, opts: &RunOpts) -> RunOutcome {
+fn capture_cell(store: &LabStore, cell: &Cell, opts: &RunOpts) -> RunOutcome {
     if store.faults().is_some_and(|f| f.panics_cell(cell.index)) {
         RunOutcome::capture_with(&cell.scenario, |_| {
             panic!("{CELL_PANIC_MARKER} in cell {}", cell.index)
@@ -394,6 +403,15 @@ pub struct CommitBatch<'r> {
 /// and the farm worker both commit through here, on the store's
 /// [`Disk`](crate::Disk), and it reports what the disk issued for it:
 /// [`Committer::fsyncs`] and [`Committer::bytes`].
+///
+/// A farm worker's committer (a non-empty `by`) keeps two rules of its
+/// own, because workers may commit the same record at once: each stages
+/// its records under its own temp name, and a record whose verified
+/// bytes are already at its final path is not written again — when
+/// those bytes differ from the staged ones, the stored bytes stay
+/// ground truth and the disagreement is kept as a
+/// [`Divergence`] ([`Committer::divergences`]). A single runner
+/// overwrites, so a fresh `suite run` rewrites every record.
 #[derive(Debug)]
 pub struct Committer<'s> {
     store: &'s LabStore,
@@ -402,6 +420,7 @@ pub struct Committer<'s> {
     journal: Journal,
     barriers_before: u64,
     bytes: u64,
+    divergences: Vec<Divergence>,
 }
 
 impl<'s> Committer<'s> {
@@ -416,6 +435,7 @@ impl<'s> Committer<'s> {
             journal: store.journal(suite_digest),
             barriers_before: store.disk().barriers(),
             bytes: 0,
+            divergences: Vec::new(),
         }
     }
 
@@ -444,7 +464,7 @@ impl<'s> Committer<'s> {
     /// Make `batch` durable: claims and staged records, barrier 1,
     /// renames, barrier 2, terminal lines, barrier 3 — skipping each
     /// barrier that would cover nothing. Returns the checksum of each
-    /// record's staged bytes, in `batch.records` order (what the
+    /// record's rendered bytes, in `batch.records` order (what the
     /// manifest rows pin).
     pub fn commit(&mut self, batch: &CommitBatch<'_>) -> Result<Vec<String>, String> {
         let jerr = |e: std::io::Error| format!("journal append failed: {e}");
@@ -457,7 +477,11 @@ impl<'s> Committer<'s> {
         for record in &batch.records {
             let text = record.render_pretty();
             checksums.push(digest_hex(text.as_bytes()));
-            let path = self.store.record_path(&self.suite_digest, &record.digest());
+            let digest = record.digest();
+            let path = self.store.record_path(&self.suite_digest, &digest);
+            if !self.by.is_empty() && self.already_stored(&path, &digest, &text, batch) {
+                continue;
+            }
             let tmp = self.temp_for(&path).map_err(werr)?;
             self.store.stage_text(&path, &tmp, &text).map_err(werr)?;
             self.bytes += text.len() as u64;
@@ -487,6 +511,47 @@ impl<'s> Committer<'s> {
             .append_batch(&batch.terminals, true)
             .map_err(jerr)?;
         Ok(checksums)
+    }
+
+    /// The farm's commit-time rule: whether verified bytes of record
+    /// `digest` are already at `path`, so `text` is not written. Bytes
+    /// that verify but differ from `text` are kept as a [`Divergence`];
+    /// bytes that do not verify are overwritten.
+    fn already_stored(
+        &mut self,
+        path: &Path,
+        digest: &str,
+        text: &str,
+        batch: &CommitBatch<'_>,
+    ) -> bool {
+        let Ok(stored) = std::fs::read(path) else {
+            return false;
+        };
+        if stored == text.as_bytes() {
+            return true;
+        }
+        let Ok((stored, ..)) = verify_record(stored, digest, None) else {
+            return false;
+        };
+        let index = batch.terminals.iter().find_map(|entry| match entry {
+            JournalEntry::Committed { index, cell, .. } if cell == digest => Some(*index as usize),
+            _ => None,
+        });
+        self.divergences.push(Divergence {
+            suite: self.suite_digest.clone(),
+            cell: digest.to_string(),
+            index,
+            kind: DriftKind::RecordDiffers,
+            detail: diff_detail(stored.as_bytes(), text.as_bytes()),
+        });
+        true
+    }
+
+    /// Byte disagreements this committer found between the records it
+    /// was given and verified records already in the store (farm
+    /// workers only; empty on a healthy deterministic pipeline).
+    pub fn divergences(&self) -> &[Divergence] {
+        &self.divergences
     }
 
     /// Close a finished suite — the one finish path of the journaled
@@ -529,9 +594,84 @@ impl<'s> Committer<'s> {
     }
 }
 
+/// What a claim policy grants one unit of the drain loop ([`drain`]):
+/// the line written ahead of the unit's claims, in the same journal
+/// write — a farm shard's `leased` line; none for a `suite run` cell —
+/// and the cells to run, in order, on one thread.
+#[derive(Clone, Debug)]
+pub struct Claim<'c> {
+    /// The `leased` line, if the unit is leased.
+    pub lease: Option<JournalEntry>,
+    /// The cells to claim and run.
+    pub cells: Vec<&'c Cell>,
+}
+
+/// The one drain loop of the journal protocol: `apex suite run` and a
+/// farm worker both execute cells through here. The dispatch cursor
+/// walks `units` on up to `threads` threads ([`fan_out`]) and consults
+/// `claim` as it reaches each one; a granted unit's lease line and
+/// `claimed` lines are committed in the batch of its `Started` event,
+/// and its records and terminal lines (written as the committer's `by`)
+/// in the batch of its `Finished` event — one group commit per batch
+/// of ready events ([`Committer::commit`]). Each cell runs under
+/// `opts` ([`RunOutcome::capture_opts`]). Once a commit is durable,
+/// `landed` gets the cells it claimed and the cells it finished, each
+/// with its outcome and the checksum of its record's bytes (`None`
+/// without a record).
+///
+/// At one thread every batch is one event, so the journal reads, per
+/// unit: its lease line, its claims, then its terminal lines.
+pub fn drain<'c, U: Sync>(
+    committer: &mut Committer<'_>,
+    units: &[U],
+    threads: usize,
+    claim: impl Fn(&U) -> Option<Claim<'c>> + Sync,
+    opts: &RunOpts,
+    mut landed: impl FnMut(Vec<&'c Cell>, Vec<(&'c Cell, RunOutcome, Option<String>)>),
+) -> Result<(), String> {
+    let store = committer.store;
+    let run_unit = |_: &U, claim: &Claim<'c>| -> Vec<(&'c Cell, RunOutcome)> {
+        let run = |&cell: &&'c Cell| (cell, capture_cell(store, cell, opts));
+        claim.cells.iter().map(run).collect()
+    };
+    fan_out(units, threads, claim, run_unit, |batch| {
+        let (mut claims, mut claimed, mut finished) = (Vec::new(), Vec::new(), Vec::new());
+        for event in batch {
+            match event {
+                Event::Started(_, claim) => {
+                    claims.extend(claim.lease);
+                    claims.extend(claim.cells.iter().map(|cell| claim_entry(cell)));
+                    claimed.extend(claim.cells);
+                }
+                Event::Finished(i, ran) => {
+                    finished.extend(ran.map_err(|msg| format!("unit {i} worker panicked: {msg}"))?)
+                }
+            }
+        }
+        let batch = CommitBatch {
+            claims,
+            records: finished.iter().filter_map(|(_, o)| o.record()).collect(),
+            terminals: finished
+                .iter()
+                .map(|(cell, o)| terminal_entry(cell, o, &committer.by))
+                .collect(),
+        };
+        let mut staged = committer.commit(&batch)?.into_iter();
+        let finished = finished
+            .into_iter()
+            .map(|(cell, outcome)| {
+                let checksum = outcome.record().and_then(|_| staged.next());
+                (cell, outcome, checksum)
+            })
+            .collect();
+        landed(claimed, finished);
+        Ok(())
+    })
+}
+
 /// What the verified-read pass ([`read_verified`]) found at one cell's
-/// content address: a [`CacheLookup`] whose hit has had its file text
-/// hashed and dropped.
+/// content address: a [`CacheLookup`](crate::CacheLookup) whose hit has
+/// had its file text dropped, keeping its checksum.
 #[derive(Debug)]
 pub enum CachedCell {
     /// Verified bytes: their checksum and the parsed record.
@@ -547,9 +687,11 @@ pub enum CachedCell {
 /// `suite_digest` of `store` by the rules of [`LabStore::lookup_record`]
 /// (own address, canonical rendering, and the pinned checksum of
 /// `manifest`'s row, found through a digest index built once), on up to
-/// `threads` runner threads ([`run_trials`]). Each worker hashes a hit's
-/// verified bytes once — or takes the pin they just matched — and drops
-/// the text, so only parsed records outlive the pass.
+/// `threads` runner threads ([`run_trials`]). A hit's checksum is the
+/// one the canonical check hashed as it compared ([`verify_record`]);
+/// its text is dropped, so only parsed records outlive the pass.
+///
+/// [`verify_record`]: crate::verify_record
 ///
 /// The verdicts come back in cell order: a caller that tallies them and
 /// traces them in that order ([`scan_cache`]) gets the same
@@ -566,13 +708,10 @@ pub fn read_verified(
         let pinned = pins
             .as_ref()
             .and_then(|p| p.get(cell.digest.as_str()).copied().flatten());
-        match store.lookup_pinned(suite_digest, &cell.digest, pinned) {
-            CacheLookup::Hit(text, record) => {
-                let checksum = pinned.map_or_else(|| digest_hex(text.as_bytes()), str::to_string);
-                CachedCell::Hit(checksum, record)
-            }
-            CacheLookup::Miss => CachedCell::Miss,
-            CacheLookup::Rejected(why) => CachedCell::Rejected(why),
+        match store.read_pinned(suite_digest, &cell.digest, pinned) {
+            Ok(Some((_, record, checksum))) => CachedCell::Hit(checksum, Box::new(record)),
+            Ok(None) => CachedCell::Miss,
+            Err(why) => CachedCell::Rejected(why),
         }
     })
 }
@@ -875,47 +1014,29 @@ pub fn run_suite_journaled(
     let executed: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
 
     // Journal + store writes all happen on this thread, one group commit
-    // per batch of events; workers only run scenarios. A cell's claim is
-    // committed in the batch of its `Started` event, before (or with)
-    // its outcome's. With `threads = 1` the cells run inline and every
-    // batch is one event, so the line sequence is fully deterministic
-    // (the golden-journal test pins it).
+    // per batch of events; workers only run scenarios. Every pending
+    // cell is its own unit, always claimed, with no lease line. With
+    // `threads = 1` the cells run inline and every batch is one event,
+    // so the line sequence is fully deterministic (the golden-journal
+    // test pins it).
     let pending: Vec<&Cell> = executed.iter().map(|&i| &cells[i]).collect();
     let started_at = std::time::Instant::now();
-    fan_out(
+    drain(
+        &mut committer,
         &pending,
         threads,
-        |cell| capture_cell(store, cell, &run_opts),
-        |batch| -> Result<(), String> {
-            let mut started = Vec::new();
-            let mut finished = Vec::new();
-            for event in batch {
-                match event {
-                    Event::Started(k) => started.push(pending[k]),
-                    Event::Finished(k, outcome) => {
-                        let cell = pending[k];
-                        let outcome = outcome
-                            .map_err(|msg| format!("cell {} worker panicked: {msg}", cell.index))?;
-                        finished.push((cell, outcome));
-                    }
-                }
-            }
-            let staged = committer.commit(&CommitBatch {
-                claims: started.iter().map(|cell| claim_entry(cell)).collect(),
-                records: finished.iter().filter_map(|(_, o)| o.record()).collect(),
-                terminals: finished
-                    .iter()
-                    .map(|(cell, o)| terminal_entry(cell, o, ""))
-                    .collect(),
-            })?;
-            let with_record = finished.iter().filter(|(_, o)| o.record().is_some());
-            for ((cell, _), checksum) in with_record.zip(staged) {
-                checksums[cell.index] = Some(checksum);
-            }
-            for cell in started {
+        |&cell| {
+            Some(Claim {
+                lease: None,
+                cells: vec![cell],
+            })
+        },
+        &run_opts,
+        |claimed, finished| {
+            for cell in claimed {
                 obs.emit("lab", "claim", cell.index as u64, &cell.digest, &[]);
             }
-            for (cell, outcome) in finished {
+            for (cell, outcome, checksum) in finished {
                 let (index, digest) = (cell.index as u64, &cell.digest);
                 match outcome.record() {
                     Some(_) => obs.emit(
@@ -927,9 +1048,9 @@ pub fn run_suite_journaled(
                     ),
                     None => obs.emit("lab", outcome.status(), index, digest, &[]),
                 }
+                checksums[cell.index] = checksum;
                 slots[cell.index] = Some(outcome);
             }
-            Ok(())
         },
     )?;
 
@@ -1036,28 +1157,29 @@ mod tests {
     }
 
     #[test]
-    fn inline_fan_out_interleaves_start_and_finish_in_config_order() {
+    fn inline_fan_out_interleaves_start_and_finish_of_granted_configs_in_order() {
         let configs = [10u32, 20, 30];
         let mut seen = Vec::new();
         let caller = std::thread::current().id();
         let done: Result<(), ()> = fan_out(
             &configs,
             1,
-            |&c| {
+            |&c| (c != 20).then_some(c / 10),
+            |&c, &k| {
                 assert_eq!(std::thread::current().id(), caller, "inline trials");
-                c + 1
+                c + k
             },
             |batch| {
                 assert_eq!(batch.len(), 1, "inline batches hold one event");
                 seen.extend(batch.into_iter().map(|event| match event {
-                    Event::Started(i) => format!("s{i}"),
+                    Event::Started(i, k) => format!("s{i}:{k}"),
                     Event::Finished(i, out) => format!("f{i}={}", out.unwrap()),
                 }));
                 Ok(())
             },
         );
         assert_eq!(done, Ok(()));
-        assert_eq!(seen, ["s0", "f0=11", "s1", "f1=21", "s2", "f2=31"]);
+        assert_eq!(seen, ["s0:1", "f0=11", "s2:3", "f2=33"], "20 is declined");
     }
 
     #[test]
@@ -1069,7 +1191,8 @@ mod tests {
             let done = fan_out(
                 &configs,
                 threads,
-                |_| {
+                |_| Some(()),
+                |_, _| {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                     ran.fetch_add(1, Ordering::SeqCst)
                 },

@@ -291,18 +291,19 @@ const NOT_CANONICAL: &str = "bytes are not the canonical rendering";
 /// digest-verifies the embedded scenario), the record must sit at its
 /// own `address`, the bytes must be its canonical rendering, and, when
 /// its manifest row pins a checksum, they must hash to `pinned`. Returns
-/// the text and the parsed record.
+/// the text, the parsed record and the text's checksum
+/// ([`digest_hex`]), hashed by the canonical check as it compared.
 pub fn verify_record(
     bytes: Vec<u8>,
     address: &str,
     pinned: Option<&str>,
-) -> Result<(String, ReportRecord), StoreFault> {
+) -> Result<(String, ReportRecord, String), StoreFault> {
     use FsckIssueKind::*;
     let text = String::from_utf8(bytes).map_err(|e| {
         let at = e.utf8_error().valid_up_to();
         fault(TornOrTruncated, format!("not UTF-8 at byte {at}"))
     })?;
-    let record = ReportRecord::verify_stored(&text, address).map_err(|e| match e {
+    let (record, checksum) = ReportRecord::verify_stored(&text, address).map_err(|e| match e {
         StoredRecordError::Json(e) => fault(TornOrTruncated, format!("not JSON: {e}")),
         StoredRecordError::Record(e) if e.msg.contains("digest") => fault(DigestMismatch, e.msg),
         StoredRecordError::Record(e) => fault(TornOrTruncated, e.msg),
@@ -312,14 +313,14 @@ pub fn verify_record(
         ),
         StoredRecordError::NotCanonical => fault(NotCanonical, NOT_CANONICAL),
     })?;
+    let checksum = format!("{checksum:016x}");
     if let Some(pinned) = pinned {
-        let actual = digest_hex(text.as_bytes());
-        if actual != pinned {
-            let detail = format!("file checksum {actual} != pinned {pinned}");
+        if checksum != pinned {
+            let detail = format!("file checksum {checksum} != pinned {pinned}");
             return Err(fault(ChecksumMismatch, detail));
         }
     }
-    Ok((text, record))
+    Ok((text, record, checksum))
 }
 
 /// The one verdict on a manifest's bytes, for
@@ -501,26 +502,31 @@ impl LabStore {
         let pinned = manifest
             .and_then(|m| m.cells.iter().find(|c| c.digest == cell_digest))
             .and_then(|row| row.checksum.as_deref());
-        self.lookup_pinned(suite_digest, cell_digest, pinned)
+        match self.read_pinned(suite_digest, cell_digest, pinned) {
+            Ok(Some((text, record, _))) => CacheLookup::Hit(text, Box::new(record)),
+            Ok(None) => CacheLookup::Miss,
+            Err(why) => CacheLookup::Rejected(why),
+        }
     }
 
     /// [`LabStore::lookup_record`] with the manifest row's pinned
-    /// checksum, if any, already found.
-    pub(crate) fn lookup_pinned(
+    /// checksum, if any, already found: the [`verify_record`] verdict
+    /// on the record's bytes (text, record, checksum), `Ok(None)` when
+    /// there is no file, `Err` with the reason the bytes were rejected.
+    pub(crate) fn read_pinned(
         &self,
         suite_digest: &str,
         cell_digest: &str,
         pinned: Option<&str>,
-    ) -> CacheLookup {
+    ) -> Result<Option<(String, ReportRecord, String)>, String> {
         let bytes = match std::fs::read(self.record_path(suite_digest, cell_digest)) {
             Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheLookup::Miss,
-            Err(e) => return CacheLookup::Rejected(format!("unreadable: {e}")),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("unreadable: {e}")),
         };
-        match verify_record(bytes, cell_digest, pinned) {
-            Ok((text, record)) => CacheLookup::Hit(text, Box::new(record)),
-            Err(fault) => CacheLookup::Rejected(fault.to_string()),
-        }
+        verify_record(bytes, cell_digest, pinned)
+            .map(Some)
+            .map_err(|fault| fault.to_string())
     }
 
     /// Cross-suite cache lookup: find a verified record for

@@ -232,14 +232,22 @@ impl ProgramSource {
     /// Build the program this source names. Library entries are resolved
     /// against the catalog; explicit programs are re-validated.
     pub fn resolve(&self) -> Result<Program, ScenarioError> {
+        self.resolve_with_io().map(|(program, _)| program)
+    }
+
+    /// [`ProgramSource::resolve`] and [`ProgramSource::resolve_io`]
+    /// from one build.
+    pub(crate) fn resolve_with_io(
+        &self,
+    ) -> Result<(Program, Option<(VarBlock, VarBlock)>), ScenarioError> {
         match self {
             ProgramSource::Explicit(p) => {
                 p.validate()
                     .map_err(|e| ScenarioError(format!("invalid explicit program: {e}")))?;
-                Ok(p.clone())
+                Ok((p.clone(), None))
             }
             ProgramSource::Library { name, n, params } => {
-                resolve_library(name, *n, params).map(|b| b.program)
+                resolve_library(name, *n, params).map(|b| (b.program, Some((b.inputs, b.outputs))))
             }
         }
     }

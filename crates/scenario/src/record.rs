@@ -10,6 +10,7 @@
 
 use std::path::{Path, PathBuf};
 
+use apex_pram::VarBlock;
 use apex_sim::{Json, JsonError};
 
 use crate::report::ScenarioReport;
@@ -108,7 +109,18 @@ impl ReportRecord {
     /// the scenario's I/O blocks (satellite of the suite subsystem: suites
     /// can assert program *results*, not just verifier cleanliness).
     pub fn from_run(scenario: Scenario, report: ScenarioReport) -> Self {
-        let outputs = match (&report, scenario.io_blocks()) {
+        let io = scenario.io_blocks();
+        Self::from_run_io(scenario, report, io)
+    }
+
+    /// [`ReportRecord::from_run`] with the scenario's I/O blocks already
+    /// in hand.
+    fn from_run_io(
+        scenario: Scenario,
+        report: ScenarioReport,
+        io: Option<(VarBlock, VarBlock)>,
+    ) -> Self {
+        let outputs = match (&report, io) {
             (ScenarioReport::Scheme(r), Some((_, out))) => r
                 .final_memory
                 .get(out.base..out.base + out.len)
@@ -135,7 +147,8 @@ impl ReportRecord {
     /// [`Scenario::run_opts`]): the recorded scenario, its digest, and
     /// every report byte are exactly as with the defaults.
     pub fn run_opts(scenario: &Scenario, opts: &RunOpts) -> Self {
-        Self::from_run(scenario.clone(), scenario.run_opts(opts))
+        let (report, io) = scenario.run_with_io(opts);
+        Self::from_run_io(scenario.clone(), report, io)
     }
 
     /// The record's content address: [`Scenario::digest`] of its scenario.
@@ -223,20 +236,20 @@ impl ReportRecord {
     /// digest must be `address`, and `text` must be the record's
     /// canonical rendering. The scenario digest is computed once and
     /// serves all three checks, and the canonical check compares the
-    /// rendering with `text` as it is produced
-    /// ([`Json::renders_pretty_as`]), building no second copy. The lab
-    /// store's cache lookup and `apex lab fsck` both verify records
-    /// through here.
-    pub fn verify_stored(text: &str, address: &str) -> Result<Self, StoredRecordError> {
+    /// rendering with `text` as it is produced and hashes it on the way
+    /// ([`Json::pretty_checksum`]), building no second copy. Returns the
+    /// record and the FNV-1a of `text`. The lab store's cache lookup and
+    /// `apex lab fsck` both verify records through here.
+    pub fn verify_stored(text: &str, address: &str) -> Result<(Self, u64), StoredRecordError> {
         let json = Json::parse(text).map_err(StoredRecordError::Json)?;
         let (record, digest) = Self::from_json_digest(&json).map_err(StoredRecordError::Record)?;
         if digest != address {
             return Err(StoredRecordError::Misaddressed { claims: digest });
         }
-        if !record.to_json_as(digest).renders_pretty_as(text) {
-            return Err(StoredRecordError::NotCanonical);
+        match record.to_json_as(digest).pretty_checksum(text) {
+            Some(checksum) => Ok((record, checksum)),
+            None => Err(StoredRecordError::NotCanonical),
         }
-        Ok(record)
     }
 
     /// Parse a complete record document.
@@ -343,8 +356,9 @@ mod tests {
     fn verify_stored_checks_json_record_address_and_canonical_bytes() {
         let record = scheme_record();
         let (text, digest) = (record.render_pretty(), record.digest());
-        let back = ReportRecord::verify_stored(&text, &digest).unwrap();
+        let (back, checksum) = ReportRecord::verify_stored(&text, &digest).unwrap();
         assert_eq!(back.render_pretty(), text);
+        assert_eq!(checksum, crate::fnv1a64(text.as_bytes()));
 
         let e = ReportRecord::verify_stored(&text[..text.len() / 2], &digest);
         assert!(matches!(e, Err(StoredRecordError::Json(_))), "{e:?}");

@@ -576,15 +576,16 @@ impl Scenario {
     /// # Panics
     /// If the scenario is invalid or not scheme-mode.
     pub fn build_scheme(&self) -> SchemeRun {
-        self.assemble_scheme(&RunOpts::default())
+        self.assemble_scheme(&RunOpts::default()).0
     }
 
     /// [`Scenario::build_scheme`] on the engine [`ProgramEngine::resolve`]
     /// gives `opts.engine` and the knob, with the bytecode lowering pass
     /// reporting its sizing counters ([`apex_bc::CompileStats`]) to
-    /// `opts.obs`.
-    fn assemble_scheme(&self, opts: &RunOpts) -> SchemeRun {
-        let program = match self.validate_resolving(ProgramSource::resolve) {
+    /// `opts.obs`. Also returns what [`Scenario::io_blocks`] would, from
+    /// the same program build.
+    fn assemble_scheme(&self, opts: &RunOpts) -> (SchemeRun, Option<(VarBlock, VarBlock)>) {
+        let (program, io) = match self.validate_resolving(ProgramSource::resolve_with_io) {
             Ok(Some(p)) => p,
             Ok(None) => panic!("scenario is not scheme-mode"),
             Err(e) => panic!("invalid scenario: {e}"),
@@ -600,7 +601,7 @@ impl Scenario {
         cfg.agreement = self.agreement;
         cfg.batch = self.engine.batch;
         cfg.tick_budget = self.engine.tick_budget;
-        match ProgramEngine::resolve(opts.engine, self.engine.program_engine) {
+        let run = match ProgramEngine::resolve(opts.engine, self.engine.program_engine) {
             ProgramEngine::Tree => SchemeRun::new(program, cfg),
             ProgramEngine::Bytecode => SchemeRun::new_with_factory(program, cfg, |parts| {
                 let compiled = Rc::new(apex_bc::compile(parts));
@@ -622,7 +623,8 @@ impl Scenario {
                 }
                 apex_bc::factory_of(compiled, parts)
             }),
-        }
+        };
+        (run, io)
     }
 
     /// Assemble the agreement-mode run without executing it.
@@ -689,14 +691,24 @@ impl Scenario {
     /// # Panics
     /// As [`Scenario::run`].
     pub fn run_opts(&self, opts: &RunOpts) -> ScenarioReport {
+        self.run_with_io(opts).0
+    }
+
+    /// [`Scenario::run_opts`], also returning what
+    /// [`Scenario::io_blocks`] would, from the program build the run
+    /// used (so a record needs no second build).
+    pub(crate) fn run_with_io(
+        &self,
+        opts: &RunOpts,
+    ) -> (ScenarioReport, Option<(VarBlock, VarBlock)>) {
         let obs = &opts.obs;
         match &self.mode {
             Mode::Scheme { .. } => {
-                let mut run = self.assemble_scheme(opts);
+                let (mut run, io) = self.assemble_scheme(opts);
                 if obs.enabled() {
                     install_block_hook(run.machine_mut(), obs);
                 }
-                ScenarioReport::Scheme(run.run())
+                (ScenarioReport::Scheme(run.run()), io)
             }
             Mode::Agreement { phases, .. } => {
                 let phases = *phases;
@@ -705,11 +717,12 @@ impl Scenario {
                     install_block_hook(run.machine_mut(), obs);
                 }
                 let outcomes = run.run_phases(phases);
-                ScenarioReport::Agreement(AgreementRunReport {
+                let report = ScenarioReport::Agreement(AgreementRunReport {
                     outcomes,
                     ticks: run.machine().ticks(),
                     stability_violations: run.stability_violations(),
-                })
+                });
+                (report, None)
             }
         }
     }
@@ -861,6 +874,12 @@ trait ProgramShape {
 impl ProgramShape for Program {
     fn shape(&self) -> (&str, usize, usize) {
         (&self.name, self.n_steps(), self.n_threads)
+    }
+}
+
+impl ProgramShape for (Program, Option<(VarBlock, VarBlock)>) {
+    fn shape(&self) -> (&str, usize, usize) {
+        self.0.shape()
     }
 }
 

@@ -25,10 +25,11 @@
 //! and none of them needs the rendered text itself. So a digest renders
 //! into an [`Fnv1a`] ([`Json::fnv1a64`]), a canonical check into a
 //! comparator that matches each piece against the stored bytes as it is
-//! produced ([`Json::renders_pretty_as`]), and only a document that is
-//! written out is materialised. Because every sink sees the same pieces
-//! in the same order, a hash or a comparison is exactly what it would be
-//! over [`Json::render`] or [`Json::render_pretty`] (tests pin this).
+//! produced and hashes what matched ([`Json::pretty_checksum`]), and
+//! only a document that is written out is materialised. Because every
+//! sink sees the same pieces in the same order, a hash or a comparison
+//! is exactly what it would be over [`Json::render`] or
+//! [`Json::render_pretty`] (tests pin this).
 
 use std::fmt::Write as _;
 
@@ -125,6 +126,14 @@ impl Json {
     /// compared byte by byte as it is rendered: the canonical check of a
     /// stored document, with no second copy of it built.
     pub fn renders_pretty_as(&self, text: &str) -> bool {
+        self.pretty_checksum(text).is_some()
+    }
+
+    /// [`Json::renders_pretty_as`] that hashes as it compares: the
+    /// FNV-1a of `text` (`fnv1a64(text)`) when `text` is exactly the
+    /// pretty rendering, `None` otherwise. One pass gives a stored
+    /// document's verdict and its checksum.
+    pub fn pretty_checksum(&self, text: &str) -> Option<u64> {
         let mut expect = Expect::new(text);
         self.render_pretty_to(&mut expect);
         expect.matched()
@@ -338,11 +347,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// A [`Sink`] that checks a rendering against expected text as it is
-/// produced: each piece must be the next bytes of the text. After the
-/// first mismatch it ignores the rest.
+/// produced, hashing the matched bytes: each piece must be the next
+/// bytes of the text. After the first mismatch it ignores the rest.
 struct Expect<'t> {
     rest: &'t [u8],
     ok: bool,
+    hash: Fnv1a,
 }
 
 impl<'t> Expect<'t> {
@@ -350,13 +360,14 @@ impl<'t> Expect<'t> {
         Expect {
             rest: text.as_bytes(),
             ok: true,
+            hash: Fnv1a::new(),
         }
     }
 
-    /// Whether everything rendered so far matched and the text is used
-    /// up.
-    fn matched(&self) -> bool {
-        self.ok && self.rest.is_empty()
+    /// The hash of the text, if everything rendered so far matched and
+    /// the text is used up.
+    fn matched(&self) -> Option<u64> {
+        (self.ok && self.rest.is_empty()).then(|| self.hash.finish())
     }
 }
 
@@ -366,7 +377,10 @@ impl Sink for Expect<'_> {
             return;
         }
         match self.rest.strip_prefix(s.as_bytes()) {
-            Some(rest) => self.rest = rest,
+            Some(rest) => {
+                self.hash.update(s.as_bytes());
+                self.rest = rest;
+            }
             None => self.ok = false,
         }
     }

@@ -758,3 +758,65 @@ fn unreadable_queue_entries_are_skipped_and_every_readable_suite_drains() {
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(queue.root());
 }
+
+#[test]
+fn a_serial_one_worker_drain_journals_like_suite_run_plus_leases() {
+    // `suite run` and the farm worker share one drain loop. At one
+    // thread with one-cell shards, the worker's journal is the serial
+    // run's, line for line, but for a `leased` line before each claim
+    // and the worker id in `by`.
+    let suite = committed_suite("smoke");
+    let digest = suite.digest();
+    let serial_store = temp_store("one-loop-serial");
+    run_suite_journaled(&suite, &serial_store, &serial()).unwrap();
+    let serial_text = std::fs::read_to_string(serial_store.journal_path(&digest)).unwrap();
+
+    let store = temp_store("one-loop-farm");
+    let queue = FarmQueue::new(temp_dir("queue-one-loop"));
+    queue.submit(&suite).unwrap();
+    let opts = WorkerOpts {
+        shard_cells: 1,
+        ..worker("solo")
+    };
+    let report = run_worker(&queue, &store, &opts).unwrap();
+    assert_eq!(report.finalized, vec![digest.clone()]);
+    let farm = read_journal(&store.journal_path(&digest)).unwrap();
+
+    let mut unleased = Vec::new();
+    for (position, entry) in farm.entries.iter().enumerate() {
+        match entry {
+            JournalEntry::Leased {
+                start,
+                count,
+                by,
+                ttl,
+            } => {
+                assert_eq!((*count, by.as_str(), *ttl), (1, "solo", opts.ttl));
+                let next = &farm.entries[position + 1];
+                assert!(
+                    matches!(next, JournalEntry::Claimed { index, .. } if index == start),
+                    "lease at {position} is not followed by its claim: {next:?}"
+                );
+            }
+            JournalEntry::Committed { by, .. } | JournalEntry::Poisoned { by, .. } => {
+                assert_eq!(by, "solo");
+                let mut entry = entry.clone();
+                if let JournalEntry::Committed { by, .. } | JournalEntry::Poisoned { by, .. } =
+                    &mut entry
+                {
+                    by.clear();
+                }
+                unleased.push(entry.to_line());
+            }
+            other => unleased.push(other.to_line()),
+        }
+    }
+    let claims = farm.claimed.len();
+    assert_eq!(farm.leases().count(), claims, "one lease per claim");
+    assert_eq!(claims, suite.expand().unwrap().len());
+    let serial_lines: Vec<&str> = serial_text.lines().collect();
+    assert_eq!(unleased, serial_lines);
+    let _ = std::fs::remove_dir_all(serial_store.root());
+    let _ = std::fs::remove_dir_all(store.root());
+    let _ = std::fs::remove_dir_all(queue.root());
+}

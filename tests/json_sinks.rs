@@ -74,6 +74,10 @@ fn sinks_match_the_rendered_bytes_of_every_committed_document() {
             assert_eq!(h.finish(), fnv1a64(pretty.as_bytes()), "{name}");
 
             assert!(doc.renders_pretty_as(&pretty), "{name}");
+            // The comparator hashes as it compares: a match also yields
+            // the text's checksum (every mismatch below yields none).
+            let checksum = doc.pretty_checksum(&pretty);
+            assert_eq!(checksum, Some(fnv1a64(pretty.as_bytes())), "{name}");
             assert!(
                 !doc.renders_pretty_as(&pretty[..pretty.len() - 1]),
                 "{name}"
