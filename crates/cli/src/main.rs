@@ -37,7 +37,7 @@ use std::sync::Arc;
 use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
     check_against_store, compare_stores, fsck, gc, run_suite_journaled, DriftKind, DriftReport,
-    FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
+    FaultInjector, FaultPlan, JournalOpts, LabStore, Suite, SuiteFile,
 };
 use apex_obs::{read_trace, summarize, Metrics, Table};
 use apex_scenario::Scenario;
@@ -176,16 +176,13 @@ fn positional(raw: &[String]) -> (Option<String>, &[String]) {
     }
 }
 
+/// Load a suite document. Not validated here: each verb's own
+/// expansion is the check, reported as `{file}: {error}`.
 fn load_suite(file: &str) -> Result<Suite, ExitCode> {
-    let suite = Suite::load(Path::new(file)).map_err(|e| {
+    Suite::load(Path::new(file)).map_err(|e| {
         eprintln!("{e}");
         ExitCode::FAILURE
-    })?;
-    suite.validate().map_err(|e| {
-        eprintln!("{file}: {e}");
-        ExitCode::FAILURE
-    })?;
-    Ok(suite)
+    })
 }
 
 fn store_from(args: &Args) -> LabStore {
@@ -214,7 +211,13 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
     };
     match verb.as_str() {
         "expand" => {
-            let cells = suite.expand().expect("validated above");
+            let cells = match suite.expand() {
+                Ok(cells) => cells,
+                Err(e) => {
+                    eprintln!("{file}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             println!(
                 "suite {:?} ({}) expands to {} cells:",
                 suite.name,
@@ -345,6 +348,10 @@ fn cmd_drift(raw: &[String]) -> ExitCode {
         Ok(s) => s,
         Err(code) => return code,
     };
+    if let Err(e) = suite.validate() {
+        eprintln!("{file}: {e}");
+        return ExitCode::FAILURE;
+    }
     let report = match check_against_store(&suite, &store_from(&args)) {
         Ok(r) => r,
         Err(e) => {
@@ -718,7 +725,7 @@ fn merge_metrics_under(root: &Path) -> Result<(Metrics, usize), String> {
                 continue;
             }
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("metrics") && name.ends_with(".json") {
+            if SuiteFile::of(name) == SuiteFile::Metrics {
                 merged
                     .merge(&Metrics::load(&path)?)
                     .map_err(|e| format!("{}: {e}", path.display()))?;

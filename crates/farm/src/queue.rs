@@ -178,10 +178,6 @@ impl FarmQueue {
                 }
             };
             let journal = read_journal(&store.journal_path(&digest)).ok();
-            let poisoned: std::collections::BTreeSet<u64> = journal
-                .as_ref()
-                .map(|s| s.poisoned.iter().copied().collect())
-                .unwrap_or_default();
             let records = read_verified(store, &digest, &cells, None, threads)
                 .iter()
                 .filter(|read| matches!(read, CachedCell::Hit(..)))
@@ -194,7 +190,7 @@ impl FarmQueue {
                 name: suite.name.clone(),
                 cells: cells.len(),
                 records,
-                poisoned: poisoned.len(),
+                poisoned: journal.as_ref().map_or(0, |s| s.poisoned.len()),
                 leases,
                 finished,
             });

@@ -15,14 +15,17 @@
 //! reads as it grows ([`JournalReader`]: each read parses only what was
 //! appended since the last). Once every cell is terminal, whoever gets
 //! there finalizes: outcomes are reconstructed from verified records
-//! (and journal `poisoned` entries for record-less cells) and the suite
+//! (and, for a record-less cell, its latest `poisoned` line as the
+//! reader replayed it, [`JournalState::poisoned`]) and the suite
 //! is closed through the runner's own finish ([`Committer::finish`]) —
 //! byte-identical to a single-worker run. Finalize is the one place
 //! record bytes are trusted: a cell whose record it cannot verify is
 //! claimed, run and committed again by the next sweep first. The first
 //! scan is the runner's cache pre-pass ([`scan_cache`]), and a worker's
-//! metrics shard counts the cells it owns with the runner's per-cell
-//! tally ([`CellTally`]).
+//! metrics shard counts the cells it owns ([`JournalState::owners`])
+//! with the runner's per-cell tally ([`CellTally`]). After a drain the
+//! worker sweeps the record temps of the suite's cells, named as
+//! [`SuiteFile::of`] reads them.
 //!
 //! A shard's cells run on one thread, so a suite with fewer shards than
 //! runner threads uses fewer threads.
@@ -42,8 +45,8 @@ use std::sync::Mutex;
 
 use apex_lab::runner::{drain, resolve_threads, Claim};
 use apex_lab::{
-    claim_entry, read_journal, read_verified, scan_cache, CachedCell, Cell, CellTally, Committer,
-    Divergence, JournalEntry, JournalReader, JournalState, LabStore, Suite,
+    claim_entry, read_verified, scan_cache, CachedCell, Cell, CellTally, Committer, Divergence,
+    JournalEntry, JournalReader, JournalState, LabStore, Suite, SuiteFile,
 };
 use apex_obs::{Metrics, Obs, ObsOpts};
 use apex_scenario::{CacheStats, RunOpts, RunOutcome};
@@ -212,9 +215,8 @@ fn drain_suite(
     report: &mut WorkerReport,
 ) -> Result<(), String> {
     let mut metrics = Metrics::new();
-    let tallies = drain_suite_inner(store, entry, opts, run_opts, report, &mut metrics)?;
+    drain_suite_inner(store, entry, opts, run_opts, report, &mut metrics)?;
     sweep_record_temps(store, entry);
-    attribute_result_plane(store, &entry.digest, &opts.worker, &tallies, &mut metrics);
     if opts.obs.metrics && !metrics.is_empty() {
         let path = store
             .suite_dir(&entry.digest)
@@ -239,52 +241,13 @@ fn sweep_record_temps(store: &LabStore, entry: &QueueEntry) {
         entry.cells.iter().map(|c| c.digest.as_str()).collect();
     for path in files.flatten().map(|f| f.path()) {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let is_record_temp = name.ends_with(".tmp")
-            && name
-                .split_once('.')
-                .is_some_and(|(stem, _)| cells.contains(stem));
-        if is_record_temp {
+        if matches!(SuiteFile::of(name), SuiteFile::Temp(stem) if cells.contains(stem)) {
             let _ = store.disk().remove(&path);
         }
     }
 }
 
-/// Fold the tallies ([`CellTally`]) of every cell this worker owns into
-/// its metrics shard. Ownership is the first terminal
-/// (`committed`/`poisoned`) journal entry per index: the journal is one totally-ordered file
-/// all workers share, so every worker computes the same attribution
-/// and a doubly-executed cell (a lease stolen from a slow-but-live
-/// holder) lands in exactly one shard. Merging the shards therefore
-/// reproduces a serial run's result plane, not the fleet's raw
-/// (duplicate-inflated) work — which is tallied separately under the
-/// coordination-plane `farm.executions` counter.
-fn attribute_result_plane(
-    store: &LabStore,
-    digest: &str,
-    worker: &str,
-    tallies: &std::collections::BTreeMap<u64, CellTally>,
-    metrics: &mut Metrics,
-) {
-    let state = read_journal(&store.journal_path(digest)).unwrap_or_default();
-    let mut seen = std::collections::BTreeSet::new();
-    for entry in &state.entries {
-        let (index, by) = match entry {
-            JournalEntry::Committed { index, by, .. } => (*index, by),
-            JournalEntry::Poisoned { index, by, .. } => (*index, by),
-            _ => continue,
-        };
-        if !seen.insert(index) || by != worker {
-            continue;
-        }
-        if let Some(tally) = tallies.get(&index) {
-            tally.add_to(metrics);
-        }
-    }
-}
-
-/// Drain one suite. Returns the tally of every cell this worker
-/// executed, attributed to shards only once the journal names an owner
-/// ([`attribute_result_plane`]).
+/// Drain one suite, tallying into `metrics` the cells this worker owns.
 fn drain_suite_inner(
     store: &LabStore,
     entry: &QueueEntry,
@@ -292,7 +255,7 @@ fn drain_suite_inner(
     run_opts: &RunOpts,
     report: &mut WorkerReport,
     metrics: &mut Metrics,
-) -> Result<std::collections::BTreeMap<u64, CellTally>, String> {
+) -> Result<(), String> {
     let obs = &run_opts.obs;
     let QueueEntry {
         digest,
@@ -338,7 +301,7 @@ fn drain_suite_inner(
     let finished =
         |view: &View| view.journal.state().finished && store.read_manifest(digest).is_ok();
     if view.refresh().is_ok() && finished(&view) {
-        return Ok(tallies);
+        return Ok(());
     }
 
     committer.append(&JournalEntry::Started {
@@ -440,7 +403,17 @@ fn drain_suite_inner(
     report
         .divergences
         .extend_from_slice(committer.divergences());
-    Ok(tallies)
+    // Tally the cells this worker owns (first terminal line): a cell two
+    // workers ran lands in one shard, so the merged shards are a serial
+    // run's result plane; `farm.executions` counts the raw work. The
+    // view has read this worker's terminal lines and all before them.
+    let owners = &view.journal.state().owners;
+    for (index, tally) in &tallies {
+        if owners.get(index).is_some_and(|by| *by == opts.worker) {
+            tally.add_to(metrics);
+        }
+    }
+    Ok(())
 }
 
 /// How many times a worker re-runs cells whose committed records fail
@@ -532,7 +505,7 @@ fn claim_shard<'c>(
 
 /// Merge + finalize: reconstruct every cell's outcome from verified
 /// records (read on `threads` runner threads by the shared
-/// verified-read pass) or the journal's `poisoned` entries, and close
+/// verified-read pass) or the journal's latest `poisoned` line, and close
 /// the suite through the runner's own finish ([`Committer::finish`]) —
 /// byte-identical to what a single `apex suite run` writes, pinning the
 /// checksums the pass hashed. Returns the
@@ -558,29 +531,15 @@ fn finalize(
             checksums.push(Some(checksum));
             continue;
         }
-        let poisoned = state.entries.iter().rev().find_map(|e| match e {
-            JournalEntry::Poisoned {
-                index,
-                status,
-                message,
-                ..
-            } if *index == cell.index as u64 => Some((status.clone(), message.clone())),
-            _ => None,
-        });
-        let Some((status, message)) = poisoned else {
+        let Some((status, message)) = state.poisoned.get(&(cell.index as u64)) else {
             stale.push(cell.index);
             continue;
         };
+        let (scenario, message) = (cell.scenario.clone(), message.clone());
         outcomes.push(if status == "exhausted" {
-            RunOutcome::Exhausted {
-                scenario: cell.scenario.clone(),
-                message,
-            }
+            RunOutcome::Exhausted { scenario, message }
         } else {
-            RunOutcome::Poisoned {
-                scenario: cell.scenario.clone(),
-                message,
-            }
+            RunOutcome::Poisoned { scenario, message }
         });
         checksums.push(None);
     }

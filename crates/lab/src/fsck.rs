@@ -11,7 +11,9 @@
 //! must parse, pass its self-checksum and be byte-identical to its
 //! canonical rendering. Journals must replay (a
 //! torn final line is legal — that is what a crash looks like); nothing
-//! may be left at a `.tmp` path. With `repair`, bad
+//! may be left at a `.tmp` path. Each file is told apart by the store's
+//! one classifier of suite-directory names, [`SuiteFile`]. With
+//! `repair`, bad
 //! files are **moved** to `quarantine/<suite-digest>/` — fsck never
 //! deletes data, so a false positive costs a `mv` back, not evidence.
 //! Farm leases are `leased` journal lines, so a journal that replays
@@ -21,7 +23,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use crate::journal::{read_journal, JOURNAL_FILE};
-use crate::store::{verify_manifest, verify_record, LabStore, Manifest};
+use crate::store::{verify_manifest, verify_record, LabStore, Manifest, SuiteFile};
 
 /// What is wrong with one file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -242,47 +244,46 @@ fn scan_suite(
         let Some(name) = path.file_name().and_then(|n| n.to_str()).map(String::from) else {
             continue;
         };
-        if name.ends_with(".tmp") {
-            report.files_checked += 1;
-            let quarantined = repair && quarantine(store, suite, &path)?;
-            issue(
-                &name,
-                FsckIssueKind::StaleTemp,
-                "leftover from an interrupted atomic write".to_string(),
-                quarantined,
-            );
-            continue;
-        }
-        // `metrics.json` plus the farm's per-worker `metrics-<id>.json`
-        // shards all carry the same unified document.
-        if name.starts_with("metrics") && name.ends_with(".json") {
-            // Telemetry sidecars: not store identity, but they should
-            // still parse — an unreadable one is debris worth
-            // quarantining.
-            report.files_checked += 1;
-            let parse = std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| {
-                    apex_obs::Metrics::parse(&text)
-                        .map(drop)
-                        .map_err(|e| e.to_string())
-                });
-            if let Err(e) = parse {
+        let stem = match SuiteFile::of(&name) {
+            SuiteFile::Record(stem) => stem.to_string(),
+            SuiteFile::Temp(_) => {
+                report.files_checked += 1;
                 let quarantined = repair && quarantine(store, suite, &path)?;
                 issue(
                     &name,
-                    FsckIssueKind::TornOrTruncated,
-                    format!("{name} sidecar unreadable: {e}"),
+                    FsckIssueKind::StaleTemp,
+                    "leftover from an interrupted atomic write".to_string(),
                     quarantined,
                 );
+                continue;
             }
-            continue;
-        }
-        if name == "manifest.json" || name == JOURNAL_FILE || !name.ends_with(".json") {
-            continue;
-        }
+            SuiteFile::Metrics => {
+                // Telemetry sidecars: not store identity, but they
+                // should still parse — an unreadable one is debris
+                // worth quarantining.
+                report.files_checked += 1;
+                let parse = std::fs::read_to_string(&path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| {
+                        apex_obs::Metrics::parse(&text)
+                            .map(drop)
+                            .map_err(|e| e.to_string())
+                    });
+                if let Err(e) = parse {
+                    let quarantined = repair && quarantine(store, suite, &path)?;
+                    issue(
+                        &name,
+                        FsckIssueKind::TornOrTruncated,
+                        format!("{name} sidecar unreadable: {e}"),
+                        quarantined,
+                    );
+                }
+                continue;
+            }
+            // Judged above (manifest, journal) or not store content.
+            _ => continue,
+        };
         report.files_checked += 1;
-        let stem = name.trim_end_matches(".json").to_string();
         let bytes = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let pinned = pins
             .as_ref()

@@ -11,7 +11,11 @@
 //! [`read_journal`] tolerates exactly that and nothing else). Lines have
 //! one parser: [`JournalReader`], which a farm worker keeps as the
 //! journal grows, parsing only what was appended since its last read;
-//! [`read_journal`] is one pass of it over a file.
+//! [`read_journal`] is one pass of it over a file. As it replays each
+//! terminal line it keeps, per cell index, the owner (the `by` of the
+//! first terminal line) and the latest `poisoned` outcome
+//! ([`JournalState::owners`], [`JournalState::poisoned`]), so a reader
+//! asks about a cell without rescanning the entries.
 //!
 //! Resume does **not** trust the journal for results — record files are
 //! content-addressed and digest-verified independently. The journal is
@@ -59,6 +63,7 @@
 //!
 //! [`LabStore::stage_text`]: crate::store::LabStore::stage_text
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -357,12 +362,14 @@ impl Journal {
 pub struct JournalState {
     /// Every entry, in file order.
     pub entries: Vec<JournalEntry>,
-    /// Indices with a `claimed` entry.
-    pub claimed: Vec<u64>,
-    /// Indices with a `committed` entry.
-    pub committed: Vec<u64>,
-    /// Indices with a `poisoned` entry.
-    pub poisoned: Vec<u64>,
+    /// Per cell index, the `by` of its first terminal line (`committed`
+    /// or `poisoned`): the cell's owner. Appends are totally ordered, so
+    /// every reader names the same owner, and a cell two workers
+    /// executed is attributed once.
+    pub owners: BTreeMap<u64, String>,
+    /// Per cell index, the `status` and `message` of its latest
+    /// `poisoned` line: how a cell without a record ended.
+    pub poisoned: BTreeMap<u64, (String, String)>,
     /// Whether a `finished` entry is present.
     pub finished: bool,
     /// Highest `seq` among `finished` entries (0 when none, or for
@@ -565,14 +572,28 @@ impl JournalReader {
                 };
                 let state = &mut self.state;
                 match &entry {
-                    JournalEntry::Claimed { index, .. } => state.claimed.push(*index),
-                    JournalEntry::Committed { index, .. } => state.committed.push(*index),
-                    JournalEntry::Poisoned { index, .. } => state.poisoned.push(*index),
+                    JournalEntry::Committed { index, by, .. } => {
+                        state.owners.entry(*index).or_insert_with(|| by.clone());
+                    }
+                    JournalEntry::Poisoned {
+                        index,
+                        status,
+                        message,
+                        by,
+                        ..
+                    } => {
+                        state.owners.entry(*index).or_insert_with(|| by.clone());
+                        state
+                            .poisoned
+                            .insert(*index, (status.clone(), message.clone()));
+                    }
                     JournalEntry::Finished { seq, .. } => {
                         state.finished = true;
                         state.finish_seq = state.finish_seq.max(*seq);
                     }
-                    JournalEntry::Started { .. } | JournalEntry::Leased { .. } => {}
+                    JournalEntry::Started { .. }
+                    | JournalEntry::Claimed { .. }
+                    | JournalEntry::Leased { .. } => {}
                 }
                 state.entries.push(entry);
             }
@@ -696,9 +717,22 @@ mod tests {
         }
         let state = read_journal(&path).unwrap();
         assert_eq!(state.entries, sample_entries());
-        assert_eq!(state.claimed, vec![0, 1]);
-        assert_eq!(state.committed, vec![0]);
-        assert_eq!(state.poisoned, vec![1]);
+        let claimed: Vec<u64> = state
+            .entries
+            .iter()
+            .filter_map(|e| match e {
+                JournalEntry::Claimed { index, .. } => Some(*index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(claimed, vec![0, 1]);
+        let owners = [(0, String::new()), (1, "w1".to_string())];
+        assert_eq!(state.owners, BTreeMap::from(owners));
+        let poisoned = (
+            "poisoned".to_string(),
+            "injected fault: cell panic".to_string(),
+        );
+        assert_eq!(state.poisoned, BTreeMap::from([(1, poisoned)]));
         assert!(state.finished);
         assert_eq!(state.finish_seq, 7);
         assert!(!state.torn_tail);
@@ -736,6 +770,7 @@ mod tests {
             .append_batch(&sample_entries(), false)
             .unwrap();
         assert_eq!(read_journal(&path).unwrap().entries, sample_entries());
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
 
         let path = temp_journal("batch-kill");
         let inj = Arc::new(FaultInjector::new(FaultPlan {

@@ -20,7 +20,9 @@
 //!   through one [`Disk`]: the filesystem or a
 //!   [`FaultInjector`] running a [`FaultPlan`]. One rule per stored
 //!   document decides which bytes are trusted ([`verify_record`],
-//!   [`verify_manifest`]), for the cache and [`fsck()`] alike;
+//!   [`verify_manifest`]), for the cache and [`fsck()`] alike, and one
+//!   classifier decides what a file name in a suite directory is
+//!   ([`SuiteFile`]);
 //! * [`check_against_store`] / [`compare_stores`] — drift detection
 //!   through one suite comparator: the pipeline is deterministic end to
 //!   end, so *any* byte difference in a record or a manifest on
@@ -29,7 +31,9 @@
 //!
 //! The farm (`apex-farm`) adds no store rule and no loop of its own: it
 //! runs cells through the runner's drain loop under its own claim
-//! policy, reads its journal with a [`JournalReader`], tallies and
+//! policy, reads its journal with a [`JournalReader`] (whose replayed
+//! [`JournalState`] names each cell's owner and poisoned outcome),
+//! sweeps temps by [`SuiteFile`], tallies and
 //! finishes a suite through [`CellTally`] and [`Committer::finish`],
 //! and reports the bytes its [`Committer`] found disagreeing as drift's
 //! [`Divergence`].
@@ -78,7 +82,7 @@ pub use runner::{
 };
 pub use store::{
     verify_manifest, verify_record, CacheLookup, LabStore, Manifest, ManifestCell, StoreFault,
-    DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS, QUARANTINE_DIR, TELEMETRY_FILES,
+    SuiteFile, DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS, QUARANTINE_DIR, TELEMETRY_FILES,
 };
 pub use suite::{
     Cell, Grid, OutputExpectation, SeedRange, Suite, TooManyCells, MAX_SUITE_CELLS,

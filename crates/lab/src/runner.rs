@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
 
 use apex_obs::{Metrics, Obs, ObsOpts, POW2_BOUNDS};
-use apex_scenario::{CacheStats, ReportRecord, RunOpts, RunOutcome};
+use apex_scenario::{catch_panic, CacheStats, ReportRecord, RunOpts, RunOutcome};
 
 use crate::digest_hex;
 use crate::drift::{diff_detail, Divergence, DriftKind};
@@ -120,7 +120,7 @@ where
         for (i, c) in configs.iter().enumerate() {
             let Some(k) = claim(c) else { continue };
             on_batch(vec![Event::Started(i, k.clone())])?;
-            on_batch(vec![Event::Finished(i, catching(|| f(c, &k)))])?;
+            on_batch(vec![Event::Finished(i, catch_panic(|| f(c, &k)))])?;
         }
         return Ok(());
     }
@@ -138,7 +138,9 @@ where
                     let Some(c) = configs.get(i) else { break };
                     let Some(k) = claim(c) else { continue };
                     if tx.send(Event::Started(i, k.clone())).is_err()
-                        || tx.send(Event::Finished(i, catching(|| f(c, &k)))).is_err()
+                        || tx
+                            .send(Event::Finished(i, catch_panic(|| f(c, &k))))
+                            .is_err()
                     {
                         break;
                     }
@@ -160,18 +162,6 @@ where
             }
         }
         first_err
-    })
-}
-
-/// Run `f` under `catch_unwind`, turning a panic into its message (the
-/// payload when it is a string, else a fixed placeholder).
-fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string())
     })
 }
 
@@ -199,7 +189,7 @@ where
 {
     let threads = threads.min(configs.len());
     let outs: Vec<Result<T, String>> = if threads <= 1 {
-        configs.iter().map(|c| catching(|| f(c))).collect()
+        configs.iter().map(|c| catch_panic(|| f(c))).collect()
     } else {
         let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Option<Result<T, String>>> = (0..configs.len()).map(|_| None).collect();
@@ -212,7 +202,7 @@ where
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(c) = configs.get(i) else { break };
-                            done.push((i, catching(|| f(c))));
+                            done.push((i, catch_panic(|| f(c))));
                         }
                         done
                     })
@@ -406,8 +396,9 @@ pub struct CommitBatch<'r> {
 ///
 /// A farm worker's committer (a non-empty `by`) keeps two rules of its
 /// own, because workers may commit the same record at once: each stages
-/// its records under its own temp name, and a record whose verified
-/// bytes are already at its final path is not written again — when
+/// its records under its own temp name (`<cell>.json.<worker>.tmp`),
+/// and a record whose verified bytes are already at its final path is
+/// not written again — when
 /// those bytes differ from the staged ones, the stored bytes stay
 /// ground truth and the disagreement is kept as a
 /// [`Divergence`] ([`Committer::divergences`]). A single runner
@@ -439,20 +430,6 @@ impl<'s> Committer<'s> {
         }
     }
 
-    /// Where the record bound for `path` is staged: its plain `.tmp`
-    /// sibling for a single runner, so a resumed run overwrites what a
-    /// crash left there. Farm workers may commit the same record at
-    /// once, so each stages its own file (`<name>.<worker>.tmp`) that
-    /// no other worker can truncate or rename.
-    fn temp_for(&self, path: &Path) -> std::io::Result<PathBuf> {
-        let tmp = apex_scenario::temp_path(path)?;
-        Ok(if self.by.is_empty() {
-            tmp
-        } else {
-            tmp.with_extension(format!("{}.tmp", self.by))
-        })
-    }
-
     /// Append one entry durably (`started`, `finished`, a farm probe):
     /// one line and one barrier.
     pub fn append(&mut self, entry: &JournalEntry) -> Result<(), String> {
@@ -482,7 +459,9 @@ impl<'s> Committer<'s> {
             if !self.by.is_empty() && self.already_stored(&path, &digest, &text, batch) {
                 continue;
             }
-            let tmp = self.temp_for(&path).map_err(werr)?;
+            let tmp = self
+                .store
+                .record_temp_path(&self.suite_digest, &digest, &self.by);
             self.store.stage_text(&path, &tmp, &text).map_err(werr)?;
             self.bytes += text.len() as u64;
             temps.push(tmp);

@@ -8,9 +8,13 @@
 //!     manifest.json                 name, digest, per-cell index
 //!     journal.jsonl                 write-ahead execution journal
 //!     <cell-digest>.json            one ReportRecord per completed cell
+//!     <name>.tmp                    a write in flight, or crash debris
 //!   quarantine/                     fsck's holding pen (never run over)
 //!     <suite-digest>/<file>         corrupt files, moved — not deleted
 //! ```
+//!
+//! What a name in a suite directory means is decided in one place,
+//! [`SuiteFile::of`], for every reader of a suite directory.
 //!
 //! Every path component is a content digest: the suite directory is the
 //! FNV-1a digest of the canonical suite document, each record file the
@@ -74,6 +78,52 @@ pub const TELEMETRY_FILES: &[&str] = &[
     apex_obs::METRICS_FILE,
     apex_obs::TRACE_FILE,
 ];
+
+/// What a file in a suite directory is, by its name — the one reading
+/// of suite-directory names that fsck, drift's record listing, the
+/// farm's temp sweep and the metrics merge share ([`SuiteFile::of`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SuiteFile<'a> {
+    /// `<cell>.json`: one cell's record, named by its cell digest.
+    Record(&'a str),
+    /// `manifest.json`.
+    Manifest,
+    /// `journal.jsonl` ([`JOURNAL_FILE`](crate::JOURNAL_FILE)).
+    Journal,
+    /// `metrics.json`, or a farm worker's `metrics-<worker>.json` shard:
+    /// both carry the unified metrics document.
+    Metrics,
+    /// `trace.jsonl`, or a farm worker's `trace-<worker>.jsonl`.
+    Trace,
+    /// Any `*.tmp`: what an atomic write stages before its rename,
+    /// with the name up to its first `.` — the cell digest of a record
+    /// temp (`<cell>.json.tmp`, a farm worker's
+    /// `<cell>.json.<worker>.tmp`). A leftover one is crash debris.
+    Temp(&'a str),
+    /// Anything else.
+    Other,
+}
+
+impl<'a> SuiteFile<'a> {
+    /// Classify the file name `name`.
+    pub fn of(name: &'a str) -> Self {
+        if name.ends_with(".tmp") {
+            return SuiteFile::Temp(name.split_once('.').map_or(name, |(stem, _)| stem));
+        }
+        if name == crate::journal::JOURNAL_FILE {
+            return SuiteFile::Journal;
+        }
+        if name.starts_with("trace") && name.ends_with(".jsonl") {
+            return SuiteFile::Trace;
+        }
+        match name.strip_suffix(".json") {
+            Some("manifest") => SuiteFile::Manifest,
+            Some(stem) if stem.starts_with("metrics") => SuiteFile::Metrics,
+            Some(stem) => SuiteFile::Record(stem),
+            None => SuiteFile::Other,
+        }
+    }
+}
 
 /// The answer a store gives when asked for one cell's record by digest.
 ///
@@ -451,6 +501,23 @@ impl LabStore {
             .join(format!("{cell_digest}.json"))
     }
 
+    /// Where a group commit stages one cell's record: `<cell>.json.tmp`
+    /// for a single runner (`by` empty), which a resumed run overwrites;
+    /// `<cell>.json.<by>.tmp` for farm worker `by`, so workers committing
+    /// one record at once never share a temp.
+    pub(crate) fn record_temp_path(
+        &self,
+        suite_digest: &str,
+        cell_digest: &str,
+        by: &str,
+    ) -> PathBuf {
+        let name = match by {
+            "" => format!("{cell_digest}.json.tmp"),
+            by => format!("{cell_digest}.json.{by}.tmp"),
+        };
+        self.suite_dir(suite_digest).join(name)
+    }
+
     /// The manifest path of one suite.
     pub fn manifest_path(&self, suite_digest: &str) -> PathBuf {
         self.suite_dir(suite_digest).join("manifest.json")
@@ -614,26 +681,18 @@ impl LabStore {
         Ok(out)
     }
 
-    /// The record digests present under one suite directory (sorted; the
-    /// manifest and the metrics sidecars are excluded, and the `.jsonl`
-    /// journal and trace never match). Used to detect records a suite no
-    /// longer names.
+    /// The record digests present under one suite directory (sorted;
+    /// every file [`SuiteFile::of`] reads as a record). Used to detect
+    /// records a suite no longer names.
     pub fn record_digests(&self, suite_digest: &str) -> Result<Vec<String>, String> {
         let dir = self.suite_dir(suite_digest);
+        let err = |e: std::io::Error| format!("{}: {e}", dir.display());
         let mut out = Vec::new();
-        let entries = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| format!("{}: {e}", dir.display()))?;
-            let path = entry.path();
-            if path.is_dir() {
-                continue;
-            }
-            if path.extension().is_some_and(|e| e == "json") {
-                if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                    if stem != "manifest" && !stem.starts_with("metrics") {
-                        out.push(stem.to_string());
-                    }
-                }
+        for entry in std::fs::read_dir(&dir).map_err(err)? {
+            let path = entry.map_err(err)?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if let (false, SuiteFile::Record(stem)) = (path.is_dir(), SuiteFile::of(name)) {
+                out.push(stem.to_string());
             }
         }
         out.sort();

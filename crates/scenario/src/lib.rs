@@ -42,7 +42,7 @@ mod scenario;
 /// (the same construction names fuzz-corpus artifacts).
 pub use apex_sim::fnv1a64;
 pub use cache::CacheStats;
-pub use outcome::{RunOutcome, OUTCOME_FORMAT_MAJOR, OUTCOME_FORMAT_MINOR};
+pub use outcome::{catch_panic, RunOutcome, OUTCOME_FORMAT_MAJOR, OUTCOME_FORMAT_MINOR};
 pub use program::{
     op_from_name, op_name, program_from_json, program_to_json, scheme_from_label, ProgramMemo,
     ProgramSource,

@@ -52,6 +52,20 @@ pub enum RunOutcome {
     },
 }
 
+/// Run `f` under `catch_unwind`, turning a panic into its message: the
+/// payload when it is a string, else a fixed placeholder. Every panic
+/// the workspace isolates — a captured run, a runner trial — is turned
+/// into text here.
+pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_else(|| "non-string panic payload".to_string())
+    })
+}
+
 impl RunOutcome {
     /// Execute `scenario` under `catch_unwind`, classifying a budget trip
     /// (the harnesses' `clock stalled …` asserts) as [`Exhausted`] and any
@@ -74,30 +88,16 @@ impl RunOutcome {
     /// [`RunOutcome::capture`] with an explicit runner — the seam the
     /// lab's fault-injection harness uses to panic a chosen cell.
     pub fn capture_with(scenario: &Scenario, run: impl FnOnce(&Scenario) -> ReportRecord) -> Self {
-        let result = {
-            let scenario = scenario.clone();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || run(&scenario)))
-        };
-        match result {
+        match catch_panic(|| run(scenario)) {
             Ok(record) => RunOutcome::Complete(Box::new(record)),
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                if message.contains("clock stalled") {
-                    RunOutcome::Exhausted {
-                        scenario: scenario.clone(),
-                        message,
-                    }
-                } else {
-                    RunOutcome::Poisoned {
-                        scenario: scenario.clone(),
-                        message,
-                    }
-                }
-            }
+            Err(message) if message.contains("clock stalled") => RunOutcome::Exhausted {
+                scenario: scenario.clone(),
+                message,
+            },
+            Err(message) => RunOutcome::Poisoned {
+                scenario: scenario.clone(),
+                message,
+            },
         }
     }
 

@@ -19,7 +19,7 @@ use apex_scenario::{ProgramEngine, RunOpts};
 use apex_scheme::SchemeKind;
 
 use crate::gen::{generate_nondet_program, generate_program, GenConfig};
-use crate::oracle::{check_triple, record_bytes, run_scenario, verdict, Triple, Verdict};
+use crate::oracle::{check_triple, run_scenario, verdict, Triple, Verdict};
 use crate::sched_gen::{generate_adversary, SchedGenConfig};
 
 /// Campaign parameters.
@@ -170,7 +170,7 @@ pub fn run_campaign(
                     ..RunOpts::default()
                 },
             );
-            let engines_agree = record_bytes(&scenario, run) == record_bytes(&scenario, walker);
+            let engines_agree = run.to_json().render() == walker.to_json().render();
             let det = (cfg.det_leg && triple.program.is_nondeterministic())
                 .then(|| check_triple(&triple, SchemeKind::DetBaseline));
             let comparators = if cfg.comparator_legs {

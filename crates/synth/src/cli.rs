@@ -19,6 +19,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use apex_lab::CellTally;
 use apex_obs::ObsOpts;
 use apex_scenario::{ProgramEngine, RunOpts, RunOutcome, Scenario};
 use apex_scheme::SchemeKind;
@@ -301,7 +302,15 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
     let elapsed_ms = apex_obs::elapsed_ms(started_at);
     opts.obs.flush();
     if run_args.obs.metrics || run_args.obs.profile {
-        let metrics = single_run_metrics(&outcome, &run_args.obs, elapsed_ms);
+        // The result plane of a suite of one cell, tallied as `apex
+        // suite run` tallies each cell, so `apex obs metrics --merge`
+        // folds single runs and suite runs alike.
+        let mut metrics = apex_obs::Metrics::new();
+        CellTally::seed(&mut metrics, 1);
+        CellTally::of(&outcome).add_to(&mut metrics);
+        if run_args.obs.profile {
+            metrics.add("time.elapsed_ms", elapsed_ms);
+        }
         let path = args.get("metrics").unwrap_or(apex_obs::METRICS_FILE);
         if let Err(e) = std::fs::write(path, metrics.render_pretty()) {
             eprintln!("--metrics: failed to write {path}: {e}");
@@ -331,31 +340,6 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// The unified metrics document for one `apex run` invocation — the
-/// same instrument names `apex suite run` records, over a suite of one
-/// cell, so `apex obs metrics --merge` folds single runs and suite runs
-/// alike.
-fn single_run_metrics(outcome: &RunOutcome, opts: &ObsOpts, elapsed_ms: u64) -> apex_obs::Metrics {
-    let mut m = apex_obs::Metrics::new();
-    m.gauge_max("cells.total", 1);
-    m.add("cells.executed", 1);
-    m.add("cells.ok", u64::from(outcome.ok()));
-    m.add(
-        "cells.exhausted",
-        u64::from(outcome.status() == "exhausted"),
-    );
-    m.add("cells.poisoned", u64::from(outcome.status() == "poisoned"));
-    let ticks = outcome.record().map(|r| r.report.ticks()).unwrap_or(0);
-    m.add("ticks.executed", ticks);
-    if outcome.record().is_some() {
-        m.observe("cells.ticks", ticks);
-    }
-    if opts.profile {
-        m.add("time.elapsed_ms", elapsed_ms);
-    }
-    m
 }
 
 /// Remove reproducers whose canonical scenario digests collide (first

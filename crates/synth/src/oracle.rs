@@ -4,8 +4,11 @@
 //! oblivious adversary, and the master seed that derives every private
 //! random source. A triple plus a scheme is a full [`Scenario`]
 //! ([`Triple::scenario`]), and every oracle leg goes through
-//! [`Scenario::run`] — so the legs of a differential comparison are
-//! scenarios differing in exactly one field, `mode.scheme`. The oracle
+//! [`RunOutcome::capture_opts`] — so the legs of a differential
+//! comparison are scenarios differing in exactly one field,
+//! `mode.scheme`, and a leg ends the way a lab cell does: a complete
+//! record, an exhausted run (a clock stall: survivable data) or a
+//! poisoned one (any other panic: a failure). The oracle
 //! runs the scenario through its execution scheme
 //! on the batched engine; the scheme harness then replays the agreed
 //! choices through the ideal executor with `Choices::Injected` and
@@ -24,7 +27,7 @@
 //! hand-written workload to the synthesized program space).
 
 use apex_pram::Program;
-use apex_scenario::{ProgramSource, ReportRecord, RunOpts, Scenario, ScenarioReport};
+use apex_scenario::{ProgramSource, RunOpts, RunOutcome, Scenario};
 use apex_scheme::{SchemeKind, SchemeReport};
 use apex_sim::AdversarySpec;
 
@@ -54,18 +57,6 @@ impl Triple {
     }
 }
 
-/// Why a scheme run aborted instead of completing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RunAbort {
-    /// The harness's clock-stall assertion tripped: a liveness budget
-    /// exhausted under an extreme adversary — survivable data, not an
-    /// inconsistent execution.
-    ClockStall(String),
-    /// Any other panic — a genuine engine/scheme crash the fuzzer must
-    /// surface as a failure, never swallow.
-    Panic(String),
-}
-
 /// What the oracle concluded about one (triple, scheme) execution.
 #[derive(Clone, Debug, Default)]
 pub struct Verdict {
@@ -89,35 +80,22 @@ impl Verdict {
     }
 }
 
-/// Execute a scheme-mode scenario, classifying panics: the harness's
-/// clock-stall assertion becomes [`RunAbort::ClockStall`]; any other panic
-/// (including a failed [`Scenario::validate`]) is [`RunAbort::Panic`] and
-/// must be treated as a failure by callers.
+/// Execute a scheme-mode scenario as a typed [`RunOutcome`]
+/// ([`RunOutcome::capture_opts`]): the harness's clock-stall assertion
+/// is [`RunOutcome::Exhausted`]; any other panic (including a failed
+/// [`Scenario::validate`]) is [`RunOutcome::Poisoned`] and must be
+/// treated as a failure by callers.
 ///
 /// `opts` can override the interpreter engine ([`RunOpts::engine`]).
 /// Reports are engine-independent, so a divergence found on one engine
 /// and replayed on the other is a bug in an interpreter, not in the
 /// finding.
-pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> Result<SchemeReport, RunAbort> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scenario.run_opts(opts).into_scheme()
-    }))
-    .map_err(|payload| {
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        if msg.contains("clock stalled") {
-            RunAbort::ClockStall(msg)
-        } else {
-            RunAbort::Panic(msg)
-        }
-    })
+pub fn run_scenario(scenario: &Scenario, opts: &RunOpts) -> RunOutcome {
+    RunOutcome::capture_opts(scenario, opts)
 }
 
 /// [`run_scenario`] for a (triple, scheme) pair.
-pub fn run_triple(triple: &Triple, kind: SchemeKind) -> Result<SchemeReport, RunAbort> {
+pub fn run_triple(triple: &Triple, kind: SchemeKind) -> RunOutcome {
     run_scenario(&triple.scenario(kind), &RunOpts::default())
 }
 
@@ -156,19 +134,19 @@ pub fn judge(report: &SchemeReport) -> Verdict {
     }
 }
 
-/// [`judge`] extended to aborted runs. A clock stall yields a verdict
-/// with `stalled = true` and no divergence; any other panic *is* a
-/// divergence (recorded as a work anomaly so campaigns and reproducers
-/// fail loudly on engine crashes).
-pub fn verdict(run: &Result<SchemeReport, RunAbort>) -> Verdict {
-    match run {
-        Ok(report) => judge(report),
-        Err(RunAbort::ClockStall(_)) => Verdict {
+/// [`judge`] extended to every outcome. An exhausted run (a clock
+/// stall) yields a verdict with `stalled = true` and no divergence; a
+/// poisoned one *is* a divergence (recorded as a work anomaly so
+/// campaigns and reproducers fail loudly on engine crashes).
+pub fn verdict(outcome: &RunOutcome) -> Verdict {
+    match outcome {
+        RunOutcome::Complete(record) => judge(record.report.scheme()),
+        RunOutcome::Exhausted { .. } => Verdict {
             stalled: true,
             ..Verdict::default()
         },
-        Err(RunAbort::Panic(msg)) => Verdict {
-            work_anomalies: vec![format!("harness panic: {msg}")],
+        RunOutcome::Poisoned { message, .. } => Verdict {
+            work_anomalies: vec![format!("harness panic: {message}")],
             ..Verdict::default()
         },
     }
@@ -177,20 +155,6 @@ pub fn verdict(run: &Result<SchemeReport, RunAbort>) -> Verdict {
 /// [`run_scenario`] + [`verdict`] in one call.
 pub fn check_scenario(scenario: &Scenario, opts: &RunOpts) -> Verdict {
     verdict(&run_scenario(scenario, opts))
-}
-
-/// The bytes the lab store would write for one [`run_scenario`] of
-/// `scenario` (the rendered [`ReportRecord`]), or how the run aborted —
-/// what two interpreters must agree on.
-pub fn record_bytes(
-    scenario: &Scenario,
-    run: Result<SchemeReport, RunAbort>,
-) -> Result<String, RunAbort> {
-    run.map(|report| {
-        ReportRecord::from_run(scenario.clone(), ScenarioReport::Scheme(report))
-            .to_json()
-            .render()
-    })
 }
 
 /// [`check_scenario`] for a (triple, scheme) pair.
@@ -211,6 +175,14 @@ mod tests {
             program,
             schedule,
             seed,
+        }
+    }
+
+    /// The scheme report of a run that completed.
+    fn scheme_report(outcome: RunOutcome) -> SchemeReport {
+        match outcome {
+            RunOutcome::Complete(record) => record.report.into_scheme(),
+            other => panic!("run did not complete: {}", other.summary()),
         }
     }
 
@@ -236,14 +208,14 @@ mod tests {
         assert!(v.work_anomalies[0].contains("harness panic"), "{v:?}");
         assert!(matches!(
             run_triple(&t, SchemeKind::Nondet),
-            Err(RunAbort::Panic(_))
+            RunOutcome::Poisoned { .. }
         ));
     }
 
     #[test]
     fn judge_flags_cooked_work_accounting() {
         let t = triple(1);
-        let mut report = run_triple(&t, SchemeKind::Nondet).unwrap();
+        let mut report = scheme_report(run_triple(&t, SchemeKind::Nondet));
         assert!(!judge(&report).diverged());
         report.ticks += 1;
         report.subphase_work.push(report.total_work + 999);
@@ -294,8 +266,8 @@ mod tests {
     #[test]
     fn verdicts_are_reproducible() {
         let t = triple(3);
-        let a = run_triple(&t, SchemeKind::Nondet).unwrap();
-        let b = run_triple(&t, SchemeKind::Nondet).unwrap();
+        let a = scheme_report(run_triple(&t, SchemeKind::Nondet));
+        let b = scheme_report(run_triple(&t, SchemeKind::Nondet));
         assert_eq!(a.total_work, b.total_work);
         assert_eq!(a.final_memory, b.final_memory);
     }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use apex_farm::{query, run_worker, EntryError, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
     fsck, is_kill, read_journal, run_suite_journaled, FaultInjector, FaultPlan, Grid, Journal,
-    JournalEntry, JournalOpts, JournaledRun, LabStore, SeedRange, Suite, TornWrite,
+    JournalEntry, JournalOpts, JournalState, JournaledRun, LabStore, SeedRange, Suite, TornWrite,
     TELEMETRY_FILES,
 };
 use apex_obs::{read_trace, ObsOpts};
@@ -37,6 +37,22 @@ use apex_scenario::{CacheStats, ProgramSource, Scenario, SourceSpec};
 use apex_scheme::SchemeKind;
 use apex_sim::ScheduleKind;
 use proptest::prelude::*;
+
+/// The cell indices of the journal's `kind` lines (`claimed`,
+/// `committed` or `poisoned`), in file order.
+fn indices_of(state: &JournalState, kind: &str) -> Vec<u64> {
+    state
+        .entries
+        .iter()
+        .filter(|e| e.kind() == kind)
+        .filter_map(|e| match e {
+            JournalEntry::Claimed { index, .. }
+            | JournalEntry::Committed { index, .. }
+            | JournalEntry::Poisoned { index, .. } => Some(*index),
+            _ => None,
+        })
+        .collect()
+}
 
 fn committed_suite(name: &str) -> Suite {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("suites/{name}.json"));
@@ -506,7 +522,7 @@ fn a_record_corrupted_after_its_commit_is_re_run_before_finalize() {
     let err = run_worker(&queue, &faulty, &worker("doomed")).unwrap_err();
     assert!(is_kill(&err), "{err}");
     let journal = read_journal(&store.journal_path(&digest)).unwrap();
-    assert_eq!(journal.committed, vec![0, 1]);
+    assert_eq!(indices_of(&journal, "committed"), vec![0, 1]);
 
     let cells = suite.expand().unwrap();
     // With no manifest yet there is no pinned checksum, so the flip
@@ -521,8 +537,12 @@ fn a_record_corrupted_after_its_commit_is_re_run_before_finalize() {
     assert_eq!(report.cache.rejected, 1, "{}", report.summary());
     assert_eq!(report.executed, 3, "shard 1 plus the re-run of cell 1");
     let journal = read_journal(&store.journal_path(&digest)).unwrap();
-    let commits_of_1 = journal.committed.iter().filter(|&&i| i == 1).count();
+    let commits_of_1 = indices_of(&journal, "committed")
+        .into_iter()
+        .filter(|&i| i == 1)
+        .count();
     assert_eq!(commits_of_1, 2, "committed once by each worker");
+    assert_eq!(journal.owners[&1], "doomed", "the first terminal line owns");
 
     assert_eq!(file_map(&store.suite_dir(&digest)), reference);
     assert!(fsck(&store, false).unwrap().clean());
@@ -811,7 +831,7 @@ fn a_serial_one_worker_drain_journals_like_suite_run_plus_leases() {
             other => unleased.push(other.to_line()),
         }
     }
-    let claims = farm.claimed.len();
+    let claims = indices_of(&farm, "claimed").len();
     assert_eq!(farm.leases().count(), claims, "one lease per claim");
     assert_eq!(claims, suite.expand().unwrap().len());
     let serial_lines: Vec<&str> = serial_text.lines().collect();

@@ -10,6 +10,7 @@
 //! from offset 0, and `read_journal`'s torn-final-line and
 //! corrupt-middle-line verdicts stand.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use apex_farm::{run_worker, FarmQueue, WorkerOpts};
@@ -25,9 +26,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Everything a replay produces, in a comparable form.
 type Replayed = (
     Vec<JournalEntry>,
-    Vec<u64>,
-    Vec<u64>,
-    Vec<u64>,
+    BTreeMap<u64, String>,
+    BTreeMap<u64, (String, String)>,
     bool,
     u64,
     bool,
@@ -36,8 +36,7 @@ type Replayed = (
 fn replayed(state: &JournalState) -> Replayed {
     (
         state.entries.clone(),
-        state.claimed.clone(),
-        state.committed.clone(),
+        state.owners.clone(),
         state.poisoned.clone(),
         state.finished,
         state.finish_seq,
@@ -132,6 +131,45 @@ fn two_worker_journal(dir: &Path) -> Vec<u8> {
     let state = read_journal(&store.journal_path(&suite.digest())).unwrap();
     assert!(state.finished);
     assert!(state.leases().count() > 0);
+    let cells = suite.expand().unwrap().len() as u64;
+    assert_eq!(
+        state.owners.keys().copied().collect::<Vec<_>>(),
+        (0..cells).collect::<Vec<_>>()
+    );
+    assert!(state
+        .owners
+        .values()
+        .all(|by| by == "left" || by == "right"));
+    text
+}
+
+/// `text` plus terminal lines that race, for cells past its own: cell
+/// 100 poisoned by two workers (the first line owns the cell, the latest
+/// is its outcome) and cell 101 committed by two.
+fn with_terminal_races(text: &[u8]) -> Vec<u8> {
+    let poisoned = |status: &str, message: &str, by: &str| JournalEntry::Poisoned {
+        index: 100,
+        cell: "0000000000000100".into(),
+        status: status.into(),
+        message: message.into(),
+        by: by.into(),
+    };
+    let committed = |by: &str| JournalEntry::Committed {
+        index: 101,
+        cell: "0000000000000101".into(),
+        ok: true,
+        by: by.into(),
+    };
+    let mut text = text.to_vec();
+    for entry in [
+        poisoned("exhausted", "clock stalled", "left"),
+        committed("right"),
+        poisoned("poisoned", "boom", "right"),
+        committed("left"),
+    ] {
+        text.extend_from_slice(entry.to_line().as_bytes());
+        text.push(b'\n');
+    }
     text
 }
 
@@ -141,10 +179,19 @@ fn chunked_reads_replay_what_read_journal_replays() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/canonical-journal.jsonl");
     let canonical = std::fs::read(golden).unwrap();
     let farm = two_worker_journal(&dir);
+    let raced = with_terminal_races(&canonical);
     for seed in 0..24 {
         check_chunked(&canonical, seed, &dir);
         check_chunked(&farm, seed, &dir);
+        check_chunked(&raced, seed, &dir);
     }
+    let state = one_shot(&dir, &raced).unwrap();
+    assert_eq!(
+        (&state.owners[&100], &state.owners[&101]),
+        (&"left".to_string(), &"right".to_string())
+    );
+    let latest = ("poisoned".to_string(), "boom".to_string());
+    assert_eq!(state.poisoned, BTreeMap::from([(100, latest)]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -25,13 +25,29 @@ use std::sync::Arc;
 use apex_lab::{
     claim_entry, fsck, gc, is_kill, read_journal, run_suite_journaled, terminal_entry, BitFlip,
     CacheLookup, CommitBatch, Committer, FaultInjector, FaultPlan, FsckIssueKind, Grid,
-    JournalEntry, JournalOpts, LabStore, SeedRange, Suite, TornWrite, TransientFault,
+    JournalEntry, JournalOpts, JournalState, LabStore, SeedRange, Suite, TornWrite, TransientFault,
     CELL_PANIC_MARKER, JOURNAL_FILE,
 };
 use apex_scenario::{ProgramSource, RunOutcome, Scenario, SourceSpec};
 use apex_scheme::SchemeKind;
 use apex_sim::ScheduleKind;
 use proptest::prelude::*;
+
+/// The cell indices of the journal's `kind` lines (`claimed`,
+/// `committed` or `poisoned`), in file order.
+fn indices_of(state: &JournalState, kind: &str) -> Vec<u64> {
+    state
+        .entries
+        .iter()
+        .filter(|e| e.kind() == kind)
+        .filter_map(|e| match e {
+            JournalEntry::Claimed { index, .. }
+            | JournalEntry::Committed { index, .. }
+            | JournalEntry::Poisoned { index, .. } => Some(*index),
+            _ => None,
+        })
+        .collect()
+}
 
 fn committed_suite(name: &str) -> Suite {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("suites/{name}.json"));
@@ -293,8 +309,9 @@ fn torn_write_inside_a_multi_record_batch_is_healed_by_resume() {
     // The batch died before any rename: every cell claimed, none
     // terminal, one torn record and one staged temp on disk.
     let state = read_journal(&store.journal_path(&suite.digest())).unwrap();
-    assert_eq!(state.claimed.len(), cells.len());
-    assert!(state.committed.is_empty());
+    assert_eq!(indices_of(&state, "claimed").len(), cells.len());
+    assert!(indices_of(&state, "committed").is_empty());
+    assert!(state.owners.is_empty(), "no cell is terminal");
     assert_commit_invariants(&store, &suite, 0);
     let kinds: Vec<FsckIssueKind> = fsck(&store, false)
         .unwrap()
@@ -476,7 +493,8 @@ fn cell_panic_is_isolated_poisoned_and_not_a_false_positive() {
     // poisoned cell with no record is a legal terminal state, not
     // corruption.
     let state = apex_lab::read_journal(&store.journal_path(&suite.digest())).unwrap();
-    assert_eq!(state.poisoned, vec![2]);
+    assert_eq!(indices_of(&state, "poisoned"), vec![2]);
+    assert_eq!(state.poisoned[&2].0, "poisoned");
     assert!(state.finished);
     let report = fsck(&store, false).unwrap();
     assert!(report.clean(), "{}", report.summary());

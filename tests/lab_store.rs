@@ -6,7 +6,7 @@
 
 use apex_lab::{
     check_against_store, compare_stores, fsck, run_suite_journaled, verify_record, CacheLookup,
-    DriftKind, FsckIssueKind, JournalOpts, JournaledRun, LabStore, Suite,
+    DriftKind, FsckIssueKind, JournalOpts, JournaledRun, LabStore, Suite, SuiteFile,
 };
 use apex_scenario::ReportRecord;
 
@@ -256,4 +256,48 @@ fn the_cache_and_fsck_pass_one_verdict_on_stored_records() {
     }
 
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// The one classifier of suite-directory names, over every name a run,
+/// a farm drain with `--metrics --trace` and fsck's quarantine write.
+#[test]
+fn suite_file_names_classify_as_their_writers_mean_them() {
+    use SuiteFile::*;
+    let cell = "0123456789abcdef";
+    let table: &[(&str, SuiteFile<'_>)] = &[
+        // What `apex suite run` writes (records, manifest, journal,
+        // `--metrics`, `--trace`) and the temps its writes stage.
+        ("0123456789abcdef.json", Record(cell)),
+        ("manifest.json", Manifest),
+        ("journal.jsonl", Journal),
+        ("metrics.json", Metrics),
+        ("trace.jsonl", Trace),
+        ("0123456789abcdef.json.tmp", Temp(cell)),
+        ("manifest.json.tmp", Temp("manifest")),
+        ("metrics.json.tmp", Temp("metrics")),
+        // A farm drain with `--metrics --trace`: per-worker shards
+        // and record temps.
+        ("metrics-w1.json", Metrics),
+        ("metrics-w1.json.tmp", Temp("metrics-w1")),
+        ("trace-w1.jsonl", Trace),
+        ("0123456789abcdef.json.w1.tmp", Temp(cell)),
+        ("0123456789abcdef.json.left_2-b.tmp", Temp(cell)),
+        // fsck quarantine: a name taken gets a numeric suffix.
+        ("0123456789abcdef.json.1", Other),
+        ("journal.jsonl.2", Other),
+        ("metrics.json.1", Other),
+        ("0123456789abcdef.json.tmp.1", Other),
+        // Strays: any `*.tmp` is a temp, `metrics*.json` a sidecar,
+        // any other `*.json` a record.
+        ("x.tmp", Temp("x")),
+        ("notes.txt", Other),
+        ("manifest.jsonl", Other),
+        ("metricsx.json", Metrics),
+        ("trace.json", Record("trace")),
+        ("a.b.json", Record("a.b")),
+        ("quarantine", Other),
+    ];
+    for &(name, want) in table {
+        assert_eq!(SuiteFile::of(name), want, "{name}");
+    }
 }
