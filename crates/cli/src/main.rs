@@ -30,14 +30,14 @@
 //! other flag exits 2 with the usage text. The shared run flags are
 //! [`RunArgs::FLAGS`].
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
-    check_against_store, compare_stores, fsck, gc, run_suite_journaled, DriftKind, DriftReport,
-    FaultInjector, FaultPlan, JournalOpts, LabStore, Suite, SuiteFile,
+    check_against_store, compare_stores, fsck, gc, merge_metrics, run_suite_journaled, DriftKind,
+    DriftReport, FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
 };
 use apex_obs::{read_trace, summarize, Metrics, Table};
 use apex_scenario::Scenario;
@@ -543,7 +543,7 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
                         // serial `metrics.json` and per-worker
                         // `metrics-<id>.json` shards alike — into one
                         // fleet document.
-                        match merge_metrics_under(store.root()) {
+                        match merge_metrics(store.root()) {
                             Ok((merged, files)) if files > 0 => {
                                 println!("fleet metrics ({files} documents merged):");
                                 print!("{}", render_metrics_tables(&merged));
@@ -675,7 +675,7 @@ fn cmd_obs(raw: &[String]) -> ExitCode {
                     files += 1;
                 }
                 for dir in args.all("merge") {
-                    let (doc, n) = merge_metrics_under(Path::new(dir))?;
+                    let (doc, n) = merge_metrics(Path::new(dir))?;
                     if n == 0 {
                         return Err(format!("{dir}: no metrics*.json documents found"));
                     }
@@ -706,34 +706,6 @@ fn cmd_obs(raw: &[String]) -> ExitCode {
         }
         _ => usage(),
     }
-}
-
-/// Merge every `metrics*.json` under `root` (recursively — a store
-/// keeps one per suite directory, plus per-worker shards). Returns the
-/// merged document and how many files contributed.
-fn merge_metrics_under(root: &Path) -> Result<(Metrics, usize), String> {
-    let mut merged = Metrics::new();
-    let mut files = 0usize;
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let entries = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        paths.sort();
-        for path in paths {
-            if path.is_dir() {
-                stack.push(path);
-                continue;
-            }
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if SuiteFile::of(name) == SuiteFile::Metrics {
-                merged
-                    .merge(&Metrics::load(&path)?)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                files += 1;
-            }
-        }
-    }
-    Ok((merged, files))
 }
 
 /// Render a metrics document as counter/gauge/histogram tables.

@@ -217,12 +217,7 @@ impl SuiteBytes {
             (cell.digest.clone(), (Some(cell.index), bytes))
         });
         SuiteBytes {
-            manifest: Some(
-                Manifest::from_run(run)
-                    .to_json()
-                    .render_pretty()
-                    .into_bytes(),
-            ),
+            manifest: Some(Manifest::from_run(run).render_pretty().into_bytes()),
             records: records.collect(),
         }
     }

@@ -81,8 +81,8 @@ pub use runner::{
     JournaledRun, OutputMismatch, SuiteRun,
 };
 pub use store::{
-    verify_manifest, verify_record, CacheLookup, LabStore, Manifest, ManifestCell, StoreFault,
-    SuiteFile, DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS, QUARANTINE_DIR, TELEMETRY_FILES,
+    merge_metrics, verify_manifest, verify_record, CacheLookup, LabStore, Manifest, ManifestCell,
+    StoreFault, SuiteFile, DEFAULT_STORE_ROOT, MAX_WRITE_ATTEMPTS, QUARANTINE_DIR, TELEMETRY_FILES,
 };
 pub use suite::{
     Cell, Grid, OutputExpectation, SeedRange, Suite, TooManyCells, MAX_SUITE_CELLS,
@@ -96,9 +96,9 @@ pub fn digest_hex(bytes: &[u8]) -> String {
 }
 
 /// [`digest_hex`] of `doc`'s compact rendering, or of its pretty one
-/// when `pretty`, hashed as it renders (see [`apex_sim::json`]): the
-/// bytes are never built.
-pub(crate) fn rendered_digest_hex(doc: &apex_sim::Json, pretty: bool) -> String {
+/// when `pretty`, hashed as its serializer writes it (see
+/// [`apex_sim::json`]): neither the bytes nor a tree are built.
+pub(crate) fn rendered_digest_hex(doc: &impl apex_sim::WriteJson, pretty: bool) -> String {
     let mut h = apex_sim::Fnv1a::new();
     if pretty {
         doc.render_pretty_to(&mut h);

@@ -452,9 +452,9 @@ impl<'s> Committer<'s> {
         let (mut temps, mut paths) = (Vec::new(), Vec::new());
         let mut checksums = Vec::with_capacity(batch.records.len());
         for record in &batch.records {
-            let text = record.render_pretty();
-            checksums.push(digest_hex(text.as_bytes()));
             let digest = record.digest();
+            let text = record.render_pretty_as(&digest);
+            checksums.push(digest_hex(text.as_bytes()));
             let path = self.store.record_path(&self.suite_digest, &digest);
             if !self.by.is_empty() && self.already_stored(&path, &digest, &text, batch) {
                 continue;

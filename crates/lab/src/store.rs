@@ -48,8 +48,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use apex_obs::Metrics;
 use apex_scenario::{ReportRecord, StoredRecordError};
-use apex_sim::{Json, JsonError};
+use apex_sim::{Json, JsonError, JsonWriter, WriteJson};
 
 use crate::disk::{Disk, FsDisk};
 use crate::fault::{is_kill, FaultInjector};
@@ -149,6 +150,36 @@ fn jerr(msg: impl Into<String>) -> JsonError {
     }
 }
 
+/// Merge every metrics sidecar (`metrics.json`, `metrics-<worker>.json`;
+/// [`SuiteFile::Metrics`]) under `root`, recursively — a store keeps one
+/// per suite directory, plus per-worker shards — skipping the
+/// [`QUARANTINE_DIR`], whose files fsck set aside as unreadable.
+/// Returns the merged document and how many files contributed.
+pub fn merge_metrics(root: &Path) -> Result<(Metrics, usize), String> {
+    let mut merged = Metrics::new();
+    let mut files = 0usize;
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        let entries = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
+        paths.sort();
+        for path in paths {
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() {
+                if name != QUARANTINE_DIR {
+                    stack.push(path);
+                }
+            } else if SuiteFile::of(name) == SuiteFile::Metrics {
+                merged
+                    .merge(&Metrics::load(&path)?)
+                    .map_err(|e| format!("{}: {e}", path.display()))?;
+                files += 1;
+            }
+        }
+    }
+    Ok((merged, files))
+}
+
 /// One manifest row: where a cell's record lives and how the run went.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ManifestCell {
@@ -203,9 +234,7 @@ impl Manifest {
                     ok: outcome.ok(),
                     summary: outcome.summary(),
                     checksum: known_or(run.checksums.get(index), || {
-                        outcome
-                            .record()
-                            .map(|r| rendered_digest_hex(&r.to_json(), true))
+                        outcome.record().map(|r| rendered_digest_hex(r, true))
                     }),
                 })
                 .collect(),
@@ -225,35 +254,17 @@ impl Manifest {
         pins
     }
 
-    /// The manifest's core document, without the self-checksum field.
-    fn core_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("suite_digest".into(), Json::Str(self.suite_digest.clone())),
-            (
-                "cells".into(),
-                Json::Arr(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            Json::Obj(vec![
-                                ("index".into(), Json::UInt(c.index as u64)),
-                                ("digest".into(), Json::Str(c.digest.clone())),
-                                ("status".into(), Json::Str(c.status.clone())),
-                                ("ok".into(), Json::Bool(c.ok)),
-                                ("summary".into(), Json::Str(c.summary.clone())),
-                                (
-                                    "checksum".into(),
-                                    c.checksum
-                                        .as_ref()
-                                        .map_or(Json::Null, |s| Json::Str(s.clone())),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// The manifest's one serializer, with its self-checksum in hand
+    /// (`None` writes the core document the checksum covers).
+    fn write_as(&self, checksum: Option<&str>, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.field("name", &self.name);
+            w.field("suite_digest", &self.suite_digest);
+            w.field("cells", &self.cells);
+            if let Some(checksum) = checksum {
+                w.field("checksum", checksum);
+            }
+        });
     }
 
     /// The manifest's self-checksum: FNV-1a over the compact rendering
@@ -261,18 +272,19 @@ impl Manifest {
     /// verified on read, so a bit flip anywhere in a stored manifest —
     /// including one that keeps the JSON well-formed — is detected.
     pub fn self_checksum(&self) -> String {
-        rendered_digest_hex(&self.core_json(), false)
+        rendered_digest_hex(&Signed(self, None), false)
     }
 
     /// Serialize (canonical field order, no timestamps — deterministic).
     pub fn to_json(&self) -> Json {
-        let core = self.core_json();
-        let checksum = rendered_digest_hex(&core, false);
-        let Json::Obj(mut fields) = core else {
-            unreachable!("core_json renders an object");
-        };
-        fields.push(("checksum".into(), Json::Str(checksum)));
-        Json::Obj(fields)
+        self.to_tree()
+    }
+
+    /// The canonical pretty-printed document: what the store writes.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_pretty_to(&mut out);
+        out
     }
 
     /// Decode, without judging: the self-checksum and the canonical
@@ -306,6 +318,35 @@ impl Manifest {
                 })
                 .collect::<Result<_, JsonError>>()?,
         })
+    }
+}
+
+impl WriteJson for Manifest {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        self.write_as(Some(&self.self_checksum()), w);
+    }
+}
+
+/// A manifest written with the given self-checksum, or as its bare
+/// core document (`None`).
+struct Signed<'m>(&'m Manifest, Option<&'m str>);
+
+impl WriteJson for Signed<'_> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        self.0.write_as(self.1, w);
+    }
+}
+
+impl WriteJson for ManifestCell {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.field("index", self.index);
+            w.field("digest", &self.digest);
+            w.field("status", &self.status);
+            w.field("ok", self.ok);
+            w.field("summary", &self.summary);
+            w.field("checksum", &self.checksum);
+        });
     }
 }
 
@@ -388,18 +429,10 @@ pub fn verify_manifest(bytes: &[u8]) -> Result<Manifest, StoreFault> {
         .map_err(|e| fault(ManifestUnreadable, format!("not parseable JSON: {e}")))?;
     let unreadable = |e: JsonError| fault(ManifestUnreadable, e.msg);
     let manifest = Manifest::from_json(&json).map_err(unreadable)?;
-    // One canonical document serves both checks: its last field is the
-    // self-checksum of the rest.
-    let canonical = manifest.to_json();
+    let actual = manifest.self_checksum();
     // Manifests written before the self-checksum existed carry none.
     if let Some(stored) = json.get_opt("checksum") {
-        let (stored, actual) = (
-            stored.as_str().map_err(unreadable)?,
-            canonical
-                .get("checksum")
-                .and_then(Json::as_str)
-                .map_err(unreadable)?,
-        );
+        let stored = stored.as_str().map_err(unreadable)?;
         if stored != actual {
             return Err(fault(
                 ManifestChecksum,
@@ -410,7 +443,7 @@ pub fn verify_manifest(bytes: &[u8]) -> Result<Manifest, StoreFault> {
             ));
         }
     }
-    if !canonical.renders_pretty_as(text) {
+    if !Signed(&manifest, Some(&actual)).renders_pretty_as(text) {
         return Err(fault(NotCanonical, NOT_CANONICAL));
     }
     Ok(manifest)
@@ -648,7 +681,7 @@ impl LabStore {
         std::fs::create_dir_all(self.suite_dir(&manifest.suite_digest))?;
         self.write_text(
             &self.manifest_path(&manifest.suite_digest),
-            &manifest.to_json().render_pretty(),
+            &manifest.render_pretty(),
         )
     }
 

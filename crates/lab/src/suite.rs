@@ -13,7 +13,7 @@
 
 use apex_scenario::{ProgramMemo, Scenario, ScenarioError};
 use apex_scheme::SchemeKind;
-use apex_sim::{AdversarySpec, Json, JsonError};
+use apex_sim::{AdversarySpec, Items, Json, JsonError, JsonWriter, WriteJson};
 
 use crate::rendered_digest_hex;
 
@@ -43,14 +43,16 @@ pub struct SeedRange {
     pub count: u64,
 }
 
-impl SeedRange {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("start".into(), Json::UInt(self.start)),
-            ("count".into(), Json::UInt(self.count)),
-        ])
+impl WriteJson for SeedRange {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.field("start", self.start);
+            w.field("count", self.count);
+        });
     }
+}
 
+impl SeedRange {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(SeedRange {
             start: v.get("start")?.as_u64()?,
@@ -182,37 +184,6 @@ impl Grid {
         Ok(())
     }
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("base".into(), self.base.to_json()),
-            (
-                "schemes".into(),
-                Json::Arr(
-                    self.schemes
-                        .iter()
-                        .map(|s| Json::Str(s.label().into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "ns".into(),
-                Json::Arr(self.ns.iter().map(|n| Json::UInt(*n as u64)).collect()),
-            ),
-            (
-                "schedules".into(),
-                Json::Arr(self.schedules.iter().map(AdversarySpec::to_json).collect()),
-            ),
-            (
-                "batches".into(),
-                Json::Arr(self.batches.iter().map(|b| Json::UInt(*b as u64)).collect()),
-            ),
-            (
-                "seeds".into(),
-                self.seeds.map_or(Json::Null, SeedRange::to_json),
-            ),
-        ])
-    }
-
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let arr = |key: &str| -> Result<Vec<Json>, JsonError> {
             match v.get_opt(key) {
@@ -246,6 +217,24 @@ impl Grid {
     }
 }
 
+impl WriteJson for Grid {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.field("base", &self.base);
+            w.key("schemes");
+            w.arr(Items::Scalars, |w| {
+                for s in &self.schemes {
+                    w.str(s.label());
+                }
+            });
+            w.field("ns", &self.ns);
+            w.field("schedules", &self.schedules);
+            w.field("batches", &self.batches);
+            w.field("seeds", self.seeds);
+        });
+    }
+}
+
 /// A pinned result: the cell named by `cell` (a [`Scenario::digest`])
 /// must produce exactly `outputs` as its named output-block values
 /// ([`ReportRecord::outputs`](apex_scenario::ReportRecord)). This makes a
@@ -259,17 +248,16 @@ pub struct OutputExpectation {
     pub outputs: Vec<u64>,
 }
 
-impl OutputExpectation {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("cell".into(), Json::Str(self.cell.clone())),
-            (
-                "outputs".into(),
-                Json::Arr(self.outputs.iter().map(|v| Json::UInt(*v)).collect()),
-            ),
-        ])
+impl WriteJson for OutputExpectation {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.field("cell", &self.cell);
+            w.field("outputs", &self.outputs);
+        });
     }
+}
 
+impl OutputExpectation {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(OutputExpectation {
             cell: v.get("cell")?.as_str()?.to_string(),
@@ -354,7 +342,7 @@ impl Suite {
     /// Content digest of the canonical compact suite document (16 hex
     /// digits of FNV-1a) — the suite's directory name in the lab store.
     pub fn digest(&self) -> String {
-        rendered_digest_hex(&self.to_json(), false)
+        rendered_digest_hex(self, false)
     }
 
     /// Number of cells the suite expands to — explicit cells plus every
@@ -466,31 +454,7 @@ impl Suite {
     /// except `expect`, emitted only when non-empty so expectation-free
     /// documents keep their canonical bytes and digests).
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            (
-                "version".to_string(),
-                Json::Obj(vec![
-                    ("major".into(), Json::UInt(SUITE_FORMAT_MAJOR)),
-                    ("minor".into(), Json::UInt(SUITE_FORMAT_MINOR)),
-                ]),
-            ),
-            ("name".to_string(), Json::Str(self.name.clone())),
-            (
-                "cells".to_string(),
-                Json::Arr(self.cells.iter().map(Scenario::to_json).collect()),
-            ),
-            (
-                "grids".to_string(),
-                Json::Arr(self.grids.iter().map(Grid::to_json).collect()),
-            ),
-        ];
-        if !self.expect.is_empty() {
-            fields.push((
-                "expect".to_string(),
-                Json::Arr(self.expect.iter().map(OutputExpectation::to_json).collect()),
-            ));
-        }
-        Json::Obj(fields)
+        self.to_tree()
     }
 
     /// Deserialize a suite document (rejects unknown major versions;
@@ -536,7 +500,9 @@ impl Suite {
 
     /// The canonical pretty-printed document.
     pub fn render_pretty(&self) -> String {
-        self.to_json().render_pretty()
+        let mut out = String::new();
+        self.render_pretty_to(&mut out);
+        out
     }
 
     /// Write the canonical document to `path` atomically
@@ -549,6 +515,24 @@ impl Suite {
     pub fn load(path: &std::path::Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    }
+}
+
+impl WriteJson for Suite {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.key("version");
+            w.obj(|w| {
+                w.field("major", SUITE_FORMAT_MAJOR);
+                w.field("minor", SUITE_FORMAT_MINOR);
+            });
+            w.field("name", &self.name);
+            w.field("cells", &self.cells);
+            w.field("grids", &self.grids);
+            if !self.expect.is_empty() {
+                w.field("expect", &self.expect);
+            }
+        });
     }
 }
 

@@ -61,6 +61,10 @@ pub use scenario::{
     MAX_PHASES, MAX_REPLICAS,
 };
 
+/// A value of another crate (`apex-pram`, `apex-scheme`, `apex-core`)
+/// as this crate's documents embed it: its one serializer lives here.
+pub(crate) struct Doc<'a, T>(pub(crate) &'a T);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,7 @@
 //! poisoned (a panic) — each with an exact JSON codec so journals,
 //! manifests, and reports stay serializable like everything else here.
 
-use apex_sim::{Json, JsonError};
+use apex_sim::{Json, JsonError, JsonWriter, WriteJson};
 
 use crate::record::{atomic_write, ReportRecord};
 use crate::scenario::{RunOpts, Scenario};
@@ -64,6 +64,28 @@ pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_else(|| "non-string panic payload".to_string())
     })
+}
+
+impl WriteJson for RunOutcome {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.key("version");
+            w.obj(|w| {
+                w.field("major", OUTCOME_FORMAT_MAJOR);
+                w.field("minor", OUTCOME_FORMAT_MINOR);
+            });
+            w.field("status", self.status());
+            match self {
+                RunOutcome::Complete(r) => w.field("record", &**r),
+                RunOutcome::Exhausted { scenario, message }
+                | RunOutcome::Poisoned { scenario, message } => {
+                    w.field("digest", scenario.digest());
+                    w.field("scenario", scenario);
+                    w.field("message", message);
+                }
+            }
+        });
+    }
 }
 
 impl RunOutcome {
@@ -151,25 +173,7 @@ impl RunOutcome {
     /// Serialize to the versioned outcome document (canonical field
     /// order). Complete outcomes embed the full record document.
     pub fn to_json(&self) -> Json {
-        let version = Json::Obj(vec![
-            ("major".into(), Json::UInt(OUTCOME_FORMAT_MAJOR)),
-            ("minor".into(), Json::UInt(OUTCOME_FORMAT_MINOR)),
-        ]);
-        match self {
-            RunOutcome::Complete(r) => Json::Obj(vec![
-                ("version".into(), version),
-                ("status".into(), Json::Str("complete".into())),
-                ("record".into(), r.to_json()),
-            ]),
-            RunOutcome::Exhausted { scenario, message }
-            | RunOutcome::Poisoned { scenario, message } => Json::Obj(vec![
-                ("version".into(), version),
-                ("status".into(), Json::Str(self.status().into())),
-                ("digest".into(), Json::Str(scenario.digest())),
-                ("scenario".into(), scenario.to_json()),
-                ("message".into(), Json::Str(message.clone())),
-            ]),
-        }
+        self.to_tree()
     }
 
     /// Deserialize an outcome document (rejects unknown major versions

@@ -20,9 +20,10 @@ use apex_pram::library::{
 };
 use apex_pram::{Instr, Op, Operand, Program, VarBlock, VarId};
 use apex_scheme::SchemeKind;
-use apex_sim::{Json, JsonError};
+use apex_sim::{Items, Json, JsonError, JsonWriter, WriteJson};
 
 use crate::scenario::ScenarioError;
+use crate::Doc;
 
 fn jerr(msg: impl Into<String>) -> JsonError {
     JsonError {
@@ -85,10 +86,12 @@ pub fn scheme_from_label(label: &str) -> Result<SchemeKind, JsonError> {
     })
 }
 
-fn operand_to_json(o: &Operand) -> Json {
-    match o {
-        Operand::Var(v) => Json::Obj(vec![("var".into(), Json::UInt(*v as u64))]),
-        Operand::Const(c) => Json::Obj(vec![("const".into(), Json::UInt(*c))]),
+impl WriteJson for Doc<'_, Operand> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| match *self.0 {
+            Operand::Var(v) => w.field("var", v as u64),
+            Operand::Const(c) => w.field("const", c),
+        });
     }
 }
 
@@ -102,13 +105,16 @@ fn operand_from_json(v: &Json) -> Result<Operand, JsonError> {
     }
 }
 
-fn instr_to_json(i: &Instr) -> Json {
-    Json::Obj(vec![
-        ("dst".into(), Json::UInt(i.dst as u64)),
-        ("op".into(), Json::Str(op_name(i.op).into())),
-        ("a".into(), operand_to_json(&i.a)),
-        ("b".into(), operand_to_json(&i.b)),
-    ])
+impl WriteJson for Doc<'_, Instr> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        let i = self.0;
+        w.obj(|w| {
+            w.field("dst", i.dst as u64);
+            w.field("op", op_name(i.op));
+            w.field("a", Doc(&i.a));
+            w.field("b", Doc(&i.b));
+        });
+    }
 }
 
 fn instr_from_json(v: &Json) -> Result<Instr, JsonError> {
@@ -122,33 +128,35 @@ fn instr_from_json(v: &Json) -> Result<Instr, JsonError> {
 
 /// Serialize a program to its JSON artifact form.
 pub fn program_to_json(p: &Program) -> Json {
-    Json::Obj(vec![
-        ("name".into(), Json::Str(p.name.clone())),
-        ("n_threads".into(), Json::UInt(p.n_threads as u64)),
-        ("mem_size".into(), Json::UInt(p.mem_size as u64)),
-        (
-            "init".into(),
-            Json::Arr(p.init.iter().map(|v| Json::UInt(*v)).collect()),
-        ),
-        (
-            "steps".into(),
-            Json::Arr(
-                p.steps
-                    .iter()
-                    .map(|row| {
-                        Json::Arr(
-                            row.iter()
-                                .map(|slot| match slot {
-                                    None => Json::Null,
-                                    Some(i) => instr_to_json(i),
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    Doc(p).to_tree()
+}
+
+impl WriteJson for Doc<'_, Program> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        let p = self.0;
+        w.obj(|w| {
+            w.field("name", &p.name);
+            w.field("n_threads", p.n_threads);
+            w.field("mem_size", p.mem_size);
+            w.field("init", &p.init);
+            w.key("steps");
+            w.arr(Items::Containers, |w| {
+                for row in &p.steps {
+                    // A row of idle slots is all nulls: scalars.
+                    let items = if row.iter().all(Option::is_none) {
+                        Items::Scalars
+                    } else {
+                        Items::Containers
+                    };
+                    w.arr(items, |w| {
+                        for slot in row {
+                            slot.as_ref().map(Doc).write_json(w);
+                        }
+                    });
+                }
+            });
+        });
+    }
 }
 
 /// Deserialize and **validate** a program from its JSON artifact form.
@@ -200,6 +208,23 @@ pub enum ProgramSource {
     /// An explicit program carried by value (fuzz reproducers, hand-built
     /// [`ProgramBuilder`](apex_pram::ProgramBuilder) workloads).
     Explicit(Program),
+}
+
+impl WriteJson for ProgramSource {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| match self {
+            ProgramSource::Library { name, n, params } => {
+                w.field("source", "library");
+                w.field("name", name);
+                w.field("n", n);
+                w.field("params", params);
+            }
+            ProgramSource::Explicit(p) => {
+                w.field("source", "explicit");
+                w.field("program", Doc(p));
+            }
+        });
+    }
 }
 
 impl ProgramSource {
@@ -271,24 +296,6 @@ impl ProgramSource {
         match self {
             ProgramSource::Library { n, .. } => *n,
             ProgramSource::Explicit(p) => p.n_threads,
-        }
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            ProgramSource::Library { name, n, params } => Json::Obj(vec![
-                ("source".into(), Json::Str("library".into())),
-                ("name".into(), Json::Str(name.clone())),
-                ("n".into(), Json::UInt(*n as u64)),
-                (
-                    "params".into(),
-                    Json::Arr(params.iter().map(|p| Json::UInt(*p)).collect()),
-                ),
-            ]),
-            ProgramSource::Explicit(p) => Json::Obj(vec![
-                ("source".into(), Json::Str("explicit".into())),
-                ("program".into(), program_to_json(p)),
-            ]),
         }
     }
 

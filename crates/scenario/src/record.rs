@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use apex_pram::VarBlock;
-use apex_sim::{Json, JsonError};
+use apex_sim::{Json, JsonError, JsonWriter, WriteJson};
 
 use crate::report::ScenarioReport;
 use crate::scenario::{RunOpts, Scenario};
@@ -163,29 +163,31 @@ impl ReportRecord {
 
     /// Serialize to the versioned record document (canonical field order).
     pub fn to_json(&self) -> Json {
-        self.to_json_as(self.digest())
+        self.to_tree()
     }
 
-    /// [`ReportRecord::to_json`] with the record's digest already in hand.
-    fn to_json_as(&self, digest: String) -> Json {
-        Json::Obj(vec![
-            (
-                "version".into(),
-                Json::Obj(vec![
-                    ("major".into(), Json::UInt(RECORD_FORMAT_MAJOR)),
-                    ("minor".into(), Json::UInt(RECORD_FORMAT_MINOR)),
-                ]),
-            ),
-            ("digest".into(), Json::Str(digest)),
-            ("scenario".into(), self.scenario.to_json()),
-            (
-                "outputs".into(),
-                self.outputs.as_ref().map_or(Json::Null, |o| {
-                    Json::Arr(o.iter().map(|x| Json::UInt(*x)).collect())
-                }),
-            ),
-            ("report".into(), self.report.to_json()),
-        ])
+    /// The record's one serializer, with its digest already in hand.
+    fn write_as(&self, digest: &str, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.key("version");
+            w.obj(|w| {
+                w.field("major", RECORD_FORMAT_MAJOR);
+                w.field("minor", RECORD_FORMAT_MINOR);
+            });
+            w.field("digest", digest);
+            w.field("scenario", &self.scenario);
+            w.field("outputs", &self.outputs);
+            w.field("report", &self.report);
+        });
+    }
+
+    /// The canonical pretty-printed document of the record whose
+    /// [`ReportRecord::digest`] is `digest`: what [`Self::render_pretty`]
+    /// returns, without computing the digest again.
+    pub fn render_pretty_as(&self, digest: &str) -> String {
+        let mut out = String::new();
+        Addressed(self, digest).render_pretty_to(&mut out);
+        out
     }
 
     /// Deserialize a record document. Rejects unknown major versions and
@@ -237,7 +239,7 @@ impl ReportRecord {
     /// canonical rendering. The scenario digest is computed once and
     /// serves all three checks, and the canonical check compares the
     /// rendering with `text` as it is produced and hashes it on the way
-    /// ([`Json::pretty_checksum`]), building no second copy. Returns the
+    /// ([`WriteJson::pretty_checksum`]), building no tree. Returns the
     /// record and the FNV-1a of `text`. The lab store's cache lookup and
     /// `apex lab fsck` both verify records through here.
     pub fn verify_stored(text: &str, address: &str) -> Result<(Self, u64), StoredRecordError> {
@@ -246,7 +248,7 @@ impl ReportRecord {
         if digest != address {
             return Err(StoredRecordError::Misaddressed { claims: digest });
         }
-        match record.to_json_as(digest).pretty_checksum(text) {
+        match Addressed(&record, &digest).pretty_checksum(text) {
             Some(checksum) => Ok((record, checksum)),
             None => Err(StoredRecordError::NotCanonical),
         }
@@ -260,7 +262,7 @@ impl ReportRecord {
     /// The canonical pretty-printed document — what the lab store writes,
     /// and what drift detection compares byte-for-byte.
     pub fn render_pretty(&self) -> String {
-        self.to_json().render_pretty()
+        self.render_pretty_as(&self.digest())
     }
 
     /// Write the canonical document to `path` atomically
@@ -273,6 +275,21 @@ impl ReportRecord {
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    }
+}
+
+impl WriteJson for ReportRecord {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        self.write_as(&self.digest(), w);
+    }
+}
+
+/// A record with its digest already computed.
+struct Addressed<'r>(&'r ReportRecord, &'r str);
+
+impl WriteJson for Addressed<'_> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        self.0.write_as(self.1, w);
     }
 }
 

@@ -10,9 +10,10 @@ use apex_core::validate::{BinCheck, TheoremOneReport};
 use apex_core::PhaseOutcome;
 use apex_pram::refexec::ReplayError;
 use apex_scheme::{SchemeReport, VerifyReport};
-use apex_sim::{Json, JsonError};
+use apex_sim::{Items, Json, JsonError, JsonWriter, WriteJson};
 
 use crate::program::scheme_from_label;
+use crate::Doc;
 
 /// Result of an agreement-mode scenario: the per-phase outcomes plus the
 /// machine totals (the same shape every agreement experiment aggregates).
@@ -39,17 +40,7 @@ impl AgreementRunReport {
 
     /// Serialize to the stable artifact form.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "outcomes".into(),
-                Json::Arr(self.outcomes.iter().map(phase_outcome_to_json).collect()),
-            ),
-            ("ticks".into(), Json::UInt(self.ticks)),
-            (
-                "stability_violations".into(),
-                Json::UInt(self.stability_violations as u64),
-            ),
-        ])
+        self.to_tree()
     }
 
     /// Deserialize from the artifact form.
@@ -64,6 +55,21 @@ impl AgreementRunReport {
             ticks: v.get("ticks")?.as_u64()?,
             stability_violations: v.get("stability_violations")?.as_usize()?,
         })
+    }
+}
+
+impl WriteJson for AgreementRunReport {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.key("outcomes");
+            w.arr(Items::Containers, |w| {
+                for o in &self.outcomes {
+                    Doc(o).write_json(w);
+                }
+            });
+            w.field("ticks", self.ticks);
+            w.field("stability_violations", self.stability_violations);
+        });
     }
 }
 
@@ -140,16 +146,7 @@ impl ScenarioReport {
 
     /// Serialize to the stable, mode-tagged artifact form.
     pub fn to_json(&self) -> Json {
-        match self {
-            ScenarioReport::Scheme(r) => Json::Obj(vec![
-                ("kind".into(), Json::Str("scheme".into())),
-                ("scheme".into(), scheme_report_to_json(r)),
-            ]),
-            ScenarioReport::Agreement(r) => Json::Obj(vec![
-                ("kind".into(), Json::Str("agreement".into())),
-                ("agreement".into(), r.to_json()),
-            ]),
-        }
+        self.to_tree()
     }
 
     /// Deserialize from the artifact form.
@@ -195,6 +192,21 @@ impl ScenarioReport {
     }
 }
 
+impl WriteJson for ScenarioReport {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| match self {
+            ScenarioReport::Scheme(r) => {
+                w.field("kind", "scheme");
+                w.field("scheme", Doc(r));
+            }
+            ScenarioReport::Agreement(r) => {
+                w.field("kind", "agreement");
+                w.field("agreement", r);
+            }
+        });
+    }
+}
+
 fn jerr(msg: impl Into<String>) -> JsonError {
     JsonError {
         msg: msg.into(),
@@ -202,16 +214,8 @@ fn jerr(msg: impl Into<String>) -> JsonError {
     }
 }
 
-fn u64_arr(xs: &[u64]) -> Json {
-    Json::Arr(xs.iter().map(|x| Json::UInt(*x)).collect())
-}
-
 fn u64_arr_back(v: &Json) -> Result<Vec<u64>, JsonError> {
     v.as_arr()?.iter().map(Json::as_u64).collect()
-}
-
-fn opt_u64(x: Option<u64>) -> Json {
-    x.map_or(Json::Null, Json::UInt)
 }
 
 fn opt_u64_back(v: &Json) -> Result<Option<u64>, JsonError> {
@@ -230,37 +234,39 @@ fn bool_back(v: &Json, what: &str) -> Result<bool, JsonError> {
 
 /// Serialize a [`VerifyReport`] (including the typed replay error).
 pub fn verify_report_to_json(r: &VerifyReport) -> Json {
-    let replay_error = match &r.replay_error {
-        None => Json::Null,
-        Some(e) => {
-            let (kind, step, thread) = match e {
-                ReplayError::MissingChoice { step, thread } => ("missing-choice", *step, *thread),
-                ReplayError::UnusedChoice { step, thread } => ("unused-choice", *step, *thread),
-            };
-            Json::Obj(vec![
-                ("kind".into(), Json::Str(kind.into())),
-                ("step".into(), Json::UInt(step)),
-                ("thread".into(), Json::UInt(thread as u64)),
-            ])
-        }
-    };
-    Json::Obj(vec![
-        (
-            "replica_divergences".into(),
-            Json::UInt(r.replica_divergences as u64),
-        ),
-        ("missing_values".into(), Json::UInt(r.missing_values as u64)),
-        ("det_mismatches".into(), Json::UInt(r.det_mismatches as u64)),
-        (
-            "inadmissible_choices".into(),
-            Json::UInt(r.inadmissible_choices as u64),
-        ),
-        (
-            "final_mismatches".into(),
-            Json::UInt(r.final_mismatches as u64),
-        ),
-        ("replay_error".into(), replay_error),
-    ])
+    Doc(r).to_tree()
+}
+
+impl WriteJson for Doc<'_, VerifyReport> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        let r = self.0;
+        w.obj(|w| {
+            w.field("replica_divergences", r.replica_divergences);
+            w.field("missing_values", r.missing_values);
+            w.field("det_mismatches", r.det_mismatches);
+            w.field("inadmissible_choices", r.inadmissible_choices);
+            w.field("final_mismatches", r.final_mismatches);
+            w.key("replay_error");
+            match r.replay_error {
+                None => w.null(),
+                Some(ref e) => {
+                    let (kind, step, thread) = match *e {
+                        ReplayError::MissingChoice { step, thread } => {
+                            ("missing-choice", step, thread)
+                        }
+                        ReplayError::UnusedChoice { step, thread } => {
+                            ("unused-choice", step, thread)
+                        }
+                    };
+                    w.obj(|w| {
+                        w.field("kind", kind);
+                        w.field("step", step);
+                        w.field("thread", thread);
+                    });
+                }
+            }
+        });
+    }
 }
 
 /// Deserialize a [`VerifyReport`].
@@ -290,25 +296,29 @@ pub fn verify_report_from_json(v: &Json) -> Result<VerifyReport, JsonError> {
 /// Serialize a [`SchemeReport`] — every measured quantity is an integer,
 /// so the round-trip is exact.
 pub fn scheme_report_to_json(r: &SchemeReport) -> Json {
-    Json::Obj(vec![
-        ("scheme".into(), Json::Str(r.kind.label().into())),
-        ("schedule".into(), Json::Str(r.schedule.clone())),
-        ("program".into(), Json::Str(r.program.clone())),
-        ("n".into(), Json::UInt(r.n as u64)),
-        ("t_steps".into(), Json::UInt(r.t_steps as u64)),
-        ("total_work".into(), Json::UInt(r.total_work)),
-        ("ticks".into(), Json::UInt(r.ticks)),
-        ("subphase_work".into(), u64_arr(&r.subphase_work)),
-        ("verify".into(), verify_report_to_json(&r.verify)),
-        (
-            "operand_read_failures".into(),
-            Json::UInt(r.operand_read_failures),
-        ),
-        ("copy_writes".into(), Json::UInt(r.copy_writes)),
-        ("aborted_copies".into(), Json::UInt(r.aborted_copies)),
-        ("evals".into(), Json::UInt(r.evals)),
-        ("final_memory".into(), u64_arr(&r.final_memory)),
-    ])
+    Doc(r).to_tree()
+}
+
+impl WriteJson for Doc<'_, SchemeReport> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        let r = self.0;
+        w.obj(|w| {
+            w.field("scheme", r.kind.label());
+            w.field("schedule", &r.schedule);
+            w.field("program", &r.program);
+            w.field("n", r.n);
+            w.field("t_steps", r.t_steps);
+            w.field("total_work", r.total_work);
+            w.field("ticks", r.ticks);
+            w.field("subphase_work", &r.subphase_work);
+            w.field("verify", Doc(&r.verify));
+            w.field("operand_read_failures", r.operand_read_failures);
+            w.field("copy_writes", r.copy_writes);
+            w.field("aborted_copies", r.aborted_copies);
+            w.field("evals", r.evals);
+            w.field("final_memory", &r.final_memory);
+        });
+    }
 }
 
 /// Deserialize a [`SchemeReport`].
@@ -331,16 +341,19 @@ pub fn scheme_report_from_json(v: &Json) -> Result<SchemeReport, JsonError> {
     })
 }
 
-fn bin_check_to_json(b: &BinCheck) -> Json {
-    Json::Obj(vec![
-        ("bin".into(), Json::UInt(b.bin as u64)),
-        ("value".into(), opt_u64(b.value)),
-        ("filled_upper".into(), Json::UInt(b.filled_upper as u64)),
-        ("upper_cells".into(), Json::UInt(b.upper_cells as u64)),
-        ("unique".into(), Json::Bool(b.unique)),
-        ("accessible".into(), Json::Bool(b.accessible)),
-        ("correct".into(), b.correct.map_or(Json::Null, Json::Bool)),
-    ])
+impl WriteJson for Doc<'_, BinCheck> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        let b = self.0;
+        w.obj(|w| {
+            w.field("bin", b.bin);
+            w.field("value", b.value);
+            w.field("filled_upper", b.filled_upper);
+            w.field("upper_cells", b.upper_cells);
+            w.field("unique", b.unique);
+            w.field("accessible", b.accessible);
+            w.field("correct", b.correct);
+        });
+    }
 }
 
 fn bin_check_from_json(v: &Json) -> Result<BinCheck, JsonError> {
@@ -358,14 +371,19 @@ fn bin_check_from_json(v: &Json) -> Result<BinCheck, JsonError> {
     })
 }
 
-fn theorem_one_to_json(r: &TheoremOneReport) -> Json {
-    Json::Obj(vec![
-        ("phase".into(), Json::UInt(r.phase)),
-        (
-            "bins".into(),
-            Json::Arr(r.bins.iter().map(bin_check_to_json).collect()),
-        ),
-    ])
+impl WriteJson for Doc<'_, TheoremOneReport> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        let r = self.0;
+        w.obj(|w| {
+            w.field("phase", r.phase);
+            w.key("bins");
+            w.arr(Items::Containers, |w| {
+                for b in &r.bins {
+                    Doc(b).write_json(w);
+                }
+            });
+        });
+    }
 }
 
 fn theorem_one_from_json(v: &Json) -> Result<TheoremOneReport, JsonError> {
@@ -380,26 +398,20 @@ fn theorem_one_from_json(v: &Json) -> Result<TheoremOneReport, JsonError> {
     })
 }
 
-fn phase_outcome_to_json(o: &PhaseOutcome) -> Json {
-    Json::Obj(vec![
-        ("phase".into(), Json::UInt(o.phase)),
-        ("start_work".into(), Json::UInt(o.start_work)),
-        ("completion_work".into(), opt_u64(o.completion_work)),
-        ("advance_work".into(), Json::UInt(o.advance_work)),
-        ("report".into(), theorem_one_to_json(&o.report)),
-        (
-            "clobbers".into(),
-            o.clobbers.as_deref().map_or(Json::Null, u64_arr),
-        ),
-        (
-            "stability_violations".into(),
-            Json::UInt(o.stability_violations as u64),
-        ),
-        (
-            "agreed".into(),
-            Json::Arr(o.agreed.iter().map(|a| opt_u64(*a)).collect()),
-        ),
-    ])
+impl WriteJson for Doc<'_, PhaseOutcome> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        let o = self.0;
+        w.obj(|w| {
+            w.field("phase", o.phase);
+            w.field("start_work", o.start_work);
+            w.field("completion_work", o.completion_work);
+            w.field("advance_work", o.advance_work);
+            w.field("report", Doc(&o.report));
+            w.field("clobbers", &o.clobbers);
+            w.field("stability_violations", o.stability_violations);
+            w.field("agreed", &o.agreed);
+        });
+    }
 }
 
 fn phase_outcome_from_json(v: &Json) -> Result<PhaseOutcome, JsonError> {

@@ -11,10 +11,11 @@ use apex_obs::Obs;
 use apex_pram::{Program, VarBlock};
 use apex_scheme::tasks::eval_cost;
 use apex_scheme::{ReplicaK, SchemeKind, SchemeRun, SchemeRunConfig};
-use apex_sim::{AdversarySpec, Json, JsonError, ScheduleKind};
+use apex_sim::{AdversarySpec, Json, JsonError, JsonWriter, ScheduleKind, WriteJson};
 
 use crate::program::{scheme_from_label, ProgramFacts, ProgramMemo, ProgramSource};
 use crate::report::{AgreementRunReport, ScenarioReport};
+use crate::Doc;
 
 /// Major version of the scenario JSON format. Readers reject documents
 /// whose `version.major` differs; `version.minor` only marks additive,
@@ -103,21 +104,6 @@ impl SourceSpec {
         }
     }
 
-    fn to_json(&self) -> Json {
-        match self {
-            SourceSpec::Random(bound) => Json::Obj(vec![
-                ("kind".into(), Json::Str("random".into())),
-                ("bound".into(), Json::UInt(*bound)),
-            ]),
-            SourceSpec::Coin(num, den) => Json::Obj(vec![
-                ("kind".into(), Json::Str("coin".into())),
-                ("num".into(), Json::UInt(*num)),
-                ("den".into(), Json::UInt(*den)),
-            ]),
-            SourceSpec::Keyed => Json::Obj(vec![("kind".into(), Json::Str("keyed".into()))]),
-        }
-    }
-
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         match v.get("kind")?.as_str()? {
             "random" => Ok(SourceSpec::Random(v.get("bound")?.as_u64()?)),
@@ -128,6 +114,23 @@ impl SourceSpec {
             "keyed" => Ok(SourceSpec::Keyed),
             other => Err(jerr(format!("unknown source kind {other:?}"))),
         }
+    }
+}
+
+impl WriteJson for SourceSpec {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| match *self {
+            SourceSpec::Random(bound) => {
+                w.field("kind", "random");
+                w.field("bound", bound);
+            }
+            SourceSpec::Coin(num, den) => {
+                w.field("kind", "coin");
+                w.field("num", num);
+                w.field("den", den);
+            }
+            SourceSpec::Keyed => w.field("kind", "keyed"),
+        });
     }
 }
 
@@ -177,10 +180,6 @@ impl ProgramEngine {
         }
     }
 
-    fn to_json(self) -> Json {
-        Json::Str(self.label().into())
-    }
-
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let s = v.as_str()?;
         Self::parse(s).ok_or_else(|| jerr(format!("unknown program engine {s:?}")))
@@ -221,22 +220,22 @@ pub struct EngineKnobs {
     pub program_engine: Option<ProgramEngine>,
 }
 
-impl EngineKnobs {
-    fn to_json(self) -> Json {
-        let opt = |v: Option<u64>| v.map_or(Json::Null, Json::UInt);
-        let mut fields = vec![
-            ("batch".into(), opt(self.batch.map(|b| b as u64))),
-            ("tick_budget".into(), opt(self.tick_budget)),
-        ];
-        // Omitted when unset so every pre-existing document — and with it
-        // every content digest in every store — is byte-for-byte
-        // unchanged.
-        if let Some(engine) = self.program_engine {
-            fields.push(("program_engine".into(), engine.to_json()));
-        }
-        Json::Obj(fields)
+impl WriteJson for EngineKnobs {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.field("batch", self.batch);
+            w.field("tick_budget", self.tick_budget);
+            // Omitted when unset so every pre-existing document — and
+            // with it every content digest in every store — is byte-for-
+            // byte unchanged.
+            if let Some(engine) = self.program_engine {
+                w.field("program_engine", engine.label());
+            }
+        });
     }
+}
 
+impl EngineKnobs {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let opt = |v: Option<&Json>| -> Result<Option<u64>, JsonError> {
             match v {
@@ -287,6 +286,39 @@ pub enum Mode {
     },
 }
 
+impl WriteJson for Mode {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| match self {
+            Mode::Scheme {
+                scheme,
+                program,
+                replicas,
+            } => {
+                w.field("kind", "scheme");
+                w.field("scheme", scheme.label());
+                w.field("replicas", replicas.0);
+                w.field("program", program);
+            }
+            Mode::Agreement {
+                n,
+                source,
+                phases,
+                instrument,
+            } => {
+                w.field("kind", "agreement");
+                w.field("n", n);
+                w.field("phases", phases);
+                w.field("source", source);
+                w.key("instrument");
+                w.obj(|w| {
+                    w.field("record_events", instrument.record_events);
+                    w.field("count_clobbers", instrument.count_clobbers);
+                });
+            }
+        });
+    }
+}
+
 /// How one execution runs — never what it computes. Every field is a
 /// runtime choice that leaves the scenario document (and so its digest)
 /// untouched and every report byte identical; [`RunOpts::default`] is
@@ -328,6 +360,23 @@ pub struct Scenario {
     pub agreement: Option<AgreementConfig>,
     /// Engine knobs.
     pub engine: EngineKnobs,
+}
+
+impl WriteJson for Scenario {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.key("version");
+            w.obj(|w| {
+                w.field("major", FORMAT_MAJOR);
+                w.field("minor", FORMAT_MINOR);
+            });
+            w.field("seed", self.seed);
+            w.field("mode", &self.mode);
+            w.field("schedule", &self.schedule);
+            w.field("agreement", self.agreement.as_ref().map(Doc));
+            w.field("engine", self.engine);
+        });
+    }
 }
 
 impl Scenario {
@@ -421,14 +470,14 @@ impl Scenario {
     }
 
     /// Content digest of the canonical compact scenario document: 16 hex
-    /// digits of FNV-1a over [`Scenario::to_json`]`.render()`, hashed as
-    /// it renders ([`Json::fnv1a64`]). Two
+    /// digits of FNV-1a over its compact rendering, hashed as the
+    /// serializer writes it ([`WriteJson::fnv1a64`]), no tree built. Two
     /// scenarios share a digest iff they serialize identically, so the
     /// digest is the scenario's *content address* — the lab store keys
     /// every [`ReportRecord`](crate::ReportRecord) by it, and corpus dedup
     /// treats a collision as a duplicate reproducer.
     pub fn digest(&self) -> String {
-        format!("{:016x}", self.to_json().fnv1a64())
+        format!("{:016x}", self.fnv1a64())
     }
 
     /// The named input/output [`VarBlock`]s of a scheme-mode scenario
@@ -729,58 +778,7 @@ impl Scenario {
 
     /// Serialize to the versioned JSON value (canonical field order).
     pub fn to_json(&self) -> Json {
-        let mode = match &self.mode {
-            Mode::Scheme {
-                scheme,
-                program,
-                replicas,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::Str("scheme".into())),
-                ("scheme".into(), Json::Str(scheme.label().into())),
-                ("replicas".into(), Json::UInt(replicas.0 as u64)),
-                ("program".into(), program.to_json()),
-            ]),
-            Mode::Agreement {
-                n,
-                source,
-                phases,
-                instrument,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::Str("agreement".into())),
-                ("n".into(), Json::UInt(*n as u64)),
-                ("phases".into(), Json::UInt(*phases as u64)),
-                ("source".into(), source.to_json()),
-                (
-                    "instrument".into(),
-                    Json::Obj(vec![
-                        ("record_events".into(), Json::Bool(instrument.record_events)),
-                        (
-                            "count_clobbers".into(),
-                            Json::Bool(instrument.count_clobbers),
-                        ),
-                    ]),
-                ),
-            ]),
-        };
-        Json::Obj(vec![
-            (
-                "version".into(),
-                Json::Obj(vec![
-                    ("major".into(), Json::UInt(FORMAT_MAJOR)),
-                    ("minor".into(), Json::UInt(FORMAT_MINOR)),
-                ]),
-            ),
-            ("seed".into(), Json::UInt(self.seed)),
-            ("mode".into(), mode),
-            ("schedule".into(), self.schedule.to_json()),
-            (
-                "agreement".into(),
-                self.agreement
-                    .as_ref()
-                    .map_or(Json::Null, agreement_config_to_json),
-            ),
-            ("engine".into(), self.engine.to_json()),
-        ])
+        self.to_tree()
     }
 
     /// Deserialize from a JSON value. Rejects unknown major versions;
@@ -847,7 +845,9 @@ impl Scenario {
     /// The canonical pretty-printed document (what [`Scenario::load`]
     /// reads and the golden-file test pins).
     pub fn render_pretty(&self) -> String {
-        self.to_json().render_pretty()
+        let mut out = String::new();
+        self.render_pretty_to(&mut out);
+        out
     }
 
     /// Write the canonical document to `path` atomically
@@ -910,19 +910,23 @@ fn install_block_hook(machine: &mut apex_sim::Machine, obs: &Obs) {
 /// Serialize the agreement constants (all fields explicit, so a scenario
 /// pins the exact protocol point even if defaults change).
 pub fn agreement_config_to_json(cfg: &AgreementConfig) -> Json {
-    Json::Obj(vec![
-        ("n".into(), Json::UInt(cfg.n as u64)),
-        ("beta".into(), Json::UInt(cfg.beta as u64)),
-        ("cells_per_bin".into(), Json::UInt(cfg.cells_per_bin as u64)),
-        ("omega".into(), Json::UInt(cfg.omega)),
-        (
-            "clock_read_period".into(),
-            Json::UInt(cfg.clock_read_period),
-        ),
-        ("update_period".into(), Json::UInt(cfg.update_period)),
-        ("eval_cost".into(), Json::UInt(cfg.eval_cost)),
-        ("clock_threshold".into(), Json::UInt(cfg.clock_threshold)),
-    ])
+    Doc(cfg).to_tree()
+}
+
+impl WriteJson for Doc<'_, AgreementConfig> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        let cfg = self.0;
+        w.obj(|w| {
+            w.field("n", cfg.n);
+            w.field("beta", cfg.beta);
+            w.field("cells_per_bin", cfg.cells_per_bin);
+            w.field("omega", cfg.omega);
+            w.field("clock_read_period", cfg.clock_read_period);
+            w.field("update_period", cfg.update_period);
+            w.field("eval_cost", cfg.eval_cost);
+            w.field("clock_threshold", cfg.clock_threshold);
+        });
+    }
 }
 
 /// Deserialize the agreement constants.

@@ -16,20 +16,33 @@
 //! general-purpose JSON library (no arbitrary-precision numbers, no
 //! surrogate-pair escapes).
 //!
-//! **One renderer, three sinks.** Compact and pretty rendering write
-//! through a [`Sink`] rather than into a `String`. The store's
-//! identities are all functions of a rendering — a scenario's content
-//! address is FNV-1a over its compact document, a manifest's
-//! self-checksum FNV-1a over its core, and a stored record or manifest
-//! is trusted only if its bytes *are* its canonical pretty rendering —
-//! and none of them needs the rendered text itself. So a digest renders
-//! into an [`Fnv1a`] ([`Json::fnv1a64`]), a canonical check into a
-//! comparator that matches each piece against the stored bytes as it is
-//! produced and hashes what matched ([`Json::pretty_checksum`]), and
-//! only a document that is written out is materialised. Because every
-//! sink sees the same pieces in the same order, a hash or a comparison
-//! is exactly what it would be over [`Json::render`] or
-//! [`Json::render_pretty`] (tests pin this).
+//! **One writer, three targets.** Every document goes out through one
+//! structured writer, [`JsonWriter`]: objects, arrays, keys and scalars,
+//! in document order. A type serializes itself once, in
+//! [`WriteJson::write_json`], and the writer decides what that becomes:
+//! compact text or pretty text into any [`Sink`], or a [`Json`] tree.
+//! `Json` writes itself through the same writer, so there is one compact
+//! layout and one pretty layout, and every type's `to_json` is its
+//! serializer run into the tree target ([`WriteJson::to_tree`]).
+//!
+//! A pretty array of scalars stays on one line, and an array holding an
+//! object or an array puts one element per line. A streaming writer
+//! cannot look ahead, so whoever opens an array says which it is
+//! ([`Items`]): a typed `Vec<u64>` knows statically, a `Json` array
+//! checks its elements.
+//!
+//! The store's identities are all functions of a rendering — a
+//! scenario's content address is FNV-1a over its compact document, a
+//! manifest's self-checksum FNV-1a over its core, and a stored record or
+//! manifest is trusted only if its bytes *are* its canonical pretty
+//! rendering — and none of them needs the rendered text or a tree. So a
+//! digest writes into an [`Fnv1a`] ([`WriteJson::fnv1a64`]), a canonical
+//! check into a comparator that matches each piece against the stored
+//! bytes as it is produced and hashes what matched
+//! ([`WriteJson::pretty_checksum`]), and only a document that is written
+//! out is materialised. Because every sink sees the same pieces in the
+//! same order, a hash or a comparison is exactly what it would be over
+//! the rendered text (tests pin this).
 
 use std::fmt::Write as _;
 
@@ -113,109 +126,6 @@ impl Json {
         out
     }
 
-    /// FNV-1a over [`Json::render`]'s bytes, hashed as they are rendered:
-    /// the content address of a canonical compact document, with no
-    /// `String` built to hold it.
-    pub fn fnv1a64(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        self.render_to(&mut h);
-        h.finish()
-    }
-
-    /// Whether `text` is exactly [`Json::render_pretty`]'s output,
-    /// compared byte by byte as it is rendered: the canonical check of a
-    /// stored document, with no second copy of it built.
-    pub fn renders_pretty_as(&self, text: &str) -> bool {
-        self.pretty_checksum(text).is_some()
-    }
-
-    /// [`Json::renders_pretty_as`] that hashes as it compares: the
-    /// FNV-1a of `text` (`fnv1a64(text)`) when `text` is exactly the
-    /// pretty rendering, `None` otherwise. One pass gives a stored
-    /// document's verdict and its checksum.
-    pub fn pretty_checksum(&self, text: &str) -> Option<u64> {
-        let mut expect = Expect::new(text);
-        self.render_pretty_to(&mut expect);
-        expect.matched()
-    }
-
-    /// Render compactly into `out`.
-    pub fn render_to(&self, out: &mut impl Sink) {
-        match self {
-            Json::Null => out.put("null"),
-            Json::Bool(b) => out.put(if *b { "true" } else { "false" }),
-            Json::UInt(u) => render_u64(*u, out),
-            Json::Num(x) => render_f64(*x, out),
-            Json::Str(s) => render_string(s, out),
-            Json::Arr(items) => {
-                out.put("[");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.put(",");
-                    }
-                    item.render_to(out);
-                }
-                out.put("]");
-            }
-            Json::Obj(fields) => {
-                out.put("{");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.put(",");
-                    }
-                    render_string(k, out);
-                    out.put(":");
-                    v.render_to(out);
-                }
-                out.put("}");
-            }
-        }
-    }
-
-    /// Render with two-space indentation and a trailing newline into
-    /// `out`.
-    pub fn render_pretty_to(&self, out: &mut impl Sink) {
-        self.render_pretty_at(out, 0);
-        out.put("\n");
-    }
-
-    fn render_pretty_at(&self, out: &mut impl Sink, depth: usize) {
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                // Arrays of scalars stay on one line; arrays of containers
-                // get one element per line.
-                let nested = items
-                    .iter()
-                    .any(|i| matches!(i, Json::Arr(_) | Json::Obj(_)));
-                if !nested {
-                    self.render_to(out);
-                    return;
-                }
-                out.put("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    pad(out, depth + 1);
-                    item.render_pretty_at(out, depth + 1);
-                    out.put(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                pad(out, depth);
-                out.put("]");
-            }
-            Json::Obj(fields) if !fields.is_empty() => {
-                out.put("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    pad(out, depth + 1);
-                    render_string(k, out);
-                    out.put(": ");
-                    v.render_pretty_at(out, depth + 1);
-                    out.put(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                }
-                pad(out, depth);
-                out.put("}");
-            }
-            _ => self.render_to(out),
-        }
-    }
-
     /// The value as `u64` (accepts `UInt`, and integral non-negative `Num`
     /// below 2⁵³).
     pub fn as_u64(&self) -> Result<u64, JsonError> {
@@ -286,10 +196,527 @@ impl Json {
     }
 }
 
-/// Where a renderer writes its output, piece by piece, in document
-/// order. The same renderer serves every use: a `String` materialises
+/// How a pretty layout sets out an array, which a streaming writer
+/// must be told when the array opens.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Items {
+    /// Scalars only: the whole array on one line.
+    Scalars,
+    /// At least one object or array among the elements: one element
+    /// per line. (An empty array is `[]` either way.)
+    Containers,
+}
+
+/// The one structured JSON writer: a document is a sequence of these
+/// calls in document order, each object member a [`JsonWriter::key`]
+/// followed by its value. Its three targets are the compact and pretty
+/// layouts over any [`Sink`] and the [`Json`] tree builder; a type
+/// drives it from [`WriteJson::write_json`]. Serializers take it as a
+/// trait object, so each is compiled once and serves every target: one
+/// copy per target made the binary 12% larger and the short-suite
+/// workload's resident set 5% higher, for a few percent of digest time.
+pub trait JsonWriter {
+    /// Open an object.
+    fn begin_obj(&mut self);
+    /// Name the next member of the open object.
+    fn key(&mut self, key: &str);
+    /// Close the open object.
+    fn end_obj(&mut self);
+    /// Open an array whose elements are `items`.
+    fn begin_arr(&mut self, items: Items);
+    /// Close the open array.
+    fn end_arr(&mut self);
+    /// `null`.
+    fn null(&mut self);
+    /// `true` / `false`.
+    fn bool(&mut self, b: bool);
+    /// An exact unsigned integer.
+    fn uint(&mut self, u: u64);
+    /// A finite float.
+    fn num(&mut self, x: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+}
+
+impl dyn JsonWriter + '_ {
+    /// An object whose members `body` writes.
+    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) {
+        self.begin_obj();
+        body(self);
+        self.end_obj();
+    }
+
+    /// An array of `items` whose elements `body` writes.
+    pub fn arr(&mut self, items: Items, body: impl FnOnce(&mut Self)) {
+        self.begin_arr(items);
+        body(self);
+        self.end_arr();
+    }
+
+    /// One object member: `key`, then `value`.
+    pub fn field(&mut self, key: &str, value: impl WriteJson) {
+        self.key(key);
+        value.write_json(self);
+    }
+}
+
+/// A value with one serializer. Everything else — the compact and
+/// pretty text, their digests, the canonical check and the [`Json`]
+/// tree — is that serializer run into another target.
+pub trait WriteJson {
+    /// Write the value through `w`.
+    fn write_json(&self, w: &mut dyn JsonWriter);
+
+    /// Whether the value writes as a scalar (sets the pretty layout of
+    /// an array holding it; see [`Items`]).
+    fn is_scalar(&self) -> bool {
+        false
+    }
+
+    /// The value as a [`Json`] tree.
+    fn to_tree(&self) -> Json {
+        let mut tree = TreeBuilder::default();
+        self.write_json(&mut tree);
+        tree.finish()
+    }
+
+    /// Write the compact rendering into `out`.
+    fn render_to(&self, out: &mut impl Sink) {
+        self.write_json(&mut Compact { out, comma: false });
+    }
+
+    /// Write the pretty rendering — two-space indentation and a trailing
+    /// newline — into `out`.
+    fn render_pretty_to(&self, out: &mut impl Sink) {
+        self.write_json(&mut Pretty {
+            out: &mut *out,
+            depth: 0,
+            inline: 0,
+            comma: false,
+            after_key: false,
+        });
+        out.put("\n");
+    }
+
+    /// FNV-1a over the compact rendering, hashed as it is written: the
+    /// content address of a canonical compact document, with no `String`
+    /// built to hold it.
+    fn fnv1a64(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        self.render_to(&mut h);
+        h.finish()
+    }
+
+    /// The FNV-1a of `text` (`fnv1a64(text)`) when `text` is exactly the
+    /// pretty rendering, `None` otherwise: compared byte by byte as it is
+    /// written, and hashed on the way, so one pass gives a stored
+    /// document's verdict and its checksum with no second copy built.
+    fn pretty_checksum(&self, text: &str) -> Option<u64> {
+        let mut expect = Expect::new(text);
+        self.render_pretty_to(&mut expect);
+        expect.matched()
+    }
+
+    /// Whether `text` is exactly the pretty rendering
+    /// ([`WriteJson::pretty_checksum`] without the checksum).
+    fn renders_pretty_as(&self, text: &str) -> bool {
+        self.pretty_checksum(text).is_some()
+    }
+}
+
+impl WriteJson for Json {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::UInt(u) => w.uint(*u),
+            Json::Num(x) => w.num(*x),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => items.write_json(w),
+            Json::Obj(fields) => w.obj(|w| {
+                for (k, v) in fields {
+                    w.field(k, v);
+                }
+            }),
+        }
+    }
+
+    fn is_scalar(&self) -> bool {
+        !matches!(self, Json::Arr(_) | Json::Obj(_))
+    }
+}
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        (**self).write_json(w);
+    }
+
+    fn is_scalar(&self) -> bool {
+        (**self).is_scalar()
+    }
+}
+
+/// `None` is `null`.
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        match self {
+            None => w.null(),
+            Some(v) => v.write_json(w),
+        }
+    }
+
+    fn is_scalar(&self) -> bool {
+        self.as_ref().is_none_or(T::is_scalar)
+    }
+}
+
+/// An array, laid out by its elements: for a slice of scalars the
+/// check is a constant.
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        let items = if self.iter().all(T::is_scalar) {
+            Items::Scalars
+        } else {
+            Items::Containers
+        };
+        w.arr(items, |w| {
+            for item in self {
+                item.write_json(w);
+            }
+        });
+    }
+}
+
+impl<T: WriteJson> WriteJson for Vec<T> {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        self.as_slice().write_json(w);
+    }
+}
+
+macro_rules! scalar {
+    ($($t:ty => |$w:ident, $v:ident| $body:expr;)*) => {$(
+        impl WriteJson for $t {
+            fn write_json(&self, $w: &mut dyn JsonWriter) {
+                let $v = self;
+                $body
+            }
+
+            fn is_scalar(&self) -> bool {
+                true
+            }
+        }
+    )*};
+}
+
+scalar! {
+    bool => |w, v| w.bool(*v);
+    u64 => |w, v| w.uint(*v);
+    usize => |w, v| w.uint(*v as u64);
+    f64 => |w, v| w.num(*v);
+    str => |w, v| w.str(v);
+    String => |w, v| w.str(v);
+}
+
+/// The compact layout: no whitespace.
+struct Compact<'s, S> {
+    out: &'s mut S,
+    /// The open container already has a member, so the next one is
+    /// preceded by a comma.
+    comma: bool,
+}
+
+impl<S: Sink> Compact<'_, S> {
+    /// Begin a value or a key: a comma if the open container already
+    /// has a member.
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.put(",");
+        }
+        self.comma = true;
+    }
+
+    fn open(&mut self, bracket: &str) {
+        self.sep();
+        self.out.put(bracket);
+        self.comma = false;
+    }
+
+    fn close(&mut self, bracket: &str) {
+        self.out.put(bracket);
+        self.comma = true;
+    }
+}
+
+impl<S: Sink> JsonWriter for Compact<'_, S> {
+    fn begin_obj(&mut self) {
+        self.open("{");
+    }
+
+    fn key(&mut self, key: &str) {
+        self.sep();
+        render_string(key, self.out);
+        self.out.put(":");
+        self.comma = false;
+    }
+
+    fn end_obj(&mut self) {
+        self.close("}");
+    }
+
+    fn begin_arr(&mut self, _: Items) {
+        self.open("[");
+    }
+
+    fn end_arr(&mut self) {
+        self.close("]");
+    }
+
+    fn null(&mut self) {
+        self.sep();
+        self.out.put("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.sep();
+        self.out.put(if b { "true" } else { "false" });
+    }
+
+    fn uint(&mut self, u: u64) {
+        self.sep();
+        render_u64(u, self.out);
+    }
+
+    fn num(&mut self, x: f64) {
+        self.sep();
+        render_f64(x, self.out);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.sep();
+        render_string(s, self.out);
+    }
+}
+
+/// The pretty layout: two-space indentation, one member per line, and
+/// arrays of scalars on one line (compact inside). Open containers
+/// nest as some laid out line by line, then, from the first one-line
+/// array in, some laid out inline — so two counts stand for the stack.
+struct Pretty<'s, S> {
+    out: &'s mut S,
+    /// Open containers laid out one member per line.
+    depth: usize,
+    /// Open containers inside (and including) a one-line array.
+    inline: usize,
+    /// The open container already has a member.
+    comma: bool,
+    /// The next value follows its key on the key's line.
+    after_key: bool,
+}
+
+impl<S: Sink> Pretty<'_, S> {
+    /// What precedes the next value: a comma inside a one-line array,
+    /// nothing after a key or at the root, and a line break and indent
+    /// before an array element on its own line.
+    fn lead(&mut self) {
+        if self.inline > 0 {
+            if self.comma {
+                self.out.put(",");
+            }
+        } else if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            self.out.put(if self.comma { ",\n" } else { "\n" });
+            pad(self.out, self.depth);
+        }
+    }
+
+    fn open(&mut self, bracket: &str, one_line: bool) {
+        self.lead();
+        self.out.put(bracket);
+        self.comma = false;
+        if self.inline > 0 || one_line {
+            self.inline += 1;
+        } else {
+            self.depth += 1;
+        }
+    }
+
+    fn close(&mut self, bracket: &str) {
+        if self.inline > 0 {
+            self.inline -= 1;
+        } else {
+            self.depth -= 1;
+            if self.comma {
+                self.out.put("\n");
+                pad(self.out, self.depth);
+            }
+        }
+        self.out.put(bracket);
+        self.comma = true;
+    }
+
+    fn scalar(&mut self) {
+        self.lead();
+        self.comma = true;
+    }
+}
+
+impl<S: Sink> JsonWriter for Pretty<'_, S> {
+    fn begin_obj(&mut self) {
+        self.open("{", false);
+    }
+
+    fn key(&mut self, key: &str) {
+        if self.inline > 0 {
+            if self.comma {
+                self.out.put(",");
+            }
+            render_string(key, self.out);
+            self.out.put(":");
+        } else {
+            self.out.put(if self.comma { ",\n" } else { "\n" });
+            pad(self.out, self.depth);
+            render_string(key, self.out);
+            self.out.put(": ");
+            self.after_key = true;
+        }
+        self.comma = false;
+    }
+
+    fn end_obj(&mut self) {
+        self.close("}");
+    }
+
+    fn begin_arr(&mut self, items: Items) {
+        self.open("[", items == Items::Scalars);
+    }
+
+    fn end_arr(&mut self) {
+        self.close("]");
+    }
+
+    fn null(&mut self) {
+        self.scalar();
+        self.out.put("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.scalar();
+        self.out.put(if b { "true" } else { "false" });
+    }
+
+    fn uint(&mut self, u: u64) {
+        self.scalar();
+        render_u64(u, self.out);
+    }
+
+    fn num(&mut self, x: f64) {
+        self.scalar();
+        render_f64(x, self.out);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.scalar();
+        render_string(s, self.out);
+    }
+}
+
+/// The tree target: builds the [`Json`] a serializer describes.
+#[derive(Default)]
+struct TreeBuilder {
+    open: Vec<Open>,
+    done: Option<Json>,
+}
+
+/// A container the tree builder has open.
+enum Open {
+    Arr(Vec<Json>, Items),
+    /// The members so far, and the key awaiting its value.
+    Obj(Vec<(String, Json)>, Option<String>),
+}
+
+impl TreeBuilder {
+    fn value(&mut self, v: Json) {
+        match self.open.last_mut() {
+            None => self.done = Some(v),
+            Some(Open::Arr(items, _)) => items.push(v),
+            Some(Open::Obj(fields, key)) => {
+                let key = key.take().expect("an object member needs a key");
+                fields.push((key, v));
+            }
+        }
+    }
+
+    fn finish(self) -> Json {
+        debug_assert!(self.open.is_empty(), "a container was left open");
+        self.done.expect("nothing was written")
+    }
+}
+
+impl JsonWriter for TreeBuilder {
+    fn begin_obj(&mut self) {
+        self.open.push(Open::Obj(Vec::new(), None));
+    }
+
+    fn key(&mut self, key: &str) {
+        match self.open.last_mut() {
+            Some(Open::Obj(_, slot)) => *slot = Some(key.to_string()),
+            _ => panic!("a key outside an object"),
+        }
+    }
+
+    fn end_obj(&mut self) {
+        match self.open.pop() {
+            Some(Open::Obj(fields, None)) => self.value(Json::Obj(fields)),
+            _ => panic!("end_obj does not close an object"),
+        }
+    }
+
+    fn begin_arr(&mut self, items: Items) {
+        self.open.push(Open::Arr(Vec::new(), items));
+    }
+
+    fn end_arr(&mut self) {
+        match self.open.pop() {
+            Some(Open::Arr(elements, items)) => {
+                // The declared layout must be the one the elements imply,
+                // or the pretty text would differ from the tree's.
+                debug_assert!(
+                    elements.is_empty()
+                        || (items == Items::Scalars) == elements.iter().all(Json::is_scalar),
+                    "array declared {items:?} holds {elements:?}"
+                );
+                self.value(Json::Arr(elements));
+            }
+            _ => panic!("end_arr does not close an array"),
+        }
+    }
+
+    fn null(&mut self) {
+        self.value(Json::Null);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.value(Json::Bool(b));
+    }
+
+    fn uint(&mut self, u: u64) {
+        self.value(Json::UInt(u));
+    }
+
+    fn num(&mut self, x: f64) {
+        self.value(Json::Num(x));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.value(Json::Str(s.to_string()));
+    }
+}
+
+/// Where a text layout puts its output, piece by piece, in document
+/// order. The same writer serves every use: a `String` materialises
 /// the document, an [`Fnv1a`] hashes it, and a comparator checks it
-/// against text already in hand ([`Json::renders_pretty_as`]).
+/// against text already in hand ([`WriteJson::pretty_checksum`]).
 pub trait Sink {
     /// Take the next piece of the rendering.
     fn put(&mut self, s: &str);
@@ -1053,6 +1480,77 @@ mod tests {
         }
     }
 
+    /// The recursive tree renderers the writer replaced: the oracle for
+    /// both text layouts.
+    mod tree_render {
+        use super::super::{render_f64, render_string, Json};
+
+        pub fn compact(v: &Json, out: &mut String) {
+            match v {
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::UInt(u) => out.push_str(&u.to_string()),
+                Json::Num(x) => render_f64(*x, out),
+                Json::Str(s) => render_string(s, out),
+                Json::Arr(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        compact(item, out);
+                    }
+                    out.push(']');
+                }
+                Json::Obj(fields) => {
+                    out.push('{');
+                    for (i, (k, v)) in fields.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        render_string(k, out);
+                        out.push(':');
+                        compact(v, out);
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        pub fn pretty(v: &Json, out: &mut String, depth: usize) {
+            let pad = |out: &mut String, d: usize| out.push_str(&"  ".repeat(d));
+            match v {
+                Json::Arr(items)
+                    if items
+                        .iter()
+                        .any(|i| matches!(i, Json::Arr(_) | Json::Obj(_))) =>
+                {
+                    out.push_str("[\n");
+                    for (i, item) in items.iter().enumerate() {
+                        pad(out, depth + 1);
+                        pretty(item, out, depth + 1);
+                        out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+                    }
+                    pad(out, depth);
+                    out.push(']');
+                }
+                Json::Obj(fields) if !fields.is_empty() => {
+                    out.push_str("{\n");
+                    for (i, (k, v)) in fields.iter().enumerate() {
+                        pad(out, depth + 1);
+                        render_string(k, out);
+                        out.push_str(": ");
+                        pretty(v, out, depth + 1);
+                        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+                    }
+                    pad(out, depth);
+                    out.push('}');
+                }
+                _ => compact(v, out),
+            }
+        }
+    }
+
     /// Every char class the string codec treats differently: plain
     /// ASCII, the two escaped printables, every control byte, DEL, and
     /// two-, three- and four-byte UTF-8.
@@ -1124,6 +1622,17 @@ mod tests {
                 prop_assert!(!doc.renders_pretty_as(&edited), "{:?}", edited);
             }
             prop_assert!(!doc.renders_pretty_as(pretty.trim_end_matches('\n')));
+        }
+
+        #[test]
+        fn the_writer_lays_out_what_the_tree_renderers_did(doc in Trees { depth: 5 }) {
+            let (mut compact, mut pretty) = (String::new(), String::new());
+            tree_render::compact(&doc, &mut compact);
+            tree_render::pretty(&doc, &mut pretty, 0);
+            pretty.push('\n');
+            prop_assert_eq!(doc.render(), compact);
+            prop_assert_eq!(doc.render_pretty(), pretty);
+            prop_assert_eq!(doc.to_tree(), doc);
         }
 
         #[test]

@@ -36,7 +36,7 @@ use super::basic::{two_class_weights, zipf_weight};
 use super::bursty::log_stay;
 use super::combinators::{OverlaySchedule, PartitionSchedule, PhaseSwitchSchedule, ScaleSchedule};
 use super::{BoxedSchedule, ScheduleKind};
-use crate::json::{Json, JsonError};
+use crate::json::{Json, JsonError, JsonWriter, WriteJson};
 use crate::rng::{derive_seed, small_rng};
 
 /// Domain tag for deriving per-node seeds inside a composed adversary
@@ -121,26 +121,27 @@ impl OverlayKind {
         }
     }
 
-    fn to_json_fields(self) -> Vec<(String, Json)> {
+    /// The layer's members, written into its overlay's object.
+    fn write_fields(self, w: &mut dyn JsonWriter) {
         match self {
             OverlayKind::Crash {
                 crash_frac,
                 horizon,
-            } => vec![
-                ("layer".into(), Json::Str("crash".into())),
-                ("crash_frac".into(), Json::Num(crash_frac)),
-                ("horizon".into(), Json::UInt(horizon)),
-            ],
+            } => {
+                w.field("layer", "crash");
+                w.field("crash_frac", crash_frac);
+                w.field("horizon", horizon);
+            }
             OverlayKind::Sleepy {
                 sleepy_frac,
                 awake,
                 asleep,
-            } => vec![
-                ("layer".into(), Json::Str("sleepy".into())),
-                ("sleepy_frac".into(), Json::Num(sleepy_frac)),
-                ("awake".into(), Json::UInt(awake)),
-                ("asleep".into(), Json::UInt(asleep)),
-            ],
+            } => {
+                w.field("layer", "sleepy");
+                w.field("sleepy_frac", sleepy_frac);
+                w.field("awake", awake);
+                w.field("asleep", asleep);
+            }
         }
     }
 
@@ -225,6 +226,51 @@ pub enum AdversarySpec {
         /// The adversary being warped.
         base: Box<AdversarySpec>,
     },
+}
+
+impl WriteJson for AdversarySpec {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        match self {
+            AdversarySpec::Base(kind) => kind.write_json(w),
+            AdversarySpec::Overlay { layer, base } => w.obj(|w| {
+                w.field("kind", "overlay");
+                layer.write_fields(w);
+                w.field("base", &**base);
+            }),
+            AdversarySpec::PhaseSwitch { spans, tail } => w.obj(|w| {
+                w.field("kind", "phase-switch");
+                w.field("spans", spans);
+                w.field("tail", &**tail);
+            }),
+            AdversarySpec::Partition { groups } => w.obj(|w| {
+                w.field("kind", "partition");
+                w.field("groups", groups);
+            }),
+            AdversarySpec::Scale { factors, base } => w.obj(|w| {
+                w.field("kind", "scale");
+                w.field("factors", factors);
+                w.field("base", &**base);
+            }),
+        }
+    }
+}
+
+impl WriteJson for Span {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.field("ticks", self.ticks);
+            w.field("spec", &self.spec);
+        });
+    }
+}
+
+impl WriteJson for Group {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.field("procs", &self.procs);
+            w.field("spec", &self.spec);
+        });
+    }
 }
 
 impl From<ScheduleKind> for AdversarySpec {
@@ -416,64 +462,7 @@ impl AdversarySpec {
     /// the algebra existed parses to `Base` of the same kind — and keeps
     /// its content digest.
     pub fn to_json(&self) -> Json {
-        let tag = |k: &str| ("kind".to_string(), Json::Str(k.into()));
-        match self {
-            AdversarySpec::Base(kind) => kind.to_json(),
-            AdversarySpec::Overlay { layer, base } => {
-                let mut fields = vec![tag("overlay")];
-                fields.extend(layer.to_json_fields());
-                fields.push(("base".into(), base.to_json()));
-                Json::Obj(fields)
-            }
-            AdversarySpec::PhaseSwitch { spans, tail } => Json::Obj(vec![
-                tag("phase-switch"),
-                (
-                    "spans".into(),
-                    Json::Arr(
-                        spans
-                            .iter()
-                            .map(|s| {
-                                Json::Obj(vec![
-                                    ("ticks".into(), Json::UInt(s.ticks)),
-                                    ("spec".into(), s.spec.to_json()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("tail".into(), tail.to_json()),
-            ]),
-            AdversarySpec::Partition { groups } => Json::Obj(vec![
-                tag("partition"),
-                (
-                    "groups".into(),
-                    Json::Arr(
-                        groups
-                            .iter()
-                            .map(|g| {
-                                Json::Obj(vec![
-                                    (
-                                        "procs".into(),
-                                        Json::Arr(
-                                            g.procs.iter().map(|p| Json::UInt(*p as u64)).collect(),
-                                        ),
-                                    ),
-                                    ("spec".into(), g.spec.to_json()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            AdversarySpec::Scale { factors, base } => Json::Obj(vec![
-                tag("scale"),
-                (
-                    "factors".into(),
-                    Json::Arr(factors.iter().map(|f| Json::UInt(*f)).collect()),
-                ),
-                ("base".into(), base.to_json()),
-            ]),
-        }
+        self.to_tree()
     }
 
     /// Deserialize a spec tree. The `kind` tag dispatches: the four

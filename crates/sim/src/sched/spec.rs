@@ -15,7 +15,7 @@
 //! with no special plumbing.
 
 use super::{ScheduleKind, Script, ScriptedSchedule};
-use crate::json::{Json, JsonError};
+use crate::json::{Json, JsonError, JsonWriter, WriteJson};
 
 /// One segment of a scripted prefix (mirrors the [`Script`] builder verbs).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,32 +58,6 @@ impl ScriptSegment {
         }
     }
 
-    fn to_json(&self) -> Json {
-        match self {
-            ScriptSegment::Run { proc, ticks } => Json::Obj(vec![
-                ("seg".into(), Json::Str("run".into())),
-                ("proc".into(), Json::UInt(*proc as u64)),
-                ("ticks".into(), Json::UInt(*ticks)),
-            ]),
-            ScriptSegment::RoundRobin { procs, rounds } => Json::Obj(vec![
-                ("seg".into(), Json::Str("round-robin".into())),
-                (
-                    "procs".into(),
-                    Json::Arr(procs.iter().map(|p| Json::UInt(*p as u64)).collect()),
-                ),
-                ("rounds".into(), Json::UInt(*rounds)),
-            ]),
-            ScriptSegment::AllExcept { excluded, rounds } => Json::Obj(vec![
-                ("seg".into(), Json::Str("all-except".into())),
-                (
-                    "excluded".into(),
-                    Json::Arr(excluded.iter().map(|p| Json::UInt(*p as u64)).collect()),
-                ),
-                ("rounds".into(), Json::UInt(*rounds)),
-            ]),
-        }
-    }
-
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let usize_arr = |v: &Json| -> Result<Vec<usize>, JsonError> {
             v.as_arr()?.iter().map(|p| p.as_usize()).collect()
@@ -106,6 +80,28 @@ impl ScriptSegment {
                 at: 0,
             }),
         }
+    }
+}
+
+impl WriteJson for ScriptSegment {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| match self {
+            ScriptSegment::Run { proc, ticks } => {
+                w.field("seg", "run");
+                w.field("proc", proc);
+                w.field("ticks", ticks);
+            }
+            ScriptSegment::RoundRobin { procs, rounds } => {
+                w.field("seg", "round-robin");
+                w.field("procs", procs);
+                w.field("rounds", rounds);
+            }
+            ScriptSegment::AllExcept { excluded, rounds } => {
+                w.field("seg", "all-except");
+                w.field("excluded", excluded);
+                w.field("rounds", rounds);
+            }
+        });
     }
 }
 
@@ -208,14 +204,15 @@ impl ScriptSpec {
 
     /// Serialize to a JSON value.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("n".into(), Json::UInt(self.n as u64)),
-            (
-                "segments".into(),
-                Json::Arr(self.segments.iter().map(|s| s.to_json()).collect()),
-            ),
-            ("fallback".into(), self.fallback.to_json()),
-        ])
+        self.to_tree()
+    }
+
+    /// The document's members, without its braces: a scripted schedule
+    /// writes them after its own `kind` tag.
+    fn write_fields(&self, w: &mut dyn JsonWriter) {
+        w.field("n", self.n);
+        w.field("segments", &self.segments);
+        w.field("fallback", &*self.fallback);
     }
 
     /// Deserialize from a JSON value (validates processor bounds).
@@ -238,46 +235,7 @@ impl ScriptSpec {
 impl ScheduleKind {
     /// Serialize any schedule family (including scripted) to JSON.
     pub fn to_json(&self) -> Json {
-        let tag = |k: &str| ("kind".to_string(), Json::Str(k.into()));
-        match self {
-            ScheduleKind::RoundRobin => Json::Obj(vec![tag("round-robin")]),
-            ScheduleKind::Uniform => Json::Obj(vec![tag("uniform")]),
-            ScheduleKind::Zipf { s } => Json::Obj(vec![tag("zipf"), ("s".into(), Json::Num(*s))]),
-            ScheduleKind::TwoClass { slow_frac, ratio } => Json::Obj(vec![
-                tag("two-class"),
-                ("slow_frac".into(), Json::Num(*slow_frac)),
-                ("ratio".into(), Json::Num(*ratio)),
-            ]),
-            ScheduleKind::Bursty { mean_burst } => Json::Obj(vec![
-                tag("bursty"),
-                ("mean_burst".into(), Json::UInt(*mean_burst)),
-            ]),
-            ScheduleKind::Sleepy {
-                sleepy_frac,
-                awake,
-                asleep,
-            } => Json::Obj(vec![
-                tag("sleepy"),
-                ("sleepy_frac".into(), Json::Num(*sleepy_frac)),
-                ("awake".into(), Json::UInt(*awake)),
-                ("asleep".into(), Json::UInt(*asleep)),
-            ]),
-            ScheduleKind::Crash {
-                crash_frac,
-                horizon,
-            } => Json::Obj(vec![
-                tag("crash"),
-                ("crash_frac".into(), Json::Num(*crash_frac)),
-                ("horizon".into(), Json::UInt(*horizon)),
-            ]),
-            ScheduleKind::Scripted(spec) => {
-                let mut fields = vec![tag("scripted")];
-                if let Json::Obj(spec_fields) = spec.to_json() {
-                    fields.extend(spec_fields);
-                }
-                Json::Obj(fields)
-            }
-        }
+        self.to_tree()
     }
 
     /// Deserialize a schedule family from JSON.
@@ -310,6 +268,56 @@ impl ScheduleKind {
                 at: 0,
             }),
         }
+    }
+}
+
+impl WriteJson for ScriptSpec {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| self.write_fields(w));
+    }
+}
+
+impl WriteJson for ScheduleKind {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| match self {
+            ScheduleKind::RoundRobin => w.field("kind", "round-robin"),
+            ScheduleKind::Uniform => w.field("kind", "uniform"),
+            ScheduleKind::Zipf { s } => {
+                w.field("kind", "zipf");
+                w.field("s", s);
+            }
+            ScheduleKind::TwoClass { slow_frac, ratio } => {
+                w.field("kind", "two-class");
+                w.field("slow_frac", slow_frac);
+                w.field("ratio", ratio);
+            }
+            ScheduleKind::Bursty { mean_burst } => {
+                w.field("kind", "bursty");
+                w.field("mean_burst", mean_burst);
+            }
+            ScheduleKind::Sleepy {
+                sleepy_frac,
+                awake,
+                asleep,
+            } => {
+                w.field("kind", "sleepy");
+                w.field("sleepy_frac", sleepy_frac);
+                w.field("awake", awake);
+                w.field("asleep", asleep);
+            }
+            ScheduleKind::Crash {
+                crash_frac,
+                horizon,
+            } => {
+                w.field("kind", "crash");
+                w.field("crash_frac", crash_frac);
+                w.field("horizon", horizon);
+            }
+            ScheduleKind::Scripted(spec) => {
+                w.field("kind", "scripted");
+                spec.write_fields(w);
+            }
+        });
     }
 }
 

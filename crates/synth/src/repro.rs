@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 use apex_scenario::{Mode, Scenario};
 use apex_scheme::SchemeKind;
-use apex_sim::{Json, JsonError};
+use apex_sim::{Json, JsonError, JsonWriter, WriteJson};
 
 // The stable program/op JSON codec moved to `apex-scenario` with the
 // Scenario redesign; re-exported here for the original importers.
@@ -79,6 +79,17 @@ pub struct Reproducer {
     pub scenario: Scenario,
 }
 
+impl WriteJson for Reproducer {
+    fn write_json(&self, w: &mut dyn JsonWriter) {
+        w.obj(|w| {
+            w.field("version", VERSION);
+            w.field("expected", self.expected.label());
+            w.field("note", &self.note);
+            w.field("scenario", &self.scenario);
+        });
+    }
+}
+
 impl Reproducer {
     /// A reproducer for `triple` under `scheme`.
     pub fn new(scheme: SchemeKind, expected: Expectation, note: String, triple: &Triple) -> Self {
@@ -119,12 +130,7 @@ impl Reproducer {
 
     /// Serialize to the (v2) artifact JSON.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("version".into(), Json::UInt(VERSION)),
-            ("expected".into(), Json::Str(self.expected.label().into())),
-            ("note".into(), Json::Str(self.note.clone())),
-            ("scenario".into(), self.scenario.to_json()),
-        ])
+        self.to_tree()
     }
 
     /// Deserialize from (v2) artifact JSON, validating the scenario.
@@ -155,9 +161,7 @@ impl Reproducer {
     pub fn file_name(&self) -> String {
         let mut hashed = self.clone();
         hashed.note = String::new();
-        let text = hashed.to_json().render();
-        let h = apex_scenario::fnv1a64(text.as_bytes());
-        format!("{}-{:016x}.json", self.scheme().label(), h)
+        format!("{}-{:016x}.json", self.scheme().label(), hashed.fnv1a64())
     }
 
     /// Write the pretty-printed artifact into `dir`; returns the path.

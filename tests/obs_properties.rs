@@ -26,7 +26,8 @@ use std::path::{Path, PathBuf};
 
 use apex_farm::{run_worker, FarmQueue, WorkerOpts};
 use apex_lab::{
-    fsck, run_suite_journaled, Grid, JournalOpts, LabStore, SeedRange, Suite, TELEMETRY_FILES,
+    fsck, merge_metrics, run_suite_journaled, Grid, JournalOpts, LabStore, SeedRange, Suite,
+    QUARANTINE_DIR, TELEMETRY_FILES,
 };
 use apex_obs::{read_trace, Metrics, Obs, ObsOpts, TraceEvent, TraceLog};
 use apex_scenario::{ProgramEngine, ProgramSource, RunOpts, RunOutcome, Scenario, SourceSpec};
@@ -222,6 +223,40 @@ fn fleet_merge_equals_the_serial_aggregate() {
     let _ = std::fs::remove_dir_all(serial_store.root());
     let _ = std::fs::remove_dir_all(store.root());
     let _ = std::fs::remove_dir_all(queue.root());
+}
+
+#[test]
+fn a_quarantined_metrics_sidecar_is_left_out_of_the_merge() {
+    // `apex lab fsck --repair` moves an unreadable metrics shard into
+    // quarantine; the store's metrics merge (`apex obs metrics --merge`,
+    // `farm status --metrics`) must then read only what is left.
+    let suite = obs_suite(5);
+    let store = LabStore::new(temp_dir("merge-quarantine"));
+    let metrics_on = ObsOpts {
+        trace: None,
+        metrics: true,
+        profile: false,
+    };
+    let done = run_suite_journaled(&suite, &store, &opts(1, metrics_on)).unwrap();
+    let torn = store.suite_dir(&suite.digest()).join("metrics-w1.json");
+    std::fs::write(&torn, "{\"v\": 1, \"counters\": {").unwrap();
+    assert!(merge_metrics(store.root()).is_err(), "a torn shard fails");
+
+    let report = fsck(&store, true).unwrap();
+    assert!(
+        report
+            .issues
+            .iter()
+            .any(|i| i.file == "metrics-w1.json" && i.quarantined),
+        "{report:?}"
+    );
+    assert!(!torn.exists());
+    assert!(store.root().join(QUARANTINE_DIR).is_dir());
+
+    let (merged, files) = merge_metrics(store.root()).unwrap();
+    assert_eq!(files, 1, "only the suite's own metrics.json is left");
+    assert_eq!(merged, done.metrics);
+    let _ = std::fs::remove_dir_all(store.root());
 }
 
 #[test]
