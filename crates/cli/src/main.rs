@@ -36,12 +36,12 @@ use std::sync::Arc;
 
 use apex_farm::{query, run_worker, FarmQueue, QueryAnswer, WorkerOpts};
 use apex_lab::{
-    check_against_store, compare_stores, fsck, gc, merge_metrics, run_suite_journaled, DriftKind,
-    DriftReport, FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
+    check_cells_against_store, compare_stores, fsck, gc, merge_metrics, run_suite_journaled,
+    DriftKind, DriftReport, FaultInjector, FaultPlan, JournalOpts, LabStore, Suite,
 };
 use apex_obs::{read_trace, summarize, Metrics, Table};
 use apex_scenario::Scenario;
-use apex_sim::{AdversarySpec, Json};
+use apex_sim::{AdversarySpec, Json, JsonDoc};
 use apex_synth::cli::{self, Args, RunArgs};
 
 fn usage() -> ! {
@@ -118,8 +118,7 @@ fn cmd_adversary(raw: &[String]) -> ExitCode {
     let n: usize = args.get("n").and_then(|v| v.parse().ok()).unwrap_or(8);
     let load = |file: &str| -> Result<AdversarySpec, String> {
         let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-        let json = Json::parse(&text).map_err(|e| format!("{file}: {e}"))?;
-        AdversarySpec::from_json(&json).map_err(|e| format!("{file}: {e}"))
+        JsonDoc::decode(&text, AdversarySpec::decode).map_err(|e| format!("{file}: {e}"))
     };
     match (verb.as_str(), file) {
         ("validate", Some(file)) => match load(&file).and_then(|spec| {
@@ -348,11 +347,14 @@ fn cmd_drift(raw: &[String]) -> ExitCode {
         Ok(s) => s,
         Err(code) => return code,
     };
-    if let Err(e) = suite.validate() {
-        eprintln!("{file}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let report = match check_against_store(&suite, &store_from(&args)) {
+    let cells = match suite.expand() {
+        Ok(cells) => cells,
+        Err(e) => {
+            eprintln!("{file}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let report = match check_cells_against_store(&suite, &cells, &store_from(&args)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");

@@ -122,7 +122,17 @@ impl DriftReport {
 /// fresh records and the manifest the fresh run would write are the
 /// expected side of `compare_suite`, the store the actual side.
 pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftReport, String> {
-    let cells = suite.expand()?;
+    check_cells_against_store(suite, &suite.expand()?, store)
+}
+
+/// [`check_against_store`] over an already-expanded cell list (callers
+/// that need the cells anyway, e.g. to report an expansion error their
+/// own way, expand once).
+pub fn check_cells_against_store(
+    suite: &Suite,
+    cells: &[Cell],
+    store: &LabStore,
+) -> Result<DriftReport, String> {
     let suite_digest = suite.digest();
     let stored = SuiteBytes::read(store, &suite_digest)?;
     if stored.manifest.is_none() {
@@ -130,7 +140,7 @@ pub fn check_against_store(suite: &Suite, store: &LabStore) -> Result<DriftRepor
             "no stored run for suite {suite_digest} (run `apex suite run` first)"
         ));
     }
-    let fresh = SuiteBytes::fresh(&run_cells(suite, &cells), &cells);
+    let fresh = SuiteBytes::fresh(&run_cells(suite, cells), cells);
     let mut divergences = Vec::new();
     let checked = compare_suite(&suite_digest, &fresh, &stored, &mut divergences);
     Ok(DriftReport {

@@ -18,7 +18,7 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use apex_sim::{Json, JsonError};
+use apex_sim::{Json, JsonDoc, JsonError, JsonVal};
 
 use crate::disk::{Disk, FsDisk};
 
@@ -150,25 +150,23 @@ impl FaultPlan {
     }
 
     /// Deserialize.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let opt_u64 = |key: &str| -> Result<Option<u64>, JsonError> {
-            match v.get(key)? {
-                Json::Null => Ok(None),
-                other => Ok(Some(other.as_u64()?)),
-            }
-        };
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         Ok(FaultPlan {
-            kill_after_journal: opt_u64("kill_after_journal")?,
-            torn_write: match v.get("torn_write")? {
-                Json::Null => None,
-                t => Some(TornWrite {
+            kill_after_journal: v
+                .get("kill_after_journal")?
+                .non_null()
+                .map(JsonVal::as_u64)
+                .transpose()?,
+            torn_write: match v.get("torn_write")?.non_null() {
+                None => None,
+                Some(t) => Some(TornWrite {
                     write: t.get("write")?.as_u64()?,
                     keep: t.get("keep")?.as_usize()?,
                 }),
             },
-            bit_flip: match v.get("bit_flip")? {
-                Json::Null => None,
-                b => {
+            bit_flip: match v.get("bit_flip")?.non_null() {
+                None => None,
+                Some(b) => {
                     let mask = b.get("mask")?.as_u64()?;
                     Some(BitFlip {
                         write: b.get("write")?.as_u64()?,
@@ -181,13 +179,11 @@ impl FaultPlan {
             panic_cells: v
                 .get("panic_cells")?
                 .as_arr()?
-                .iter()
-                .map(Json::as_usize)
+                .map(JsonVal::as_usize)
                 .collect::<Result<_, _>>()?,
             transient: v
                 .get("transient")?
                 .as_arr()?
-                .iter()
                 .map(|t| {
                     let fails = t.get("fails")?.as_u64()?;
                     Ok(TransientFault {
@@ -202,7 +198,7 @@ impl FaultPlan {
 
     /// Parse a complete plan document.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
+        JsonDoc::decode(text, Self::decode)
     }
 
     /// Load and parse a plan file.

@@ -67,7 +67,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use apex_sim::{Json, JsonError};
+use apex_sim::{Json, JsonDoc, JsonError, JsonVal};
 
 use crate::disk::{Disk, FsDisk};
 
@@ -86,7 +86,7 @@ fn jerr(msg: impl Into<String>) -> JsonError {
 
 /// An optional string field (absent reads back as `""` — how journals
 /// written before the field existed stay parseable).
-fn opt_str(v: &Json, key: &str) -> Result<String, JsonError> {
+fn opt_str(v: JsonVal<'_>, key: &str) -> Result<String, JsonError> {
     match v.get_opt(key) {
         Some(s) => Ok(s.as_str()?.to_string()),
         None => Ok(String::new()),
@@ -261,7 +261,8 @@ impl JournalEntry {
 
     /// Parse one journal line.
     pub fn parse_line(line: &str) -> Result<Self, JsonError> {
-        let v = Json::parse(line)?;
+        let doc = JsonDoc::parse(line)?;
+        let v = doc.root();
         let version = v.get("v")?.as_u64()?;
         if version != JOURNAL_FORMAT_MAJOR {
             return Err(jerr(format!(
@@ -269,10 +270,9 @@ impl JournalEntry {
             )));
         }
         let bool_field = |key: &str| -> Result<bool, JsonError> {
-            match v.get(key)? {
-                Json::Bool(b) => Ok(*b),
-                other => Err(jerr(format!("expected bool {key}, got {other:?}"))),
-            }
+            let b = v.get(key)?;
+            b.as_bool()
+                .ok_or_else(|| jerr(format!("expected bool {key}, got {b:?}")))
         };
         match v.get("kind")?.as_str()? {
             "started" => Ok(JournalEntry::Started {
@@ -289,14 +289,14 @@ impl JournalEntry {
                 index: v.get("index")?.as_u64()?,
                 cell: v.get("cell")?.as_str()?.to_string(),
                 ok: bool_field("ok")?,
-                by: opt_str(&v, "by")?,
+                by: opt_str(v, "by")?,
             }),
             "poisoned" => Ok(JournalEntry::Poisoned {
                 index: v.get("index")?.as_u64()?,
                 cell: v.get("cell")?.as_str()?.to_string(),
                 status: v.get("status")?.as_str()?.to_string(),
                 message: v.get("message")?.as_str()?.to_string(),
-                by: opt_str(&v, "by")?,
+                by: opt_str(v, "by")?,
             }),
             "leased" => Ok(JournalEntry::Leased {
                 start: v.get("start")?.as_u64()?,

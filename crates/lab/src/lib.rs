@@ -63,7 +63,8 @@ pub mod suite;
 
 pub use disk::Disk;
 pub use drift::{
-    check_against_store, compare_stores, diff_detail, json_diff, Divergence, DriftKind, DriftReport,
+    check_against_store, check_cells_against_store, compare_stores, diff_detail, json_diff,
+    Divergence, DriftKind, DriftReport,
 };
 pub use fault::{
     is_kill, BitFlip, FaultInjector, FaultPlan, TornWrite, TransientFault, CELL_PANIC_MARKER,

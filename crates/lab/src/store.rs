@@ -50,7 +50,7 @@ use std::sync::Arc;
 
 use apex_obs::Metrics;
 use apex_scenario::{ReportRecord, StoredRecordError};
-use apex_sim::{Json, JsonError, JsonWriter, WriteJson};
+use apex_sim::{Json, JsonDoc, JsonError, JsonVal, JsonWriter, WriteJson};
 
 use crate::disk::{Disk, FsDisk};
 use crate::fault::{is_kill, FaultInjector};
@@ -289,14 +289,13 @@ impl Manifest {
 
     /// Decode, without judging: the self-checksum and the canonical
     /// rendering are checked by [`verify_manifest`], the trusted read.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         Ok(Manifest {
             name: v.get("name")?.as_str()?.to_string(),
             suite_digest: v.get("suite_digest")?.as_str()?.to_string(),
             cells: v
                 .get("cells")?
                 .as_arr()?
-                .iter()
                 .map(|c| {
                     Ok(ManifestCell {
                         index: c.get("index")?.as_usize()?,
@@ -305,19 +304,26 @@ impl Manifest {
                             Some(s) => s.as_str()?.to_string(),
                             None => "complete".to_string(),
                         },
-                        ok: match c.get("ok")? {
-                            Json::Bool(b) => *b,
-                            other => return Err(jerr(format!("expected bool ok, got {other:?}"))),
+                        ok: {
+                            let ok = c.get("ok")?;
+                            ok.as_bool()
+                                .ok_or_else(|| jerr(format!("expected bool ok, got {ok:?}")))?
                         },
                         summary: c.get("summary")?.as_str()?.to_string(),
-                        checksum: match c.get_opt("checksum") {
-                            None | Some(Json::Null) => None,
-                            Some(s) => Some(s.as_str()?.to_string()),
-                        },
+                        checksum: c
+                            .get_opt("checksum")
+                            .and_then(JsonVal::non_null)
+                            .map(|s| s.as_str().map(str::to_string))
+                            .transpose()?,
                     })
                 })
                 .collect::<Result<_, JsonError>>()?,
         })
+    }
+
+    /// [`Manifest::decode`] of a tree.
+    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.decode(Self::decode)
     }
 }
 
@@ -416,7 +422,7 @@ pub fn verify_record(
 
 /// The one verdict on a manifest's bytes, for
 /// [`LabStore::read_manifest`] and `apex lab fsck` alike: UTF-8 JSON
-/// that decodes as a manifest ([`Manifest::from_json`]), passes its
+/// that decodes as a manifest ([`Manifest::decode`]), passes its
 /// self-checksum, and is its own canonical rendering (so no two byte
 /// strings pass for one manifest).
 pub fn verify_manifest(bytes: &[u8]) -> Result<Manifest, StoreFault> {
@@ -425,13 +431,13 @@ pub fn verify_manifest(bytes: &[u8]) -> Result<Manifest, StoreFault> {
         let at = e.valid_up_to();
         fault(ManifestUnreadable, format!("not UTF-8 at byte {at}"))
     })?;
-    let json = Json::parse(text)
+    let doc = JsonDoc::parse(text)
         .map_err(|e| fault(ManifestUnreadable, format!("not parseable JSON: {e}")))?;
     let unreadable = |e: JsonError| fault(ManifestUnreadable, e.msg);
-    let manifest = Manifest::from_json(&json).map_err(unreadable)?;
+    let manifest = Manifest::decode(doc.root()).map_err(unreadable)?;
     let actual = manifest.self_checksum();
     // Manifests written before the self-checksum existed carry none.
-    if let Some(stored) = json.get_opt("checksum") {
+    if let Some(stored) = doc.root().get_opt("checksum") {
         let stored = stored.as_str().map_err(unreadable)?;
         if stored != actual {
             return Err(fault(

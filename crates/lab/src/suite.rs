@@ -13,7 +13,7 @@
 
 use apex_scenario::{ProgramMemo, Scenario, ScenarioError};
 use apex_scheme::SchemeKind;
-use apex_sim::{AdversarySpec, Items, Json, JsonError, JsonWriter, WriteJson};
+use apex_sim::{AdversarySpec, Items, Json, JsonDoc, JsonError, JsonVal, JsonWriter, WriteJson};
 
 use crate::rendered_digest_hex;
 
@@ -32,6 +32,13 @@ fn jerr(msg: impl Into<String>) -> JsonError {
         msg: msg.into(),
         at: 0,
     }
+}
+
+/// The elements of `v`'s optional array `key` (absent or `null` is
+/// empty).
+fn opt_arr<'d>(v: JsonVal<'d>, key: &str) -> Result<impl Iterator<Item = JsonVal<'d>>, JsonError> {
+    let arr = v.get_opt(key).and_then(JsonVal::non_null);
+    Ok(arr.map(JsonVal::as_arr).transpose()?.into_iter().flatten())
 }
 
 /// An inclusive-start, length-counted seed range axis.
@@ -53,7 +60,7 @@ impl WriteJson for SeedRange {
 }
 
 impl SeedRange {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         Ok(SeedRange {
             start: v.get("start")?.as_u64()?,
             count: v.get("count")?.as_u64()?,
@@ -184,35 +191,26 @@ impl Grid {
         Ok(())
     }
 
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let arr = |key: &str| -> Result<Vec<Json>, JsonError> {
-            match v.get_opt(key) {
-                None | Some(Json::Null) => Ok(Vec::new()),
-                Some(a) => Ok(a.as_arr()?.to_vec()),
-            }
-        };
+    fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         Ok(Grid {
-            base: Scenario::from_json(v.get("base")?)?,
-            schemes: arr("schemes")?
-                .iter()
+            base: Scenario::decode(v.get("base")?)?,
+            schemes: opt_arr(v, "schemes")?
                 .map(|s| apex_scenario::scheme_from_label(s.as_str()?))
                 .collect::<Result<_, _>>()?,
-            ns: arr("ns")?
-                .iter()
-                .map(Json::as_usize)
+            ns: opt_arr(v, "ns")?
+                .map(JsonVal::as_usize)
                 .collect::<Result<_, _>>()?,
-            schedules: arr("schedules")?
-                .iter()
-                .map(AdversarySpec::from_json)
+            schedules: opt_arr(v, "schedules")?
+                .map(AdversarySpec::decode)
                 .collect::<Result<_, _>>()?,
-            batches: arr("batches")?
-                .iter()
-                .map(Json::as_usize)
+            batches: opt_arr(v, "batches")?
+                .map(JsonVal::as_usize)
                 .collect::<Result<_, _>>()?,
-            seeds: match v.get_opt("seeds") {
-                None | Some(Json::Null) => None,
-                Some(r) => Some(SeedRange::from_json(r)?),
-            },
+            seeds: v
+                .get_opt("seeds")
+                .and_then(JsonVal::non_null)
+                .map(SeedRange::decode)
+                .transpose()?,
         })
     }
 }
@@ -258,14 +256,13 @@ impl WriteJson for OutputExpectation {
 }
 
 impl OutputExpectation {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         Ok(OutputExpectation {
             cell: v.get("cell")?.as_str()?.to_string(),
             outputs: v
                 .get("outputs")?
                 .as_arr()?
-                .iter()
-                .map(Json::as_u64)
+                .map(JsonVal::as_u64)
                 .collect::<Result<_, _>>()?,
         })
     }
@@ -363,7 +360,9 @@ impl Suite {
 
     /// Check the document is well-formed: a filesystem-safe name, every
     /// expanded scenario valid, and no two cells sharing a digest (they
-    /// would collide at one store address).
+    /// would collide at one store address). This is a full
+    /// [`Suite::expand`] with the cells dropped: a caller about to expand
+    /// should just expand.
     pub fn validate(&self) -> Result<(), String> {
         self.expand().map(|_| ())
     }
@@ -459,7 +458,7 @@ impl Suite {
 
     /// Deserialize a suite document (rejects unknown major versions;
     /// structural errors only — call [`Suite::validate`] before running).
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         let version = v
             .get("version")
             .map_err(|_| jerr("suite document has no version field"))?;
@@ -470,32 +469,23 @@ impl Suite {
                  {SUITE_FORMAT_MAJOR})"
             )));
         }
-        let arr = |key: &str| -> Result<Vec<Json>, JsonError> {
-            match v.get_opt(key) {
-                None | Some(Json::Null) => Ok(Vec::new()),
-                Some(a) => Ok(a.as_arr()?.to_vec()),
-            }
-        };
         Ok(Suite {
             name: v.get("name")?.as_str()?.to_string(),
-            cells: arr("cells")?
-                .iter()
-                .map(Scenario::from_json)
+            cells: opt_arr(v, "cells")?
+                .map(Scenario::decode)
                 .collect::<Result<_, _>>()?,
-            grids: arr("grids")?
-                .iter()
-                .map(Grid::from_json)
+            grids: opt_arr(v, "grids")?
+                .map(Grid::decode)
                 .collect::<Result<_, _>>()?,
-            expect: arr("expect")?
-                .iter()
-                .map(OutputExpectation::from_json)
+            expect: opt_arr(v, "expect")?
+                .map(OutputExpectation::decode)
                 .collect::<Result<_, _>>()?,
         })
     }
 
     /// Parse a complete suite document.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
+        JsonDoc::decode(text, Self::decode)
     }
 
     /// The canonical pretty-printed document.
@@ -771,7 +761,7 @@ mod tests {
                 ("minor".into(), Json::UInt(0)),
             ]);
         }
-        let e = Suite::from_json(&json).unwrap_err();
+        let e = json.decode(Suite::decode).unwrap_err();
         assert!(e.msg.contains("major version"), "{e}");
     }
 }

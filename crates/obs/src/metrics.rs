@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use apex_sim::{Json, JsonError};
+use apex_sim::{Json, JsonDoc, JsonError, JsonVal};
 
 /// File name of the unified metrics sidecar inside a suite directory.
 pub const METRICS_FILE: &str = "metrics.json";
@@ -263,41 +263,38 @@ impl Metrics {
     }
 
     /// Deserialize the output of [`Metrics::to_json`].
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         let version = v.get("v")?.as_u64()?;
         if version != METRICS_FORMAT_MAJOR {
             return Err(jerr(format!(
                 "unsupported metrics version {version} (this build reads {METRICS_FORMAT_MAJOR})"
             )));
         }
+        let object = |key: &str| {
+            let o = v.get(key)?;
+            o.members()
+                .ok_or_else(|| jerr(format!("expected {key} object, got {o:?}")))
+        };
         let map = |key: &str| -> Result<BTreeMap<String, u64>, JsonError> {
-            match v.get(key)? {
-                Json::Obj(pairs) => pairs
-                    .iter()
-                    .map(|(k, val)| Ok((k.clone(), val.as_u64()?)))
-                    .collect(),
-                other => Err(jerr(format!("expected {key} object, got {other:?}"))),
-            }
+            object(key)?
+                .map(|(k, val)| Ok((k.to_string(), val.as_u64()?)))
+                .collect()
         };
-        let nums = |val: &Json| -> Result<Vec<u64>, JsonError> {
-            val.as_arr()?.iter().map(|x| x.as_u64()).collect()
+        let nums = |val: JsonVal<'_>| -> Result<Vec<u64>, JsonError> {
+            val.as_arr()?.map(JsonVal::as_u64).collect()
         };
-        let hists = match v.get("hists")? {
-            Json::Obj(pairs) => pairs
-                .iter()
-                .map(|(k, hv)| {
-                    let h = Hist {
-                        bounds: nums(hv.get("bounds")?)?,
-                        counts: nums(hv.get("counts")?)?,
-                    };
-                    if h.counts.len() != h.bounds.len() + 1 {
-                        return Err(jerr(format!("histogram {k:?}: bucket count mismatch")));
-                    }
-                    Ok((k.clone(), h))
-                })
-                .collect::<Result<BTreeMap<_, _>, JsonError>>()?,
-            other => return Err(jerr(format!("expected hists object, got {other:?}"))),
-        };
+        let hists = object("hists")?
+            .map(|(k, hv)| {
+                let h = Hist {
+                    bounds: nums(hv.get("bounds")?)?,
+                    counts: nums(hv.get("counts")?)?,
+                };
+                if h.counts.len() != h.bounds.len() + 1 {
+                    return Err(jerr(format!("histogram {k:?}: bucket count mismatch")));
+                }
+                Ok((k.to_string(), h))
+            })
+            .collect::<Result<BTreeMap<_, _>, JsonError>>()?;
         Ok(Metrics {
             counters: map("counters")?,
             gauges: map("gauges")?,
@@ -307,7 +304,7 @@ impl Metrics {
 
     /// Parse a complete document.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
+        JsonDoc::decode(text, Self::decode)
     }
 
     /// The canonical pretty-printed document.

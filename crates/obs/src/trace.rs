@@ -11,7 +11,7 @@
 
 use std::path::Path;
 
-use apex_sim::{Json, JsonError};
+use apex_sim::{Json, JsonDoc, JsonError};
 
 /// File name convention for a suite run's trace inside a store
 /// directory (callers may also point `--trace` anywhere else).
@@ -111,7 +111,8 @@ impl TraceEvent {
 
     /// Parse one trace line.
     pub fn parse_line(line: &str) -> Result<Self, JsonError> {
-        let v = Json::parse(line)?;
+        let doc = JsonDoc::parse(line)?;
+        let v = doc.root();
         let version = v.get("v")?.as_u64()?;
         if version != TRACE_FORMAT_MAJOR {
             return Err(jerr(format!(
@@ -120,11 +121,11 @@ impl TraceEvent {
         }
         let fields = match v.get_opt("fields") {
             None => Vec::new(),
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, fv)| Ok((k.clone(), fv.as_u64()?)))
+            Some(f) => f
+                .members()
+                .ok_or_else(|| jerr(format!("expected fields object, got {f:?}")))?
+                .map(|(k, fv)| Ok((k.to_string(), fv.as_u64()?)))
                 .collect::<Result<Vec<_>, JsonError>>()?,
-            Some(other) => return Err(jerr(format!("expected fields object, got {other:?}"))),
         };
         Ok(TraceEvent {
             seq: v.get("seq")?.as_u64()?,

@@ -10,7 +10,7 @@
 //! poisoned (a panic) — each with an exact JSON codec so journals,
 //! manifests, and reports stay serializable like everything else here.
 
-use apex_sim::{Json, JsonError, JsonWriter, WriteJson};
+use apex_sim::{Json, JsonDoc, JsonError, JsonVal, JsonWriter, WriteJson};
 
 use crate::record::{atomic_write, ReportRecord};
 use crate::scenario::{RunOpts, Scenario};
@@ -178,7 +178,7 @@ impl RunOutcome {
 
     /// Deserialize an outcome document (rejects unknown major versions
     /// and unknown status tags).
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         let version = v
             .get("version")
             .map_err(|_| jerr("outcome document has no version field"))?;
@@ -190,11 +190,11 @@ impl RunOutcome {
             )));
         }
         match v.get("status")?.as_str()? {
-            "complete" => Ok(RunOutcome::Complete(Box::new(ReportRecord::from_json(
+            "complete" => Ok(RunOutcome::Complete(Box::new(ReportRecord::decode(
                 v.get("record")?,
             )?))),
             status @ ("exhausted" | "poisoned") => {
-                let scenario = Scenario::from_json(v.get("scenario")?)?;
+                let scenario = Scenario::decode(v.get("scenario")?)?;
                 let stored = v.get("digest")?.as_str()?;
                 let actual = scenario.digest();
                 if stored != actual {
@@ -216,7 +216,7 @@ impl RunOutcome {
 
     /// Parse a complete outcome document.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
+        JsonDoc::decode(text, Self::decode)
     }
 
     /// The canonical pretty-printed document.
@@ -307,7 +307,8 @@ mod tests {
         if let Json::Obj(fields) = &mut json {
             fields[2].1 = Json::Str("0000000000000000".into());
         }
-        assert!(RunOutcome::from_json(&json)
+        assert!(json
+            .decode(RunOutcome::decode)
             .unwrap_err()
             .msg
             .contains("digest"));
@@ -316,7 +317,8 @@ mod tests {
         if let Json::Obj(fields) = &mut json {
             fields[1].1 = Json::Str("vaporized".into());
         }
-        assert!(RunOutcome::from_json(&json)
+        assert!(json
+            .decode(RunOutcome::decode)
             .unwrap_err()
             .msg
             .contains("status"));

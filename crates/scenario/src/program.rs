@@ -20,7 +20,7 @@ use apex_pram::library::{
 };
 use apex_pram::{Instr, Op, Operand, Program, VarBlock, VarId};
 use apex_scheme::SchemeKind;
-use apex_sim::{Items, Json, JsonError, JsonWriter, WriteJson};
+use apex_sim::{Items, Json, JsonError, JsonVal, JsonWriter, WriteJson};
 
 use crate::scenario::ScenarioError;
 use crate::Doc;
@@ -95,7 +95,7 @@ impl WriteJson for Doc<'_, Operand> {
     }
 }
 
-fn operand_from_json(v: &Json) -> Result<Operand, JsonError> {
+fn operand_from_json(v: JsonVal<'_>) -> Result<Operand, JsonError> {
     if let Some(var) = v.get_opt("var") {
         Ok(Operand::Var(var.as_usize()?))
     } else if let Some(c) = v.get_opt("const") {
@@ -117,7 +117,7 @@ impl WriteJson for Doc<'_, Instr> {
     }
 }
 
-fn instr_from_json(v: &Json) -> Result<Instr, JsonError> {
+fn instr_from_json(v: JsonVal<'_>) -> Result<Instr, JsonError> {
     Ok(Instr::new(
         v.get("dst")?.as_usize()? as VarId,
         op_from_name(v.get("op")?.as_str()?)?,
@@ -160,7 +160,7 @@ impl WriteJson for Doc<'_, Program> {
 }
 
 /// Deserialize and **validate** a program from its JSON artifact form.
-pub fn program_from_json(v: &Json) -> Result<Program, JsonError> {
+pub fn program_from_json(v: JsonVal<'_>) -> Result<Program, JsonError> {
     let p = Program {
         name: v.get("name")?.as_str()?.to_string(),
         n_threads: v.get("n_threads")?.as_usize()?,
@@ -168,19 +168,19 @@ pub fn program_from_json(v: &Json) -> Result<Program, JsonError> {
         init: v
             .get("init")?
             .as_arr()?
-            .iter()
-            .map(|x| x.as_u64())
+            .map(JsonVal::as_u64)
             .collect::<Result<_, _>>()?,
         steps: v
             .get("steps")?
             .as_arr()?
-            .iter()
             .map(|row| {
                 row.as_arr()?
-                    .iter()
-                    .map(|slot| match slot {
-                        Json::Null => Ok(None),
-                        other => instr_from_json(other).map(Some),
+                    .map(|slot| {
+                        if slot.is_null() {
+                            Ok(None)
+                        } else {
+                            instr_from_json(slot).map(Some)
+                        }
                     })
                     .collect::<Result<Vec<_>, _>>()
             })
@@ -299,7 +299,7 @@ impl ProgramSource {
         }
     }
 
-    pub(crate) fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub(crate) fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         match v.get("source")?.as_str()? {
             "library" => Ok(ProgramSource::Library {
                 name: v.get("name")?.as_str()?.to_string(),
@@ -307,8 +307,7 @@ impl ProgramSource {
                 params: v
                     .get("params")?
                     .as_arr()?
-                    .iter()
-                    .map(|p| p.as_u64())
+                    .map(JsonVal::as_u64)
                     .collect::<Result<_, _>>()?,
             }),
             "explicit" => Ok(ProgramSource::Explicit(program_from_json(

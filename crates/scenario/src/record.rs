@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use apex_pram::VarBlock;
-use apex_sim::{Json, JsonError, JsonWriter, WriteJson};
+use apex_sim::{Json, JsonDoc, JsonError, JsonVal, JsonWriter, WriteJson};
 
 use crate::report::ScenarioReport;
 use crate::scenario::{RunOpts, Scenario};
@@ -193,12 +193,12 @@ impl ReportRecord {
     /// Deserialize a record document. Rejects unknown major versions and
     /// records whose stored digest does not match the embedded scenario
     /// (a hand-edited or corrupted artifact).
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Self::from_json_digest(v).map(|(record, _)| record)
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
+        Self::decode_digest(v).map(|(record, _)| record)
     }
 
-    /// [`ReportRecord::from_json`], also returning the digest it verified.
-    fn from_json_digest(v: &Json) -> Result<(Self, String), JsonError> {
+    /// [`ReportRecord::decode`], also returning the digest it verified.
+    fn decode_digest(v: JsonVal<'_>) -> Result<(Self, String), JsonError> {
         let version = v
             .get("version")
             .map_err(|_| jerr("record document has no version field"))?;
@@ -210,17 +210,13 @@ impl ReportRecord {
             )));
         }
         let record = ReportRecord {
-            scenario: Scenario::from_json(v.get("scenario")?)?,
-            outputs: match v.get("outputs")? {
-                Json::Null => None,
-                arr => Some(
-                    arr.as_arr()?
-                        .iter()
-                        .map(Json::as_u64)
-                        .collect::<Result<_, _>>()?,
-                ),
-            },
-            report: ScenarioReport::from_json(v.get("report")?)?,
+            scenario: Scenario::decode(v.get("scenario")?)?,
+            outputs: v
+                .get("outputs")?
+                .non_null()
+                .map(|arr| arr.as_arr()?.map(JsonVal::as_u64).collect())
+                .transpose()?,
+            report: ScenarioReport::decode(v.get("report")?)?,
         };
         let stored = v.get("digest")?.as_str()?;
         let actual = record.digest();
@@ -243,8 +239,9 @@ impl ReportRecord {
     /// record and the FNV-1a of `text`. The lab store's cache lookup and
     /// `apex lab fsck` both verify records through here.
     pub fn verify_stored(text: &str, address: &str) -> Result<(Self, u64), StoredRecordError> {
-        let json = Json::parse(text).map_err(StoredRecordError::Json)?;
-        let (record, digest) = Self::from_json_digest(&json).map_err(StoredRecordError::Record)?;
+        let doc = JsonDoc::parse(text).map_err(StoredRecordError::Json)?;
+        let (record, digest) =
+            Self::decode_digest(doc.root()).map_err(StoredRecordError::Record)?;
         if digest != address {
             return Err(StoredRecordError::Misaddressed { claims: digest });
         }
@@ -256,7 +253,7 @@ impl ReportRecord {
 
     /// Parse a complete record document.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
+        JsonDoc::decode(text, Self::decode)
     }
 
     /// The canonical pretty-printed document — what the lab store writes,
@@ -355,7 +352,7 @@ mod tests {
         if let Json::Obj(fields) = &mut json {
             fields[1].1 = Json::Str("0000000000000000".into());
         }
-        let e = ReportRecord::from_json(&json).unwrap_err();
+        let e = json.decode(ReportRecord::decode).unwrap_err();
         assert!(e.msg.contains("digest"), "{e}");
 
         let mut json = record.to_json();
@@ -365,7 +362,7 @@ mod tests {
                 ("minor".into(), Json::UInt(0)),
             ]);
         }
-        let e = ReportRecord::from_json(&json).unwrap_err();
+        let e = json.decode(ReportRecord::decode).unwrap_err();
         assert!(e.msg.contains("major version"), "{e}");
     }
 

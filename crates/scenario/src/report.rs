@@ -10,7 +10,7 @@ use apex_core::validate::{BinCheck, TheoremOneReport};
 use apex_core::PhaseOutcome;
 use apex_pram::refexec::ReplayError;
 use apex_scheme::{SchemeReport, VerifyReport};
-use apex_sim::{Items, Json, JsonError, JsonWriter, WriteJson};
+use apex_sim::{Items, Json, JsonError, JsonVal, JsonWriter, WriteJson};
 
 use crate::program::scheme_from_label;
 use crate::Doc;
@@ -44,12 +44,11 @@ impl AgreementRunReport {
     }
 
     /// Deserialize from the artifact form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         Ok(AgreementRunReport {
             outcomes: v
                 .get("outcomes")?
                 .as_arr()?
-                .iter()
                 .map(phase_outcome_from_json)
                 .collect::<Result<_, _>>()?,
             ticks: v.get("ticks")?.as_u64()?,
@@ -150,12 +149,12 @@ impl ScenarioReport {
     }
 
     /// Deserialize from the artifact form.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         match v.get("kind")?.as_str()? {
             "scheme" => Ok(ScenarioReport::Scheme(scheme_report_from_json(
                 v.get("scheme")?,
             )?)),
-            "agreement" => Ok(ScenarioReport::Agreement(AgreementRunReport::from_json(
+            "agreement" => Ok(ScenarioReport::Agreement(AgreementRunReport::decode(
                 v.get("agreement")?,
             )?)),
             other => Err(jerr(format!("unknown report kind {other:?}"))),
@@ -214,22 +213,17 @@ fn jerr(msg: impl Into<String>) -> JsonError {
     }
 }
 
-fn u64_arr_back(v: &Json) -> Result<Vec<u64>, JsonError> {
-    v.as_arr()?.iter().map(Json::as_u64).collect()
+fn u64_arr_back(v: JsonVal<'_>) -> Result<Vec<u64>, JsonError> {
+    v.as_arr()?.map(JsonVal::as_u64).collect()
 }
 
-fn opt_u64_back(v: &Json) -> Result<Option<u64>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        other => other.as_u64().map(Some),
-    }
+fn opt_u64_back(v: JsonVal<'_>) -> Result<Option<u64>, JsonError> {
+    v.non_null().map(JsonVal::as_u64).transpose()
 }
 
-fn bool_back(v: &Json, what: &str) -> Result<bool, JsonError> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        other => Err(jerr(format!("expected bool {what}, got {other:?}"))),
-    }
+fn bool_back(v: JsonVal<'_>, what: &str) -> Result<bool, JsonError> {
+    v.as_bool()
+        .ok_or_else(|| jerr(format!("expected bool {what}, got {v:?}")))
 }
 
 /// Serialize a [`VerifyReport`] (including the typed replay error).
@@ -270,10 +264,10 @@ impl WriteJson for Doc<'_, VerifyReport> {
 }
 
 /// Deserialize a [`VerifyReport`].
-pub fn verify_report_from_json(v: &Json) -> Result<VerifyReport, JsonError> {
-    let replay_error = match v.get("replay_error")? {
-        Json::Null => None,
-        e => {
+pub fn verify_report_from_json(v: JsonVal<'_>) -> Result<VerifyReport, JsonError> {
+    let replay_error = match v.get("replay_error")?.non_null() {
+        None => None,
+        Some(e) => {
             let step = e.get("step")?.as_u64()?;
             let thread = e.get("thread")?.as_usize()?;
             Some(match e.get("kind")?.as_str()? {
@@ -322,7 +316,7 @@ impl WriteJson for Doc<'_, SchemeReport> {
 }
 
 /// Deserialize a [`SchemeReport`].
-pub fn scheme_report_from_json(v: &Json) -> Result<SchemeReport, JsonError> {
+pub fn scheme_report_from_json(v: JsonVal<'_>) -> Result<SchemeReport, JsonError> {
     Ok(SchemeReport {
         kind: scheme_from_label(v.get("scheme")?.as_str()?)?,
         schedule: v.get("schedule")?.as_str()?.to_string(),
@@ -356,7 +350,7 @@ impl WriteJson for Doc<'_, BinCheck> {
     }
 }
 
-fn bin_check_from_json(v: &Json) -> Result<BinCheck, JsonError> {
+fn bin_check_from_json(v: JsonVal<'_>) -> Result<BinCheck, JsonError> {
     Ok(BinCheck {
         bin: v.get("bin")?.as_usize()?,
         value: opt_u64_back(v.get("value")?)?,
@@ -364,10 +358,11 @@ fn bin_check_from_json(v: &Json) -> Result<BinCheck, JsonError> {
         upper_cells: v.get("upper_cells")?.as_usize()?,
         unique: bool_back(v.get("unique")?, "unique")?,
         accessible: bool_back(v.get("accessible")?, "accessible")?,
-        correct: match v.get("correct")? {
-            Json::Null => None,
-            other => Some(bool_back(other, "correct")?),
-        },
+        correct: v
+            .get("correct")?
+            .non_null()
+            .map(|c| bool_back(c, "correct"))
+            .transpose()?,
     })
 }
 
@@ -386,13 +381,12 @@ impl WriteJson for Doc<'_, TheoremOneReport> {
     }
 }
 
-fn theorem_one_from_json(v: &Json) -> Result<TheoremOneReport, JsonError> {
+fn theorem_one_from_json(v: JsonVal<'_>) -> Result<TheoremOneReport, JsonError> {
     Ok(TheoremOneReport {
         phase: v.get("phase")?.as_u64()?,
         bins: v
             .get("bins")?
             .as_arr()?
-            .iter()
             .map(bin_check_from_json)
             .collect::<Result<_, _>>()?,
     })
@@ -414,22 +408,22 @@ impl WriteJson for Doc<'_, PhaseOutcome> {
     }
 }
 
-fn phase_outcome_from_json(v: &Json) -> Result<PhaseOutcome, JsonError> {
+fn phase_outcome_from_json(v: JsonVal<'_>) -> Result<PhaseOutcome, JsonError> {
     Ok(PhaseOutcome {
         phase: v.get("phase")?.as_u64()?,
         start_work: v.get("start_work")?.as_u64()?,
         completion_work: opt_u64_back(v.get("completion_work")?)?,
         advance_work: v.get("advance_work")?.as_u64()?,
         report: theorem_one_from_json(v.get("report")?)?,
-        clobbers: match v.get("clobbers")? {
-            Json::Null => None,
-            other => Some(u64_arr_back(other)?),
-        },
+        clobbers: v
+            .get("clobbers")?
+            .non_null()
+            .map(u64_arr_back)
+            .transpose()?,
         stability_violations: v.get("stability_violations")?.as_usize()?,
         agreed: v
             .get("agreed")?
             .as_arr()?
-            .iter()
             .map(opt_u64_back)
             .collect::<Result<_, _>>()?,
     })

@@ -11,7 +11,9 @@ use apex_obs::Obs;
 use apex_pram::{Program, VarBlock};
 use apex_scheme::tasks::eval_cost;
 use apex_scheme::{ReplicaK, SchemeKind, SchemeRun, SchemeRunConfig};
-use apex_sim::{AdversarySpec, Json, JsonError, JsonWriter, ScheduleKind, WriteJson};
+use apex_sim::{
+    AdversarySpec, Json, JsonDoc, JsonError, JsonVal, JsonWriter, ScheduleKind, WriteJson,
+};
 
 use crate::program::{scheme_from_label, ProgramFacts, ProgramMemo, ProgramSource};
 use crate::report::{AgreementRunReport, ScenarioReport};
@@ -104,7 +106,7 @@ impl SourceSpec {
         }
     }
 
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         match v.get("kind")?.as_str()? {
             "random" => Ok(SourceSpec::Random(v.get("bound")?.as_u64()?)),
             "coin" => Ok(SourceSpec::Coin(
@@ -180,7 +182,7 @@ impl ProgramEngine {
         }
     }
 
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         let s = v.as_str()?;
         Self::parse(s).ok_or_else(|| jerr(format!("unknown program engine {s:?}")))
     }
@@ -236,24 +238,25 @@ impl WriteJson for EngineKnobs {
 }
 
 impl EngineKnobs {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let opt = |v: Option<&Json>| -> Result<Option<u64>, JsonError> {
-            match v {
-                None | Some(Json::Null) => Ok(None),
-                Some(x) => x.as_u64().map(Some),
-            }
+    fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
+        let opt = |key: &str| -> Result<Option<u64>, JsonError> {
+            v.get_opt(key)
+                .and_then(JsonVal::non_null)
+                .map(JsonVal::as_u64)
+                .transpose()
         };
         Ok(EngineKnobs {
-            batch: opt(v.get_opt("batch"))?
+            batch: opt("batch")?
                 .map(|b| {
                     usize::try_from(b).map_err(|_| jerr(format!("batch {b} does not fit usize")))
                 })
                 .transpose()?,
-            tick_budget: opt(v.get_opt("tick_budget"))?,
-            program_engine: match v.get_opt("program_engine") {
-                None | Some(Json::Null) => None,
-                Some(e) => Some(ProgramEngine::from_json(e)?),
-            },
+            tick_budget: opt("tick_budget")?,
+            program_engine: v
+                .get_opt("program_engine")
+                .and_then(JsonVal::non_null)
+                .map(ProgramEngine::decode)
+                .transpose()?,
         })
     }
 }
@@ -785,7 +788,7 @@ impl Scenario {
     /// unknown minor versions are read (the format only grows additively
     /// within a major). Structural validation happens here; semantic
     /// validation is [`Scenario::validate`].
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         let version = v
             .get("version")
             .map_err(|_| jerr("scenario document has no version field"))?;
@@ -800,20 +803,19 @@ impl Scenario {
             "scheme" => Mode::Scheme {
                 scheme: scheme_from_label(mode_v.get("scheme")?.as_str()?)?,
                 replicas: ReplicaK(mode_v.get("replicas")?.as_usize()?),
-                program: ProgramSource::from_json(mode_v.get("program")?)?,
+                program: ProgramSource::decode(mode_v.get("program")?)?,
             },
             "agreement" => {
                 let instr = mode_v.get("instrument")?;
                 let flag = |key: &str| -> Result<bool, JsonError> {
-                    match instr.get(key)? {
-                        Json::Bool(b) => Ok(*b),
-                        other => Err(jerr(format!("expected bool {key}, got {other:?}"))),
-                    }
+                    let v = instr.get(key)?;
+                    v.as_bool()
+                        .ok_or_else(|| jerr(format!("expected bool {key}, got {v:?}")))
                 };
                 Mode::Agreement {
                     n: mode_v.get("n")?.as_usize()?,
                     phases: mode_v.get("phases")?.as_usize()?,
-                    source: SourceSpec::from_json(mode_v.get("source")?)?,
+                    source: SourceSpec::decode(mode_v.get("source")?)?,
                     instrument: InstrumentOpts {
                         record_events: flag("record_events")?,
                         count_clobbers: flag("count_clobbers")?,
@@ -824,22 +826,28 @@ impl Scenario {
         };
         Ok(Scenario {
             mode,
-            schedule: AdversarySpec::from_json(v.get("schedule")?)?,
+            schedule: AdversarySpec::decode(v.get("schedule")?)?,
             seed: v.get("seed")?.as_u64()?,
-            agreement: match v.get_opt("agreement") {
-                None | Some(Json::Null) => None,
-                Some(cfg) => Some(agreement_config_from_json(cfg)?),
-            },
-            engine: match v.get_opt("engine") {
-                None | Some(Json::Null) => EngineKnobs::default(),
-                Some(e) => EngineKnobs::from_json(e)?,
+            agreement: v
+                .get_opt("agreement")
+                .and_then(JsonVal::non_null)
+                .map(agreement_config_from_json)
+                .transpose()?,
+            engine: match v.get_opt("engine").and_then(JsonVal::non_null) {
+                None => EngineKnobs::default(),
+                Some(e) => EngineKnobs::decode(e)?,
             },
         })
     }
 
+    /// [`Scenario::decode`] of a tree.
+    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.decode(Self::decode)
+    }
+
     /// Parse a complete scenario document.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
+        JsonDoc::decode(text, Self::decode)
     }
 
     /// The canonical pretty-printed document (what [`Scenario::load`]
@@ -930,7 +938,7 @@ impl WriteJson for Doc<'_, AgreementConfig> {
 }
 
 /// Deserialize the agreement constants.
-pub fn agreement_config_from_json(v: &Json) -> Result<AgreementConfig, JsonError> {
+pub fn agreement_config_from_json(v: JsonVal<'_>) -> Result<AgreementConfig, JsonError> {
     Ok(AgreementConfig {
         n: v.get("n")?.as_usize()?,
         beta: v.get("beta")?.as_usize()?,

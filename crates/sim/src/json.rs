@@ -43,6 +43,22 @@
 //! out is materialised. Because every sink sees the same pieces in the
 //! same order, a hash or a comparison is exactly what it would be over
 //! the rendered text (tests pin this).
+//!
+//! **One parser, one view.** The reader mirrors the writer: a document
+//! is parsed once into a flat [`JsonDoc`] — one `Vec` of nodes, each
+//! container recording where its own nodes end so a sibling is skipped
+//! in O(1), escape-free strings borrowed from the input, escaped ones
+//! unescaped once into a side buffer — and every type's decoder reads it
+//! through one view, [`JsonVal`]. A stored record, a manifest, a suite
+//! or a journal line is checked and decoded with no tree built; a
+//! [`Json`] tree is what [`JsonDoc`] materialises ([`Json::parse`]) for
+//! the few callers that edit or diff documents, and a tree in hand is
+//! decoded by viewing it as a document ([`Json::decode`]). The parser
+//! keeps every check with its message and byte offset: nesting deeper
+//! than [`MAX_DEPTH`], a key repeated in one object (compared after
+//! unescaping), malformed numbers and escapes, trailing bytes. An access
+//! error prints the offending value as its tree, built only on that
+//! error path.
 
 use std::fmt::Write as _;
 
@@ -89,26 +105,30 @@ fn err<T>(msg: impl Into<String>, at: usize) -> Result<T, JsonError> {
     })
 }
 
-/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
-/// recursive, so without a cap one hostile file of `[[[[…` overflows the
-/// stack and aborts the process (an abort, not a panic: no
-/// `catch_unwind` contains it). The deepest legal document in the
-/// workspace, a record embedding a maximal adversary tree, nests a few
-/// dozen levels; 128 leaves ample headroom.
+/// Deepest array/object nesting [`JsonDoc::parse`] accepts. The parser
+/// keeps its open containers on a heap stack, but materialising,
+/// comparing and dropping a [`Json`] tree recurse, so without a cap one
+/// hostile file of `[[[[…` would overflow the stack and abort the process
+/// (an abort, not a panic: no `catch_unwind` contains it). The deepest
+/// legal document in the workspace, a record embedding a maximal
+/// adversary tree, nests a few dozen levels; 128 leaves ample headroom.
 pub const MAX_DEPTH: usize = 128;
 
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
     /// Documents nesting deeper than [`MAX_DEPTH`] are rejected.
+    /// This is [`JsonDoc::parse`], materialised.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let b = s.as_bytes();
-        let mut pos = 0;
-        let v = parse_value(b, &mut pos, 0)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return err("trailing characters after document", pos);
-        }
-        Ok(v)
+        Ok(JsonDoc::parse(s)?.root().to_json())
+    }
+
+    /// Decode the tree with `decode`, a decoder over [`JsonVal`]: the
+    /// entry for callers that already hold a tree.
+    pub fn decode<T>(
+        &self,
+        decode: impl FnOnce(JsonVal<'_>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        decode(JsonDoc::of(self).root())
     }
 
     /// Render to a compact JSON string.
@@ -126,34 +146,9 @@ impl Json {
         out
     }
 
-    /// The value as `u64` (accepts `UInt`, and integral non-negative `Num`
-    /// below 2⁵³).
+    /// The value as `u64`: [`JsonVal::as_u64`] of the tree.
     pub fn as_u64(&self) -> Result<u64, JsonError> {
-        match self {
-            Json::UInt(u) => Ok(*u),
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < (1u64 << 53) as f64 => {
-                Ok(*x as u64)
-            }
-            other => err(format!("expected unsigned integer, got {other:?}"), 0),
-        }
-    }
-
-    /// The value as `usize`.
-    pub fn as_usize(&self) -> Result<usize, JsonError> {
-        let u = self.as_u64()?;
-        usize::try_from(u).map_err(|_| JsonError {
-            msg: format!("{u} does not fit usize"),
-            at: 0,
-        })
-    }
-
-    /// The value as `f64` (accepts `Num` and `UInt`).
-    pub fn as_f64(&self) -> Result<f64, JsonError> {
-        match self {
-            Json::Num(x) => Ok(*x),
-            Json::UInt(u) => Ok(*u as f64),
-            other => err(format!("expected number, got {other:?}"), 0),
-        }
+        self.decode(|v| v.as_u64())
     }
 
     /// The value as `&str`.
@@ -888,43 +883,609 @@ fn render_string(s: &str, out: &mut impl Sink) {
     out.put("\"");
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// A parsed document, flat: every value is one node in document
+/// order, a container's members following it, so a document of any
+/// shape is one `Vec`. Strings without escapes are byte ranges of the
+/// input; a string with escapes is unescaped once, into a side buffer.
+/// Decoders read it through [`JsonVal`] ([`JsonDoc::root`]); nothing is
+/// allocated per value.
+#[derive(Clone, Debug)]
+pub struct JsonDoc<'t> {
+    text: &'t str,
+    /// The strings that held escapes, unescaped, end to end.
+    unescaped: String,
+    nodes: Vec<Node>,
+}
+
+/// One value of a [`JsonDoc`].
+#[derive(Clone, Copy, Debug)]
+enum Node {
+    Null,
+    Bool(bool),
+    UInt(u64),
+    Num(f64),
+    /// Bytes `start..end` of the input, or of the unescaped buffer when
+    /// the literal held an escape.
+    Str {
+        start: usize,
+        end: usize,
+        escaped: bool,
+    },
+    /// `len` elements; the nodes up to `end` (exclusive) are its own.
+    Arr {
+        len: usize,
+        end: usize,
+    },
+    /// `len` members, each a key (a `Str` node) and then its value; the
+    /// nodes up to `end` (exclusive) are its own.
+    Obj {
+        len: usize,
+        end: usize,
+    },
+}
+
+impl<'t> JsonDoc<'t> {
+    /// Parse a complete JSON document (trailing whitespace allowed).
+    /// Documents nesting deeper than [`MAX_DEPTH`] are rejected, and so
+    /// are objects holding one key twice (compared after unescaping).
+    pub fn parse(text: &'t str) -> Result<Self, JsonError> {
+        let mut parser = Parser {
+            b: text.as_bytes(),
+            pos: 0,
+            doc: JsonDoc {
+                text,
+                unescaped: String::new(),
+                nodes: Vec::with_capacity(text.len() / 8),
+            },
+            open: Vec::new(),
+            keys: KeyBits::default(),
+        };
+        parser.document()?;
+        Ok(parser.doc)
+    }
+
+    /// Parse `text` and decode its root with `decode`.
+    pub fn decode<T>(
+        text: &str,
+        decode: impl FnOnce(JsonVal<'_>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        decode(JsonDoc::parse(text)?.root())
+    }
+
+    /// The document of a tree already in hand: every string lives in the
+    /// side buffer.
+    pub fn of(tree: &Json) -> JsonDoc<'static> {
+        let mut doc = JsonDoc {
+            text: "",
+            unescaped: String::new(),
+            nodes: Vec::new(),
+        };
+        doc.push_tree(tree);
+        doc
+    }
+
+    fn push_tree(&mut self, tree: &Json) {
+        match tree {
+            Json::Null => self.nodes.push(Node::Null),
+            Json::Bool(b) => self.nodes.push(Node::Bool(*b)),
+            Json::UInt(u) => self.nodes.push(Node::UInt(*u)),
+            Json::Num(x) => self.nodes.push(Node::Num(*x)),
+            Json::Str(s) => self.push_str(s),
+            Json::Arr(items) => {
+                let at = self.nodes.len();
+                self.nodes.push(Node::Null);
+                items.iter().for_each(|item| self.push_tree(item));
+                self.nodes[at] = Node::Arr {
+                    len: items.len(),
+                    end: self.nodes.len(),
+                };
+            }
+            Json::Obj(fields) => {
+                let at = self.nodes.len();
+                self.nodes.push(Node::Null);
+                for (key, value) in fields {
+                    self.push_str(key);
+                    self.push_tree(value);
+                }
+                self.nodes[at] = Node::Obj {
+                    len: fields.len(),
+                    end: self.nodes.len(),
+                };
+            }
+        }
+    }
+
+    fn push_str(&mut self, s: &str) {
+        let start = self.unescaped.len();
+        self.unescaped.push_str(s);
+        self.nodes.push(Node::Str {
+            start,
+            end: self.unescaped.len(),
+            escaped: true,
+        });
+    }
+
+    /// The whole document.
+    pub fn root(&self) -> JsonVal<'_> {
+        JsonVal { doc: self, at: 0 }
+    }
+
+    /// The string node `at`.
+    fn str_at(&self, at: usize) -> &str {
+        match self.nodes[at] {
+            Node::Str {
+                start,
+                end,
+                escaped: false,
+            } => &self.text[start..end],
+            Node::Str { start, end, .. } => &self.unescaped[start..end],
+            _ => unreachable!("node {at} is not a string"),
+        }
+    }
+
+    /// The bytes of the string node `at`.
+    fn str_bytes(&self, at: usize) -> &[u8] {
+        match self.nodes[at] {
+            Node::Str {
+                start,
+                end,
+                escaped: false,
+            } => &self.text.as_bytes()[start..end],
+            Node::Str { start, end, .. } => &self.unescaped.as_bytes()[start..end],
+            _ => unreachable!("node {at} is not a string"),
+        }
+    }
+
+    /// The node after value `at` and everything it holds.
+    fn skip(&self, at: usize) -> usize {
+        match self.nodes[at] {
+            Node::Arr { end, .. } | Node::Obj { end, .. } => end,
+            _ => at + 1,
+        }
     }
 }
 
-/// Parse one value whose enclosing containers are `depth` levels deep.
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
-    skip_ws(b, pos);
-    let Some(&c) = b.get(*pos) else {
-        return err("unexpected end of input", *pos);
-    };
-    if matches!(c, b'{' | b'[') && depth >= MAX_DEPTH {
-        return err(format!("nesting deeper than {MAX_DEPTH} levels"), *pos);
-    }
-    match c {
-        b'{' => parse_obj(b, pos, depth + 1),
-        b'[' => parse_arr(b, pos, depth + 1),
-        b'"' => Ok(Json::Str(parse_string(b, pos)?)),
-        b't' => parse_lit(b, pos, "true", Json::Bool(true)),
-        b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
-        b'n' => parse_lit(b, pos, "null", Json::Null),
-        b'-' | b'0'..=b'9' => parse_number(b, pos),
-        _ => err(format!("unexpected character {:?}", c as char), *pos),
+/// One value of a [`JsonDoc`]: what every decoder reads. Access errors
+/// carry the messages of [`Json`]'s accessors, and print the offending
+/// value as its [`Json`] tree, which is built only on that error path
+/// (`{:?}` of a `JsonVal` is the tree's).
+#[derive(Clone, Copy)]
+pub struct JsonVal<'d> {
+    doc: &'d JsonDoc<'d>,
+    at: usize,
+}
+
+impl std::fmt::Debug for JsonVal<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.to_json().fmt(f)
     }
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, JsonError> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        err(format!("expected {lit}"), *pos)
+impl<'d> JsonVal<'d> {
+    fn node(self) -> Node {
+        self.doc.nodes[self.at]
+    }
+
+    /// Whether the value is `null`.
+    pub fn is_null(self) -> bool {
+        matches!(self.node(), Node::Null)
+    }
+
+    /// The value, unless it is `null`: with [`JsonVal::get_opt`], an
+    /// optional field that may also be written as `null`.
+    pub fn non_null(self) -> Option<Self> {
+        (!self.is_null()).then_some(self)
+    }
+
+    /// The value, if it is `true` or `false`.
+    pub fn as_bool(self) -> Option<bool> {
+        match self.node() {
+            Node::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// The value as `u64` (accepts an integer, and an integral
+    /// non-negative float below 2⁵³).
+    pub fn as_u64(self) -> Result<u64, JsonError> {
+        match self.node() {
+            Node::UInt(u) => Ok(u),
+            Node::Num(x) if x >= 0.0 && x.fract() == 0.0 && x < (1u64 << 53) as f64 => Ok(x as u64),
+            _ => err(format!("expected unsigned integer, got {self:?}"), 0),
+        }
+    }
+
+    /// The value as `usize`.
+    pub fn as_usize(self) -> Result<usize, JsonError> {
+        let u = self.as_u64()?;
+        usize::try_from(u).map_err(|_| JsonError {
+            msg: format!("{u} does not fit usize"),
+            at: 0,
+        })
+    }
+
+    /// The value as `f64` (accepts any number).
+    pub fn as_f64(self) -> Result<f64, JsonError> {
+        match self.node() {
+            Node::Num(x) => Ok(x),
+            Node::UInt(u) => Ok(u as f64),
+            _ => err(format!("expected number, got {self:?}"), 0),
+        }
+    }
+
+    /// The value as `&str`.
+    pub fn as_str(self) -> Result<&'d str, JsonError> {
+        match self.node() {
+            Node::Str { .. } => Ok(self.doc.str_at(self.at)),
+            _ => err(format!("expected string, got {self:?}"), 0),
+        }
+    }
+
+    /// The elements of an array, in order.
+    pub fn as_arr(self) -> Result<Elements<'d>, JsonError> {
+        match self.node() {
+            Node::Arr { len, .. } => Ok(Elements {
+                doc: self.doc,
+                at: self.at + 1,
+                left: len,
+            }),
+            _ => err(format!("expected array, got {self:?}"), 0),
+        }
+    }
+
+    /// The members of an object, in order, if it is one.
+    pub fn members(self) -> Option<Members<'d>> {
+        match self.node() {
+            Node::Obj { len, .. } => Some(Members {
+                doc: self.doc,
+                at: self.at + 1,
+                left: len,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Object field lookup.
+    pub fn get(self, key: &str) -> Result<JsonVal<'d>, JsonError> {
+        match self.get_opt(key) {
+            Some(v) => Ok(v),
+            None if matches!(self.node(), Node::Obj { .. }) => {
+                err(format!("missing field {key:?}"), 0)
+            }
+            None => err(format!("expected object with {key:?}, got {self:?}"), 0),
+        }
+    }
+
+    /// Object field lookup that tolerates absence.
+    pub fn get_opt(self, key: &str) -> Option<JsonVal<'d>> {
+        let Node::Obj { len, .. } = self.node() else {
+            return None;
+        };
+        let mut at = self.at + 1;
+        for _ in 0..len {
+            if self.doc.str_bytes(at) == key.as_bytes() {
+                return Some(JsonVal {
+                    doc: self.doc,
+                    at: at + 1,
+                });
+            }
+            at = self.doc.skip(at + 1);
+        }
+        None
+    }
+
+    /// The value as a [`Json`] tree.
+    pub fn to_json(self) -> Json {
+        match self.node() {
+            Node::Null => Json::Null,
+            Node::Bool(b) => Json::Bool(b),
+            Node::UInt(u) => Json::UInt(u),
+            Node::Num(x) => Json::Num(x),
+            Node::Str { .. } => Json::Str(self.doc.str_at(self.at).to_string()),
+            Node::Arr { .. } => Json::Arr(
+                self.as_arr()
+                    .into_iter()
+                    .flatten()
+                    .map(Self::to_json)
+                    .collect(),
+            ),
+            Node::Obj { .. } => Json::Obj(
+                self.members()
+                    .into_iter()
+                    .flatten()
+                    .map(|(k, v)| (k.to_string(), v.to_json()))
+                    .collect(),
+            ),
+        }
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// The elements of an array ([`JsonVal::as_arr`]).
+#[derive(Clone)]
+pub struct Elements<'d> {
+    doc: &'d JsonDoc<'d>,
+    /// The next element's node.
+    at: usize,
+    left: usize,
+}
+
+impl<'d> Iterator for Elements<'d> {
+    type Item = JsonVal<'d>;
+
+    fn next(&mut self) -> Option<JsonVal<'d>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let item = JsonVal {
+            doc: self.doc,
+            at: self.at,
+        };
+        self.at = self.doc.skip(self.at);
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Elements<'_> {}
+
+/// The members of an object, key and value ([`JsonVal::members`]).
+#[derive(Clone)]
+pub struct Members<'d> {
+    doc: &'d JsonDoc<'d>,
+    /// The next member's key node.
+    at: usize,
+    left: usize,
+}
+
+impl<'d> Iterator for Members<'d> {
+    type Item = (&'d str, JsonVal<'d>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let key = self.doc.str_at(self.at);
+        let value = JsonVal {
+            doc: self.doc,
+            at: self.at + 1,
+        };
+        self.at = self.doc.skip(self.at + 1);
+        Some((key, value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Members<'_> {}
+
+/// The parser: one pass over the bytes, containers tracked on an
+/// explicit stack (so nesting costs no call stack), each value pushed
+/// as one node.
+struct Parser<'t> {
+    b: &'t [u8],
+    pos: usize,
+    doc: JsonDoc<'t>,
+    /// The containers open around the next value, innermost last.
+    open: Vec<Frame>,
+    /// The keys of the innermost open container, if it is an object.
+    keys: KeyBits,
+}
+
+/// A container the parser has open.
+struct Frame {
+    /// Its node.
+    node: usize,
+    /// The byte offset of its opening bracket.
+    at: usize,
+    /// Members or elements read so far.
+    len: usize,
+    obj: bool,
+    /// The enclosing container's [`Parser::keys`], restored when this
+    /// one closes.
+    outer: KeyBits,
+}
+
+/// The keys an object has read, in brief: one bit per key, chosen by a
+/// hash of its length and its first and last bytes. A key read twice
+/// finds its bit already set, so an object whose bits never clashed
+/// holds no key twice and is not searched for one.
+#[derive(Clone, Copy, Default)]
+struct KeyBits {
+    seen: u64,
+    clash: bool,
+}
+
+impl KeyBits {
+    fn add(&mut self, key: &[u8]) {
+        let mix = (key.len() as u64) << 16
+            | u64::from(key.first().copied().unwrap_or(0)) << 8
+            | u64::from(key.last().copied().unwrap_or(0));
+        let bit = 1 << (mix.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58);
+        self.clash |= self.seen & bit != 0;
+        self.seen |= bit;
+    }
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// The whole document: values in order, each either complete in
+    /// one step or a container left open for the values that follow.
+    fn document(&mut self) -> Result<(), JsonError> {
+        loop {
+            self.skip_ws();
+            let Some(&c) = self.b.get(self.pos) else {
+                return err("unexpected end of input", self.pos);
+            };
+            let node = match c {
+                b'{' | b'[' if self.open.len() >= MAX_DEPTH => {
+                    return err(format!("nesting deeper than {MAX_DEPTH} levels"), self.pos);
+                }
+                b'{' | b'[' => {
+                    if self.begin(c == b'{')? {
+                        continue;
+                    }
+                    None
+                }
+                b'"' => Some(scan_string(self.b, &mut self.pos, &mut self.doc.unescaped)?),
+                b't' => Some(self.literal("true", Node::Bool(true))?),
+                b'f' => Some(self.literal("false", Node::Bool(false))?),
+                b'n' => Some(self.literal("null", Node::Null)?),
+                b'-' | b'0'..=b'9' => Some(parse_number(self.b, &mut self.pos)?),
+                _ => return err(format!("unexpected character {:?}", c as char), self.pos),
+            };
+            if let Some(node) = node {
+                self.doc.nodes.push(node);
+            }
+            if !self.after_value()? {
+                break;
+            }
+        }
+        self.skip_ws();
+        if self.pos != self.b.len() {
+            return err("trailing characters after document", self.pos);
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, lit: &str, node: Node) -> Result<Node, JsonError> {
+        if self.b[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(node)
+        } else {
+            err(format!("expected {lit}"), self.pos)
+        }
+    }
+
+    /// Open the container at the cursor. `true` when a member or an
+    /// element follows; `false` when it was empty, and so is already
+    /// complete.
+    fn begin(&mut self, obj: bool) -> Result<bool, JsonError> {
+        self.open.push(Frame {
+            node: self.doc.nodes.len(),
+            at: self.pos,
+            len: 0,
+            obj,
+            outer: std::mem::take(&mut self.keys),
+        });
+        // Its node is written when it closes.
+        self.doc.nodes.push(Node::Null);
+        self.pos += 1;
+        self.skip_ws();
+        if self.b.get(self.pos) == Some(if obj { &b'}' } else { &b']' }) {
+            self.pos += 1;
+            self.close()?;
+            return Ok(false);
+        }
+        if obj {
+            self.key()?;
+        }
+        Ok(true)
+    }
+
+    /// A member's key and its colon.
+    fn key(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.b.get(self.pos) != Some(&b'"') {
+            return err("expected object key", self.pos);
+        }
+        let key = scan_string(self.b, &mut self.pos, &mut self.doc.unescaped)?;
+        self.doc.nodes.push(key);
+        let Node::Str {
+            start,
+            end,
+            escaped,
+        } = key
+        else {
+            unreachable!("a key scanned as {key:?}")
+        };
+        // Sliced from the scanned node rather than re-read through
+        // `JsonDoc::str_bytes`: this runs once per key, and the
+        // re-read cost a seventh of the parse in a measurement.
+        let bytes = if escaped {
+            self.doc.unescaped.as_bytes()
+        } else {
+            self.b
+        };
+        self.keys.add(&bytes[start..end]);
+        self.skip_ws();
+        if self.b.get(self.pos) != Some(&b':') {
+            return err("expected ':'", self.pos);
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// A value just ended: close every container it completes. `true`
+    /// when another value follows, `false` when the document's root is
+    /// complete.
+    fn after_value(&mut self) -> Result<bool, JsonError> {
+        while let Some(top) = self.open.last_mut() {
+            top.len += 1;
+            let obj = top.obj;
+            self.skip_ws();
+            match self.b.get(self.pos) {
+                Some(b',') => {
+                    self.pos += 1;
+                    if obj {
+                        self.key()?;
+                    }
+                    return Ok(true);
+                }
+                Some(b'}') if obj => {
+                    self.pos += 1;
+                    self.close()?;
+                }
+                Some(b']') if !obj => {
+                    self.pos += 1;
+                    self.close()?;
+                }
+                _ if obj => return err("expected ',' or '}'", self.pos),
+                _ => return err("expected ',' or ']'", self.pos),
+            }
+        }
+        Ok(false)
+    }
+
+    /// Close the innermost container, rejecting an object that holds a
+    /// key twice.
+    fn close(&mut self) -> Result<(), JsonError> {
+        let open = self.open.pop().expect("a container is open");
+        let keys = std::mem::replace(&mut self.keys, open.outer);
+        let (len, end) = (open.len, self.doc.nodes.len());
+        if !open.obj {
+            self.doc.nodes[open.node] = Node::Arr { len, end };
+            return Ok(());
+        }
+        self.doc.nodes[open.node] = Node::Obj { len, end };
+        if keys.clash {
+            let obj = JsonVal {
+                doc: &self.doc,
+                at: open.node,
+            };
+            let keys = obj.members().expect("an object").map(|(k, _)| k);
+            if let Some(key) = repeated_key(keys) {
+                return err(format!("duplicate object key {key:?}"), open.at);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Scan the number at `pos`. A non-negative integer that fits `u64` is
+/// exact; anything else must be a finite float.
+fn parse_number(b: &[u8], pos: &mut usize) -> Result<Node, JsonError> {
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -950,93 +1511,127 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             *pos += 1;
         }
     }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("ascii digits");
-    if integral && !text.starts_with('-') {
-        if let Ok(u) = text.parse::<u64>() {
-            return Ok(Json::UInt(u));
+    let digits = &b[start..*pos];
+    if integral && digits.first() != Some(&b'-') {
+        // What `str::parse::<u64>` accepts here: one or more digits,
+        // leading zeros allowed, no overflow.
+        let exact = digits.iter().try_fold(0u64, |u, d| {
+            u.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        });
+        if let Some(u) = exact {
+            return Ok(Node::UInt(u));
         }
     }
+    let text = std::str::from_utf8(digits).expect("ascii digits");
     match text.parse::<f64>() {
-        Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+        Ok(x) if x.is_finite() => Ok(Node::Num(x)),
         _ => err(format!("invalid number {text:?}"), start),
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+/// Scan the string literal whose opening quote is at `pos`. A literal
+/// without escapes is its body's byte range of `b`; one with escapes is
+/// unescaped onto the end of `unescaped`, and is that range.
+fn scan_string(b: &[u8], pos: &mut usize, unescaped: &mut String) -> Result<Node, JsonError> {
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
-    let mut out = String::new();
+    let start = *pos;
+    // Once an escape is seen: where the string begins in `unescaped`.
+    let mut copied: Option<usize> = None;
+    // The first byte not yet copied to `unescaped`.
+    let mut run = start;
+    let flush = |out: &mut String, bytes: &[u8]| {
+        out.push_str(std::str::from_utf8(bytes).expect("checked utf-8"));
+    };
     loop {
         let Some(&c) = b.get(*pos) else {
             return err("unterminated string", *pos);
         };
         *pos += 1;
         match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&e) = b.get(*pos) else {
-                    return err("unterminated escape", *pos);
-                };
-                *pos += 1;
-                match e {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        if *pos + 4 > b.len() {
-                            return err("truncated \\u escape", *pos);
-                        }
-                        let hex = std::str::from_utf8(&b[*pos..*pos + 4])
-                            .map_err(|_| JsonError {
-                                msg: "non-ascii \\u escape".into(),
-                                at: *pos,
-                            })?
-                            .to_string();
-                        let code = u32::from_str_radix(&hex, 16).map_err(|_| JsonError {
-                            msg: format!("bad \\u escape {hex:?}"),
-                            at: *pos,
-                        })?;
-                        *pos += 4;
-                        match char::from_u32(code) {
-                            Some(c) => out.push(c),
-                            None => return err("surrogate \\u escape unsupported", *pos),
+            b'"' => {
+                return Ok(match copied {
+                    None => Node::Str {
+                        start,
+                        end: *pos - 1,
+                        escaped: false,
+                    },
+                    Some(from) => {
+                        flush(unescaped, &b[run..*pos - 1]);
+                        Node::Str {
+                            start: from,
+                            end: unescaped.len(),
+                            escaped: true,
                         }
                     }
-                    _ => return err(format!("unknown escape \\{}", e as char), *pos),
-                }
+                });
             }
-            // A run of plain ASCII is valid UTF-8 as it stands: copy it
-            // whole, up to the next quote, escape or non-ASCII byte.
+            b'\\' => {
+                copied.get_or_insert(unescaped.len());
+                flush(unescaped, &b[run..*pos - 1]);
+                unescaped.push(unescape(b, pos)?);
+                run = *pos;
+            }
+            // A run of plain ASCII: up to the next quote, escape or
+            // non-ASCII byte.
             0x00..=0x7f => {
-                let start = *pos - 1;
-                let run = b[*pos..]
+                *pos += b[*pos..]
                     .iter()
                     .take_while(|&&c| c < 0x80 && c != b'"' && c != b'\\')
                     .count();
-                *pos += run;
-                out.push_str(std::str::from_utf8(&b[start..*pos]).expect("ascii run"));
             }
             _ => {
-                // Re-sync to a char boundary for multi-byte UTF-8.
+                // One multi-byte UTF-8 character, checked whole.
                 let s = &b[*pos - 1..];
                 let ch_len = utf8_len(c);
                 if s.len() < ch_len {
                     return err("truncated utf-8", *pos);
                 }
-                let ch = std::str::from_utf8(&s[..ch_len]).map_err(|_| JsonError {
-                    msg: "invalid utf-8 in string".into(),
-                    at: *pos,
-                })?;
-                out.push_str(ch);
+                if std::str::from_utf8(&s[..ch_len]).is_err() {
+                    return err("invalid utf-8 in string", *pos);
+                }
                 *pos += ch_len - 1;
             }
         }
     }
+}
+
+/// The character an escape stands for; `pos` is just past its
+/// backslash.
+fn unescape(b: &[u8], pos: &mut usize) -> Result<char, JsonError> {
+    let Some(&e) = b.get(*pos) else {
+        return err("unterminated escape", *pos);
+    };
+    *pos += 1;
+    Ok(match e {
+        b'"' => '"',
+        b'\\' => '\\',
+        b'/' => '/',
+        b'n' => '\n',
+        b't' => '\t',
+        b'r' => '\r',
+        b'b' => '\u{8}',
+        b'f' => '\u{c}',
+        b'u' => {
+            if *pos + 4 > b.len() {
+                return err("truncated \\u escape", *pos);
+            }
+            let hex = std::str::from_utf8(&b[*pos..*pos + 4]).map_err(|_| JsonError {
+                msg: "non-ascii \\u escape".into(),
+                at: *pos,
+            })?;
+            let code = u32::from_str_radix(hex, 16).map_err(|_| JsonError {
+                msg: format!("bad \\u escape {hex:?}"),
+                at: *pos,
+            })?;
+            *pos += 4;
+            match char::from_u32(code) {
+                Some(c) => c,
+                None => return err("surrogate \\u escape unsupported", *pos),
+            }
+        }
+        _ => return err(format!("unknown escape \\{}", e as char), *pos),
+    })
 }
 
 fn utf8_len(first: u8) -> usize {
@@ -1048,97 +1643,32 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
-    debug_assert_eq!(b[*pos], b'[');
-    *pos += 1;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos, depth)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return err("expected ',' or ']'", *pos),
-        }
-    }
-}
-
 /// Objects with at most this many keys are checked for a repeated key
 /// pair by pair, allocating nothing; larger ones are sorted.
 const PAIRWISE_KEYS: usize = 16;
 
-/// The least key `fields` holds twice, if any. Duplicate keys are
+/// The least key `keys` holds twice, if any. Duplicate keys are
 /// rejected rather than resolved: keeping either one would let a
 /// document say two things and run one of them. Small objects — nearly
 /// every object the workspace writes — compare their keys pairwise;
 /// sorting keeps one hostile object with a huge key count at
 /// O(n log n). Both report the same key.
-fn repeated_key(fields: &[(String, Json)]) -> Option<&str> {
-    if fields.len() <= PAIRWISE_KEYS {
+fn repeated_key<'k>(keys: impl ExactSizeIterator<Item = &'k str> + Clone) -> Option<&'k str> {
+    if keys.len() <= PAIRWISE_KEYS {
         let mut least: Option<&str> = None;
-        for (i, (key, _)) in fields.iter().enumerate() {
-            if least.is_some_and(|l| l <= key.as_str()) {
+        for (i, key) in keys.clone().enumerate() {
+            if least.is_some_and(|l| l <= key) {
                 continue;
             }
-            if fields[i + 1..].iter().any(|(other, _)| other == key) {
+            if keys.clone().skip(i + 1).any(|other| other == key) {
                 least = Some(key);
             }
         }
         return least;
     }
-    let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    let mut keys: Vec<&str> = keys.collect();
     keys.sort_unstable();
     keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
-    debug_assert_eq!(b[*pos], b'{');
-    let start = *pos;
-    *pos += 1;
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return err("expected object key", *pos);
-        }
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return err("expected ':'", *pos);
-        }
-        *pos += 1;
-        let value = parse_value(b, pos, depth)?;
-        fields.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b'}') => {
-                *pos += 1;
-                if let Some(key) = repeated_key(&fields) {
-                    return err(format!("duplicate object key {key:?}"), start);
-                }
-                return Ok(Json::Obj(fields));
-            }
-            _ => return err("expected ',' or '}'", *pos),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1174,12 +1704,12 @@ mod tests {
     fn floats_round_trip() {
         for x in [0.25, -1.5, 16.75, 1e-9, 123456.789] {
             let j = Json::Num(x);
-            let back = Json::parse(&j.render()).unwrap();
-            assert_eq!(back.as_f64().unwrap(), x, "{x}");
+            let back = JsonDoc::decode(&j.render(), |v| v.as_f64()).unwrap();
+            assert_eq!(back, x, "{x}");
         }
         // Integral non-negative floats may re-parse as UInt; as_f64 accepts.
-        let j = Json::parse(&Json::Num(16.0).render()).unwrap();
-        assert_eq!(j.as_f64().unwrap(), 16.0);
+        let text = Json::Num(16.0).render();
+        assert_eq!(JsonDoc::decode(&text, |v| v.as_f64()).unwrap(), 16.0);
     }
 
     #[test]
@@ -1232,6 +1762,12 @@ mod tests {
         assert_eq!(e.at, 11);
         // Equal after unescaping is equal.
         assert!(Json::parse(r#"{"a":1,"\u0061":2}"#).is_err());
+        // Each object's keys are its own: containers nested between two
+        // uses of a key neither hide nor fake a repeat.
+        let e = Json::parse(r#"{"k":[{"k":1,"j":{"k":2}}],"j":0,"k":3}"#).unwrap_err();
+        assert_eq!((e.msg.as_str(), e.at), (r#"duplicate object key "k""#, 0));
+        assert!(Json::parse(r#"[{"k":1},{"k":2}]"#).is_ok());
+        assert!(Json::parse(r#"{"k":{"k":{"k":[{"k":0}]}}}"#).is_ok());
         // A large object is checked the same way.
         let mut many: Vec<String> = (0..24).map(|i| format!("\"k{i}\":{i}")).collect();
         assert!(Json::parse(&format!("{{{}}}", many.join(","))).is_ok());
@@ -1392,9 +1928,130 @@ mod tests {
 
     /// The char-at-a-time string codec (one `from_utf8` call per
     /// character): the oracle the run-at-a-time fast paths must match.
+    /// And the recursive-descent tree parser the flat [`JsonDoc`]
+    /// parser replaced: the oracle for its values and its errors.
     mod reference {
-        use super::super::{err, utf8_len, JsonError};
+        use super::super::{
+            err, parse_number, repeated_key, utf8_len, Json, JsonError, Node, MAX_DEPTH,
+        };
         use std::fmt::Write as _;
+
+        /// Parse a complete document into a tree.
+        pub fn parse(s: &str) -> Result<Json, JsonError> {
+            let b = s.as_bytes();
+            let mut pos = 0;
+            let v = parse_value(b, &mut pos, 0)?;
+            skip_ws(b, &mut pos);
+            if pos != b.len() {
+                return err("trailing characters after document", pos);
+            }
+            Ok(v)
+        }
+
+        fn skip_ws(b: &[u8], pos: &mut usize) {
+            while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+                *pos += 1;
+            }
+        }
+
+        /// Parse one value whose enclosing containers are `depth` levels
+        /// deep.
+        fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+            skip_ws(b, pos);
+            let Some(&c) = b.get(*pos) else {
+                return err("unexpected end of input", *pos);
+            };
+            if matches!(c, b'{' | b'[') && depth >= MAX_DEPTH {
+                return err(format!("nesting deeper than {MAX_DEPTH} levels"), *pos);
+            }
+            match c {
+                b'{' => parse_obj(b, pos, depth + 1),
+                b'[' => parse_arr(b, pos, depth + 1),
+                b'"' => Ok(Json::Str(parse_string(b, pos)?)),
+                b't' => parse_lit(b, pos, "true", Json::Bool(true)),
+                b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
+                b'n' => parse_lit(b, pos, "null", Json::Null),
+                b'-' | b'0'..=b'9' => match parse_number(b, pos)? {
+                    Node::UInt(u) => Ok(Json::UInt(u)),
+                    Node::Num(x) => Ok(Json::Num(x)),
+                    other => unreachable!("a number scanned as {other:?}"),
+                },
+                _ => err(format!("unexpected character {:?}", c as char), *pos),
+            }
+        }
+
+        fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, JsonError> {
+            if b[*pos..].starts_with(lit.as_bytes()) {
+                *pos += lit.len();
+                Ok(v)
+            } else {
+                err(format!("expected {lit}"), *pos)
+            }
+        }
+
+        fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+            *pos += 1;
+            let mut items = Vec::new();
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(Json::Arr(items));
+            }
+            loop {
+                items.push(parse_value(b, pos, depth)?);
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => {
+                        *pos += 1;
+                    }
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    _ => return err("expected ',' or ']'", *pos),
+                }
+            }
+        }
+
+        fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+            let start = *pos;
+            *pos += 1;
+            let mut fields = Vec::new();
+            skip_ws(b, pos);
+            if b.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(Json::Obj(fields));
+            }
+            loop {
+                skip_ws(b, pos);
+                if b.get(*pos) != Some(&b'"') {
+                    return err("expected object key", *pos);
+                }
+                let key = parse_string(b, pos)?;
+                skip_ws(b, pos);
+                if b.get(*pos) != Some(&b':') {
+                    return err("expected ':'", *pos);
+                }
+                *pos += 1;
+                let value = parse_value(b, pos, depth)?;
+                fields.push((key, value));
+                skip_ws(b, pos);
+                match b.get(*pos) {
+                    Some(b',') => {
+                        *pos += 1;
+                    }
+                    Some(b'}') => {
+                        *pos += 1;
+                        let keys = fields.iter().map(|(k, _)| k.as_str());
+                        if let Some(key) = repeated_key(keys) {
+                            return err(format!("duplicate object key {key:?}"), start);
+                        }
+                        return Ok(Json::Obj(fields));
+                    }
+                    _ => return err("expected ',' or '}'", *pos),
+                }
+            }
+        }
 
         pub fn render_string(s: &str, out: &mut String) {
             out.push('"');
@@ -1633,6 +2290,7 @@ mod tests {
             prop_assert_eq!(doc.render(), compact);
             prop_assert_eq!(doc.render_pretty(), pretty);
             prop_assert_eq!(doc.to_tree(), doc);
+            prop_assert_eq!(JsonDoc::of(&doc).root().to_json(), doc);
         }
 
         #[test]
@@ -1644,7 +2302,8 @@ mod tests {
                 .iter()
                 .map(|&p| (format!("k{p}"), Json::Null))
                 .collect();
-            prop_assert_eq!(repeated_key(&fields), sorted_repeated_key(&fields));
+            let keys = fields.iter().map(|(k, _)| k.as_str());
+            prop_assert_eq!(repeated_key(keys), sorted_repeated_key(&fields));
         }
 
         #[test]
@@ -1669,11 +2328,38 @@ mod tests {
                 literal.push(b'"');
             }
             let (mut at_fast, mut at_slow) = (0, 0);
-            let got = parse_string(&literal, &mut at_fast);
+            let mut unescaped = String::new();
+            let got = scan_string(&literal, &mut at_fast, &mut unescaped).map(|node| {
+                let Node::Str { start, end, escaped } = node else {
+                    unreachable!("a string scanned as {node:?}");
+                };
+                if escaped {
+                    unescaped[start..end].to_string()
+                } else {
+                    String::from_utf8(literal[start..end].to_vec()).expect("checked utf-8")
+                }
+            });
             let want = reference::parse_string(&literal, &mut at_slow);
             prop_assert_eq!(&got, &want, "{:?}", String::from_utf8_lossy(&literal));
             if want.is_ok() {
                 prop_assert_eq!(at_fast, at_slow);
+            }
+        }
+
+        #[test]
+        fn the_flat_parser_matches_the_recursive_reference(
+            doc in Trees { depth: 4 },
+            pick in 0usize..1 << 20,
+        ) {
+            for text in [doc.render(), doc.render_pretty()] {
+                prop_assert_eq!(Json::parse(&text), reference::parse(&text));
+                for edited in one_byte_edits(&text, pick) {
+                    prop_assert_eq!(Json::parse(&edited), reference::parse(&edited), "{:?}", edited);
+                }
+                for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                    let torn = &text[..cut];
+                    prop_assert_eq!(Json::parse(torn), reference::parse(torn), "{:?}", torn);
+                }
             }
         }
     }

@@ -63,7 +63,9 @@ pub use exec::{
     Account, Bank, Block, BlockHook, Ctx, Machine, MachineBuilder, Port, Processors, Resumed,
     Spawn, Wiring, DEFAULT_BATCH,
 };
-pub use json::{fnv1a64, Fnv1a, Items, Json, JsonError, JsonWriter, Sink, WriteJson};
+pub use json::{
+    fnv1a64, Fnv1a, Items, Json, JsonDoc, JsonError, JsonVal, JsonWriter, Sink, WriteJson,
+};
 pub use memory::{Region, RegionAllocator, SharedMemory, WriteEvent, WriteHook};
 pub use metrics::WorkReport;
 pub use sched::{

@@ -36,7 +36,7 @@ use super::basic::{two_class_weights, zipf_weight};
 use super::bursty::log_stay;
 use super::combinators::{OverlaySchedule, PartitionSchedule, PhaseSwitchSchedule, ScaleSchedule};
 use super::{BoxedSchedule, ScheduleKind};
-use crate::json::{Json, JsonError, JsonWriter, WriteJson};
+use crate::json::{Json, JsonError, JsonVal, JsonWriter, WriteJson};
 use crate::rng::{derive_seed, small_rng};
 
 /// Domain tag for deriving per-node seeds inside a composed adversary
@@ -145,7 +145,7 @@ impl OverlayKind {
         }
     }
 
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
+    fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         match v.get("layer")?.as_str()? {
             "crash" => Ok(OverlayKind::Crash {
                 crash_frac: v.get("crash_frac")?.as_f64()?,
@@ -467,17 +467,22 @@ impl AdversarySpec {
 
     /// Deserialize a spec tree. The `kind` tag dispatches: the four
     /// combinator tags parse structurally; any other tag is handed to
-    /// [`ScheduleKind::from_json`] and becomes a [`AdversarySpec::Base`]
+    /// [`ScheduleKind::decode`] and becomes a [`AdversarySpec::Base`]
     /// leaf (which is how every pre-algebra document reads). A tree
     /// deeper than [`MAX_ADVERSARY_DEPTH`] is an error naming the depth,
     /// raised before anything below the cap is decoded.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Self::from_json_at(v, 1)
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
+        Self::decode_at(v, 1)
     }
 
-    /// [`AdversarySpec::from_json`] for a node `depth` levels down (the
+    /// [`AdversarySpec::decode`] of a tree.
+    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.decode(Self::decode)
+    }
+
+    /// [`AdversarySpec::decode`] for a node `depth` levels down (the
     /// root is at depth 1).
-    fn from_json_at(v: &Json, depth: usize) -> Result<Self, JsonError> {
+    fn decode_at(v: JsonVal<'_>, depth: usize) -> Result<Self, JsonError> {
         if depth > MAX_ADVERSARY_DEPTH {
             return Err(JsonError {
                 msg: format!(
@@ -486,17 +491,16 @@ impl AdversarySpec {
                 at: 0,
             });
         }
-        let child = |v: &Json| Self::from_json_at(v, depth + 1);
+        let child = |v: JsonVal<'_>| Self::decode_at(v, depth + 1);
         match v.get("kind")?.as_str()? {
             "overlay" => Ok(AdversarySpec::Overlay {
-                layer: OverlayKind::from_json(v)?,
+                layer: OverlayKind::decode(v)?,
                 base: Box::new(child(v.get("base")?)?),
             }),
             "phase-switch" => Ok(AdversarySpec::PhaseSwitch {
                 spans: v
                     .get("spans")?
                     .as_arr()?
-                    .iter()
                     .map(|s| {
                         Ok(Span {
                             ticks: s.get("ticks")?.as_u64()?,
@@ -510,14 +514,12 @@ impl AdversarySpec {
                 groups: v
                     .get("groups")?
                     .as_arr()?
-                    .iter()
                     .map(|g| {
                         Ok(Group {
                             procs: g
                                 .get("procs")?
                                 .as_arr()?
-                                .iter()
-                                .map(Json::as_usize)
+                                .map(JsonVal::as_usize)
                                 .collect::<Result<_, _>>()?,
                             spec: child(g.get("spec")?)?,
                         })
@@ -528,12 +530,11 @@ impl AdversarySpec {
                 factors: v
                     .get("factors")?
                     .as_arr()?
-                    .iter()
-                    .map(Json::as_u64)
+                    .map(JsonVal::as_u64)
                     .collect::<Result<_, _>>()?,
                 base: Box::new(child(v.get("base")?)?),
             }),
-            _ => Ok(AdversarySpec::Base(ScheduleKind::from_json(v)?)),
+            _ => Ok(AdversarySpec::Base(ScheduleKind::decode(v)?)),
         }
     }
 
@@ -710,6 +711,7 @@ impl ScheduleKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonDoc;
 
     fn three_deep(n: usize) -> AdversarySpec {
         AdversarySpec::composed_gallery(n).pop().unwrap()
@@ -765,10 +767,10 @@ mod tests {
             .chain(ScheduleKind::gallery().into_iter().map(AdversarySpec::Base))
         {
             let text = spec.to_json().render();
-            let back = AdversarySpec::from_json(&Json::parse(&text).unwrap()).unwrap();
+            let back = JsonDoc::decode(&text, AdversarySpec::decode).unwrap();
             assert_eq!(back, spec, "{text}");
             let pretty = spec.to_json().render_pretty();
-            let back = AdversarySpec::from_json(&Json::parse(&pretty).unwrap()).unwrap();
+            let back = JsonDoc::decode(&pretty, AdversarySpec::decode).unwrap();
             assert_eq!(back, spec);
         }
     }
@@ -776,7 +778,7 @@ mod tests {
     #[test]
     fn legacy_documents_parse_as_base_leaves() {
         let text = ScheduleKind::Bursty { mean_burst: 8 }.to_json().render();
-        let spec = AdversarySpec::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let spec = JsonDoc::decode(&text, AdversarySpec::decode).unwrap();
         assert_eq!(
             spec,
             AdversarySpec::Base(ScheduleKind::Bursty { mean_burst: 8 })

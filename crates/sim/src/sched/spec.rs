@@ -15,7 +15,7 @@
 //! with no special plumbing.
 
 use super::{ScheduleKind, Script, ScriptedSchedule};
-use crate::json::{Json, JsonError, JsonWriter, WriteJson};
+use crate::json::{Json, JsonError, JsonVal, JsonWriter, WriteJson};
 
 /// One segment of a scripted prefix (mirrors the [`Script`] builder verbs).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,9 +58,9 @@ impl ScriptSegment {
         }
     }
 
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let usize_arr = |v: &Json| -> Result<Vec<usize>, JsonError> {
-            v.as_arr()?.iter().map(|p| p.as_usize()).collect()
+    fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
+        let usize_arr = |v: JsonVal<'_>| -> Result<Vec<usize>, JsonError> {
+            v.as_arr()?.map(JsonVal::as_usize).collect()
         };
         match v.get("seg")?.as_str()? {
             "run" => Ok(ScriptSegment::Run {
@@ -216,16 +216,15 @@ impl ScriptSpec {
     }
 
     /// Deserialize from a JSON value (validates processor bounds).
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         let spec = ScriptSpec {
             n: v.get("n")?.as_usize()?,
             segments: v
                 .get("segments")?
                 .as_arr()?
-                .iter()
-                .map(ScriptSegment::from_json)
+                .map(ScriptSegment::decode)
                 .collect::<Result<_, _>>()?,
-            fallback: Box::new(ScheduleKind::from_json(v.get("fallback")?)?),
+            fallback: Box::new(ScheduleKind::decode(v.get("fallback")?)?),
         };
         spec.validate().map_err(|msg| JsonError { msg, at: 0 })?;
         Ok(spec)
@@ -239,7 +238,7 @@ impl ScheduleKind {
     }
 
     /// Deserialize a schedule family from JSON.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         match v.get("kind")?.as_str()? {
             "round-robin" => Ok(ScheduleKind::RoundRobin),
             "uniform" => Ok(ScheduleKind::Uniform),
@@ -262,12 +261,17 @@ impl ScheduleKind {
                 crash_frac: v.get("crash_frac")?.as_f64()?,
                 horizon: v.get("horizon")?.as_u64()?,
             }),
-            "scripted" => Ok(ScheduleKind::Scripted(ScriptSpec::from_json(v)?)),
+            "scripted" => Ok(ScheduleKind::Scripted(ScriptSpec::decode(v)?)),
             other => Err(JsonError {
                 msg: format!("unknown schedule kind {other:?}"),
                 at: 0,
             }),
         }
+    }
+
+    /// [`ScheduleKind::decode`] of a tree.
+    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.decode(Self::decode)
     }
 }
 
@@ -336,6 +340,7 @@ pub(super) fn build_scripted(spec: &ScriptSpec, n: usize, master_seed: u64) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonDoc;
     use crate::sched::Schedule;
 
     fn spec() -> ScriptSpec {
@@ -360,7 +365,7 @@ mod tests {
     fn spec_round_trips_through_json() {
         let s = spec();
         let text = s.to_json().render_pretty();
-        let back = ScriptSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = JsonDoc::decode(&text, ScriptSpec::decode).unwrap();
         assert_eq!(back, s);
     }
 
@@ -379,7 +384,7 @@ mod tests {
             .collect::<Vec<_>>();
         for kind in kinds {
             let text = kind.to_json().render();
-            let back = ScheduleKind::from_json(&Json::parse(&text).unwrap()).unwrap();
+            let back = JsonDoc::decode(&text, ScheduleKind::decode).unwrap();
             assert_eq!(back, kind, "{text}");
         }
     }
@@ -388,7 +393,7 @@ mod tests {
     fn rebuilt_spec_plays_identically_to_original() {
         let s = spec();
         let text = s.to_json().render();
-        let back = ScriptSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = JsonDoc::decode(&text, ScriptSpec::decode).unwrap();
         let mut a = s.build(7);
         let mut b = back.build(7);
         for _ in 0..200 {
@@ -440,7 +445,7 @@ mod tests {
         assert!(spec().validate().is_ok());
         // from_json validates too.
         let bad = out_of_range.to_json().render();
-        assert!(ScriptSpec::from_json(&Json::parse(&bad).unwrap()).is_err());
+        assert!(JsonDoc::decode(&bad, ScriptSpec::decode).is_err());
     }
 
     #[test]

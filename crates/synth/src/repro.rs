@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 use apex_scenario::{Mode, Scenario};
 use apex_scheme::SchemeKind;
-use apex_sim::{Json, JsonError, JsonWriter, WriteJson};
+use apex_sim::{Json, JsonDoc, JsonError, JsonVal, JsonWriter, WriteJson};
 
 // The stable program/op JSON codec moved to `apex-scenario` with the
 // Scenario redesign; re-exported here for the original importers.
@@ -133,8 +133,13 @@ impl Reproducer {
         self.to_tree()
     }
 
-    /// Deserialize from (v2) artifact JSON, validating the scenario.
+    /// [`Reproducer::decode`] of a tree.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.decode(Self::decode)
+    }
+
+    /// Deserialize from (v2) artifact JSON, validating the scenario.
+    pub fn decode(v: JsonVal<'_>) -> Result<Self, JsonError> {
         let version = v.get("version")?.as_u64()?;
         if version != VERSION {
             return Err(jerr(format!(
@@ -144,7 +149,7 @@ impl Reproducer {
         let repro = Reproducer {
             expected: Expectation::from_label(v.get("expected")?.as_str()?)?,
             note: v.get("note")?.as_str()?.to_string(),
-            scenario: Scenario::from_json(v.get("scenario")?)?,
+            scenario: Scenario::decode(v.get("scenario")?)?,
         };
         if !matches!(repro.scenario.mode, Mode::Scheme { .. }) {
             return Err(jerr("reproducer scenario must be scheme-mode"));
@@ -175,8 +180,7 @@ impl Reproducer {
     /// Load one artifact.
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        Reproducer::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))
+        JsonDoc::decode(&text, Reproducer::decode).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Load every `*.json` artifact in `dir`, sorted by file name.
@@ -292,7 +296,7 @@ mod tests {
     fn program_json_round_trips_exactly() {
         for seed in 0..20 {
             let p = generate_nondet_program(&GenConfig::default(), seed);
-            let back = program_from_json(&program_to_json(&p)).unwrap();
+            let back = program_to_json(&p).decode(program_from_json).unwrap();
             assert_eq!(back.steps, p.steps, "seed {seed}");
             assert_eq!(back.init, p.init);
             assert_eq!(back.name, p.name);

@@ -79,7 +79,7 @@ proptest! {
     #[test]
     fn generated_programs_round_trip_through_artifact_json(seed in any::<u64>()) {
         let p = generate_program(&GenConfig::default(), seed);
-        let back = program_from_json(&program_to_json(&p)).expect("round trip");
+        let back = program_to_json(&p).decode(program_from_json).expect("round trip");
         prop_assert_eq!(back, p);
     }
 
