@@ -43,6 +43,7 @@ use apex_obs::{read_trace, summarize, Metrics, Table};
 use apex_scenario::Scenario;
 use apex_sim::{AdversarySpec, Json, JsonDoc};
 use apex_synth::cli::{self, Args, RunArgs};
+use apex_synth::{out, outln};
 
 fn usage() -> ! {
     eprintln!(
@@ -126,7 +127,7 @@ fn cmd_adversary(raw: &[String]) -> ExitCode {
             Ok(spec)
         }) {
             Ok(spec) => {
-                println!(
+                outln!(
                     "ok: {} (depth {}) is a valid adversary for n={n}",
                     spec.label(),
                     spec.depth()
@@ -146,9 +147,9 @@ fn cmd_adversary(raw: &[String]) -> ExitCode {
             }) {
                 Ok(spec) => {
                     let schedule = spec.build(n, seed);
-                    println!("label:    {}", spec.label());
-                    println!("depth:    {}", spec.depth());
-                    println!("compiled: {}", schedule.describe());
+                    outln!("label:    {}", spec.label());
+                    outln!("depth:    {}", spec.depth());
+                    outln!("compiled: {}", schedule.describe());
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
@@ -160,7 +161,7 @@ fn cmd_adversary(raw: &[String]) -> ExitCode {
         ("gallery", None) => {
             let specs = AdversarySpec::composed_gallery(n);
             let arr = Json::Arr(specs.iter().map(AdversarySpec::to_json).collect());
-            println!("{}", arr.render_pretty());
+            outln!("{}", arr.render_pretty());
             ExitCode::SUCCESS
         }
         _ => usage(),
@@ -217,14 +218,14 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            println!(
+            outln!(
                 "suite {:?} ({}) expands to {} cells:",
                 suite.name,
                 suite.digest(),
                 cells.len()
             );
             for cell in &cells {
-                println!(
+                outln!(
                     "  [{:>4}] {} {}",
                     cell.index,
                     cell.digest,
@@ -264,7 +265,7 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 }
             };
             let run = &done.run;
-            println!(
+            outln!(
                 "suite {:?}: {} cells ({} resumed from store, {} executed), {} ok — records in {}",
                 run.name,
                 run.outcomes.len(),
@@ -273,16 +274,16 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 run.ok_count(),
                 store.suite_dir(&run.suite_digest).display()
             );
-            println!(
+            outln!(
                 "  {} exhausted, {} poisoned",
                 done.status_count("exhausted"),
                 done.status_count("poisoned")
             );
             if opts.cached {
-                println!("  {}", done.cache.summary());
+                outln!("  {}", done.cache.summary());
             }
             if opts.obs.profile {
-                println!(
+                outln!(
                     "  executed {} ticks in {} ms — {} ticks/s",
                     done.executed_ticks,
                     done.elapsed_ms,
@@ -290,17 +291,17 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 );
             }
             if let Some(trace) = &opts.obs.trace {
-                println!("  trace: wrote {}", trace.display());
+                outln!("  trace: wrote {}", trace.display());
             }
             if !done.metrics.is_empty() {
-                println!(
+                outln!(
                     "  metrics: wrote {} ({})",
                     store.metrics_path(&run.suite_digest).display(),
                     done.metrics.summary()
                 );
             }
             for cell in &done.manifest.cells {
-                println!(
+                outln!(
                     "  [{:>4}] {} {} {}",
                     cell.index,
                     if cell.ok { "ok  " } else { "FAIL" },
@@ -309,7 +310,7 @@ fn cmd_suite(raw: &[String]) -> ExitCode {
                 );
             }
             for mismatch in &run.output_mismatches {
-                println!("  output assertion FAILED: {mismatch}");
+                outln!("  output assertion FAILED: {mismatch}");
             }
             if run.all_ok() {
                 ExitCode::SUCCESS
@@ -333,7 +334,7 @@ fn cmd_drift(raw: &[String]) -> ExitCode {
             }
         };
         print_drift_table(&report);
-        println!("{}", report.summary());
+        outln!("{}", report.summary());
         return if report.clean() {
             ExitCode::SUCCESS
         } else {
@@ -361,7 +362,7 @@ fn cmd_drift(raw: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!("{}", report.summary());
+    outln!("{}", report.summary());
     if report.clean() {
         ExitCode::SUCCESS
     } else {
@@ -391,7 +392,7 @@ fn print_drift_table(report: &DriftReport) {
         cells.extend(counts.iter().map(u64::to_string));
         table.row(&cells);
     }
-    print!("{}", table.render());
+    out!("{}", table.render());
 }
 
 /// `apex lab <fsck|gc>` — store maintenance. `fsck` integrity-scans every
@@ -417,7 +418,7 @@ fn cmd_lab(raw: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            println!("{}", report.summary());
+            outln!("{}", report.summary());
             if report.clean() {
                 ExitCode::SUCCESS
             } else {
@@ -433,7 +434,7 @@ fn cmd_lab(raw: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            println!("{}", report.summary());
+            outln!("{}", report.summary());
             ExitCode::SUCCESS
         }
         _ => usage(),
@@ -474,7 +475,7 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
             };
             match queue.submit(&suite) {
                 Ok((digest, path, fresh)) => {
-                    println!(
+                    outln!(
                         "{} suite {:?} ({digest}) at {}",
                         if fresh { "enqueued" } else { "already queued:" },
                         suite.name,
@@ -516,9 +517,9 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
             opts.obs = run_args.obs;
             match run_worker(&queue, &store, &opts) {
                 Ok(report) => {
-                    println!("{}", report.summary());
+                    outln!("{}", report.summary());
                     for d in &report.divergences {
-                        println!("  DIVERGENCE: {d}");
+                        outln!("  DIVERGENCE: {d}");
                     }
                     for bad in &report.skipped {
                         eprintln!("  SKIPPED: {bad}");
@@ -539,7 +540,7 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
             let store = store_from(&args);
             match queue.status(&store) {
                 Ok(status) => {
-                    println!("{}", status.summary());
+                    outln!("{}", status.summary());
                     if args.has("metrics") {
                         // Fold every metrics sidecar in the store — the
                         // serial `metrics.json` and per-worker
@@ -547,10 +548,10 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
                         // fleet document.
                         match merge_metrics(store.root()) {
                             Ok((merged, files)) if files > 0 => {
-                                println!("fleet metrics ({files} documents merged):");
-                                print!("{}", render_metrics_tables(&merged));
+                                outln!("fleet metrics ({files} documents merged):");
+                                out!("{}", render_metrics_tables(&merged));
                             }
-                            Ok(_) => println!("fleet metrics: no metrics documents in store"),
+                            Ok(_) => outln!("fleet metrics: no metrics documents in store"),
                             Err(e) => {
                                 eprintln!("farm status --metrics: {e}");
                                 return ExitCode::FAILURE;
@@ -584,9 +585,9 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
                     record,
                 }) => {
                     if args.has("json") {
-                        print!("{text}");
+                        out!("{text}");
                     } else {
-                        println!(
+                        outln!(
                             "hit: {} (cached under suite {suite}) — {}",
                             record.scenario.digest(),
                             if record.ok() { "ok" } else { "FAIL" }
@@ -599,7 +600,7 @@ fn cmd_farm(raw: &[String]) -> ExitCode {
                     path,
                     fresh,
                 }) => {
-                    println!(
+                    outln!(
                         "miss: {} as one-cell suite {suite_digest} at {} — run `apex farm worker`",
                         if fresh {
                             "enqueued"
@@ -657,11 +658,11 @@ fn cmd_obs(raw: &[String]) -> ExitCode {
                 .collect();
             if args.has("raw") {
                 for e in &events {
-                    println!("{}", e.to_line());
+                    outln!("{}", e.to_line());
                 }
             } else {
-                print!("{}", summarize(&events).render());
-                println!("{} events from {file}", events.len());
+                out!("{}", summarize(&events).render());
+                outln!("{} events from {file}", events.len());
             }
             if log.torn_tail {
                 eprintln!("warning: {file} has a torn final line (tolerated)");
@@ -699,10 +700,10 @@ fn cmd_obs(raw: &[String]) -> ExitCode {
                 merged
             };
             if args.has("json") {
-                println!("{}", doc.render_pretty());
+                outln!("{}", doc.render_pretty());
             } else {
-                println!("{} documents merged — {}", files, doc.summary());
-                print!("{}", render_metrics_tables(&doc));
+                outln!("{} documents merged — {}", files, doc.summary());
+                out!("{}", render_metrics_tables(&doc));
             }
             ExitCode::SUCCESS
         }

@@ -45,7 +45,7 @@ pub use cache::CacheStats;
 pub use outcome::{catch_panic, RunOutcome, OUTCOME_FORMAT_MAJOR, OUTCOME_FORMAT_MINOR};
 pub use program::{
     op_from_name, op_name, program_from_json, program_to_json, scheme_from_label, ProgramMemo,
-    ProgramSource,
+    ProgramSource, MAX_LIBRARY_SLOTS,
 };
 pub use record::{
     atomic_write, atomic_write_bytes, temp_path, ReportRecord, StoredRecordError,

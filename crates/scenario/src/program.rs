@@ -22,7 +22,7 @@ use apex_pram::{Instr, Op, Operand, Program, VarBlock, VarId};
 use apex_scheme::SchemeKind;
 use apex_sim::{Items, Json, JsonError, JsonVal, JsonWriter, WriteJson};
 
-use crate::scenario::ScenarioError;
+use crate::scenario::{ScenarioError, MAX_N};
 use crate::Doc;
 
 fn jerr(msg: impl Into<String>) -> JsonError {
@@ -385,6 +385,16 @@ impl<'s> ProgramMemo<'s> {
     }
 }
 
+/// The most instruction slots (steps × n) a library program may have.
+///
+/// 2^20 is about 340× the largest program any committed suite, test or
+/// generator builds (odd-even-sort at n=32, 3072 slots) and 10× the
+/// largest experiment sweep's (random-walks at n=1024 with 24 rounds,
+/// 98,304 slots, under `APEX_BENCH_FULL`). At 48 bytes an instruction
+/// slot, a program at the cap holds 48 MiB, so a hostile document
+/// cannot grow memory without bound.
+pub const MAX_LIBRARY_SLOTS: u64 = 1 << 20;
+
 fn resolve_library(name: &str, n: usize, params: &[u64]) -> Result<Built, ScenarioError> {
     let fail = |msg: String| Err(ScenarioError(msg));
     if n < 2 || !n.is_power_of_two() {
@@ -411,22 +421,27 @@ fn resolve_library(name: &str, n: usize, params: &[u64]) -> Result<Built, Scenar
             params.len()
         ));
     }
-    let as_count = |x: u64, what: &str| -> Result<usize, ScenarioError> {
-        usize::try_from(x).map_err(|_| ScenarioError(format!("{what} {x} does not fit usize")))
-    };
+    if n > MAX_N {
+        return fail(format!(
+            "library program {name:?} at n={n} exceeds the cap of {MAX_N}"
+        ));
+    }
+    let slots = library_steps(name, n, params)?.saturating_mul(n as u64);
+    if slots > MAX_LIBRARY_SLOTS {
+        return fail(format!(
+            "library program {name:?} at n={n} has {slots} instruction slots (steps × n); \
+             the cap is {MAX_LIBRARY_SLOTS}"
+        ));
+    }
+    let count = |x: u64| usize::try_from(x).expect("the slot cap bounds every count");
     let built = match name {
-        "coin-sum" => {
-            if params[0] == 0 {
-                return fail("coin-sum bound must be ≥ 1".into());
-            }
-            coin_sum(n, params[0])
-        }
-        "random-walks" => random_walks(&vec![params[0]; n], as_count(params[1], "rounds")?),
-        "leader-election" => leader_election(n, as_count(params[0], "rounds")?),
+        "coin-sum" => coin_sum(n, params[0]),
+        "random-walks" => random_walks(&vec![params[0]; n], count(params[1])),
+        "leader-election" => leader_election(n, count(params[0])),
         "tree-reduce-add" => tree_reduce(Op::Add, &gen_values(n, params[0])),
         "tree-reduce-max" => tree_reduce(Op::Max, &gen_values(n, params[0])),
         "blelloch-scan" => blelloch_scan(&gen_values(n, params[0])),
-        "jacobi-smooth" => jacobi_smooth(&gen_values(n, params[0]), as_count(params[1], "iters")?),
+        "jacobi-smooth" => jacobi_smooth(&gen_values(n, params[0]), count(params[1])),
         "allreduce-add" => hypercube_allreduce(Op::Add, &gen_values(n, params[0])),
         "matvec" => matvec(
             &gen_values(n * n, params[0] ^ 1),
@@ -439,9 +454,107 @@ fn resolve_library(name: &str, n: usize, params: &[u64]) -> Result<Built, Scenar
     Ok(built)
 }
 
+/// The step count of library entry `name` at a power-of-two `n`, in
+/// closed form, once the entry's own precondition holds — so a hostile
+/// size is refused before any input is generated or any step is built.
+/// A count too large for `u64` saturates; the slot cap refuses it.
+fn library_steps(name: &str, n: usize, params: &[u64]) -> Result<u64, ScenarioError> {
+    let lg = u64::from(n.trailing_zeros());
+    Ok(match name {
+        "coin-sum" => {
+            if params[0] == 0 {
+                return Err(ScenarioError("coin-sum bound must be ≥ 1".into()));
+            }
+            1 + lg
+        }
+        "random-walks" => params[1].saturating_mul(4),
+        "leader-election" => params[0].saturating_mul(7 + 2 * lg),
+        "tree-reduce-add" | "tree-reduce-max" => lg,
+        "blelloch-scan" => 4 * lg + 1,
+        "jacobi-smooth" => {
+            if n < 4 {
+                return Err(ScenarioError(format!(
+                    "library program {name:?} needs n ≥ 4, got {n}"
+                )));
+            }
+            params[1].saturating_mul(4)
+        }
+        "allreduce-add" => 3 * lg,
+        "matvec" => 2 * n as u64,
+        // At n = 2 every odd round has no pair and emits no step.
+        "odd-even-sort" => 3 * if n > 2 { n as u64 } else { 1 },
+        _ => unreachable!("arity table covers the catalog"),
+    })
+}
+
 fn library_arity(name: &str) -> Option<usize> {
     ProgramSource::library_names()
         .iter()
         .find(|(n, _)| *n == name)
         .map(|(_, params)| params.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every small parameter vector of the entry `name` takes: each
+    /// parameter from 0 to 8.
+    fn small_params(name: &str) -> Vec<Vec<u64>> {
+        let mut all = vec![Vec::new()];
+        for _ in 0..library_arity(name).unwrap() {
+            all = all
+                .into_iter()
+                .flat_map(|p| {
+                    (0..=8).map(move |x| {
+                        let mut p = p.clone();
+                        p.push(x);
+                        p
+                    })
+                })
+                .collect();
+        }
+        all
+    }
+
+    /// The closed form the slot cap is checked against is exact: every
+    /// entry, at every small n and parameter vector it accepts, builds a
+    /// program of `library_steps` steps; one it refuses names itself.
+    #[test]
+    fn closed_form_steps_match_every_small_build() {
+        for (name, _) in ProgramSource::library_names() {
+            let mut built = 0;
+            for n in [2, 4, 8, 16] {
+                for params in small_params(name) {
+                    match resolve_library(name, n, &params) {
+                        Ok(b) => {
+                            built += 1;
+                            let steps = library_steps(name, n, &params).unwrap();
+                            assert_eq!(
+                                steps * n as u64,
+                                (b.program.n_steps() * n) as u64,
+                                "{name} n={n} params={params:?}"
+                            );
+                        }
+                        Err(e) => assert!(e.0.contains(name), "{name}: {e}"),
+                    }
+                }
+            }
+            assert!(built > 0, "{name} never built");
+        }
+    }
+
+    /// A zero-step entry has no slots to cap, so its size is capped on
+    /// its own: a direct resolution never sizes inputs past `MAX_N`.
+    #[test]
+    fn a_zero_step_entry_is_capped_by_its_size() {
+        for (name, params) in [
+            ("random-walks", [1, 0].as_slice()),
+            ("leader-election", &[0]),
+        ] {
+            let err = resolve_library(name, 1 << 40, params).unwrap_err();
+            assert!(err.0.contains("exceeds the cap of 65536"), "{err}");
+            assert!(resolve_library(name, 8, params).is_ok());
+        }
+    }
 }

@@ -16,6 +16,7 @@
 //!
 //! A flag the subcommand does not read exits 2 with the usage text.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -27,6 +28,42 @@ use apex_scheme::SchemeKind;
 use crate::campaign::{campaign_triple, run_campaign, CampaignConfig, Finding};
 use crate::repro::{dedup_corpus, Expectation, Reproducer};
 use crate::{check_triple, shrink};
+
+/// Write to standard output through [`write_stdout`]; `print!` that
+/// cannot panic.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// Write a line to standard output through [`write_stdout`];
+/// `println!` that cannot panic.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write `args` to standard output: the one writer every `apex` report
+/// goes through ([`out!`](crate::out!), [`outln!`](crate::outln!)). A
+/// reader that has gone away (`apex suite expand … | head -1`) ends the
+/// process quietly with status 0, as a Unix tool ends on a closed pipe;
+/// any other write error is reported and exits 1. Neither is a panic.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("apex: writing to standard output: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// Print the synthesis usage text and exit with status 2.
 pub fn usage() -> ! {
@@ -256,7 +293,7 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
         if args.has("json") {
             eprintln!("wrote canonical form to {out}");
         } else {
-            println!("wrote canonical form to {out}");
+            outln!("wrote canonical form to {out}");
         }
     }
     if args.has("cached") {
@@ -268,10 +305,10 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
         };
         if let Some((suite, text, record)) = store.find_record(&scenario.digest()) {
             if args.has("json") {
-                print!("{text}");
+                out!("{text}");
                 eprintln!("cache hit (suite {suite})");
             } else {
-                println!(
+                outln!(
                     "cache hit (suite {suite}): {}",
                     if record.ok() { "ok" } else { "FAIL" }
                 );
@@ -283,7 +320,7 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
             };
         }
         if !args.has("json") {
-            println!("cache miss: executing");
+            outln!("cache miss: executing");
         }
     }
     // Captured, not raw: a panicking or budget-exhausted scenario becomes
@@ -317,7 +354,7 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
         if !args.has("json") {
-            println!("metrics: wrote {path}");
+            outln!("metrics: wrote {path}");
         }
     }
     if args.has("json") {
@@ -325,14 +362,14 @@ pub fn cmd_run(raw: &[String]) -> ExitCode {
         // completed, the typed outcome otherwise); the summary goes to
         // stderr so pipelines stay parseable.
         match outcome.record() {
-            Some(record) => print!("{}", record.render_pretty()),
-            None => print!("{}", outcome.to_json().render_pretty()),
+            Some(record) => out!("{}", record.render_pretty()),
+            None => out!("{}", outcome.to_json().render_pretty()),
         }
         eprintln!("{}", outcome.summary());
     } else {
-        println!("{}", outcome.summary());
+        outln!("{}", outcome.summary());
         if let Some(outputs) = outcome.record().and_then(|r| r.outputs.as_ref()) {
-            println!("named outputs: {outputs:?}");
+            outln!("named outputs: {outputs:?}");
         }
     }
     if outcome.ok() {
@@ -355,14 +392,14 @@ pub fn cmd_corpus_dedup(args: &Args) -> ExitCode {
         }
     };
     for (dup, kept) in &outcome.removed {
-        println!(
+        outln!(
             "{} {} (duplicate of {})",
             if dry_run { "would remove" } else { "removed" },
             dup.display(),
             kept.display()
         );
     }
-    println!(
+    outln!(
         "{} distinct scenarios kept, {} duplicates {}",
         outcome.kept.len(),
         outcome.removed.len(),
@@ -377,7 +414,7 @@ fn cmd_gen(args: &Args) -> ExitCode {
     let cfg = CampaignConfig::new(count, seed);
     for i in 0..count {
         let t = campaign_triple(&cfg, i);
-        println!(
+        outln!(
             "# {} — {} threads, {} steps, {} instructions, nondet={}",
             t.program.name,
             t.program.n_threads,
@@ -388,14 +425,14 @@ fn cmd_gen(args: &Args) -> ExitCode {
         for (step, row) in t.program.steps.iter().enumerate() {
             for (thread, slot) in row.iter().enumerate() {
                 if let Some(instr) = slot {
-                    println!("  step {step} thread {thread}: {instr}");
+                    outln!("  step {step} thread {thread}: {instr}");
                 }
             }
         }
         if args.has("show-schedule") {
-            println!("  schedule: {}", t.schedule.to_json().render());
+            outln!("  schedule: {}", t.schedule.to_json().render());
         }
-        println!();
+        outln!();
     }
     ExitCode::SUCCESS
 }
@@ -403,7 +440,7 @@ fn cmd_gen(args: &Args) -> ExitCode {
 fn write_reproducer(finding: &Finding, expected: Expectation, note: String, out: &Path) {
     let repro = Reproducer::new(finding.scheme, expected, note, &finding.triple);
     match repro.save(out) {
-        Ok(path) => println!("  wrote {}", path.display()),
+        Ok(path) => outln!("  wrote {}", path.display()),
         Err(e) => eprintln!("  failed to write reproducer: {e}"),
     }
 }
@@ -423,39 +460,45 @@ fn cmd_fuzz(args: &Args) -> ExitCode {
         cfg.max_secs = Some(args.num("max-secs", 30.0));
     }
 
-    println!(
+    outln!(
         "fuzz: {} triples from seed {} (det leg: {}, comparator legs: {})",
-        trials, seed, cfg.det_leg, cfg.comparator_legs
+        trials,
+        seed,
+        cfg.det_leg,
+        cfg.comparator_legs
     );
     let mut last_print = std::time::Instant::now();
     let mut progress = move |done: usize, findings: usize| {
         if last_print.elapsed().as_secs_f64() > 2.0 {
-            println!("  … {done}/{trials} triples, {findings} findings");
+            outln!("  … {done}/{trials} triples, {findings} findings");
             last_print = std::time::Instant::now();
         }
     };
     let outcome = run_campaign(&cfg, Some(&mut progress));
 
-    println!(
+    outln!(
         "ran {} triples ({} det-baseline legs, {} stalls) in {:.1}s",
-        outcome.trials_run, outcome.det_trials_run, outcome.stalls, outcome.wall_secs
+        outcome.trials_run,
+        outcome.det_trials_run,
+        outcome.stalls,
+        outcome.wall_secs
     );
-    println!(
+    outln!(
         "nondet-scheme divergences: {} (must be 0)",
         outcome.nondet_divergences.len()
     );
-    println!(
+    outln!(
         "det-baseline divergences:  {} (witnesses of prior-work unsoundness)",
         outcome.det_divergences.len()
     );
     if cfg.comparator_legs {
-        println!(
+        outln!(
             "comparator divergences:    {} over {} legs (must be 0)",
             outcome.comparator_divergences.len(),
             outcome.comparator_trials_run
         );
     }
-    println!(
+    outln!(
         "engine divergences:        {} over {} tree-walker legs (must be 0)",
         outcome.engine_divergences.len(),
         outcome.engine_trials_run
@@ -464,7 +507,7 @@ fn cmd_fuzz(args: &Args) -> ExitCode {
     // clean on their own, so a reproducer cannot pin it; the triple is
     // addressed by its campaign seed and index instead.
     for finding in &outcome.engine_divergences {
-        println!(
+        outln!(
             "BUG: the tree walker and the default engine disagree on triple {} \
              (campaign seed {seed})",
             finding.index
@@ -478,7 +521,7 @@ fn cmd_fuzz(args: &Args) -> ExitCode {
         .iter()
         .chain(&outcome.comparator_divergences)
     {
-        println!(
+        outln!(
             "BUG: {} diverged on triple {} ({:?})",
             finding.scheme.label(),
             finding.index,
@@ -500,15 +543,18 @@ fn cmd_fuzz(args: &Args) -> ExitCode {
 
     if write {
         for finding in outcome.det_divergences.iter().take(keep) {
-            println!(
+            outln!(
                 "shrinking det-baseline divergence at triple {} ({} instrs)…",
                 finding.index,
                 finding.triple.program.n_instructions()
             );
             let (small, stats) = shrink(&finding.triple, SchemeKind::DetBaseline, shrink_budget);
-            println!(
+            outln!(
                 "  {:?} -> {:?} in {} runs ({} accepted)",
-                stats.before, stats.after, stats.runs, stats.accepted
+                stats.before,
+                stats.after,
+                stats.runs,
+                stats.accepted
             );
             // The differential pair: DetBaseline diverges, Nondet is clean
             // on the very same shrunk triple.
@@ -568,9 +614,11 @@ fn cmd_shrink(args: &Args) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let (small, stats) = shrink(&triple, repro.scheme(), shrink_budget);
-    println!(
+    outln!(
         "shrunk {:?} -> {:?} in {} runs",
-        stats.before, stats.after, stats.runs
+        stats.before,
+        stats.after,
+        stats.runs
     );
     let new = Reproducer::new(
         repro.scheme(),
@@ -583,7 +631,7 @@ fn cmd_shrink(args: &Args) -> ExitCode {
     );
     match new.save(&out) {
         Ok(path) => {
-            println!("wrote {}", path.display());
+            outln!("wrote {}", path.display());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -625,7 +673,7 @@ fn cmd_replay(args: &Args) -> ExitCode {
     let mut failures = 0;
     for (path, repro) in &entries {
         match repro.check(&opts) {
-            Ok(verdict) => println!(
+            Ok(verdict) => outln!(
                 "ok   {} ({}, expect {:?}, violations={})",
                 path.display(),
                 repro.scheme().label(),
@@ -634,11 +682,11 @@ fn cmd_replay(args: &Args) -> ExitCode {
             ),
             Err(e) => {
                 failures += 1;
-                println!("FAIL {}: {e}", path.display());
+                outln!("FAIL {}: {e}", path.display());
             }
         }
     }
-    println!(
+    outln!(
         "{}/{} reproducers replayed as recorded",
         entries.len() - failures,
         entries.len()

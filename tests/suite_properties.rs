@@ -297,6 +297,39 @@ fn a_bad_library_base_fails_at_its_first_cell() {
     }
 }
 
+/// Library parameters that would panic in a builder's precondition, or
+/// grow memory until the process is killed, are a typed error naming the
+/// program — checked in closed form, so no row builds anything.
+#[test]
+fn hostile_library_parameters_are_refused_before_building() {
+    let cap = "the cap is 1048576";
+    for (name, n, params, why) in [
+        ("jacobi-smooth", 2, vec![1, 2], "needs n ≥ 4, got 2"),
+        ("jacobi-smooth", 8, vec![1, u64::MAX], cap),
+        ("random-walks", 8, vec![1000, 1 << 40], cap),
+        ("leader-election", 8, vec![u64::MAX], cap),
+        ("leader-election", 1 << 16, vec![1], cap),
+        ("odd-even-sort", 1 << 16, vec![1], cap),
+        ("odd-even-sort", 1 << 10, vec![1], cap),
+        ("matvec", 1 << 16, vec![1], cap),
+        ("matvec", 1 << 10, vec![1], cap),
+        ("coin-sum", 1 << 16, vec![16], cap),
+        ("blelloch-scan", 1 << 16, vec![1], cap),
+    ] {
+        let mut suite = Suite::new("hostile-library");
+        suite.cells.push(Scenario::scheme(
+            SchemeKind::Nondet,
+            ProgramSource::library(name, n, params.clone()),
+            1,
+        ));
+        let err = suite.validate().unwrap_err();
+        assert!(
+            err.contains(&format!("library program {name:?}")) && err.contains(why),
+            "{name} n={n} {params:?}: {err}"
+        );
+    }
+}
+
 /// Output expectations still need a cell that declares named outputs:
 /// a library scheme-mode cell passes, an agreement-mode or explicit
 /// program cell fails.
